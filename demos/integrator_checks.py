@@ -26,7 +26,7 @@ from staghmc import (
     to_dimensionless,
 )
 from staghmc.energy import h_N, h_total
-from staghmc.integrator import OscillatorBank, harmonic_half_step, trotter_propagate
+from staghmc.integrator import OscillatorBank, _rotate_inplace, trotter_propagate
 from staghmc.lattice import PolymerState, build_layout, initial_state
 from staghmc.model import DimensionlessParams
 from staghmc.sampler import HmcConfig, InferenceProblem, hmc_iteration, sample_momenta
@@ -77,8 +77,9 @@ def main():
     drift = 0.0
     for _ in range(200):
         state = moderate_state(layout, rng)
-        before = h_N(state, MASSES, layout)
-        after = h_N(harmonic_half_step(state, bank), MASSES, layout)
+        out = state.copy()
+        _rotate_inplace(out.u, out.p, bank)
+        before, after = h_N(state, MASSES, layout), h_N(out, MASSES, layout)
         drift = max(drift, abs(after - before) / before)
     print(f"harmonic rotations: relative h_N drift over 200 states = {drift:.2e}")
 

@@ -18,7 +18,6 @@ from .model import (
     generate_observations,
     path_inverse,
     path_transform,
-    rho_discrete,
     simulate_truth,
     to_dimensionless,
 )

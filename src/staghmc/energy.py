@@ -28,19 +28,30 @@ as du = dtau p / m. Measurement beads use M as the effective mass directly
 (matching the drift form of the slow update), staging beads use m'/dt
 (matching the printed oscillator form above), parameters use m_alpha.
 
+Everything that does not depend on the state is frozen once: the lattice
+tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
+problem) the log-input increments L and their difference Ldot, so that
+rho = L / beta + (2 + gamma) beta / (2 gamma) and rhodot = Ldot / beta cost
+one operation each. One private kernel, `_hprime`, then makes the single
+pass over the path: q = staging_inverse(u), E = exp(-beta q) and the residual
+A = rho - (beta/gamma) E, from which it forms either the potential of
+H' = h_n + h_1 (for `h_total`) or its exact analytic gradient w.r.t. u and
+theta, with dH'/dq chained through the staging transpose (for
+`grad_hprime`). A state's position-only energy (`Potential`) is fixed by a
+momentum refresh, so the sampler carries it from one iteration to the next
+and adds the new kinetic terms with `h_refreshed`.
+
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
 (possibly +inf once squared, never NaN) energy that the sampler rejects
 instead of crashing. Inside the clamped region the analytic gradient no
 longer tracks the (flat) clamped energy; such states are rejected anyway.
-
-``grad_hprime`` returns the exact analytic gradient of H' = h_n + h_1 with
-respect to u and theta, with dH'/dq chained through the staging transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +61,12 @@ from .model import InputSignal, ObservationModel, TimeSeriesData
 
 __all__ = [
     "PathContext",
+    "Potential",
     "EnergyBreakdown",
     "Gradient",
     "h_N",
-    "h_n",
-    "h_1",
     "h_total",
+    "h_refreshed",
     "grad_hprime",
 ]
 
@@ -64,11 +75,14 @@ EXP_CLAMP = 700.0
 
 @dataclass(frozen=True)
 class PathContext:
-    """Everything about (lattice, input, data) that energy terms reuse.
+    """The frozen plan of one inference problem (lattice, input, data).
 
-    Precomputes the log-input increments L_i = T ln(r_i / r_{i-1}) / dt
-    (so rho_i = L_i / beta + (2 + gamma) beta / (2 gamma)), the log data
-    residuals ln(y_s / r_s), and the per-bead spring constants.
+    Holds, as read-only length-N arrays, the log-input increments
+    L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding) and their difference
+    Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
+    carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
+    (2 gamma) and rhodot_i = Ldot_i / beta; and the log data residuals
+    ln(y_s / r_s).
     """
 
     layout: LatticeLayout
@@ -76,10 +90,8 @@ class PathContext:
     data: TimeSeriesData
     obs: ObservationModel
     L: np.ndarray = field(init=False, repr=False)
+    Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
-    bound: np.ndarray = field(init=False, repr=False)
-    st_mask: np.ndarray = field(init=False, repr=False)
-    stiff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lay = self.layout
@@ -91,20 +103,26 @@ class PathContext:
             raise ValidationError(
                 f"data horizon {self.data.horizon} != lattice horizon {lay.T}"
             )
-        t = lay.times
-        r = np.asarray(self.signal.value(t), dtype=float)
+        r = np.asarray(self.signal.value(lay.times), dtype=float)
         if np.any(r <= 0):
             raise DomainError("input signal must be strictly positive on the lattice")
         L = np.zeros(lay.N)
         L[1:] = (lay.T / lay.dt) * np.diff(np.log(r))
-        lnyr = np.log(self.data.values / r[lay.boundary_indices])
-        k = lay.staging_k.astype(float)
-        stiff = lay.T * k / (lay.dt * (k - 1.0)) if k.size else np.zeros(0)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "lnyr", lnyr)
-        object.__setattr__(self, "bound", lay.boundary_indices)
-        object.__setattr__(self, "st_mask", lay.staging_mask)
-        object.__setattr__(self, "stiff", stiff)
+        Ldot = np.zeros(lay.N)
+        Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
+        lnyr = np.log(self.data.values / r[:: lay.j])
+        for name, value in (("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
+class Potential(NamedTuple):
+    """The position-only parts of h_N, h_n and h_1: what a momentum refresh
+    leaves unchanged."""
+
+    h_N: float
+    h_n: float
+    h_1: float
 
 
 @dataclass(frozen=True)
@@ -113,6 +131,7 @@ class EnergyBreakdown:
     h_n: float
     h_1: float
     total: float
+    potential: Potential
 
 
 @dataclass(frozen=True)
@@ -123,83 +142,55 @@ class Gradient:
     g_theta: np.ndarray
 
 
-def _check_theta(state: PolymerState):
-    if state.theta[0] == 0.0 or state.theta[1] == 0.0:
-        raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
+def _check_size(state: PolymerState, layout: LatticeLayout):
+    if state.u.size != layout.N:
+        raise ValidationError(f"state has {state.u.size} beads, layout expects {layout.N}")
 
 
-def _rho_tables(ctx: PathContext, beta: float, gamma: float):
-    """rho_i and rhodot_i as padded length-N arrays (slot 0 unused,
-    rhodot slot 1 fixed at zero)."""
-    c = (2.0 + gamma) * beta / (2.0 * gamma)
-    rho = ctx.L / beta + c
-    rho[0] = 0.0
-    rhodot = np.zeros_like(rho)
-    rhodot[2:] = (rho[2:] - rho[1:-1]) / ctx.layout.dt
-    return rho, rhodot
+def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
+    """Position part of h_N: 0.5 sum T k u^2 / (dt (k-1)) over staging beads."""
+    us = layout.staging(state.u)
+    return 0.5 * float((layout.stiffness * (us * us)).sum())
+
+
+def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
+    """Momentum part of h_N: sum dt p^2 / (2 m') over staging beads."""
+    ps = layout.staging(state.p)
+    return (0.5 * layout.dt / masses.m_prime) * float((ps * ps).sum())
 
 
 def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Fast harmonic energy, staging beads only (zero when j = 1)."""
-    if state.u.size != layout.N:
-        raise ValidationError(f"state has {state.u.size} beads, layout expects {layout.N}")
-    if layout.j < 2:
-        return 0.0
-    st = layout.staging_mask
-    k = layout.staging_k.astype(float)
-    stiff = layout.T * k / (layout.dt * (k - 1.0))
-    m_st = masses.m_prime / layout.dt
+    _check_size(state, layout)
     with np.errstate(over="ignore"):
-        return float(0.5 * np.sum(state.p[st] ** 2 / m_st + stiff * state.u[st] ** 2))
+        return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
 
 
-def h_n(state: PolymerState, ctx: PathContext, masses: MassConfig) -> float:
-    """Measurement-bead energy: kinetic + data likelihood + boundary springs."""
-    _check_theta(state)
-    lay = ctx.layout
-    if state.u.size != lay.N:
-        raise ValidationError(f"state has {state.u.size} beads, layout expects {lay.N}")
-    ub = state.u[ctx.bound]
-    pb = state.p[ctx.bound]
-    beta = state.theta[0]
-    sigma2 = ctx.obs.sigma**2
+def h_refreshed(
+    potential: Potential, state: PolymerState, masses: MassConfig, layout: LatticeLayout
+) -> EnergyBreakdown:
+    """All three pieces and their sum, from the state's known ``potential``
+    plus the kinetic terms of its momenta.
+
+    Bit-identical to ``h_total(state, ...)`` when ``potential`` is the
+    ``.potential`` of an ``h_total`` of the same positions and parameters.
+    """
+    pb = state.p[:: layout.j]
+    pa, pg = state.pi
+    ma, mg = masses.m_alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        kin = float(np.sum(pb**2) / (2.0 * masses.M))
-        meas = float(np.sum((ctx.lnyr - beta * ub) ** 2) / (2.0 * sigma2))
-        spring = float(lay.T / (2.0 * lay.j * lay.dt) * np.sum(np.diff(ub) ** 2))
-    return kin + meas + spring
-
-
-def h_1(state: PolymerState, ctx: PathContext, masses: MassConfig) -> float:
-    """Slow energy: parameter kinetic + the discretized path action."""
-    _check_theta(state)
-    lay = ctx.layout
-    beta, gamma = state.theta
-    # runaway states may saturate to +-inf or NaN (never a silently wrong
-    # finite value); the Metropolis test rejects every such proposal
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = staging_inverse(state.u, lay)
-        E = np.exp(np.minimum(-beta * q, EXP_CLAMP))
-        rho, rhodot = _rho_tables(ctx, beta, gamma)
-        A = rho[1:] - (beta / gamma) * E[1:]
-        body = 0.5 * A**2 - (beta**2 / (2.0 * gamma)) * E[1:] - lay.T * q[1:] * rhodot[1:]
-        kin = float(np.sum(state.pi**2 / (2.0 * np.asarray(masses.m_alpha))))
-        act = (lay.dt / lay.T) * float(np.sum(body))
-        edge = (
-            (1.0 / gamma) * E[-1]
-            + q[-1] * rho[-1]
-            - (1.0 / gamma) * E[0]
-            - q[0] * rho[1]
-        )
-    return kin + act + edge
+        h_fast = _staging_kinetic(state, masses, layout) + potential.h_N
+        h_bound = float(pb @ pb) / (2.0 * masses.M) + potential.h_n
+        h_slow = float(pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
+    return EnergyBreakdown(
+        h_N=h_fast, h_n=h_bound, h_1=h_slow, total=h_fast + h_bound + h_slow,
+        potential=potential,
+    )
 
 
 def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
     """All three pieces and their sum."""
-    hn_fast = h_N(state, masses, ctx.layout)
-    hn_slow = h_n(state, ctx, masses)
-    h1 = h_1(state, ctx, masses)
-    return EnergyBreakdown(h_N=hn_fast, h_n=hn_slow, h_1=h1, total=hn_fast + hn_slow + h1)
+    return h_refreshed(_hprime(state, ctx, gradient=False), state, masses, ctx.layout)
 
 
 def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
@@ -210,77 +201,74 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    _check_theta(state)
-    lay = ctx.layout
-    beta, gamma = state.theta
-    dt, T = lay.dt, lay.T
+    return _hprime(state, ctx, gradient=True)
 
-    # overflow past the clamp saturates; NonFiniteError is raised below instead
+
+def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
+    """The one pass over the path behind `h_total` and `grad_hprime`.
+
+    Returns the state's `Potential`, or with ``gradient`` the `Gradient` of
+    H'. Arrays below run over beads i = 2..N (slots 1..N-1).
+    """
+    lay = ctx.layout
+    _check_size(state, lay)
+    beta, gamma = state.theta
+    if beta == 0.0 or gamma == 0.0:
+        raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
+    dt, T, j = lay.dt, lay.T, lay.j
+    sigma2 = ctx.obs.sigma**2
+    coup = T / (j * dt)
+    # runaway states saturate to +-inf or NaN (never a silently wrong finite
+    # value): the energy is rejected by the Metropolis test, the gradient
+    # raises NonFiniteError below
     with np.errstate(over="ignore", invalid="ignore"):
         q = staging_inverse(state.u, lay)
         E = np.exp(np.minimum(-beta * q, EXP_CLAMP))
-        rho, rhodot = _rho_tables(ctx, beta, gamma)
-        A = rho - (beta / gamma) * E  # valid on slots 1..N-1
-
-        # --- d/dq of the path action, then chain through the staging transpose
-        g_q = np.zeros(lay.N)
-        g_q[1:] = (dt / T) * (
-            A[1:] * (beta**2 / gamma) * E[1:]
-            + (beta**3 / (2.0 * gamma)) * E[1:]
-            - T * rhodot[1:]
-        )
-        g_q[0] += (beta / gamma) * E[0] - rho[1]
-        g_q[-1] += -(beta / gamma) * E[-1] + rho[-1]
-        g_u = staging_adjoint(g_q, lay)
-
-        # --- direct boundary terms of h_n
-        ub = state.u[ctx.bound]
-        sigma2 = ctx.obs.sigma**2
+        qs = q[1:]
+        c = (2.0 + gamma) * beta / (2.0 * gamma)
+        rho = ctx.L[1:] / beta + c
+        t_rhodot = ctx.Ldot[1:] * (T / beta)
+        w = (beta / gamma) * E[1:]
+        A = rho - w
+        ub = state.u[::j]
         resid = ctx.lnyr - beta * ub
-        g_b = -(beta / sigma2) * resid
-        d = np.diff(ub)
-        coup = T / (lay.j * dt)
-        g_b[:-1] += -coup * d
-        g_b[1:] += coup * d
-        g_u[ctx.bound] += g_b
+        d = ub[1:] - ub[:-1]
+        if not gradient:
+            body = A * (0.5 * A) - (0.5 * beta) * w - qs * t_rhodot
+            edge = (E[-1] - E[0]) / gamma + q[-1] * rho[-1] - q[0] * rho[0]
+            h_bound = float(resid @ resid) / (2.0 * sigma2) + 0.5 * coup * float(d @ d)
+            h_slow = (dt / T) * float(body.sum()) + float(edge)
+            return Potential(_harmonic(state, lay), h_bound, h_slow)
 
-        # --- theta gradient
-        drho_db = -ctx.L / beta**2 + (2.0 + gamma) / (2.0 * gamma)
-        drho_db[0] = 0.0
-        drhodot_db = np.zeros(lay.N)
-        drhodot_db[2:] = (drho_db[2:] - drho_db[1:-1]) / dt
-        dA_db = drho_db - (1.0 / gamma) * E + (beta / gamma) * q * E
-        g_beta = (dt / T) * float(
-            np.sum(
-                A[1:] * dA_db[1:]
-                - (beta / gamma) * E[1:]
-                + (beta**2 / (2.0 * gamma)) * q[1:] * E[1:]
-                - T * q[1:] * drhodot_db[1:]
-            )
-        )
-        g_beta += (
-            -(q[-1] / gamma) * E[-1]
-            + q[-1] * drho_db[-1]
-            + (q[0] / gamma) * E[0]
-            - q[0] * drho_db[1]
-        )
-        g_beta += float(np.sum(resid * (-ub) / sigma2))
+        # d/dq of the path action, then chained through the staging transpose
+        Z = (A + 0.5 * beta) * w
+        g_q = np.empty(lay.N)
+        g_q[1:] = (dt / T) * (beta * Z - t_rhodot)
+        g_q[0] = (beta / gamma) * E[0] - rho[0]
+        g_q[-1] += rho[-1] - (beta / gamma) * E[-1]
+        g_u = staging_adjoint(g_q, lay)
+        # direct boundary terms of h_n
+        gb = g_u[::j]
+        gb -= (beta / sigma2) * resid
+        coup_d = coup * d
+        gb[:-1] -= coup_d
+        gb[1:] += coup_d
 
-        dA_dg = -beta / gamma**2 + (beta / gamma**2) * E
-        g_gamma = (dt / T) * float(
-            np.sum(A[1:] * dA_dg[1:] + (beta**2 / (2.0 * gamma**2)) * E[1:])
+        # theta gradient; d rho / d beta = (2c - rho) / beta, d rho / d gamma
+        # = -beta / gamma^2, d(T rhodot) / d beta = -T rhodot / beta
+        drho = (2.0 * c - rho) / beta
+        g_beta = (dt / T) * (
+            A @ drho + Z @ (qs - 1.0 / beta) - 0.5 * w.sum() + (qs @ t_rhodot) / beta
         )
-        g_gamma += (
-            -E[-1] / gamma**2
-            - q[-1] * beta / gamma**2
-            + E[0] / gamma**2
-            + q[0] * beta / gamma**2
-        )
+        g_beta += (q[0] * E[0] - q[-1] * E[-1]) / gamma + q[-1] * drho[-1] - q[0] * drho[0]
+        g_beta -= (resid @ ub) / sigma2
+        g_gamma = (dt / T) * (Z.sum() / gamma - (beta / gamma**2) * A.sum())
+        g_gamma += (E[0] - E[-1] + beta * (q[0] - q[-1])) / gamma**2
 
     g_theta = np.array([g_beta, g_gamma])
-    if not np.all(np.isfinite(g_u)):
+    if not np.isfinite(g_u).all():
         raise NonFiniteError("gradient w.r.t. u", indices=np.flatnonzero(~np.isfinite(g_u)))
-    if not np.all(np.isfinite(g_theta)):
+    if not np.isfinite(g_theta).all():
         raise NonFiniteError(
             "gradient w.r.t. theta", indices=np.flatnonzero(~np.isfinite(g_theta))
         )

@@ -30,8 +30,6 @@ from .lattice import LatticeLayout, MassConfig, PolymerState
 __all__ = [
     "IntegratorConfig",
     "OscillatorBank",
-    "harmonic_half_step",
-    "inner_verlet_step",
     "trotter_propagate",
 ]
 
@@ -55,10 +53,11 @@ class OscillatorBank:
     """Per-staging-bead oscillator data for the exact rotation.
 
     Effective mass m = m'/dt is shared; the frequency per staging order k,
-    omega_k = sqrt(T k / ((k-1) dt m)), decreases with k. cos/sin tables are
-    precomputed for the half step dtau/2. The frequencies satisfy
-    m omega_k^2 = T k / (dt (k-1)) exactly, so the rotation conserves h_N
-    to round-off.
+    omega_k = sqrt(T k / ((k-1) dt m)), decreases with k (``omega`` lists it
+    per staging bead, in lattice order). The rotation tables for the half
+    step dtau/2 are precomputed in the (n, j-1) shape of
+    `LatticeLayout.staging`. The frequencies satisfy m omega_k^2 = T k /
+    (dt (k-1)) exactly, so the rotation conserves h_N to round-off.
     """
 
     layout: LatticeLayout
@@ -66,84 +65,59 @@ class OscillatorBank:
     omega: np.ndarray
     d_tau: float
     cos_half: np.ndarray = field(init=False, repr=False)
-    sin_half: np.ndarray = field(init=False, repr=False)
-    m_omega: np.ndarray = field(init=False, repr=False)
+    sin_over_m_omega: np.ndarray = field(init=False, repr=False)
+    m_omega_sin: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        angle = self.omega * (self.d_tau / 2.0)
+        omega = self.omega.reshape(self.layout.n, self.layout.j - 1)
+        angle = omega * (self.d_tau / 2.0)
+        sin_half = np.sin(angle)
+        m_omega = self.m * omega
         object.__setattr__(self, "cos_half", np.cos(angle))
-        object.__setattr__(self, "sin_half", np.sin(angle))
-        object.__setattr__(self, "m_omega", self.m * self.omega)
+        object.__setattr__(self, "sin_over_m_omega", sin_half / m_omega)
+        object.__setattr__(self, "m_omega_sin", m_omega * sin_half)
 
     @classmethod
     def build(
         cls, layout: LatticeLayout, masses: MassConfig, d_tau: float
     ) -> "OscillatorBank":
         m = masses.m_prime / layout.dt
-        k = layout.staging_k.astype(float)
-        if k.size:
-            stiff = layout.T * k / (layout.dt * (k - 1.0))
-            omega = np.sqrt(stiff / m)
-        else:
-            omega = np.zeros(0)
+        omega = np.tile(np.sqrt(layout.stiffness / m), layout.n)
         return cls(layout=layout, m=m, omega=omega, d_tau=d_tau)
 
 
 def _rotate_inplace(u: np.ndarray, p: np.ndarray, bank: OscillatorBank):
-    st = bank.layout.staging_mask
+    """Exact rotation of every staging oscillator by dtau/2, in place.
+
+    Boundary beads are untouched; h_N is conserved oscillator by oscillator.
+    """
     if bank.omega.size == 0:
         return
-    u_st = u[st]
-    p_st = p[st]
-    c, s = bank.cos_half, bank.sin_half
-    u[st] = u_st * c + (p_st / bank.m_omega) * s
-    p[st] = p_st * c - bank.m_omega * u_st * s
+    us = bank.layout.staging(u)
+    ps = bank.layout.staging(p)
+    u0 = us.copy()
+    us *= bank.cos_half
+    us += ps * bank.sin_over_m_omega
+    ps *= bank.cos_half
+    ps -= u0 * bank.m_omega_sin
 
 
-def harmonic_half_step(state: PolymerState, bank: OscillatorBank) -> PolymerState:
-    """Exact rotation of every staging oscillator by dtau/2.
-
-    Boundary beads, parameters, and their momenta are untouched; h_N is
-    conserved oscillator by oscillator.
-    """
-    out = state.copy()
-    _rotate_inplace(out.u, out.p, bank)
-    return out
-
-
-def _verlet_inplace(
-    state: PolymerState,
-    ctx: PathContext,
-    masses: MassConfig,
-    d_tau: float,
-    bound: np.ndarray,
-    m_alpha: np.ndarray,
-):
+def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d_tau: float):
     """One velocity-Verlet step of H' = h_n + h_1, mutating ``state``.
 
     Positions of measurement beads and parameters drift; staging positions
     stay put but all momenta receive the force kicks (force = -dH'/d(u, theta)).
     """
-    g = grad_hprime(state, ctx)
     half = 0.5 * d_tau
-    state.p -= half * g.g_u
-    state.pi -= half * g.g_theta
-    state.u[bound] += d_tau * state.p[bound] / masses.M
-    state.theta += d_tau * state.pi / m_alpha
+    j = ctx.layout.j
     g = grad_hprime(state, ctx)
     state.p -= half * g.g_u
     state.pi -= half * g.g_theta
-
-
-def inner_verlet_step(
-    state: PolymerState, ctx: PathContext, masses: MassConfig, d_tau: float
-) -> PolymerState:
-    """Pure single Verlet step on H'; see `_verlet_inplace` for the scheme."""
-    out = state.copy()
-    _verlet_inplace(
-        out, ctx, masses, d_tau, ctx.bound, np.asarray(masses.m_alpha, dtype=float)
-    )
-    return out
+    state.u[::j] += (d_tau / masses.M) * state.p[::j]
+    state.theta += d_tau * state.pi / masses.m_alpha
+    g = grad_hprime(state, ctx)
+    state.p -= half * g.g_u
+    state.pi -= half * g.g_theta
 
 
 def trotter_propagate(
@@ -166,10 +140,8 @@ def trotter_propagate(
             f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
         )
     work = state.copy()
-    bound = ctx.bound
-    m_alpha = np.asarray(masses.m_alpha, dtype=float)
     for _ in range(config.P):
         _rotate_inplace(work.u, work.p, bank)
-        _verlet_inplace(work, ctx, masses, config.d_tau, bound, m_alpha)
+        _verlet_inplace(work, ctx, masses, config.d_tau)
         _rotate_inplace(work.u, work.p, bank)
     return work

@@ -51,21 +51,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeLayout:
-    """Geometry of the path lattice: n segments of j steps over [0, T]."""
+    """Geometry of the path lattice: n segments of j steps over [0, T].
+
+    Construction freezes the lattice's constant tables once, as read-only
+    arrays: the bead index sets, the staging stiffness per order, and the
+    constants of the staging map. On a length-N array x the measurement
+    beads are the strided view ``x[::j]`` and the staging beads the view
+    `staging` (x), so kernels read and write them without index gathers.
+    """
 
     n: int
     j: int
     T: float
     N: int = field(init=False)
     dt: float = field(init=False)
+    boundary_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    staging_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    staging_k: np.ndarray = field(init=False, repr=False, compare=False)
+    stiffness: np.ndarray = field(init=False, repr=False, compare=False)
+    _m: np.ndarray = field(init=False, repr=False, compare=False)
+    _inv_l: np.ndarray = field(init=False, repr=False, compare=False)
+    _frac: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.j < 1:
             raise ValidationError(f"n and j must be >= 1, got n={self.n}, j={self.j}")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValidationError(f"T must be positive and finite, got {self.T}")
-        object.__setattr__(self, "N", self.n * self.j + 1)
-        object.__setattr__(self, "dt", self.T / (self.n * self.j))
+        n, j = self.n, self.j
+        dt = self.T / (n * j)
+        object.__setattr__(self, "N", n * j + 1)
+        object.__setattr__(self, "dt", dt)
+        bound = np.arange(n + 1) * j
+        mask = np.ones(n * j + 1, dtype=bool)
+        mask[bound] = False
+        k = np.arange(2, j + 1, dtype=float)
+        m = k - 1.0
+        tables = {
+            "boundary_indices": bound,
+            "staging_mask": mask,
+            "staging_k": np.tile(np.arange(2, j + 1), n),
+            "stiffness": self.T * k / (dt * m),
+            "_m": m,
+            "_inv_l": 1.0 / np.arange(1, j + 1, dtype=float),
+            "_frac": (j - m) / j,
+        }
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def measurement_index(self, s: int) -> int:
         """1-based bead index of the s-th measurement bead, s = 1..n+1."""
@@ -78,23 +111,10 @@ class LatticeLayout:
         """Bead times t_i = (i-1) dt, i = 1..N (returned 0-based)."""
         return np.linspace(0.0, self.T, self.N)
 
-    @property
-    def boundary_indices(self) -> np.ndarray:
-        """0-based indices of the measurement beads."""
-        return np.arange(self.n + 1) * self.j
-
-    @property
-    def staging_mask(self) -> np.ndarray:
-        mask = np.ones(self.N, dtype=bool)
-        mask[self.boundary_indices] = False
-        return mask
-
-    @property
-    def staging_k(self) -> np.ndarray:
-        """Staging order k = 2..j for each intermediate bead, in lattice order."""
-        if self.j < 2:
-            return np.zeros(0, dtype=int)
-        return np.tile(np.arange(2, self.j + 1), self.n)
+    def staging(self, x: np.ndarray) -> np.ndarray:
+        """The staging beads of a length-N array as an (n, j-1) view, one row
+        per segment; ``stiffness`` (staging order k = 2..j) broadcasts over it."""
+        return x[:-1].reshape(self.n, self.j)[:, 1:]
 
 
 def build_layout(n: int, j: int, T: float) -> LatticeLayout:
@@ -173,8 +193,8 @@ def staging_forward(q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
         return u
     qs = q[:-1].reshape(layout.n, j)        # qs[s, m] = q[s*j + m]
     qn = q[1:].reshape(layout.n, j)         # qn[s, m] = q[s*j + m + 1]
-    m = np.arange(1, j, dtype=float)
-    u[:-1].reshape(layout.n, j)[:, 1:] = qs[:, 1:] - (m * qn[:, 1:] + qs[:, :1]) / (m + 1.0)
+    m = layout._m
+    layout.staging(u)[...] = qs[:, 1:] - (m * qn[:, 1:] + qs[:, :1]) / (m + 1.0)
     return u
 
 
@@ -188,15 +208,14 @@ def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     _check_size(u, layout, "u")
     q = u.copy()
-    j = layout.j
+    n, j = layout.n, layout.j
     if j < 2:
         return q
-    w = u[1:].reshape(layout.n, j) / np.arange(1, j + 1, dtype=float)
-    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    m = np.arange(1, j, dtype=float)
-    q[:-1].reshape(layout.n, j)[:, 1:] = m * suffix[:, :-1] + (
-        (j - m) / j
-    ) * u[:-1].reshape(layout.n, j)[:, :1]
+    w = u[1:].reshape(n, j) * layout._inv_l
+    suffix = np.add.accumulate(w[:, ::-1], axis=1)[:, :0:-1]   # sum_{l>=m} u_l / l, m = 1..j-1
+    q_st = layout.staging(q)
+    np.multiply(layout._m, suffix, out=q_st)
+    q_st += layout._frac * u[:-1:j, None]
     return q
 
 
@@ -208,19 +227,15 @@ def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """
     g_q = np.asarray(g_q, dtype=float)
     _check_size(g_q, layout, "g_q")
-    gu = np.zeros_like(g_q)
-    n, j = layout.n, layout.j
-    bl = np.arange(n) * j
-    if j < 2:
-        return g_q.copy()
-    gseg = g_q[:-1].reshape(n, j)
-    m = np.arange(1, j, dtype=float)
-    prefix = np.cumsum(m * gseg[:, 1:], axis=1)   # prefix[:, i] = sum_{m<=i+1} m g_m
-    gu[:-1].reshape(n, j)[:, 1:] = prefix / m
-    total = prefix[:, -1]
-    gu[bl] += gseg[:, 1:].sum(axis=1) - total / j
-    gu[bl + j] += total / j
-    gu[layout.boundary_indices] += g_q[layout.boundary_indices]
+    gu = g_q.copy()
+    if layout.j < 2:
+        return gu
+    g_st = layout.staging(g_q)
+    prefix = np.add.accumulate(layout._m * g_st, axis=1)   # prefix[:, i] = sum_{m<=i+1} m g_m
+    np.divide(prefix, layout._m, out=layout.staging(gu))
+    gb = gu[:: layout.j]
+    gb[:-1] += g_st @ layout._frac
+    gb[1:] += prefix[:, -1] / layout.j
     return gu
 
 
@@ -242,7 +257,7 @@ def initial_state(
     r_meas = np.asarray(signal.value(data.times), dtype=float)
     q_bound = np.log(data.values / r_meas) / theta0.beta
     u = np.zeros(layout.N)
-    u[layout.boundary_indices] = q_bound
+    u[:: layout.j] = q_bound
     return PolymerState(
         u=u,
         theta=np.array([theta0.beta, theta0.gamma]),

@@ -20,9 +20,8 @@ Observations are noisy logarithmic readings y_s with
 ln y_s = ln(S(t_s)/K) + sigma eps_s, eps_s ~ N(0, 1).
 
 This module holds the parameter containers, input-signal abstraction,
-coordinate transforms, the discretized drift profile rho_i, the analytic
-equilibrium law under constant input, the forward (Euler-Maruyama)
-simulator, and synthetic-observation generation.
+coordinate transforms, the analytic equilibrium law under constant input,
+the forward (Euler-Maruyama) simulator, and synthetic-observation generation.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "from_dimensionless",
     "path_transform",
     "path_inverse",
-    "rho_discrete",
     "equilibrium_pdf",
     "equilibrium_moments",
     "simulate_truth",
@@ -289,39 +287,6 @@ def path_inverse(S, t, theta: DimensionlessParams, signal: InputSignal, T: float
     r = signal.value(t)
     scale = T * theta.gamma / theta.beta**2
     return np.log(S / (scale * r)) / theta.beta
-
-
-# --------------------------------------------------------------------------
-# discretized drift profile
-
-
-def rho_discrete(times, signal: InputSignal, theta: DimensionlessParams):
-    """Drift profile rho_i and its discrete rate of change on a lattice.
-
-    For grid times t_1..t_N spanning [0, T] with uniform step dt,
-
-        rho_i    = T ln(r(t_i)/r(t_{i-1})) / (beta dt) + (2+gamma) beta / (2 gamma)
-
-    is defined for i = 2..N, and rhodot_i = (rho_i - rho_{i-1})/dt for
-    i = 3..N. Both are returned as length-N arrays (0-based); slot 0 is
-    unused padding and rhodot additionally pads slot 1, i.e. the i = 2 term
-    carries no rate-of-change contribution (exact for constant input).
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValidationError("need a 1-d grid with at least 2 times")
-    dt = t[1] - t[0]
-    T = t[-1] - t[0]
-    r = np.asarray(signal.value(t), dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("input signal must be strictly positive on the grid")
-    rho = np.zeros_like(t)
-    rho[1:] = (T / (theta.beta * dt)) * np.diff(np.log(r)) + (
-        (2.0 + theta.gamma) * theta.beta / (2.0 * theta.gamma)
-    )
-    rhodot = np.zeros_like(t)
-    rhodot[2:] = (rho[2:] - rho[1:-1]) / dt
-    return rho, rhodot
 
 
 # --------------------------------------------------------------------------

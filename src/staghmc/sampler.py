@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import PathContext, h_total
+from .energy import PathContext, Potential, h_refreshed, h_total
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
 from .integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from .lattice import (
@@ -127,6 +127,7 @@ class IterationStats:
     h_after: float
     dh: float
     pathology: str | None = None
+    potential: Potential | None = None  # of the returned state, for the next iteration
 
 
 @dataclass
@@ -200,9 +201,9 @@ def sample_momenta(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (p, pi) from the Gaussians matching the kinetic terms: variance M
     on measurement beads, m_prime/dt on staging beads, m_alpha on parameters."""
-    scale = np.full(layout.N, np.sqrt(masses.m_prime / layout.dt))
-    scale[layout.boundary_indices] = np.sqrt(masses.M)
-    p = rng.standard_normal(layout.N) * scale
+    z = rng.standard_normal(layout.N)
+    p = z * np.sqrt(masses.m_prime / layout.dt)
+    p[:: layout.j] = z[:: layout.j] * np.sqrt(masses.M)
     pi = rng.standard_normal(2) * np.sqrt(np.asarray(masses.m_alpha))
     return p, pi
 
@@ -228,27 +229,35 @@ def hmc_iteration(
     config: HmcConfig,
     rng: np.random.Generator,
     bank: OscillatorBank | None = None,
+    potential: Potential | None = None,
 ) -> tuple[PolymerState, IterationStats]:
     """One momentum-refresh / trajectory / Metropolis cycle.
 
+    ``potential`` is the state's position-only energy (the ``potential`` of
+    the previous iteration's stats); without it, it is computed afresh.
     Returns the next state (positions revert on rejection) and the iteration
-    stats. Invalid proposals never raise; they score an infinite energy and
-    the pathology is recorded.
+    stats, whose ``potential`` is that of the next state. Invalid proposals
+    never raise; they score an infinite energy and the pathology is recorded.
     """
     masses = config.masses
     cur = state.copy()
     cur.p, cur.pi = sample_momenta(masses, ctx.layout, rng)
-    h_before = h_total(cur, ctx, masses).total
+    if potential is None:
+        before = h_total(cur, ctx, masses)
+    else:
+        before = h_refreshed(potential, cur, masses, ctx.layout)
+    h_before = before.total
 
     pathology = None
-    proposal = None
+    proposal = after = None
     try:
         proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
         if not (proposal.theta[0] > 0 and proposal.theta[1] > 0):
             pathology = "nonpositive-parameter"
             h_after = float("inf")
         else:
-            h_after = h_total(proposal, ctx, masses).total
+            after = h_total(proposal, ctx, masses)
+            h_after = after.total
             if not np.isfinite(h_after):
                 pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
@@ -256,13 +265,14 @@ def hmc_iteration(
         h_after = float("inf")
 
     accepted = metropolis_accept(h_before, h_after, rng)
-    nxt = proposal if accepted else cur
+    nxt, kept = (proposal, after) if accepted else (cur, before)
     return nxt, IterationStats(
         accepted=accepted,
         h_before=float(h_before),
         h_after=float(h_after),
         dh=float(h_after - h_before),
         pathology=pathology,
+        potential=kept.potential,
     )
 
 
@@ -288,8 +298,10 @@ def _run_seeded(
     dh = np.empty(n)
 
     t0 = time.perf_counter()
+    potential = h_total(state, ctx, config.masses).potential
     for i in range(n):
-        state, stats = hmc_iteration(state, ctx, config, rng, bank=bank)
+        state, stats = hmc_iteration(state, ctx, config, rng, bank=bank, potential=potential)
+        potential = stats.potential
         beta[i] = state.theta[0]
         gamma[i] = state.theta[1]
         accepted[i] = stats.accepted

@@ -14,13 +14,15 @@ from staghmc.lattice import (
     staging_inverse,
 )
 
-# layouts covering N = 2, 11, 101, 301 plus a j = 1 degenerate case
+# layouts covering N = 2, 11, 101, 301 plus the edge cases j = 1 (no
+# staging beads) and j = 2 (one staging bead per segment)
 LAYOUTS = [
     build_layout(1, 1, 5.0),
     build_layout(2, 5, 833.0),
     build_layout(10, 10, 120.0),
     build_layout(10, 30, 833.0),
     build_layout(5, 1, 7.0),
+    build_layout(4, 2, 13.0),
 ]
 
 
@@ -60,6 +62,11 @@ class TestLayout:
         np.testing.assert_array_equal(lay.boundary_indices, np.arange(11) * 30)
         assert lay.staging_mask.sum() == 301 - 11
         np.testing.assert_array_equal(lay.staging_k[:29], np.arange(2, 31))
+
+    def test_staging_view_shapes(self):
+        x = np.arange(9.0)
+        np.testing.assert_array_equal(build_layout(4, 2, 8.0).staging(x), [[1], [3], [5], [7]])
+        assert build_layout(8, 1, 8.0).staging(x).shape == (8, 0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -170,6 +177,30 @@ class TestStagingAdjoint:
             - np.sum(np.sin(staging_inverse(u - h * direction, layout)))
         ) / (2 * h)
         assert float(g_u @ direction) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+class TestFrozenTables:
+    def test_layout_tables_are_read_only(self):
+        layout = build_layout(3, 4, 9.0)
+        for table in (
+            layout.boundary_indices,
+            layout.staging_mask,
+            layout.staging_k,
+            layout.stiffness,
+        ):
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+
+    def test_plan_tables_are_read_only(self):
+        from staghmc.energy import PathContext
+        from staghmc.model import ObservationModel
+
+        layout = build_layout(2, 3, 6.0)
+        data = TimeSeriesData(times=np.linspace(0, 6.0, 3), values=np.ones(3))
+        ctx = PathContext(layout, InputSignal.constant(1.0), data, ObservationModel(0.1))
+        for table in (ctx.L, ctx.Ldot, ctx.lnyr):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
 
 
 class TestState:

@@ -20,10 +20,11 @@ from staghmc import (
     generate_observations,
     path_inverse,
     path_transform,
-    rho_discrete,
     simulate_truth,
     to_dimensionless,
 )
+from staghmc.energy import PathContext
+from staghmc.lattice import build_layout
 
 SEC4_INPUT = InputSignal.sinusoid(1.0, 0.01, 0.1)
 
@@ -81,20 +82,35 @@ class TestPathTransform:
             path_inverse(np.array([1.0, -2.0]), np.array([0.0, 1.0]), theta, SEC4_INPUT, 833.0)
 
 
+def drift_plan(grid, signal):
+    """The plan of a one-segment lattice on ``grid``, which holds the drift
+    tables L and Ldot (rho = L / beta + c, rhodot = Ldot / beta)."""
+    T = grid[-1] - grid[0]
+    layout = build_layout(1, grid.size - 1, T)
+    data = TimeSeriesData(times=np.array([0.0, T]), values=np.ones(2))
+    return PathContext(layout, signal, data, ObservationModel(1.0))
+
+
+def drift_tables(ctx, theta):
+    c = (2.0 + theta.gamma) * theta.beta / (2.0 * theta.gamma)
+    return ctx.L / theta.beta + c, ctx.Ldot / theta.beta
+
+
 class TestRhoDiscrete:
     def test_constant_input_frozen_values(self):
         grid = np.linspace(0, 10, 11)
-        sig = InputSignal.constant(0.7)
-        rho, rhodot = rho_discrete(grid, sig, DimensionlessParams(beta=1.0, gamma=2.0))
+        ctx = drift_plan(grid, InputSignal.constant(0.7))
+        rho, rhodot = drift_tables(ctx, DimensionlessParams(beta=1.0, gamma=2.0))
         np.testing.assert_allclose(rho[1:], 1.0, rtol=1e-14)
         np.testing.assert_allclose(rhodot, 0.0, atol=0)
-        rho, _ = rho_discrete(grid, sig, DimensionlessParams(beta=2.0, gamma=0.2))
+        rho, _ = drift_tables(ctx, DimensionlessParams(beta=2.0, gamma=0.2))
         np.testing.assert_allclose(rho[1:], 11.0, rtol=1e-14)
 
     def test_matches_direct_formula(self):
         grid = np.linspace(0, 833, 301)
         theta = DimensionlessParams(beta=1.5, gamma=0.4)
-        rho, rhodot = rho_discrete(grid, SEC4_INPUT, theta)
+        ctx = drift_plan(grid, SEC4_INPUT)
+        rho, rhodot = drift_tables(ctx, theta)
         dt = grid[1] - grid[0]
         r = SEC4_INPUT.value(grid)
         for i in [1, 2, 150, 299, 300]:
@@ -105,7 +121,7 @@ class TestRhoDiscrete:
         for i in [2, 3, 157, 300]:
             assert rhodot[i] == pytest.approx((rho[i] - rho[i - 1]) / dt, rel=1e-12)
         # slot 0 is padding; the i = 2 term carries no rate of change
-        assert rho[0] == 0.0 and rhodot[0] == 0.0 and rhodot[1] == 0.0
+        assert ctx.L[0] == 0.0 and ctx.Ldot[0] == 0.0 and ctx.Ldot[1] == 0.0
 
 
 class TestEquilibrium:

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -229,6 +230,68 @@ class TestHmcIteration:
         assert stats_out.pathology == "nonpositive-parameter"
         assert not stats_out.accepted
         assert stats_out.h_after == np.inf
+
+
+class TestCarriedPotential:
+    def test_call_budget_of_one_iteration(self, toy_problem, monkeypatch):
+        import staghmc.energy
+        import staghmc.integrator
+
+        ctx = toy_problem.context()
+        cfg = small_config()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        potential = h_total(state, ctx, MASSES).potential
+        calls = {"grad": 0, "inverse": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            staghmc.integrator, "grad_hprime", counted("grad", staghmc.integrator.grad_hprime)
+        )
+        monkeypatch.setattr(
+            staghmc.energy,
+            "staging_inverse",
+            counted("inverse", staghmc.energy.staging_inverse),
+        )
+        _, stats_out = hmc_iteration(
+            state, ctx, cfg, np.random.default_rng(3), potential=potential
+        )
+        assert stats_out.pathology is None
+        assert calls == {"grad": 2 * STEP.P, "inverse": 2 * STEP.P + 1}
+
+    def test_carried_h_before_matches_fresh_energy(self, toy_problem):
+        ctx = toy_problem.context()
+        layout = ctx.layout
+        # a long step, so that some proposals are rejected on dH alone
+        cfg = small_config(integrator=IntegratorConfig(d_tau=1.5, P=3))
+        blowup = small_config(integrator=IntegratorConfig(d_tau=40.0, P=3))
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), layout
+        )
+        rng = np.random.default_rng(11)
+        potential = h_total(state, ctx, MASSES).potential
+        outcomes = []
+        for i in range(40):
+            probe = state.copy()
+            probe.p, probe.pi = sample_momenta(MASSES, layout, copy.deepcopy(rng))
+            expected = h_total(probe, ctx, MASSES).total
+            state, stats_out = hmc_iteration(
+                state, ctx, blowup if i == 20 else cfg, rng, potential=potential
+            )
+            assert stats_out.h_before == expected
+            potential = stats_out.potential
+            assert potential == h_total(state, ctx, MASSES).potential
+            outcomes.append((stats_out.accepted, stats_out.pathology))
+        assert any(acc for acc, _ in outcomes)
+        assert any(not acc and path is None for acc, path in outcomes)
+        assert outcomes[20][1] is not None and not outcomes[20][0]
 
 
 class TestRunChain:
