@@ -30,16 +30,22 @@ as du = dtau p / m. Measurement beads use M as the effective mass directly
 
 Everything that does not depend on the state is frozen once: the lattice
 tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
-problem) the log-input increments L and their difference Ldot, so that
-rho = L / beta + (2 + gamma) beta / (2 gamma) and rhodot = Ldot / beta cost
-one operation each. One private kernel, `_hprime`, then makes the single
-pass over the path: q = staging_inverse(u), E = exp(-beta q) and the residual
-A = rho - (beta/gamma) E, from which it forms either the potential of
-H' = h_n + h_1 (for `h_total`) or its exact analytic gradient w.r.t. u and
-theta, with dH'/dq chained through the staging transpose (for
-`grad_hprime`). A state's position-only energy (`Potential`) is fixed by a
-momentum refresh, so the sampler carries it from one iteration to the next
-and adds the new kinetic terms with `h_refreshed`.
+problem) the log-input increments L and their difference Ldot, with
+rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta,
+plus the plan columns [L, Ldot, 1] over beads i = 2..N. One private kernel,
+`_hprime`, then makes the single pass over the path: q = staging_inverse(u),
+E = exp(-beta q) and the residual A = rho - (beta/gamma) E, formed in place
+as L / beta + c - w with w = (beta/gamma) E. It never builds rho, rhodot or
+their derivatives as arrays, only the sums they enter, folded by linearity:
+A . drho/dbeta = (c sum A - A . L / beta) / beta and qs . (T rhodot) =
+(T / beta) qs . Ldot, with rho itself needed only at the two end beads.
+Every sum of a per-call row with a static vector comes out of one matrix
+product, the rows [A, w, Z] times the plan columns [L, Ldot, 1]. From these
+the kernel forms either the potential of H' = h_n + h_1 (for `h_total`) or
+its exact analytic gradient w.r.t. u and theta, with dH'/dq chained through
+the staging transpose (for `grad_hprime`). A state's position-only energy
+(`Potential`) is fixed by a momentum refresh, so the sampler carries it from
+one iteration to the next and adds the new kinetic terms with `h_refreshed`.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -50,6 +56,7 @@ longer tracks the (flat) clamped energy; such states are rejected anyway.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,8 +88,10 @@ class PathContext:
     L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding) and their difference
     Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
     carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
-    (2 gamma) and rhodot_i = Ldot_i / beta; and the log data residuals
-    ln(y_s / r_s).
+    (2 gamma) and rhodot_i = Ldot_i / beta; the log data residuals
+    ln(y_s / r_s); and ``sum_cols``, the (N-1, 3) columns [L, Ldot, 1] over
+    beads i = 2..N, against which one matrix product takes every sum of a
+    per-call row with a static vector.
     """
 
     layout: LatticeLayout
@@ -92,6 +101,7 @@ class PathContext:
     L: np.ndarray = field(init=False, repr=False)
     Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
+    sum_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lay = self.layout
@@ -111,7 +121,11 @@ class PathContext:
         Ldot = np.zeros(lay.N)
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
         lnyr = np.log(self.data.values / r[:: lay.j])
-        for name, value in (("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
+        sum_cols = np.ones((lay.N - 1, 3))
+        sum_cols[:, 0] = L[1:]
+        sum_cols[:, 1] = Ldot[1:]
+        tables = (("L", L), ("Ldot", Ldot), ("lnyr", lnyr), ("sum_cols", sum_cols))
+        for name, value in tables:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -204,71 +218,101 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     return _hprime(state, ctx, gradient=True)
 
 
+# runaway states saturate to +-inf or NaN (never a silently wrong finite
+# value): the energy is rejected by the Metropolis test, the gradient raises
+# NonFiniteError; as a decorator, errstate costs half of a with-block per call
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
     """The one pass over the path behind `h_total` and `grad_hprime`.
 
     Returns the state's `Potential`, or with ``gradient`` the `Gradient` of
-    H'. Arrays below run over beads i = 2..N (slots 1..N-1).
+    H'. Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
+    rhodot and their derivatives are never built as arrays, only the sums
+    they enter (see the module docstring).
     """
     lay = ctx.layout
     _check_size(state, lay)
+    # numpy scalars on purpose: Python floats would raise on overflow or a
+    # zero division instead of saturating like the arrays do
     beta, gamma = state.theta
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
     dt, T, j = lay.dt, lay.T, lay.j
     sigma2 = ctx.obs.sigma**2
     coup = T / (j * dt)
-    # runaway states saturate to +-inf or NaN (never a silently wrong finite
-    # value): the energy is rejected by the Metropolis test, the gradient
-    # raises NonFiniteError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = staging_inverse(state.u, lay)
-        E = np.exp(np.minimum(-beta * q, EXP_CLAMP))
-        qs = q[1:]
-        c = (2.0 + gamma) * beta / (2.0 * gamma)
-        rho = ctx.L[1:] / beta + c
-        t_rhodot = ctx.Ldot[1:] * (T / beta)
-        w = (beta / gamma) * E[1:]
-        A = rho - w
-        ub = state.u[::j]
-        resid = ctx.lnyr - beta * ub
-        d = ub[1:] - ub[:-1]
-        if not gradient:
-            body = A * (0.5 * A) - (0.5 * beta) * w - qs * t_rhodot
-            edge = (E[-1] - E[0]) / gamma + q[-1] * rho[-1] - q[0] * rho[0]
-            h_bound = float(resid @ resid) / (2.0 * sigma2) + 0.5 * coup * float(d @ d)
-            h_slow = (dt / T) * float(body.sum()) + float(edge)
-            return Potential(_harmonic(state, lay), h_bound, h_slow)
-
-        # d/dq of the path action, then chained through the staging transpose
-        Z = (A + 0.5 * beta) * w
-        g_q = np.empty(lay.N)
-        g_q[1:] = (dt / T) * (beta * Z - t_rhodot)
-        g_q[0] = (beta / gamma) * E[0] - rho[0]
-        g_q[-1] += rho[-1] - (beta / gamma) * E[-1]
-        g_u = staging_adjoint(g_q, lay)
-        # direct boundary terms of h_n
-        gb = g_u[::j]
-        gb -= (beta / sigma2) * resid
-        coup_d = coup * d
-        gb[:-1] -= coup_d
-        gb[1:] += coup_d
-
-        # theta gradient; d rho / d beta = (2c - rho) / beta, d rho / d gamma
-        # = -beta / gamma^2, d(T rhodot) / d beta = -T rhodot / beta
-        drho = (2.0 * c - rho) / beta
-        g_beta = (dt / T) * (
-            A @ drho + Z @ (qs - 1.0 / beta) - 0.5 * w.sum() + (qs @ t_rhodot) / beta
+    L, Ldot = ctx.L, ctx.Ldot
+    q = staging_inverse(state.u, lay)
+    E = np.multiply(q, -beta)
+    np.minimum(E, EXP_CLAMP, out=E)
+    np.exp(E, out=E)
+    q0, qN, E0, EN = q[0], q[-1], E[0], E[-1]
+    qs = q[1:]
+    bg = beta / gamma
+    c = (2.0 + gamma) * beta / (2.0 * gamma)
+    rho0 = L[1] / beta + c  # rho at beads 2 and N
+    rhoN = L[-1] / beta + c
+    work = np.empty((3, lay.N - 1))
+    A, w, Z = work
+    np.multiply(E[1:], bg, out=w)
+    np.divide(L[1:], beta, out=A)
+    A += c
+    A -= w
+    q_Ldot = qs @ Ldot[1:]  # qs . (T rhodot) = (T / beta) q_Ldot
+    ub = state.u[::j]
+    resid = ctx.lnyr - beta * ub
+    d = ub[1:] - ub[:-1]
+    if not gradient:
+        body = 0.5 * (A @ A) - (0.5 * beta) * np.add.reduce(w) - (T / beta) * q_Ldot
+        edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
+        h_bound = (resid @ resid) / (2.0 * sigma2) + 0.5 * coup * (d @ d)
+        return Potential(
+            _harmonic(state, lay), float(h_bound), float((dt / T) * body + edge)
         )
-        g_beta += (q[0] * E[0] - q[-1] * E[-1]) / gamma + q[-1] * drho[-1] - q[0] * drho[0]
-        g_beta -= (resid @ ub) / sigma2
-        g_gamma = (dt / T) * (Z.sum() / gamma - (beta / gamma**2) * A.sum())
-        g_gamma += (E[0] - E[-1] + beta * (q[0] - q[-1])) / gamma**2
 
+    # d/dq of the path action, then chained through the staging transpose
+    np.add(A, 0.5 * beta, out=Z)
+    Z *= w
+    sums = work @ ctx.sum_cols
+    A_L, A_sum, w_sum, Z_sum = sums[0, 0], sums[0, 2], sums[1, 2], sums[2, 2]
+    Z_q = Z @ qs
+    g_q = np.empty(lay.N)
+    np.multiply(Z, beta * (dt / T), out=g_q[1:])
+    g_q[1:] -= Ldot[1:] * (dt / beta)
+    g_q[0] = bg * E0 - rho0
+    g_q[-1] += rhoN - bg * EN
+    g_u = staging_adjoint(g_q, lay)
+    # direct boundary terms of h_n
+    gb = g_u[::j]
+    gb -= (beta / sigma2) * resid
+    coup_d = coup * d
+    gb[:-1] -= coup_d
+    gb[1:] += coup_d
+
+    # theta gradient; d rho / d beta = (c - L / beta) / beta, so
+    # A . drho = (c sum A - A . L / beta) / beta; d rho / d gamma
+    # = -beta / gamma^2; d(T rhodot) / d beta = -T rhodot / beta
+    g_beta = (dt / T) * (
+        (c * A_sum - A_L / beta) / beta
+        + Z_q
+        - Z_sum / beta
+        - 0.5 * w_sum
+        + (T / beta) * q_Ldot / beta
+    )
+    g_beta += (
+        (q0 * E0 - qN * EN) / gamma
+        + qN * ((2.0 * c - rhoN) / beta)
+        - q0 * ((2.0 * c - rho0) / beta)
+    )
+    g_beta -= (resid @ ub) / sigma2
+    g_gamma = (dt / T) * (Z_sum / gamma - (beta / gamma**2) * A_sum)
+    g_gamma += (E0 - EN + beta * (q0 - qN)) / gamma**2
+    # one reduction proves g_u finite; only a failure pays for the scan
+    if not math.isfinite(np.add.reduce(g_u)):
+        bad = np.flatnonzero(~np.isfinite(g_u))
+        if bad.size:
+            raise NonFiniteError("gradient w.r.t. u", indices=bad)
     g_theta = np.array([g_beta, g_gamma])
-    if not np.isfinite(g_u).all():
-        raise NonFiniteError("gradient w.r.t. u", indices=np.flatnonzero(~np.isfinite(g_u)))
-    if not np.isfinite(g_theta).all():
+    if not (math.isfinite(g_beta) and math.isfinite(g_gamma)):
         raise NonFiniteError(
             "gradient w.r.t. theta", indices=np.flatnonzero(~np.isfinite(g_theta))
         )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class StagHmcError(Exception):
     """Base class for all package-specific errors."""
@@ -16,12 +18,29 @@ class DomainError(StagHmcError, ValueError):
 class NonFiniteError(StagHmcError, ArithmeticError):
     """An energy, gradient, or state component became NaN or infinite.
 
-    Carries enough context to locate the failure; the sampler turns this
-    into a rejected proposal rather than a crash.
+    Carries enough context to locate the failure (``what``, and the offending
+    ``indices`` when known); the sampler turns this into a rejected proposal
+    rather than a crash, so the message names only how many indices failed
+    and the first few of them.
     """
 
     def __init__(self, what: str, indices=None):
         self.what = what
         self.indices = indices
-        detail = f" at indices {indices}" if indices is not None else ""
-        super().__init__(f"non-finite {what}{detail}")
+        super().__init__(f"non-finite {what}{_index_detail(indices)}")
+
+    def __reduce__(self):
+        return type(self), (self.what, self.indices)
+
+
+_SHOWN_INDICES = 5  # at most this many indices are spelled out in a message
+
+
+def _index_detail(indices) -> str:
+    if indices is None:
+        return ""
+    flat = np.ravel(indices)
+    head = ", ".join(str(int(i)) for i in flat[:_SHOWN_INDICES])
+    more = ", ..." if flat.size > _SHOWN_INDICES else ""
+    noun = "index" if flat.size == 1 else "indices"
+    return f" at {flat.size} {noun} [{head}{more}]"

@@ -8,7 +8,10 @@ where L_N is the fast harmonic motion of the staging beads, solved exactly
 as a rotation in each (u, p) plane, and L' = L_n + L_1 advances the
 measurement beads and the parameters by one velocity-Verlet step of size
 dtau under H' = h_n + h_1. Staging bead positions are frozen during the
-inner step; their momenta still receive the H' force kicks.
+inner step; their momenta still receive the H' force kicks. Two half
+rotations that meet between consecutive Verlet steps are one exact rotation
+by dtau, so the trajectory runs P + 1 rotations: a half step, P - 1 full
+steps between the Verlet steps, and a closing half step.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -55,27 +58,30 @@ class OscillatorBank:
     Effective mass m = m'/dt is shared; the frequency per staging order k,
     omega_k = sqrt(T k / ((k-1) dt m)), decreases with k (``omega`` lists it
     per staging bead, in lattice order). The rotation tables for the half
-    step dtau/2 are precomputed in the (n, j-1) shape of
-    `LatticeLayout.staging`. The frequencies satisfy m omega_k^2 = T k /
-    (dt (k-1)) exactly, so the rotation conserves h_N to round-off.
+    step dtau/2 and for the full step dtau are precomputed in the (n, j-1)
+    shape of `LatticeLayout.staging`, as ``half`` and ``full``, each the
+    read-only triple (cos, sin / (m omega), m omega sin) of its angle. The
+    frequencies satisfy m omega_k^2 = T k / (dt (k-1)) exactly, so the
+    rotation conserves h_N to round-off.
     """
 
     layout: LatticeLayout
     m: float
     omega: np.ndarray
     d_tau: float
-    cos_half: np.ndarray = field(init=False, repr=False)
-    sin_over_m_omega: np.ndarray = field(init=False, repr=False)
-    m_omega_sin: np.ndarray = field(init=False, repr=False)
+    half: tuple = field(init=False, repr=False)
+    full: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         omega = self.omega.reshape(self.layout.n, self.layout.j - 1)
-        angle = omega * (self.d_tau / 2.0)
-        sin_half = np.sin(angle)
         m_omega = self.m * omega
-        object.__setattr__(self, "cos_half", np.cos(angle))
-        object.__setattr__(self, "sin_over_m_omega", sin_half / m_omega)
-        object.__setattr__(self, "m_omega_sin", m_omega * sin_half)
+        for name, step in (("half", self.d_tau / 2.0), ("full", self.d_tau)):
+            angle = omega * step
+            sin = np.sin(angle)
+            tables = (np.cos(angle), sin / m_omega, m_omega * sin)
+            for table in tables:
+                table.setflags(write=False)
+            object.__setattr__(self, name, tables)
 
     @classmethod
     def build(
@@ -86,20 +92,22 @@ class OscillatorBank:
         return cls(layout=layout, m=m, omega=omega, d_tau=d_tau)
 
 
-def _rotate_inplace(u: np.ndarray, p: np.ndarray, bank: OscillatorBank):
-    """Exact rotation of every staging oscillator by dtau/2, in place.
+def _rotate_inplace(u: np.ndarray, p: np.ndarray, bank: OscillatorBank, full: bool = False):
+    """Exact rotation of every staging oscillator by dtau/2 (by dtau with
+    ``full``), in place.
 
     Boundary beads are untouched; h_N is conserved oscillator by oscillator.
     """
     if bank.omega.size == 0:
         return
+    cos, sin_over_m_omega, m_omega_sin = bank.full if full else bank.half
     us = bank.layout.staging(u)
     ps = bank.layout.staging(p)
-    u0 = us.copy()
-    us *= bank.cos_half
-    us += ps * bank.sin_over_m_omega
-    ps *= bank.cos_half
-    ps -= u0 * bank.m_omega_sin
+    kick = us * m_omega_sin
+    us *= cos
+    us += ps * sin_over_m_omega
+    ps *= cos
+    ps -= kick
 
 
 def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d_tau: float):
@@ -128,7 +136,9 @@ def trotter_propagate(
     bank: OscillatorBank | None = None,
 ) -> PolymerState:
     """Run the full trajectory: P repetitions of (half rotation, Verlet,
-    half rotation). Returns a new state; the input is not modified.
+    half rotation), with the two half rotations between consecutive Verlet
+    steps merged into one full rotation. Returns a new state; the input is
+    not modified.
 
     Non-finite forces raise NonFiniteError (the sampler counts that as a
     rejected proposal).
@@ -140,8 +150,8 @@ def trotter_propagate(
             f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
         )
     work = state.copy()
-    for _ in range(config.P):
-        _rotate_inplace(work.u, work.p, bank)
+    _rotate_inplace(work.u, work.p, bank)
+    for step in range(1, config.P + 1):
         _verlet_inplace(work, ctx, masses, config.d_tau)
-        _rotate_inplace(work.u, work.p, bank)
+        _rotate_inplace(work.u, work.p, bank, full=step < config.P)
     return work

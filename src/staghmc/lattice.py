@@ -12,9 +12,13 @@ segment through the backward recursion
 
     q[s*j + m] = u[s*j + m] + (m/(m+1)) q[s*j + m + 1] + (1/(m+1)) u[s*j],
 
-evaluated for m = j-1 down to 1 (here in an equivalent suffix-scan form),
-and it diagonalizes the nearest-neighbour harmonic coupling of the
-discretized action: the identity
+evaluated for m = j-1 down to 1. Unrolled, each segment's beads are one
+fixed linear combination of the j+1 coordinates u[s*j .. s*j + j] it spans,
+both boundaries included. So the inverse map and its transpose are each one
+block product per call: the (n, j+1) overlapping window view of u times a
+frozen (j+1, j) block. That is O(N j) work, but in a single NumPy call
+instead of a scan of small ones. The map diagonalizes the nearest-neighbour
+harmonic coupling of the discretized action: the identity
 
     sum_i (T / 2 dt) (q_i - q_{i-1})^2
       = (T/2) sum_s [ (q_left(s) - q_right(s))^2 / (j dt)
@@ -58,6 +62,10 @@ class LatticeLayout:
     constants of the staging map. On a length-N array x the measurement
     beads are the strided view ``x[::j]`` and the staging beads the view
     `staging` (x), so kernels read and write them without index gathers.
+
+    ``staging_block`` is the (j+1, j) matrix B of the staging inverse on one
+    segment: q[s*j + m] = sum_l u[s*j + l] B[l, m], with B[0, m] = (j-m)/j
+    and B[l, m] = m/l for 1 <= m <= l <= j (zero above the diagonal).
     """
 
     n: int
@@ -69,9 +77,8 @@ class LatticeLayout:
     staging_mask: np.ndarray = field(init=False, repr=False, compare=False)
     staging_k: np.ndarray = field(init=False, repr=False, compare=False)
     stiffness: np.ndarray = field(init=False, repr=False, compare=False)
+    staging_block: np.ndarray = field(init=False, repr=False, compare=False)
     _m: np.ndarray = field(init=False, repr=False, compare=False)
-    _inv_l: np.ndarray = field(init=False, repr=False, compare=False)
-    _frac: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.j < 1:
@@ -87,14 +94,16 @@ class LatticeLayout:
         mask[bound] = False
         k = np.arange(2, j + 1, dtype=float)
         m = k - 1.0
+        cols = np.arange(j, dtype=float)
+        block = np.tril(cols / np.maximum(np.arange(j + 1.0), 1.0)[:, None])
+        block[0] = (j - cols) / j
         tables = {
             "boundary_indices": bound,
             "staging_mask": mask,
             "staging_k": np.tile(np.arange(2, j + 1), n),
             "stiffness": self.T * k / (dt * m),
+            "staging_block": block,
             "_m": m,
-            "_inv_l": 1.0 / np.arange(1, j + 1, dtype=float),
-            "_frac": (j - m) / j,
         }
         for name, table in tables.items():
             table.setflags(write=False)
@@ -202,20 +211,18 @@ def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """Map staging coordinates u back to bead positions q.
 
     Per segment this is the backward recursion
-    q_m = u_m + (m/(m+1)) q_{m+1} + (1/(m+1)) u_left, m = j-1..1, evaluated
-    in its unrolled suffix-scan form q_m = m * sum_{l>=m} u_l / l + ((j-m)/j) u_left.
+    q_m = u_m + (m/(m+1)) q_{m+1} + (1/(m+1)) u_left, m = j-1..1, unrolled to
+    q_m = m * sum_{l>=m} u_l / l + ((j-m)/j) u_left and applied to all
+    segments at once as the block product ``windows @ staging_block``.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     _check_size(u, layout, "u")
-    q = u.copy()
     n, j = layout.n, layout.j
-    if j < 2:
-        return q
-    w = u[1:].reshape(n, j) * layout._inv_l
-    suffix = np.add.accumulate(w[:, ::-1], axis=1)[:, :0:-1]   # sum_{l>=m} u_l / l, m = 1..j-1
-    q_st = layout.staging(q)
-    np.multiply(layout._m, suffix, out=q_st)
-    q_st += layout._frac * u[:-1:j, None]
+    # row s is u[s*j .. s*j + j]: neighbouring rows share their boundary bead
+    windows = np.ndarray((n, j + 1), buffer=u, strides=(j * u.itemsize, u.itemsize))
+    q = np.empty(layout.N)
+    np.matmul(windows, layout.staging_block, out=q[:-1].reshape(n, j))
+    q[-1] = u[-1]
     return q
 
 
@@ -223,19 +230,18 @@ def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """Apply the transpose of the u -> q map to a gradient w.r.t. q.
 
     If q = A u with A the (linear) staging inverse, this returns A^T g_q,
-    the chain-rule factor taking dH/dq to dH/du.
+    the chain-rule factor taking dH/dq to dH/du: per segment
+    ``g_q[s*j : s*j + j] @ staging_block.T``, whose last entry belongs to the
+    right boundary bead that the next segment starts with.
     """
-    g_q = np.asarray(g_q, dtype=float)
+    g_q = np.ascontiguousarray(g_q, dtype=float)  # same BLAS path for any input
     _check_size(g_q, layout, "g_q")
-    gu = g_q.copy()
-    if layout.j < 2:
-        return gu
-    g_st = layout.staging(g_q)
-    prefix = np.add.accumulate(layout._m * g_st, axis=1)   # prefix[:, i] = sum_{m<=i+1} m g_m
-    np.divide(prefix, layout._m, out=layout.staging(gu))
-    gb = gu[:: layout.j]
-    gb[:-1] += g_st @ layout._frac
-    gb[1:] += prefix[:, -1] / layout.j
+    n, j = layout.n, layout.j
+    g_win = g_q[:-1].reshape(n, j) @ layout.staging_block.T
+    gu = np.empty(layout.N)
+    gu[:-1].reshape(n, j)[...] = g_win[:, :j]
+    gu[-1] = g_q[-1]
+    gu[j::j] += g_win[:, j]
     return gu
 
 

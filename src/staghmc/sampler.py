@@ -10,6 +10,7 @@ independent streams spawned from it, one process per chain.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -213,14 +214,14 @@ def metropolis_accept(
 ) -> bool:
     """min(1, exp(h_before - h_after)) acceptance; non-finite energy gaps
     (including NaN) are rejected. Consumes at most one uniform draw."""
-    dh = h_after - h_before
-    if np.isnan(dh):
+    dh = float(h_after) - float(h_before)
+    if math.isnan(dh):
         return False
     if dh <= 0:
         return True
-    if not np.isfinite(dh):
+    if math.isinf(dh):
         return False
-    return float(rng.random()) < np.exp(-dh)
+    return float(rng.random()) < math.exp(-dh)  # -dh < 0: cannot overflow
 
 
 def hmc_iteration(
@@ -258,7 +259,7 @@ def hmc_iteration(
         else:
             after = h_total(proposal, ctx, masses)
             h_after = after.total
-            if not np.isfinite(h_after):
+            if not math.isfinite(h_after):
                 pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
         pathology = type(exc).__name__

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,20 @@ class TestGuards:
         st.u[3] = np.nan
         with pytest.raises(NonFiniteError):
             grad_hprime(st, ctx)
+
+    def test_non_finite_error_is_short_and_pickles(self):
+        indices = np.arange(301)
+        err = NonFiniteError("gradient w.r.t. u", indices=indices)
+        assert str(err) == "non-finite gradient w.r.t. u at 301 indices [0, 1, 2, 3, 4, ...]"
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert back.what == err.what
+        np.testing.assert_array_equal(back.indices, indices)
+        for idx in (None, 7, np.array([3, 7])):
+            err = NonFiniteError("simulated path", indices=idx)
+            back = pickle.loads(pickle.dumps(err))
+            assert str(back) == str(err) and back.what == "simulated path"
+            np.testing.assert_array_equal(back.indices, idx)
 
     def test_context_validates_consistency(self):
         layout = build_layout(3, 10, 83.0)

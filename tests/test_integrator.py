@@ -167,6 +167,22 @@ class TestRotation:
         assert abs(out.u[idx] - st.p[idx] / m_omega) < 1e-12
         assert abs(out.p[idx] + m_omega * st.u[idx]) < 1e-12
 
+    def test_full_step_is_two_half_steps(self):
+        layout = build_layout(3, 10, 83.0)
+        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        st = random_state(layout, np.random.default_rng(6), u_scale=1.0, p_scale=5.0)
+        twice = rotated(rotated(st, bank), bank)
+        once = st.copy()
+        _rotate_inplace(once.u, once.p, bank, full=True)
+        np.testing.assert_allclose(once.u, twice.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(once.p, twice.p, rtol=0, atol=1e-12)
+
+    def test_tables_are_read_only(self):
+        bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.37)
+        for table in (*bank.half, *bank.full):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
 
 class TestVerlet:
     def test_moves_only_slow_positions(self):
@@ -215,6 +231,24 @@ class TestTrotter:
         b = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.p, b.p)
+
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_merged_rotations_match_split_schedule(self, P):
+        # P x (half rotation, Verlet, half rotation), unmerged
+        layout, ctx = make_problem(2, 5, 60.0)
+        st = random_state(layout, np.random.default_rng(12 + P))
+        cfg = IntegratorConfig(d_tau=0.25, P=P)
+        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
+        ref = st.copy()
+        for _ in range(P):
+            _rotate_inplace(ref.u, ref.p, bank)
+            _verlet_inplace(ref, ctx, MASSES, cfg.d_tau)
+            _rotate_inplace(ref.u, ref.p, bank)
+        out = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
+        for name in ("u", "p", "theta", "pi"):
+            np.testing.assert_allclose(
+                getattr(out, name), getattr(ref, name), rtol=1e-12, atol=1e-12
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_energy_error_scales_quadratically(self, seed):

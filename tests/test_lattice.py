@@ -139,8 +139,8 @@ class TestStagingTransform:
 
 
 class TestStagingAdjoint:
-    def test_matches_dense_transpose(self):
-        layout = build_layout(2, 5, 11.0)  # N = 11
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_matches_dense_transpose(self, layout):
         dense = np.zeros((layout.N, layout.N))
         for i in range(layout.N):
             e = np.zeros(layout.N)
@@ -179,6 +179,34 @@ class TestStagingAdjoint:
         assert float(g_u @ direction) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+class TestBlockStagingMaps:
+    @pytest.mark.parametrize("fn", [staging_inverse, staging_adjoint])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_strided_input_matches_contiguous_copy(self, layout, fn):
+        x = np.random.default_rng(layout.N + 4).normal(size=2 * layout.N)[::2]
+        assert not x.flags.c_contiguous
+        np.testing.assert_array_equal(fn(x, layout), fn(x.copy(), layout))
+
+    @pytest.mark.parametrize("fn", [staging_inverse, staging_adjoint])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_input_not_mutated(self, layout, fn):
+        x = np.random.default_rng(layout.N + 5).normal(size=layout.N)
+        before = x.copy()
+        out = fn(x, layout)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_block_entries(self, layout):
+        j = layout.j
+        B = layout.staging_block
+        assert B.shape == (j + 1, j)
+        for m in range(j):
+            assert B[0, m] == pytest.approx((j - m) / j, rel=1e-15)
+            for l in range(1, j + 1):
+                assert B[l, m] == pytest.approx(m / l if m <= l else 0.0, rel=1e-15)
+
+
 class TestFrozenTables:
     def test_layout_tables_are_read_only(self):
         layout = build_layout(3, 4, 9.0)
@@ -191,6 +219,12 @@ class TestFrozenTables:
             with pytest.raises(ValueError):
                 table[0] = table[1]
 
+    def test_staging_block_is_read_only(self):
+        block = build_layout(3, 4, 9.0).staging_block
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[1, 1] = 0.0
+
     def test_plan_tables_are_read_only(self):
         from staghmc.energy import PathContext
         from staghmc.model import ObservationModel
@@ -198,7 +232,7 @@ class TestFrozenTables:
         layout = build_layout(2, 3, 6.0)
         data = TimeSeriesData(times=np.linspace(0, 6.0, 3), values=np.ones(3))
         ctx = PathContext(layout, InputSignal.constant(1.0), data, ObservationModel(0.1))
-        for table in (ctx.L, ctx.Ldot, ctx.lnyr):
+        for table in (ctx.L, ctx.Ldot, ctx.lnyr, ctx.sum_cols):
             with pytest.raises(ValueError):
                 table[0] = 1.0
 

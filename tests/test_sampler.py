@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from scipy import stats
 
 from staghmc import (
     InputSignal,
+    NonFiniteError,
     ObservationModel,
     PhysicalParams,
     StagHmcError,
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.energy import PathContext, h_total
+from staghmc.energy import PathContext, grad_hprime, h_total
 from staghmc.integrator import IntegratorConfig, OscillatorBank
 from staghmc.lattice import MassConfig, build_layout, initial_state, load_state
 from staghmc.model import (
@@ -27,6 +29,7 @@ from staghmc.sampler import (
     ChainRecord,
     HmcConfig,
     InferenceProblem,
+    _run_seeded,
     hmc_iteration,
     metropolis_accept,
     run_chain,
@@ -232,6 +235,30 @@ class TestHmcIteration:
         assert stats_out.h_after == np.inf
 
 
+class TestSaturatingStates:
+    """Extreme parameters saturate to inf/NaN without a single warning."""
+
+    @pytest.mark.parametrize(
+        "theta", [(1e200, 0.2), (1.0, 1e-200), (1e-200, 0.2), (1e-170, 1e-170)]
+    )
+    def test_warning_free_and_rejected(self, toy_problem, theta):
+        ctx = toy_problem.context()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        state.theta[:] = theta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h_total(state, ctx, MASSES)
+            try:
+                grad_hprime(state, ctx)
+            except NonFiniteError:
+                pass
+            _, stats_out = hmc_iteration(state, ctx, small_config(), np.random.default_rng(0))
+        assert not stats_out.accepted
+        assert stats_out.pathology is not None
+
+
 class TestCarriedPotential:
     def test_call_budget_of_one_iteration(self, toy_problem, monkeypatch):
         import staghmc.energy
@@ -394,6 +421,16 @@ class TestParallelChains:
         assert [r.meta["chain_index"] for r in recs] == [0, 1, 2]
         assert not np.array_equal(recs[0].beta, recs[1].beta)
         assert not np.array_equal(recs[1].beta, recs[2].beta)
+
+    def test_pool_chains_match_in_process_runs(self, toy_problem):
+        cfg = small_config(n_mc=25, seed=8, chains=2)
+        pooled = run_parallel_chains(toy_problem, cfg, processes=2)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+        for c, rec in enumerate(pooled):
+            solo = _run_seeded(toy_problem, cfg, c, seeds[c])
+            np.testing.assert_array_equal(rec.beta, solo.beta)
+            np.testing.assert_array_equal(rec.gamma, solo.gamma)
+            np.testing.assert_array_equal(rec.h_before, solo.h_before)
 
     def test_failures_reported_after_all_finish(self, toy_problem, tmp_path):
         blocker = tmp_path / "blocker.txt"
