@@ -204,17 +204,22 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     return path
 
 
-def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
-    """Drop the burn-in fraction from each chain, then concatenate."""
+def _discard_start(discard: float, n_rows: int) -> int:
+    """First kept row of an ``n_rows``-row chain after the burn-in fraction;
+    rejects a fraction outside [0, 1) or one that would keep no row."""
     if not (0.0 <= discard < 1.0):
         raise ValidationError(f"discard fraction must be in [0, 1), got {discard}")
+    start = int(round(n_rows * discard))
+    if start >= n_rows:
+        raise ValidationError(f"discard={discard} leaves no rows of a {n_rows}-row chain")
+    return start
+
+
+def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
+    """Drop the burn-in fraction from each chain, then concatenate."""
     kept = []
     for rec in records:
-        start = int(round(rec.n_rows * discard))
-        if start >= rec.n_rows:
-            raise ValidationError(
-                f"discard={discard} leaves no rows of a {rec.n_rows}-row chain"
-            )
+        start = _discard_start(discard, rec.n_rows)
         kept.append(
             ChainRecord(
                 beta=rec.beta[start:],
@@ -239,8 +244,7 @@ def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
     )
 
 
-def _summary_dict(records: list[ChainRecord], discard: float) -> dict:
-    pooled = _pooled_record(records, discard)
+def _summary_dict(records: list[ChainRecord], pooled: ChainRecord, discard: float) -> dict:
     out = summarize(pooled, discard=0.0).as_dict()
     out["discard"] = discard
     out["chains"] = len(records)
@@ -287,6 +291,14 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
+def _write_summary(summary: dict, out_dir: str) -> str:
+    path = os.path.join(out_dir, "summary.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -322,8 +334,11 @@ def cmd_infer(cfg: dict) -> int:
         P=int(_require_field(integ_block, "P", "infer.integrator")),
     )
     checkpoint_every = int(infer["checkpoint_every"])
+    n_mc = int(_require_field(infer, "n_mc", "infer"))
+    discard = float(infer["discard"])
+    _discard_start(discard, n_mc)
     hmc = HmcConfig(
-        n_mc=int(_require_field(infer, "n_mc", "infer")),
+        n_mc=n_mc,
         theta0=(theta0.beta, theta0.gamma),
         masses=masses,
         integrator=integ,
@@ -332,6 +347,7 @@ def cmd_infer(cfg: dict) -> int:
         checkpoint_every=checkpoint_every,
         checkpoint_dir=os.path.join(out_dir, "checkpoints") if checkpoint_every > 0 else None,
     )
+    # every check above runs before the first file write or sampling step
     if hmc.checkpoint_dir:
         os.makedirs(hmc.checkpoint_dir, exist_ok=True)
 
@@ -343,12 +359,8 @@ def cmd_infer(cfg: dict) -> int:
         rec.to_csv(path)
         chain_paths.append(path)
 
-    discard = float(infer["discard"])
-    summary = _summary_dict(records, discard)
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary = _summary_dict(records, _pooled_record(records, discard), discard)
+    summary_path = _write_summary(summary, out_dir)
 
     print(f"config echo: {echo_path}")
     for path in chain_paths:
@@ -359,6 +371,13 @@ def cmd_infer(cfg: dict) -> int:
         lo, hi = p["ci95"]
         print(f"{name}: mean {p['mean']:.4g}, 95% interval [{lo:.4g}, {hi:.4g}]")
     print(f"acceptance rate: {summary['acceptance_rate']:.3f}")
+    for i, rec in enumerate(records):
+        if rec.acceptance_rate == 0.0:
+            print(
+                f"warning: chain {i:02d} accepted none of its {rec.n_rows} proposals;"
+                " its draws are the starting values",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -372,22 +391,19 @@ def cmd_summarize(cfg: dict) -> int:
     for path in chain_files:
         if not os.path.exists(path):
             raise ValidationError(f"chain file not found: {path}")
-    records = [ChainRecord.from_csv(path) for path in chain_files]
-
-    echo_path = _write_echo(cfg, "summarize", out_dir)
-    discard = float(block["discard"])
-    summary = _summary_dict(records, discard)
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"config echo: {echo_path}")
-    print(f"summary: {summary_path}")
-
-    pooled = _pooled_record(records, discard)
     points = int(block["density_points"])
     if points < 2:
         raise ValidationError(f"summarize.density_points must be >= 2, got {points}")
+    discard = float(block["discard"])
+    records = [ChainRecord.from_csv(path) for path in chain_files]
+    pooled = _pooled_record(records, discard)
+
+    # every check above runs before the first file write
+    echo_path = _write_echo(cfg, "summarize", out_dir)
+    summary_path = _write_summary(_summary_dict(records, pooled, discard), out_dir)
+    print(f"config echo: {echo_path}")
+    print(f"summary: {summary_path}")
+
     for name in ("beta", "gamma", "K"):
         series = getattr(pooled, name)
         try:

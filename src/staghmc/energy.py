@@ -32,7 +32,10 @@ Everything that does not depend on the state is frozen once: the lattice
 tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
 problem) the log-input increments L and their difference Ldot, with
 rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta,
-plus the plan columns [L, Ldot, 1] over beads i = 2..N. One private kernel,
+plus the plan columns [L, Ldot, 1] over beads i = 2..N and the boundary
+springs as one coupling Laplacian. The staging terms of h_N are each one
+product of the contiguous squares of ``x[:-1]`` with a flat layout table
+that is zero at the measurement beads. One private kernel,
 `_hprime`, then makes the single pass over the path: q = staging_inverse(u),
 E = exp(-beta q) and the residual A = rho - (beta/gamma) E, formed in place
 as L / beta + c - w with w = (beta/gamma) E. It never builds rho, rhodot or
@@ -43,7 +46,9 @@ Every sum of a per-call row with a static vector comes out of one matrix
 product, the rows [A, w, Z] times the plan columns [L, Ldot, 1]. From these
 the kernel forms either the potential of H' = h_n + h_1 (for `h_total`) or
 its exact analytic gradient w.r.t. u and theta, with dH'/dq chained through
-the staging transpose (for `grad_hprime`). A state's position-only energy
+the staging transpose and the boundary springs' force as the product of
+the Laplacian with the measurement beads (for `grad_hprime`). A state's
+position-only energy
 (`Potential`) is fixed by a momentum refresh, so the sampler carries it from
 one iteration to the next and adds the new kinetic terms with `h_refreshed`.
 
@@ -88,10 +93,13 @@ class PathContext:
     L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding) and their difference
     Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
     carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
-    (2 gamma) and rhodot_i = Ldot_i / beta; the log data residuals
-    ln(y_s / r_s); and ``sum_cols``, the (N-1, 3) columns [L, Ldot, 1] over
-    beads i = 2..N, against which one matrix product takes every sum of a
-    per-call row with a static vector.
+    (2 gamma) and rhodot_i = Ldot_i / beta, with ``Ls`` and ``Ldots`` their
+    views over beads i = 2..N; the log data residuals ln(y_s / r_s);
+    ``sum_cols``, the (N-1, 3) columns [L, Ldot, 1] over beads i = 2..N,
+    against which one matrix product takes every sum of a per-call row with
+    a static vector; and ``coup_lap``, the (n+1, n+1) Laplacian of the
+    boundary-to-boundary springs times their stiffness T / (j dt), so that
+    their force on the measurement beads u_b is ``coup_lap @ u_b``.
     """
 
     layout: LatticeLayout
@@ -102,6 +110,9 @@ class PathContext:
     Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
     sum_cols: np.ndarray = field(init=False, repr=False)
+    Ls: np.ndarray = field(init=False, repr=False)
+    Ldots: np.ndarray = field(init=False, repr=False)
+    coup_lap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lay = self.layout
@@ -124,10 +135,20 @@ class PathContext:
         sum_cols = np.ones((lay.N - 1, 3))
         sum_cols[:, 0] = L[1:]
         sum_cols[:, 1] = Ldot[1:]
-        tables = (("L", L), ("Ldot", Ldot), ("lnyr", lnyr), ("sum_cols", sum_cols))
+        lap = np.zeros((lay.n + 1, lay.n + 1))
+        ends = np.arange(lay.n)
+        lap[ends, ends + 1] = lap[ends + 1, ends] = -1.0
+        lap[ends, ends] += 1.0
+        lap[ends + 1, ends + 1] += 1.0
+        tables = (
+            ("L", L), ("Ldot", Ldot), ("lnyr", lnyr), ("sum_cols", sum_cols),
+            ("coup_lap", (lay.T / (lay.j * lay.dt)) * lap),
+        )
         for name, value in tables:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "Ls", L[1:])
+        object.__setattr__(self, "Ldots", Ldot[1:])
 
 
 class Potential(NamedTuple):
@@ -148,9 +169,10 @@ class EnergyBreakdown:
     potential: Potential
 
 
-@dataclass(frozen=True)
-class Gradient:
-    """Gradient of H' = h_n + h_1: g_u over all beads, g_theta = (d/dbeta, d/dgamma)."""
+class Gradient(NamedTuple):
+    """Gradient of H' = h_n + h_1: g_u over all beads, g_theta = (d/dbeta, d/dgamma).
+
+    Both arrays are fresh on every call; callers may scale them in place."""
 
     g_u: np.ndarray
     g_theta: np.ndarray
@@ -163,20 +185,21 @@ def _check_size(state: PolymerState, layout: LatticeLayout):
 
 def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
     """Position part of h_N: 0.5 sum T k u^2 / (dt (k-1)) over staging beads."""
-    us = layout.staging(state.u)
-    return 0.5 * float((layout.stiffness * (us * us)).sum())
+    return 0.5 * float(np.square(state.u[:-1]) @ layout.flat_stiffness)
 
 
 def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Momentum part of h_N: sum dt p^2 / (2 m') over staging beads."""
-    ps = layout.staging(state.p)
-    return (0.5 * layout.dt / masses.m_prime) * float((ps * ps).sum())
+    return (0.5 * layout.dt / masses.m_prime) * float(
+        np.square(state.p[:-1]) @ layout.flat_staging
+    )
 
 
 def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Fast harmonic energy, staging beads only (zero when j = 1)."""
     _check_size(state, layout)
-    with np.errstate(over="ignore"):
+    # a non-finite measurement bead meets its 0 weight as inf * 0 = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
 
 
@@ -239,8 +262,7 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
     dt, T, j = lay.dt, lay.T, lay.j
     sigma2 = ctx.obs.sigma**2
-    coup = T / (j * dt)
-    L, Ldot = ctx.L, ctx.Ldot
+    Ls, Ldots = ctx.Ls, ctx.Ldots
     q = staging_inverse(state.u, lay)
     E = np.multiply(q, -beta)
     np.minimum(E, EXP_CLAMP, out=E)
@@ -249,22 +271,22 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
     qs = q[1:]
     bg = beta / gamma
     c = (2.0 + gamma) * beta / (2.0 * gamma)
-    rho0 = L[1] / beta + c  # rho at beads 2 and N
-    rhoN = L[-1] / beta + c
+    rho0 = Ls[0] / beta + c  # rho at beads 2 and N
+    rhoN = Ls[-1] / beta + c
     work = np.empty((3, lay.N - 1))
     A, w, Z = work
     np.multiply(E[1:], bg, out=w)
-    np.divide(L[1:], beta, out=A)
+    np.divide(Ls, beta, out=A)
     A += c
     A -= w
-    q_Ldot = qs @ Ldot[1:]  # qs . (T rhodot) = (T / beta) q_Ldot
+    q_Ldot = qs @ Ldots  # qs . (T rhodot) = (T / beta) q_Ldot
     ub = state.u[::j]
     resid = ctx.lnyr - beta * ub
-    d = ub[1:] - ub[:-1]
     if not gradient:
+        d = ub[1:] - ub[:-1]
         body = 0.5 * (A @ A) - (0.5 * beta) * np.add.reduce(w) - (T / beta) * q_Ldot
         edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
-        h_bound = (resid @ resid) / (2.0 * sigma2) + 0.5 * coup * (d @ d)
+        h_bound = (resid @ resid) / (2.0 * sigma2) + 0.5 * (T / (j * dt)) * (d @ d)
         return Potential(
             _harmonic(state, lay), float(h_bound), float((dt / T) * body + edge)
         )
@@ -277,16 +299,14 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
     Z_q = Z @ qs
     g_q = np.empty(lay.N)
     np.multiply(Z, beta * (dt / T), out=g_q[1:])
-    g_q[1:] -= Ldot[1:] * (dt / beta)
+    g_q[1:] -= Ldots * (dt / beta)
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
     g_u = staging_adjoint(g_q, lay)
-    # direct boundary terms of h_n
+    # direct boundary terms of h_n: the data residuals and the springs
     gb = g_u[::j]
     gb -= (beta / sigma2) * resid
-    coup_d = coup * d
-    gb[:-1] -= coup_d
-    gb[1:] += coup_d
+    gb += ctx.coup_lap @ ub
 
     # theta gradient; d rho / d beta = (c - L / beta) / beta, so
     # A . drho = (c sum A - A . L / beta) / beta; d rho / d gamma
@@ -316,4 +336,4 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
         raise NonFiniteError(
             "gradient w.r.t. theta", indices=np.flatnonzero(~np.isfinite(g_theta))
         )
-    return Gradient(g_u=g_u, g_theta=g_theta)
+    return Gradient(g_u, g_theta)

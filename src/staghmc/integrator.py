@@ -13,6 +13,14 @@ rotations that meet between consecutive Verlet steps are one exact rotation
 by dtau, so the trajectory runs P + 1 rotations: a half step, P - 1 full
 steps between the Verlet steps, and a closing half step.
 
+The rotation is per bead, so it runs over the contiguous first N-1 beads
+``x[:-1]`` at once, with identity entries (cos = 1, sin = 0) at the
+measurement beads. On finite input x * 1 + y * 0 = x, so those beads come
+out exactly unchanged. A non-finite boundary momentum instead turns into
+inf * 0 = NaN there; the whole trajectory therefore runs under one
+``np.errstate`` that ignores overflow and invalid operations, and the next
+gradient raises NonFiniteError, so the proposal is rejected.
+
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
 only controls how well the total energy is conserved (error ~ dtau^2 at
@@ -58,9 +66,10 @@ class OscillatorBank:
     Effective mass m = m'/dt is shared; the frequency per staging order k,
     omega_k = sqrt(T k / ((k-1) dt m)), decreases with k (``omega`` lists it
     per staging bead, in lattice order). The rotation tables for the half
-    step dtau/2 and for the full step dtau are precomputed in the (n, j-1)
-    shape of `LatticeLayout.staging`, as ``half`` and ``full``, each the
-    read-only triple (cos, sin / (m omega), m omega sin) of its angle. The
+    step dtau/2 and for the full step dtau are precomputed as ``half`` and
+    ``full``, each the read-only triple (cos, sin / (m omega), m omega sin)
+    of its angle as flat length-(N-1) arrays over ``x[:-1]``: the
+    measurement beads ``s*j`` hold the identity entries (1, 0, 0). The
     frequencies satisfy m omega_k^2 = T k / (dt (k-1)) exactly, so the
     rotation conserves h_N to round-off.
     """
@@ -73,15 +82,20 @@ class OscillatorBank:
     full: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        omega = self.omega.reshape(self.layout.n, self.layout.j - 1)
+        n, j = self.layout.n, self.layout.j
+        omega = self.omega.reshape(n, j - 1)
         m_omega = self.m * omega
         for name, step in (("half", self.d_tau / 2.0), ("full", self.d_tau)):
             angle = omega * step
             sin = np.sin(angle)
-            tables = (np.cos(angle), sin / m_omega, m_omega * sin)
-            for table in tables:
-                table.setflags(write=False)
-            object.__setattr__(self, name, tables)
+            tables = np.zeros((3, n, j))
+            tables[0, :, 0] = 1.0
+            tables[0, :, 1:] = np.cos(angle)
+            tables[1, :, 1:] = sin / m_omega
+            tables[2, :, 1:] = m_omega * sin
+            tables = tables.reshape(3, n * j)
+            tables.setflags(write=False)
+            object.__setattr__(self, name, tuple(tables))
 
     @classmethod
     def build(
@@ -94,15 +108,16 @@ class OscillatorBank:
 
 def _rotate_inplace(u: np.ndarray, p: np.ndarray, bank: OscillatorBank, full: bool = False):
     """Exact rotation of every staging oscillator by dtau/2 (by dtau with
-    ``full``), in place.
+    ``full``), in place, as flat operations on ``u[:-1]`` and ``p[:-1]``.
 
-    Boundary beads are untouched; h_N is conserved oscillator by oscillator.
+    Finite boundary beads come out exactly unchanged (identity table
+    entries); h_N is conserved oscillator by oscillator.
     """
     if bank.omega.size == 0:
         return
     cos, sin_over_m_omega, m_omega_sin = bank.full if full else bank.half
-    us = bank.layout.staging(u)
-    ps = bank.layout.staging(p)
+    us = u[:-1]
+    ps = p[:-1]
     kick = us * m_omega_sin
     us *= cos
     us += ps * sin_over_m_omega
@@ -118,14 +133,19 @@ def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d
     """
     half = 0.5 * d_tau
     j = ctx.layout.j
-    g = grad_hprime(state, ctx)
-    state.p -= half * g.g_u
-    state.pi -= half * g.g_theta
+    # the gradient arrays are fresh, so the kicks scale them in place
+    g_u, g_theta = grad_hprime(state, ctx)
+    g_u *= half
+    state.p -= g_u
+    g_theta *= half
+    state.pi -= g_theta
     state.u[::j] += (d_tau / masses.M) * state.p[::j]
-    state.theta += d_tau * state.pi / masses.m_alpha
-    g = grad_hprime(state, ctx)
-    state.p -= half * g.g_u
-    state.pi -= half * g.g_theta
+    state.theta += d_tau * state.pi / masses.m_alpha_vec
+    g_u, g_theta = grad_hprime(state, ctx)
+    g_u *= half
+    state.p -= g_u
+    g_theta *= half
+    state.pi -= g_theta
 
 
 def trotter_propagate(
@@ -140,8 +160,10 @@ def trotter_propagate(
     steps merged into one full rotation. Returns a new state; the input is
     not modified.
 
-    Non-finite forces raise NonFiniteError (the sampler counts that as a
-    rejected proposal).
+    The trajectory runs under one ``np.errstate`` that lets overflow and
+    invalid operations saturate to inf and NaN silently; non-finite forces
+    then raise NonFiniteError (the sampler counts that as a rejected
+    proposal).
     """
     if bank is None:
         bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
@@ -150,8 +172,9 @@ def trotter_propagate(
             f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
         )
     work = state.copy()
-    _rotate_inplace(work.u, work.p, bank)
-    for step in range(1, config.P + 1):
-        _verlet_inplace(work, ctx, masses, config.d_tau)
-        _rotate_inplace(work.u, work.p, bank, full=step < config.P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rotate_inplace(work.u, work.p, bank)
+        for step in range(1, config.P + 1):
+            _verlet_inplace(work, ctx, masses, config.d_tau)
+            _rotate_inplace(work.u, work.p, bank, full=step < config.P)
     return work

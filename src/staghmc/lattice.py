@@ -66,6 +66,12 @@ class LatticeLayout:
     ``staging_block`` is the (j+1, j) matrix B of the staging inverse on one
     segment: q[s*j + m] = sum_l u[s*j + l] B[l, m], with B[0, m] = (j-m)/j
     and B[l, m] = m/l for 1 <= m <= l <= j (zero above the diagonal).
+
+    ``flat_stiffness`` and ``flat_staging`` run over the contiguous first
+    N-1 beads ``x[:-1]`` (the last bead is always a measurement bead): the
+    staging stiffness, and 1.0, at the staging beads, and 0 at the
+    measurement beads ``s*j``. A sum over the staging beads is then one
+    product with a contiguous array instead of work on the strided view.
     """
 
     n: int
@@ -78,6 +84,8 @@ class LatticeLayout:
     staging_k: np.ndarray = field(init=False, repr=False, compare=False)
     stiffness: np.ndarray = field(init=False, repr=False, compare=False)
     staging_block: np.ndarray = field(init=False, repr=False, compare=False)
+    flat_stiffness: np.ndarray = field(init=False, repr=False, compare=False)
+    flat_staging: np.ndarray = field(init=False, repr=False, compare=False)
     _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,12 +105,19 @@ class LatticeLayout:
         cols = np.arange(j, dtype=float)
         block = np.tril(cols / np.maximum(np.arange(j + 1.0), 1.0)[:, None])
         block[0] = (j - cols) / j
+        stiffness = self.T * k / (dt * m)
+        flat_stiffness = np.zeros((n, j))
+        flat_stiffness[:, 1:] = stiffness
+        flat_staging = np.ones((n, j))
+        flat_staging[:, 0] = 0.0
         tables = {
             "boundary_indices": bound,
             "staging_mask": mask,
             "staging_k": np.tile(np.arange(2, j + 1), n),
-            "stiffness": self.T * k / (dt * m),
+            "stiffness": stiffness,
             "staging_block": block,
+            "flat_stiffness": flat_stiffness.reshape(-1),
+            "flat_staging": flat_staging.reshape(-1),
             "_m": m,
         }
         for name, table in tables.items():
@@ -135,11 +150,13 @@ def build_layout(n: int, j: int, T: float) -> LatticeLayout:
 class MassConfig:
     """Effective masses: M for measurement beads, m_prime for staging beads
     (the staging kinetic term is dt p^2 / (2 m_prime), i.e. oscillator mass
-    m_prime/dt), and m_alpha for the two parameters (beta, gamma)."""
+    m_prime/dt), and m_alpha for the two parameters (beta, gamma), also kept
+    as the read-only array ``m_alpha_vec``."""
 
     M: float
     m_prime: float
     m_alpha: tuple[float, float]
+    m_alpha_vec: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ma = tuple(float(x) for x in self.m_alpha)
@@ -148,6 +165,9 @@ class MassConfig:
         if not (self.M > 0 and self.m_prime > 0 and all(x > 0 for x in ma)):
             raise ValidationError("all masses must be positive")
         object.__setattr__(self, "m_alpha", ma)
+        vec = np.array(ma)  # read-only copy for the theta drift
+        vec.setflags(write=False)
+        object.__setattr__(self, "m_alpha_vec", vec)
 
 
 @dataclass

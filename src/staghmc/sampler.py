@@ -10,6 +10,7 @@ independent streams spawned from it, one process per chain.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -197,16 +198,29 @@ class ChainRecord:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _momentum_scale(masses: MassConfig, layout: LatticeLayout) -> np.ndarray:
+    """Read-only (N + 2) standard deviations of (p, pi): sqrt(m_prime/dt) at
+    staging beads, sqrt(M) at measurement beads, then sqrt(m_alpha)."""
+    scale = np.empty(layout.N + 2)
+    scale[: layout.N] = np.sqrt(masses.m_prime / layout.dt)
+    scale[: layout.N : layout.j] = np.sqrt(masses.M)
+    scale[layout.N :] = np.sqrt(masses.m_alpha_vec)
+    scale.setflags(write=False)
+    return scale
+
+
 def sample_momenta(
     masses: MassConfig, layout: LatticeLayout, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (p, pi) from the Gaussians matching the kinetic terms: variance M
-    on measurement beads, m_prime/dt on staging beads, m_alpha on parameters."""
-    z = rng.standard_normal(layout.N)
-    p = z * np.sqrt(masses.m_prime / layout.dt)
-    p[:: layout.j] = z[:: layout.j] * np.sqrt(masses.M)
-    pi = rng.standard_normal(2) * np.sqrt(np.asarray(masses.m_alpha))
-    return p, pi
+    on measurement beads, m_prime/dt on staging beads, m_alpha on parameters.
+
+    One draw of N + 2 standard normals, scaled in place; p and pi are views
+    of it. The stream matches a draw of N followed by a draw of 2."""
+    z = rng.standard_normal(layout.N + 2)
+    z *= _momentum_scale(masses, layout)
+    return z[: layout.N], z[layout.N :]
 
 
 def metropolis_accept(
@@ -239,10 +253,15 @@ def hmc_iteration(
     Returns the next state (positions revert on rejection) and the iteration
     stats, whose ``potential`` is that of the next state. Invalid proposals
     never raise; they score an infinite energy and the pathology is recorded.
+
+    The input state is never mutated, but it is not copied either: on
+    rejection the returned state shares its ``u`` and ``theta`` arrays with
+    the input (with fresh momenta), so a caller that keeps the input and
+    then mutates the result must copy first.
     """
     masses = config.masses
-    cur = state.copy()
-    cur.p, cur.pi = sample_momenta(masses, ctx.layout, rng)
+    p, pi = sample_momenta(masses, ctx.layout, rng)
+    cur = PolymerState(u=state.u, theta=state.theta, p=p, pi=pi)
     if potential is None:
         before = h_total(cur, ctx, masses)
     else:

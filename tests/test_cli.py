@@ -187,6 +187,48 @@ class TestInfer:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["infer", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "extra", [{"discard": 1.5}, {"discard": -0.1}, {"discard": 0.9, "n_mc": 2}]
+    )
+    def test_bad_discard_rejected_before_sampling(self, tmp_path, monkeypatch, extra):
+        import staghmc.cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_parallel_chains must not be called")
+
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", fail)
+        rc, out = self.infer_into(tmp_path, "run", extra=extra)
+        assert rc == 2
+        assert not list(out.glob("chain*.csv"))
+        assert not (out / "summary.json").exists()
+
+    def test_never_moved_chain_warns(self, tmp_path, monkeypatch, capsys):
+        import staghmc.cli
+        from staghmc.sampler import ChainRecord
+
+        def record(beta, accepted):
+            n = beta.size
+            return ChainRecord(
+                beta=beta, gamma=np.full(n, 0.5), K=10.0 * beta, accepted=accepted,
+                h_before=np.zeros(n), h_after=np.zeros(n), dh=np.zeros(n), meta={},
+            )
+
+        def one_stuck(problem, hmc):
+            n = hmc.n_mc
+            return [
+                record(np.linspace(1.0, 1.1, n), np.ones(n, dtype=bool)),
+                record(np.ones(n), np.zeros(n, dtype=bool)),
+            ]
+
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", one_stuck)
+        rc, _ = self.infer_into(tmp_path, "run")
+        captured = capsys.readouterr()
+        assert rc == 0
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: chain 01 accepted none")
+        assert "acceptance rate: 0.500" in captured.out
+
     def test_out_path_collision_is_runtime_failure(self, tmp_path):
         (tmp_path / "blocked").write_text("a file, not a directory")
         cfg_path = write_config(tmp_path, small_config())
@@ -272,6 +314,18 @@ class TestSummarize:
         bad.write_text("iter,beta,gamma,K\n1,1,1,1\n")
         rc = self.summarize(tmp_path, chains + [str(bad)], "bad", rc_only=True)
         assert rc == 2
+
+    @pytest.mark.parametrize("block", [{"density_points": 1}, {"discard": 1.0}, {"discard": 0.99}])
+    def test_bad_settings_rejected_before_writing(self, tmp_path, block):
+        path = tmp_path / "flat.csv"
+        rows = "\n".join(f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(12))
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
+        cfg = {"summarize": {"chain_files": [str(path)], "discard": 0.0, **block}}
+        cfg_path = write_config(tmp_path, cfg, "bad.json")
+        out = tmp_path / "summ"
+        assert main(["summarize", "--config", cfg_path, "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+        assert not list(out.glob("density_*.csv"))
 
     def test_empty_chain_list_rejected(self, tmp_path):
         assert self.summarize(tmp_path, [], "none", rc_only=True) == 2

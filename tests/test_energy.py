@@ -164,6 +164,55 @@ class TestPieces:
         )
 
 
+class TestFlatTerms:
+    """The flat products against the (n, j-1) view formulas they replace."""
+
+    @pytest.mark.parametrize("n, j", [(1, 1), (2, 2), (3, 10), (10, 30)])
+    def test_staging_terms_match_view_formulas(self, n, j):
+        from staghmc.energy import _harmonic, _staging_kinetic
+
+        layout = build_layout(n, j, 83.0)
+        for seed in range(5):
+            st = random_state(layout, np.random.default_rng(seed), u_scale=2.0)
+            us, ps = layout.staging(st.u), layout.staging(st.p)
+            harmonic = 0.5 * float((layout.stiffness * (us * us)).sum())
+            kinetic = (0.5 * layout.dt / MASSES.m_prime) * float((ps * ps).sum())
+            assert _harmonic(st, layout) == pytest.approx(harmonic, rel=1e-14, abs=0.0)
+            assert _staging_kinetic(st, MASSES, layout) == pytest.approx(
+                kinetic, rel=1e-14, abs=0.0
+            )
+
+    @pytest.mark.parametrize("n, j", [(1, 1), (2, 5), (10, 30)])
+    def test_spring_laplacian_matches_pairwise_form(self, n, j):
+        layout, _, ctx = make_problem(n, j, 83.0)
+        coup = layout.T / (layout.j * layout.dt)
+        for seed in range(5):
+            ub = np.random.default_rng(seed).normal(0, 2, n + 1)
+            d = ub[1:] - ub[:-1]
+            want = np.zeros(n + 1)
+            want[:-1] -= coup * d
+            want[1:] += coup * d
+            np.testing.assert_allclose(ctx.coup_lap @ ub, want, rtol=1e-14, atol=0.0)
+
+    def test_flat_tables_are_read_only(self):
+        layout, _, ctx = make_problem()
+        for table in (
+            layout.flat_stiffness, layout.flat_staging, ctx.Ls, ctx.Ldots, ctx.coup_lap,
+            MASSES.m_alpha_vec,
+        ):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        np.testing.assert_array_equal(ctx.Ls, ctx.L[1:])
+        np.testing.assert_array_equal(ctx.Ldots, ctx.Ldot[1:])
+
+    def test_gradient_unpacks(self):
+        layout, _, ctx = make_problem()
+        g = grad_hprime(random_state(layout, np.random.default_rng(7)), ctx)
+        g_u, g_theta = g
+        assert g_u is g.g_u and g_theta is g.g_theta
+
+
 class TestDecoupling:
     def test_h_N_ignores_boundary_and_theta(self):
         layout, _, _ = make_problem()

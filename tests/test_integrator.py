@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,15 @@ from staghmc.lattice import MassConfig, PolymerState, build_layout
 
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
 MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYOUTS = [
+    build_layout(1, 1, 5.0),
+    build_layout(2, 5, 833.0),
+    build_layout(10, 10, 120.0),
+    build_layout(10, 30, 833.0),
+    build_layout(5, 1, 7.0),
+    build_layout(4, 2, 13.0),
+]
 
 
 def make_problem(n=3, j=10, T=83.0, seed=0):
@@ -181,7 +195,52 @@ class TestRotation:
         bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.37)
         for table in (*bank.half, *bank.full):
             with pytest.raises(ValueError):
-                table[0, 0] = 0.0
+                table[0] = 0.0
+
+
+def view_rotation(state, bank, step):
+    """The rotation on the (n, j-1) staging views, with tables in that shape."""
+    out = state.copy()
+    lay = bank.layout
+    omega = bank.omega.reshape(lay.n, lay.j - 1)
+    m_omega = bank.m * omega
+    angle = omega * step
+    sin = np.sin(angle)
+    cos, sin_over_m_omega, m_omega_sin = np.cos(angle), sin / m_omega, m_omega * sin
+    us, ps = lay.staging(out.u), lay.staging(out.p)
+    kick = us * m_omega_sin
+    us *= cos
+    us += ps * sin_over_m_omega
+    ps *= cos
+    ps -= kick
+    return out
+
+
+class TestFlatRotation:
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    @pytest.mark.parametrize("full", [False, True])
+    def test_matches_view_formula(self, layout, full):
+        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        st = random_state(layout, np.random.default_rng(layout.N), u_scale=1.0, p_scale=5.0)
+        out = st.copy()
+        _rotate_inplace(out.u, out.p, bank, full=full)
+        ref = view_rotation(st, bank, bank.d_tau if full else bank.d_tau / 2.0)
+        np.testing.assert_array_equal(out.u, ref.u)
+        np.testing.assert_array_equal(out.p, ref.p)
+        # measurement beads, the last one included, come out exactly unchanged
+        np.testing.assert_array_equal(out.u[:: layout.j], st.u[:: layout.j])
+        np.testing.assert_array_equal(out.p[:: layout.j], st.p[:: layout.j])
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_tables_are_flat_with_identity_at_measurement_beads(self, layout):
+        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        for cos, sin_over_m_omega, m_omega_sin in (bank.half, bank.full):
+            for table in (cos, sin_over_m_omega, m_omega_sin):
+                assert table.shape == (layout.N - 1,)
+                assert not table.flags.writeable
+            np.testing.assert_array_equal(cos[:: layout.j], 1.0)
+            np.testing.assert_array_equal(sin_over_m_omega[:: layout.j], 0.0)
+            np.testing.assert_array_equal(m_omega_sin[:: layout.j], 0.0)
 
 
 class TestVerlet:
@@ -231,6 +290,18 @@ class TestTrotter:
         b = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.p, b.p)
+
+    @pytest.mark.parametrize("bead", [0, 5, 10])
+    def test_infinite_boundary_momentum_rejected_without_warning(self, bead):
+        # the identity table entries meet inf as inf * 0 = NaN; the trajectory
+        # errstate keeps that silent and the next gradient raises
+        layout, ctx = make_problem(2, 5, 60.0)
+        st = random_state(layout, np.random.default_rng(21))
+        st.p[bead] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
 
     @pytest.mark.parametrize("P", [1, 2, 3])
     def test_merged_rotations_match_split_schedule(self, P):
@@ -309,3 +380,15 @@ class TestTrotter:
         st.u[layout.boundary_indices] -= 1e6
         with pytest.raises(NonFiniteError):
             trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
+
+
+def test_integrator_checks_demo_runs():
+    env = dict(os.environ)
+    src = os.path.join(REPO, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "demos", "integrator_checks.py")],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "reversibility" in proc.stdout

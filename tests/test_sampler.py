@@ -151,6 +151,30 @@ class TestSampleMomenta:
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(pi1, pi2)
 
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_single_draw_matches_two_draws(self, seed):
+        layout = build_layout(3, 10, 83.0)
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        for _ in range(200):
+            p, pi = sample_momenta(MASSES, layout, rng)
+            z = ref.standard_normal(layout.N)
+            p_ref = z * np.sqrt(MASSES.m_prime / layout.dt)
+            p_ref[:: layout.j] = z[:: layout.j] * np.sqrt(MASSES.M)
+            pi_ref = ref.standard_normal(2) * np.sqrt(np.asarray(MASSES.m_alpha))
+            np.testing.assert_array_equal(p, p_ref)
+            np.testing.assert_array_equal(pi, pi_ref)
+        # both streams stand at the same position afterwards
+        assert rng.random() == ref.random()
+
+    def test_scale_table_is_read_only(self):
+        from staghmc.sampler import _momentum_scale
+
+        scale = _momentum_scale(MASSES, build_layout(3, 10, 83.0))
+        assert scale.shape == (33,)
+        with pytest.raises(ValueError):
+            scale[0] = 1.0
+
 
 class _NoDraw:
     """RNG stub that fails the test if a uniform is requested."""
@@ -233,6 +257,21 @@ class TestHmcIteration:
         assert stats_out.pathology == "nonpositive-parameter"
         assert not stats_out.accepted
         assert stats_out.h_after == np.inf
+
+    @pytest.mark.parametrize("d_tau, accepted", [(0.25, True), (40.0, False)])
+    def test_input_state_not_mutated(self, toy_problem, d_tau, accepted):
+        ctx = toy_problem.context()
+        cfg = small_config(integrator=IntegratorConfig(d_tau=d_tau, P=3))
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        state.p[:] = 1.5
+        state.pi[:] = -0.5
+        snapshot = state.copy()
+        _, stats_out = hmc_iteration(state, ctx, cfg, np.random.default_rng(4))
+        assert stats_out.accepted is accepted
+        for name in ("u", "theta", "p", "pi"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(snapshot, name))
 
 
 class TestSaturatingStates:
