@@ -128,7 +128,8 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, preset, config file, and flags into one document."""
+    """Merge defaults, preset, config file, and flags into one document,
+    with ``seed`` and ``chains`` cast to int."""
     cfg = copy.deepcopy(DEFAULTS)
     if args.preset is not None:
         if args.preset not in PRESETS:
@@ -155,9 +156,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     _check_keys(cfg, SCHEMA)
-    if not (0 <= int(cfg["seed"]) < 2**64):
+    cfg["seed"] = _require_field(cfg, "seed", "", int)
+    if not (0 <= cfg["seed"] < 2**64):
         raise ValidationError("seed must fit in an unsigned 64-bit integer")
-    if int(cfg["chains"]) < 1:
+    cfg["chains"] = _require_field(cfg, "chains", "", int)
+    if cfg["chains"] < 1:
         raise ValidationError(f"chains must be >= 1, got {cfg['chains']}")
     return cfg
 
@@ -170,22 +173,37 @@ def _require(cfg: dict, block: str, command: str) -> dict:
     return cfg[block]
 
 
-def _require_field(block: dict, name: str, where: str):
+def _float_pair(value) -> tuple:
+    return tuple(float(v) for v in value)
+
+
+def _require_field(block: dict, name: str, where: str, cast=None):
+    """The value of config field ``where.name`` (``name`` at the top level,
+    where ``where`` is empty), converted by ``cast`` if one is given; a
+    missing field, or one that ``cast`` rejects with ValueError or
+    TypeError, is a ValidationError naming the field."""
+    key = f"{where}.{name}" if where else name
     if name not in block or block[name] is None:
-        raise ValidationError(f"missing config field {where}.{name}")
-    return block[name]
+        raise ValidationError(f"missing config field {key}")
+    value = block[name]
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config field {key} has an invalid value {value!r}: {exc}") from None
 
 
 def _build_signal(block: dict) -> InputSignal:
     kind = _require_field(block, "kind", "signal")
     if kind == "sinusoid":
         return InputSignal.sinusoid(
-            float(_require_field(block, "a", "signal")),
-            float(_require_field(block, "omega", "signal")),
-            float(_require_field(block, "b", "signal")),
+            _require_field(block, "a", "signal", float),
+            _require_field(block, "omega", "signal", float),
+            _require_field(block, "b", "signal", float),
         )
     if kind == "constant":
-        return InputSignal.constant(float(_require_field(block, "value", "signal")))
+        return InputSignal.constant(_require_field(block, "value", "signal", float))
     if kind == "tabulated":
         path = _require_field(block, "file", "signal")
         if not os.path.exists(path):
@@ -261,20 +279,20 @@ def cmd_simulate(cfg: dict) -> int:
     sim = cfg["simulate"]
 
     params = PhysicalParams(
-        K=float(_require_field(model, "K", "model")),
-        gamma=float(_require_field(model, "gamma", "model")),
-        T=float(_require_field(model, "T", "model")),
+        K=_require_field(model, "K", "model", float),
+        gamma=_require_field(model, "gamma", "model", float),
+        T=_require_field(model, "T", "model", float),
     )
     signal = _build_signal(_require(cfg, "signal", "simulate"))
-    n = int(_require_field(obs_block, "n", "observation"))
+    n = _require_field(obs_block, "n", "observation", int)
     if n < 1:
         raise ValidationError(f"observation.n must be >= 1, got {n}")
-    sigma = float(_require_field(obs_block, "sigma", "observation"))
-    j = int(_require_field(lattice, "j", "lattice"))
-    factor = int(sim["factor"])
+    sigma = _require_field(obs_block, "sigma", "observation", float)
+    j = _require_field(lattice, "j", "lattice", int)
+    factor = _require_field(sim, "factor", "simulate", int)
 
     echo_path = _write_echo(cfg, "simulate", out_dir)
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg["seed"])))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)
     s0 = sim.get("s0")
     truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
@@ -311,39 +329,39 @@ def cmd_infer(cfg: dict) -> int:
         raise ValidationError(f"observations file not found: {obs_file}")
     data = TimeSeriesData.from_csv(obs_file)
     signal = _build_signal(_require(cfg, "signal", "infer"))
-    sigma = float(_require_field(obs_block, "sigma", "observation"))
-    j = int(_require_field(lattice, "j", "lattice"))
+    sigma = _require_field(obs_block, "sigma", "observation", float)
+    j = _require_field(lattice, "j", "lattice", int)
     problem = InferenceProblem(data, signal, ObservationModel(sigma), j)
 
     start = _require_field(infer, "start", "infer")
     start_params = PhysicalParams(
-        K=float(_require_field(start, "K", "infer.start")),
-        gamma=float(_require_field(start, "gamma", "infer.start")),
+        K=_require_field(start, "K", "infer.start", float),
+        gamma=_require_field(start, "gamma", "infer.start", float),
         T=data.horizon,
     )
     theta0 = to_dimensionless(start_params)
     masses_block = _require_field(infer, "masses", "infer")
     masses = MassConfig(
-        M=float(_require_field(masses_block, "M", "infer.masses")),
-        m_prime=float(_require_field(masses_block, "m_prime", "infer.masses")),
-        m_alpha=tuple(float(v) for v in _require_field(masses_block, "m_alpha", "infer.masses")),
+        M=_require_field(masses_block, "M", "infer.masses", float),
+        m_prime=_require_field(masses_block, "m_prime", "infer.masses", float),
+        m_alpha=_require_field(masses_block, "m_alpha", "infer.masses", _float_pair),
     )
     integ_block = _require_field(infer, "integrator", "infer")
     integ = IntegratorConfig(
-        d_tau=float(_require_field(integ_block, "d_tau", "infer.integrator")),
-        P=int(_require_field(integ_block, "P", "infer.integrator")),
+        d_tau=_require_field(integ_block, "d_tau", "infer.integrator", float),
+        P=_require_field(integ_block, "P", "infer.integrator", int),
     )
-    checkpoint_every = int(infer["checkpoint_every"])
-    n_mc = int(_require_field(infer, "n_mc", "infer"))
-    discard = float(infer["discard"])
+    checkpoint_every = _require_field(infer, "checkpoint_every", "infer", int)
+    n_mc = _require_field(infer, "n_mc", "infer", int)
+    discard = _require_field(infer, "discard", "infer", float)
     _discard_start(discard, n_mc)
     hmc = HmcConfig(
         n_mc=n_mc,
         theta0=(theta0.beta, theta0.gamma),
         masses=masses,
         integrator=integ,
-        seed=int(cfg["seed"]),
-        chains=int(cfg["chains"]),
+        seed=cfg["seed"],
+        chains=cfg["chains"],
         checkpoint_every=checkpoint_every,
         checkpoint_dir=os.path.join(out_dir, "checkpoints") if checkpoint_every > 0 else None,
     )
@@ -360,6 +378,7 @@ def cmd_infer(cfg: dict) -> int:
         chain_paths.append(path)
 
     summary = _summary_dict(records, _pooled_record(records, discard), discard)
+    summary["chains_meta"] = [rec.meta for rec in records]
     summary_path = _write_summary(summary, out_dir)
 
     print(f"config echo: {echo_path}")
@@ -391,10 +410,10 @@ def cmd_summarize(cfg: dict) -> int:
     for path in chain_files:
         if not os.path.exists(path):
             raise ValidationError(f"chain file not found: {path}")
-    points = int(block["density_points"])
+    points = _require_field(block, "density_points", "summarize", int)
     if points < 2:
         raise ValidationError(f"summarize.density_points must be >= 2, got {points}")
-    discard = float(block["discard"])
+    discard = _require_field(block, "discard", "summarize", float)
     records = [ChainRecord.from_csv(path) for path in chain_files]
     pooled = _pooled_record(records, discard)
 

@@ -52,6 +52,32 @@ position-only energy
 (`Potential`) is fixed by a momentum refresh, so the sampler carries it from
 one iteration to the next and adds the new kinetic terms with `h_refreshed`.
 
+At the benchmark size (N = 301) most of a kernel call is dispatch, not
+arithmetic, so the kernel keeps both small:
+
+* Scratch buffers. Each context allocates one workspace (`_Scratch`) once:
+  E, the rows [A, w, Z], the sums, g_q and two rows over the measurement
+  beads. Every array operation of `_hprime` writes into it with ``out=``;
+  only q (from `staging_inverse`) and the returned gradient are fresh. A
+  context is therefore not safe to share between threads; parallel chains
+  run in processes.
+* Python-float scalars. beta, gamma, the end values of q and E and the
+  matrix of sums each leave NumPy in one ``tolist()``, and the scalar
+  algebra runs on Python floats, a tenth of the cost of a NumPy scalar or
+  two-entry array operation and the same IEEE double arithmetic, so the
+  results are bit-identical. Python floats raise where NumPy saturates,
+  though: ZeroDivisionError on a zero divisor and OverflowError from
+  ``**``. So every divisor is beta, gamma or 2 gamma (non-zero after the
+  domain check) or a NumPy scalar: sigma^2, and gamma^2, which stays a
+  NumPy scalar power. As ``gamma * gamma`` it would differ from the libm
+  ``pow`` in the last bit for some gamma; as a Python-float power it
+  underflows to a 0.0 divisor (at theta = (1, 1e-200)) or raises
+  OverflowError (for gamma above about 1.3e154).
+* One errstate. `h_total` and `grad_hprime` run under their own
+  ``np.errstate``, but inside a `_saturating` block of their context (one
+  trajectory and the proposal's energy) they skip it, and their state-size
+  check, as the block holds one errstate for every call in it.
+
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
 (possibly +inf once squared, never NaN) energy that the sampler rejects
@@ -100,6 +126,11 @@ class PathContext:
     a static vector; and ``coup_lap``, the (n+1, n+1) Laplacian of the
     boundary-to-boundary springs times their stiffness T / (j dt), so that
     their force on the measurement beads u_b is ``coup_lap @ u_b``.
+
+    The context also owns the private, mutable workspace of the kernel
+    (`_Scratch`), allocated once, so a context must not be shared by
+    threads that evaluate energies or gradients concurrently; parallel
+    chains run in separate processes, each with its own context.
     """
 
     layout: LatticeLayout
@@ -113,6 +144,7 @@ class PathContext:
     Ls: np.ndarray = field(init=False, repr=False)
     Ldots: np.ndarray = field(init=False, repr=False)
     coup_lap: np.ndarray = field(init=False, repr=False)
+    _scratch: "_Scratch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lay = self.layout
@@ -149,6 +181,65 @@ class PathContext:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "Ls", L[1:])
         object.__setattr__(self, "Ldots", Ldot[1:])
+        object.__setattr__(
+            self, "_scratch", _Scratch(lay, float(L[1]), float(L[-1]), self.obs.sigma)
+        )
+
+
+class _Scratch:
+    """The workspace of `_hprime` for one `PathContext`, allocated once.
+
+    Arrays: ``E`` and ``g_q`` (length N, with the views ``E_tail``,
+    ``E_ends`` and ``gq_tail``), the (3, N-1) rows ``work`` = [A, w, Z],
+    the (3, 3) ``sums`` and two length-(n+1) rows over the measurement
+    beads, ``resid`` and the temporary ``tmp_b``. Constants of the plan as
+    Python floats, and sigma^2 as a NumPy scalar, so that a division by an
+    underflowed sigma^2 saturates instead of raising. As a context manager
+    (see `_saturating`) it enters one ``np.errstate`` for the outermost of
+    nested blocks and counts their ``depth``.
+    """
+
+    __slots__ = (
+        "j", "last", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
+        "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums", "g_q", "gq_tail",
+        "resid", "tmp_b", "depth", "_errstate", "_args",
+    )
+
+    def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
+        self._args = (lay, L0, LN, sigma)
+        self.j, self.last, self.T, self.dt = lay.j, lay.N - 1, lay.T, lay.dt
+        self.dt_T = lay.dt / lay.T
+        self.half_coup = 0.5 * (lay.T / (lay.j * lay.dt))
+        self.L0, self.LN = L0, LN
+        self.sigma2 = np.float64(sigma**2)
+        self.E = np.empty(lay.N)
+        self.E_tail, self.E_ends = self.E[1:], self.E[:: lay.N - 1]
+        self.work = np.empty((3, lay.N - 1))
+        self.A, self.w, self.Z = self.work
+        self.sums = np.empty((3, 3))
+        self.g_q = np.empty(lay.N)
+        self.gq_tail = self.g_q[1:]
+        self.resid = np.empty(lay.n + 1)
+        self.tmp_b = np.empty(lay.n + 1)
+        self.depth = 0
+        self._errstate = None
+
+    def __reduce__(self):
+        # pickled views would come back as copies, not views of E and g_q
+        return _Scratch, self._args
+
+    def __enter__(self) -> "_Scratch":
+        if not self.depth:
+            self._errstate = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+            self._errstate.__enter__()
+        self.depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.depth -= 1
+        if not self.depth:
+            errstate, self._errstate = self._errstate, None
+            errstate.__exit__(*exc)
 
 
 class Potential(NamedTuple):
@@ -203,6 +294,22 @@ def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float
         return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
 
 
+def _refreshed(
+    potential: Potential, state: PolymerState, masses: MassConfig, layout: LatticeLayout
+) -> EnergyBreakdown:
+    """`h_refreshed` without its errstate, for callers that hold one."""
+    pb = state.p[:: layout.j]
+    pa, pg = state.pi.tolist()
+    ma, mg = masses.m_alpha
+    h_fast = _staging_kinetic(state, masses, layout) + potential.h_N
+    h_bound = float(pb @ pb) / (2.0 * masses.M) + potential.h_n
+    h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
+    return EnergyBreakdown(
+        h_N=h_fast, h_n=h_bound, h_1=h_slow, total=h_fast + h_bound + h_slow,
+        potential=potential,
+    )
+
+
 def h_refreshed(
     potential: Potential, state: PolymerState, masses: MassConfig, layout: LatticeLayout
 ) -> EnergyBreakdown:
@@ -212,22 +319,18 @@ def h_refreshed(
     Bit-identical to ``h_total(state, ...)`` when ``potential`` is the
     ``.potential`` of an ``h_total`` of the same positions and parameters.
     """
-    pb = state.p[:: layout.j]
-    pa, pg = state.pi
-    ma, mg = masses.m_alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        h_fast = _staging_kinetic(state, masses, layout) + potential.h_N
-        h_bound = float(pb @ pb) / (2.0 * masses.M) + potential.h_n
-        h_slow = float(pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
-    return EnergyBreakdown(
-        h_N=h_fast, h_n=h_bound, h_1=h_slow, total=h_fast + h_bound + h_slow,
-        potential=potential,
-    )
+        return _refreshed(potential, state, masses, layout)
 
 
 def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
     """All three pieces and their sum."""
-    return h_refreshed(_hprime(state, ctx, gradient=False), state, masses, ctx.layout)
+    scratch = ctx._scratch
+    if not scratch.depth:
+        _check_size(state, ctx.layout)
+        with scratch:
+            return _refreshed(_hprime(state, ctx, gradient=False), state, masses, ctx.layout)
+    return _refreshed(_hprime(state, ctx, gradient=False), state, masses, ctx.layout)
 
 
 def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
@@ -238,80 +341,98 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
+    scratch = ctx._scratch
+    if not scratch.depth:
+        _check_size(state, ctx.layout)
+        with scratch:
+            return _hprime(state, ctx, gradient=True)
     return _hprime(state, ctx, gradient=True)
 
 
-# runaway states saturate to +-inf or NaN (never a silently wrong finite
-# value): the energy is rejected by the Metropolis test, the gradient raises
-# NonFiniteError; as a decorator, errstate costs half of a with-block per call
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _saturating(ctx: PathContext) -> _Scratch:
+    """A context manager for a block of kernel calls on ``ctx``, such as one
+    trajectory: the block runs under one ``np.errstate`` that lets overflow,
+    invalid operations and division by zero saturate to inf and NaN
+    silently, and inside it `h_total` and `grad_hprime` skip their own
+    errstate and their state-size check, so the block checks the size of
+    the states it passes once. Blocks nest."""
+    return ctx._scratch
+
+
 def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
     """The one pass over the path behind `h_total` and `grad_hprime`.
 
     Returns the state's `Potential`, or with ``gradient`` the `Gradient` of
     H'. Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
     rhodot and their derivatives are never built as arrays, only the sums
-    they enter (see the module docstring).
+    they enter (see the module docstring). Every array operation writes into
+    the context's scratch; only q and the returned gradient are fresh.
+    Runs inside a `_saturating` block, which the public callers open.
     """
-    lay = ctx.layout
-    _check_size(state, lay)
-    # numpy scalars on purpose: Python floats would raise on overflow or a
-    # zero division instead of saturating like the arrays do
-    beta, gamma = state.theta
+    s = ctx._scratch
+    # Python floats: every division below is by beta, gamma, 2 gamma or a
+    # NumPy scalar (sigma^2, gamma^2), so none can raise ZeroDivisionError
+    beta, gamma = state.theta.tolist()
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
-    dt, T, j = lay.dt, lay.T, lay.j
-    sigma2 = ctx.obs.sigma**2
-    Ls, Ldots = ctx.Ls, ctx.Ldots
-    q = staging_inverse(state.u, lay)
-    E = np.multiply(q, -beta)
+    u = state.u
+    j = s.j
+    A, w, Z, E = s.A, s.w, s.Z, s.E
+    q = staging_inverse(u, ctx.layout)
+    np.multiply(q, -beta, out=E)
     np.minimum(E, EXP_CLAMP, out=E)
     np.exp(E, out=E)
-    q0, qN, E0, EN = q[0], q[-1], E[0], E[-1]
+    q0, qN = q[:: s.last].tolist()
+    E0, EN = s.E_ends.tolist()
     qs = q[1:]
     bg = beta / gamma
     c = (2.0 + gamma) * beta / (2.0 * gamma)
-    rho0 = Ls[0] / beta + c  # rho at beads 2 and N
-    rhoN = Ls[-1] / beta + c
-    work = np.empty((3, lay.N - 1))
-    A, w, Z = work
-    np.multiply(E[1:], bg, out=w)
-    np.divide(Ls, beta, out=A)
+    rho0 = s.L0 / beta + c  # rho at beads 2 and N
+    rhoN = s.LN / beta + c
+    np.multiply(s.E_tail, bg, out=w)
+    np.divide(ctx.Ls, beta, out=A)
     A += c
     A -= w
-    q_Ldot = qs @ Ldots  # qs . (T rhodot) = (T / beta) q_Ldot
-    ub = state.u[::j]
-    resid = ctx.lnyr - beta * ub
+    q_Ldot = float(qs @ ctx.Ldots)  # qs . (T rhodot) = (T / beta) q_Ldot
+    ub = u[::j]
+    resid, tmp_b = s.resid, s.tmp_b
+    np.multiply(ub, beta, out=resid)
+    np.subtract(ctx.lnyr, resid, out=resid)
+    T = s.T
     if not gradient:
-        d = ub[1:] - ub[:-1]
-        body = 0.5 * (A @ A) - (0.5 * beta) * np.add.reduce(w) - (T / beta) * q_Ldot
+        d = tmp_b[:-1]
+        np.subtract(ub[1:], ub[:-1], out=d)
+        body = 0.5 * float(A @ A) - (0.5 * beta) * float(np.add.reduce(w)) - (T / beta) * q_Ldot
         edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
-        h_bound = (resid @ resid) / (2.0 * sigma2) + 0.5 * (T / (j * dt)) * (d @ d)
+        h_bound = float(resid @ resid) / (2.0 * s.sigma2) + s.half_coup * float(d @ d)
         return Potential(
-            _harmonic(state, lay), float(h_bound), float((dt / T) * body + edge)
+            _harmonic(state, ctx.layout), float(h_bound), s.dt_T * body + edge
         )
 
     # d/dq of the path action, then chained through the staging transpose
     np.add(A, 0.5 * beta, out=Z)
     Z *= w
-    sums = work @ ctx.sum_cols
-    A_L, A_sum, w_sum, Z_sum = sums[0, 0], sums[0, 2], sums[1, 2], sums[2, 2]
-    Z_q = Z @ qs
-    g_q = np.empty(lay.N)
-    np.multiply(Z, beta * (dt / T), out=g_q[1:])
-    g_q[1:] -= Ldots * (dt / beta)
+    sums = np.matmul(s.work, ctx.sum_cols, out=s.sums).tolist()
+    A_L, A_sum, w_sum, Z_sum = sums[0][0], sums[0][2], sums[1][2], sums[2][2]
+    Z_q = float(Z @ qs)
+    g_q = s.g_q
+    np.multiply(Z, beta * s.dt_T, out=s.gq_tail)
+    np.multiply(ctx.Ldots, s.dt / beta, out=A)  # A is spent: a temporary now
+    s.gq_tail -= A
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
-    g_u = staging_adjoint(g_q, lay)
+    g_u = staging_adjoint(g_q, ctx.layout)
     # direct boundary terms of h_n: the data residuals and the springs
     gb = g_u[::j]
-    gb -= (beta / sigma2) * resid
-    gb += ctx.coup_lap @ ub
+    np.multiply(resid, beta / s.sigma2, out=tmp_b)
+    gb -= tmp_b
+    np.matmul(ctx.coup_lap, ub, out=tmp_b)
+    gb += tmp_b
 
     # theta gradient; d rho / d beta = (c - L / beta) / beta, so
     # A . drho = (c sum A - A . L / beta) / beta; d rho / d gamma
     # = -beta / gamma^2; d(T rhodot) / d beta = -T rhodot / beta
-    g_beta = (dt / T) * (
+    g_beta = s.dt_T * (
         (c * A_sum - A_L / beta) / beta
         + Z_q
         - Z_sum / beta
@@ -323,9 +444,13 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
         + qN * ((2.0 * c - rhoN) / beta)
         - q0 * ((2.0 * c - rho0) / beta)
     )
-    g_beta -= (resid @ ub) / sigma2
-    g_gamma = (dt / T) * (Z_sum / gamma - (beta / gamma**2) * A_sum)
-    g_gamma += (E0 - EN + beta * (q0 - qN)) / gamma**2
+    g_beta -= float(resid @ ub) / s.sigma2
+    # a NumPy scalar power: libm pow as before (gamma * gamma differs in the
+    # last bit for some gamma), saturating where a Python float power would
+    # raise OverflowError or underflow to a 0.0 divisor
+    gamma2 = np.float64(gamma) ** 2
+    g_gamma = s.dt_T * (Z_sum / gamma - (beta / gamma2) * A_sum)
+    g_gamma += (E0 - EN + beta * (q0 - qN)) / gamma2
     # one reduction proves g_u finite; only a failure pays for the scan
     if not math.isfinite(np.add.reduce(g_u)):
         bad = np.flatnonzero(~np.isfinite(g_u))

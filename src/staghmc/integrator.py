@@ -17,9 +17,17 @@ The rotation is per bead, so it runs over the contiguous first N-1 beads
 ``x[:-1]`` at once, with identity entries (cos = 1, sin = 0) at the
 measurement beads. On finite input x * 1 + y * 0 = x, so those beads come
 out exactly unchanged. A non-finite boundary momentum instead turns into
-inf * 0 = NaN there; the whole trajectory therefore runs under one
-``np.errstate`` that ignores overflow and invalid operations, and the next
-gradient raises NonFiniteError, so the proposal is rejected.
+inf * 0 = NaN there; the whole trajectory therefore runs in one
+`_saturating` block of the context, under one ``np.errstate`` that ignores
+overflow, invalid operations and division by zero, and the next gradient
+raises NonFiniteError, so the proposal is rejected. Inside the block the
+gradient skips its own errstate and size check; the trajectory checks the
+size once, on its working copy.
+
+The Verlet step kicks and drifts the two parameters as Python floats: the
+same IEEE operations as on the length-2 arrays, so bit-identical, at a
+tenth of the dispatch cost. The bead momenta and measurement beads stay
+array operations on the fresh gradient arrays.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -34,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import PathContext, grad_hprime
+from .energy import PathContext, _check_size, _saturating, grad_hprime
 from .errors import ValidationError
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
@@ -130,22 +138,32 @@ def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d
 
     Positions of measurement beads and parameters drift; staging positions
     stay put but all momenta receive the force kicks (force = -dH'/d(u, theta)).
+    The parameter kicks and drift run on Python floats, bit-identical to
+    the same operations on the length-2 arrays; ``state.pi`` is written
+    once, at the end of the step.
     """
     half = 0.5 * d_tau
     j = ctx.layout.j
+    p, theta = state.p, state.theta
+    ma, mg = masses.m_alpha
+    pa, pg = state.pi.tolist()
     # the gradient arrays are fresh, so the kicks scale them in place
     g_u, g_theta = grad_hprime(state, ctx)
+    g_beta, g_gamma = g_theta.tolist()
     g_u *= half
-    state.p -= g_u
-    g_theta *= half
-    state.pi -= g_theta
-    state.u[::j] += (d_tau / masses.M) * state.p[::j]
-    state.theta += d_tau * state.pi / masses.m_alpha_vec
+    p -= g_u
+    pa -= g_beta * half
+    pg -= g_gamma * half
+    state.u[::j] += (d_tau / masses.M) * p[::j]
+    beta, gamma = theta.tolist()
+    theta[0] = beta + d_tau * pa / ma
+    theta[1] = gamma + d_tau * pg / mg
     g_u, g_theta = grad_hprime(state, ctx)
+    g_beta, g_gamma = g_theta.tolist()
     g_u *= half
-    state.p -= g_u
-    g_theta *= half
-    state.pi -= g_theta
+    p -= g_u
+    state.pi[0] = pa - g_beta * half
+    state.pi[1] = pg - g_gamma * half
 
 
 def trotter_propagate(
@@ -160,10 +178,11 @@ def trotter_propagate(
     steps merged into one full rotation. Returns a new state; the input is
     not modified.
 
-    The trajectory runs under one ``np.errstate`` that lets overflow and
-    invalid operations saturate to inf and NaN silently; non-finite forces
-    then raise NonFiniteError (the sampler counts that as a rejected
-    proposal).
+    The trajectory runs in one `_saturating` block of ``ctx``: one
+    ``np.errstate`` lets overflow, invalid operations and division by zero
+    saturate to inf and NaN silently, and the state size is checked once,
+    on the working copy; non-finite forces then raise NonFiniteError (the
+    sampler counts that as a rejected proposal).
     """
     if bank is None:
         bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
@@ -172,7 +191,8 @@ def trotter_propagate(
             f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
         )
     work = state.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
+    _check_size(work, ctx.layout)
+    with _saturating(ctx):
         _rotate_inplace(work.u, work.p, bank)
         for step in range(1, config.P + 1):
             _verlet_inplace(work, ctx, masses, config.d_tau)

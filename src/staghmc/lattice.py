@@ -165,7 +165,7 @@ class MassConfig:
         if not (self.M > 0 and self.m_prime > 0 and all(x > 0 for x in ma)):
             raise ValidationError("all masses must be positive")
         object.__setattr__(self, "m_alpha", ma)
-        vec = np.array(ma)  # read-only copy for the theta drift
+        vec = np.array(ma)  # read-only copy for array arithmetic (momentum scale)
         vec.setflags(write=False)
         object.__setattr__(self, "m_alpha_vec", vec)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import PathContext, Potential, h_refreshed, h_total
+from .energy import PathContext, Potential, _saturating, h_refreshed, h_total
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
 from .integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from .lattice import (
@@ -271,15 +271,19 @@ def hmc_iteration(
     pathology = None
     proposal = after = None
     try:
-        proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
-        if not (proposal.theta[0] > 0 and proposal.theta[1] > 0):
-            pathology = "nonpositive-parameter"
-            h_after = float("inf")
-        else:
-            after = h_total(proposal, ctx, masses)
-            h_after = after.total
-            if not math.isfinite(h_after):
-                pathology = "nonfinite-energy"
+        # one errstate for the trajectory and the proposal's energy; the
+        # trajectory checks the size of its working copy once
+        with _saturating(ctx):
+            proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
+            beta, gamma = proposal.theta.tolist()
+            if not (beta > 0 and gamma > 0):
+                pathology = "nonpositive-parameter"
+                h_after = float("inf")
+            else:
+                after = h_total(proposal, ctx, masses)
+                h_after = after.total
+                if not math.isfinite(h_after):
+                    pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
         pathology = type(exc).__name__
         h_after = float("inf")
@@ -316,18 +320,20 @@ def _run_seeded(
     h_before = np.empty(n)
     h_after = np.empty(n)
     dh = np.empty(n)
+    pathologies: dict[str, int] = {}
 
     t0 = time.perf_counter()
     potential = h_total(state, ctx, config.masses).potential
     for i in range(n):
         state, stats = hmc_iteration(state, ctx, config, rng, bank=bank, potential=potential)
         potential = stats.potential
-        beta[i] = state.theta[0]
-        gamma[i] = state.theta[1]
+        beta[i], gamma[i] = state.theta.tolist()
         accepted[i] = stats.accepted
         h_before[i] = stats.h_before
         h_after[i] = stats.h_after
         dh[i] = stats.dh
+        if stats.pathology is not None:
+            pathologies[stats.pathology] = pathologies.get(stats.pathology, 0) + 1
         if config.checkpoint_every and (i + 1) % config.checkpoint_every == 0:
             path = os.path.join(
                 config.checkpoint_dir,
@@ -352,6 +358,7 @@ def _run_seeded(
         "spawn_key": [int(k) for k in seed_seq.spawn_key],
         "wall_clock_s": elapsed,
         "acceptance_rate": float(np.mean(accepted)),
+        "pathologies": pathologies,
     }
     return ChainRecord(
         beta=beta,

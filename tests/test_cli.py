@@ -137,6 +137,15 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_seed_of_wrong_type_rejected_before_writing(self, tmp_path, capsys):
+        cfg = small_config()
+        cfg["seed"] = "abc"
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config field seed" in capsys.readouterr().err
+
     def test_missing_model_block_rejected(self, tmp_path):
         cfg = small_config()
         del cfg["model"]
@@ -179,8 +188,16 @@ class TestInfer:
         rc1, out1 = self.infer_into(tmp_path, "r1", seed=7, chains=2)
         rc2, out2 = self.infer_into(tmp_path, "r2", seed=7, chains=2)
         assert rc1 == rc2 == 0
-        for name in ("chain00.csv", "chain01.csv", "summary.json"):
+        for name in ("chain00.csv", "chain01.csv"):
             assert (out1 / name).read_text() == (out2 / name).read_text()
+        # the summaries differ only in the measured wall clock of each chain
+        summaries = []
+        for out in (out1, out2):
+            summary = json.loads((out / "summary.json").read_text())
+            for meta in summary["chains_meta"]:
+                assert meta.pop("wall_clock_s") > 0
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
 
     def test_missing_observations_file(self, tmp_path):
         cfg = small_config(obs_file=str(tmp_path / "nowhere.csv"))
@@ -201,6 +218,39 @@ class TestInfer:
         assert rc == 2
         assert not list(out.glob("chain*.csv"))
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "block,name,value", [("integrator", "P", "three"), ("masses", "m_alpha", 5)]
+    )
+    def test_field_of_wrong_type_rejected_before_writing(
+        self, tmp_path, monkeypatch, capsys, block, name, value
+    ):
+        import staghmc.cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_parallel_chains must not be called")
+
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", fail)
+        data_dir = run_simulate(tmp_path)
+        cfg = small_config(obs_file=str(data_dir / "observations.csv"))
+        cfg["infer"][block][name] = value
+        cfg_path = write_config(tmp_path, cfg, "infer.json")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+        assert f"config field infer.{block}.{name}" in capsys.readouterr().err
+
+    def test_summary_holds_chain_meta(self, tmp_path):
+        rc, out = self.infer_into(tmp_path, "run")
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        metas = summary["chains_meta"]
+        assert [m["chain_index"] for m in metas] == [0, 1]
+        for meta in metas:
+            assert set(meta) >= {"wall_clock_s", "acceptance_rate", "pathologies", "data_digest"}
+            assert all(isinstance(v, int) and v > 0 for v in meta["pathologies"].values())
+        assert summary["chains"] == len(metas)
 
     def test_never_moved_chain_warns(self, tmp_path, monkeypatch, capsys):
         import staghmc.cli
@@ -315,7 +365,10 @@ class TestSummarize:
         rc = self.summarize(tmp_path, chains + [str(bad)], "bad", rc_only=True)
         assert rc == 2
 
-    @pytest.mark.parametrize("block", [{"density_points": 1}, {"discard": 1.0}, {"discard": 0.99}])
+    @pytest.mark.parametrize(
+        "block",
+        [{"density_points": 1}, {"density_points": "many"}, {"discard": 1.0}, {"discard": 0.99}],
+    )
     def test_bad_settings_rejected_before_writing(self, tmp_path, block):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(12))

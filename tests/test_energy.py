@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -279,7 +280,72 @@ class TestGradient:
         assert g.g_theta.shape == (2,)
 
 
+class TestScratch:
+    """The kernel reuses one workspace per context, so what it returns must
+    not alias it, and no call may see what an earlier call left there."""
+
+    def states(self, layout):
+        return [random_state(layout, np.random.default_rng(s)) for s in (21, 22)]
+
+    def test_gradient_survives_a_second_call(self):
+        layout, _, ctx = make_problem()
+        a, b = self.states(layout)
+        first = grad_hprime(a, ctx)
+        kept = first.g_u.copy(), first.g_theta.copy()
+        second = grad_hprime(b, ctx)
+        h_total(b, ctx, MASSES)
+        np.testing.assert_array_equal(first.g_u, kept[0])
+        np.testing.assert_array_equal(first.g_theta, kept[1])
+        assert not np.shares_memory(first.g_u, second.g_u)
+        assert not np.shares_memory(first.g_theta, second.g_theta)
+        again = grad_hprime(a, make_problem()[2])  # a fresh context
+        np.testing.assert_array_equal(again.g_u, kept[0])
+        np.testing.assert_array_equal(again.g_theta, kept[1])
+
+    def test_energy_survives_a_second_call(self):
+        layout, _, ctx = make_problem()
+        a, b = self.states(layout)
+        first = h_total(a, ctx, MASSES)
+        kept = (first.h_N, first.h_n, first.h_1, first.total, *first.potential)
+        grad_hprime(b, ctx)
+        h_total(b, ctx, MASSES)
+        assert (first.h_N, first.h_n, first.h_1, first.total, *first.potential) == kept
+        assert all(type(x) is float for x in kept)
+        assert h_total(a, make_problem()[2], MASSES) == first
+
+    def test_unpickled_context_gets_its_own_workspace(self):
+        layout, _, ctx = make_problem()
+        back = pickle.loads(pickle.dumps(ctx))
+        assert back._scratch is not ctx._scratch
+        assert np.shares_memory(back._scratch.E_tail, back._scratch.E)
+        for st in self.states(layout):
+            want, got = grad_hprime(st, ctx), grad_hprime(st, back)
+            np.testing.assert_array_equal(got.g_u, want.g_u)
+            np.testing.assert_array_equal(got.g_theta, want.g_theta)
+            assert h_total(st, back, MASSES) == h_total(st, ctx, MASSES)
+
+
 class TestGuards:
+    @pytest.mark.parametrize(
+        "theta,non_finite",
+        [((1.0, 1e-200), True), ((1e-170, 1e-170), True), ((1.0, 1e160), False)],
+    )
+    def test_extreme_theta_saturates_without_python_float_errors(self, theta, non_finite):
+        # gamma^2 underflows to 0 at the first two and overflows at the last;
+        # as a Python float power it would raise ZeroDivisionError or
+        # OverflowError instead of saturating
+        layout, _, ctx = make_problem()
+        st = random_state(layout, np.random.default_rng(12))
+        st.theta[:] = theta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h_total(st, ctx, MASSES)
+            if non_finite:
+                with pytest.raises(NonFiniteError):
+                    grad_hprime(st, ctx)
+            else:
+                assert np.all(np.isfinite(grad_hprime(st, ctx).g_theta))
+
     def test_domain_error_on_zero_theta(self):
         layout, _, ctx = make_problem()
         st = random_state(layout, np.random.default_rng(8))

@@ -13,7 +13,7 @@ from staghmc import (
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.energy import PathContext, h_N, h_total
+from staghmc.energy import PathContext, grad_hprime, h_N, h_total
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
@@ -320,6 +320,47 @@ class TestTrotter:
             np.testing.assert_allclose(
                 getattr(out, name), getattr(ref, name), rtol=1e-12, atol=1e-12
             )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_matches_array_reference_bit_for_bit(self, layout, P, seed):
+        # the merged schedule written out with fresh public gradients and
+        # array kicks and drift, the form the Python-float Verlet step replaces
+        _, ctx = make_problem(layout.n, layout.j, layout.T, seed=5)
+        st = random_state(layout, np.random.default_rng(40 + 4 * seed + P), u_scale=0.3)
+        # not a power of two, so that a reordered product shows in the bits
+        cfg = IntegratorConfig(d_tau=0.3, P=P)
+        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
+        half, j = 0.5 * cfg.d_tau, layout.j
+        ref = st.copy()
+
+        def kick():
+            g_u, g_theta = grad_hprime(ref, ctx)
+            ref.p -= g_u * half
+            ref.pi -= g_theta * half
+
+        try:
+            _rotate_inplace(ref.u, ref.p, bank)
+            for step in range(1, P + 1):
+                kick()
+                ref.u[::j] += (cfg.d_tau / MASSES.M) * ref.p[::j]
+                ref.theta += cfg.d_tau * ref.pi / MASSES.m_alpha_vec
+                kick()
+                _rotate_inplace(ref.u, ref.p, bank, full=step < P)
+        except NonFiniteError:  # a runaway trajectory must run away alike
+            with pytest.raises(NonFiniteError):
+                trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
+            return
+        out = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
+        for name in ("u", "p", "theta", "pi"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+
+    def test_state_size_checked_once_up_front(self):
+        layout, ctx = make_problem(2, 5, 60.0)
+        st = random_state(build_layout(2, 4, 60.0), np.random.default_rng(9))
+        with pytest.raises(ValidationError):
+            trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_energy_error_scales_quadratically(self, seed):

@@ -367,6 +367,27 @@ class TestRunChain:
         assert rec.acceptance_rate == rec.accepted.mean()
         assert rec.meta["acceptance_rate"] == rec.acceptance_rate
 
+    def test_meta_counts_pathologies(self, toy_problem, monkeypatch):
+        import staghmc.sampler
+
+        seen = []
+        iteration = staghmc.sampler.hmc_iteration
+
+        def recorded(*args, **kwargs):
+            out = iteration(*args, **kwargs)
+            if out[1].pathology is not None:
+                seen.append(out[1].pathology)
+            return out
+
+        monkeypatch.setattr(staghmc.sampler, "hmc_iteration", recorded)
+        # a step long enough that some trajectories blow up
+        cfg = small_config(n_mc=40, integrator=IntegratorConfig(d_tau=6.0, P=3))
+        rec = run_chain(toy_problem, cfg)
+        assert seen
+        counts = {name: seen.count(name) for name in set(seen)}
+        assert rec.meta["pathologies"] == counts
+        assert run_chain(toy_problem, small_config(n_mc=5)).meta["pathologies"] == {}
+
     def test_single_iteration_single_row(self, toy_problem):
         rec = run_chain(toy_problem, small_config(n_mc=1))
         assert rec.n_rows == 1
