@@ -156,10 +156,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     _check_keys(cfg, SCHEMA)
-    cfg["seed"] = _require_field(cfg, "seed", "", int)
+    cfg["seed"] = _require_field(cfg, "seed", "", _whole)
     if not (0 <= cfg["seed"] < 2**64):
         raise ValidationError("seed must fit in an unsigned 64-bit integer")
-    cfg["chains"] = _require_field(cfg, "chains", "", int)
+    cfg["chains"] = _require_field(cfg, "chains", "", _whole)
     if cfg["chains"] < 1:
         raise ValidationError(f"chains must be >= 1, got {cfg['chains']}")
     return cfg
@@ -175,6 +175,16 @@ def _require(cfg: dict, block: str, command: str) -> dict:
 
 def _float_pair(value) -> tuple:
     return tuple(float(v) for v in value)
+
+
+def _whole(value) -> int:
+    """``int(value)`` for a whole number; a bool or a fractional or
+    non-finite float is rejected instead of truncated."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def _require_field(block: dict, name: str, where: str, cast=None):
@@ -284,12 +294,12 @@ def cmd_simulate(cfg: dict) -> int:
         T=_require_field(model, "T", "model", float),
     )
     signal = _build_signal(_require(cfg, "signal", "simulate"))
-    n = _require_field(obs_block, "n", "observation", int)
+    n = _require_field(obs_block, "n", "observation", _whole)
     if n < 1:
         raise ValidationError(f"observation.n must be >= 1, got {n}")
     sigma = _require_field(obs_block, "sigma", "observation", float)
-    j = _require_field(lattice, "j", "lattice", int)
-    factor = _require_field(sim, "factor", "simulate", int)
+    j = _require_field(lattice, "j", "lattice", _whole)
+    factor = _require_field(sim, "factor", "simulate", _whole)
 
     echo_path = _write_echo(cfg, "simulate", out_dir)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
@@ -330,7 +340,7 @@ def cmd_infer(cfg: dict) -> int:
     data = TimeSeriesData.from_csv(obs_file)
     signal = _build_signal(_require(cfg, "signal", "infer"))
     sigma = _require_field(obs_block, "sigma", "observation", float)
-    j = _require_field(lattice, "j", "lattice", int)
+    j = _require_field(lattice, "j", "lattice", _whole)
     problem = InferenceProblem(data, signal, ObservationModel(sigma), j)
 
     start = _require_field(infer, "start", "infer")
@@ -349,10 +359,10 @@ def cmd_infer(cfg: dict) -> int:
     integ_block = _require_field(infer, "integrator", "infer")
     integ = IntegratorConfig(
         d_tau=_require_field(integ_block, "d_tau", "infer.integrator", float),
-        P=_require_field(integ_block, "P", "infer.integrator", int),
+        P=_require_field(integ_block, "P", "infer.integrator", _whole),
     )
-    checkpoint_every = _require_field(infer, "checkpoint_every", "infer", int)
-    n_mc = _require_field(infer, "n_mc", "infer", int)
+    checkpoint_every = _require_field(infer, "checkpoint_every", "infer", _whole)
+    n_mc = _require_field(infer, "n_mc", "infer", _whole)
     discard = _require_field(infer, "discard", "infer", float)
     _discard_start(discard, n_mc)
     hmc = HmcConfig(
@@ -410,7 +420,7 @@ def cmd_summarize(cfg: dict) -> int:
     for path in chain_files:
         if not os.path.exists(path):
             raise ValidationError(f"chain file not found: {path}")
-    points = _require_field(block, "density_points", "summarize", int)
+    points = _require_field(block, "density_points", "summarize", _whole)
     if points < 2:
         raise ValidationError(f"summarize.density_points must be >= 2, got {points}")
     discard = _require_field(block, "discard", "summarize", float)
@@ -426,9 +436,10 @@ def cmd_summarize(cfg: dict) -> int:
     for name in ("beta", "gamma", "K"):
         series = getattr(pooled, name)
         try:
-            pad = 3.0 * silverman_bandwidth(series)
+            h = silverman_bandwidth(series)
+            pad = 3.0 * h
             grid = np.linspace(series.min() - pad, series.max() + pad, points)
-            density = kde(series, grid)
+            density = kde(series, grid, bandwidth=h)
         except DomainError as exc:
             print(f"density for {name} skipped: {exc}", file=sys.stderr)
             continue

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
+# kernel values held per block by ``kde``: 64 Ki doubles, 512 KB a buffer
+KDE_BLOCK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,15 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
 
     Uses the Silverman bandwidth unless one is given. A zero-variance series
     has no meaningful bandwidth; that is an error (use a histogram instead).
+
+    The grid is evaluated in row blocks of about ``KDE_BLOCK_DOUBLES``
+    kernel values, in two buffers allocated once per call, so the memory
+    beyond the inputs is O(max(samples, KDE_BLOCK_DOUBLES)) doubles whatever
+    the grid size. Each step keeps the operation order of the one-matrix
+    formula ``exp(-0.5 * z * z).sum(axis=1) / norm`` with
+    ``z = (grid[:, None] - series[None, :]) / h``, and a row sum does not
+    depend on how many rows its block holds, so the result is bit-identical
+    to that formula.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -170,11 +181,21 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     out = np.empty(grid.size)
     norm = x.size * h * math.sqrt(2.0 * math.pi)
-    # block over the grid to keep the (grid x samples) matrix small
-    block = max(1, int(4_000_000 // max(1, x.size)))
-    for a in range(0, grid.size, block):
-        z = (grid[a : a + block, None] - x[None, :]) / h
-        out[a : a + block] = np.exp(-0.5 * z * z).sum(axis=1) / norm
+    rows = max(1, min(grid.size, KDE_BLOCK_DOUBLES // x.size))
+    z_buf = np.empty((rows, x.size))
+    t_buf = np.empty((rows, x.size))
+    for a in range(0, grid.size, rows):
+        b = min(a + rows, grid.size)
+        # leading-row views of C-contiguous buffers stay C-contiguous
+        z = z_buf[: b - a]
+        t = t_buf[: b - a]
+        np.subtract(grid[a:b, None], x, out=z)
+        np.divide(z, h, out=z)
+        np.multiply(z, -0.5, out=t)
+        np.multiply(t, z, out=t)
+        np.exp(t, out=t)
+        np.add.reduce(t, axis=1, out=out[a:b])
+    np.divide(out, norm, out=out)
     return out
 
 

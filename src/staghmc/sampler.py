@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 CHAIN_CSV_HEADER = "iter,beta,gamma,K,accepted,H_before,H_after,dH"
+CHAIN_CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g\n"
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,13 @@ class ChainRecord:
                 self.dh,
             ]
         )
-        np.savetxt(
-            path,
-            cols,
-            delimiter=",",
-            header=CHAIN_CSV_HEADER,
-            comments="",
-            fmt=["%d", "%.17g", "%.17g", "%.17g", "%d", "%.17g", "%.17g", "%.17g"],
-        )
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(CHAIN_CSV_HEADER + "\n")
+            # one % of the repeated row template per block of rows; blocks
+            # bound the formatting temporaries at about 2 MB
+            for a in range(0, self.n_rows, CSV_BLOCK_ROWS):
+                block = cols[a : a + CSV_BLOCK_ROWS]
+                fh.write((CHAIN_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path, meta: dict | None = None) -> "ChainRecord":

@@ -388,6 +388,71 @@ class TestSummarize:
         assert rc == 2
 
 
+# every integer config field, with the command that reads it
+INT_FIELDS = [
+    ("simulate", ("seed",)),
+    ("infer", ("chains",)),
+    ("simulate", ("observation", "n")),
+    ("simulate", ("lattice", "j")),
+    ("simulate", ("simulate", "factor")),
+    ("infer", ("infer", "integrator", "P")),
+    ("infer", ("infer", "checkpoint_every")),
+    ("infer", ("infer", "n_mc")),
+    ("summarize", ("summarize", "density_points")),
+]
+
+
+class TestIntegerFields:
+    def config_for(self, tmp_path, command):
+        if command == "simulate":
+            return small_config()
+        if command == "infer":
+            data_dir = run_simulate(tmp_path)
+            return small_config(obs_file=str(data_dir / "observations.csv"))
+        path = tmp_path / "flat.csv"
+        rows = "\n".join(f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(12))
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
+        return {"summarize": {"chain_files": [str(path)], "discard": 0.0}}
+
+    @pytest.mark.parametrize("value", [2.5, True, float("inf")], ids=["frac", "bool", "inf"])
+    @pytest.mark.parametrize(
+        "command,field", INT_FIELDS, ids=[".".join(f) for _, f in INT_FIELDS]
+    )
+    def test_non_integer_rejected_before_writing(
+        self, tmp_path, monkeypatch, capsys, command, field, value
+    ):
+        import staghmc.cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_parallel_chains must not be called")
+
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", fail)
+        cfg = self.config_for(tmp_path, command)
+        block = cfg
+        for key in field[:-1]:
+            block = block.setdefault(key, {})
+        block[field[-1]] = value
+        cfg_path = write_config(tmp_path, cfg, "bad.json")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert not out.exists() or not list(out.iterdir())
+        assert f"config field {'.'.join(field)} has" in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = small_config()
+        cfg["seed"] = 5.0
+        cfg["observation"]["n"] = 4.0
+        cfg["lattice"]["j"] = 3.0
+        cfg["simulate"]["factor"] = 5.0
+        cfg_path = write_config(tmp_path, cfg, "floats.json")
+        out = tmp_path / "floats"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        ref = run_simulate(tmp_path / "ints", seed=5)
+        for name in ("truth.csv", "observations.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
 @pytest.mark.skipif(shutil.which("staghmc") is None, reason="console script not installed")
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,52 @@ class TestKde:
             ref = np.exp(-0.5 * ((grid[i] - x) / h) ** 2).sum()
             ref /= x.size * h * math.sqrt(2 * math.pi)
             assert d[i] == pytest.approx(ref, rel=1e-12)
+
+
+def _one_matrix_kde(x, grid):
+    h = silverman_bandwidth(x)
+    z = (grid[:, None] - x[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
+
+
+# sample counts on both sides of the 64 Ki block budget, grid sizes that are
+# not multiples of the block height; pairs whose reference matrix would
+# exceed 2 M doubles are left out to keep the test's memory small
+_KDE_SHAPES = [
+    (n, g)
+    for n in (2, 1_000, 65_535, 65_536, 65_537, 150_000)
+    for g in (1, 7, 256, 1_001)
+    if n * g <= 2_000_000
+]
+
+
+class TestKdeBlocking:
+    @pytest.mark.parametrize("n,g", _KDE_SHAPES)
+    def test_bit_identical_to_one_matrix_formula(self, n, g):
+        rng = np.random.default_rng(n + g)
+        x = rng.standard_normal(n)
+        grid = np.linspace(-4.5, 4.5, g)
+        np.testing.assert_array_equal(kde(x, grid), _one_matrix_kde(x, grid))
+
+    def test_bit_identical_with_given_bandwidth(self):
+        x = np.random.default_rng(3).gamma(2.0, size=10_240)
+        grid = np.linspace(-1.0, 15.0, 256)
+        h = silverman_bandwidth(x)
+        np.testing.assert_array_equal(kde(x, grid, bandwidth=h), kde(x, grid))
+
+    def test_peak_memory_bounded(self):
+        x = np.random.default_rng(17).standard_normal(10_240)
+        grid = np.linspace(-4.0, 4.0, 256)
+        tracemalloc.start()
+        try:
+            kde(x, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
+
+    def test_empty_grid(self):
+        assert kde(np.array([0.0, 1.0]), np.array([])).shape == (0,)
 
 
 class TestDensityCsv:

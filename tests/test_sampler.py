@@ -425,6 +425,40 @@ class TestRunChain:
         np.testing.assert_array_equal(back.accepted, rec.accepted)
         np.testing.assert_array_equal(back.dh, rec.dh)
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 800, 9_000])
+    def test_csv_bytes_match_savetxt(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        rec = ChainRecord(
+            beta=rng.random(n_rows),
+            gamma=rng.random(n_rows),
+            K=100.0 * rng.random(n_rows),
+            accepted=rng.random(n_rows) < 0.5,
+            h_before=1e5 * rng.standard_normal(n_rows),
+            h_after=rng.standard_normal(n_rows),
+            dh=rng.standard_normal(n_rows) * 1e-300,
+            meta={},
+        )
+        if n_rows:
+            # a proposal that left the finite range records inf/NaN energies
+            rec.h_after[-1] = np.inf
+            rec.dh[-1] = np.nan
+            rec.dh[0] = -np.inf
+        ref = tmp_path / "ref.csv"
+        np.savetxt(
+            ref,
+            np.column_stack(
+                [np.arange(1, n_rows + 1, dtype=float), rec.beta, rec.gamma, rec.K,
+                 rec.accepted.astype(float), rec.h_before, rec.h_after, rec.dh]
+            ),
+            delimiter=",",
+            header=CHAIN_CSV_HEADER,
+            comments="",
+            fmt=["%d", "%.17g", "%.17g", "%.17g", "%d", "%.17g", "%.17g", "%.17g"],
+        )
+        path = tmp_path / "chain.csv"
+        rec.to_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_csv_header_checked(self, toy_problem, tmp_path):
         rec = run_chain(toy_problem, small_config(n_mc=5))
         path = tmp_path / "chain.csv"
