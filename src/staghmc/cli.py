@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import errno
 import json
 import os
 import sys
@@ -223,6 +224,10 @@ def _build_signal(block: dict) -> InputSignal:
 
 
 def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
+    """Write the config echo, each command's first file, creating ``out_dir``
+    first: a command calls it only after every check of its settings, so a
+    rejected config leaves no output directory behind."""
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"config_{command}.json")
     echo = dict(cfg)
     echo["command"] = command
@@ -282,7 +287,6 @@ def _summary_dict(records: list[ChainRecord], pooled: ChainRecord, discard: floa
 
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     model = _require(cfg, "model", "simulate")
     obs_block = _require(cfg, "observation", "simulate")
     lattice = _require(cfg, "lattice", "simulate")
@@ -329,7 +333,6 @@ def _write_summary(summary: dict, out_dir: str) -> str:
 
 def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     infer = _require(cfg, "infer", "infer")
     obs_block = _require(cfg, "observation", "infer")
     lattice = _require(cfg, "lattice", "infer")
@@ -412,7 +415,6 @@ def cmd_infer(cfg: dict) -> int:
 
 def cmd_summarize(cfg: dict) -> int:
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     block = cfg["summarize"]
     chain_files = block["chain_files"]
     if not chain_files:
@@ -476,6 +478,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        out = cfg["out"]
+        # each command makes its output directory only at its first write;
+        # an --out that names a file still fails up front, as a runtime error
+        if isinstance(out, str) and os.path.exists(out) and not os.path.isdir(out):
+            raise FileExistsError(errno.EEXIST, "output path is not a directory", out)
         return COMMANDS[args.command](cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,12 +55,33 @@ one iteration to the next and adds the new kinetic terms with `h_refreshed`.
 At the benchmark size (N = 301) most of a kernel call is dispatch, not
 arithmetic, so the kernel keeps both small:
 
-* Scratch buffers. Each context allocates one workspace (`_Scratch`) once:
-  E, the rows [A, w, Z], the sums, g_q and two rows over the measurement
-  beads. Every array operation of `_hprime` writes into it with ``out=``;
-  only q (from `staging_inverse`) and the returned gradient are fresh. A
-  context is therefore not safe to share between threads; parallel chains
-  run in processes.
+* Scratch buffers. Each context allocates one workspace (`_Scratch`) once,
+  and every array operation of `_hprime` writes into it with ``out=``,
+  the staging maps included: their unchecked cores
+  (`lattice._staging_inverse`, `lattice._staging_adjoint`) take the
+  output rows. A context is therefore not safe to share between threads;
+  parallel chains run in processes.
+* A keyed boundary stage. The terms that depend on theta and the
+  measurement beads u_b = u[::j] alone (beta / gamma, c, rho at beads 2
+  and N, gamma^2 and beta / gamma^2; the rows L / beta + c and
+  Ldot dt / beta; the data residuals, the data force and the spring force
+  ``coup_lap @ u_b``; (resid . u_b) / sigma^2; and, for a potential, the
+  position part of h_n) are computed by `_boundary_stage` and kept for the
+  exact key (beta, gamma, u_b.tobytes()). Any caller, public or the
+  trajectory, whose key matches reuses them, and any other value, down to
+  one ulp or the sign of a zero, rebuilds them; the key is the one
+  mechanism, with no flag beside it. Only the P drifts of a trajectory
+  move theta and u_b, so the gradient at the start of steps 2..P, the
+  proposal's potential and, after an acceptance, the first gradient of
+  the next trajectory all hit.
+* Rows a call overwrites. Every kernel call rewrites q, E, the rows
+  [A, w, Z] and the sums; a gradient call also rewrites g_q, the
+  adjoint's (n, j+1) window product ``g_win`` and ``g_u``, and a potential
+  call the temporary ``tmp_b``. The trajectory (`integrator`) calls the
+  kernel directly: it gets g_u as the workspace row itself, valid until
+  the next call, and g_theta as two Python floats. `grad_hprime` and
+  `h_total` are thin wrappers over the same kernel that check the state
+  and return fresh arrays and floats.
 * Python-float scalars. beta, gamma, the end values of q and E and the
   matrix of sums each leave NumPy in one ``tolist()``, and the scalar
   algebra runs on Python floats, a tenth of the cost of a NumPy scalar or
@@ -73,10 +94,10 @@ arithmetic, so the kernel keeps both small:
   ``pow`` in the last bit for some gamma; as a Python-float power it
   underflows to a 0.0 divisor (at theta = (1, 1e-200)) or raises
   OverflowError (for gamma above about 1.3e154).
-* One errstate. `h_total` and `grad_hprime` run under their own
-  ``np.errstate``, but inside a `_saturating` block of their context (one
-  trajectory and the proposal's energy) they skip it, and their state-size
-  check, as the block holds one errstate for every call in it.
+* One errstate. The kernel runs inside a `_saturating` block of its
+  context, which holds one ``np.errstate`` for every call in it: the
+  sampler opens one per iteration, the trajectory one of its own, and the
+  public wrappers one that only counts its depth when it nests.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -94,7 +115,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, ValidationError
-from .lattice import LatticeLayout, MassConfig, PolymerState, staging_adjoint, staging_inverse
+from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
+    LatticeLayout,
+    MassConfig,
+    PolymerState,
+    _staging_adjoint,
+    _staging_inverse,
+    staging_adjoint,
+    staging_inverse,
+)
 from .model import InputSignal, ObservationModel, TimeSeriesData
 
 __all__ = [
@@ -189,29 +218,48 @@ class PathContext:
 class _Scratch:
     """The workspace of `_hprime` for one `PathContext`, allocated once.
 
-    Arrays: ``E`` and ``g_q`` (length N, with the views ``E_tail``,
-    ``E_ends`` and ``gq_tail``), the (3, N-1) rows ``work`` = [A, w, Z],
-    the (3, 3) ``sums`` and two length-(n+1) rows over the measurement
-    beads, ``resid`` and the temporary ``tmp_b``. Constants of the plan as
-    Python floats, and sigma^2 as a NumPy scalar, so that a division by an
-    underflowed sigma^2 saturates instead of raising. As a context manager
-    (see `_saturating`) it enters one ``np.errstate`` for the outermost of
-    nested blocks and counts their ``depth``.
+    Per-call rows: ``q``, ``E``, ``g_q`` and ``g_u`` (length N, with the
+    views ``q_ends``, ``q_tail``, ``E_tail``, ``E_ends``, ``gq_tail`` and
+    ``g_ub``), the (3, N-1) rows ``work`` = [A, w, Z], the (3, 3) ``sums``,
+    the (n, j+1) window product ``g_win`` of the staging adjoint, and two
+    length-(n+1) rows over the measurement beads: ``tmp_b`` for the kernel
+    and ``drift`` for the integrator's drift of those beads.
+
+    The boundary stage, valid for the exact ``key`` (beta, gamma,
+    u[::j].tobytes()) and rebuilt by `_boundary_stage` on any other:
+    the Python floats ``bg``, ``c``, ``rho0``, ``rhoN`` and ``beta_g2``, the
+    NumPy scalar ``gamma2``, the rows ``Lc`` = Ls / beta + c and ``Ld`` =
+    Ldots dt / beta over beads i = 2..N, the rows ``resid`` (the data
+    residuals), ``data_force`` and ``spring`` over the measurement beads,
+    the float ``resid_ub`` = (resid . u_b) / sigma^2, and ``h_bound``, the
+    position part of h_n, filled in by the first potential under the key.
+
+    Constants of the plan as Python floats, and sigma^2 as a NumPy scalar,
+    so that a division by an underflowed sigma^2 saturates instead of
+    raising. As a context manager (see `_saturating`) it enters one
+    ``np.errstate`` for the outermost of nested blocks and counts their
+    ``depth``.
     """
 
     __slots__ = (
-        "j", "last", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
-        "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums", "g_q", "gq_tail",
-        "resid", "tmp_b", "depth", "_errstate", "_args",
+        "layout", "j", "last", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
+        "q", "q_ends", "q_tail", "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
+        "g_q", "gq_tail", "g_win", "g_u", "g_ub", "tmp_b", "drift",
+        "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
+        "resid", "data_force", "spring", "resid_ub", "h_bound",
+        "depth", "_errstate", "_args",
     )
 
     def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
         self._args = (lay, L0, LN, sigma)
+        self.layout = lay
         self.j, self.last, self.T, self.dt = lay.j, lay.N - 1, lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
         self.half_coup = 0.5 * (lay.T / (lay.j * lay.dt))
         self.L0, self.LN = L0, LN
         self.sigma2 = np.float64(sigma**2)
+        self.q = np.empty(lay.N)
+        self.q_ends, self.q_tail = self.q[:: lay.N - 1], self.q[1:]
         self.E = np.empty(lay.N)
         self.E_tail, self.E_ends = self.E[1:], self.E[:: lay.N - 1]
         self.work = np.empty((3, lay.N - 1))
@@ -219,8 +267,17 @@ class _Scratch:
         self.sums = np.empty((3, 3))
         self.g_q = np.empty(lay.N)
         self.gq_tail = self.g_q[1:]
-        self.resid = np.empty(lay.n + 1)
+        self.g_win = np.empty((lay.n, lay.j + 1))
+        self.g_u = np.empty(lay.N)
+        self.g_ub = self.g_u[:: lay.j]
         self.tmp_b = np.empty(lay.n + 1)
+        self.drift = np.empty(lay.n + 1)
+        self.Lc = np.empty(lay.N - 1)
+        self.Ld = np.empty(lay.N - 1)
+        self.resid = np.empty(lay.n + 1)
+        self.data_force = np.empty(lay.n + 1)
+        self.spring = np.empty(lay.n + 1)
+        self.key = None
         self.depth = 0
         self._errstate = None
 
@@ -323,14 +380,21 @@ def h_refreshed(
         return _refreshed(potential, state, masses, layout)
 
 
+def _positions(state: PolymerState, ctx: PathContext):
+    """The state's beads as the C-contiguous float array the kernel needs,
+    and beta and gamma as Python floats, after the state-size check."""
+    _check_size(state, ctx.layout)
+    beta, gamma = state.theta.tolist()
+    return np.ascontiguousarray(state.u, dtype=float), beta, gamma
+
+
 def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
     """All three pieces and their sum."""
-    scratch = ctx._scratch
-    if not scratch.depth:
-        _check_size(state, ctx.layout)
-        with scratch:
-            return _refreshed(_hprime(state, ctx, gradient=False), state, masses, ctx.layout)
-    return _refreshed(_hprime(state, ctx, gradient=False), state, masses, ctx.layout)
+    u, beta, gamma = _positions(state, ctx)
+    with ctx._scratch:
+        h_n, h_1 = _hprime(u, beta, gamma, ctx, False)
+        potential = Potential(_harmonic(state, ctx.layout), h_n, h_1)
+        return _refreshed(potential, state, masses, ctx.layout)
 
 
 def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
@@ -341,73 +405,97 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    scratch = ctx._scratch
-    if not scratch.depth:
-        _check_size(state, ctx.layout)
-        with scratch:
-            return _hprime(state, ctx, gradient=True)
-    return _hprime(state, ctx, gradient=True)
+    u, beta, gamma = _positions(state, ctx)
+    with ctx._scratch:
+        g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
+    return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
 
 
 def _saturating(ctx: PathContext) -> _Scratch:
     """A context manager for a block of kernel calls on ``ctx``, such as one
     trajectory: the block runs under one ``np.errstate`` that lets overflow,
     invalid operations and division by zero saturate to inf and NaN
-    silently, and inside it `h_total` and `grad_hprime` skip their own
-    errstate and their state-size check, so the block checks the size of
-    the states it passes once. Blocks nest."""
+    silently. `_hprime` runs only inside such a block; `h_total` and
+    `grad_hprime` open one of their own, which costs a counter when it
+    nests in an open block."""
     return ctx._scratch
 
 
-def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
-    """The one pass over the path behind `h_total` and `grad_hprime`.
+def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, ub, key):
+    """Fill the boundary stage of ``s`` (see `_Scratch`) for ``key``: every
+    term of the kernel that depends on theta and the measurement beads
+    ``ub`` alone. The key is set last, so a stage left half built never
+    matches."""
+    s.key = None
+    s.bg = beta / gamma
+    c = s.c = (2.0 + gamma) * beta / (2.0 * gamma)
+    s.rho0 = s.L0 / beta + c  # rho at beads 2 and N
+    s.rhoN = s.LN / beta + c
+    # a NumPy scalar power: libm pow (gamma * gamma differs in the last bit
+    # for some gamma), saturating where a Python float power would raise
+    # OverflowError or underflow to a 0.0 divisor
+    gamma2 = s.gamma2 = np.float64(gamma) ** 2
+    s.beta_g2 = float(beta / gamma2)
+    np.divide(ctx.Ls, beta, out=s.Lc)
+    s.Lc += c
+    np.multiply(ctx.Ldots, s.dt / beta, out=s.Ld)
+    resid = s.resid
+    np.multiply(ub, beta, out=resid)
+    np.subtract(ctx.lnyr, resid, out=resid)
+    np.multiply(resid, beta / s.sigma2, out=s.data_force)
+    np.matmul(ctx.coup_lap, ub, out=s.spring)
+    s.resid_ub = float(float(resid @ ub) / s.sigma2)
+    s.h_bound = None
+    s.key = key
 
-    Returns the state's `Potential`, or with ``gradient`` the `Gradient` of
-    H'. Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
+
+def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient: bool):
+    """The one pass over the path behind `h_total`, `grad_hprime` and the
+    trajectory.
+
+    ``u`` is the C-contiguous float array of the N beads, beta and gamma are
+    Python floats. Returns the position parts (h_n, h_1) of the state's
+    `Potential`, or with ``gradient`` the triple (g_u, g_beta, g_gamma) of
+    the gradient of H': g_u is the workspace row ``g_u``, valid until the
+    next call on the context, and the theta components are Python floats.
+    Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
     rhodot and their derivatives are never built as arrays, only the sums
-    they enter (see the module docstring). Every array operation writes into
-    the context's scratch; only q and the returned gradient are fresh.
-    Runs inside a `_saturating` block, which the public callers open.
+    they enter (see the module docstring). The boundary stage is rebuilt only when its key changes.
+    Every array operation writes into the context's scratch. Runs inside a
+    `_saturating` block.
     """
     s = ctx._scratch
     # Python floats: every division below is by beta, gamma, 2 gamma or a
     # NumPy scalar (sigma^2, gamma^2), so none can raise ZeroDivisionError
-    beta, gamma = state.theta.tolist()
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
-    u = state.u
-    j = s.j
-    A, w, Z, E = s.A, s.w, s.Z, s.E
-    q = staging_inverse(u, ctx.layout)
+    ub = u[:: s.j]
+    key = (beta, gamma, ub.tobytes())
+    if key != s.key:
+        _boundary_stage(s, ctx, beta, gamma, ub, key)
+    A, w, Z, E, q = s.A, s.w, s.Z, s.E, s.q
+    _staging_inverse(u, s.layout, q)
     np.multiply(q, -beta, out=E)
     np.minimum(E, EXP_CLAMP, out=E)
     np.exp(E, out=E)
-    q0, qN = q[:: s.last].tolist()
+    q0, qN = s.q_ends.tolist()
     E0, EN = s.E_ends.tolist()
-    qs = q[1:]
-    bg = beta / gamma
-    c = (2.0 + gamma) * beta / (2.0 * gamma)
-    rho0 = s.L0 / beta + c  # rho at beads 2 and N
-    rhoN = s.LN / beta + c
+    qs = s.q_tail
+    bg, c, rho0, rhoN = s.bg, s.c, s.rho0, s.rhoN
     np.multiply(s.E_tail, bg, out=w)
-    np.divide(ctx.Ls, beta, out=A)
-    A += c
-    A -= w
+    np.subtract(s.Lc, w, out=A)
     q_Ldot = float(qs @ ctx.Ldots)  # qs . (T rhodot) = (T / beta) q_Ldot
-    ub = u[::j]
-    resid, tmp_b = s.resid, s.tmp_b
-    np.multiply(ub, beta, out=resid)
-    np.subtract(ctx.lnyr, resid, out=resid)
     T = s.T
     if not gradient:
-        d = tmp_b[:-1]
-        np.subtract(ub[1:], ub[:-1], out=d)
+        if s.h_bound is None:
+            d = s.tmp_b[:-1]
+            np.subtract(ub[1:], ub[:-1], out=d)
+            s.h_bound = float(
+                float(s.resid @ s.resid) / (2.0 * s.sigma2) + s.half_coup * float(d @ d)
+            )
         body = 0.5 * float(A @ A) - (0.5 * beta) * float(np.add.reduce(w)) - (T / beta) * q_Ldot
         edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
-        h_bound = float(resid @ resid) / (2.0 * s.sigma2) + s.half_coup * float(d @ d)
-        return Potential(
-            _harmonic(state, ctx.layout), float(h_bound), s.dt_T * body + edge
-        )
+        return s.h_bound, s.dt_T * body + edge
 
     # d/dq of the path action, then chained through the staging transpose
     np.add(A, 0.5 * beta, out=Z)
@@ -417,17 +505,14 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
     Z_q = float(Z @ qs)
     g_q = s.g_q
     np.multiply(Z, beta * s.dt_T, out=s.gq_tail)
-    np.multiply(ctx.Ldots, s.dt / beta, out=A)  # A is spent: a temporary now
-    s.gq_tail -= A
+    s.gq_tail -= s.Ld
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
-    g_u = staging_adjoint(g_q, ctx.layout)
+    g_u = _staging_adjoint(g_q, s.layout, s.g_win, s.g_u)
     # direct boundary terms of h_n: the data residuals and the springs
-    gb = g_u[::j]
-    np.multiply(resid, beta / s.sigma2, out=tmp_b)
-    gb -= tmp_b
-    np.matmul(ctx.coup_lap, ub, out=tmp_b)
-    gb += tmp_b
+    gb = s.g_ub
+    gb -= s.data_force
+    gb += s.spring
 
     # theta gradient; d rho / d beta = (c - L / beta) / beta, so
     # A . drho = (c sum A - A . L / beta) / beta; d rho / d gamma
@@ -444,21 +529,17 @@ def _hprime(state: PolymerState, ctx: PathContext, gradient: bool):
         + qN * ((2.0 * c - rhoN) / beta)
         - q0 * ((2.0 * c - rho0) / beta)
     )
-    g_beta -= float(resid @ ub) / s.sigma2
-    # a NumPy scalar power: libm pow as before (gamma * gamma differs in the
-    # last bit for some gamma), saturating where a Python float power would
-    # raise OverflowError or underflow to a 0.0 divisor
-    gamma2 = np.float64(gamma) ** 2
-    g_gamma = s.dt_T * (Z_sum / gamma - (beta / gamma2) * A_sum)
-    g_gamma += (E0 - EN + beta * (q0 - qN)) / gamma2
+    g_beta -= s.resid_ub
+    g_gamma = s.dt_T * (Z_sum / gamma - s.beta_g2 * A_sum)
+    g_gamma = float(g_gamma + (E0 - EN + beta * (q0 - qN)) / s.gamma2)
     # one reduction proves g_u finite; only a failure pays for the scan
     if not math.isfinite(np.add.reduce(g_u)):
         bad = np.flatnonzero(~np.isfinite(g_u))
         if bad.size:
             raise NonFiniteError("gradient w.r.t. u", indices=bad)
-    g_theta = np.array([g_beta, g_gamma])
     if not (math.isfinite(g_beta) and math.isfinite(g_gamma)):
+        g_theta = np.array([g_beta, g_gamma])
         raise NonFiniteError(
             "gradient w.r.t. theta", indices=np.flatnonzero(~np.isfinite(g_theta))
         )
-    return Gradient(g_u, g_theta)
+    return g_u, g_beta, g_gamma

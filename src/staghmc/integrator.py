@@ -20,14 +20,23 @@ out exactly unchanged. A non-finite boundary momentum instead turns into
 inf * 0 = NaN there; the whole trajectory therefore runs in one
 `_saturating` block of the context, under one ``np.errstate`` that ignores
 overflow, invalid operations and division by zero, and the next gradient
-raises NonFiniteError, so the proposal is rejected. Inside the block the
-gradient skips its own errstate and size check; the trajectory checks the
-size once, on its working copy.
+raises NonFiniteError, so the proposal is rejected.
 
-The Verlet step kicks and drifts the two parameters as Python floats: the
-same IEEE operations as on the length-2 arrays, so bit-identical, at a
-tenth of the dispatch cost. The bead momenta and measurement beads stay
-array operations on the fresh gradient arrays.
+The trajectory makes one working copy of the state (without validating it
+again) and checks its size once. Its Verlet steps take the forces straight
+from the kernel `energy._hprime`, not through the public `grad_hprime`:
+the kernel writes q, the staging adjoint's window product and g_u into
+rows of the context's workspace, and the step scales that g_u row in place
+for the kick, so the row is spent by the next kernel call. The kernel
+keeps its boundary stage for the exact key (beta, gamma, u[::j] as bytes);
+only the drifts move theta and the measurement beads, so of the 2P
+gradients the first of each step after the first reuses the stage of the
+step before. The measurement beads drift through the workspace row
+``drift``.
+
+The Verlet step kicks and drifts the two parameters as Python floats, as
+the kernel returns g_theta: the same IEEE operations as on the length-2
+arrays, so bit-identical, at a tenth of the dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -42,7 +51,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import PathContext, _check_size, _saturating, grad_hprime
+from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
+    PathContext,
+    _check_size,
+    _hprime,
+    _saturating,
+    grad_hprime,
+)
 from .errors import ValidationError
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
@@ -138,30 +153,34 @@ def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d
 
     Positions of measurement beads and parameters drift; staging positions
     stay put but all momenta receive the force kicks (force = -dH'/d(u, theta)).
-    The parameter kicks and drift run on Python floats, bit-identical to
-    the same operations on the length-2 arrays; ``state.pi`` is written
-    once, at the end of the step.
+    The forces come straight from the kernel `_hprime`: g_u is its workspace
+    row, scaled in place by the kick, and the theta components are Python
+    floats. The parameter kicks and drift run on Python floats,
+    bit-identical to the same operations on the length-2 arrays; theta and
+    pi are written once each, at the end of the step. ``state.u`` must be
+    C-contiguous; `trotter_propagate` runs the step in a `_saturating`
+    block of ``ctx``.
     """
     half = 0.5 * d_tau
     j = ctx.layout.j
-    p, theta = state.p, state.theta
+    u, p = state.u, state.p
     ma, mg = masses.m_alpha
+    beta, gamma = state.theta.tolist()
     pa, pg = state.pi.tolist()
-    # the gradient arrays are fresh, so the kicks scale them in place
-    g_u, g_theta = grad_hprime(state, ctx)
-    g_beta, g_gamma = g_theta.tolist()
+    g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
     g_u *= half
     p -= g_u
     pa -= g_beta * half
     pg -= g_gamma * half
-    state.u[::j] += (d_tau / masses.M) * p[::j]
-    beta, gamma = theta.tolist()
-    theta[0] = beta + d_tau * pa / ma
-    theta[1] = gamma + d_tau * pg / mg
-    g_u, g_theta = grad_hprime(state, ctx)
-    g_beta, g_gamma = g_theta.tolist()
+    drift = np.multiply(p[::j], d_tau / masses.M, out=ctx._scratch.drift)
+    u[::j] += drift
+    beta += d_tau * pa / ma
+    gamma += d_tau * pg / mg
+    g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
     g_u *= half
     p -= g_u
+    state.theta[0] = beta
+    state.theta[1] = gamma
     state.pi[0] = pa - g_beta * half
     state.pi[1] = pg - g_gamma * half
 
@@ -190,7 +209,7 @@ def trotter_propagate(
         raise ValidationError(
             f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
         )
-    work = state.copy()
+    work = state.copy()  # C-contiguous, as the kernel needs
     _check_size(work, ctx.layout)
     with _saturating(ctx):
         _rotate_inplace(work.u, work.p, bank)

@@ -202,9 +202,19 @@ class PolymerState:
         return float(self.theta[1])
 
     def copy(self) -> "PolymerState":
-        return PolymerState(
-            u=self.u.copy(), theta=self.theta.copy(), p=self.p.copy(), pi=self.pi.copy()
+        return PolymerState._trusted(
+            self.u.copy(), self.theta.copy(), self.p.copy(), self.pi.copy()
         )
+
+    @classmethod
+    def _trusted(cls, u, theta, p, pi) -> "PolymerState":
+        """A state of arrays that already meet `__post_init__`'s contract
+        (float arrays, u and p 1-d of one length, theta and pi of shape
+        (2,)), such as those of another state, built without checking them
+        again."""
+        state = object.__new__(cls)
+        state.u, state.theta, state.p, state.pi = u, theta, p, pi
+        return state
 
 
 def _check_size(x: np.ndarray, layout: LatticeLayout, name: str):
@@ -237,13 +247,19 @@ def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """
     u = np.ascontiguousarray(u, dtype=float)
     _check_size(u, layout, "u")
+    q = np.empty(layout.N)
+    _staging_inverse(u, layout, q)
+    return q
+
+
+def _staging_inverse(u: np.ndarray, layout: LatticeLayout, q: np.ndarray) -> None:
+    """`staging_inverse` without its checks, into ``q``: ``u`` must be a
+    C-contiguous float array of length N and ``q`` a writable one."""
     n, j = layout.n, layout.j
     # row s is u[s*j .. s*j + j]: neighbouring rows share their boundary bead
     windows = np.ndarray((n, j + 1), buffer=u, strides=(j * u.itemsize, u.itemsize))
-    q = np.empty(layout.N)
     np.matmul(windows, layout.staging_block, out=q[:-1].reshape(n, j))
     q[-1] = u[-1]
-    return q
 
 
 def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
@@ -256,9 +272,17 @@ def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """
     g_q = np.ascontiguousarray(g_q, dtype=float)  # same BLAS path for any input
     _check_size(g_q, layout, "g_q")
+    return _staging_adjoint(g_q, layout, np.empty((layout.n, layout.j + 1)), np.empty(layout.N))
+
+
+def _staging_adjoint(
+    g_q: np.ndarray, layout: LatticeLayout, g_win: np.ndarray, gu: np.ndarray
+) -> np.ndarray:
+    """`staging_adjoint` without its checks, into ``gu`` (returned), with the
+    (n, j+1) ``g_win`` as the window product: ``g_q`` must be a C-contiguous
+    float array of length N, ``g_win`` and ``gu`` C-contiguous and writable."""
     n, j = layout.n, layout.j
-    g_win = g_q[:-1].reshape(n, j) @ layout.staging_block.T
-    gu = np.empty(layout.N)
+    np.matmul(g_q[:-1].reshape(n, j), layout.staging_block.T, out=g_win)
     gu[:-1].reshape(n, j)[...] = g_win[:, :j]
     gu[-1] = g_q[-1]
     gu[j::j] += g_win[:, j]

@@ -262,7 +262,7 @@ def hmc_iteration(
     """
     masses = config.masses
     p, pi = sample_momenta(masses, ctx.layout, rng)
-    cur = PolymerState(u=state.u, theta=state.theta, p=p, pi=pi)
+    cur = PolymerState._trusted(state.u, state.theta, p, pi)
     if potential is None:
         before = h_total(cur, ctx, masses)
     else:

@@ -238,7 +238,7 @@ class TestInfer:
         out = tmp_path / "run"
         capsys.readouterr()
         assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
-        assert not list(out.iterdir())
+        assert not out.exists()
         assert f"config field infer.{block}.{name}" in capsys.readouterr().err
 
     def test_summary_holds_chain_meta(self, tmp_path):
@@ -438,6 +438,26 @@ class TestIntegerFields:
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
         assert not out.exists() or not list(out.iterdir())
         assert f"config field {'.'.join(field)} has" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,field",
+        [
+            ("simulate", ("simulate", "factor")),
+            ("infer", ("infer", "integrator", "P")),
+            ("summarize", ("summarize", "density_points")),
+        ],
+        ids=["simulate", "infer", "summarize"],
+    )
+    def test_rejected_config_creates_no_output_directory(self, tmp_path, command, field):
+        cfg = self.config_for(tmp_path, command)
+        block = cfg
+        for key in field[:-1]:
+            block = block.setdefault(key, {})
+        block[field[-1]] = 2.5
+        cfg_path = write_config(tmp_path, cfg, "bad.json")
+        out = tmp_path / "never"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_integral_floats_accepted(self, tmp_path):
         cfg = small_config()

@@ -325,6 +325,81 @@ class TestScratch:
             assert h_total(st, back, MASSES) == h_total(st, ctx, MASSES)
 
 
+class TestBoundaryStageCache:
+    """The kernel keeps its boundary stage (the terms of theta and u[::j]
+    alone) for the exact key (beta, gamma, u[::j].tobytes()). Calls through
+    the trajectory's entry and the public functions, interleaved on one
+    context, must give what a fresh context gives, whether the key hits or
+    misses."""
+
+    def pair(self, layout, case):
+        rng = np.random.default_rng(31)
+        a = random_state(layout, rng)
+        b = a.copy()
+        bead = layout.j  # an inner measurement bead
+        if case == "hit":
+            b.u[layout.staging_mask] = rng.normal(0, 0.5, int(layout.staging_mask.sum()))
+        elif case == "bead-ulp":
+            b.u[bead] = np.nextafter(a.u[bead], np.inf)
+        elif case == "beta-ulp":
+            b.theta[0] = np.nextafter(a.theta[0], np.inf)
+        else:  # signed zero
+            a.u[bead], b.u[bead] = 0.0, -0.0
+        return a, b
+
+    @pytest.mark.parametrize("case", ["hit", "bead-ulp", "beta-ulp", "signed-zero"])
+    def test_interleaved_calls_match_a_fresh_context(self, case, monkeypatch):
+        import staghmc.energy as energy
+
+        layout, _, ctx = make_problem()
+        a, b = self.pair(layout, case)
+        builds = []
+        stage = energy._boundary_stage
+        monkeypatch.setattr(
+            energy,
+            "_boundary_stage",
+            lambda s, *rest: builds.append(s is ctx._scratch) or stage(s, *rest),
+        )
+
+        def trajectory_gradient(st):
+            with energy._saturating(ctx):
+                g_u, g_beta, g_gamma = energy._hprime(st.u, *st.theta.tolist(), ctx, True)
+                return g_u.copy(), np.array([g_beta, g_gamma])
+
+        def check_gradient(got, st):
+            want = grad_hprime(st, make_problem()[2])
+            np.testing.assert_array_equal(got[0], want.g_u)
+            np.testing.assert_array_equal(got[1], want.g_theta)
+
+        def check_energy(st):
+            got = h_total(st, ctx, MASSES)
+            want = h_total(st, make_problem()[2], MASSES)
+            np.testing.assert_array_equal(got.potential, want.potential)
+            assert got == want
+
+        # the states alternate, so that every call meets the other's stage
+        check_gradient(trajectory_gradient(a), a)
+        check_gradient(grad_hprime(b, ctx), b)
+        check_energy(a)
+        check_gradient(trajectory_gradient(b), b)
+        check_gradient(grad_hprime(a, ctx), a)
+        check_energy(b)
+        assert sum(builds) == (1 if case == "hit" else 6)
+
+    def test_public_gradient_shares_no_memory_with_the_workspace(self):
+        layout, _, ctx = make_problem()
+        g = grad_hprime(random_state(layout, np.random.default_rng(5)), ctx)
+        scratch = ctx._scratch
+        rows = [
+            getattr(scratch, name) for name in type(scratch).__slots__
+            if isinstance(getattr(scratch, name, None), np.ndarray)
+        ]
+        assert any(row is scratch.g_u for row in rows)
+        for row in rows:
+            assert not np.shares_memory(g.g_u, row)
+            assert not np.shares_memory(g.g_theta, row)
+
+
 class TestGuards:
     @pytest.mark.parametrize(
         "theta,non_finite",

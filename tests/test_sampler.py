@@ -318,13 +318,14 @@ class TestCarriedPotential:
 
             return wrapper
 
+        # the trajectory's entry into the kernel, and the kernel's staging map
         monkeypatch.setattr(
-            staghmc.integrator, "grad_hprime", counted("grad", staghmc.integrator.grad_hprime)
+            staghmc.integrator, "_hprime", counted("grad", staghmc.integrator._hprime)
         )
         monkeypatch.setattr(
             staghmc.energy,
-            "staging_inverse",
-            counted("inverse", staghmc.energy.staging_inverse),
+            "_staging_inverse",
+            counted("inverse", staghmc.energy._staging_inverse),
         )
         _, stats_out = hmc_iteration(
             state, ctx, cfg, np.random.default_rng(3), potential=potential
