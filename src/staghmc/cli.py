@@ -10,9 +10,10 @@ Three subcommands share one JSON configuration document:
   summary JSON and density curves.
 
 Configuration precedence, lowest to highest: built-in defaults, a named
-preset, the ``--config`` file, then individual flags. Unknown keys anywhere
-in the document are rejected. Every run writes the fully resolved
-configuration next to its outputs so it can be reproduced exactly.
+preset, the ``--config`` file, then individual flags. One pass over the
+merged document rejects unknown keys and converts every value to its type
+before any command runs. Every run writes the fully resolved configuration
+next to its outputs so it can be reproduced exactly.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 """
@@ -28,7 +29,13 @@ import sys
 
 import numpy as np
 
-from .diagnostics import kde, silverman_bandwidth, summarize, write_density_csv
+from .diagnostics import (
+    discard_start,
+    kde,
+    silverman_bandwidth,
+    summarize,
+    write_density_csv,
+)
 from .errors import DomainError, StagHmcError, ValidationError
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
@@ -59,7 +66,6 @@ DEFAULTS = {
     "infer": {
         "observations_file": "observations.csv",
         "discard": 0.2,
-        "checkpoint_every": 0,
     },
     "summarize": {"chain_files": [], "discard": 0.2, "density_points": 256},
 }
@@ -81,41 +87,89 @@ PRESETS = {
     },
 }
 
-# every key the config document may contain; None marks a leaf.
-# "command" is written into config echoes, so echoes re-load as configs.
+
+def _whole(value) -> int:
+    """``int(value)`` for a whole number; a bool or a fractional or
+    non-finite float is rejected instead of truncated."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
+def _float_pair(value) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError("not a list of two numbers")
+    return (float(value[0]), float(value[1]))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _texts(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("not a list of strings")
+    return list(value)
+
+
+# every key the config document may contain, each leaf the conversion of
+# its value. "command" is written into config echoes, so echoes re-load as
+# configs.
 SCHEMA = {
-    "command": None,
-    "seed": None,
-    "chains": None,
-    "out": None,
-    "model": {"K": None, "gamma": None, "T": None},
-    "signal": {"kind": None, "a": None, "omega": None, "b": None, "value": None, "file": None},
-    "observation": {"sigma": None, "n": None},
-    "lattice": {"j": None},
-    "simulate": {"factor": None, "s0": None, "truth_file": None, "observations_file": None},
-    "infer": {
-        "n_mc": None,
-        "start": {"K": None, "gamma": None},
-        "masses": {"M": None, "m_prime": None, "m_alpha": None},
-        "integrator": {"d_tau": None, "P": None},
-        "observations_file": None,
-        "discard": None,
-        "checkpoint_every": None,
+    "command": _text,
+    "seed": _whole,
+    "chains": _whole,
+    "out": _text,
+    "model": {"K": float, "gamma": float, "T": float},
+    "signal": {
+        "kind": _text, "a": float, "omega": float, "b": float, "value": float, "file": _text
     },
-    "summarize": {"chain_files": None, "discard": None, "density_points": None},
+    "observation": {"sigma": float, "n": _whole},
+    "lattice": {"j": _whole},
+    "simulate": {"factor": _whole, "s0": float, "truth_file": _text, "observations_file": _text},
+    "infer": {
+        "n_mc": _whole,
+        "start": {"K": float, "gamma": float},
+        "masses": {"M": float, "m_prime": float, "m_alpha": _float_pair},
+        "integrator": {"d_tau": float, "P": _whole},
+        "observations_file": _text,
+        "discard": float,
+    },
+    "summarize": {"chain_files": _texts, "discard": float, "density_points": _whole},
 }
 
 
-def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
-    for key, value in cfg.items():
+def _typed(doc: dict, schema: dict, path: str = "") -> dict:
+    """A copy of ``doc`` with every non-null leaf converted by its ``schema``
+    entry. An unknown key, a block where a value belongs, a non-object where
+    a block belongs, or a value its conversion rejects is a ValidationError
+    naming the dotted field."""
+    out = {}
+    for key, value in doc.items():
         where = f"{path}.{key}" if path else key
         if key not in schema:
             raise ValidationError(f"unknown config key {where!r}")
-        sub = schema[key]
-        if isinstance(value, dict):
-            if not isinstance(sub, dict):
-                raise ValidationError(f"config key {where!r} does not take a block")
-            _check_keys(value, sub, where)
+        rule = schema[key]
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise ValidationError(
+                    f"config field {where} has an invalid value {value!r}: not a block"
+                )
+            out[key] = _typed(value, rule, where)
+        elif value is None:
+            out[key] = None
+        else:
+            try:
+                out[key] = rule(value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"config field {where} has an invalid value {value!r}: {exc}"
+                ) from None
+    return out
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -130,7 +184,7 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, preset, config file, and flags into one document,
-    with ``seed`` and ``chains`` cast to int."""
+    every value converted by its ``SCHEMA`` entry."""
     cfg = copy.deepcopy(DEFAULTS)
     if args.preset is not None:
         if args.preset not in PRESETS:
@@ -148,7 +202,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 raise ValidationError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
-        _check_keys(loaded, SCHEMA)
         cfg = _deep_merge(cfg, loaded)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -156,67 +209,40 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["chains"] = args.chains
     if args.out is not None:
         cfg["out"] = args.out
-    _check_keys(cfg, SCHEMA)
-    cfg["seed"] = _require_field(cfg, "seed", "", _whole)
-    if not (0 <= cfg["seed"] < 2**64):
+    cfg = _typed(cfg, SCHEMA)
+    if not (0 <= _need(cfg, "seed") < 2**64):
         raise ValidationError("seed must fit in an unsigned 64-bit integer")
-    cfg["chains"] = _require_field(cfg, "chains", "", _whole)
-    if cfg["chains"] < 1:
+    if _need(cfg, "chains") < 1:
         raise ValidationError(f"chains must be >= 1, got {cfg['chains']}")
     return cfg
 
 
-def _require(cfg: dict, block: str, command: str) -> dict:
-    if block not in cfg:
-        raise ValidationError(
-            f"{command} needs a {block!r} config block; supply --config or --preset"
-        )
-    return cfg[block]
+def _need(cfg: dict, field: str):
+    """The value of the dotted config field ``field``, such as ``model.K``;
+    a missing or null field, or a missing block on the way, is a
+    ValidationError naming the field."""
+    value = cfg
+    for key in field.split("."):
+        value = value.get(key)
+        if value is None:
+            raise ValidationError(
+                f"missing config field {field}; supply it with --config or --preset"
+            )
+    return value
 
 
-def _float_pair(value) -> tuple:
-    return tuple(float(v) for v in value)
-
-
-def _whole(value) -> int:
-    """``int(value)`` for a whole number; a bool or a fractional or
-    non-finite float is rejected instead of truncated."""
-    if isinstance(value, bool):
-        raise TypeError("a bool is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not a whole number")
-    return int(value)
-
-
-def _require_field(block: dict, name: str, where: str, cast=None):
-    """The value of config field ``where.name`` (``name`` at the top level,
-    where ``where`` is empty), converted by ``cast`` if one is given; a
-    missing field, or one that ``cast`` rejects with ValueError or
-    TypeError, is a ValidationError naming the field."""
-    key = f"{where}.{name}" if where else name
-    if name not in block or block[name] is None:
-        raise ValidationError(f"missing config field {key}")
-    value = block[name]
-    if cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config field {key} has an invalid value {value!r}: {exc}") from None
-
-
-def _build_signal(block: dict) -> InputSignal:
-    kind = _require_field(block, "kind", "signal")
+def _build_signal(cfg: dict) -> InputSignal:
+    kind = _need(cfg, "signal.kind")
     if kind == "sinusoid":
         return InputSignal.sinusoid(
-            _require_field(block, "a", "signal", float),
-            _require_field(block, "omega", "signal", float),
-            _require_field(block, "b", "signal", float),
+            _need(cfg, "signal.a"),
+            _need(cfg, "signal.omega"),
+            _need(cfg, "signal.b"),
         )
     if kind == "constant":
-        return InputSignal.constant(_require_field(block, "value", "signal", float))
+        return InputSignal.constant(_need(cfg, "signal.value"))
     if kind == "tabulated":
-        path = _require_field(block, "file", "signal")
+        path = _need(cfg, "signal.file")
         if not os.path.exists(path):
             raise ValidationError(f"signal file not found: {path}")
         return InputSignal.from_csv(path)
@@ -237,44 +263,18 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     return path
 
 
-def _discard_start(discard: float, n_rows: int) -> int:
-    """First kept row of an ``n_rows``-row chain after the burn-in fraction;
-    rejects a fraction outside [0, 1) or one that would keep no row."""
-    if not (0.0 <= discard < 1.0):
-        raise ValidationError(f"discard fraction must be in [0, 1), got {discard}")
-    start = int(round(n_rows * discard))
-    if start >= n_rows:
-        raise ValidationError(f"discard={discard} leaves no rows of a {n_rows}-row chain")
-    return start
+# the per-iteration arrays of a ChainRecord
+CHAIN_COLUMNS = ("beta", "gamma", "K", "accepted", "h_before", "h_after", "dh")
 
 
 def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
     """Drop the burn-in fraction from each chain, then concatenate."""
-    kept = []
-    for rec in records:
-        start = _discard_start(discard, rec.n_rows)
-        kept.append(
-            ChainRecord(
-                beta=rec.beta[start:],
-                gamma=rec.gamma[start:],
-                K=rec.K[start:],
-                accepted=rec.accepted[start:],
-                h_before=rec.h_before[start:],
-                h_after=rec.h_after[start:],
-                dh=rec.dh[start:],
-                meta=rec.meta,
-            )
-        )
-    return ChainRecord(
-        beta=np.concatenate([r.beta for r in kept]),
-        gamma=np.concatenate([r.gamma for r in kept]),
-        K=np.concatenate([r.K for r in kept]),
-        accepted=np.concatenate([r.accepted for r in kept]),
-        h_before=np.concatenate([r.h_before for r in kept]),
-        h_after=np.concatenate([r.h_after for r in kept]),
-        dh=np.concatenate([r.dh for r in kept]),
-        meta={"pooled_from": len(records), "discard": discard},
-    )
+    starts = [discard_start(discard, rec.n_rows) for rec in records]
+    columns = {
+        name: np.concatenate([getattr(rec, name)[start:] for rec, start in zip(records, starts)])
+        for name in CHAIN_COLUMNS
+    }
+    return ChainRecord(**columns, meta={"pooled_from": len(records), "discard": discard})
 
 
 def _summary_dict(records: list[ChainRecord], pooled: ChainRecord, discard: float) -> dict:
@@ -287,34 +287,31 @@ def _summary_dict(records: list[ChainRecord], pooled: ChainRecord, discard: floa
 
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
-    model = _require(cfg, "model", "simulate")
-    obs_block = _require(cfg, "observation", "simulate")
-    lattice = _require(cfg, "lattice", "simulate")
-    sim = cfg["simulate"]
-
     params = PhysicalParams(
-        K=_require_field(model, "K", "model", float),
-        gamma=_require_field(model, "gamma", "model", float),
-        T=_require_field(model, "T", "model", float),
+        K=_need(cfg, "model.K"),
+        gamma=_need(cfg, "model.gamma"),
+        T=_need(cfg, "model.T"),
     )
-    signal = _build_signal(_require(cfg, "signal", "simulate"))
-    n = _require_field(obs_block, "n", "observation", _whole)
+    signal = _build_signal(cfg)
+    n = _need(cfg, "observation.n")
     if n < 1:
         raise ValidationError(f"observation.n must be >= 1, got {n}")
-    sigma = _require_field(obs_block, "sigma", "observation", float)
-    j = _require_field(lattice, "j", "lattice", _whole)
-    factor = _require_field(sim, "factor", "simulate", _whole)
+    sigma = _need(cfg, "observation.sigma")
+    j = _need(cfg, "lattice.j")
+    factor = _need(cfg, "simulate.factor")
+    s0 = cfg["simulate"]["s0"]
+    if s0 is not None and not (s0 > 0 and np.isfinite(s0)):
+        raise ValidationError(f"config field simulate.s0 must be positive and finite, got {s0}")
+    truth_path = os.path.join(out_dir, _need(cfg, "simulate.truth_file"))
+    obs_path = os.path.join(out_dir, _need(cfg, "simulate.observations_file"))
 
     echo_path = _write_echo(cfg, "simulate", out_dir)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)
-    s0 = sim.get("s0")
     truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, ObservationModel(sigma), seed=rng)
 
-    truth_path = os.path.join(out_dir, sim["truth_file"])
-    obs_path = os.path.join(out_dir, sim["observations_file"])
     truth.to_csv(truth_path)
     data.to_csv(obs_path)
     print(f"config echo: {echo_path}")
@@ -333,41 +330,32 @@ def _write_summary(summary: dict, out_dir: str) -> str:
 
 def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
-    infer = _require(cfg, "infer", "infer")
-    obs_block = _require(cfg, "observation", "infer")
-    lattice = _require(cfg, "lattice", "infer")
-
-    obs_file = infer["observations_file"]
+    obs_file = _need(cfg, "infer.observations_file")
     if not os.path.exists(obs_file):
         raise ValidationError(f"observations file not found: {obs_file}")
     data = TimeSeriesData.from_csv(obs_file)
-    signal = _build_signal(_require(cfg, "signal", "infer"))
-    sigma = _require_field(obs_block, "sigma", "observation", float)
-    j = _require_field(lattice, "j", "lattice", _whole)
-    problem = InferenceProblem(data, signal, ObservationModel(sigma), j)
+    signal = _build_signal(cfg)
+    sigma = _need(cfg, "observation.sigma")
+    problem = InferenceProblem(data, signal, ObservationModel(sigma), _need(cfg, "lattice.j"))
 
-    start = _require_field(infer, "start", "infer")
     start_params = PhysicalParams(
-        K=_require_field(start, "K", "infer.start", float),
-        gamma=_require_field(start, "gamma", "infer.start", float),
+        K=_need(cfg, "infer.start.K"),
+        gamma=_need(cfg, "infer.start.gamma"),
         T=data.horizon,
     )
     theta0 = to_dimensionless(start_params)
-    masses_block = _require_field(infer, "masses", "infer")
     masses = MassConfig(
-        M=_require_field(masses_block, "M", "infer.masses", float),
-        m_prime=_require_field(masses_block, "m_prime", "infer.masses", float),
-        m_alpha=_require_field(masses_block, "m_alpha", "infer.masses", _float_pair),
+        M=_need(cfg, "infer.masses.M"),
+        m_prime=_need(cfg, "infer.masses.m_prime"),
+        m_alpha=_need(cfg, "infer.masses.m_alpha"),
     )
-    integ_block = _require_field(infer, "integrator", "infer")
     integ = IntegratorConfig(
-        d_tau=_require_field(integ_block, "d_tau", "infer.integrator", float),
-        P=_require_field(integ_block, "P", "infer.integrator", _whole),
+        d_tau=_need(cfg, "infer.integrator.d_tau"),
+        P=_need(cfg, "infer.integrator.P"),
     )
-    checkpoint_every = _require_field(infer, "checkpoint_every", "infer", _whole)
-    n_mc = _require_field(infer, "n_mc", "infer", _whole)
-    discard = _require_field(infer, "discard", "infer", float)
-    _discard_start(discard, n_mc)
+    n_mc = _need(cfg, "infer.n_mc")
+    discard = _need(cfg, "infer.discard")
+    discard_start(discard, n_mc)
     hmc = HmcConfig(
         n_mc=n_mc,
         theta0=(theta0.beta, theta0.gamma),
@@ -375,12 +363,7 @@ def cmd_infer(cfg: dict) -> int:
         integrator=integ,
         seed=cfg["seed"],
         chains=cfg["chains"],
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=os.path.join(out_dir, "checkpoints") if checkpoint_every > 0 else None,
     )
-    # every check above runs before the first file write or sampling step
-    if hmc.checkpoint_dir:
-        os.makedirs(hmc.checkpoint_dir, exist_ok=True)
 
     echo_path = _write_echo(cfg, "infer", out_dir)
     records = run_parallel_chains(problem, hmc)
@@ -415,17 +398,16 @@ def cmd_infer(cfg: dict) -> int:
 
 def cmd_summarize(cfg: dict) -> int:
     out_dir = cfg["out"]
-    block = cfg["summarize"]
-    chain_files = block["chain_files"]
+    chain_files = _need(cfg, "summarize.chain_files")
     if not chain_files:
         raise ValidationError("summarize.chain_files must list at least one chain CSV")
     for path in chain_files:
         if not os.path.exists(path):
             raise ValidationError(f"chain file not found: {path}")
-    points = _require_field(block, "density_points", "summarize", _whole)
+    points = _need(cfg, "summarize.density_points")
     if points < 2:
         raise ValidationError(f"summarize.density_points must be >= 2, got {points}")
-    discard = _require_field(block, "discard", "summarize", float)
+    discard = _need(cfg, "summarize.discard")
     records = [ChainRecord.from_csv(path) for path in chain_files]
     pooled = _pooled_record(records, discard)
 
@@ -478,10 +460,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        out = cfg["out"]
+        out = _need(cfg, "out")
         # each command makes its output directory only at its first write;
         # an --out that names a file still fails up front, as a runtime error
-        if isinstance(out, str) and os.path.exists(out) and not os.path.isdir(out):
+        if os.path.exists(out) and not os.path.isdir(out):
             raise FileExistsError(errno.EEXIST, "output path is not a directory", out)
         return COMMANDS[args.command](cfg)
     except ValidationError as exc:

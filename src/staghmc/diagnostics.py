@@ -18,6 +18,7 @@ from .sampler import ChainRecord
 __all__ = [
     "ParameterSummary",
     "PosteriorSummary",
+    "discard_start",
     "ess",
     "kde",
     "silverman_bandwidth",
@@ -113,20 +114,26 @@ def _parameter_summary(x: np.ndarray) -> ParameterSummary:
     )
 
 
+def discard_start(discard: float, n_rows: int) -> int:
+    """First kept row of an ``n_rows``-row chain after the burn-in fraction
+    ``discard``; a fraction outside [0, 1), or one that keeps no row, is a
+    ValidationError."""
+    if not (0.0 <= discard < 1.0):
+        raise ValidationError(f"discard fraction must be in [0, 1), got {discard}")
+    start = int(round(n_rows * discard))
+    if start >= n_rows:
+        raise ValidationError(f"discard={discard} leaves no rows of the {n_rows}-row chain")
+    return start
+
+
 def summarize(record: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
     """Summaries of beta, gamma, K over the retained rows.
 
     ``discard`` is the burn-in fraction dropped from the front of the chain;
     the retained set must be non-empty.
     """
-    if not (0.0 <= discard < 1.0):
-        raise ValidationError(f"discard fraction must be in [0, 1), got {discard}")
     n_total = record.n_rows
-    start = int(round(n_total * discard))
-    if start >= n_total:
-        raise ValidationError(
-            f"discard={discard} leaves no rows of the {n_total}-row chain"
-        )
+    start = discard_start(discard, n_total)
     params = {
         "beta": _parameter_summary(record.beta[start:]),
         "gamma": _parameter_summary(record.gamma[start:]),

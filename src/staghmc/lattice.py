@@ -30,7 +30,6 @@ what gradient evaluation chains through.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +47,6 @@ __all__ = [
     "staging_inverse",
     "staging_adjoint",
     "initial_state",
-    "save_state",
-    "load_state",
 ]
 
 
@@ -314,49 +311,3 @@ def initial_state(
         p=np.zeros(layout.N),
         pi=np.zeros(2),
     )
-
-
-def save_state(state: PolymerState, layout: LatticeLayout, path):
-    """Write a snapshot: one JSON header line, then CSV rows ``index,u,q,p``."""
-    q = staging_inverse(state.u, layout)
-    header = json.dumps(
-        {
-            "theta": list(map(float, state.theta)),
-            "pi": list(map(float, state.pi)),
-            "n": layout.n,
-            "j": layout.j,
-            "T": layout.T,
-        }
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("index,u,q,p\n")
-        for i in range(layout.N):
-            fh.write(f"{i},{float(state.u[i])!r},{float(q[i])!r},{float(state.p[i])!r}\n")
-
-
-def load_state(path) -> tuple[PolymerState, LatticeLayout]:
-    """Read a snapshot written by `save_state`; verifies the stored q column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# "):
-            raise ValidationError(f"snapshot {path} lacks the JSON header line")
-        meta = json.loads(first[2:])
-        if fh.readline().strip() != "index,u,q,p":
-            raise ValidationError(f"snapshot {path} has an unexpected column header")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    layout = build_layout(int(meta["n"]), int(meta["j"]), float(meta["T"]))
-    if rows.shape != (layout.N, 4):
-        raise ValidationError(f"snapshot {path} has {rows.shape[0]} rows, want {layout.N}")
-    if not np.array_equal(rows[:, 0], np.arange(layout.N)):
-        raise ValidationError(f"snapshot {path} bead indices are not 0..N-1")
-    state = PolymerState(
-        u=rows[:, 1],
-        theta=np.asarray(meta["theta"], dtype=float),
-        p=rows[:, 3],
-        pi=np.asarray(meta["pi"], dtype=float),
-    )
-    q_check = staging_inverse(state.u, layout)
-    if not np.allclose(q_check, rows[:, 2], rtol=1e-6, atol=1e-6):
-        raise ValidationError(f"snapshot {path}: stored q is inconsistent with u")
-    return state, layout

@@ -28,7 +28,6 @@ from .lattice import (
     PolymerState,
     build_layout,
     initial_state,
-    save_state,
 )
 from .model import (
     DimensionlessParams,
@@ -78,8 +77,7 @@ class InferenceProblem:
 
 @dataclass(frozen=True)
 class HmcConfig:
-    """Sampler settings. theta0 is the dimensionless start (beta, gamma);
-    checkpoint_every = 0 disables periodic state snapshots."""
+    """Sampler settings. theta0 is the dimensionless start (beta, gamma)."""
 
     n_mc: int
     theta0: tuple[float, float]
@@ -87,8 +85,6 @@ class HmcConfig:
     integrator: IntegratorConfig
     seed: int = 0
     chains: int = 1
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if self.n_mc < 1:
@@ -101,10 +97,6 @@ class HmcConfig:
         if not (np.isfinite(b) and np.isfinite(g) and b > 0 and g > 0):
             raise ValidationError(f"theta0 must be positive and finite, got {self.theta0}")
         object.__setattr__(self, "theta0", (b, g))
-        if self.checkpoint_every < 0:
-            raise ValidationError("checkpoint_every must be >= 0")
-        if self.checkpoint_every > 0 and not self.checkpoint_dir:
-            raise ValidationError("checkpointing requires checkpoint_dir")
 
     def echo(self) -> dict:
         """JSON-ready mirror of every knob, sufficient to reproduce the run."""
@@ -119,8 +111,6 @@ class HmcConfig:
             "integrator": {"d_tau": self.integrator.d_tau, "P": self.integrator.P},
             "seed": int(self.seed),
             "chains": self.chains,
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_dir": self.checkpoint_dir,
         }
 
 
@@ -335,17 +325,6 @@ def _run_seeded(
         dh[i] = stats.dh
         if stats.pathology is not None:
             pathologies[stats.pathology] = pathologies.get(stats.pathology, 0) + 1
-        if config.checkpoint_every and (i + 1) % config.checkpoint_every == 0:
-            path = os.path.join(
-                config.checkpoint_dir,
-                f"chain{chain_index:02d}_iter{i + 1:07d}.csv",
-            )
-            try:
-                save_state(state, layout, path)
-            except OSError as exc:
-                raise StagHmcError(
-                    f"checkpoint write failed at iteration {i + 1}: {exc}"
-                ) from exc
     elapsed = time.perf_counter() - t0
 
     K = layout.T * gamma / beta**2

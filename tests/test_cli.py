@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import shutil
 import subprocess
 
@@ -199,6 +200,15 @@ class TestInfer:
             summaries.append(summary)
         assert summaries[0] == summaries[1]
 
+    def test_echo_reproduces_run(self, tmp_path):
+        rc, out = self.infer_into(tmp_path, "first", chains=2)
+        assert rc == 0
+        other = tmp_path / "other"
+        echo = str(out / "config_infer.json")
+        assert main(["infer", "--config", echo, "--out", str(other)]) == 0
+        for name in ("chain00.csv", "chain01.csv"):
+            assert (other / name).read_bytes() == (out / name).read_bytes()
+
     def test_missing_observations_file(self, tmp_path):
         cfg = small_config(obs_file=str(tmp_path / "nowhere.csv"))
         cfg_path = write_config(tmp_path, cfg)
@@ -396,24 +406,32 @@ INT_FIELDS = [
     ("simulate", ("lattice", "j")),
     ("simulate", ("simulate", "factor")),
     ("infer", ("infer", "integrator", "P")),
-    ("infer", ("infer", "checkpoint_every")),
     ("infer", ("infer", "n_mc")),
     ("summarize", ("summarize", "density_points")),
 ]
 
 
-class TestIntegerFields:
-    def config_for(self, tmp_path, command):
-        if command == "simulate":
-            return small_config()
-        if command == "infer":
-            data_dir = run_simulate(tmp_path)
-            return small_config(obs_file=str(data_dir / "observations.csv"))
-        path = tmp_path / "flat.csv"
-        rows = "\n".join(f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(12))
-        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
-        return {"summarize": {"chain_files": [str(path)], "discard": 0.0}}
+def config_for(tmp_path, command):
+    """A valid config for ``command``, with its input files under ``tmp_path``."""
+    if command == "simulate":
+        return small_config()
+    if command == "infer":
+        data_dir = run_simulate(tmp_path)
+        return small_config(obs_file=str(data_dir / "observations.csv"))
+    path = tmp_path / "flat.csv"
+    rows = "\n".join(f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(12))
+    path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
+    return {"summarize": {"chain_files": [str(path)], "discard": 0.0}}
 
+
+def set_field(cfg, field, value):
+    block = cfg
+    for key in field[:-1]:
+        block = block.setdefault(key, {})
+    block[field[-1]] = value
+
+
+class TestIntegerFields:
     @pytest.mark.parametrize("value", [2.5, True, float("inf")], ids=["frac", "bool", "inf"])
     @pytest.mark.parametrize(
         "command,field", INT_FIELDS, ids=[".".join(f) for _, f in INT_FIELDS]
@@ -427,11 +445,8 @@ class TestIntegerFields:
             raise AssertionError("run_parallel_chains must not be called")
 
         monkeypatch.setattr(staghmc.cli, "run_parallel_chains", fail)
-        cfg = self.config_for(tmp_path, command)
-        block = cfg
-        for key in field[:-1]:
-            block = block.setdefault(key, {})
-        block[field[-1]] = value
+        cfg = config_for(tmp_path, command)
+        set_field(cfg, field, value)
         cfg_path = write_config(tmp_path, cfg, "bad.json")
         out = tmp_path / "out"
         capsys.readouterr()
@@ -449,11 +464,8 @@ class TestIntegerFields:
         ids=["simulate", "infer", "summarize"],
     )
     def test_rejected_config_creates_no_output_directory(self, tmp_path, command, field):
-        cfg = self.config_for(tmp_path, command)
-        block = cfg
-        for key in field[:-1]:
-            block = block.setdefault(key, {})
-        block[field[-1]] = 2.5
+        cfg = config_for(tmp_path, command)
+        set_field(cfg, field, 2.5)
         cfg_path = write_config(tmp_path, cfg, "bad.json")
         out = tmp_path / "never"
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
@@ -471,6 +483,38 @@ class TestIntegerFields:
         ref = run_simulate(tmp_path / "ints", seed=5)
         for name in ("truth.csv", "observations.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+# values of a wrong type or range outside the integer fields, with the
+# command that reads them and an id
+BAD_VALUES = [
+    ("simulate", ("model",), 5, "model-block"),
+    ("summarize", ("summarize",), 5, "summarize-block"),
+    ("simulate", ("out",), 5, "out"),
+    ("simulate", ("simulate", "truth_file"), 5, "truth_file"),
+    ("simulate", ("simulate", "s0"), "abc", "s0-text"),
+    ("simulate", ("simulate", "s0"), -1.0, "s0-negative"),
+    ("simulate", ("simulate", "s0"), float("inf"), "s0-inf"),
+    ("summarize", ("summarize", "chain_files"), "a.csv", "chain_files-text"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value", [c[:3] for c in BAD_VALUES], ids=[c[3] for c in BAD_VALUES]
+)
+def test_bad_value_rejected_before_writing(tmp_path, monkeypatch, capsys, command, field, value):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    cfg = config_for(tmp_path, command)
+    cfg["out"] = str(out)
+    set_field(cfg, field, value)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == 2
+    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == before
+    assert f"config field {'.'.join(field)} " in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("staghmc") is None, reason="console script not installed")

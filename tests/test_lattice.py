@@ -7,8 +7,6 @@ from staghmc.lattice import (
     PolymerState,
     build_layout,
     initial_state,
-    load_state,
-    save_state,
     staging_adjoint,
     staging_forward,
     staging_inverse,
@@ -272,39 +270,3 @@ class TestState:
         data = TimeSeriesData(times=np.linspace(0, 833, 11), values=np.ones(11))
         with pytest.raises(ValidationError):
             initial_state(data, signal, DimensionlessParams(1.0, 1.0), layout)
-
-    def test_snapshot_round_trip(self, tmp_path):
-        layout = build_layout(3, 5, 21.0)
-        rng = np.random.default_rng(4)
-        state = PolymerState(
-            u=rng.normal(size=layout.N),
-            theta=np.array([1.3, 0.4]),
-            p=rng.normal(size=layout.N),
-            pi=np.array([0.2, -0.7]),
-        )
-        f = tmp_path / "snap.csv"
-        save_state(state, layout, f)
-        back, lay2 = load_state(f)
-        assert (lay2.n, lay2.j, lay2.T) == (3, 5, 21.0)
-        np.testing.assert_array_equal(back.u, state.u)
-        np.testing.assert_array_equal(back.p, state.p)
-        np.testing.assert_array_equal(back.theta, state.theta)
-        np.testing.assert_array_equal(back.pi, state.pi)
-
-    def test_snapshot_detects_corruption(self, tmp_path):
-        layout = build_layout(2, 4, 8.0)
-        state = PolymerState(
-            u=np.arange(layout.N, dtype=float),
-            theta=np.array([1.0, 1.0]),
-            p=np.zeros(layout.N),
-            pi=np.zeros(2),
-        )
-        f = tmp_path / "snap.csv"
-        save_state(state, layout, f)
-        lines = f.read_text().splitlines()
-        parts = lines[4].split(",")
-        parts[2] = str(float(parts[2]) + 1.0)  # tamper with the q column
-        lines[4] = ",".join(parts)
-        f.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValidationError):
-            load_state(f)

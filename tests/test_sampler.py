@@ -17,7 +17,7 @@ from staghmc import (
 )
 from staghmc.energy import PathContext, grad_hprime, h_total
 from staghmc.integrator import IntegratorConfig, OscillatorBank
-from staghmc.lattice import MassConfig, build_layout, initial_state, load_state
+from staghmc.lattice import MassConfig, build_layout, initial_state
 from staghmc.model import (
     DimensionlessParams,
     fine_grid,
@@ -86,12 +86,6 @@ class TestHmcConfig:
             small_config(seed=-1)
         with pytest.raises(ValidationError):
             small_config(seed=2**64)
-
-    def test_checkpoint_needs_directory(self):
-        with pytest.raises(ValidationError):
-            small_config(checkpoint_every=5)
-        with pytest.raises(ValidationError):
-            small_config(checkpoint_every=-1)
 
     def test_echo_is_json_ready(self):
         cfg = small_config(seed=9, chains=3)
@@ -470,30 +464,6 @@ class TestRunChain:
         with pytest.raises(ValidationError):
             ChainRecord.from_csv(path)
 
-    def test_checkpoints_written(self, toy_problem, tmp_path):
-        cfg = small_config(
-            n_mc=10, seed=2, checkpoint_every=5, checkpoint_dir=str(tmp_path)
-        )
-        rec = run_chain(toy_problem, cfg)
-        files = sorted(tmp_path.glob("chain00_iter*.csv"))
-        assert [f.name for f in files] == [
-            "chain00_iter0000005.csv",
-            "chain00_iter0000010.csv",
-        ]
-        snap, snap_layout = load_state(files[-1])
-        assert snap_layout == toy_problem.context().layout
-        assert snap.theta[0] == rec.beta[-1]
-        assert snap.theta[1] == rec.gamma[-1]
-
-    def test_checkpoint_failure_names_iteration(self, toy_problem, tmp_path):
-        blocker = tmp_path / "not_a_dir.txt"
-        blocker.write_text("x")
-        cfg = small_config(
-            n_mc=4, checkpoint_every=2, checkpoint_dir=str(blocker)
-        )
-        with pytest.raises(StagHmcError, match="iteration 2"):
-            run_chain(toy_problem, cfg)
-
 
 def _batch_se(x, nb=20):
     m = x.size // nb
@@ -527,12 +497,15 @@ class TestParallelChains:
             np.testing.assert_array_equal(rec.gamma, solo.gamma)
             np.testing.assert_array_equal(rec.h_before, solo.h_before)
 
-    def test_failures_reported_after_all_finish(self, toy_problem, tmp_path):
-        blocker = tmp_path / "blocker.txt"
-        blocker.write_text("x")
-        cfg = small_config(
-            n_mc=4, chains=2, checkpoint_every=2, checkpoint_dir=str(blocker)
-        )
+    def test_failures_reported_after_all_finish(self, toy_problem, monkeypatch):
+        import staghmc.sampler
+
+        def fail(problem, config, chain_index, seed_seq):
+            raise StagHmcError(f"injected failure of chain {chain_index}")
+
+        # the pool forks, so its workers inherit the patch
+        monkeypatch.setattr(staghmc.sampler, "_run_seeded", fail)
+        cfg = small_config(n_mc=4, chains=2)
         with pytest.raises(StagHmcError, match="chain 0.*chain 1"):
             run_parallel_chains(toy_problem, cfg)
 
