@@ -88,11 +88,19 @@ PRESETS = {
 }
 
 
+def _number(value) -> float:
+    """``float(value)`` for a JSON number; a bool or a string is rejected
+    instead of converted."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"a {type(value).__name__} is not a number")
+    return float(value)
+
+
 def _whole(value) -> int:
-    """``int(value)`` for a whole number; a bool or a fractional or
-    non-finite float is rejected instead of truncated."""
-    if isinstance(value, bool):
-        raise TypeError("a bool is not an integer")
+    """``int(value)`` for a whole number; a bool, a string or a fractional
+    or non-finite float is rejected instead of converted or truncated."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"a {type(value).__name__} is not an integer")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("not a whole number")
     return int(value)
@@ -101,7 +109,7 @@ def _whole(value) -> int:
 def _float_pair(value) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise TypeError("not a list of two numbers")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0]), _number(value[1]))
 
 
 def _text(value) -> str:
@@ -124,22 +132,25 @@ SCHEMA = {
     "seed": _whole,
     "chains": _whole,
     "out": _text,
-    "model": {"K": float, "gamma": float, "T": float},
+    "model": {"K": _number, "gamma": _number, "T": _number},
     "signal": {
-        "kind": _text, "a": float, "omega": float, "b": float, "value": float, "file": _text
+        "kind": _text, "a": _number, "omega": _number, "b": _number, "value": _number,
+        "file": _text,
     },
-    "observation": {"sigma": float, "n": _whole},
+    "observation": {"sigma": _number, "n": _whole},
     "lattice": {"j": _whole},
-    "simulate": {"factor": _whole, "s0": float, "truth_file": _text, "observations_file": _text},
+    "simulate": {
+        "factor": _whole, "s0": _number, "truth_file": _text, "observations_file": _text
+    },
     "infer": {
         "n_mc": _whole,
-        "start": {"K": float, "gamma": float},
-        "masses": {"M": float, "m_prime": float, "m_alpha": _float_pair},
-        "integrator": {"d_tau": float, "P": _whole},
+        "start": {"K": _number, "gamma": _number},
+        "masses": {"M": _number, "m_prime": _number, "m_alpha": _float_pair},
+        "integrator": {"d_tau": _number, "P": _whole},
         "observations_file": _text,
-        "discard": float,
+        "discard": _number,
     },
-    "summarize": {"chain_files": _texts, "discard": float, "density_points": _whole},
+    "summarize": {"chain_files": _texts, "discard": _number, "density_points": _whole},
 }
 
 

@@ -57,9 +57,18 @@ arithmetic, so the kernel keeps both small:
 
 * Scratch buffers. Each context allocates one workspace (`_Scratch`) once,
   and every array operation of `_hprime` writes into it with ``out=``,
-  the staging maps included: their unchecked cores
-  (`lattice._staging_inverse`, `lattice._staging_adjoint`) take the
-  output rows. A context is therefore not safe to share between threads;
+  the staging maps included. The workspace also holds every view the
+  kernel takes of its rows, built once: the (n, j) blocks of q, g_q and
+  g_u, the left (n, j) part and the right column of the window product
+  ``g_win``, and ``g_u[j::j]``, handed as they are to the unchecked cores
+  of the staging maps (`lattice._staging_inverse`,
+  `lattice._staging_adjoint`). The (n, j+1) window view of u and the view
+  ``u[::j]`` are kept together with the array they view, and rebuilt only
+  when the kernel is handed another array: a trajectory's working copy
+  serves its 2P gradients and the proposal's potential with one build.
+  The workspace holds that array, so its identity cannot be recycled, and
+  in-place writes show through the views, so there is nothing to
+  invalidate. A context is therefore not safe to share between threads;
   parallel chains run in processes.
 * A keyed boundary stage. The terms that depend on theta and the
   measurement beads u_b = u[::j] alone (beta / gamma, c, rho at beads 2
@@ -96,8 +105,9 @@ arithmetic, so the kernel keeps both small:
   OverflowError (for gamma above about 1.3e154).
 * One errstate. The kernel runs inside a `_saturating` block of its
   context, which holds one ``np.errstate`` for every call in it: the
-  sampler opens one per iteration, the trajectory one of its own, and the
-  public wrappers one that only counts its depth when it nests.
+  sampler opens one per iteration, around the refreshed energy, the
+  trajectory and the proposal's energy, and the trajectory and the public
+  wrappers open one that only counts its depth when it nests.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -119,8 +129,11 @@ from .lattice import (  # noqa: F401 -- the public maps stay bound here for trac
     LatticeLayout,
     MassConfig,
     PolymerState,
+    _adjoint_views,
+    _inverse_views,
     _staging_adjoint,
     _staging_inverse,
+    _windows,
     staging_adjoint,
     staging_inverse,
 )
@@ -225,6 +238,12 @@ class _Scratch:
     length-(n+1) rows over the measurement beads: ``tmp_b`` for the kernel
     and ``drift`` for the integrator's drift of those beads.
 
+    The arguments of the staging cores, built once over these rows:
+    ``inverse_views`` (`lattice._inverse_views` of q) and ``adjoint_views``
+    (`lattice._adjoint_views` of g_q, g_win and g_u). The array ``u_held``
+    last handed to the kernel, with its window view ``u_windows`` and its
+    measurement beads ``u_b``.
+
     The boundary stage, valid for the exact ``key`` (beta, gamma,
     u[::j].tobytes()) and rebuilt by `_boundary_stage` on any other:
     the Python floats ``bg``, ``c``, ``rho0``, ``rhoN`` and ``beta_g2``, the
@@ -245,6 +264,7 @@ class _Scratch:
         "layout", "j", "last", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
         "q", "q_ends", "q_tail", "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
         "g_q", "gq_tail", "g_win", "g_u", "g_ub", "tmp_b", "drift",
+        "inverse_views", "adjoint_views", "u_held", "u_windows", "u_b",
         "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
         "resid", "data_force", "spring", "resid_ub", "h_bound",
         "depth", "_errstate", "_args",
@@ -270,6 +290,9 @@ class _Scratch:
         self.g_win = np.empty((lay.n, lay.j + 1))
         self.g_u = np.empty(lay.N)
         self.g_ub = self.g_u[:: lay.j]
+        self.inverse_views = _inverse_views(self.q, lay)
+        self.adjoint_views = _adjoint_views(self.g_q, self.g_win, self.g_u, lay)
+        self.u_held = self.u_windows = self.u_b = None
         self.tmp_b = np.empty(lay.n + 1)
         self.drift = np.empty(lay.n + 1)
         self.Lc = np.empty(lay.N - 1)
@@ -308,8 +331,10 @@ class Potential(NamedTuple):
     h_1: float
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
+    """The three pieces of the total energy, their sum, and the state's
+    `Potential`."""
+
     h_N: float
     h_n: float
     h_1: float
@@ -469,12 +494,17 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     # NumPy scalar (sigma^2, gamma^2), so none can raise ZeroDivisionError
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
-    ub = u[:: s.j]
+    if u is not s.u_held:
+        # views of a new array; in-place writes to the held one show through
+        s.u_windows = _windows(u, s.layout)
+        s.u_b = u[:: s.j]
+        s.u_held = u
+    ub = s.u_b
     key = (beta, gamma, ub.tobytes())
     if key != s.key:
         _boundary_stage(s, ctx, beta, gamma, ub, key)
     A, w, Z, E, q = s.A, s.w, s.Z, s.E, s.q
-    _staging_inverse(u, s.layout, q)
+    _staging_inverse(s.u_windows, *s.inverse_views)
     np.multiply(q, -beta, out=E)
     np.minimum(E, EXP_CLAMP, out=E)
     np.exp(E, out=E)
@@ -508,7 +538,7 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     s.gq_tail -= s.Ld
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
-    g_u = _staging_adjoint(g_q, s.layout, s.g_win, s.g_u)
+    g_u = _staging_adjoint(*s.adjoint_views)
     # direct boundary terms of h_n: the data residuals and the springs
     gb = s.g_ub
     gb -= s.data_force

@@ -245,18 +245,31 @@ def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     u = np.ascontiguousarray(u, dtype=float)
     _check_size(u, layout, "u")
     q = np.empty(layout.N)
-    _staging_inverse(u, layout, q)
+    _staging_inverse(_windows(u, layout), *_inverse_views(q, layout))
     return q
 
 
-def _staging_inverse(u: np.ndarray, layout: LatticeLayout, q: np.ndarray) -> None:
-    """`staging_inverse` without its checks, into ``q``: ``u`` must be a
-    C-contiguous float array of length N and ``q`` a writable one."""
-    n, j = layout.n, layout.j
-    # row s is u[s*j .. s*j + j]: neighbouring rows share their boundary bead
-    windows = np.ndarray((n, j + 1), buffer=u, strides=(j * u.itemsize, u.itemsize))
-    np.matmul(windows, layout.staging_block, out=q[:-1].reshape(n, j))
-    q[-1] = u[-1]
+def _windows(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
+    """The (n, j+1) overlapping window view of a C-contiguous float array u
+    of length N: row s is u[s*j .. s*j + j], so neighbouring rows share
+    their boundary bead. In-place writes to u show through it."""
+    j = layout.j
+    return np.ndarray((layout.n, j + 1), buffer=u, strides=(j * u.itemsize, u.itemsize))
+
+
+def _inverse_views(q: np.ndarray, layout: LatticeLayout) -> tuple:
+    """The arguments of `_staging_inverse` after the windows, for the output
+    row ``q`` (a writable C-contiguous float array of length N): the block
+    B, q itself and its (n, j) blocks ``q[:-1].reshape(n, j)``."""
+    return layout.staging_block, q, q[:-1].reshape(layout.n, layout.j)
+
+
+def _staging_inverse(windows: np.ndarray, block, q, q_blocks) -> None:
+    """`staging_inverse` without its checks: ``windows`` is `_windows` (u),
+    and the rest are the views of `_inverse_views` (q), built once by a
+    caller that writes the same row again."""
+    np.matmul(windows, block, out=q_blocks)
+    q[-1] = windows[-1, -1]  # the last bead, u[N-1]
 
 
 def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
@@ -269,20 +282,34 @@ def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """
     g_q = np.ascontiguousarray(g_q, dtype=float)  # same BLAS path for any input
     _check_size(g_q, layout, "g_q")
-    return _staging_adjoint(g_q, layout, np.empty((layout.n, layout.j + 1)), np.empty(layout.N))
+    g_win = np.empty((layout.n, layout.j + 1))
+    return _staging_adjoint(*_adjoint_views(g_q, g_win, np.empty(layout.N), layout))
+
+
+def _adjoint_views(g_q: np.ndarray, g_win: np.ndarray, gu: np.ndarray, layout) -> tuple:
+    """The arguments of `_staging_adjoint` for the input row ``g_q``, the
+    (n, j+1) window product ``g_win`` and the output row ``gu`` (C-contiguous
+    float arrays, the last two writable): the (n, j) blocks of g_q, the
+    block's transpose B^T, g_win, its left (n, j) part and right column,
+    gu, its (n, j) blocks and its view ``gu[j::j]`` of the beads that end a
+    segment, and g_q."""
+    n, j = layout.n, layout.j
+    return (
+        g_q[:-1].reshape(n, j), layout.staging_block.T, g_win, g_win[:, :j], g_win[:, j],
+        gu, gu[:-1].reshape(n, j), gu[j::j], g_q,
+    )
 
 
 def _staging_adjoint(
-    g_q: np.ndarray, layout: LatticeLayout, g_win: np.ndarray, gu: np.ndarray
+    gq_blocks, block_t, g_win, win_left, win_right, gu, gu_blocks, gu_ends, g_q
 ) -> np.ndarray:
-    """`staging_adjoint` without its checks, into ``gu`` (returned), with the
-    (n, j+1) ``g_win`` as the window product: ``g_q`` must be a C-contiguous
-    float array of length N, ``g_win`` and ``gu`` C-contiguous and writable."""
-    n, j = layout.n, layout.j
-    np.matmul(g_q[:-1].reshape(n, j), layout.staging_block.T, out=g_win)
-    gu[:-1].reshape(n, j)[...] = g_win[:, :j]
+    """`staging_adjoint` without its checks, into ``gu`` (returned): the
+    arguments are the views of `_adjoint_views`, built once by a caller
+    that reuses the same rows."""
+    np.matmul(gq_blocks, block_t, out=g_win)
+    gu_blocks[...] = win_left
     gu[-1] = g_q[-1]
-    gu[j::j] += g_win[:, j]
+    gu_ends += win_right
     return gu
 
 

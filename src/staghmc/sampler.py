@@ -16,10 +16,11 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .energy import PathContext, Potential, _saturating, h_refreshed, h_total
+from .energy import PathContext, Potential, _refreshed, _saturating, h_total
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
 from .integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from .lattice import (
@@ -114,8 +115,7 @@ class HmcConfig:
         }
 
 
-@dataclass(frozen=True)
-class IterationStats:
+class IterationStats(NamedTuple):
     accepted: bool
     h_before: float
     h_after: float
@@ -253,18 +253,17 @@ def hmc_iteration(
     masses = config.masses
     p, pi = sample_momenta(masses, ctx.layout, rng)
     cur = PolymerState._trusted(state.u, state.theta, p, pi)
-    if potential is None:
-        before = h_total(cur, ctx, masses)
-    else:
-        before = h_refreshed(potential, cur, masses, ctx.layout)
-    h_before = before.total
-
     pathology = None
     proposal = after = None
-    try:
-        # one errstate for the trajectory and the proposal's energy; the
-        # trajectory checks the size of its working copy once
-        with _saturating(ctx):
+    # one errstate for the refreshed energy, the trajectory and the
+    # proposal's energy; the trajectory checks the size of its working copy
+    with _saturating(ctx):
+        if potential is None:
+            before = h_total(cur, ctx, masses)
+        else:
+            before = _refreshed(potential, cur, masses, ctx.layout)
+        h_before = before.total
+        try:
             proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
             beta, gamma = proposal.theta.tolist()
             if not (beta > 0 and gamma > 0):
@@ -275,9 +274,9 @@ def hmc_iteration(
                 h_after = after.total
                 if not math.isfinite(h_after):
                     pathology = "nonfinite-energy"
-    except (NonFiniteError, DomainError) as exc:
-        pathology = type(exc).__name__
-        h_after = float("inf")
+        except (NonFiniteError, DomainError) as exc:
+            pathology = type(exc).__name__
+            h_after = float("inf")
 
     accepted = metropolis_accept(h_before, h_after, rng)
     nxt, kept = (proposal, after) if accepted else (cur, before)

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -528,3 +529,44 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "observations.csv").exists()
+
+
+# numbers given as a bool or a string, with the command that reads them
+NOT_NUMBERS = [
+    ("simulate", ("observation", "sigma"), True, "sigma-bool"),
+    ("simulate", ("model", "K"), "30", "K-text"),
+    ("infer", ("infer", "masses", "m_alpha"), [True, 1], "m_alpha-bool"),
+    ("simulate", ("seed",), "5", "seed-text"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value", [c[:3] for c in NOT_NUMBERS], ids=[c[3] for c in NOT_NUMBERS]
+)
+def test_bool_or_string_number_rejected(tmp_path, capsys, command, field, value):
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, field, value)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config field {'.'.join(field)} has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model", [{"K": 0.01, "gamma": 500}, {"K": 1, "gamma": 50}], ids=["q", "S"]
+)
+def test_path_out_of_double_range_is_a_one_line_error(tmp_path, capsys, model):
+    cfg_path = write_config(tmp_path, {"model": model})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["simulate", "--preset", "paper-sec4", "--config", cfg_path,
+             "--out", str(tmp_path / "out")]
+        )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite simulated ")
+    assert err.count("\n") == 1

@@ -13,7 +13,13 @@ from staghmc import (
     ValidationError,
 )
 from staghmc.energy import EXP_CLAMP, Gradient, PathContext, grad_hprime, h_N, h_total
-from staghmc.lattice import MassConfig, PolymerState, build_layout, staging_inverse
+from staghmc.lattice import (
+    MassConfig,
+    PolymerState,
+    build_layout,
+    staging_adjoint,
+    staging_inverse,
+)
 
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
 MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
@@ -398,6 +404,67 @@ class TestBoundaryStageCache:
         for row in rows:
             assert not np.shares_memory(g.g_u, row)
             assert not np.shares_memory(g.g_theta, row)
+
+
+class TestHeldWindows:
+    """The kernel keeps the (n, j+1) window view of u with the array it
+    views and rebuilds it only for another array. Every result on one
+    context must match a fresh context's, as the array is written in place,
+    swapped for a copy, swapped back, or passed non-contiguous."""
+
+    def check(self, ctx, u, theta, kernel=True):
+        """Compare the trajectory's entry (``kernel``, C-contiguous u only)
+        and the public wrappers on ``ctx`` with a fresh context."""
+        import staghmc.energy as energy
+
+        st = PolymerState(u=u, theta=theta, p=np.ones(u.size), pi=np.ones(2))
+        fresh = make_problem()[2]
+        want = grad_hprime(st, fresh)
+        if kernel:
+            with energy._saturating(ctx):
+                g_u, g_beta, g_gamma = energy._hprime(st.u, *st.theta.tolist(), ctx, True)
+            np.testing.assert_array_equal(g_u, want.g_u)
+            np.testing.assert_array_equal([g_beta, g_gamma], want.g_theta)
+        got = grad_hprime(st, ctx)
+        np.testing.assert_array_equal(got.g_u, want.g_u)
+        np.testing.assert_array_equal(got.g_theta, want.g_theta)
+        assert h_total(st, ctx, MASSES) == h_total(st, fresh, MASSES)
+
+    def test_in_place_writes_and_swapped_arrays(self):
+        layout, _, ctx = make_problem()
+        theta = np.array([1.4, 0.6])
+        first = np.random.default_rng(41).normal(0, 0.5, layout.N)
+        self.check(ctx, first, theta)
+        assert ctx._scratch.u_held is first
+        first[1] += 0.25  # a staging bead
+        self.check(ctx, first, theta)
+        first[layout.j] -= 0.5  # a measurement bead
+        self.check(ctx, first, theta)
+        second = first.copy()  # equal values, another array
+        self.check(ctx, second, theta)
+        assert ctx._scratch.u_held is second
+        # a view left on the first array would miss these writes
+        first[2] += 1.0
+        second[layout.j] += 0.125
+        self.check(ctx, second, theta)
+        self.check(ctx, first, theta)
+        assert ctx._scratch.u_held is first
+
+    def test_non_contiguous_u_through_the_public_wrappers(self):
+        layout, _, ctx = make_problem()
+        wide = np.random.default_rng(43).normal(0, 0.5, (layout.N, 2))
+        u = wide[:, 0]
+        assert not u.flags.c_contiguous
+        theta = np.array([1.1, 0.4])
+        self.check(ctx, u, theta, kernel=False)
+        u[layout.j + 1] += 0.5  # written in place, seen through a fresh copy
+        self.check(ctx, u, theta, kernel=False)
+        np.testing.assert_array_equal(
+            staging_inverse(u, layout), staging_inverse(u.copy(), layout)
+        )
+        np.testing.assert_array_equal(
+            staging_adjoint(u, layout), staging_adjoint(u.copy(), layout)
+        )
 
 
 class TestGuards:

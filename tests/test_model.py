@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from staghmc import (
     DomainError,
     DimensionlessParams,
+    NonFiniteError,
     InputSignal,
     ObservationModel,
     PhysicalParams,
@@ -277,6 +279,58 @@ class TestSimulateTruth:
         back = TruthPath.from_csv(f)
         np.testing.assert_array_equal(back.S, path.S)
         np.testing.assert_array_equal(back.q, path.q)
+
+
+def reference_truth(params, signal, t, seed, exp=math.exp):
+    """`simulate_truth` from S(0) = K r(0) as a plain step loop over NumPy
+    scalars, with no check of the path."""
+    theta = to_dimensionless(params)
+    beta, gamma, T = theta.beta, params.gamma, params.T
+    rng = np.random.default_rng(seed)
+    h = np.diff(t)
+    rho = (T / beta) * signal.dlog_dt(t[:-1]) + (2.0 + gamma) * beta / (2.0 * gamma)
+    drift0 = -h * rho / T
+    noise = np.sqrt(h / T) * rng.standard_normal(h.size)
+    coef = beta / (T * gamma)
+    q = np.empty_like(t)
+    q[0] = qk = 0.0
+    for k in range(h.size):
+        qk = qk + h[k] * coef * exp(-beta * qk) + drift0[k] + noise[k]
+        q[k + 1] = qk
+    return q, path_transform(q, t, theta, signal, T)
+
+
+class TestSimulateTruthSteps:
+    GRID = fine_grid(833, 10, 30)
+
+    @pytest.mark.parametrize(
+        "K,gamma", [(50, 0.2), (5, 0.05), (200, 1.5), (30, 3.0), (1, 0.5)]
+    )
+    def test_matches_reference_loop_bit_for_bit(self, K, gamma):
+        params = PhysicalParams(K=K, gamma=gamma, T=833)
+        for seed in (0, 7):
+            path = simulate_truth(params, SEC4_INPUT, self.GRID, seed=seed)
+            q, S = reference_truth(params, SEC4_INPUT, self.GRID, seed)
+            np.testing.assert_array_equal(path.q, q)
+            np.testing.assert_array_equal(path.S, S)
+
+    @pytest.mark.parametrize(
+        "K,gamma,what",
+        [(0.01, 500, "simulated path"), (1, 50, "simulated S")],
+        ids=["q-overflow", "S-overflow"],
+    )
+    def test_leaving_the_double_range_names_the_first_bad_step(self, K, gamma, what):
+        params = PhysicalParams(K=K, gamma=gamma, T=833)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as info:
+                simulate_truth(params, SEC4_INPUT, self.GRID, seed=1)
+        assert info.value.what == what
+        # the reference saturates to inf where math.exp raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, S = reference_truth(params, SEC4_INPUT, self.GRID, 1, exp=np.exp)
+        bad = q if what == "simulated path" else S
+        assert info.value.indices == np.flatnonzero(~np.isfinite(bad))[0]
 
 
 class TestGenerateObservations:
