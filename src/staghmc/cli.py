@@ -262,8 +262,9 @@ def _build_signal(cfg: dict) -> InputSignal:
 
 def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     """Write the config echo, each command's first file, creating ``out_dir``
-    first: a command calls it only after every check of its settings, so a
-    rejected config leaves no output directory behind."""
+    first: a command calls it only after every check of its settings (for
+    `simulate`, after the simulation itself), so a rejected config leaves no
+    output directory behind."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"config_{command}.json")
     echo = dict(cfg)
@@ -316,13 +317,14 @@ def cmd_simulate(cfg: dict) -> int:
     truth_path = os.path.join(out_dir, _need(cfg, "simulate.truth_file"))
     obs_path = os.path.join(out_dir, _need(cfg, "simulate.observations_file"))
 
-    echo_path = _write_echo(cfg, "simulate", out_dir)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)
     truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, ObservationModel(sigma), seed=rng)
 
+    # written once the run has succeeded, so a failed simulation leaves no files
+    echo_path = _write_echo(cfg, "simulate", out_dir)
     truth.to_csv(truth_path)
     data.to_csv(obs_path)
     print(f"config echo: {echo_path}")

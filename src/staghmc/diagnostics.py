@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .model import _write_csv
 from .sampler import ChainRecord
 
 __all__ = [
@@ -212,11 +213,4 @@ def write_density_csv(path, grid, density) -> None:
     density = np.asarray(density, dtype=float)
     if grid.shape != density.shape:
         raise ValidationError("grid and density must have matching shapes")
-    np.savetxt(
-        path,
-        np.column_stack([grid, density]),
-        delimiter=",",
-        header="x,density",
-        comments="",
-        fmt="%.17g",
-    )
+    _write_csv(path, "x,density", np.column_stack([grid, density]))

@@ -50,7 +50,7 @@ the staging transpose and the boundary springs' force as the product of
 the Laplacian with the measurement beads (for `grad_hprime`). A state's
 position-only energy
 (`Potential`) is fixed by a momentum refresh, so the sampler carries it from
-one iteration to the next and adds the new kinetic terms with `h_refreshed`.
+one iteration to the next and adds the new kinetic terms with `_refreshed`.
 
 At the benchmark size (N = 301) most of a kernel call is dispatch, not
 arithmetic, so the kernel keeps both small:
@@ -59,9 +59,9 @@ arithmetic, so the kernel keeps both small:
   and every array operation of `_hprime` writes into it with ``out=``,
   the staging maps included. The workspace also holds every view the
   kernel takes of its rows, built once: the (n, j) blocks of q, g_q and
-  g_u, the left (n, j) part and the right column of the window product
-  ``g_win``, and ``g_u[j::j]``, handed as they are to the unchecked cores
-  of the staging maps (`lattice._staging_inverse`,
+  g_u, the staging adjoint's (n, j+1) window product with its left (n, j)
+  part and right column, and ``g_u[j::j]``, handed as they are to the
+  unchecked cores of the staging maps (`lattice._staging_inverse`,
   `lattice._staging_adjoint`). The (n, j+1) window view of u and the view
   ``u[::j]`` are kept together with the array they view, and rebuilt only
   when the kernel is handed another array: a trajectory's working copy
@@ -85,7 +85,7 @@ arithmetic, so the kernel keeps both small:
   the next trajectory all hit.
 * Rows a call overwrites. Every kernel call rewrites q, E, the rows
   [A, w, Z] and the sums; a gradient call also rewrites g_q, the
-  adjoint's (n, j+1) window product ``g_win`` and ``g_u``, and a potential
+  adjoint's window product and ``g_u``, and a potential
   call the temporary ``tmp_b``. The trajectory (`integrator`) calls the
   kernel directly: it gets g_u as the workspace row itself, valid until
   the next call, and g_theta as two Python floats. `grad_hprime` and
@@ -103,11 +103,15 @@ arithmetic, so the kernel keeps both small:
   ``pow`` in the last bit for some gamma; as a Python-float power it
   underflows to a 0.0 divisor (at theta = (1, 1e-200)) or raises
   OverflowError (for gamma above about 1.3e154).
-* One errstate. The kernel runs inside a `_saturating` block of its
-  context, which holds one ``np.errstate`` for every call in it: the
-  sampler opens one per iteration, around the refreshed energy, the
-  trajectory and the proposal's energy, and the trajectory and the public
-  wrappers open one that only counts its depth when it nests.
+* One saturation policy. `_saturating` is one module-level
+  ``np.errstate`` that lets overflow, invalid operations and division by
+  zero saturate to inf and NaN, and underflow round to 0, silently. It
+  decorates the five public entry points, `h_N`, `h_total`,
+  `grad_hprime`, `integrator.trotter_propagate` and
+  `sampler.hmc_iteration`, so the kernel and every helper they call run
+  under it; the caller's state comes back on return, also after a raise.
+  NumPy (>= 2.0) keeps each decorated call's token apart, so the calls
+  may nest and run in threads.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -146,11 +150,15 @@ __all__ = [
     "Gradient",
     "h_N",
     "h_total",
-    "h_refreshed",
     "grad_hprime",
 ]
 
 EXP_CLAMP = 700.0
+
+# the one saturation policy, a decorator of the public entry points; it
+# sets underflow too, so a caller's np.errstate(all="raise") cannot turn an
+# exp(-beta q) that rounds to 0 into a FloatingPointError
+_saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -234,15 +242,15 @@ class _Scratch:
     Per-call rows: ``q``, ``E``, ``g_q`` and ``g_u`` (length N, with the
     views ``q_ends``, ``q_tail``, ``E_tail``, ``E_ends``, ``gq_tail`` and
     ``g_ub``), the (3, N-1) rows ``work`` = [A, w, Z], the (3, 3) ``sums``,
-    the (n, j+1) window product ``g_win`` of the staging adjoint, and two
-    length-(n+1) rows over the measurement beads: ``tmp_b`` for the kernel
-    and ``drift`` for the integrator's drift of those beads.
+    and two length-(n+1) rows over the measurement beads: ``tmp_b`` for the
+    kernel and ``drift`` for the integrator's drift of those beads.
 
     The arguments of the staging cores, built once over these rows:
     ``inverse_views`` (`lattice._inverse_views` of q) and ``adjoint_views``
-    (`lattice._adjoint_views` of g_q, g_win and g_u). The array ``u_held``
-    last handed to the kernel, with its window view ``u_windows`` and its
-    measurement beads ``u_b``.
+    (`lattice._adjoint_views` of g_q, the (n, j+1) window product of the
+    staging adjoint, which only these views hold, and g_u). The array
+    ``u_held`` last handed to the kernel, with its window view
+    ``u_windows`` and its measurement beads ``u_b``.
 
     The boundary stage, valid for the exact ``key`` (beta, gamma,
     u[::j].tobytes()) and rebuilt by `_boundary_stage` on any other:
@@ -255,25 +263,23 @@ class _Scratch:
 
     Constants of the plan as Python floats, and sigma^2 as a NumPy scalar,
     so that a division by an underflowed sigma^2 saturates instead of
-    raising. As a context manager (see `_saturating`) it enters one
-    ``np.errstate`` for the outermost of nested blocks and counts their
-    ``depth``.
+    raising.
     """
 
     __slots__ = (
-        "layout", "j", "last", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
+        "layout", "j", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
         "q", "q_ends", "q_tail", "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
-        "g_q", "gq_tail", "g_win", "g_u", "g_ub", "tmp_b", "drift",
+        "g_q", "gq_tail", "g_u", "g_ub", "tmp_b", "drift",
         "inverse_views", "adjoint_views", "u_held", "u_windows", "u_b",
         "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
         "resid", "data_force", "spring", "resid_ub", "h_bound",
-        "depth", "_errstate", "_args",
+        "_args",
     )
 
     def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
         self._args = (lay, L0, LN, sigma)
         self.layout = lay
-        self.j, self.last, self.T, self.dt = lay.j, lay.N - 1, lay.T, lay.dt
+        self.j, self.T, self.dt = lay.j, lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
         self.half_coup = 0.5 * (lay.T / (lay.j * lay.dt))
         self.L0, self.LN = L0, LN
@@ -287,11 +293,11 @@ class _Scratch:
         self.sums = np.empty((3, 3))
         self.g_q = np.empty(lay.N)
         self.gq_tail = self.g_q[1:]
-        self.g_win = np.empty((lay.n, lay.j + 1))
         self.g_u = np.empty(lay.N)
         self.g_ub = self.g_u[:: lay.j]
         self.inverse_views = _inverse_views(self.q, lay)
-        self.adjoint_views = _adjoint_views(self.g_q, self.g_win, self.g_u, lay)
+        g_win = np.empty((lay.n, lay.j + 1))
+        self.adjoint_views = _adjoint_views(self.g_q, g_win, self.g_u, lay)
         self.u_held = self.u_windows = self.u_b = None
         self.tmp_b = np.empty(lay.n + 1)
         self.drift = np.empty(lay.n + 1)
@@ -301,25 +307,10 @@ class _Scratch:
         self.data_force = np.empty(lay.n + 1)
         self.spring = np.empty(lay.n + 1)
         self.key = None
-        self.depth = 0
-        self._errstate = None
 
     def __reduce__(self):
         # pickled views would come back as copies, not views of E and g_q
         return _Scratch, self._args
-
-    def __enter__(self) -> "_Scratch":
-        if not self.depth:
-            self._errstate = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-            self._errstate.__enter__()
-        self.depth += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.depth -= 1
-        if not self.depth:
-            errstate, self._errstate = self._errstate, None
-            errstate.__exit__(*exc)
 
 
 class Potential(NamedTuple):
@@ -368,18 +359,23 @@ def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLay
     )
 
 
+@_saturating  # a non-finite measurement bead meets its 0 weight as inf * 0 = NaN
 def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Fast harmonic energy, staging beads only (zero when j = 1)."""
     _check_size(state, layout)
-    # a non-finite measurement bead meets its 0 weight as inf * 0 = NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
+    return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
 
 
 def _refreshed(
     potential: Potential, state: PolymerState, masses: MassConfig, layout: LatticeLayout
 ) -> EnergyBreakdown:
-    """`h_refreshed` without its errstate, for callers that hold one."""
+    """All three pieces and their sum, from the state's known ``potential``
+    plus the kinetic terms of its momenta. Runs under a caller's
+    `_saturating`.
+
+    Bit-identical to ``h_total(state, ...)`` when ``potential`` is the
+    ``.potential`` of an ``h_total`` of the same positions and parameters.
+    """
     pb = state.p[:: layout.j]
     pa, pg = state.pi.tolist()
     ma, mg = masses.m_alpha
@@ -392,19 +388,6 @@ def _refreshed(
     )
 
 
-def h_refreshed(
-    potential: Potential, state: PolymerState, masses: MassConfig, layout: LatticeLayout
-) -> EnergyBreakdown:
-    """All three pieces and their sum, from the state's known ``potential``
-    plus the kinetic terms of its momenta.
-
-    Bit-identical to ``h_total(state, ...)`` when ``potential`` is the
-    ``.potential`` of an ``h_total`` of the same positions and parameters.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _refreshed(potential, state, masses, layout)
-
-
 def _positions(state: PolymerState, ctx: PathContext):
     """The state's beads as the C-contiguous float array the kernel needs,
     and beta and gamma as Python floats, after the state-size check."""
@@ -413,15 +396,16 @@ def _positions(state: PolymerState, ctx: PathContext):
     return np.ascontiguousarray(state.u, dtype=float), beta, gamma
 
 
+@_saturating
 def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
     """All three pieces and their sum."""
     u, beta, gamma = _positions(state, ctx)
-    with ctx._scratch:
-        h_n, h_1 = _hprime(u, beta, gamma, ctx, False)
-        potential = Potential(_harmonic(state, ctx.layout), h_n, h_1)
-        return _refreshed(potential, state, masses, ctx.layout)
+    h_n, h_1 = _hprime(u, beta, gamma, ctx, False)
+    potential = Potential(_harmonic(state, ctx.layout), h_n, h_1)
+    return _refreshed(potential, state, masses, ctx.layout)
 
 
+@_saturating
 def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     """Analytic gradient of H' = h_n + h_1 w.r.t. (u, theta).
 
@@ -431,19 +415,8 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     Raises NonFiniteError if any component is NaN or infinite.
     """
     u, beta, gamma = _positions(state, ctx)
-    with ctx._scratch:
-        g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
+    g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
     return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
-
-
-def _saturating(ctx: PathContext) -> _Scratch:
-    """A context manager for a block of kernel calls on ``ctx``, such as one
-    trajectory: the block runs under one ``np.errstate`` that lets overflow,
-    invalid operations and division by zero saturate to inf and NaN
-    silently. `_hprime` runs only inside such a block; `h_total` and
-    `grad_hprime` open one of their own, which costs a counter when it
-    nests in an open block."""
-    return ctx._scratch
 
 
 def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, ub, key):
@@ -485,9 +458,9 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     next call on the context, and the theta components are Python floats.
     Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
     rhodot and their derivatives are never built as arrays, only the sums
-    they enter (see the module docstring). The boundary stage is rebuilt only when its key changes.
-    Every array operation writes into the context's scratch. Runs inside a
-    `_saturating` block.
+    they enter (see the module docstring). The boundary stage is rebuilt
+    only when its key changes. Every array operation writes into the
+    context's scratch. Runs under a caller's `_saturating`.
     """
     s = ctx._scratch
     # Python floats: every division below is by beta, gamma, 2 gamma or a

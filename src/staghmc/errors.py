@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+the library configs."""
+
+import numbers
 
 import numpy as np
 
@@ -9,6 +12,14 @@ class StagHmcError(Exception):
 
 class ValidationError(StagHmcError, ValueError):
     """Bad user input: config files, CLI arguments, malformed data files."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, if it is a Python or NumPy integer; a bool,
+    a float (even a whole one) or any other type raises ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DomainError(StagHmcError, ValueError):

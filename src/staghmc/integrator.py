@@ -17,10 +17,11 @@ The rotation is per bead, so it runs over the contiguous first N-1 beads
 ``x[:-1]`` at once, with identity entries (cos = 1, sin = 0) at the
 measurement beads. On finite input x * 1 + y * 0 = x, so those beads come
 out exactly unchanged. A non-finite boundary momentum instead turns into
-inf * 0 = NaN there; the whole trajectory therefore runs in one
-`_saturating` block of the context, under one ``np.errstate`` that ignores
-overflow, invalid operations and division by zero, and the next gradient
-raises NonFiniteError, so the proposal is rejected.
+inf * 0 = NaN there; `trotter_propagate` is therefore one of the five
+entry points decorated with `energy._saturating` (with `h_N`, `h_total`,
+`grad_hprime` and `sampler.hmc_iteration`), the one ``np.errstate`` that
+ignores overflow, invalid operations and division by zero, and the next
+gradient raises NonFiniteError, so the proposal is rejected.
 
 The trajectory makes one working copy of the state (without validating it
 again) and checks its size once. Its Verlet steps take the forces straight
@@ -58,7 +59,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _saturating,
     grad_hprime,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
@@ -78,6 +79,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.d_tau > 0 and math.isfinite(self.d_tau)):
             raise ValidationError(f"d_tau must be positive and finite, got {self.d_tau}")
+        object.__setattr__(self, "P", _integer("P", self.P))
         if self.P < 1:
             raise ValidationError(f"P must be >= 1, got {self.P}")
 
@@ -158,8 +160,7 @@ def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d
     floats. The parameter kicks and drift run on Python floats,
     bit-identical to the same operations on the length-2 arrays; theta and
     pi are written once each, at the end of the step. ``state.u`` must be
-    C-contiguous; `trotter_propagate` runs the step in a `_saturating`
-    block of ``ctx``.
+    C-contiguous; the step runs under `trotter_propagate`'s `_saturating`.
     """
     half = 0.5 * d_tau
     j = ctx.layout.j
@@ -185,6 +186,7 @@ def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d
     state.pi[1] = pg - g_gamma * half
 
 
+@_saturating
 def trotter_propagate(
     state: PolymerState,
     ctx: PathContext,
@@ -197,9 +199,10 @@ def trotter_propagate(
     steps merged into one full rotation. Returns a new state; the input is
     not modified.
 
-    The trajectory runs in one `_saturating` block of ``ctx``: one
-    ``np.errstate`` lets overflow, invalid operations and division by zero
-    saturate to inf and NaN silently, and the state size is checked once,
+    Decorated with `energy._saturating`, the saturation policy of the five
+    entry points (with `h_N`, `h_total`, `grad_hprime` and
+    `sampler.hmc_iteration`): overflow, invalid operations and division by
+    zero saturate to inf and NaN silently. The state size is checked once,
     on the working copy; non-finite forces then raise NonFiniteError (the
     sampler counts that as a rejected proposal).
     """
@@ -211,9 +214,8 @@ def trotter_propagate(
         )
     work = state.copy()  # C-contiguous, as the kernel needs
     _check_size(work, ctx.layout)
-    with _saturating(ctx):
-        _rotate_inplace(work.u, work.p, bank)
-        for step in range(1, config.P + 1):
-            _verlet_inplace(work, ctx, masses, config.d_tau)
-            _rotate_inplace(work.u, work.p, bank, full=step < config.P)
+    _rotate_inplace(work.u, work.p, bank)
+    for step in range(1, config.P + 1):
+        _verlet_inplace(work, ctx, masses, config.d_tau)
+        _rotate_inplace(work.u, work.p, bank, full=step < config.P)
     return work

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import PathContext, Potential, _refreshed, _saturating, h_total
-from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
+from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _integer
 from .integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from .lattice import (
     LatticeLayout,
@@ -35,6 +35,7 @@ from .model import (
     InputSignal,
     ObservationModel,
     TimeSeriesData,
+    _read_csv,
 )
 
 __all__ = [
@@ -66,6 +67,7 @@ class InferenceProblem:
     j: int
 
     def __post_init__(self):
+        object.__setattr__(self, "j", _integer("j", self.j))
         if self.j < 1:
             raise ValidationError(f"j must be >= 1, got {self.j}")
 
@@ -88,11 +90,13 @@ class HmcConfig:
     chains: int = 1
 
     def __post_init__(self):
+        for name in ("n_mc", "chains", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_mc < 1:
             raise ValidationError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.chains < 1:
             raise ValidationError(f"chains must be >= 1, got {self.chains}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         b, g = (float(self.theta0[0]), float(self.theta0[1]))
         if not (np.isfinite(b) and np.isfinite(g) and b > 0 and g > 0):
@@ -110,7 +114,7 @@ class HmcConfig:
                 "m_alpha": list(self.masses.m_alpha),
             },
             "integrator": {"d_tau": self.integrator.d_tau, "P": self.integrator.P},
-            "seed": int(self.seed),
+            "seed": self.seed,
             "chains": self.chains,
         }
 
@@ -168,15 +172,7 @@ class ChainRecord:
 
     @classmethod
     def from_csv(cls, path, meta: dict | None = None) -> "ChainRecord":
-        with open(path) as fh:
-            header = fh.readline().strip()
-        if header != CHAIN_CSV_HEADER:
-            raise ValidationError(
-                f"{path}: expected header {CHAIN_CSV_HEADER!r}, got {header!r}"
-            )
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if raw.shape[1] != 8:
-            raise ValidationError(f"{path}: expected 8 columns, got {raw.shape[1]}")
+        raw = _read_csv(path, CHAIN_CSV_HEADER)
         return cls(
             beta=raw[:, 1].copy(),
             gamma=raw[:, 2].copy(),
@@ -229,6 +225,7 @@ def metropolis_accept(
     return float(rng.random()) < math.exp(-dh)  # -dh < 0: cannot overflow
 
 
+@_saturating
 def hmc_iteration(
     state: PolymerState,
     ctx: PathContext,
@@ -249,34 +246,36 @@ def hmc_iteration(
     rejection the returned state shares its ``u`` and ``theta`` arrays with
     the input (with fresh momenta), so a caller that keeps the input and
     then mutates the result must copy first.
+
+    Decorated with `energy._saturating`, the saturation policy of the five
+    entry points (with `h_N`, `h_total`, `grad_hprime` and
+    `integrator.trotter_propagate`), so the whole iteration, the refreshed
+    energy of a carried potential included, saturates instead of warning.
     """
     masses = config.masses
     p, pi = sample_momenta(masses, ctx.layout, rng)
     cur = PolymerState._trusted(state.u, state.theta, p, pi)
     pathology = None
     proposal = after = None
-    # one errstate for the refreshed energy, the trajectory and the
-    # proposal's energy; the trajectory checks the size of its working copy
-    with _saturating(ctx):
-        if potential is None:
-            before = h_total(cur, ctx, masses)
-        else:
-            before = _refreshed(potential, cur, masses, ctx.layout)
-        h_before = before.total
-        try:
-            proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
-            beta, gamma = proposal.theta.tolist()
-            if not (beta > 0 and gamma > 0):
-                pathology = "nonpositive-parameter"
-                h_after = float("inf")
-            else:
-                after = h_total(proposal, ctx, masses)
-                h_after = after.total
-                if not math.isfinite(h_after):
-                    pathology = "nonfinite-energy"
-        except (NonFiniteError, DomainError) as exc:
-            pathology = type(exc).__name__
+    if potential is None:
+        before = h_total(cur, ctx, masses)
+    else:
+        before = _refreshed(potential, cur, masses, ctx.layout)
+    h_before = before.total
+    try:  # the trajectory checks the size of its working copy
+        proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
+        beta, gamma = proposal.theta.tolist()
+        if not (beta > 0 and gamma > 0):
+            pathology = "nonpositive-parameter"
             h_after = float("inf")
+        else:
+            after = h_total(proposal, ctx, masses)
+            h_after = after.total
+            if not math.isfinite(h_after):
+                pathology = "nonfinite-energy"
+    except (NonFiniteError, DomainError) as exc:
+        pathology = type(exc).__name__
+        h_after = float("inf")
 
     accepted = metropolis_accept(h_before, h_after, rng)
     nxt, kept = (proposal, after) if accepted else (cur, before)

@@ -570,3 +570,4 @@ def test_path_out_of_double_range_is_a_one_line_error(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite simulated ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -12,7 +12,15 @@ from staghmc import (
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.energy import EXP_CLAMP, Gradient, PathContext, grad_hprime, h_N, h_total
+from staghmc.energy import (
+    EXP_CLAMP,
+    Gradient,
+    PathContext,
+    Potential,
+    grad_hprime,
+    h_N,
+    h_total,
+)
 from staghmc.lattice import (
     MassConfig,
     PolymerState,
@@ -367,10 +375,10 @@ class TestBoundaryStageCache:
             lambda s, *rest: builds.append(s is ctx._scratch) or stage(s, *rest),
         )
 
+        @energy._saturating
         def trajectory_gradient(st):
-            with energy._saturating(ctx):
-                g_u, g_beta, g_gamma = energy._hprime(st.u, *st.theta.tolist(), ctx, True)
-                return g_u.copy(), np.array([g_beta, g_gamma])
+            g_u, g_beta, g_gamma = energy._hprime(st.u, *st.theta.tolist(), ctx, True)
+            return g_u.copy(), np.array([g_beta, g_gamma])
 
         def check_gradient(got, st):
             want = grad_hprime(st, make_problem()[2])
@@ -421,8 +429,8 @@ class TestHeldWindows:
         fresh = make_problem()[2]
         want = grad_hprime(st, fresh)
         if kernel:
-            with energy._saturating(ctx):
-                g_u, g_beta, g_gamma = energy._hprime(st.u, *st.theta.tolist(), ctx, True)
+            kernel_gradient = energy._saturating(energy._hprime)
+            g_u, g_beta, g_gamma = kernel_gradient(st.u, *st.theta.tolist(), ctx, True)
             np.testing.assert_array_equal(g_u, want.g_u)
             np.testing.assert_array_equal([g_beta, g_gamma], want.g_theta)
         got = grad_hprime(st, ctx)
@@ -544,3 +552,71 @@ class TestGuards:
             h_total(st, ctx, MASSES)
         with pytest.raises(ValidationError):
             h_N(st, MASSES, layout)
+
+
+class TestSaturationPolicy:
+    """`energy._saturating` decorates the five entry points: at a saturating
+    state none of them warns, and each hands the caller's floating-point
+    error state back unchanged, nested or after a raise."""
+
+    def saturating(self, layout):
+        st = random_state(layout, np.random.default_rng(14))
+        st.theta[:] = (1e-170, 1e-170)  # gamma^2 underflows to a 0 divisor
+        st.p[layout.j] = np.inf  # a boundary momentum: inf * 0 = NaN in the rotation
+        return st
+
+    def entry_points(self, layout, ctx):
+        from staghmc.integrator import IntegratorConfig, trotter_propagate
+        from staghmc.sampler import HmcConfig, hmc_iteration
+
+        step = IntegratorConfig(d_tau=0.25, P=3)
+        config = HmcConfig(n_mc=1, theta0=(1.0, 1.0), masses=MASSES, integrator=step)
+        st = self.saturating(layout)
+        rng = np.random.default_rng(15)
+        # a carried potential of NumPy scalars: the refreshed energy sums
+        # inf and -inf in hmc_iteration itself
+        carried = Potential(np.float64(np.inf), np.float64(-np.inf), 0.0)
+        return {
+            "h_N": lambda: h_N(st, MASSES, layout),
+            "h_total": lambda: h_total(st, ctx, MASSES),
+            "grad_hprime": lambda: grad_hprime(st, ctx),
+            "trotter_propagate": lambda: trotter_propagate(st, ctx, MASSES, step),
+            "hmc_iteration": lambda: hmc_iteration(st, ctx, config, rng),
+            "hmc_iteration-carried": lambda: hmc_iteration(
+                st, ctx, config, rng, potential=carried
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "h_N", "h_total", "grad_hprime", "trotter_propagate", "hmc_iteration",
+            "hmc_iteration-carried",
+        ],
+    )
+    def test_entry_point_at_a_saturating_state_never_warns(self, name):
+        layout, _, ctx = make_problem()
+        call = self.entry_points(layout, ctx)[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call()
+            except NonFiniteError:  # a rejectable gradient, not a warning
+                assert name in ("grad_hprime", "trotter_propagate")
+
+    def test_caller_error_state_survives_nested_calls_and_raises(self):
+        layout, _, ctx = make_problem()
+        calls = self.entry_points(layout, ctx)
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            # hmc_iteration nests h_total and trotter_propagate, which nests
+            # the kernel; under the caller's state they would raise
+            # FloatingPointError
+            _, stats = calls["hmc_iteration"]()
+            assert stats.pathology == "NonFiniteError" and not stats.accepted
+            assert np.geterr() == caller
+            with pytest.raises(NonFiniteError):
+                calls["grad_hprime"]()
+            assert np.geterr() == caller
+            with pytest.raises(FloatingPointError):
+                np.divide(np.ones(1), 0.0)

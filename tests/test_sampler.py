@@ -97,6 +97,42 @@ class TestHmcConfig:
         assert echo["integrator"] == {"d_tau": 0.25, "P": 3}
 
 
+class TestIntegerCounts:
+    """P, n_mc, chains, seed and j are checked as integers when the config
+    is built, not when a chain first uses them."""
+
+    def build(self, field, value, toy_problem):
+        if field == "P":
+            return IntegratorConfig(d_tau=0.25, P=value)
+        if field == "j":
+            return InferenceProblem(
+                data=toy_problem.data, signal=SIGNAL, obs=toy_problem.obs, j=value
+            )
+        return small_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("field", ["P", "n_mc", "chains", "seed", "j"])
+    def test_non_integer_rejected_at_construction(self, field, value, toy_problem):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            self.build(field, value, toy_problem)
+
+    @pytest.mark.parametrize("field", ["P", "n_mc", "chains", "seed", "j"])
+    def test_numpy_integer_accepted_as_int(self, field, toy_problem):
+        built = self.build(field, np.int64(3), toy_problem)
+        assert type(getattr(built, field)) is int and getattr(built, field) == 3
+
+    def test_numpy_integer_counts_echo_and_run(self, toy_problem):
+        step = IntegratorConfig(d_tau=0.25, P=np.int32(2))
+        cfg = small_config(
+            n_mc=np.int64(3), chains=np.int16(1), seed=np.uint64(1), integrator=step
+        )
+        echo = json.loads(json.dumps(cfg.echo()))
+        assert echo["integrator"]["P"] == 2 and echo["n_mc"] == 3
+        rec = run_chain(toy_problem, cfg)
+        want = run_chain(toy_problem, small_config(n_mc=3, integrator=IntegratorConfig(0.25, 2)))
+        np.testing.assert_array_equal(rec.beta, want.beta)
+
+
 class TestInferenceProblem:
     def test_rejects_bad_refinement(self, toy_problem):
         with pytest.raises(ValidationError):
