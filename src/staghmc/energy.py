@@ -31,24 +31,24 @@ as du = dtau p / m. Measurement beads use M as the effective mass directly
 Everything that does not depend on the state is frozen once: the lattice
 tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
 problem) the log-input increments L and their difference Ldot, with
-rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta,
-plus the plan columns [L, Ldot, 1] over beads i = 2..N and the boundary
-springs as one coupling Laplacian. The staging terms of h_N are each one
-product of the contiguous squares of ``x[:-1]`` with a flat layout table
-that is zero at the measurement beads. One private kernel,
+rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta.
+No table of the plan or of the kernel's workspace is larger than O(N).
+The staging terms of h_N are each one product of the contiguous squares of
+``x[:-1]`` with a flat layout table that is zero at the measurement beads.
+One private kernel,
 `_hprime`, then makes the single pass over the path: q = staging_inverse(u),
 E = exp(-beta q) and the residual A = rho - (beta/gamma) E, formed in place
 as L / beta + c - w with w = (beta/gamma) E. It never builds rho, rhodot or
 their derivatives as arrays, only the sums they enter, folded by linearity:
 A . drho/dbeta = (c sum A - A . L / beta) / beta and qs . (T rhodot) =
 (T / beta) qs . Ldot, with rho itself needed only at the two end beads.
-Every sum of a per-call row with a static vector comes out of one matrix
-product, the rows [A, w, Z] times the plan columns [L, Ldot, 1]. From these
-the kernel forms either the potential of H' = h_n + h_1 (for `h_total`) or
-its exact analytic gradient w.r.t. u and theta, with dH'/dq chained through
-the staging transpose and the boundary springs' force as the product of
-the Laplacian with the measurement beads (for `grad_hprime`). A state's
-position-only energy
+The plain sums of the rows [A, w, Z] come out of one reduction, and A . L
+and qs . Ldot out of one dot product each. From these the kernel forms
+either the potential of H' = h_n + h_1 (for `h_total`) or its exact
+analytic gradient w.r.t. u and theta, with dH'/dq chained through the
+staging transpose and the force of the boundary springs, one per segment,
+as a stencil on the difference row d = u_b[1:] - u_b[:-1] of the
+measurement beads (for `grad_hprime`). A state's position-only energy
 (`Potential`) is fixed by a momentum refresh, so the sampler carries it from
 one iteration to the next and adds the new kinetic terms with `_refreshed`.
 
@@ -62,9 +62,10 @@ arithmetic, so the kernel keeps both small:
   g_u, the staging adjoint's (n, j+1) window product with its left (n, j)
   part and right column, and ``g_u[j::j]``, handed as they are to the
   unchecked cores of the staging maps (`lattice._staging_inverse`,
-  `lattice._staging_adjoint`). The (n, j+1) window view of u and the view
-  ``u[::j]`` are kept together with the array they view, and rebuilt only
-  when the kernel is handed another array: a trajectory's working copy
+  `lattice._staging_adjoint`). The (n, j+1) window view of u, the view
+  u_b = ``u[::j]`` and its shifted views ``u_b[1:]`` and ``u_b[:-1]`` are
+  kept together with the array they view, and rebuilt only when the
+  kernel is handed another array: a trajectory's working copy
   serves its 2P gradients and the proposal's potential with one build.
   The workspace holds that array, so its identity cannot be recycled, and
   in-place writes show through the views, so there is nothing to
@@ -73,26 +74,27 @@ arithmetic, so the kernel keeps both small:
 * A keyed boundary stage. The terms that depend on theta and the
   measurement beads u_b = u[::j] alone (beta / gamma, c, rho at beads 2
   and N, gamma^2 and beta / gamma^2; the rows L / beta + c and
-  Ldot dt / beta; the data residuals, the data force and the spring force
-  ``coup_lap @ u_b``; (resid . u_b) / sigma^2; and, for a potential, the
-  position part of h_n) are computed by `_boundary_stage` and kept for the
-  exact key (beta, gamma, u_b.tobytes()). Any caller, public or the
-  trajectory, whose key matches reuses them, and any other value, down to
-  one ulp or the sign of a zero, rebuilds them; the key is the one
-  mechanism, with no flag beside it. Only the P drifts of a trajectory
+  Ldot dt / beta; the data residuals, the data force, the difference row d
+  and the spring force coup (d_{s-1} - d_s) made from it, with one
+  neighbour at each end and coup = T / (j dt); (resid . u_b) / sigma^2;
+  and, for a potential, the position part of h_n) are computed by
+  `_boundary_stage` and kept for the exact key (beta, gamma,
+  u_b.tobytes()). Any caller, public or the trajectory, whose key matches
+  reuses them, and any other value, down to one ulp or the sign of a
+  zero, rebuilds them; the key is the one mechanism, with no flag beside
+  it. Only the P drifts of a trajectory
   move theta and u_b, so the gradient at the start of steps 2..P, the
   proposal's potential and, after an acceptance, the first gradient of
   the next trajectory all hit.
 * Rows a call overwrites. Every kernel call rewrites q, E, the rows
   [A, w, Z] and the sums; a gradient call also rewrites g_q, the
-  adjoint's window product and ``g_u``, and a potential
-  call the temporary ``tmp_b``. The trajectory (`integrator`) calls the
-  kernel directly: it gets g_u as the workspace row itself, valid until
-  the next call, and g_theta as two Python floats. `grad_hprime` and
+  adjoint's window product and ``g_u``. The trajectory (`integrator`)
+  calls the kernel directly: it gets g_u as the workspace row itself,
+  valid until the next call, and g_theta as two Python floats. `grad_hprime` and
   `h_total` are thin wrappers over the same kernel that check the state
   and return fresh arrays and floats.
 * Python-float scalars. beta, gamma, the end values of q and E and the
-  matrix of sums each leave NumPy in one ``tolist()``, and the scalar
+  row of sums each leave NumPy in one ``tolist()``, and the scalar
   algebra runs on Python floats, a tenth of the cost of a NumPy scalar or
   two-entry array operation and the same IEEE double arithmetic, so the
   results are bit-identical. Python floats raise where NumPy saturates,
@@ -170,12 +172,9 @@ class PathContext:
     Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
     carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
     (2 gamma) and rhodot_i = Ldot_i / beta, with ``Ls`` and ``Ldots`` their
-    views over beads i = 2..N; the log data residuals ln(y_s / r_s);
-    ``sum_cols``, the (N-1, 3) columns [L, Ldot, 1] over beads i = 2..N,
-    against which one matrix product takes every sum of a per-call row with
-    a static vector; and ``coup_lap``, the (n+1, n+1) Laplacian of the
-    boundary-to-boundary springs times their stiffness T / (j dt), so that
-    their force on the measurement beads u_b is ``coup_lap @ u_b``.
+    views over beads i = 2..N; and the log data residuals ln(y_s / r_s).
+    The boundary-to-boundary springs need no table: the kernel applies
+    them as a stencil on the measurement beads.
 
     The context also owns the private, mutable workspace of the kernel
     (`_Scratch`), allocated once, so a context must not be shared by
@@ -190,10 +189,8 @@ class PathContext:
     L: np.ndarray = field(init=False, repr=False)
     Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
-    sum_cols: np.ndarray = field(init=False, repr=False)
     Ls: np.ndarray = field(init=False, repr=False)
     Ldots: np.ndarray = field(init=False, repr=False)
-    coup_lap: np.ndarray = field(init=False, repr=False)
     _scratch: "_Scratch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -214,19 +211,7 @@ class PathContext:
         Ldot = np.zeros(lay.N)
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
         lnyr = np.log(self.data.values / r[:: lay.j])
-        sum_cols = np.ones((lay.N - 1, 3))
-        sum_cols[:, 0] = L[1:]
-        sum_cols[:, 1] = Ldot[1:]
-        lap = np.zeros((lay.n + 1, lay.n + 1))
-        ends = np.arange(lay.n)
-        lap[ends, ends + 1] = lap[ends + 1, ends] = -1.0
-        lap[ends, ends] += 1.0
-        lap[ends + 1, ends + 1] += 1.0
-        tables = (
-            ("L", L), ("Ldot", Ldot), ("lnyr", lnyr), ("sum_cols", sum_cols),
-            ("coup_lap", (lay.T / (lay.j * lay.dt)) * lap),
-        )
-        for name, value in tables:
+        for name, value in (("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "Ls", L[1:])
@@ -241,16 +226,17 @@ class _Scratch:
 
     Per-call rows: ``q``, ``E``, ``g_q`` and ``g_u`` (length N, with the
     views ``q_ends``, ``q_tail``, ``E_tail``, ``E_ends``, ``gq_tail`` and
-    ``g_ub``), the (3, N-1) rows ``work`` = [A, w, Z], the (3, 3) ``sums``,
-    and two length-(n+1) rows over the measurement beads: ``tmp_b`` for the
-    kernel and ``drift`` for the integrator's drift of those beads.
+    ``g_ub``), the (3, N-1) rows ``work`` = [A, w, Z], their length-3 row
+    of ``sums``, and the length-(n+1) row ``drift`` for the integrator's
+    drift of the measurement beads.
 
     The arguments of the staging cores, built once over these rows:
     ``inverse_views`` (`lattice._inverse_views` of q) and ``adjoint_views``
     (`lattice._adjoint_views` of g_q, the (n, j+1) window product of the
     staging adjoint, which only these views hold, and g_u). The array
     ``u_held`` last handed to the kernel, with its window view
-    ``u_windows`` and its measurement beads ``u_b``.
+    ``u_windows``, its measurement beads ``u_b`` and their shifted views
+    ``ub_next`` = u_b[1:] and ``ub_prev`` = u_b[:-1].
 
     The boundary stage, valid for the exact ``key`` (beta, gamma,
     u[::j].tobytes()) and rebuilt by `_boundary_stage` on any other:
@@ -258,8 +244,14 @@ class _Scratch:
     NumPy scalar ``gamma2``, the rows ``Lc`` = Ls / beta + c and ``Ld`` =
     Ldots dt / beta over beads i = 2..N, the rows ``resid`` (the data
     residuals), ``data_force`` and ``spring`` over the measurement beads,
-    the float ``resid_ub`` = (resid . u_b) / sigma^2, and ``h_bound``, the
-    position part of h_n, filled in by the first potential under the key.
+    the length-n difference row ``d_b`` = u_b[1:] - u_b[:-1], the float
+    ``resid_ub`` = (resid . u_b) / sigma^2, and ``h_bound``, the position
+    part of h_n, filled in by the first potential under the key. The
+    spring force is coup (d_{s-1} - d_s) with the stiffness ``coup`` =
+    T / (j dt): a length-(n+2) row holds coup d in its view ``pad_mid``,
+    between two zeros that are never written, and ``spring`` is its left
+    view ``pad_prev`` minus its right view ``pad_next``, so the end beads
+    feel one neighbour each.
 
     Constants of the plan as Python floats, and sigma^2 as a NumPy scalar,
     so that a division by an underflowed sigma^2 saturates instead of
@@ -267,12 +259,13 @@ class _Scratch:
     """
 
     __slots__ = (
-        "layout", "j", "T", "dt", "dt_T", "half_coup", "L0", "LN", "sigma2",
+        "layout", "j", "T", "dt", "dt_T", "coup", "L0", "LN", "sigma2",
         "q", "q_ends", "q_tail", "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
-        "g_q", "gq_tail", "g_u", "g_ub", "tmp_b", "drift",
-        "inverse_views", "adjoint_views", "u_held", "u_windows", "u_b",
+        "g_q", "gq_tail", "g_u", "g_ub", "drift",
+        "inverse_views", "adjoint_views", "u_held", "u_windows", "u_b", "ub_next", "ub_prev",
         "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
-        "resid", "data_force", "spring", "resid_ub", "h_bound",
+        "resid", "data_force", "d_b", "pad_mid", "pad_prev", "pad_next",
+        "spring", "resid_ub", "h_bound",
         "_args",
     )
 
@@ -281,7 +274,7 @@ class _Scratch:
         self.layout = lay
         self.j, self.T, self.dt = lay.j, lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
-        self.half_coup = 0.5 * (lay.T / (lay.j * lay.dt))
+        self.coup = lay.T / (lay.j * lay.dt)
         self.L0, self.LN = L0, LN
         self.sigma2 = np.float64(sigma**2)
         self.q = np.empty(lay.N)
@@ -290,7 +283,7 @@ class _Scratch:
         self.E_tail, self.E_ends = self.E[1:], self.E[:: lay.N - 1]
         self.work = np.empty((3, lay.N - 1))
         self.A, self.w, self.Z = self.work
-        self.sums = np.empty((3, 3))
+        self.sums = np.empty(3)
         self.g_q = np.empty(lay.N)
         self.gq_tail = self.g_q[1:]
         self.g_u = np.empty(lay.N)
@@ -298,13 +291,15 @@ class _Scratch:
         self.inverse_views = _inverse_views(self.q, lay)
         g_win = np.empty((lay.n, lay.j + 1))
         self.adjoint_views = _adjoint_views(self.g_q, g_win, self.g_u, lay)
-        self.u_held = self.u_windows = self.u_b = None
-        self.tmp_b = np.empty(lay.n + 1)
+        self.u_held = self.u_windows = self.u_b = self.ub_next = self.ub_prev = None
         self.drift = np.empty(lay.n + 1)
         self.Lc = np.empty(lay.N - 1)
         self.Ld = np.empty(lay.N - 1)
         self.resid = np.empty(lay.n + 1)
         self.data_force = np.empty(lay.n + 1)
+        self.d_b = np.empty(lay.n)
+        pad = np.zeros(lay.n + 2)
+        self.pad_mid, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
         self.spring = np.empty(lay.n + 1)
         self.key = None
 
@@ -419,10 +414,10 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
 
 
-def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, ub, key):
+def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, key):
     """Fill the boundary stage of ``s`` (see `_Scratch`) for ``key``: every
-    term of the kernel that depends on theta and the measurement beads
-    ``ub`` alone. The key is set last, so a stage left half built never
+    term of the kernel that depends on theta and the held measurement beads
+    ``s.u_b`` alone. The key is set last, so a stage left half built never
     matches."""
     s.key = None
     s.bg = beta / gamma
@@ -437,11 +432,14 @@ def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, ub
     np.divide(ctx.Ls, beta, out=s.Lc)
     s.Lc += c
     np.multiply(ctx.Ldots, s.dt / beta, out=s.Ld)
-    resid = s.resid
+    ub, resid = s.u_b, s.resid
     np.multiply(ub, beta, out=resid)
     np.subtract(ctx.lnyr, resid, out=resid)
     np.multiply(resid, beta / s.sigma2, out=s.data_force)
-    np.matmul(ctx.coup_lap, ub, out=s.spring)
+    # the springs: coup (d_{s-1} - d_s), with the zero ends of the pad
+    np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
+    np.multiply(s.d_b, s.coup, out=s.pad_mid)
+    np.subtract(s.pad_prev, s.pad_next, out=s.spring)
     s.resid_ub = float(float(resid @ ub) / s.sigma2)
     s.h_bound = None
     s.key = key
@@ -470,12 +468,12 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     if u is not s.u_held:
         # views of a new array; in-place writes to the held one show through
         s.u_windows = _windows(u, s.layout)
-        s.u_b = u[:: s.j]
+        ub = s.u_b = u[:: s.j]
+        s.ub_next, s.ub_prev = ub[1:], ub[:-1]
         s.u_held = u
-    ub = s.u_b
-    key = (beta, gamma, ub.tobytes())
+    key = (beta, gamma, s.u_b.tobytes())
     if key != s.key:
-        _boundary_stage(s, ctx, beta, gamma, ub, key)
+        _boundary_stage(s, ctx, beta, gamma, key)
     A, w, Z, E, q = s.A, s.w, s.Z, s.E, s.q
     _staging_inverse(s.u_windows, *s.inverse_views)
     np.multiply(q, -beta, out=E)
@@ -491,10 +489,9 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     T = s.T
     if not gradient:
         if s.h_bound is None:
-            d = s.tmp_b[:-1]
-            np.subtract(ub[1:], ub[:-1], out=d)
+            d = s.d_b
             s.h_bound = float(
-                float(s.resid @ s.resid) / (2.0 * s.sigma2) + s.half_coup * float(d @ d)
+                float(s.resid @ s.resid) / (2.0 * s.sigma2) + 0.5 * s.coup * float(d @ d)
             )
         body = 0.5 * float(A @ A) - (0.5 * beta) * float(np.add.reduce(w)) - (T / beta) * q_Ldot
         edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
@@ -503,8 +500,8 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     # d/dq of the path action, then chained through the staging transpose
     np.add(A, 0.5 * beta, out=Z)
     Z *= w
-    sums = np.matmul(s.work, ctx.sum_cols, out=s.sums).tolist()
-    A_L, A_sum, w_sum, Z_sum = sums[0][0], sums[0][2], sums[1][2], sums[2][2]
+    A_sum, w_sum, Z_sum = np.add.reduce(s.work, axis=1, out=s.sums).tolist()
+    A_L = float(A @ ctx.Ls)
     Z_q = float(Z @ qs)
     g_q = s.g_q
     np.multiply(Z, beta * s.dt_T, out=s.gq_tail)

@@ -55,10 +55,11 @@ class LatticeLayout:
     """Geometry of the path lattice: n segments of j steps over [0, T].
 
     Construction freezes the lattice's constant tables once, as read-only
-    arrays: the bead index sets, the staging stiffness per order, and the
-    constants of the staging map. On a length-N array x the measurement
-    beads are the strided view ``x[::j]`` and the staging beads the view
-    `staging` (x), so kernels read and write them without index gathers.
+    arrays: the staging stiffness per order, and the constants of the
+    staging map. No bead needs an index table: on a length-N array x the
+    measurement beads, 0-based indices s*j for s = 0..n, are the strided
+    view ``x[::j]``, and the staging beads the (n, j-1) view `staging` (x),
+    so kernels read and write them without index gathers.
 
     ``staging_block`` is the (j+1, j) matrix B of the staging inverse on one
     segment: q[s*j + m] = sum_l u[s*j + l] B[l, m], with B[0, m] = (j-m)/j
@@ -76,9 +77,6 @@ class LatticeLayout:
     T: float
     N: int = field(init=False)
     dt: float = field(init=False)
-    boundary_indices: np.ndarray = field(init=False, repr=False, compare=False)
-    staging_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    staging_k: np.ndarray = field(init=False, repr=False, compare=False)
     stiffness: np.ndarray = field(init=False, repr=False, compare=False)
     staging_block: np.ndarray = field(init=False, repr=False, compare=False)
     flat_stiffness: np.ndarray = field(init=False, repr=False, compare=False)
@@ -94,9 +92,6 @@ class LatticeLayout:
         dt = self.T / (n * j)
         object.__setattr__(self, "N", n * j + 1)
         object.__setattr__(self, "dt", dt)
-        bound = np.arange(n + 1) * j
-        mask = np.ones(n * j + 1, dtype=bool)
-        mask[bound] = False
         k = np.arange(2, j + 1, dtype=float)
         m = k - 1.0
         cols = np.arange(j, dtype=float)
@@ -108,9 +103,6 @@ class LatticeLayout:
         flat_staging = np.ones((n, j))
         flat_staging[:, 0] = 0.0
         tables = {
-            "boundary_indices": bound,
-            "staging_mask": mask,
-            "staging_k": np.tile(np.arange(2, j + 1), n),
             "stiffness": stiffness,
             "staging_block": block,
             "flat_stiffness": flat_stiffness.reshape(-1),
@@ -120,12 +112,6 @@ class LatticeLayout:
         for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-
-    def measurement_index(self, s: int) -> int:
-        """1-based bead index of the s-th measurement bead, s = 1..n+1."""
-        if not 1 <= s <= self.n + 1:
-            raise ValidationError(f"s must be in 1..{self.n + 1}, got {s}")
-        return (s - 1) * self.j + 1
 
     @property
     def times(self) -> np.ndarray:
@@ -189,14 +175,6 @@ class PolymerState:
             raise ValidationError("u and p must be 1-d arrays of equal length")
         if self.theta.shape != (2,) or self.pi.shape != (2,):
             raise ValidationError("theta and pi must have shape (2,)")
-
-    @property
-    def beta(self) -> float:
-        return float(self.theta[0])
-
-    @property
-    def gamma(self) -> float:
-        return float(self.theta[1])
 
     def copy(self) -> "PolymerState":
         return PolymerState._trusted(

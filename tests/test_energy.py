@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import warnings
 
@@ -72,7 +73,7 @@ def total_literal(state, ctx, masses):
     rhodot[2:] = (rho[2:] - rho[1:-1]) / dt
     E = np.exp(-beta * q)
     bmask = np.zeros(lay.N, dtype=bool)
-    bmask[lay.boundary_indices] = True
+    bmask[:: lay.j] = True
     kin = (
         np.sum(state.p[bmask] ** 2) / (2 * masses.M)
         + np.sum(state.p[~bmask] ** 2) / (2 * masses.m_prime / dt)
@@ -85,7 +86,7 @@ def total_literal(state, ctx, masses):
         - T * q[1:] * rhodot[1:]
     )
     edge = (1 / gamma) * E[-1] + q[-1] * rho[-1] - (1 / gamma) * E[0] - q[0] * rho[1]
-    lnyr = np.log(ctx.data.values / r[lay.boundary_indices])
+    lnyr = np.log(ctx.data.values / r[:: lay.j])
     meas = np.sum((lnyr - beta * q[bmask]) ** 2) / (2 * ctx.obs.sigma**2)
     return kin + harm + body + edge + meas
 
@@ -109,8 +110,8 @@ class TestPieces:
         layout, _, _ = make_problem()
         rng = np.random.default_rng(1)
         st = random_state(layout, rng)
-        mask = layout.staging_mask
-        k = layout.staging_k.astype(float)
+        mask = np.arange(layout.N) % layout.j != 0  # the staging beads
+        k = np.tile(np.arange(2.0, layout.j + 1), layout.n)  # their orders
         want = 0.5 * np.sum(
             layout.dt * st.p[mask] ** 2 / MASSES.m_prime
             + layout.T * k * st.u[mask] ** 2 / (layout.dt * (k - 1))
@@ -199,21 +200,25 @@ class TestFlatTerms:
 
     @pytest.mark.parametrize("n, j", [(1, 1), (2, 5), (10, 30)])
     def test_spring_laplacian_matches_pairwise_form(self, n, j):
+        # the boundary stage's spring row, built by an energy call
         layout, _, ctx = make_problem(n, j, 83.0)
         coup = layout.T / (layout.j * layout.dt)
         for seed in range(5):
-            ub = np.random.default_rng(seed).normal(0, 2, n + 1)
+            rng = np.random.default_rng(seed)
+            ub = rng.normal(0, 2, n + 1)
             d = ub[1:] - ub[:-1]
             want = np.zeros(n + 1)
             want[:-1] -= coup * d
             want[1:] += coup * d
-            np.testing.assert_allclose(ctx.coup_lap @ ub, want, rtol=1e-14, atol=0.0)
+            st = random_state(layout, rng)
+            st.u[:: layout.j] = ub
+            h_total(st, ctx, MASSES)
+            np.testing.assert_array_equal(ctx._scratch.spring, want)
 
     def test_flat_tables_are_read_only(self):
         layout, _, ctx = make_problem()
         for table in (
-            layout.flat_stiffness, layout.flat_staging, ctx.Ls, ctx.Ldots, ctx.coup_lap,
-            MASSES.m_alpha_vec,
+            layout.flat_stiffness, layout.flat_staging, ctx.Ls, ctx.Ldots, MASSES.m_alpha_vec,
         ):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -234,8 +239,8 @@ class TestDecoupling:
         rng = np.random.default_rng(4)
         st = random_state(layout, rng)
         base = h_N(st, MASSES, layout)
-        st.u[layout.boundary_indices] += rng.normal(0, 5, layout.n + 1)
-        st.p[layout.boundary_indices] += rng.normal(0, 5, layout.n + 1)
+        st.u[:: layout.j] += rng.normal(0, 5, layout.n + 1)
+        st.p[:: layout.j] += rng.normal(0, 5, layout.n + 1)
         st.theta = np.array([0.3, 2.5])
         st.pi += 1.0
         assert h_N(st, MASSES, layout) == base
@@ -245,8 +250,9 @@ class TestDecoupling:
         rng = np.random.default_rng(5)
         st = random_state(layout, rng)
         base = h_total(st, ctx, MASSES).h_n
-        st.u[layout.staging_mask] += rng.normal(0, 5, layout.staging_mask.sum())
-        st.p[layout.staging_mask] += rng.normal(0, 5, layout.staging_mask.sum())
+        us, ps = layout.staging(st.u), layout.staging(st.p)
+        us += rng.normal(0, 5, us.shape)
+        ps += rng.normal(0, 5, ps.shape)
         st.theta[1] = 2.2
         st.pi += 1.0
         assert h_total(st, ctx, MASSES).h_n == base
@@ -352,7 +358,7 @@ class TestBoundaryStageCache:
         b = a.copy()
         bead = layout.j  # an inner measurement bead
         if case == "hit":
-            b.u[layout.staging_mask] = rng.normal(0, 0.5, int(layout.staging_mask.sum()))
+            layout.staging(b.u)[...] = rng.normal(0, 0.5, (layout.n, layout.j - 1))
         elif case == "bead-ulp":
             b.u[bead] = np.nextafter(a.u[bead], np.inf)
         elif case == "beta-ulp":
@@ -412,6 +418,29 @@ class TestBoundaryStageCache:
         for row in rows:
             assert not np.shares_memory(g.g_u, row)
             assert not np.shares_memory(g.g_theta, row)
+
+
+class TestPlanSize:
+    def test_no_array_of_the_context_outgrows_the_path(self):
+        # n = 2000 measurement beads: an (n+1, n+1) table would hold 4 M
+        # entries, against the 3 N = 12 003 allowed here
+        n, j = 2000, 2
+        layout, _, ctx = make_problem(n, j, 4000.0)
+        grad_hprime(random_state(layout, np.random.default_rng(17)), ctx)
+        h_total(random_state(layout, np.random.default_rng(18)), ctx, MASSES)
+        scratch = ctx._scratch
+        held = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
+        held += [getattr(layout, f.name) for f in dataclasses.fields(layout)]
+        held += [getattr(scratch, name, None) for name in type(scratch).__slots__]
+        arrays = []
+        while held:
+            item = held.pop()
+            if isinstance(item, np.ndarray):
+                arrays.append(item)
+            elif isinstance(item, tuple):
+                held.extend(item)
+        assert len(arrays) > 40
+        assert max(a.size for a in arrays) <= 3 * layout.N
 
 
 class TestHeldWindows:
@@ -519,6 +548,22 @@ class TestGuards:
         st.u[3] = np.nan
         with pytest.raises(NonFiniteError):
             grad_hprime(st, ctx)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_measurement_bead_stays_local(self, bad):
+        # the springs join each measurement bead to its two neighbours only,
+        # so a non-finite bead 5 reaches the segments on either side of it
+        # and the measurement beads 4..6, never the rest of the path
+        n, j = 10, 30
+        layout, _, ctx = make_problem(n, j, 833.0)
+        st = random_state(layout, np.random.default_rng(16))
+        st.u[5 * j] = bad
+        with pytest.raises(NonFiniteError) as raised:
+            grad_hprime(st, ctx)
+        bad_beads = np.asarray(raised.value.indices)
+        assert bad_beads.size
+        assert bad_beads.min() >= 4 * j and bad_beads.max() <= 6 * j
+        assert set(bad_beads[bad_beads % j == 0].tolist()) == {4 * j, 5 * j, 6 * j}
 
     def test_non_finite_error_is_short_and_pickles(self):
         indices = np.arange(301)

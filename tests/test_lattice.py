@@ -54,12 +54,15 @@ class TestLayout:
         lay = build_layout(10, 30, 833.0)
         assert lay.N == 301
         assert lay.dt == pytest.approx(833.0 / 300.0, rel=1e-15)
-        assert lay.measurement_index(1) == 1
-        assert lay.measurement_index(2) == 31
-        assert lay.measurement_index(11) == 301
-        np.testing.assert_array_equal(lay.boundary_indices, np.arange(11) * 30)
-        assert lay.staging_mask.sum() == 301 - 11
-        np.testing.assert_array_equal(lay.staging_k[:29], np.arange(2, 31))
+        beads = np.arange(1, lay.N + 1)  # 1-based bead indices
+        meas = beads[:: lay.j]
+        assert meas[0] == 1
+        assert meas[1] == 31
+        assert meas[10] == 301
+        np.testing.assert_array_equal(meas - 1, np.arange(11) * 30)
+        assert lay.staging(beads).size == 301 - 11
+        # in the first segment a staging bead's order k is its 1-based index
+        np.testing.assert_array_equal(lay.staging(beads)[0], np.arange(2, 31))
 
     def test_staging_view_shapes(self):
         x = np.arange(9.0)
@@ -73,8 +76,6 @@ class TestLayout:
             build_layout(10, -1, 833.0)
         with pytest.raises(ValidationError):
             build_layout(10, 30, 0.0)
-        with pytest.raises(ValidationError):
-            build_layout(2, 2, 1.0).measurement_index(4)
 
 
 class TestStagingTransform:
@@ -107,7 +108,7 @@ class TestStagingTransform:
         rng = np.random.default_rng(0)
         q = rng.normal(size=layout.N)
         u = staging_forward(q, layout)
-        b = layout.boundary_indices
+        b = np.arange(layout.n + 1) * layout.j
         np.testing.assert_array_equal(u[b], q[b])
         np.testing.assert_array_equal(staging_inverse(u, layout)[b], u[b])
 
@@ -116,9 +117,9 @@ class TestStagingTransform:
         # piecewise-linear in bead index between arbitrary boundary values
         rng = np.random.default_rng(5)
         vals = rng.normal(0, 2, layout.n + 1)
-        q = np.interp(np.arange(layout.N), layout.boundary_indices, vals)
+        q = np.interp(np.arange(layout.N), np.arange(layout.n + 1) * layout.j, vals)
         u = staging_forward(q, layout)
-        np.testing.assert_allclose(u[layout.staging_mask], 0.0, atol=1e-13)
+        np.testing.assert_allclose(layout.staging(u), 0.0, atol=1e-13)
 
     def test_harmonic_energy_identity(self):
         # the staging map must diagonalize the nearest-neighbour spring term
@@ -128,11 +129,11 @@ class TestStagingTransform:
             u = staging_forward(q, layout)
             T, dt, j = layout.T, layout.dt, layout.j
             lhs = (T / (2 * dt)) * np.sum(np.diff(q) ** 2)
-            ub = u[layout.boundary_indices]
+            ub = u[::j]
             rhs = (T / 2) * np.sum(np.diff(ub) ** 2) / (j * dt)
-            k = layout.staging_k.astype(float)
+            k = np.tile(np.arange(2.0, j + 1), layout.n)
             if k.size:
-                rhs += (T / 2) * np.sum(k / ((k - 1) * dt) * u[layout.staging_mask] ** 2)
+                rhs += (T / 2) * np.sum(k / ((k - 1) * dt) * layout.staging(u).ravel() ** 2)
             assert rhs == pytest.approx(lhs, rel=1e-10)
 
 
@@ -208,12 +209,7 @@ class TestBlockStagingMaps:
 class TestFrozenTables:
     def test_layout_tables_are_read_only(self):
         layout = build_layout(3, 4, 9.0)
-        for table in (
-            layout.boundary_indices,
-            layout.staging_mask,
-            layout.staging_k,
-            layout.stiffness,
-        ):
+        for table in (layout.stiffness, layout.flat_stiffness, layout.flat_staging):
             with pytest.raises(ValueError):
                 table[0] = table[1]
 
@@ -230,7 +226,7 @@ class TestFrozenTables:
         layout = build_layout(2, 3, 6.0)
         data = TimeSeriesData(times=np.linspace(0, 6.0, 3), values=np.ones(3))
         ctx = PathContext(layout, InputSignal.constant(1.0), data, ObservationModel(0.1))
-        for table in (ctx.L, ctx.Ldot, ctx.lnyr, ctx.sum_cols):
+        for table in (ctx.L, ctx.Ldot, ctx.lnyr):
             with pytest.raises(ValueError):
                 table[0] = 1.0
 
@@ -259,10 +255,11 @@ class TestState:
         theta0 = DimensionlessParams(beta=1.4430869689661812, gamma=0.5)
         state = initial_state(data, signal, theta0, layout)
         want = np.log(data.values / signal.value(times)) / theta0.beta
-        np.testing.assert_allclose(state.u[layout.boundary_indices], want, rtol=1e-14)
-        assert np.all(state.u[layout.staging_mask] == 0.0)
+        np.testing.assert_allclose(state.u[:: layout.j], want, rtol=1e-14)
+        assert np.all(layout.staging(state.u) == 0.0)
         assert np.all(state.p == 0.0) and np.all(state.pi == 0.0)
-        assert state.beta == theta0.beta and state.gamma == 0.5
+        beta, gamma = state.theta
+        assert beta == theta0.beta and gamma == 0.5
 
     def test_initial_state_rejects_mismatch(self):
         layout = build_layout(9, 30, 833.0)

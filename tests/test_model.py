@@ -124,10 +124,6 @@ class TestRhoDiscrete:
             assert rhodot[i] == pytest.approx((rho[i] - rho[i - 1]) / dt, rel=1e-12)
         # slot 0 is padding; the i = 2 term carries no rate of change
         assert ctx.L[0] == 0.0 and ctx.Ldot[0] == 0.0 and ctx.Ldot[1] == 0.0
-        # the kernel's sum columns are [L, Ldot, 1] over beads i = 2..N
-        np.testing.assert_array_equal(
-            ctx.sum_cols, np.column_stack([ctx.L[1:], ctx.Ldot[1:], np.ones(300)])
-        )
 
 
 class TestEquilibrium:
