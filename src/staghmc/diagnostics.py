@@ -150,8 +150,12 @@ def summarize(record: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
 
 
 def silverman_bandwidth(series) -> float:
-    """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0."""
+    """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
+    Fewer than two samples have no spread: that is a DomainError, as a zero
+    variance is for `kde`."""
     x = np.asarray(series, dtype=float)
+    if x.size < 2:
+        raise DomainError(f"a bandwidth needs at least 2 samples, got {x.size}")
     sd = float(x.std(ddof=1))
     q75, q25 = np.percentile(x, [75.0, 25.0])
     iqr = float(q75 - q25)

@@ -35,11 +35,11 @@ rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta.
 No table of the plan or of the kernel's workspace is larger than O(N).
 The staging terms of h_N are each one product of the contiguous squares of
 ``x[:-1]`` with a flat layout table that is zero at the measurement beads.
-One private kernel,
-`_hprime`, then makes the single pass over the path: q = staging_inverse(u),
-E = exp(-beta q) and the residual A = rho - (beta/gamma) E, formed in place
-as L / beta + c - w with w = (beta/gamma) E. It never builds rho, rhodot or
-their derivatives as arrays, only the sums they enter, folded by linearity:
+One private kernel, `_hprime`, then makes the single pass over the path:
+q from u by the staging inverse, E = exp(-beta q) and the residual
+A = rho - (beta/gamma) E, formed in place as L / beta + c - w with
+w = (beta/gamma) E. It never builds rho, rhodot or their derivatives as
+arrays, only the sums they enter, folded by linearity:
 A . drho/dbeta = (c sum A - A . L / beta) / beta and qs . (T rhodot) =
 (T / beta) qs . Ldot, with rho itself needed only at the two end beads.
 The plain sums of the rows [A, w, Z] come out of one reduction, and A . L
@@ -55,22 +55,17 @@ one iteration to the next and adds the new kinetic terms with `_refreshed`.
 At the benchmark size (N = 301) most of a kernel call is dispatch, not
 arithmetic, so the kernel keeps both small:
 
-* Scratch buffers. Each context allocates one workspace (`_Scratch`) once,
-  and every array operation of `_hprime` writes into it with ``out=``,
-  the staging maps included. The workspace also holds every view the
-  kernel takes of its rows, built once: the (n, j) blocks of q, g_q and
-  g_u, the staging adjoint's (n, j+1) window product with its left (n, j)
-  part and right column, and ``g_u[j::j]``, handed as they are to the
-  unchecked cores of the staging maps (`lattice._staging_inverse`,
-  `lattice._staging_adjoint`). The (n, j+1) window view of u, the view
-  u_b = ``u[::j]`` and its shifted views ``u_b[1:]`` and ``u_b[:-1]`` are
-  kept together with the array they view, and rebuilt only when the
-  kernel is handed another array: a trajectory's working copy
-  serves its 2P gradients and the proposal's potential with one build.
-  The workspace holds that array, so its identity cannot be recycled, and
-  in-place writes show through the views, so there is nothing to
-  invalidate. A context is therefore not safe to share between threads;
-  parallel chains run in processes.
+* One set of kernel rows. Each context allocates one workspace
+  (`_Scratch`) once, and every array operation of `_hprime` writes into
+  it with ``out=``, the staging maps included. Its rows u, q, g_q and g_u
+  are one `lattice._StagingRows`, which builds once every view the two
+  staging products take of them. The kernel reads its beads from the row
+  u: `h_total` and `grad_hprime` copy a state's beads in, and the
+  trajectory copies them in once and moves them there for all its 2P
+  gradients. The views u_b = ``u[::j]``, ``u_b[1:]`` and ``u_b[:-1]`` are
+  built once too; in-place writes to a row show through its views, so
+  nothing is ever rebuilt or invalidated. A context is therefore not safe
+  to share between threads; parallel chains run in processes.
 * A keyed boundary stage. The terms that depend on theta and the
   measurement beads u_b = u[::j] alone (beta / gamma, c, rho at beads 2
   and N, gamma^2 and beta / gamma^2; the rows L / beta + c and
@@ -90,9 +85,10 @@ arithmetic, so the kernel keeps both small:
   [A, w, Z] and the sums; a gradient call also rewrites g_q, the
   adjoint's window product and ``g_u``. The trajectory (`integrator`)
   calls the kernel directly: it gets g_u as the workspace row itself,
-  valid until the next call, and g_theta as two Python floats. `grad_hprime` and
-  `h_total` are thin wrappers over the same kernel that check the state
-  and return fresh arrays and floats.
+  valid until the next call, and g_theta as two Python floats.
+  `grad_hprime` and `h_total` are thin wrappers over the same kernel that
+  check the state's size, load its beads, and return fresh arrays and
+  floats.
 * Python-float scalars. beta, gamma, the end values of q and E and the
   row of sums each leave NumPy in one ``tolist()``, and the scalar
   algebra runs on Python floats, a tenth of the cost of a NumPy scalar or
@@ -130,16 +126,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError
+from .errors import DomainError, NonFiniteError
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
     PolymerState,
-    _adjoint_views,
-    _inverse_views,
-    _staging_adjoint,
-    _staging_inverse,
-    _windows,
+    _check_data,
+    _check_size,
+    _StagingRows,
     staging_adjoint,
     staging_inverse,
 )
@@ -195,14 +189,7 @@ class PathContext:
 
     def __post_init__(self):
         lay = self.layout
-        if self.data.n_segments != lay.n:
-            raise ValidationError(
-                f"data has {self.data.n_segments} segments, layout expects {lay.n}"
-            )
-        if abs(self.data.horizon - lay.T) > 1e-9 * lay.T:
-            raise ValidationError(
-                f"data horizon {self.data.horizon} != lattice horizon {lay.T}"
-            )
+        _check_data(self.data, lay)
         r = np.asarray(self.signal.value(lay.times), dtype=float)
         if np.any(r <= 0):
             raise DomainError("input signal must be strictly positive on the lattice")
@@ -224,19 +211,15 @@ class PathContext:
 class _Scratch:
     """The workspace of `_hprime` for one `PathContext`, allocated once.
 
-    Per-call rows: ``q``, ``E``, ``g_q`` and ``g_u`` (length N, with the
-    views ``q_ends``, ``q_tail``, ``E_tail``, ``E_ends``, ``gq_tail`` and
-    ``g_ub``), the (3, N-1) rows ``work`` = [A, w, Z], their length-3 row
-    of ``sums``, and the length-(n+1) row ``drift`` for the integrator's
-    drift of the measurement beads.
-
-    The arguments of the staging cores, built once over these rows:
-    ``inverse_views`` (`lattice._inverse_views` of q) and ``adjoint_views``
-    (`lattice._adjoint_views` of g_q, the (n, j+1) window product of the
-    staging adjoint, which only these views hold, and g_u). The array
-    ``u_held`` last handed to the kernel, with its window view
-    ``u_windows``, its measurement beads ``u_b`` and their shifted views
-    ``ub_next`` = u_b[1:] and ``ub_prev`` = u_b[:-1].
+    The kernel rows ``rows`` (a `lattice._StagingRows`): u, which a caller
+    loads with a state's beads or a trajectory moves in place, and q, g_q
+    and g_u, with every view the staging maps take of them. Views of these
+    rows built once: ``q_ends``, ``q_tail``, ``gq_tail``, ``g_ub``, the
+    measurement beads ``u_b`` = u[::j] and their shifted views ``ub_next``
+    = u_b[1:] and ``ub_prev`` = u_b[:-1]. Per-call rows: ``E`` (with
+    ``E_tail`` and ``E_ends``), the (3, N-1) rows ``work`` = [A, w, Z],
+    their length-3 row of ``sums``, and the length-(n+1) row ``drift`` for
+    the integrator's drift of the measurement beads.
 
     The boundary stage, valid for the exact ``key`` (beta, gamma,
     u[::j].tobytes()) and rebuilt by `_boundary_stage` on any other:
@@ -259,10 +242,9 @@ class _Scratch:
     """
 
     __slots__ = (
-        "layout", "j", "T", "dt", "dt_T", "coup", "L0", "LN", "sigma2",
-        "q", "q_ends", "q_tail", "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
-        "g_q", "gq_tail", "g_u", "g_ub", "drift",
-        "inverse_views", "adjoint_views", "u_held", "u_windows", "u_b", "ub_next", "ub_prev",
+        "T", "dt", "dt_T", "coup", "L0", "LN", "sigma2",
+        "rows", "q_ends", "q_tail", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
+        "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums", "drift",
         "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
         "resid", "data_force", "d_b", "pad_mid", "pad_prev", "pad_next",
         "spring", "resid_ub", "h_bound",
@@ -271,27 +253,22 @@ class _Scratch:
 
     def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
         self._args = (lay, L0, LN, sigma)
-        self.layout = lay
-        self.j, self.T, self.dt = lay.j, lay.T, lay.dt
+        self.T, self.dt = lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
         self.coup = lay.T / (lay.j * lay.dt)
         self.L0, self.LN = L0, LN
         self.sigma2 = np.float64(sigma**2)
-        self.q = np.empty(lay.N)
-        self.q_ends, self.q_tail = self.q[:: lay.N - 1], self.q[1:]
+        rows = self.rows = _StagingRows(lay)
+        self.q_ends, self.q_tail = rows.q[:: lay.N - 1], rows.q[1:]
+        self.gq_tail = rows.g_q[1:]
+        self.g_ub = rows.g_u[:: lay.j]
+        ub = self.u_b = rows.u[:: lay.j]
+        self.ub_next, self.ub_prev = ub[1:], ub[:-1]
         self.E = np.empty(lay.N)
         self.E_tail, self.E_ends = self.E[1:], self.E[:: lay.N - 1]
         self.work = np.empty((3, lay.N - 1))
         self.A, self.w, self.Z = self.work
         self.sums = np.empty(3)
-        self.g_q = np.empty(lay.N)
-        self.gq_tail = self.g_q[1:]
-        self.g_u = np.empty(lay.N)
-        self.g_ub = self.g_u[:: lay.j]
-        self.inverse_views = _inverse_views(self.q, lay)
-        g_win = np.empty((lay.n, lay.j + 1))
-        self.adjoint_views = _adjoint_views(self.g_q, g_win, self.g_u, lay)
-        self.u_held = self.u_windows = self.u_b = self.ub_next = self.ub_prev = None
         self.drift = np.empty(lay.n + 1)
         self.Lc = np.empty(lay.N - 1)
         self.Ld = np.empty(lay.N - 1)
@@ -337,11 +314,6 @@ class Gradient(NamedTuple):
     g_theta: np.ndarray
 
 
-def _check_size(state: PolymerState, layout: LatticeLayout):
-    if state.u.size != layout.N:
-        raise ValidationError(f"state has {state.u.size} beads, layout expects {layout.N}")
-
-
 def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
     """Position part of h_N: 0.5 sum T k u^2 / (dt (k-1)) over staging beads."""
     return 0.5 * float(np.square(state.u[:-1]) @ layout.flat_stiffness)
@@ -357,7 +329,7 @@ def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLay
 @_saturating  # a non-finite measurement bead meets its 0 weight as inf * 0 = NaN
 def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Fast harmonic energy, staging beads only (zero when j = 1)."""
-    _check_size(state, layout)
+    _check_size(state.u, layout, "u")
     return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
 
 
@@ -383,19 +355,18 @@ def _refreshed(
     )
 
 
-def _positions(state: PolymerState, ctx: PathContext):
-    """The state's beads as the C-contiguous float array the kernel needs,
-    and beta and gamma as Python floats, after the state-size check."""
-    _check_size(state, ctx.layout)
-    beta, gamma = state.theta.tolist()
-    return np.ascontiguousarray(state.u, dtype=float), beta, gamma
+def _load(state: PolymerState, ctx: PathContext) -> list:
+    """Check the state's size, copy its beads into the kernel's row u, and
+    return [beta, gamma] as Python floats."""
+    _check_size(state.u, ctx.layout, "u")
+    np.copyto(ctx._scratch.rows.u, state.u)
+    return state.theta.tolist()
 
 
 @_saturating
 def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
     """All three pieces and their sum."""
-    u, beta, gamma = _positions(state, ctx)
-    h_n, h_1 = _hprime(u, beta, gamma, ctx, False)
+    h_n, h_1 = _hprime(*_load(state, ctx), ctx, False)
     potential = Potential(_harmonic(state, ctx.layout), h_n, h_1)
     return _refreshed(potential, state, masses, ctx.layout)
 
@@ -409,16 +380,15 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    u, beta, gamma = _positions(state, ctx)
-    g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
+    g_u, g_beta, g_gamma = _hprime(*_load(state, ctx), ctx, True)
     return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
 
 
 def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, key):
     """Fill the boundary stage of ``s`` (see `_Scratch`) for ``key``: every
-    term of the kernel that depends on theta and the held measurement beads
-    ``s.u_b`` alone. The key is set last, so a stage left half built never
-    matches."""
+    term of the kernel that depends on theta and the measurement beads
+    ``s.u_b`` of the row u alone. The key is set last, so a stage left half
+    built never matches."""
     s.key = None
     s.bg = beta / gamma
     c = s.c = (2.0 + gamma) * beta / (2.0 * gamma)
@@ -445,14 +415,14 @@ def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, ke
     s.key = key
 
 
-def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient: bool):
+def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
     """The one pass over the path behind `h_total`, `grad_hprime` and the
     trajectory.
 
-    ``u`` is the C-contiguous float array of the N beads, beta and gamma are
-    Python floats. Returns the position parts (h_n, h_1) of the state's
-    `Potential`, or with ``gradient`` the triple (g_u, g_beta, g_gamma) of
-    the gradient of H': g_u is the workspace row ``g_u``, valid until the
+    The N beads are the workspace row ``rows.u``, loaded by the caller;
+    beta and gamma are Python floats. Returns the position parts (h_n, h_1)
+    of the state's `Potential`, or with ``gradient`` the triple
+    (g_u, g_beta, g_gamma) of the gradient of H': g_u is the workspace row ``g_u``, valid until the
     next call on the context, and the theta components are Python floats.
     Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
     rhodot and their derivatives are never built as arrays, only the sums
@@ -465,18 +435,12 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     # NumPy scalar (sigma^2, gamma^2), so none can raise ZeroDivisionError
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
-    if u is not s.u_held:
-        # views of a new array; in-place writes to the held one show through
-        s.u_windows = _windows(u, s.layout)
-        ub = s.u_b = u[:: s.j]
-        s.ub_next, s.ub_prev = ub[1:], ub[:-1]
-        s.u_held = u
     key = (beta, gamma, s.u_b.tobytes())
     if key != s.key:
         _boundary_stage(s, ctx, beta, gamma, key)
-    A, w, Z, E, q = s.A, s.w, s.Z, s.E, s.q
-    _staging_inverse(s.u_windows, *s.inverse_views)
-    np.multiply(q, -beta, out=E)
+    A, w, Z, E, rows = s.A, s.w, s.Z, s.E, s.rows
+    rows.inverse()
+    np.multiply(rows.q, -beta, out=E)
     np.minimum(E, EXP_CLAMP, out=E)
     np.exp(E, out=E)
     q0, qN = s.q_ends.tolist()
@@ -503,12 +467,12 @@ def _hprime(u: np.ndarray, beta: float, gamma: float, ctx: PathContext, gradient
     A_sum, w_sum, Z_sum = np.add.reduce(s.work, axis=1, out=s.sums).tolist()
     A_L = float(A @ ctx.Ls)
     Z_q = float(Z @ qs)
-    g_q = s.g_q
+    g_q = rows.g_q
     np.multiply(Z, beta * s.dt_T, out=s.gq_tail)
     s.gq_tail -= s.Ld
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
-    g_u = _staging_adjoint(*s.adjoint_views)
+    g_u = rows.adjoint()
     # direct boundary terms of h_n: the data residuals and the springs
     gb = s.g_ub
     gb -= s.data_force

@@ -23,20 +23,23 @@ entry points decorated with `energy._saturating` (with `h_N`, `h_total`,
 ignores overflow, invalid operations and division by zero, and the next
 gradient raises NonFiniteError, so the proposal is rejected.
 
-The trajectory makes one working copy of the state (without validating it
-again) and checks its size once. Its Verlet steps take the forces straight
-from the kernel `energy._hprime`, not through the public `grad_hprime`:
-the kernel writes q, the staging adjoint's window product and g_u into
-rows of the context's workspace, and the step scales that g_u row in place
-for the kick, so the row is spent by the next kernel call. The kernel
-keeps its boundary stage for the exact key (beta, gamma, u[::j] as bytes);
-only the drifts move theta and the measurement beads, so of the 2P
+The trajectory checks the state's size once, copies its beads into the
+kernel row u of the context's workspace and its bead momenta into a fresh
+array, and runs there: the rotations and drifts move the row in place,
+and the Verlet steps take the forces straight from the kernel
+`energy._hprime`, which reads that row, not through the public
+`grad_hprime`. The kernel writes q, the staging adjoint's window product
+and g_u into rows of the workspace, and the step scales that g_u row in
+place for the kick, so the row is spent by the next kernel call. The
+kernel keeps its boundary stage for the exact key (beta, gamma, u[::j] as
+bytes); only the drifts move theta and the measurement beads, so of the 2P
 gradients the first of each step after the first reuses the stage of the
 step before. The measurement beads drift through the workspace row
-``drift``.
+``drift``. The returned state's beads are copied out of the row, so no
+array it holds aliases the workspace.
 
-The Verlet step kicks and drifts the two parameters as Python floats, as
-the kernel returns g_theta: the same IEEE operations as on the length-2
+Beta, gamma, pi_beta and pi_gamma stay Python floats for all P steps, as
+the kernel returns g_theta: the same IEEE operations as on length-2
 arrays, so bit-identical, at a tenth of the dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
@@ -54,13 +57,12 @@ import numpy as np
 
 from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     PathContext,
-    _check_size,
     _hprime,
     _saturating,
     grad_hprime,
 )
 from .errors import ValidationError, _integer
-from .lattice import LatticeLayout, MassConfig, PolymerState
+from .lattice import LatticeLayout, MassConfig, PolymerState, _check_size
 
 __all__ = [
     "IntegratorConfig",
@@ -150,40 +152,37 @@ def _rotate_inplace(u: np.ndarray, p: np.ndarray, bank: OscillatorBank, full: bo
     ps -= kick
 
 
-def _verlet_inplace(state: PolymerState, ctx: PathContext, masses: MassConfig, d_tau: float):
-    """One velocity-Verlet step of H' = h_n + h_1, mutating ``state``.
+def _verlet_inplace(
+    p: np.ndarray, ctx: PathContext, masses: MassConfig, d_tau: float,
+    beta: float, gamma: float, pa: float, pg: float,
+) -> tuple:
+    """One velocity-Verlet step of H' = h_n + h_1 on the kernel row u of
+    ``ctx``, the bead momenta ``p`` (both mutated) and the Python floats
+    beta, gamma, pi_beta and pi_gamma, returned as the tuple
+    (beta, gamma, pa, pg) of the new values.
 
     Positions of measurement beads and parameters drift; staging positions
     stay put but all momenta receive the force kicks (force = -dH'/d(u, theta)).
     The forces come straight from the kernel `_hprime`: g_u is its workspace
     row, scaled in place by the kick, and the theta components are Python
-    floats. The parameter kicks and drift run on Python floats,
-    bit-identical to the same operations on the length-2 arrays; theta and
-    pi are written once each, at the end of the step. ``state.u`` must be
-    C-contiguous; the step runs under `trotter_propagate`'s `_saturating`.
+    floats, bit-identical to the same operations on length-2 arrays. The
+    step runs under `trotter_propagate`'s `_saturating`.
     """
     half = 0.5 * d_tau
-    j = ctx.layout.j
-    u, p = state.u, state.p
+    s = ctx._scratch
     ma, mg = masses.m_alpha
-    beta, gamma = state.theta.tolist()
-    pa, pg = state.pi.tolist()
-    g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
+    g_u, g_beta, g_gamma = _hprime(beta, gamma, ctx, True)
     g_u *= half
     p -= g_u
     pa -= g_beta * half
     pg -= g_gamma * half
-    drift = np.multiply(p[::j], d_tau / masses.M, out=ctx._scratch.drift)
-    u[::j] += drift
+    s.u_b += np.multiply(p[:: ctx.layout.j], d_tau / masses.M, out=s.drift)
     beta += d_tau * pa / ma
     gamma += d_tau * pg / mg
-    g_u, g_beta, g_gamma = _hprime(u, beta, gamma, ctx, True)
+    g_u, g_beta, g_gamma = _hprime(beta, gamma, ctx, True)
     g_u *= half
     p -= g_u
-    state.theta[0] = beta
-    state.theta[1] = gamma
-    state.pi[0] = pa - g_beta * half
-    state.pi[1] = pg - g_gamma * half
+    return beta, gamma, pa - g_beta * half, pg - g_gamma * half
 
 
 @_saturating
@@ -196,15 +195,15 @@ def trotter_propagate(
 ) -> PolymerState:
     """Run the full trajectory: P repetitions of (half rotation, Verlet,
     half rotation), with the two half rotations between consecutive Verlet
-    steps merged into one full rotation. Returns a new state; the input is
-    not modified.
+    steps merged into one full rotation. Returns a new state that shares no
+    array with the input or the workspace; the input is not modified.
 
     Decorated with `energy._saturating`, the saturation policy of the five
     entry points (with `h_N`, `h_total`, `grad_hprime` and
     `sampler.hmc_iteration`): overflow, invalid operations and division by
     zero saturate to inf and NaN silently. The state size is checked once,
-    on the working copy; non-finite forces then raise NonFiniteError (the
-    sampler counts that as a rejected proposal).
+    up front; non-finite forces then raise NonFiniteError (the sampler
+    counts that as a rejected proposal).
     """
     if bank is None:
         bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
@@ -212,10 +211,14 @@ def trotter_propagate(
         raise ValidationError(
             f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
         )
-    work = state.copy()  # C-contiguous, as the kernel needs
-    _check_size(work, ctx.layout)
-    _rotate_inplace(work.u, work.p, bank)
+    _check_size(state.u, ctx.layout, "u")
+    u = ctx._scratch.rows.u
+    np.copyto(u, state.u)
+    p = state.p.copy()
+    beta, gamma = state.theta.tolist()
+    pa, pg = state.pi.tolist()
+    _rotate_inplace(u, p, bank)
     for step in range(1, config.P + 1):
-        _verlet_inplace(work, ctx, masses, config.d_tau)
-        _rotate_inplace(work.u, work.p, bank, full=step < config.P)
-    return work
+        beta, gamma, pa, pg = _verlet_inplace(p, ctx, masses, config.d_tau, beta, gamma, pa, pg)
+        _rotate_inplace(u, p, bank, full=step < config.P)
+    return PolymerState._trusted(u.copy(), np.array([beta, gamma]), p, np.array([pa, pg]))

@@ -220,34 +220,12 @@ def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     q_m = m * sum_{l>=m} u_l / l + ((j-m)/j) u_left and applied to all
     segments at once as the block product ``windows @ staging_block``.
     """
-    u = np.ascontiguousarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     _check_size(u, layout, "u")
-    q = np.empty(layout.N)
-    _staging_inverse(_windows(u, layout), *_inverse_views(q, layout))
-    return q
-
-
-def _windows(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
-    """The (n, j+1) overlapping window view of a C-contiguous float array u
-    of length N: row s is u[s*j .. s*j + j], so neighbouring rows share
-    their boundary bead. In-place writes to u show through it."""
-    j = layout.j
-    return np.ndarray((layout.n, j + 1), buffer=u, strides=(j * u.itemsize, u.itemsize))
-
-
-def _inverse_views(q: np.ndarray, layout: LatticeLayout) -> tuple:
-    """The arguments of `_staging_inverse` after the windows, for the output
-    row ``q`` (a writable C-contiguous float array of length N): the block
-    B, q itself and its (n, j) blocks ``q[:-1].reshape(n, j)``."""
-    return layout.staging_block, q, q[:-1].reshape(layout.n, layout.j)
-
-
-def _staging_inverse(windows: np.ndarray, block, q, q_blocks) -> None:
-    """`staging_inverse` without its checks: ``windows`` is `_windows` (u),
-    and the rest are the views of `_inverse_views` (q), built once by a
-    caller that writes the same row again."""
-    np.matmul(windows, block, out=q_blocks)
-    q[-1] = windows[-1, -1]  # the last bead, u[N-1]
+    rows = _StagingRows(layout)
+    np.copyto(rows.u, u)
+    rows.inverse()
+    return rows.q
 
 
 def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
@@ -258,37 +236,66 @@ def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     ``g_q[s*j : s*j + j] @ staging_block.T``, whose last entry belongs to the
     right boundary bead that the next segment starts with.
     """
-    g_q = np.ascontiguousarray(g_q, dtype=float)  # same BLAS path for any input
+    g_q = np.asarray(g_q, dtype=float)
     _check_size(g_q, layout, "g_q")
-    g_win = np.empty((layout.n, layout.j + 1))
-    return _staging_adjoint(*_adjoint_views(g_q, g_win, np.empty(layout.N), layout))
+    rows = _StagingRows(layout)
+    np.copyto(rows.g_q, g_q)
+    return rows.adjoint()
 
 
-def _adjoint_views(g_q: np.ndarray, g_win: np.ndarray, gu: np.ndarray, layout) -> tuple:
-    """The arguments of `_staging_adjoint` for the input row ``g_q``, the
-    (n, j+1) window product ``g_win`` and the output row ``gu`` (C-contiguous
-    float arrays, the last two writable): the (n, j) blocks of g_q, the
-    block's transpose B^T, g_win, its left (n, j) part and right column,
-    gu, its (n, j) blocks and its view ``gu[j::j]`` of the beads that end a
-    segment, and g_q."""
-    n, j = layout.n, layout.j
-    return (
-        g_q[:-1].reshape(n, j), layout.staging_block.T, g_win, g_win[:, :j], g_win[:, j],
-        gu, gu[:-1].reshape(n, j), gu[j::j], g_q,
+class _StagingRows:
+    """The length-N rows ``u``, ``q``, ``g_q`` and ``g_u`` of the staging
+    maps, with every view their block products take of them, built once.
+
+    ``inverse`` writes q from u through the (n, j+1) window view of u, whose
+    row s is u[s*j .. s*j + j] (neighbouring rows share their boundary
+    bead), and the (n, j) blocks ``q[:-1].reshape(n, j)``. ``adjoint``
+    writes g_u from g_q through the (n, j) blocks of g_q and g_u, the
+    (n, j+1) window product ``g_win`` with its left (n, j) part and right
+    column, and the view ``g_u[j::j]`` of the beads that end a segment.
+    In-place writes to a row show through its views, so a caller loads a
+    row and calls a map, as often as it likes.
+    """
+
+    __slots__ = (
+        "u", "q", "g_q", "g_u", "block", "block_t", "windows", "q_blocks",
+        "gq_blocks", "g_win", "win_left", "win_right", "gu_blocks", "gu_ends",
     )
 
+    def __init__(self, layout: LatticeLayout):
+        n, j, N = layout.n, layout.j, layout.N
+        self.u, self.q, self.g_q, self.g_u = (np.empty(N) for _ in range(4))
+        self.block, self.block_t = layout.staging_block, layout.staging_block.T
+        step = self.u.itemsize
+        self.windows = np.ndarray((n, j + 1), buffer=self.u, strides=(j * step, step))
+        self.q_blocks = self.q[:-1].reshape(n, j)
+        self.gq_blocks = self.g_q[:-1].reshape(n, j)
+        self.g_win = np.empty((n, j + 1))
+        self.win_left, self.win_right = self.g_win[:, :j], self.g_win[:, j]
+        self.gu_blocks = self.g_u[:-1].reshape(n, j)
+        self.gu_ends = self.g_u[j::j]
 
-def _staging_adjoint(
-    gq_blocks, block_t, g_win, win_left, win_right, gu, gu_blocks, gu_ends, g_q
-) -> np.ndarray:
-    """`staging_adjoint` without its checks, into ``gu`` (returned): the
-    arguments are the views of `_adjoint_views`, built once by a caller
-    that reuses the same rows."""
-    np.matmul(gq_blocks, block_t, out=g_win)
-    gu_blocks[...] = win_left
-    gu[-1] = g_q[-1]
-    gu_ends += win_right
-    return gu
+    def inverse(self) -> None:
+        """Write q from u."""
+        np.matmul(self.windows, self.block, out=self.q_blocks)
+        self.q[-1] = self.u[-1]
+
+    def adjoint(self) -> np.ndarray:
+        """Write g_u from g_q, and return it."""
+        np.matmul(self.gq_blocks, self.block_t, out=self.g_win)
+        self.gu_blocks[...] = self.win_left
+        self.g_u[-1] = self.g_q[-1]
+        self.gu_ends += self.win_right
+        return self.g_u
+
+
+def _check_data(data: TimeSeriesData, layout: LatticeLayout):
+    """Raise ValidationError unless ``data`` spans the layout's n segments
+    and its horizon T (to a relative 1e-9)."""
+    if data.n_segments != layout.n:
+        raise ValidationError(f"data has {data.n_segments} segments, layout expects {layout.n}")
+    if abs(data.horizon - layout.T) > 1e-9 * layout.T:
+        raise ValidationError(f"data horizon {data.horizon} != lattice horizon {layout.T}")
 
 
 def initial_state(
@@ -300,12 +307,7 @@ def initial_state(
     """Starting state: boundary beads pinned to the noise-free reading of the
     data, q_s = ln(y_s / r(t_s)) / beta, intermediate beads on the straight
     line between them (staging coordinates exactly zero), momenta zeroed."""
-    if data.n_segments != layout.n:
-        raise ValidationError(
-            f"data has {data.n_segments} segments but layout expects {layout.n}"
-        )
-    if abs(data.horizon - layout.T) > 1e-9 * layout.T:
-        raise ValidationError(f"data horizon {data.horizon} != layout T {layout.T}")
+    _check_data(data, layout)
     r_meas = np.asarray(signal.value(data.times), dtype=float)
     q_bound = np.log(data.values / r_meas) / theta0.beta
     u = np.zeros(layout.N)

@@ -262,7 +262,7 @@ def hmc_iteration(
     else:
         before = _refreshed(potential, cur, masses, ctx.layout)
     h_before = before.total
-    try:  # the trajectory checks the size of its working copy
+    try:  # the trajectory checks the state size up front
         proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
         beta, gamma = proposal.theta.tolist()
         if not (beta > 0 and gamma > 0):

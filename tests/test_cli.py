@@ -369,6 +369,18 @@ class TestSummarize:
         assert not (out / "density_K.csv").exists()
         assert "histogram" in capsys.readouterr().err
 
+    def test_one_row_chain_skips_every_density(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n1,1.5,0.5,10,1,3,3,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary, out = self.summarize(tmp_path, [str(path)], "one", discard=0.0)
+        assert summary["n_retained"] == 1
+        assert summary["parameters"]["K"]["mean"] == 10.0
+        assert not list(out.glob("density_*.csv"))
+        err = capsys.readouterr().err
+        assert err.count("skipped") == 3
+
     def test_inconsistent_header_rejected(self, tmp_path):
         _, chains = self.make_run(tmp_path, chains=1)
         bad = tmp_path / "bad.csv"

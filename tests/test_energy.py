@@ -53,6 +53,22 @@ def random_state(layout, rng, u_scale=0.5):
     )
 
 
+def workspace_arrays(scratch):
+    """Every array a context's workspace holds: its slots, the slots of its
+    kernel rows, and the arrays inside tuples among them."""
+    held = [getattr(scratch, name, None) for name in type(scratch).__slots__]
+    arrays = []
+    while held:
+        item = held.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, tuple):
+            held.extend(item)
+        elif hasattr(type(item), "__slots__"):
+            held.extend(getattr(item, name, None) for name in type(item).__slots__)
+    return arrays
+
+
 def hprime(state, ctx, masses=MASSES):
     e = h_total(state, ctx, masses)
     return e.h_n + e.h_1
@@ -383,7 +399,8 @@ class TestBoundaryStageCache:
 
         @energy._saturating
         def trajectory_gradient(st):
-            g_u, g_beta, g_gamma = energy._hprime(st.u, *st.theta.tolist(), ctx, True)
+            np.copyto(ctx._scratch.rows.u, st.u)
+            g_u, g_beta, g_gamma = energy._hprime(*st.theta.tolist(), ctx, True)
             return g_u.copy(), np.array([g_beta, g_gamma])
 
         def check_gradient(got, st):
@@ -407,17 +424,19 @@ class TestBoundaryStageCache:
         assert sum(builds) == (1 if case == "hit" else 6)
 
     def test_public_gradient_shares_no_memory_with_the_workspace(self):
+        from staghmc.integrator import IntegratorConfig, trotter_propagate
+
         layout, _, ctx = make_problem()
-        g = grad_hprime(random_state(layout, np.random.default_rng(5)), ctx)
-        scratch = ctx._scratch
-        rows = [
-            getattr(scratch, name) for name in type(scratch).__slots__
-            if isinstance(getattr(scratch, name, None), np.ndarray)
-        ]
-        assert any(row is scratch.g_u for row in rows)
+        st = random_state(layout, np.random.default_rng(5))
+        g = grad_hprime(st, ctx)
+        moved = trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
+        rows = workspace_arrays(ctx._scratch)
+        assert any(row is ctx._scratch.rows.g_u for row in rows)
+        assert any(row is ctx._scratch.rows.u for row in rows)
+        returned = [g.g_u, g.g_theta, moved.u, moved.p, moved.theta, moved.pi]
         for row in rows:
-            assert not np.shares_memory(g.g_u, row)
-            assert not np.shares_memory(g.g_theta, row)
+            for out in returned:
+                assert not np.shares_memory(out, row)
 
 
 class TestPlanSize:
@@ -428,40 +447,33 @@ class TestPlanSize:
         layout, _, ctx = make_problem(n, j, 4000.0)
         grad_hprime(random_state(layout, np.random.default_rng(17)), ctx)
         h_total(random_state(layout, np.random.default_rng(18)), ctx, MASSES)
-        scratch = ctx._scratch
         held = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
         held += [getattr(layout, f.name) for f in dataclasses.fields(layout)]
-        held += [getattr(scratch, name, None) for name in type(scratch).__slots__]
-        arrays = []
-        while held:
-            item = held.pop()
-            if isinstance(item, np.ndarray):
-                arrays.append(item)
-            elif isinstance(item, tuple):
-                held.extend(item)
+        arrays = [item for item in held if isinstance(item, np.ndarray)]
+        arrays += workspace_arrays(ctx._scratch)
         assert len(arrays) > 40
         assert max(a.size for a in arrays) <= 3 * layout.N
 
 
-class TestHeldWindows:
-    """The kernel keeps the (n, j+1) window view of u with the array it
-    views and rebuilds it only for another array. Every result on one
-    context must match a fresh context's, as the array is written in place,
-    swapped for a copy, swapped back, or passed non-contiguous."""
+class TestKernelRow:
+    """The kernel reads its one row u, loaded from each state by copy.
+    Every result on one context must match a fresh context's, as the
+    caller's array is written in place, swapped for a copy, swapped back,
+    or passed non-contiguous."""
 
-    def check(self, ctx, u, theta, kernel=True):
-        """Compare the trajectory's entry (``kernel``, C-contiguous u only)
+    def check(self, ctx, u, theta):
+        """Compare the trajectory's entry (load the row, call the kernel)
         and the public wrappers on ``ctx`` with a fresh context."""
         import staghmc.energy as energy
 
         st = PolymerState(u=u, theta=theta, p=np.ones(u.size), pi=np.ones(2))
         fresh = make_problem()[2]
         want = grad_hprime(st, fresh)
-        if kernel:
-            kernel_gradient = energy._saturating(energy._hprime)
-            g_u, g_beta, g_gamma = kernel_gradient(st.u, *st.theta.tolist(), ctx, True)
-            np.testing.assert_array_equal(g_u, want.g_u)
-            np.testing.assert_array_equal([g_beta, g_gamma], want.g_theta)
+        np.copyto(ctx._scratch.rows.u, st.u)
+        kernel_gradient = energy._saturating(energy._hprime)
+        g_u, g_beta, g_gamma = kernel_gradient(*st.theta.tolist(), ctx, True)
+        np.testing.assert_array_equal(g_u, want.g_u)
+        np.testing.assert_array_equal([g_beta, g_gamma], want.g_theta)
         got = grad_hprime(st, ctx)
         np.testing.assert_array_equal(got.g_u, want.g_u)
         np.testing.assert_array_equal(got.g_theta, want.g_theta)
@@ -472,30 +484,27 @@ class TestHeldWindows:
         theta = np.array([1.4, 0.6])
         first = np.random.default_rng(41).normal(0, 0.5, layout.N)
         self.check(ctx, first, theta)
-        assert ctx._scratch.u_held is first
         first[1] += 0.25  # a staging bead
         self.check(ctx, first, theta)
         first[layout.j] -= 0.5  # a measurement bead
         self.check(ctx, first, theta)
         second = first.copy()  # equal values, another array
         self.check(ctx, second, theta)
-        assert ctx._scratch.u_held is second
-        # a view left on the first array would miss these writes
+        # a row left holding the first array's values would miss these writes
         first[2] += 1.0
         second[layout.j] += 0.125
         self.check(ctx, second, theta)
         self.check(ctx, first, theta)
-        assert ctx._scratch.u_held is first
 
-    def test_non_contiguous_u_through_the_public_wrappers(self):
+    def test_non_contiguous_u(self):
         layout, _, ctx = make_problem()
         wide = np.random.default_rng(43).normal(0, 0.5, (layout.N, 2))
         u = wide[:, 0]
         assert not u.flags.c_contiguous
         theta = np.array([1.1, 0.4])
-        self.check(ctx, u, theta, kernel=False)
+        self.check(ctx, u, theta)
         u[layout.j + 1] += 0.5  # written in place, seen through a fresh copy
-        self.check(ctx, u, theta, kernel=False)
+        self.check(ctx, u, theta)
         np.testing.assert_array_equal(
             staging_inverse(u, layout), staging_inverse(u.copy(), layout)
         )

@@ -247,16 +247,19 @@ class TestVerlet:
     def test_moves_only_slow_positions(self):
         layout, ctx = make_problem(2, 5, 60.0)
         st = random_state(layout, np.random.default_rng(4))
-        out = st.copy()
-        _verlet_inplace(out, ctx, MASSES, 0.25)
+        u, p = ctx._scratch.rows.u, st.p.copy()
+        np.copyto(u, st.u)
+        beta, gamma, pa, pg = _verlet_inplace(
+            p, ctx, MASSES, 0.25, *st.theta.tolist(), *st.pi.tolist()
+        )
         stg = np.arange(layout.N) % layout.j != 0
-        np.testing.assert_array_equal(out.u[stg], st.u[stg])
+        np.testing.assert_array_equal(u[stg], st.u[stg])
         b = np.arange(layout.n + 1) * layout.j
-        assert np.all(out.u[b] != st.u[b])
-        assert np.all(out.theta != st.theta)
+        assert np.all(u[b] != st.u[b])
+        assert np.all(np.array([beta, gamma]) != st.theta)
         # every momentum feels the force kick
-        assert np.all(out.p != st.p)
-        assert np.all(out.pi != st.pi)
+        assert np.all(p != st.p)
+        assert np.all(np.array([pa, pg]) != st.pi)
 
 
 class TestTrotter:
@@ -280,6 +283,20 @@ class TestTrotter:
         np.testing.assert_array_equal(st.p, snapshot.p)
         np.testing.assert_array_equal(st.theta, snapshot.theta)
         np.testing.assert_array_equal(st.pi, snapshot.pi)
+
+    def test_gradient_between_trajectories_leaves_the_next_unchanged(self):
+        # the trajectory and the public gradient share the context's kernel
+        # rows; a gradient of another state between two identical
+        # trajectories must leave nothing behind that the second one reads
+        layout, ctx = make_problem(2, 5, 60.0)
+        st = random_state(layout, np.random.default_rng(9))
+        other = random_state(layout, np.random.default_rng(10))
+        cfg = IntegratorConfig(d_tau=0.25, P=3)
+        first = trotter_propagate(st, ctx, MASSES, cfg)
+        grad_hprime(other, ctx)
+        second = trotter_propagate(st, ctx, MASSES, cfg)
+        for name in ("u", "p", "theta", "pi"):
+            np.testing.assert_array_equal(getattr(second, name), getattr(first, name))
 
     def test_prebuilt_bank_matches_default(self):
         layout, ctx = make_problem(2, 5, 60.0)
@@ -310,16 +327,18 @@ class TestTrotter:
         st = random_state(layout, np.random.default_rng(12 + P))
         cfg = IntegratorConfig(d_tau=0.25, P=P)
         bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
-        ref = st.copy()
+        u, p = ctx._scratch.rows.u, st.p.copy()
+        np.copyto(u, st.u)
+        beta, gamma = st.theta.tolist()
+        pa, pg = st.pi.tolist()
         for _ in range(P):
-            _rotate_inplace(ref.u, ref.p, bank)
-            _verlet_inplace(ref, ctx, MASSES, cfg.d_tau)
-            _rotate_inplace(ref.u, ref.p, bank)
+            _rotate_inplace(u, p, bank)
+            beta, gamma, pa, pg = _verlet_inplace(p, ctx, MASSES, cfg.d_tau, beta, gamma, pa, pg)
+            _rotate_inplace(u, p, bank)
+        ref = {"u": u.copy(), "p": p, "theta": [beta, gamma], "pi": [pa, pg]}
         out = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
         for name in ("u", "p", "theta", "pi"):
-            np.testing.assert_allclose(
-                getattr(out, name), getattr(ref, name), rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_allclose(getattr(out, name), ref[name], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("P", [1, 3])

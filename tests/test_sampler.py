@@ -330,8 +330,8 @@ class TestSaturatingStates:
 
 class TestCarriedPotential:
     def test_call_budget_of_one_iteration(self, toy_problem, monkeypatch):
-        import staghmc.energy
         import staghmc.integrator
+        import staghmc.lattice
 
         ctx = toy_problem.context()
         cfg = small_config()
@@ -352,11 +352,8 @@ class TestCarriedPotential:
         monkeypatch.setattr(
             staghmc.integrator, "_hprime", counted("grad", staghmc.integrator._hprime)
         )
-        monkeypatch.setattr(
-            staghmc.energy,
-            "_staging_inverse",
-            counted("inverse", staghmc.energy._staging_inverse),
-        )
+        rows = staghmc.lattice._StagingRows
+        monkeypatch.setattr(rows, "inverse", counted("inverse", rows.inverse))
         _, stats_out = hmc_iteration(
             state, ctx, cfg, np.random.default_rng(3), potential=potential
         )
