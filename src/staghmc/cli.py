@@ -36,7 +36,7 @@ from .diagnostics import (
     summarize,
     write_density_csv,
 )
-from .errors import DomainError, StagHmcError, ValidationError
+from .errors import DomainError, StagHmcError, ValidationError, _positive
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -49,7 +49,7 @@ from .model import (
     simulate_truth,
     to_dimensionless,
 )
-from .sampler import ChainRecord, HmcConfig, InferenceProblem, run_parallel_chains
+from .sampler import CHAIN_COLUMNS, ChainRecord, HmcConfig, InferenceProblem, run_parallel_chains
 
 __all__ = ["main"]
 
@@ -275,16 +275,12 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     return path
 
 
-# the per-iteration arrays of a ChainRecord
-CHAIN_COLUMNS = ("beta", "gamma", "K", "accepted", "h_before", "h_after", "dh")
-
-
 def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
     """Drop the burn-in fraction from each chain, then concatenate."""
     starts = [discard_start(discard, rec.n_rows) for rec in records]
     columns = {
         name: np.concatenate([getattr(rec, name)[start:] for rec, start in zip(records, starts)])
-        for name in CHAIN_COLUMNS
+        for name, _ in CHAIN_COLUMNS
     }
     return ChainRecord(**columns, meta={"pooled_from": len(records), "discard": discard})
 
@@ -312,8 +308,8 @@ def cmd_simulate(cfg: dict) -> int:
     j = _need(cfg, "lattice.j")
     factor = _need(cfg, "simulate.factor")
     s0 = cfg["simulate"]["s0"]
-    if s0 is not None and not (s0 > 0 and np.isfinite(s0)):
-        raise ValidationError(f"config field simulate.s0 must be positive and finite, got {s0}")
+    if s0 is not None:
+        _positive("config field simulate.s0", s0)
     truth_path = os.path.join(out_dir, _need(cfg, "simulate.truth_file"))
     obs_path = os.path.join(out_dir, _need(cfg, "simulate.observations_file"))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _positive
 from .model import _write_csv
 from .sampler import ChainRecord
 
@@ -188,8 +188,7 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
             "series has zero variance; a kernel density is degenerate, use a histogram"
         )
     h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValidationError(f"bandwidth must be positive and finite, got {h}")
+    _positive("bandwidth", h)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     out = np.empty(grid.size)
     norm = x.size * h * math.sqrt(2.0 * math.pi)

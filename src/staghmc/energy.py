@@ -207,6 +207,11 @@ class PathContext:
             self, "_scratch", _Scratch(lay, float(L[1]), float(L[-1]), self.obs.sigma)
         )
 
+    def __reduce__(self):
+        # rebuilt from its inputs: pickled views of the workspace would come
+        # back as copies, not views of its rows
+        return PathContext, (self.layout, self.signal, self.data, self.obs)
+
 
 class _Scratch:
     """The workspace of `_hprime` for one `PathContext`, allocated once.
@@ -248,11 +253,9 @@ class _Scratch:
         "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
         "resid", "data_force", "d_b", "pad_mid", "pad_prev", "pad_next",
         "spring", "resid_ub", "h_bound",
-        "_args",
     )
 
     def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
-        self._args = (lay, L0, LN, sigma)
         self.T, self.dt = lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
         self.coup = lay.T / (lay.j * lay.dt)
@@ -279,10 +282,6 @@ class _Scratch:
         self.pad_mid, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
         self.spring = np.empty(lay.n + 1)
         self.key = None
-
-    def __reduce__(self):
-        # pickled views would come back as copies, not views of E and g_q
-        return _Scratch, self._args
 
 
 class Potential(NamedTuple):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check of
-the library configs."""
+"""Exception types shared across the package, and the integer and
+positive-number checks of the library configs."""
 
+import math
 import numbers
 
 import numpy as np
@@ -20,6 +21,14 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _positive(name: str, value):
+    """``value``, if it is a positive finite number; zero, a negative number,
+    NaN or an infinity raises ValidationError."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class DomainError(StagHmcError, ValueError):

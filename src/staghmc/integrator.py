@@ -50,7 +50,7 @@ fixed trajectory length P dtau).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +61,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _saturating,
     grad_hprime,
 )
-from .errors import ValidationError, _integer
+from .errors import ValidationError, _integer, _positive
 from .lattice import LatticeLayout, MassConfig, PolymerState, _check_size
 
 __all__ = [
@@ -79,8 +79,7 @@ class IntegratorConfig:
     P: int
 
     def __post_init__(self):
-        if not (self.d_tau > 0 and math.isfinite(self.d_tau)):
-            raise ValidationError(f"d_tau must be positive and finite, got {self.d_tau}")
+        _positive("d_tau", self.d_tau)
         object.__setattr__(self, "P", _integer("P", self.P))
         if self.P < 1:
             raise ValidationError(f"P must be >= 1, got {self.P}")
@@ -88,30 +87,38 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class OscillatorBank:
-    """Per-staging-bead oscillator data for the exact rotation.
+    """Per-staging-bead oscillator data for the exact rotation, a function of
+    (layout, masses, d_tau) alone; `build` returns one shared bank per key.
 
     Effective mass m = m'/dt is shared; the frequency per staging order k,
     omega_k = sqrt(T k / ((k-1) dt m)), decreases with k (``omega`` lists it
     per staging bead, in lattice order). The rotation tables for the half
     step dtau/2 and for the full step dtau are precomputed as ``half`` and
-    ``full``, each the read-only triple (cos, sin / (m omega), m omega sin)
-    of its angle as flat length-(N-1) arrays over ``x[:-1]``: the
-    measurement beads ``s*j`` hold the identity entries (1, 0, 0). The
-    frequencies satisfy m omega_k^2 = T k / (dt (k-1)) exactly, so the
-    rotation conserves h_N to round-off.
+    ``full``, each the triple (cos, sin / (m omega), m omega sin) of its
+    angle as flat length-(N-1) arrays over ``x[:-1]``: the measurement beads
+    ``s*j`` hold the identity entries (1, 0, 0). ``omega`` and every table
+    are read-only. The frequencies satisfy m omega_k^2 = T k / (dt (k-1))
+    exactly, so the rotation conserves h_N to round-off.
     """
 
     layout: LatticeLayout
-    m: float
-    omega: np.ndarray
+    masses: MassConfig
     d_tau: float
-    half: tuple = field(init=False, repr=False)
-    full: tuple = field(init=False, repr=False)
+    m: float = field(init=False)
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
+    half: tuple = field(init=False, repr=False, compare=False)
+    full: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, j = self.layout.n, self.layout.j
-        omega = self.omega.reshape(n, j - 1)
-        m_omega = self.m * omega
+        lay = self.layout
+        n, j = lay.n, lay.j
+        m = self.masses.m_prime / lay.dt
+        omega = np.tile(np.sqrt(lay.stiffness / m), n)
+        omega.setflags(write=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "omega", omega)
+        omega = omega.reshape(n, j - 1)
+        m_omega = m * omega
         for name, step in (("half", self.d_tau / 2.0), ("full", self.d_tau)):
             angle = omega * step
             sin = np.sin(angle)
@@ -125,12 +132,11 @@ class OscillatorBank:
             object.__setattr__(self, name, tuple(tables))
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def build(
         cls, layout: LatticeLayout, masses: MassConfig, d_tau: float
     ) -> "OscillatorBank":
-        m = masses.m_prime / layout.dt
-        omega = np.tile(np.sqrt(layout.stiffness / m), layout.n)
-        return cls(layout=layout, m=m, omega=omega, d_tau=d_tau)
+        return cls(layout, masses, d_tau)
 
 
 def _rotate_inplace(u: np.ndarray, p: np.ndarray, bank: OscillatorBank, full: bool = False):
@@ -191,12 +197,13 @@ def trotter_propagate(
     ctx: PathContext,
     masses: MassConfig,
     config: IntegratorConfig,
-    bank: OscillatorBank | None = None,
 ) -> PolymerState:
     """Run the full trajectory: P repetitions of (half rotation, Verlet,
     half rotation), with the two half rotations between consecutive Verlet
     steps merged into one full rotation. Returns a new state that shares no
-    array with the input or the workspace; the input is not modified.
+    array with the input or the workspace; the input is not modified. The
+    rotation tables are the shared `OscillatorBank` of (ctx.layout, masses,
+    config.d_tau), looked up on each call.
 
     Decorated with `energy._saturating`, the saturation policy of the five
     entry points (with `h_N`, `h_total`, `grad_hprime` and
@@ -205,12 +212,7 @@ def trotter_propagate(
     up front; non-finite forces then raise NonFiniteError (the sampler
     counts that as a rejected proposal).
     """
-    if bank is None:
-        bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
-    elif bank.d_tau != config.d_tau:
-        raise ValidationError(
-            f"bank was built for d_tau={bank.d_tau}, config has {config.d_tau}"
-        )
+    bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
     _check_size(state.u, ctx.layout, "u")
     u = ctx._scratch.rows.u
     np.copyto(u, state.u)

@@ -30,12 +30,11 @@ what gradient evaluation chains through.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _positive
 from .model import DimensionlessParams, InputSignal, TimeSeriesData
 
 __all__ = [
@@ -86,8 +85,7 @@ class LatticeLayout:
     def __post_init__(self):
         if self.n < 1 or self.j < 1:
             raise ValidationError(f"n and j must be >= 1, got n={self.n}, j={self.j}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValidationError(f"T must be positive and finite, got {self.T}")
+        _positive("T", self.T)
         n, j = self.n, self.j
         dt = self.T / (n * j)
         object.__setattr__(self, "N", n * j + 1)
@@ -133,24 +131,19 @@ def build_layout(n: int, j: int, T: float) -> LatticeLayout:
 class MassConfig:
     """Effective masses: M for measurement beads, m_prime for staging beads
     (the staging kinetic term is dt p^2 / (2 m_prime), i.e. oscillator mass
-    m_prime/dt), and m_alpha for the two parameters (beta, gamma), also kept
-    as the read-only array ``m_alpha_vec``."""
+    m_prime/dt), and m_alpha for the two parameters (beta, gamma)."""
 
     M: float
     m_prime: float
     m_alpha: tuple[float, float]
-    m_alpha_vec: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ma = tuple(float(x) for x in self.m_alpha)
+        ma = tuple(_positive("m_alpha", float(x)) for x in self.m_alpha)
         if len(ma) != 2:
             raise ValidationError("m_alpha must hold exactly two masses (beta, gamma)")
-        if not (self.M > 0 and self.m_prime > 0 and all(x > 0 for x in ma)):
-            raise ValidationError("all masses must be positive")
+        _positive("M", self.M)
+        _positive("m_prime", self.m_prime)
         object.__setattr__(self, "m_alpha", ma)
-        vec = np.array(ma)  # read-only copy for array arithmetic (momentum scale)
-        vec.setflags(write=False)
-        object.__setattr__(self, "m_alpha_vec", vec)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError
+from .errors import DomainError, NonFiniteError, ValidationError, _positive
 
 __all__ = [
     "PhysicalParams",
@@ -67,12 +67,8 @@ class PhysicalParams:
     T: float
 
     def __post_init__(self):
-        if not (self.K > 0 and math.isfinite(self.K)):
-            raise ValidationError(f"K must be positive and finite, got {self.K}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValidationError(f"T must be positive and finite, got {self.T}")
+        for name in ("K", "gamma", "T"):
+            _positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -83,10 +79,8 @@ class DimensionlessParams:
     gamma: float
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError(f"beta must be positive and finite, got {self.beta}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
+        _positive("beta", self.beta)
+        _positive("gamma", self.gamma)
 
 
 def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
@@ -125,6 +119,11 @@ class InputSignal:
 
     def __post_init__(self):
         if self.kind == "sinusoid":
+            if not all(math.isfinite(x) for x in (self.a, self.omega, self.b)):
+                raise ValidationError(
+                    f"sinusoid input needs finite a, omega and b, got"
+                    f" a={self.a}, omega={self.omega}, b={self.b}"
+                )
             lo = min(self.b, self.a + self.b)
             if not lo > 0:
                 raise ValidationError(
@@ -135,6 +134,8 @@ class InputSignal:
             v = np.asarray(self.values, dtype=float)
             if t.ndim != 1 or t.shape != v.shape or t.size < 2:
                 raise ValidationError("tabulated input needs matching 1-d arrays, >= 2 points")
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+                raise ValidationError("tabulated input nodes must be finite")
             if not np.all(np.diff(t) > 0):
                 raise ValidationError("tabulated input times must be strictly increasing")
             if not np.all(v > 0):
@@ -211,8 +212,7 @@ class ObservationModel:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        _positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import PathContext, Potential, _refreshed, _saturating, h_total
-from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _integer
-from .integrator import IntegratorConfig, OscillatorBank, trotter_propagate
+from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _integer, _positive
+from .integrator import IntegratorConfig, trotter_propagate
 from .lattice import (
     LatticeLayout,
     MassConfig,
@@ -50,8 +50,15 @@ __all__ = [
     "sample_momenta",
 ]
 
-CHAIN_CSV_HEADER = "iter,beta,gamma,K,accepted,H_before,H_after,dH"
-CHAIN_CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g\n"
+# (ChainRecord field, CSV header) of each per-iteration column, in file
+# order; the CSV's first column is the 1-based iteration number
+CHAIN_COLUMNS = (
+    ("beta", "beta"), ("gamma", "gamma"), ("K", "K"), ("accepted", "accepted"),
+    ("h_before", "H_before"), ("h_after", "H_after"), ("dh", "dH"),
+)
+CHAIN_CSV_HEADER = ",".join(["iter", *(header for _, header in CHAIN_COLUMNS)])
+# %.17g prints the whole-number iteration and accepted columns as integers
+CHAIN_CSV_ROW = ",".join(["%.17g"] * (len(CHAIN_COLUMNS) + 1)) + "\n"
 CSV_BLOCK_ROWS = 4096
 
 
@@ -70,6 +77,10 @@ class InferenceProblem:
         object.__setattr__(self, "j", _integer("j", self.j))
         if self.j < 1:
             raise ValidationError(f"j must be >= 1, got {self.j}")
+        try:  # a tabulated input must span the data's times
+            self.signal.value(self.data.times)
+        except DomainError as exc:
+            raise ValidationError(f"input signal does not cover the data: {exc}") from None
 
     def layout(self) -> LatticeLayout:
         return build_layout(self.data.n_segments, self.j, self.data.horizon)
@@ -98,10 +109,8 @@ class HmcConfig:
             raise ValidationError(f"chains must be >= 1, got {self.chains}")
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        b, g = (float(self.theta0[0]), float(self.theta0[1]))
-        if not (np.isfinite(b) and np.isfinite(g) and b > 0 and g > 0):
-            raise ValidationError(f"theta0 must be positive and finite, got {self.theta0}")
-        object.__setattr__(self, "theta0", (b, g))
+        theta0 = tuple(_positive("theta0", float(self.theta0[i])) for i in (0, 1))
+        object.__setattr__(self, "theta0", theta0)
 
     def echo(self) -> dict:
         """JSON-ready mirror of every knob, sufficient to reproduce the run."""
@@ -153,13 +162,7 @@ class ChainRecord:
         cols = np.column_stack(
             [
                 np.arange(1, self.n_rows + 1, dtype=float),
-                self.beta,
-                self.gamma,
-                self.K,
-                self.accepted.astype(float),
-                self.h_before,
-                self.h_after,
-                self.dh,
+                *(getattr(self, name) for name, _ in CHAIN_COLUMNS),
             ]
         )
         with open(path, "w", encoding="utf-8") as fh:
@@ -171,18 +174,11 @@ class ChainRecord:
                 fh.write((CHAIN_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
-    def from_csv(cls, path, meta: dict | None = None) -> "ChainRecord":
+    def from_csv(cls, path) -> "ChainRecord":
         raw = _read_csv(path, CHAIN_CSV_HEADER)
-        return cls(
-            beta=raw[:, 1].copy(),
-            gamma=raw[:, 2].copy(),
-            K=raw[:, 3].copy(),
-            accepted=raw[:, 4] != 0.0,
-            h_before=raw[:, 5].copy(),
-            h_after=raw[:, 6].copy(),
-            dh=raw[:, 7].copy(),
-            meta=dict(meta) if meta else {"source": str(path)},
-        )
+        columns = {name: raw[:, i].copy() for i, (name, _) in enumerate(CHAIN_COLUMNS, 1)}
+        columns["accepted"] = columns["accepted"] != 0.0
+        return cls(**columns, meta={"source": str(path)})
 
 
 @functools.lru_cache(maxsize=16)
@@ -192,7 +188,7 @@ def _momentum_scale(masses: MassConfig, layout: LatticeLayout) -> np.ndarray:
     scale = np.empty(layout.N + 2)
     scale[: layout.N] = np.sqrt(masses.m_prime / layout.dt)
     scale[: layout.N : layout.j] = np.sqrt(masses.M)
-    scale[layout.N :] = np.sqrt(masses.m_alpha_vec)
+    scale[layout.N :] = np.sqrt(masses.m_alpha)
     scale.setflags(write=False)
     return scale
 
@@ -231,13 +227,14 @@ def hmc_iteration(
     ctx: PathContext,
     config: HmcConfig,
     rng: np.random.Generator,
-    bank: OscillatorBank | None = None,
     potential: Potential | None = None,
 ) -> tuple[PolymerState, IterationStats]:
     """One momentum-refresh / trajectory / Metropolis cycle.
 
     ``potential`` is the state's position-only energy (the ``potential`` of
     the previous iteration's stats); without it, it is computed afresh.
+    Everything else the trajectory needs, its rotation tables included,
+    follows from ``ctx`` and ``config``.
     Returns the next state (positions revert on rejection) and the iteration
     stats, whose ``potential`` is that of the next state. Invalid proposals
     never raise; they score an infinite energy and the pathology is recorded.
@@ -263,7 +260,7 @@ def hmc_iteration(
         before = _refreshed(potential, cur, masses, ctx.layout)
     h_before = before.total
     try:  # the trajectory checks the state size up front
-        proposal = trotter_propagate(cur, ctx, masses, config.integrator, bank=bank)
+        proposal = trotter_propagate(cur, ctx, masses, config.integrator)
         beta, gamma = proposal.theta.tolist()
         if not (beta > 0 and gamma > 0):
             pathology = "nonpositive-parameter"
@@ -300,7 +297,6 @@ def _run_seeded(
     theta0 = DimensionlessParams(*config.theta0)
     state = initial_state(problem.data, problem.signal, theta0, layout)
     rng = np.random.default_rng(seed_seq)
-    bank = OscillatorBank.build(layout, config.masses, config.integrator.d_tau)
 
     n = config.n_mc
     beta = np.empty(n)
@@ -314,7 +310,7 @@ def _run_seeded(
     t0 = time.perf_counter()
     potential = h_total(state, ctx, config.masses).potential
     for i in range(n):
-        state, stats = hmc_iteration(state, ctx, config, rng, bank=bank, potential=potential)
+        state, stats = hmc_iteration(state, ctx, config, rng, potential=potential)
         potential = stats.potential
         beta[i], gamma[i] = state.theta.tolist()
         accepted[i] = stats.accepted

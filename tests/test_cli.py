@@ -290,6 +290,20 @@ class TestInfer:
         assert lines[0].startswith("warning: chain 01 accepted none")
         assert "acceptance rate: 0.500" in captured.out
 
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_short_tabulated_signal_rejected_before_writing(self, tmp_path, capsys, chains):
+        cfg = config_for(tmp_path, "infer")  # data over [0, 40]
+        table = tmp_path / "signal.csv"
+        table.write_text("t,r\n0,0.5\n10,0.7\n20,0.6\n")
+        cfg["signal"] = {"kind": "tabulated", "file": str(table)}
+        cfg_path = write_config(tmp_path, cfg, "short.json")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["infer", "--config", cfg_path, "--chains", str(chains), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "does not cover the data" in capsys.readouterr().err
+
     def test_out_path_collision_is_runtime_failure(self, tmp_path):
         (tmp_path / "blocked").write_text("a file, not a directory")
         cfg_path = write_config(tmp_path, small_config())
@@ -564,6 +578,32 @@ def test_bool_or_string_number_rejected(tmp_path, capsys, command, field, value)
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert not out.exists()
     assert f"config field {'.'.join(field)} has" in capsys.readouterr().err
+
+
+# fields that JSON's Infinity reaches, with the command that reads them
+NON_FINITE = [
+    ("infer", ("infer", "masses", "M")),
+    ("simulate", ("signal", "a")),
+    ("simulate", ("signal", "omega")),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field", NON_FINITE, ids=[".".join(f) for _, f in NON_FINITE]
+)
+def test_infinity_rejected_before_writing(tmp_path, capsys, command, field):
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, field, float("inf"))
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    assert "Infinity" in open(cfg_path).read()
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", cfg_path, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -234,7 +234,7 @@ class TestFlatTerms:
     def test_flat_tables_are_read_only(self):
         layout, _, ctx = make_problem()
         for table in (
-            layout.flat_stiffness, layout.flat_staging, ctx.Ls, ctx.Ldots, MASSES.m_alpha_vec,
+            layout.flat_stiffness, layout.flat_staging, ctx.Ls, ctx.Ldots,
         ):
             assert not table.flags.writeable
             with pytest.raises(ValueError):

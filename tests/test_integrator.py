@@ -103,6 +103,19 @@ class TestOscillatorBank:
         # both segments see the same oscillators
         np.testing.assert_allclose(per_segment[0], per_segment[1], rtol=1e-15)
 
+    def test_one_shared_read_only_bank_per_key(self):
+        bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.25)
+        same = OscillatorBank.build(
+            build_layout(3, 10, 83.0), MassConfig(720.0, 130.0, (150.0, 150.0)), 0.25
+        )
+        assert same is bank
+        assert OscillatorBank.build(bank.layout, MASSES, 0.5) is not bank
+        other = MassConfig(720.0, 260.0, (150.0, 150.0))
+        assert OscillatorBank.build(bank.layout, other, 0.25).m == 2.0 * bank.m
+        assert not bank.omega.flags.writeable
+        with pytest.raises(ValueError):
+            bank.omega[0] = 1.0
+
     def test_no_staging_beads_is_identity(self):
         layout = build_layout(4, 1, 20.0)
         bank = OscillatorBank.build(layout, MASSES, 0.25)
@@ -112,14 +125,6 @@ class TestOscillatorBank:
         out = rotated(st, bank)
         np.testing.assert_array_equal(out.u, st.u)
         np.testing.assert_array_equal(out.p, st.p)
-
-    def test_step_size_mismatch_rejected(self):
-        layout, ctx = make_problem(2, 5, 60.0)
-        bank = OscillatorBank.build(layout, MASSES, 0.5)
-        cfg = IntegratorConfig(d_tau=0.25, P=2)
-        st = random_state(layout, np.random.default_rng(0))
-        with pytest.raises(ValidationError):
-            trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
 
 
 class TestRotation:
@@ -298,16 +303,6 @@ class TestTrotter:
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_array_equal(getattr(second, name), getattr(first, name))
 
-    def test_prebuilt_bank_matches_default(self):
-        layout, ctx = make_problem(2, 5, 60.0)
-        st = random_state(layout, np.random.default_rng(11))
-        cfg = IntegratorConfig(d_tau=0.25, P=3)
-        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
-        a = trotter_propagate(st, ctx, MASSES, cfg)
-        b = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.p, b.p)
-
     @pytest.mark.parametrize("bead", [0, 5, 10])
     def test_infinite_boundary_momentum_rejected_without_warning(self, bead):
         # the identity table entries meet inf as inf * 0 = NaN; the trajectory
@@ -336,7 +331,7 @@ class TestTrotter:
             beta, gamma, pa, pg = _verlet_inplace(p, ctx, MASSES, cfg.d_tau, beta, gamma, pa, pg)
             _rotate_inplace(u, p, bank)
         ref = {"u": u.copy(), "p": p, "theta": [beta, gamma], "pi": [pa, pg]}
-        out = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
+        out = trotter_propagate(st, ctx, MASSES, cfg)
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_allclose(getattr(out, name), ref[name], rtol=1e-12, atol=1e-12)
 
@@ -364,14 +359,14 @@ class TestTrotter:
             for step in range(1, P + 1):
                 kick()
                 ref.u[::j] += (cfg.d_tau / MASSES.M) * ref.p[::j]
-                ref.theta += cfg.d_tau * ref.pi / MASSES.m_alpha_vec
+                ref.theta += cfg.d_tau * ref.pi / np.array(MASSES.m_alpha)
                 kick()
                 _rotate_inplace(ref.u, ref.p, bank, full=step < P)
         except NonFiniteError:  # a runaway trajectory must run away alike
             with pytest.raises(NonFiniteError):
-                trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
+                trotter_propagate(st, ctx, MASSES, cfg)
             return
-        out = trotter_propagate(st, ctx, MASSES, cfg, bank=bank)
+        out = trotter_propagate(st, ctx, MASSES, cfg)
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
 

@@ -240,6 +240,13 @@ class TestState:
         cfg = MassConfig(M=720, m_prime=130, m_alpha=(150, 150))
         assert cfg.m_alpha == (150.0, 150.0)
 
+    @pytest.mark.parametrize("name", ["M", "m_prime", "m_alpha"])
+    def test_infinite_mass_rejected(self, name):
+        masses = dict(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
+        masses[name] = (150.0, np.inf) if name == "m_alpha" else np.inf
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            MassConfig(**masses)
+
     def test_state_validation(self):
         with pytest.raises(ValidationError):
             PolymerState(u=np.zeros(5), theta=np.zeros(2), p=np.zeros(4), pi=np.zeros(2))

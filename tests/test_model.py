@@ -173,6 +173,21 @@ class TestInputSignal:
             InputSignal.sinusoid(-0.5, 0.01, 0.3)
         InputSignal.sinusoid(-0.2, 0.01, 0.3)  # min 0.1 > 0, fine
 
+    @pytest.mark.parametrize(
+        "a, omega, b", [(np.inf, 0.01, 0.1), (1.0, np.inf, 0.1), (1.0, -np.inf, 0.1),
+                        (1.0, 0.01, np.inf)]
+    )
+    def test_sinusoid_must_be_finite(self, a, omega, b):
+        with pytest.raises(ValidationError, match="finite"):
+            InputSignal.sinusoid(a, omega, b)
+
+    @pytest.mark.parametrize(
+        "times, values", [([0.0, 1.0, np.inf], [1.0, 2.0, 1.0]), ([0.0, 1.0], [1.0, np.inf])]
+    )
+    def test_tabulated_nodes_must_be_finite(self, times, values):
+        with pytest.raises(ValidationError, match="finite"):
+            InputSignal.tabulated(times, values)
+
     def test_dlog_dt_matches_fd(self):
         t = np.linspace(1, 800, 57)
         h = 1e-6
