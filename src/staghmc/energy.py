@@ -315,13 +315,13 @@ class Gradient(NamedTuple):
 
 def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
     """Position part of h_N: 0.5 sum T k u^2 / (dt (k-1)) over staging beads."""
-    return 0.5 * float(np.square(state.u[:-1]) @ layout.flat_stiffness)
+    return 0.5 * float(np.square(state.u[:-1]).dot(layout.flat_stiffness))
 
 
 def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Momentum part of h_N: sum dt p^2 / (2 m') over staging beads."""
     return (0.5 * layout.dt / masses.m_prime) * float(
-        np.square(state.p[:-1]) @ layout.flat_staging
+        np.square(state.p[:-1]).dot(layout.flat_staging)
     )
 
 
@@ -346,7 +346,7 @@ def _refreshed(
     pa, pg = state.pi.tolist()
     ma, mg = masses.m_alpha
     h_fast = _staging_kinetic(state, masses, layout) + potential.h_N
-    h_bound = float(pb @ pb) / (2.0 * masses.M) + potential.h_n
+    h_bound = float(pb.dot(pb)) / (2.0 * masses.M) + potential.h_n
     h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
     return EnergyBreakdown(
         h_N=h_fast, h_n=h_bound, h_1=h_slow, total=h_fast + h_bound + h_slow,
@@ -409,7 +409,7 @@ def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, ke
     np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
     np.multiply(s.d_b, s.coup, out=s.pad_mid)
     np.subtract(s.pad_prev, s.pad_next, out=s.spring)
-    s.resid_ub = float(float(resid @ ub) / s.sigma2)
+    s.resid_ub = float(float(resid.dot(ub)) / s.sigma2)
     s.h_bound = None
     s.key = key
 
@@ -448,15 +448,15 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
     bg, c, rho0, rhoN = s.bg, s.c, s.rho0, s.rhoN
     np.multiply(s.E_tail, bg, out=w)
     np.subtract(s.Lc, w, out=A)
-    q_Ldot = float(qs @ ctx.Ldots)  # qs . (T rhodot) = (T / beta) q_Ldot
+    q_Ldot = float(qs.dot(ctx.Ldots))  # qs . (T rhodot) = (T / beta) q_Ldot
     T = s.T
     if not gradient:
         if s.h_bound is None:
             d = s.d_b
             s.h_bound = float(
-                float(s.resid @ s.resid) / (2.0 * s.sigma2) + 0.5 * s.coup * float(d @ d)
+                float(s.resid.dot(s.resid)) / (2.0 * s.sigma2) + 0.5 * s.coup * float(d.dot(d))
             )
-        body = 0.5 * float(A @ A) - (0.5 * beta) * float(np.add.reduce(w)) - (T / beta) * q_Ldot
+        body = 0.5 * float(A.dot(A)) - (0.5 * beta) * float(np.add.reduce(w)) - (T / beta) * q_Ldot
         edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
         return s.h_bound, s.dt_T * body + edge
 
@@ -464,8 +464,8 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
     np.add(A, 0.5 * beta, out=Z)
     Z *= w
     A_sum, w_sum, Z_sum = np.add.reduce(s.work, axis=1, out=s.sums).tolist()
-    A_L = float(A @ ctx.Ls)
-    Z_q = float(Z @ qs)
+    A_L = float(A.dot(ctx.Ls))
+    Z_q = float(Z.dot(qs))
     g_q = rows.g_q
     np.multiply(Z, beta * s.dt_T, out=s.gq_tail)
     s.gq_tail -= s.Ld
@@ -495,8 +495,9 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
     g_beta -= s.resid_ub
     g_gamma = s.dt_T * (Z_sum / gamma - s.beta_g2 * A_sum)
     g_gamma = float(g_gamma + (E0 - EN + beta * (q0 - qN)) / s.gamma2)
-    # one reduction proves g_u finite; only a failure pays for the scan
-    if not math.isfinite(np.add.reduce(g_u)):
+    # one dot product proves g_u finite; only a failure (a non-finite entry,
+    # or an overflow of finite ones) pays for the scan
+    if not math.isfinite(g_u.dot(g_u)):
         bad = np.flatnonzero(~np.isfinite(g_u))
         if bad.size:
             raise NonFiniteError("gradient w.r.t. u", indices=bad)
