@@ -44,13 +44,16 @@ A . drho/dbeta = (c sum A - A . L / beta) / beta and qs . (T rhodot) =
 (T / beta) qs . Ldot, with rho itself needed only at the two end beads.
 The plain sums of the rows [A, w, Z] come out of one reduction, and A . L
 and qs . Ldot out of one dot product each. From these the kernel forms
-either the potential of H' = h_n + h_1 (for `h_total`) or its exact
-analytic gradient w.r.t. u and theta, with dH'/dq chained through the
-staging transpose and the force of the boundary springs, one per segment,
-as a stencil on the difference row d = u_b[1:] - u_b[:-1] of the
-measurement beads (for `grad_hprime`). A state's position-only energy
-(`Potential`) is fixed by a momentum refresh, so the sampler carries it from
-one iteration to the next and adds the new kinetic terms with `_refreshed`.
+the potential of H' = h_n + h_1 (for `h_total`), and on a gradient pass
+also its exact analytic gradient w.r.t. u and theta, with dH'/dq chained
+through the staging transpose and the force of the boundary springs, one
+per segment, as a stencil on the difference row d = u_b[1:] - u_b[:-1] of
+the measurement beads (for `grad_hprime` and the trajectory). Both depend
+on positions alone: a momentum refresh fixes the state's position-only
+energy (`Potential`) and its force, so the sampler carries both from one
+iteration to the next, adds the new kinetic terms with `_refreshed`, and
+takes the proposal's potential and force from the trajectory's last
+gradient pass.
 
 At the benchmark size (N = 301) most of a kernel call is dispatch, not
 arithmetic, so the kernel keeps both small:
@@ -61,29 +64,22 @@ arithmetic, so the kernel keeps both small:
   are one `lattice._StagingRows`, which builds once every view the two
   staging products take of them. The kernel reads its beads from the row
   u: `h_total` and `grad_hprime` copy a state's beads in, and the
-  trajectory copies them in once and moves them there for all its 2P
+  trajectory copies them in once and moves them there for all its P
   gradients. The views u_b = ``u[::j]``, ``u_b[1:]`` and ``u_b[:-1]`` are
   built once too; in-place writes to a row show through its views, so
   nothing is ever rebuilt or invalidated. A context is therefore not safe
   to share between threads; parallel chains run in processes.
-* A keyed boundary stage. The terms that depend on theta and the
-  measurement beads u_b = u[::j] alone (beta / gamma, c, rho at beads 2
-  and N, gamma^2 and beta / gamma^2; the rows L / beta + c and
-  Ldot dt / beta; the data residuals, the data force, the difference row d
-  and the spring force coup (d_{s-1} - d_s) made from it, with one
-  neighbour at each end and coup = T / (j dt); (resid . u_b) / sigma^2;
-  and, for a potential, the position part of h_n) are computed by
-  `_boundary_stage` and kept for the exact key (beta, gamma,
-  u_b.tobytes()). Any caller, public or the trajectory, whose key matches
-  reuses them, and any other value, down to one ulp or the sign of a
-  zero, rebuilds them; the key is the one mechanism, with no flag beside
-  it. Only the P drifts of a trajectory
-  move theta and u_b, so the gradient at the start of steps 2..P, the
-  proposal's potential and, after an acceptance, the first gradient of
-  the next trajectory all hit.
-* Rows a call overwrites. Every kernel call rewrites q, E, the rows
-  [A, w, Z] and the sums; a gradient call also rewrites g_q, the
-  adjoint's window product and ``g_u``. The trajectory (`integrator`)
+* One boundary stage per pass. `_boundary_stage` fills the rows that
+  depend on theta and the measurement beads u_b = u[::j] alone: L / beta
+  + c and Ldot dt / beta, the data residuals and their force, the
+  difference row d and the spring force coup (d_{s-1} - d_s) made from it,
+  with one neighbour at each end and coup = T / (j dt); it returns the
+  position part of h_n. It keeps nothing between passes: every gradient
+  of a trajectory follows a drift of theta and u_b, so a stage kept for
+  the next pass would never be reused.
+* Rows a call overwrites. Every kernel call rewrites q, E, the boundary
+  rows, the rows [A, w, Z] and the sums; a gradient call also rewrites
+  g_q, the adjoint's window product and ``g_u``. The trajectory (`integrator`)
   calls the kernel directly: it gets g_u as the workspace row itself,
   valid until the next call, and g_theta as two Python floats.
   `grad_hprime` and `h_total` are thin wrappers over the same kernel that
@@ -223,19 +219,13 @@ class _Scratch:
     measurement beads ``u_b`` = u[::j] and their shifted views ``ub_next``
     = u_b[1:] and ``ub_prev`` = u_b[:-1]. Per-call rows: ``E`` (with
     ``E_tail`` and ``E_ends``), the (3, N-1) rows ``work`` = [A, w, Z],
-    their length-3 row of ``sums``, and the length-(n+1) row ``drift`` for
-    the integrator's drift of the measurement beads.
+    and their length-3 row of ``sums``.
 
-    The boundary stage, valid for the exact ``key`` (beta, gamma,
-    u[::j].tobytes()) and rebuilt by `_boundary_stage` on any other:
-    the Python floats ``bg``, ``c``, ``rho0``, ``rhoN`` and ``beta_g2``, the
-    NumPy scalar ``gamma2``, the rows ``Lc`` = Ls / beta + c and ``Ld`` =
-    Ldots dt / beta over beads i = 2..N, the rows ``resid`` (the data
-    residuals), ``data_force`` and ``spring`` over the measurement beads,
-    the length-n difference row ``d_b`` = u_b[1:] - u_b[:-1], the float
-    ``resid_ub`` = (resid . u_b) / sigma^2, and ``h_bound``, the position
-    part of h_n, filled in by the first potential under the key. The
-    spring force is coup (d_{s-1} - d_s) with the stiffness ``coup`` =
+    The boundary rows, which `_boundary_stage` fills on every pass: ``Lc``
+    = Ls / beta + c and ``Ld`` = Ldots dt / beta over beads i = 2..N, the
+    rows ``resid`` (the data residuals), ``data_force`` and ``spring`` over
+    the measurement beads, and the length-n difference row ``d_b`` =
+    u_b[1:] - u_b[:-1]. The spring force is coup (d_{s-1} - d_s) with the stiffness ``coup`` =
     T / (j dt): a length-(n+2) row holds coup d in its view ``pad_mid``,
     between two zeros that are never written, and ``spring`` is its left
     view ``pad_prev`` minus its right view ``pad_next``, so the end beads
@@ -249,10 +239,9 @@ class _Scratch:
     __slots__ = (
         "T", "dt", "dt_T", "coup", "L0", "LN", "sigma2",
         "rows", "q_ends", "q_tail", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
-        "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums", "drift",
-        "key", "bg", "c", "rho0", "rhoN", "gamma2", "beta_g2", "Lc", "Ld",
-        "resid", "data_force", "d_b", "pad_mid", "pad_prev", "pad_next",
-        "spring", "resid_ub", "h_bound",
+        "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
+        "Lc", "Ld", "resid", "data_force", "d_b", "pad_mid", "pad_prev", "pad_next",
+        "spring",
     )
 
     def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
@@ -272,7 +261,6 @@ class _Scratch:
         self.work = np.empty((3, lay.N - 1))
         self.A, self.w, self.Z = self.work
         self.sums = np.empty(3)
-        self.drift = np.empty(lay.n + 1)
         self.Lc = np.empty(lay.N - 1)
         self.Ld = np.empty(lay.N - 1)
         self.resid = np.empty(lay.n + 1)
@@ -281,7 +269,6 @@ class _Scratch:
         pad = np.zeros(lay.n + 2)
         self.pad_mid, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
         self.spring = np.empty(lay.n + 1)
-        self.key = None
 
 
 class Potential(NamedTuple):
@@ -379,39 +366,29 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    g_u, g_beta, g_gamma = _hprime(*_load(state, ctx), ctx, True)
+    _, _, g_u, g_beta, g_gamma = _hprime(*_load(state, ctx), ctx, True)
     return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
 
 
-def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, gamma: float, key):
-    """Fill the boundary stage of ``s`` (see `_Scratch`) for ``key``: every
-    term of the kernel that depends on theta and the measurement beads
-    ``s.u_b`` of the row u alone. The key is set last, so a stage left half
-    built never matches."""
-    s.key = None
-    s.bg = beta / gamma
-    c = s.c = (2.0 + gamma) * beta / (2.0 * gamma)
-    s.rho0 = s.L0 / beta + c  # rho at beads 2 and N
-    s.rhoN = s.LN / beta + c
-    # a NumPy scalar power: libm pow (gamma * gamma differs in the last bit
-    # for some gamma), saturating where a Python float power would raise
-    # OverflowError or underflow to a 0.0 divisor
-    gamma2 = s.gamma2 = np.float64(gamma) ** 2
-    s.beta_g2 = float(beta / gamma2)
+def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, c: float) -> float:
+    """Fill the boundary rows of ``s`` (see `_Scratch`): every row of the
+    kernel that depends on theta and the measurement beads ``s.u_b`` of the
+    row u alone. Returns the position part of h_n: the data term plus the
+    springs."""
     np.divide(ctx.Ls, beta, out=s.Lc)
     s.Lc += c
     np.multiply(ctx.Ldots, s.dt / beta, out=s.Ld)
-    ub, resid = s.u_b, s.resid
+    ub, resid, d = s.u_b, s.resid, s.d_b
     np.multiply(ub, beta, out=resid)
     np.subtract(ctx.lnyr, resid, out=resid)
     np.multiply(resid, beta / s.sigma2, out=s.data_force)
     # the springs: coup (d_{s-1} - d_s), with the zero ends of the pad
-    np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
-    np.multiply(s.d_b, s.coup, out=s.pad_mid)
+    np.subtract(s.ub_next, s.ub_prev, out=d)
+    np.multiply(d, s.coup, out=s.pad_mid)
     np.subtract(s.pad_prev, s.pad_next, out=s.spring)
-    s.resid_ub = float(float(resid.dot(ub)) / s.sigma2)
-    s.h_bound = None
-    s.key = key
+    return float(
+        float(resid.dot(resid)) / (2.0 * s.sigma2) + 0.5 * s.coup * float(d.dot(d))
+    )
 
 
 def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
@@ -420,23 +397,27 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
 
     The N beads are the workspace row ``rows.u``, loaded by the caller;
     beta and gamma are Python floats. Returns the position parts (h_n, h_1)
-    of the state's `Potential`, or with ``gradient`` the triple
-    (g_u, g_beta, g_gamma) of the gradient of H': g_u is the workspace row ``g_u``, valid until the
-    next call on the context, and the theta components are Python floats.
-    Rows of the workspace run over beads i = 2..N (slots 1..N-1); rho,
-    rhodot and their derivatives are never built as arrays, only the sums
-    they enter (see the module docstring). The boundary stage is rebuilt
-    only when its key changes. Every array operation writes into the
-    context's scratch. Runs under a caller's `_saturating`.
+    of the state's `Potential`, and with ``gradient`` also the gradient of
+    H', as the 5-tuple (h_n, h_1, g_u, g_beta, g_gamma): g_u is the
+    workspace row ``g_u``, valid until the next call on the context, and the
+    theta components are Python floats. Both modes compute (h_n, h_1) by the
+    same operations, so a gradient pass gives the potential of `h_total`
+    bit for bit. Rows of the workspace run over beads i = 2..N (slots
+    1..N-1); rho, rhodot and their derivatives are never built as arrays,
+    only the sums they enter (see the module docstring). Every array
+    operation writes into the context's scratch. Runs under a caller's
+    `_saturating`.
     """
     s = ctx._scratch
     # Python floats: every division below is by beta, gamma, 2 gamma or a
     # NumPy scalar (sigma^2, gamma^2), so none can raise ZeroDivisionError
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
-    key = (beta, gamma, s.u_b.tobytes())
-    if key != s.key:
-        _boundary_stage(s, ctx, beta, gamma, key)
+    bg = beta / gamma
+    c = (2.0 + gamma) * beta / (2.0 * gamma)
+    rho0 = s.L0 / beta + c  # rho at beads 2 and N
+    rhoN = s.LN / beta + c
+    h_n = _boundary_stage(s, ctx, beta, c)
     A, w, Z, E, rows = s.A, s.w, s.Z, s.E, s.rows
     rows.inverse()
     np.multiply(rows.q, -beta, out=E)
@@ -445,25 +426,25 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
     q0, qN = s.q_ends.tolist()
     E0, EN = s.E_ends.tolist()
     qs = s.q_tail
-    bg, c, rho0, rhoN = s.bg, s.c, s.rho0, s.rhoN
     np.multiply(s.E_tail, bg, out=w)
     np.subtract(s.Lc, w, out=A)
     q_Ldot = float(qs.dot(ctx.Ldots))  # qs . (T rhodot) = (T / beta) q_Ldot
     T = s.T
+    if gradient:
+        # d/dq of the path action; the row sums of [A, w, Z] equal the
+        # reductions of each row alone, so w_sum is that of the potential
+        np.add(A, 0.5 * beta, out=Z)
+        Z *= w
+        A_sum, w_sum, Z_sum = np.add.reduce(s.work, axis=1, out=s.sums).tolist()
+    else:
+        w_sum = float(np.add.reduce(w))
+    body = 0.5 * float(A.dot(A)) - (0.5 * beta) * w_sum - (T / beta) * q_Ldot
+    edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
+    h_1 = s.dt_T * body + edge
     if not gradient:
-        if s.h_bound is None:
-            d = s.d_b
-            s.h_bound = float(
-                float(s.resid.dot(s.resid)) / (2.0 * s.sigma2) + 0.5 * s.coup * float(d.dot(d))
-            )
-        body = 0.5 * float(A.dot(A)) - (0.5 * beta) * float(np.add.reduce(w)) - (T / beta) * q_Ldot
-        edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
-        return s.h_bound, s.dt_T * body + edge
+        return h_n, h_1
 
-    # d/dq of the path action, then chained through the staging transpose
-    np.add(A, 0.5 * beta, out=Z)
-    Z *= w
-    A_sum, w_sum, Z_sum = np.add.reduce(s.work, axis=1, out=s.sums).tolist()
+    # chained through the staging transpose
     A_L = float(A.dot(ctx.Ls))
     Z_q = float(Z.dot(qs))
     g_q = rows.g_q
@@ -492,9 +473,13 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
         + qN * ((2.0 * c - rhoN) / beta)
         - q0 * ((2.0 * c - rho0) / beta)
     )
-    g_beta -= s.resid_ub
-    g_gamma = s.dt_T * (Z_sum / gamma - s.beta_g2 * A_sum)
-    g_gamma = float(g_gamma + (E0 - EN + beta * (q0 - qN)) / s.gamma2)
+    g_beta -= float(float(s.resid.dot(s.u_b)) / s.sigma2)
+    # a NumPy scalar power: libm pow (gamma * gamma differs in the last bit
+    # for some gamma), saturating where a Python float power would raise
+    # OverflowError or underflow to a 0.0 divisor
+    gamma2 = np.float64(gamma) ** 2
+    g_gamma = s.dt_T * (Z_sum / gamma - float(beta / gamma2) * A_sum)
+    g_gamma = float(g_gamma + (E0 - EN + beta * (q0 - qN)) / gamma2)
     # one dot product proves g_u finite; only a failure (a non-finite entry,
     # or an overflow of finite ones) pays for the scan
     if not math.isfinite(g_u.dot(g_u)):
@@ -506,4 +491,4 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
         raise NonFiniteError(
             "gradient w.r.t. theta", indices=np.flatnonzero(~np.isfinite(g_theta))
         )
-    return g_u, g_beta, g_gamma
+    return h_n, h_1, g_u, g_beta, g_gamma

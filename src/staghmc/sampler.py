@@ -20,9 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import PathContext, Potential, _refreshed, _saturating, h_total
+from .energy import Gradient, PathContext, Potential, _harmonic, _refreshed, _saturating, h_total
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _integer, _positive
-from .integrator import IntegratorConfig, trotter_propagate
+from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
+    IntegratorConfig,
+    _trajectory,
+    trotter_propagate,
+)
 from .lattice import (
     LatticeLayout,
     MassConfig,
@@ -134,7 +138,9 @@ class IterationStats(NamedTuple):
     h_after: float
     dh: float
     pathology: str | None = None
-    potential: Potential | None = None  # of the returned state, for the next iteration
+    # of the returned state, for the next iteration
+    potential: Potential | None = None
+    force: Gradient | None = None
 
 
 @dataclass
@@ -228,16 +234,23 @@ def hmc_iteration(
     config: HmcConfig,
     rng: np.random.Generator,
     potential: Potential | None = None,
+    force: Gradient | None = None,
 ) -> tuple[PolymerState, IterationStats]:
     """One momentum-refresh / trajectory / Metropolis cycle.
 
-    ``potential`` is the state's position-only energy (the ``potential`` of
-    the previous iteration's stats); without it, it is computed afresh.
-    Everything else the trajectory needs, its rotation tables included,
-    follows from ``ctx`` and ``config``.
+    ``potential`` and ``force`` are the state's position-only energy and
+    the `Gradient` of H' at its positions (the ``potential`` and ``force``
+    of the previous iteration's stats); without them, they are computed
+    afresh, the force inside the trajectory. Everything else the trajectory
+    needs, its free-flow tables included, follows from ``ctx`` and
+    ``config``. The proposal's potential and force come from the
+    trajectory's last kernel pass, so an iteration given both makes P
+    kernel passes and no `h_total`.
     Returns the next state (positions revert on rejection) and the iteration
-    stats, whose ``potential`` is that of the next state. Invalid proposals
-    never raise; they score an infinite energy and the pathology is recorded.
+    stats, whose ``potential`` and ``force`` are those of the next state: a
+    rejection keeps the ones given. Invalid proposals never raise, a
+    non-finite start force included; they score an infinite energy and the
+    pathology is recorded.
 
     The input state is never mutated, but it is not copied either: on
     rejection the returned state shares its ``u`` and ``theta`` arrays with
@@ -249,24 +262,25 @@ def hmc_iteration(
     `integrator.trotter_propagate`), so the whole iteration, the refreshed
     energy of a carried potential included, saturates instead of warning.
     """
-    masses = config.masses
-    p, pi = sample_momenta(masses, ctx.layout, rng)
+    masses, layout = config.masses, ctx.layout
+    p, pi = sample_momenta(masses, layout, rng)
     cur = PolymerState._trusted(state.u, state.theta, p, pi)
     pathology = None
-    proposal = after = None
+    proposal = after = moved = None
     if potential is None:
         before = h_total(cur, ctx, masses)
     else:
-        before = _refreshed(potential, cur, masses, ctx.layout)
+        before = _refreshed(potential, cur, masses, layout)
     h_before = before.total
     try:  # the trajectory checks the state size up front
-        proposal = trotter_propagate(cur, ctx, masses, config.integrator)
+        proposal, moved, (h_n, h_1) = _trajectory(cur, ctx, masses, config.integrator, force)
         beta, gamma = proposal.theta.tolist()
         if not (beta > 0 and gamma > 0):
             pathology = "nonpositive-parameter"
             h_after = float("inf")
         else:
-            after = h_total(proposal, ctx, masses)
+            moved_potential = Potential(_harmonic(proposal, layout), h_n, h_1)
+            after = _refreshed(moved_potential, proposal, masses, layout)
             h_after = after.total
             if not math.isfinite(h_after):
                 pathology = "nonfinite-energy"
@@ -275,7 +289,7 @@ def hmc_iteration(
         h_after = float("inf")
 
     accepted = metropolis_accept(h_before, h_after, rng)
-    nxt, kept = (proposal, after) if accepted else (cur, before)
+    nxt, kept, force = (proposal, after, moved) if accepted else (cur, before, force)
     return nxt, IterationStats(
         accepted=accepted,
         h_before=float(h_before),
@@ -283,6 +297,7 @@ def hmc_iteration(
         dh=float(h_after - h_before),
         pathology=pathology,
         potential=kept.potential,
+        force=force,
     )
 
 
@@ -309,9 +324,10 @@ def _run_seeded(
 
     t0 = time.perf_counter()
     potential = h_total(state, ctx, config.masses).potential
+    force = None  # computed by the first trajectory, where it may fail
     for i in range(n):
-        state, stats = hmc_iteration(state, ctx, config, rng, potential=potential)
-        potential = stats.potential
+        state, stats = hmc_iteration(state, ctx, config, rng, potential=potential, force=force)
+        potential, force = stats.potential, stats.force
         beta[i], gamma[i] = state.theta.tolist()
         accepted[i] = stats.accepted
         h_before[i] = stats.h_before
@@ -379,7 +395,12 @@ def run_parallel_chains(
         return [record]
 
     if processes is None:
-        processes = min(config.chains, os.cpu_count() or 1)
+        # the CPUs this process may run on, where the platform can say
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        processes = min(config.chains, cpus)
     try:
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:

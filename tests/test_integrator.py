@@ -13,12 +13,12 @@ from staghmc import (
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.energy import PathContext, grad_hprime, h_N, h_total
+from staghmc.energy import PathContext, _saturating, grad_hprime, h_N, h_total
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
     _rotate_inplace,
-    _verlet_inplace,
+    _trajectory,
     trotter_propagate,
 )
 from staghmc.lattice import MassConfig, PolymerState, build_layout
@@ -56,7 +56,7 @@ def random_state(layout, rng, u_scale=0.5, p_scale=3.0):
 
 
 def rotated(state, bank):
-    """The in-place half rotation applied to a copy."""
+    """The in-place half-step free flow applied to a copy."""
     out = state.copy()
     _rotate_inplace(out.u, out.p, bank)
     return out
@@ -116,14 +116,14 @@ class TestOscillatorBank:
         with pytest.raises(ValueError):
             bank.omega[0] = 1.0
 
-    def test_no_staging_beads_is_identity(self):
+    def test_no_staging_beads_is_a_free_drift(self):
         layout = build_layout(4, 1, 20.0)
         bank = OscillatorBank.build(layout, MASSES, 0.25)
         assert bank.omega.size == 0
         rng = np.random.default_rng(1)
         st = random_state(layout, rng)
         out = rotated(st, bank)
-        np.testing.assert_array_equal(out.u, st.u)
+        np.testing.assert_array_equal(out.u, st.u + st.p * (0.125 / MASSES.M))
         np.testing.assert_array_equal(out.p, st.p)
 
 
@@ -139,12 +139,13 @@ class TestRotation:
             assert abs(after - before) <= 1e-12 * abs(before)
 
     def test_leaves_boundary_and_parameters_alone(self):
+        # but for the free drift of the measurement beads
         layout = build_layout(3, 10, 83.0)
         bank = OscillatorBank.build(layout, MASSES, 0.37)
         st = random_state(layout, np.random.default_rng(2))
         out = rotated(st, bank)
         b = np.arange(layout.n + 1) * layout.j
-        np.testing.assert_array_equal(out.u[b], st.u[b])
+        np.testing.assert_array_equal(out.u[b], st.u[b] + st.p[b] * (0.185 / MASSES.M))
         np.testing.assert_array_equal(out.p[b], st.p[b])
         np.testing.assert_array_equal(out.theta, st.theta)
         np.testing.assert_array_equal(out.pi, st.pi)
@@ -229,42 +230,28 @@ class TestFlatRotation:
         st = random_state(layout, np.random.default_rng(layout.N), u_scale=1.0, p_scale=5.0)
         out = st.copy()
         _rotate_inplace(out.u, out.p, bank, full=full)
-        ref = view_rotation(st, bank, bank.d_tau if full else bank.d_tau / 2.0)
-        np.testing.assert_array_equal(out.u, ref.u)
+        step = bank.d_tau if full else bank.d_tau / 2.0
+        ref = view_rotation(st, bank, step)
+        stg = np.arange(layout.N) % layout.j != 0
+        np.testing.assert_array_equal(out.u[stg], ref.u[stg])
         np.testing.assert_array_equal(out.p, ref.p)
-        # measurement beads, the last one included, come out exactly unchanged
-        np.testing.assert_array_equal(out.u[:: layout.j], st.u[:: layout.j])
-        np.testing.assert_array_equal(out.p[:: layout.j], st.p[:: layout.j])
+        # measurement beads, the last one included, drift freely with their
+        # momenta exactly unchanged
+        b = slice(None, None, layout.j)
+        np.testing.assert_array_equal(out.u[b], st.u[b] + st.p[b] * (step / MASSES.M))
+        np.testing.assert_array_equal(out.p[b], st.p[b])
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
     def test_tables_are_flat_with_identity_at_measurement_beads(self, layout):
+        # identity on the momenta; the positions drift as free particles
         bank = OscillatorBank.build(layout, MASSES, 0.37)
-        for cos, sin_over_m_omega, m_omega_sin in (bank.half, bank.full):
+        for step, (cos, sin_over_m_omega, m_omega_sin) in ((0.185, bank.half), (0.37, bank.full)):
             for table in (cos, sin_over_m_omega, m_omega_sin):
-                assert table.shape == (layout.N - 1,)
+                assert table.shape == (layout.N,)
                 assert not table.flags.writeable
             np.testing.assert_array_equal(cos[:: layout.j], 1.0)
-            np.testing.assert_array_equal(sin_over_m_omega[:: layout.j], 0.0)
+            np.testing.assert_array_equal(sin_over_m_omega[:: layout.j], step / MASSES.M)
             np.testing.assert_array_equal(m_omega_sin[:: layout.j], 0.0)
-
-
-class TestVerlet:
-    def test_moves_only_slow_positions(self):
-        layout, ctx = make_problem(2, 5, 60.0)
-        st = random_state(layout, np.random.default_rng(4))
-        u, p = ctx._scratch.rows.u, st.p.copy()
-        np.copyto(u, st.u)
-        beta, gamma, pa, pg = _verlet_inplace(
-            p, ctx, MASSES, 0.25, *st.theta.tolist(), *st.pi.tolist()
-        )
-        stg = np.arange(layout.N) % layout.j != 0
-        np.testing.assert_array_equal(u[stg], st.u[stg])
-        b = np.arange(layout.n + 1) * layout.j
-        assert np.all(u[b] != st.u[b])
-        assert np.all(np.array([beta, gamma]) != st.theta)
-        # every momentum feels the force kick
-        assert np.all(p != st.p)
-        assert np.all(np.array([pa, pg]) != st.pi)
 
 
 class TestTrotter:
@@ -317,36 +304,13 @@ class TestTrotter:
 
     @pytest.mark.parametrize("P", [1, 2, 3])
     def test_merged_rotations_match_split_schedule(self, P):
-        # P x (half rotation, Verlet, half rotation), unmerged
+        # P x (half kick, half flow, half flow, half kick), unmerged, every
+        # kick from a fresh public gradient
         layout, ctx = make_problem(2, 5, 60.0)
         st = random_state(layout, np.random.default_rng(12 + P))
         cfg = IntegratorConfig(d_tau=0.25, P=P)
         bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
-        u, p = ctx._scratch.rows.u, st.p.copy()
-        np.copyto(u, st.u)
-        beta, gamma = st.theta.tolist()
-        pa, pg = st.pi.tolist()
-        for _ in range(P):
-            _rotate_inplace(u, p, bank)
-            beta, gamma, pa, pg = _verlet_inplace(p, ctx, MASSES, cfg.d_tau, beta, gamma, pa, pg)
-            _rotate_inplace(u, p, bank)
-        ref = {"u": u.copy(), "p": p, "theta": [beta, gamma], "pi": [pa, pg]}
-        out = trotter_propagate(st, ctx, MASSES, cfg)
-        for name in ("u", "p", "theta", "pi"):
-            np.testing.assert_allclose(getattr(out, name), ref[name], rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("P", [1, 3])
-    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
-    def test_matches_array_reference_bit_for_bit(self, layout, P, seed):
-        # the merged schedule written out with fresh public gradients and
-        # array kicks and drift, the form the Python-float Verlet step replaces
-        _, ctx = make_problem(layout.n, layout.j, layout.T, seed=5)
-        st = random_state(layout, np.random.default_rng(40 + 4 * seed + P), u_scale=0.3)
-        # not a power of two, so that a reordered product shows in the bits
-        cfg = IntegratorConfig(d_tau=0.3, P=P)
-        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
-        half, j = 0.5 * cfg.d_tau, layout.j
+        half = 0.5 * cfg.d_tau
         ref = st.copy()
 
         def kick():
@@ -354,14 +318,43 @@ class TestTrotter:
             ref.p -= g_u * half
             ref.pi -= g_theta * half
 
+        for _ in range(P):
+            kick()
+            for _ in range(2):
+                _rotate_inplace(ref.u, ref.p, bank)
+                ref.theta += half * ref.pi / np.array(MASSES.m_alpha)
+            kick()
+        out = trotter_propagate(st, ctx, MASSES, cfg)
+        for name in ("u", "p", "theta", "pi"):
+            np.testing.assert_allclose(
+                getattr(out, name), getattr(ref, name), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_matches_array_reference_bit_for_bit(self, layout, P, seed):
+        # K(dtau/2) [F(dtau) K(dtau)]^(P-1) F(dtau) K(dtau/2) written out
+        # with fresh public gradients and array kicks and drifts, the form
+        # the Python-float trajectory replaces
+        _, ctx = make_problem(layout.n, layout.j, layout.T, seed=5)
+        st = random_state(layout, np.random.default_rng(40 + 4 * seed + P), u_scale=0.3)
+        # not a power of two, so that a reordered product shows in the bits
+        cfg = IntegratorConfig(d_tau=0.3, P=P)
+        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
+        ref = st.copy()
+
+        def kick(step):
+            g_u, g_theta = grad_hprime(ref, ctx)
+            ref.p -= g_u * step
+            ref.pi -= g_theta * step
+
         try:
-            _rotate_inplace(ref.u, ref.p, bank)
+            kick(0.5 * cfg.d_tau)
             for step in range(1, P + 1):
-                kick()
-                ref.u[::j] += (cfg.d_tau / MASSES.M) * ref.p[::j]
+                _rotate_inplace(ref.u, ref.p, bank, full=True)
                 ref.theta += cfg.d_tau * ref.pi / np.array(MASSES.m_alpha)
-                kick()
-                _rotate_inplace(ref.u, ref.p, bank, full=step < P)
+                kick(cfg.d_tau if step < P else 0.5 * cfg.d_tau)
         except NonFiniteError:  # a runaway trajectory must run away alike
             with pytest.raises(NonFiniteError):
                 trotter_propagate(st, ctx, MASSES, cfg)
@@ -369,6 +362,29 @@ class TestTrotter:
         out = trotter_propagate(st, ctx, MASSES, cfg)
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    def test_carried_force_in_exit_force_and_potential_out(self, layout):
+        # what the sampler carries from one iteration to the next
+        _, ctx = make_problem(layout.n, layout.j, layout.T, seed=5)
+        st = random_state(layout, np.random.default_rng(7), u_scale=0.3)
+        cfg = IntegratorConfig(d_tau=0.25, P=3)
+        start = grad_hprime(st, ctx)
+        kept = start.g_u.copy(), start.g_theta.copy()
+        out, force, (h_n, h_1) = _saturating(_trajectory)(st, ctx, MASSES, cfg, start)
+        fresh = trotter_propagate(st, ctx, MASSES, cfg)
+        for name in ("u", "p", "theta", "pi"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(fresh, name))
+        want = grad_hprime(out, ctx)
+        np.testing.assert_array_equal(force.g_u, want.g_u)
+        np.testing.assert_array_equal(force.g_theta, want.g_theta)
+        potential = h_total(out, ctx, MASSES).potential
+        assert (h_n, h_1) == (potential.h_n, potential.h_1)
+        # the carried force is read, never written, and the exit force
+        # holds no row of the workspace
+        np.testing.assert_array_equal(start.g_u, kept[0])
+        np.testing.assert_array_equal(start.g_theta, kept[1])
+        assert not np.shares_memory(force.g_u, ctx._scratch.rows.g_u)
 
     def test_state_size_checked_once_up_front(self):
         layout, ctx = make_problem(2, 5, 60.0)

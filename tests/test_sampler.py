@@ -340,6 +340,7 @@ class TestCarriedPotential:
             toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
         )
         potential = h_total(state, ctx, MASSES).potential
+        force = grad_hprime(state, ctx)
         calls = {"grad": 0, "inverse": 0}
 
         def counted(key, fn):
@@ -356,10 +357,10 @@ class TestCarriedPotential:
         rows = staghmc.lattice._StagingRows
         monkeypatch.setattr(rows, "inverse", counted("inverse", rows.inverse))
         _, stats_out = hmc_iteration(
-            state, ctx, cfg, np.random.default_rng(3), potential=potential
+            state, ctx, cfg, np.random.default_rng(3), potential=potential, force=force
         )
         assert stats_out.pathology is None
-        assert calls == {"grad": 2 * STEP.P, "inverse": 2 * STEP.P + 1}
+        assert calls == {"grad": STEP.P, "inverse": STEP.P}
 
     def test_carried_h_before_matches_fresh_energy(self, toy_problem):
         ctx = toy_problem.context()
@@ -387,6 +388,49 @@ class TestCarriedPotential:
         assert any(acc for acc, _ in outcomes)
         assert any(not acc and path is None for acc, path in outcomes)
         assert outcomes[20][1] is not None and not outcomes[20][0]
+
+    def test_carried_force_matches_fresh_gradient(self, toy_problem):
+        ctx = toy_problem.context()
+        layout = ctx.layout
+        cfg = small_config(integrator=IntegratorConfig(d_tau=1.5, P=3))
+        blowup = small_config(integrator=IntegratorConfig(d_tau=40.0, P=3))
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), layout
+        )
+        rng = np.random.default_rng(11)
+        potential, force = h_total(state, ctx, MASSES).potential, None
+        outcomes = []
+        for i in range(40):
+            given = force
+            state, stats_out = hmc_iteration(
+                state, ctx, blowup if i == 20 else cfg, rng, potential=potential, force=force
+            )
+            potential, force = stats_out.potential, stats_out.force
+            if not stats_out.accepted:
+                assert force is given  # a rejection keeps the force it was given
+            if force is not None:
+                want = grad_hprime(state, ctx)
+                np.testing.assert_array_equal(force.g_u, want.g_u)
+                np.testing.assert_array_equal(force.g_theta, want.g_theta)
+            outcomes.append((stats_out.accepted, given is not None))
+        assert any(acc and given for acc, given in outcomes)
+        assert any(not acc and given for acc, given in outcomes)
+        assert not outcomes[20][0]
+
+    def test_nonfinite_start_force_is_a_rejection(self, toy_problem):
+        # a chain starts with no carried force: the trajectory computes it,
+        # and a non-finite one rejects the proposal instead of raising
+        ctx = toy_problem.context()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        state.u[ctx.layout.j] = np.inf
+        with pytest.raises(NonFiniteError):
+            grad_hprime(state, ctx)
+        _, stats_out = hmc_iteration(state, ctx, small_config(), np.random.default_rng(5))
+        assert not stats_out.accepted
+        assert stats_out.pathology == "NonFiniteError"
+        assert stats_out.force is None
 
 
 class TestRunChain:
@@ -542,6 +586,38 @@ class TestParallelChains:
         cfg = small_config(n_mc=4, chains=2)
         with pytest.raises(StagHmcError, match="chain 0.*chain 1"):
             run_parallel_chains(toy_problem, cfg)
+
+    def test_default_pool_follows_the_affinity_mask(self, toy_problem, monkeypatch):
+        # one CPU allowed on an eight-CPU host: one worker, not eight
+        import staghmc.sampler
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        class Context:
+            Pool = InlinePool
+
+        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", lambda *a: Context())
+        cfg = small_config(n_mc=5, seed=6, chains=3)
+        recs = run_parallel_chains(toy_problem, cfg)
+        assert sizes == [1]
+        seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+        for c, rec in enumerate(recs):
+            np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
 
     def test_pooled_mean_matches_long_chain(self, posterior_problem):
         beta0 = float(np.sqrt(800.0 * 0.5 / 200.0))
