@@ -138,7 +138,7 @@ class IterationStats(NamedTuple):
     h_after: float
     dh: float
     pathology: str | None = None
-    # of the returned state, for the next iteration
+    # the returned state's potential and force, for the next iteration
     potential: Potential | None = None
     force: Gradient | None = None
 
