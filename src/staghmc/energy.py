@@ -79,9 +79,9 @@ arithmetic, so the kernel keeps both small:
   the next pass would never be reused.
 * Rows a call overwrites. Every kernel call rewrites q, E, the boundary
   rows, the rows [A, w, Z] and the sums; a gradient call also rewrites
-  g_q, the adjoint's window product and ``g_u``. The trajectory (`integrator`)
-  calls the kernel directly: it gets g_u as the workspace row itself,
-  valid until the next call, and g_theta as two Python floats.
+  g_q, the adjoint's window product and ``g_u``. The trajectory
+  (`integrator`) calls the kernel directly: it gets g_u as the workspace
+  row itself, valid until the next call, and g_theta as two Python floats.
   `grad_hprime` and `h_total` are thin wrappers over the same kernel that
   check the state's size, load its beads, and return fresh arrays and
   floats.
@@ -225,11 +225,11 @@ class _Scratch:
     = Ls / beta + c and ``Ld`` = Ldots dt / beta over beads i = 2..N, the
     rows ``resid`` (the data residuals), ``data_force`` and ``spring`` over
     the measurement beads, and the length-n difference row ``d_b`` =
-    u_b[1:] - u_b[:-1]. The spring force is coup (d_{s-1} - d_s) with the stiffness ``coup`` =
-    T / (j dt): a length-(n+2) row holds coup d in its view ``pad_mid``,
-    between two zeros that are never written, and ``spring`` is its left
-    view ``pad_prev`` minus its right view ``pad_next``, so the end beads
-    feel one neighbour each.
+    u_b[1:] - u_b[:-1]. The spring force is coup (d_{s-1} - d_s) with the
+    stiffness ``coup`` = T / (j dt): a length-(n+2) row holds coup d in its
+    view ``pad_mid``, between two zeros that are never written, and
+    ``spring`` is its left view ``pad_prev`` minus its right view
+    ``pad_next``, so the end beads feel one neighbour each.
 
     Constants of the plan as Python floats, and sigma^2 as a NumPy scalar,
     so that a division by an underflowed sigma^2 saturates instead of
