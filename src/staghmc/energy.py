@@ -33,70 +33,91 @@ tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
 problem) the log-input increments L and their difference Ldot, with
 rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta.
 No table of the plan or of the kernel's workspace is larger than O(N).
-The staging terms of h_N are each one product of the contiguous squares of
-``x[:-1]`` with a flat layout table that is zero at the measurement beads.
-One private kernel, `_hprime`, then makes the single pass over the path:
-q from u by the staging inverse, E = exp(-beta q) and the residual
-A = rho - (beta/gamma) E, formed in place as L / beta + c - w with
-w = (beta/gamma) E. It never builds rho, rhodot or their derivatives as
-arrays, only the sums they enter, folded by linearity:
-A . drho/dbeta = (c sum A - A . L / beta) / beta and qs . (T rhodot) =
-(T / beta) qs . Ldot, with rho itself needed only at the two end beads.
-The plain sums of the rows [A, w, Z] come out of one reduction, and A . L
-and qs . Ldot out of one dot product each. From these the kernel forms
-the potential of H' = h_n + h_1 (for `h_total`), and on a gradient pass
-also its exact analytic gradient w.r.t. u and theta, with dH'/dq chained
-through the staging transpose and the force of the boundary springs, one
-per segment, as a stencil on the difference row d = u_b[1:] - u_b[:-1] of
-the measurement beads (for `grad_hprime` and the trajectory). Both depend
-on positions alone: a momentum refresh fixes the state's position-only
-energy (`Potential`) and its force, so the sampler carries both from one
-iteration to the next, adds the new kinetic terms with `_refreshed`, and
-takes the proposal's potential and force from the trajectory's last
-gradient pass.
+The staging potential of h_N is one product of the contiguous squares of
+``u[:-1]`` with a flat layout table that is zero at the measurement beads,
+and the kinetic terms of all three pieces come from one function,
+`_kinetic`. One private kernel, `_hprime`, then makes the single pass over
+the path: q from u by the staging inverse, E = exp(-beta q) and the
+residual A = rho - (beta/gamma) E. It never builds rho, rhodot or their
+derivatives as arrays, only the sums they enter, folded by linearity:
+A . drho/dbeta = (c sum A - A . L / beta) / beta, qs . (T rhodot) =
+(T / beta) qs . Ldot and (beta/gamma) sum E = sum rho - sum A, with rho
+itself needed only at the two end beads. From these a pass forms the
+potential of H' = h_n + h_1 (for `h_total`), the exact analytic gradient
+of H' w.r.t. u and theta (for `grad_hprime` and the trajectory), or both.
+dH'/dq is chained through the staging transpose, and the force of the
+boundary springs, one per segment, is a stencil on the difference row
+d = u_b[1:] - u_b[:-1] of the measurement beads. Potential and force
+depend on positions alone: a momentum refresh fixes the state's
+position-only energy (`Potential`) and its force, so the sampler carries
+both from one iteration to the next, adds the new kinetic terms with
+`_refreshed`, and takes the proposal's potential and force from the
+trajectory's last kernel pass, the only one of its P passes that forms
+the potential.
 
-At the benchmark size (N = 301) most of a kernel call is dispatch, not
-arithmetic, so the kernel keeps both small:
+At the benchmark size (N = 301) a NumPy call costs about a microsecond
+whatever its length, so the kernel keeps the number of calls small:
 
+* Row stacks. Each scaled sum of path rows is one ``np.dot`` of a few
+  coefficients, written once per pass, with a contiguous stack of at
+  most three rows over beads i = 2..N:
+  A = [-(beta/gamma), c, 1/beta] . [E, 1, L];
+  g_q = [beta (dt/T) (beta/gamma), -dt/beta] . [Z, Ldot], with
+  Z = (A + beta/2) E; and the boundary force
+  [coup, -beta/sigma^2] . [lap, resid] (below). Every sum the potential
+  and the theta gradient read, but A . A, comes out of one (3, 3) product
+  of the rows [A, Z, Ldot] with the columns [q, 1, L]: their dot
+  products with q, their plain sums and their dot products with L. The
+  rows 1, L and Ldot are constant. E and q each lead their stack, so
+  each is also one contiguous length-N row (bead 1, then the stack's
+  first row) for the elementwise work.
+* Array operands. Every scalar an elementwise call takes (beta, -beta,
+  beta/2 and the clamp) is a 0-d array, the first three views of the
+  same row of coefficients: NumPy 2 takes a Python-float operand for
+  about 0.7 us more per call, nearly the cost of the call itself here.
 * One set of kernel rows. Each context allocates one workspace
   (`_Scratch`) once, and every array operation of `_hprime` writes into
   it with ``out=``, the staging maps included. Its rows u, q, g_q and g_u
   are one `lattice._StagingRows`, which builds once every view the two
-  staging products take of them. The kernel reads its beads from the row
-  u: `h_total` and `grad_hprime` copy a state's beads in, and the
-  trajectory copies them in once and moves them there for all its P
-  gradients. The views u_b = ``u[::j]``, ``u_b[1:]`` and ``u_b[:-1]`` are
-  built once too; in-place writes to a row show through its views, so
-  nothing is ever rebuilt or invalidated. A context is therefore not safe
-  to share between threads; parallel chains run in processes.
+  staging products take of them; u is the first row of the (2, N)
+  phase-space array [u; p] that the trajectory's free flow moves. The
+  kernel reads its beads from the row u: `h_total` and `grad_hprime`
+  copy a state's beads in, and the trajectory copies them in once and
+  moves them there for all its P gradients. The views u_b = ``u[::j]``,
+  ``u_b[1:]`` and ``u_b[:-1]`` are built once too; in-place writes to a
+  row show through its views, so nothing is ever rebuilt or invalidated.
+  A context is therefore not safe to share between threads; parallel
+  chains run in processes.
 * One boundary stage per pass. `_boundary_stage` fills the rows that
-  depend on theta and the measurement beads u_b = u[::j] alone: L / beta
-  + c and Ldot dt / beta, the data residuals and their force, the
-  difference row d and the spring force coup (d_{s-1} - d_s) made from it,
-  with one neighbour at each end and coup = T / (j dt); it returns the
-  position part of h_n. It keeps nothing between passes: every gradient
-  of a trajectory follows a drift of theta and u_b, so a stage kept for
-  the next pass would never be reused.
-* Rows a call overwrites. Every kernel call rewrites q, E, the boundary
-  rows, the rows [A, w, Z] and the sums; a gradient call also rewrites
-  g_q, the adjoint's window product and ``g_u``. The trajectory
-  (`integrator`) calls the kernel directly: it gets g_u as the workspace
-  row itself, valid until the next call, and g_theta as two Python floats.
-  `grad_hprime` and `h_total` are thin wrappers over the same kernel that
-  check the state's size, load its beads, and return fresh arrays and
-  floats.
+  depend on theta and the measurement beads u_b = u[::j] alone: the data
+  residuals ``resid`` = ln(y_s / r_s) - beta u_b, the difference row d,
+  and the spring stencil ``lap`` = d_{s-1} - d_s made from it, with one
+  neighbour at each end; the springs pull with coup lap, coup = T / (j dt).
+  It keeps nothing between passes: every gradient of a trajectory
+  follows a drift of theta and u_b, so a stage kept for the next pass
+  would never be reused.
+* Rows a call overwrites. Every kernel call rewrites the coefficients,
+  q, E, the boundary rows, the rows A and Z and the (3, 3) sums; a
+  gradient call also rewrites g_q, the adjoint's window product, the
+  boundary force and ``g_u``. Only a pass that forms the potential takes
+  the dot products resid . resid, d . d and A . A and the h_1 algebra.
+  The trajectory (`integrator`) calls the kernel directly: it gets g_u as
+  the workspace row itself, valid until the next call, and g_theta as two
+  Python floats. `grad_hprime` and `h_total` are thin wrappers over the
+  same kernel that check the state's size, load its beads, and return
+  fresh arrays and floats.
 * Python-float scalars. beta, gamma, the end values of q and E and the
-  row of sums each leave NumPy in one ``tolist()``, and the scalar
+  (3, 3) sums each leave NumPy in one ``tolist()``, and the scalar
   algebra runs on Python floats, a tenth of the cost of a NumPy scalar or
   two-entry array operation and the same IEEE double arithmetic, so the
   results are bit-identical. Python floats raise where NumPy saturates,
   though: ZeroDivisionError on a zero divisor and OverflowError from
   ``**``. So every divisor is beta, gamma or 2 gamma (non-zero after the
-  domain check) or a NumPy scalar: sigma^2, and gamma^2, which stays a
-  NumPy scalar power. As ``gamma * gamma`` it would differ from the libm
-  ``pow`` in the last bit for some gamma; as a Python-float power it
-  underflows to a 0.0 divisor (at theta = (1, 1e-200)) or raises
-  OverflowError (for gamma above about 1.3e154).
+  domain check), there is no power (beta / gamma^2 is
+  (beta / gamma) / gamma), and 1 / sigma^2 is a constant of the plan,
+  divided out once as (1 / sigma) / sigma, which saturates to inf where
+  sigma^2 would underflow to a 0.0 divisor. Sums and products of Python
+  floats saturate to inf and NaN as NumPy's do.
 * One saturation policy. `_saturating` is one module-level
   ``np.errstate`` that lets overflow, invalid operations and division by
   zero saturate to inf and NaN, and underflow round to 0, silently. It
@@ -199,9 +220,7 @@ class PathContext:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "Ls", L[1:])
         object.__setattr__(self, "Ldots", Ldot[1:])
-        object.__setattr__(
-            self, "_scratch", _Scratch(lay, float(L[1]), float(L[-1]), self.obs.sigma)
-        )
+        object.__setattr__(self, "_scratch", _Scratch(lay, L, Ldot, self.obs.sigma))
 
     def __reduce__(self):
         # rebuilt from its inputs: pickled views of the workspace would come
@@ -212,63 +231,98 @@ class PathContext:
 class _Scratch:
     """The workspace of `_hprime` for one `PathContext`, allocated once.
 
-    The kernel rows ``rows`` (a `lattice._StagingRows`): u, which a caller
-    loads with a state's beads or a trajectory moves in place, and q, g_q
-    and g_u, with every view the staging maps take of them. Views of these
-    rows built once: ``q_ends``, ``q_tail``, ``gq_tail``, ``g_ub``, the
-    measurement beads ``u_b`` = u[::j] and their shifted views ``ub_next``
-    = u_b[1:] and ``ub_prev`` = u_b[:-1]. Per-call rows: ``E`` (with
-    ``E_tail`` and ``E_ends``), the (3, N-1) rows ``work`` = [A, w, Z],
-    and their length-3 row of ``sums``.
+    ``phase``, the tuple (x, u, p, cross, cross_u, cross_p) of the (2, N)
+    phase-space array x = [u; p] and the (2, N) row pair of the free flow's
+    cross terms, each with its two rows (see `integrator`). The kernel rows
+    ``rows`` (a `lattice._StagingRows`): u = x[0], which a caller loads
+    with a state's beads or a trajectory moves in place, and q, g_q and
+    g_u, with every view the staging maps take of them. Views of these rows
+    built once: ``q_ends``, ``gq_tail``, ``g_ub``, the measurement beads
+    ``u_b`` = u[::j] and their shifted views ``ub_next`` = u_b[1:] and
+    ``ub_prev`` = u_b[:-1].
 
-    The boundary rows, which `_boundary_stage` fills on every pass: ``Lc``
-    = Ls / beta + c and ``Ld`` = Ldots dt / beta over beads i = 2..N, the
-    rows ``resid`` (the data residuals), ``data_force`` and ``spring`` over
-    the measurement beads, and the length-n difference row ``d_b`` =
-    u_b[1:] - u_b[:-1]. The spring force is coup (d_{s-1} - d_s) with the
-    stiffness ``coup`` = T / (j dt): a length-(n+2) row holds coup d in its
-    view ``pad_mid``, between two zeros that are never written, and
-    ``spring`` is its left view ``pad_prev`` minus its right view
+    The row stacks, over beads i = 2..N: ``q_cols``, the (N-1, 3) columns
+    [q, 1, L] (q's tail leads them, so that q is one contiguous length-N
+    row); ``E_rows`` = [E, 1, L], likewise led by the tail of the row
+    ``E`` (with ``E_tail`` and ``E_ends``); ``work`` = [A, Z, Ldot], whose
+    last two rows are ``grad_rows``; their (3, 3) product ``sums`` with
+    the columns, and its flat view ``sum_list``. The per-pass scalars
+    ``coef``: the coefficients ``coef_A``, ``coef_g`` and ``coef_b``, and
+    the 0-d operands ``beta``, ``minus_beta`` and ``half_beta`` of the
+    elementwise calls, with the constant ``clamp`` = EXP_CLAMP (a NumPy
+    call takes a 0-d array operand for about half the cost of a Python
+    float).
+
+    The boundary rows, which `_boundary_stage` fills on every pass, over
+    the measurement beads: ``bound`` = [lap, resid] (the spring stencil
+    and the data residuals) and the force ``force_b`` made from it. The
+    length-n difference row ``d_b`` = u_b[1:] - u_b[:-1] is the middle of
+    a length-(n+2) row that holds it between two zeros that are never
+    written, and ``lap`` is its left view ``pad_prev`` minus its right view
     ``pad_next``, so the end beads feel one neighbour each.
 
-    Constants of the plan as Python floats, and sigma^2 as a NumPy scalar,
-    so that a division by an underflowed sigma^2 saturates instead of
-    raising.
+    Constants of the plan as Python floats: the number ``n_tail`` = N - 1
+    of beads i = 2..N, ``L_sum``, the sum of L over them, and
+    ``inv_sigma2`` = 1 / sigma^2. ``flow`` and ``flow_key`` remember the
+    integrator's free-flow tables and kick steps for the last (masses,
+    d_tau).
     """
 
     __slots__ = (
-        "T", "dt", "dt_T", "coup", "L0", "LN", "sigma2",
-        "rows", "q_ends", "q_tail", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
-        "E", "E_tail", "E_ends", "work", "A", "w", "Z", "sums",
-        "Lc", "Ld", "resid", "data_force", "d_b", "pad_mid", "pad_prev", "pad_next",
-        "spring",
+        "T", "dt", "dt_T", "coup", "L0", "LN", "n_tail", "L_sum", "inv_sigma2",
+        "phase",
+        "rows", "q_ends", "q_cols", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
+        "E", "E_tail", "E_ends", "E_rows", "work", "A", "Z", "grad_rows",
+        "sums", "sum_list", "coef", "coef_A", "coef_g", "coef_b", "beta", "minus_beta",
+        "half_beta", "clamp",
+        "bound", "lap", "resid", "force_b", "d_b", "pad_prev", "pad_next",
+        "flow", "flow_key",
     )
 
-    def __init__(self, lay: LatticeLayout, L0: float, LN: float, sigma: float):
+    def __init__(self, lay: LatticeLayout, L: np.ndarray, Ldot: np.ndarray, sigma: float):
+        N, tail = lay.N, lay.N - 1
         self.T, self.dt = lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
         self.coup = lay.T / (lay.j * lay.dt)
-        self.L0, self.LN = L0, LN
-        self.sigma2 = np.float64(sigma**2)
-        rows = self.rows = _StagingRows(lay)
-        self.q_ends, self.q_tail = rows.q[:: lay.N - 1], rows.q[1:]
+        self.L0, self.LN = float(L[1]), float(L[-1])
+        self.n_tail, self.L_sum = float(tail), float(L[1:].sum())
+        self.inv_sigma2 = 1.0 / sigma / sigma  # inf, not a raise, if sigma^2 underflows
+        x, cross = np.empty((2, N)), np.empty((2, N))
+        self.phase = (x, *x, cross, *cross)
+        # q and E each head a stack [row tail, 1, L]: bead 1, then the rows
+        q_stack, E_stack = np.empty(3 * tail + 1), np.empty(3 * tail + 1)
+        for stack in (q_stack, E_stack):
+            _, ones, L_tail = stack[1:].reshape(3, tail)
+            ones[:] = 1.0
+            L_tail[:] = L[1:]
+        rows = self.rows = _StagingRows(lay, u=x[0], q=q_stack[:N])
+        self.q_ends = rows.q[:: N - 1]
+        self.q_cols = q_stack[1:].reshape(3, tail).T
         self.gq_tail = rows.g_q[1:]
         self.g_ub = rows.g_u[:: lay.j]
         ub = self.u_b = rows.u[:: lay.j]
         self.ub_next, self.ub_prev = ub[1:], ub[:-1]
-        self.E = np.empty(lay.N)
-        self.E_tail, self.E_ends = self.E[1:], self.E[:: lay.N - 1]
-        self.work = np.empty((3, lay.N - 1))
-        self.A, self.w, self.Z = self.work
-        self.sums = np.empty(3)
-        self.Lc = np.empty(lay.N - 1)
-        self.Ld = np.empty(lay.N - 1)
-        self.resid = np.empty(lay.n + 1)
-        self.data_force = np.empty(lay.n + 1)
-        self.d_b = np.empty(lay.n)
+        self.E = E_stack[:N]
+        self.E_tail, self.E_ends = self.E[1:], self.E[:: N - 1]
+        self.E_rows = E_stack[1:].reshape(3, tail)
+        self.work = np.empty((3, tail))
+        self.A, self.Z, Ldot_tail = self.work
+        Ldot_tail[:] = Ldot[1:]
+        self.grad_rows = self.work[1:]
+        self.sums = np.empty((3, 3))
+        self.sum_list = self.sums.reshape(9)
+        coef = self.coef = np.empty(10)
+        self.coef_A, self.coef_g, self.coef_b = coef[:3], coef[3:5], coef[5:7]
+        self.beta = coef[7:8].reshape(())
+        self.minus_beta = coef[8:9].reshape(())
+        self.half_beta = coef[9:10].reshape(())
+        self.clamp = np.array(EXP_CLAMP)
+        self.bound = np.empty((2, lay.n + 1))
+        self.lap, self.resid = self.bound
+        self.force_b = np.empty(lay.n + 1)
         pad = np.zeros(lay.n + 2)
-        self.pad_mid, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
-        self.spring = np.empty(lay.n + 1)
+        self.d_b, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
+        self.flow, self.flow_key = None, (None, None)
 
 
 class Potential(NamedTuple):
@@ -305,10 +359,20 @@ def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
     return 0.5 * float(np.square(state.u[:-1]).dot(layout.flat_stiffness))
 
 
-def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
-    """Momentum part of h_N: sum dt p^2 / (2 m') over staging beads."""
-    return (0.5 * layout.dt / masses.m_prime) * float(
-        np.square(state.p[:-1]).dot(layout.flat_staging)
+def _kinetic(
+    p: np.ndarray, pi: np.ndarray, masses: MassConfig, layout: LatticeLayout
+) -> tuple[float, float, float]:
+    """The kinetic terms of h_N, h_n and h_1: sum dt p^2 / (2 m') over the
+    staging beads, sum p^2 / (2 M) over the measurement beads (both from
+    one product of p^2 with ``layout.bead_classes``), and pi^2 / (2
+    m_alpha)."""
+    staging, measured = np.dot(layout.bead_classes, np.square(p)).tolist()
+    pa, pg = pi.tolist()
+    ma, mg = masses.m_alpha
+    return (
+        (0.5 * layout.dt / masses.m_prime) * staging,
+        measured / (2.0 * masses.M),
+        pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg),
     )
 
 
@@ -316,7 +380,7 @@ def _staging_kinetic(state: PolymerState, masses: MassConfig, layout: LatticeLay
 def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
     """Fast harmonic energy, staging beads only (zero when j = 1)."""
     _check_size(state.u, layout, "u")
-    return _staging_kinetic(state, masses, layout) + _harmonic(state, layout)
+    return _kinetic(state.p, state.pi, masses, layout)[0] + _harmonic(state, layout)
 
 
 def _refreshed(
@@ -329,12 +393,10 @@ def _refreshed(
     Bit-identical to ``h_total(state, ...)`` when ``potential`` is the
     ``.potential`` of an ``h_total`` of the same positions and parameters.
     """
-    pb = state.p[:: layout.j]
-    pa, pg = state.pi.tolist()
-    ma, mg = masses.m_alpha
-    h_fast = _staging_kinetic(state, masses, layout) + potential.h_N
-    h_bound = float(pb.dot(pb)) / (2.0 * masses.M) + potential.h_n
-    h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
+    fast, bound, slow = _kinetic(state.p, state.pi, masses, layout)
+    h_fast = fast + potential.h_N
+    h_bound = bound + potential.h_n
+    h_slow = slow + potential.h_1
     return EnergyBreakdown(
         h_N=h_fast, h_n=h_bound, h_1=h_slow, total=h_fast + h_bound + h_slow,
         potential=potential,
@@ -366,32 +428,25 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    _, _, g_u, g_beta, g_gamma = _hprime(*_load(state, ctx), ctx, True)
+    _, _, g_u, g_beta, g_gamma = _hprime(*_load(state, ctx), ctx, True, False)
     return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
 
 
-def _boundary_stage(s: _Scratch, ctx: PathContext, beta: float, c: float) -> float:
-    """Fill the boundary rows of ``s`` (see `_Scratch`): every row of the
-    kernel that depends on theta and the measurement beads ``s.u_b`` of the
-    row u alone. Returns the position part of h_n: the data term plus the
-    springs."""
-    np.divide(ctx.Ls, beta, out=s.Lc)
-    s.Lc += c
-    np.multiply(ctx.Ldots, s.dt / beta, out=s.Ld)
-    ub, resid, d = s.u_b, s.resid, s.d_b
-    np.multiply(ub, beta, out=resid)
+def _boundary_stage(s: _Scratch, ctx: PathContext) -> None:
+    """Fill the boundary rows of ``s`` (see `_Scratch`), the rows of the
+    kernel that depend on theta and the measurement beads ``s.u_b`` of the
+    row u alone: the data residuals ``resid`` = ln(y_s / r_s) - beta u_b,
+    the difference row ``d_b`` and the spring stencil ``lap`` =
+    d_{s-1} - d_s, with the zero ends of the pad. Reads beta from the
+    pass's operand ``s.beta``."""
+    resid = s.resid
+    np.multiply(s.u_b, s.beta, out=resid)
     np.subtract(ctx.lnyr, resid, out=resid)
-    np.multiply(resid, beta / s.sigma2, out=s.data_force)
-    # the springs: coup (d_{s-1} - d_s), with the zero ends of the pad
-    np.subtract(s.ub_next, s.ub_prev, out=d)
-    np.multiply(d, s.coup, out=s.pad_mid)
-    np.subtract(s.pad_prev, s.pad_next, out=s.spring)
-    return float(
-        float(resid.dot(resid)) / (2.0 * s.sigma2) + 0.5 * s.coup * float(d.dot(d))
-    )
+    np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
+    np.subtract(s.pad_prev, s.pad_next, out=s.lap)
 
 
-def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
+def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potential: bool = True):
     """The one pass over the path behind `h_total`, `grad_hprime` and the
     trajectory.
 
@@ -400,71 +455,75 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
     of the state's `Potential`, and with ``gradient`` also the gradient of
     H', as the 5-tuple (h_n, h_1, g_u, g_beta, g_gamma): g_u is the
     workspace row ``g_u``, valid until the next call on the context, and the
-    theta components are Python floats. Both modes compute (h_n, h_1) by the
-    same operations, so a gradient pass gives the potential of `h_total`
-    bit for bit. Rows of the workspace run over beads i = 2..N (slots
-    1..N-1); rho, rhodot and their derivatives are never built as arrays,
-    only the sums they enter (see the module docstring). Every array
-    operation writes into the context's scratch. Runs under a caller's
-    `_saturating`.
+    theta components are Python floats. A gradient pass without
+    ``potential`` skips the terms only the potential reads and returns None
+    for h_n and h_1; its gradient is bit for bit that of a pass that also
+    forms the potential, and a gradient pass gives the potential of
+    `h_total` bit for bit. Rows of the workspace run over beads i = 2..N
+    (slots 1..N-1); rho, rhodot and their derivatives are never built as
+    arrays, only the sums they enter (see the module docstring). Every
+    array operation writes into the context's scratch. Runs under a
+    caller's `_saturating`.
     """
     s = ctx._scratch
-    # Python floats: every division below is by beta, gamma, 2 gamma or a
-    # NumPy scalar (sigma^2, gamma^2), so none can raise ZeroDivisionError
+    # Python floats: every division below is by beta, gamma or 2 gamma, so
+    # none can raise ZeroDivisionError
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
     bg = beta / gamma
     c = (2.0 + gamma) * beta / (2.0 * gamma)
     rho0 = s.L0 / beta + c  # rho at beads 2 and N
     rhoN = s.LN / beta + c
-    h_n = _boundary_stage(s, ctx, beta, c)
-    A, w, Z, E, rows = s.A, s.w, s.Z, s.E, s.rows
+    dt_T, T = s.dt_T, s.T
+    # the coefficients of A, of g_q and of the boundary force, then the 0-d
+    # operands beta, -beta and beta/2
+    s.coef[...] = [
+        -bg, c, 1.0 / beta, beta * dt_T * bg, -s.dt / beta, s.coup, -beta * s.inv_sigma2,
+        beta, -beta, 0.5 * beta,
+    ]
+    _boundary_stage(s, ctx)
+    A, E, rows = s.A, s.E, s.rows
     rows.inverse()
-    np.multiply(rows.q, -beta, out=E)
-    np.minimum(E, EXP_CLAMP, out=E)
+    np.multiply(rows.q, s.minus_beta, out=E)
+    np.minimum(E, s.clamp, out=E)
     np.exp(E, out=E)
     q0, qN = s.q_ends.tolist()
     E0, EN = s.E_ends.tolist()
-    qs = s.q_tail
-    np.multiply(s.E_tail, bg, out=w)
-    np.subtract(s.Lc, w, out=A)
-    q_Ldot = float(qs.dot(ctx.Ldots))  # qs . (T rhodot) = (T / beta) q_Ldot
-    T = s.T
-    if gradient:
-        # d/dq of the path action; the row sums of [A, w, Z] equal the
-        # reductions of each row alone, so w_sum is that of the potential
-        np.add(A, 0.5 * beta, out=Z)
-        Z *= w
-        A_sum, w_sum, Z_sum = np.add.reduce(s.work, axis=1, out=s.sums).tolist()
-    else:
-        w_sum = float(np.add.reduce(w))
-    body = 0.5 * float(A.dot(A)) - (0.5 * beta) * w_sum - (T / beta) * q_Ldot
-    edge = (EN - E0) / gamma + qN * rhoN - q0 * rho0
-    h_1 = s.dt_T * body + edge
+    np.dot(s.coef_A, s.E_rows, out=A)
+    np.add(A, s.half_beta, out=s.Z)
+    s.Z *= s.E_tail
+    # [A, Z, Ldot] times [q, 1, L]; A . q, Z . L, sum Ldot and Ldot . L go
+    # unread
+    np.dot(s.work, s.q_cols, out=s.sums)
+    _, A_sum, A_L, Z_q, Z_sum, _, q_Ldot, _, _ = s.sum_list.tolist()
+    w_sum = c * s.n_tail + s.L_sum / beta - A_sum  # (beta/gamma) sum E
+    h_n = h_1 = None
+    if potential:
+        resid, d = s.resid, s.d_b
+        h_n = 0.5 * (s.inv_sigma2 * float(resid.dot(resid)) + s.coup * float(d.dot(d)))
+        # qs . (T rhodot) = (T / beta) q_Ldot
+        body = 0.5 * float(A.dot(A)) - (0.5 * beta) * w_sum - (T / beta) * q_Ldot
+        h_1 = dt_T * body + (EN - E0) / gamma + qN * rhoN - q0 * rho0
     if not gradient:
         return h_n, h_1
 
-    # chained through the staging transpose
-    A_L = float(A.dot(ctx.Ls))
-    Z_q = float(Z.dot(qs))
+    # d/dq of the path action, chained through the staging transpose
     g_q = rows.g_q
-    np.multiply(Z, beta * s.dt_T, out=s.gq_tail)
-    s.gq_tail -= s.Ld
+    np.dot(s.coef_g, s.grad_rows, out=s.gq_tail)
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
     g_u = rows.adjoint()
-    # direct boundary terms of h_n: the data residuals and the springs
-    gb = s.g_ub
-    gb -= s.data_force
-    gb += s.spring
+    # direct boundary terms of h_n: the springs and the data residuals
+    np.dot(s.coef_b, s.bound, out=s.force_b)
+    s.g_ub += s.force_b
 
     # theta gradient; d rho / d beta = (c - L / beta) / beta, so
     # A . drho = (c sum A - A . L / beta) / beta; d rho / d gamma
     # = -beta / gamma^2; d(T rhodot) / d beta = -T rhodot / beta
-    g_beta = s.dt_T * (
+    g_beta = dt_T * (
         (c * A_sum - A_L / beta) / beta
-        + Z_q
-        - Z_sum / beta
+        + bg * Z_q
+        - Z_sum / gamma
         - 0.5 * w_sum
         + (T / beta) * q_Ldot / beta
     )
@@ -473,13 +532,11 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool):
         + qN * ((2.0 * c - rhoN) / beta)
         - q0 * ((2.0 * c - rho0) / beta)
     )
-    g_beta -= float(float(s.resid.dot(s.u_b)) / s.sigma2)
-    # a NumPy scalar power: libm pow (gamma * gamma differs in the last bit
-    # for some gamma), saturating where a Python float power would raise
-    # OverflowError or underflow to a 0.0 divisor
-    gamma2 = np.float64(gamma) ** 2
-    g_gamma = s.dt_T * (Z_sum / gamma - float(beta / gamma2) * A_sum)
-    g_gamma = float(g_gamma + (E0 - EN + beta * (q0 - qN)) / gamma2)
+    g_beta -= s.inv_sigma2 * float(s.resid.dot(s.u_b))
+    # beta / gamma^2 as bg / gamma: no Python-float power, which would
+    # raise OverflowError where a product saturates to inf
+    g_gamma = dt_T * (bg / gamma) * (Z_sum - A_sum)
+    g_gamma += (E0 - EN + beta * (q0 - qN)) / gamma / gamma
     # one dot product proves g_u finite; only a failure (a non-finite entry,
     # or an overflow of finite ones) pays for the scan
     if not math.isfinite(g_u.dot(g_u)):

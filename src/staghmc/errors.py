@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and
-positive-number checks of the library configs."""
+"""Exception types shared across the package, and the integer,
+positive-number and positive-pair checks of the library configs."""
 
 import math
 import numbers
@@ -25,10 +25,26 @@ def _integer(name: str, value) -> int:
 
 def _positive(name: str, value):
     """``value``, if it is a positive finite number; zero, a negative number,
-    NaN or an infinity raises ValidationError."""
+    NaN, an infinity, a bool, a string or any other non-number raises
+    ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     if not (value > 0 and math.isfinite(value)):
         raise ValidationError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _positive_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as a tuple of two floats, if it is a pair (a tuple, a list
+    or a 1-d array of two entries) of positive finite numbers; anything
+    else, a string or a pair of three included, raises ValidationError."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if isinstance(value, str) or items is None or len(items) != 2:
+        raise ValidationError(f"{name} must be a pair of two numbers, got {value!r}")
+    return tuple(float(_positive(name, x)) for x in items)
 
 
 class DomainError(StagHmcError, ValueError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _positive
+from .errors import ValidationError, _positive, _positive_pair
 from .model import DimensionlessParams, InputSignal, TimeSeriesData
 
 __all__ = [
@@ -64,11 +64,13 @@ class LatticeLayout:
     segment: q[s*j + m] = sum_l u[s*j + l] B[l, m], with B[0, m] = (j-m)/j
     and B[l, m] = m/l for 1 <= m <= l <= j (zero above the diagonal).
 
-    ``flat_stiffness`` and ``flat_staging`` run over the contiguous first
-    N-1 beads ``x[:-1]`` (the last bead is always a measurement bead): the
-    staging stiffness, and 1.0, at the staging beads, and 0 at the
-    measurement beads ``s*j``. A sum over the staging beads is then one
-    product with a contiguous array instead of work on the strided view.
+    ``flat_stiffness`` runs over the contiguous first N-1 beads ``x[:-1]``
+    (the last bead is always a measurement bead): the staging stiffness at
+    the staging beads and 0 at the measurement beads ``s*j``. The (2, N)
+    ``bead_classes`` holds 1.0 at the staging beads in row 0 and at the
+    measurement beads in row 1, and 0 elsewhere. A sum over the staging
+    beads, or one over each class at once, is then one product with a
+    contiguous table instead of work on the strided views.
     """
 
     n: int
@@ -79,7 +81,7 @@ class LatticeLayout:
     stiffness: np.ndarray = field(init=False, repr=False, compare=False)
     staging_block: np.ndarray = field(init=False, repr=False, compare=False)
     flat_stiffness: np.ndarray = field(init=False, repr=False, compare=False)
-    flat_staging: np.ndarray = field(init=False, repr=False, compare=False)
+    bead_classes: np.ndarray = field(init=False, repr=False, compare=False)
     _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,13 +100,14 @@ class LatticeLayout:
         stiffness = self.T * k / (dt * m)
         flat_stiffness = np.zeros((n, j))
         flat_stiffness[:, 1:] = stiffness
-        flat_staging = np.ones((n, j))
-        flat_staging[:, 0] = 0.0
+        bead_classes = np.zeros((2, n * j + 1))
+        bead_classes[0, :-1].reshape(n, j)[:, 1:] = 1.0
+        bead_classes[1, ::j] = 1.0
         tables = {
             "stiffness": stiffness,
             "staging_block": block,
             "flat_stiffness": flat_stiffness.reshape(-1),
-            "flat_staging": flat_staging.reshape(-1),
+            "bead_classes": bead_classes,
             "_m": m,
         }
         for name, table in tables.items():
@@ -138,12 +141,9 @@ class MassConfig:
     m_alpha: tuple[float, float]
 
     def __post_init__(self):
-        ma = tuple(_positive("m_alpha", float(x)) for x in self.m_alpha)
-        if len(ma) != 2:
-            raise ValidationError("m_alpha must hold exactly two masses (beta, gamma)")
         _positive("M", self.M)
         _positive("m_prime", self.m_prime)
-        object.__setattr__(self, "m_alpha", ma)
+        object.__setattr__(self, "m_alpha", _positive_pair("m_alpha", self.m_alpha))
 
 
 @dataclass
@@ -240,6 +240,8 @@ class _StagingRows:
     """The length-N rows ``u``, ``q``, ``g_q`` and ``g_u`` of the staging
     maps, with every view their block products take of them, built once.
 
+    The caller may hand in the rows ``u`` and ``q`` (any contiguous length-N
+    arrays, such as rows of a larger stack); the others are allocated here.
     ``inverse`` writes q from u through the (n, j+1) window view of u, whose
     row s is u[s*j .. s*j + j] (neighbouring rows share their boundary
     bead), and the (n, j) blocks ``q[:-1].reshape(n, j)``. ``adjoint``
@@ -255,10 +257,17 @@ class _StagingRows:
         "gq_blocks", "g_win", "win_left", "win_right", "gu_blocks", "gu_ends",
     )
 
-    def __init__(self, layout: LatticeLayout):
+    def __init__(
+        self, layout: LatticeLayout, u: np.ndarray | None = None, q: np.ndarray | None = None
+    ):
         n, j, N = layout.n, layout.j, layout.N
-        self.u, self.q, self.g_q, self.g_u = (np.empty(N) for _ in range(4))
-        self.block, self.block_t = layout.staging_block, layout.staging_block.T
+        self.u = np.empty(N) if u is None else u
+        self.q = np.empty(N) if q is None else q
+        self.g_q, self.g_u = np.empty(N), np.empty(N)
+        # a C-ordered transpose: np.dot takes it at half the cost of the
+        # transposed view
+        self.block = layout.staging_block
+        self.block_t = np.ascontiguousarray(layout.staging_block.T)
         step = self.u.itemsize
         self.windows = np.ndarray((n, j + 1), buffer=self.u, strides=(j * step, step))
         self.q_blocks = self.q[:-1].reshape(n, j)
@@ -270,12 +279,12 @@ class _StagingRows:
 
     def inverse(self) -> None:
         """Write q from u."""
-        np.matmul(self.windows, self.block, out=self.q_blocks)
+        np.dot(self.windows, self.block, out=self.q_blocks)
         self.q[-1] = self.u[-1]
 
     def adjoint(self) -> np.ndarray:
         """Write g_u from g_q, and return it."""
-        np.matmul(self.gq_blocks, self.block_t, out=self.g_win)
+        np.dot(self.gq_blocks, self.block_t, out=self.g_win)
         self.gu_blocks[...] = self.win_left
         self.g_u[-1] = self.g_q[-1]
         self.gu_ends += self.win_right

@@ -21,7 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import Gradient, PathContext, Potential, _harmonic, _refreshed, _saturating, h_total
-from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _integer, _positive
+from .errors import (
+    DomainError,
+    NonFiniteError,
+    StagHmcError,
+    ValidationError,
+    _integer,
+    _positive_pair,
+)
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
     _trajectory,
@@ -113,8 +120,7 @@ class HmcConfig:
             raise ValidationError(f"chains must be >= 1, got {self.chains}")
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        theta0 = tuple(_positive("theta0", float(self.theta0[i])) for i in (0, 1))
-        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta0", _positive_pair("theta0", self.theta0))
 
     def echo(self) -> dict:
         """JSON-ready mirror of every knob, sufficient to reproduce the run."""
@@ -245,7 +251,10 @@ def hmc_iteration(
     needs, its free-flow tables included, follows from ``ctx`` and
     ``config``. The proposal's potential and force come from the
     trajectory's last kernel pass, so an iteration given both makes P
-    kernel passes and no `h_total`.
+    kernel passes, of which only the last forms the potential, and no
+    `h_total`. The refreshed energy and the proposal's take their kinetic
+    terms from `energy._kinetic`, as `h_total` does, so they match it bit
+    for bit.
     Returns the next state (positions revert on rejection) and the iteration
     stats, whose ``potential`` and ``force`` are those of the next state: a
     rejection keeps the ones given. Invalid proposals never raise, a

@@ -201,7 +201,7 @@ class TestFlatTerms:
 
     @pytest.mark.parametrize("n, j", [(1, 1), (2, 2), (3, 10), (10, 30)])
     def test_staging_terms_match_view_formulas(self, n, j):
-        from staghmc.energy import _harmonic, _staging_kinetic
+        from staghmc.energy import _harmonic, _kinetic
 
         layout = build_layout(n, j, 83.0)
         for seed in range(5):
@@ -210,31 +210,31 @@ class TestFlatTerms:
             harmonic = 0.5 * float((layout.stiffness * (us * us)).sum())
             kinetic = (0.5 * layout.dt / MASSES.m_prime) * float((ps * ps).sum())
             assert _harmonic(st, layout) == pytest.approx(harmonic, rel=1e-14, abs=0.0)
-            assert _staging_kinetic(st, MASSES, layout) == pytest.approx(
+            assert _kinetic(st.p, st.pi, MASSES, layout)[0] == pytest.approx(
                 kinetic, rel=1e-14, abs=0.0
             )
 
     @pytest.mark.parametrize("n, j", [(1, 1), (2, 5), (10, 30)])
     def test_spring_laplacian_matches_pairwise_form(self, n, j):
-        # the boundary stage's spring row, built by an energy call
+        # the boundary stage's spring stencil d_{s-1} - d_s, built by an
+        # energy call; the springs pull with coup times it
         layout, _, ctx = make_problem(n, j, 83.0)
-        coup = layout.T / (layout.j * layout.dt)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             ub = rng.normal(0, 2, n + 1)
             d = ub[1:] - ub[:-1]
             want = np.zeros(n + 1)
-            want[:-1] -= coup * d
-            want[1:] += coup * d
+            want[:-1] -= d
+            want[1:] += d
             st = random_state(layout, rng)
             st.u[:: layout.j] = ub
             h_total(st, ctx, MASSES)
-            np.testing.assert_array_equal(ctx._scratch.spring, want)
+            np.testing.assert_array_equal(ctx._scratch.lap, want)
 
     def test_flat_tables_are_read_only(self):
         layout, _, ctx = make_problem()
         for table in (
-            layout.flat_stiffness, layout.flat_staging, ctx.Ls, ctx.Ldots,
+            layout.flat_stiffness, layout.bead_classes, ctx.Ls, ctx.Ldots,
         ):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -486,6 +486,25 @@ class TestKernelRow:
             h_n, h_1, *_ = kernel(*st.theta.tolist(), ctx, True)
             assert (h_n, h_1) == (want.h_n, want.h_1)
             assert type(h_n) is float and type(h_1) is float
+
+    @pytest.mark.parametrize("n, j", [(1, 1), (2, 5), (10, 30)])
+    def test_gradient_only_pass_gives_the_gradient_of_a_full_pass(self, n, j):
+        # the trajectory's first P - 1 passes skip the potential
+        import staghmc.energy as energy
+
+        layout, _, ctx = make_problem(n, j, 83.0)
+        kernel = energy._saturating(energy._hprime)
+        for seed in range(5):
+            st = random_state(layout, np.random.default_rng(seed), u_scale=1.0)
+            np.copyto(ctx._scratch.rows.u, st.u)
+            h_n, h_1, g_u, g_beta, g_gamma = kernel(*st.theta.tolist(), ctx, True, True)
+            assert type(h_n) is float and type(h_1) is float
+            full = g_u.copy(), g_beta, g_gamma  # g_u is the workspace row
+            h_n, h_1, g_u, g_beta, g_gamma = kernel(*st.theta.tolist(), ctx, True, False)
+            assert h_n is None and h_1 is None
+            np.testing.assert_array_equal(g_u, full[0])
+            assert (g_beta, g_gamma) == full[1:]
+            assert type(g_beta) is float and type(g_gamma) is float
 
     def test_in_place_writes_and_swapped_arrays(self):
         layout, _, ctx = make_problem()

@@ -17,6 +17,7 @@ from staghmc.energy import PathContext, _saturating, grad_hprime, h_N, h_total
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
+    _free_flow,
     _rotate_inplace,
     _trajectory,
     trotter_propagate,
@@ -81,6 +82,11 @@ class TestConfig:
     def test_rejects_bad_count(self):
         with pytest.raises(ValidationError):
             IntegratorConfig(d_tau=0.25, P=0)
+
+    @pytest.mark.parametrize("d_tau", ["0.1", True, None, [0.1]])
+    def test_rejects_a_step_that_is_not_a_number(self, d_tau):
+        with pytest.raises(ValidationError, match="d_tau"):
+            IntegratorConfig(d_tau=d_tau, P=3)
 
     def test_accepts_valid(self):
         cfg = IntegratorConfig(d_tau=0.25, P=3)
@@ -252,6 +258,48 @@ class TestFlatRotation:
             np.testing.assert_array_equal(cos[:: layout.j], 1.0)
             np.testing.assert_array_equal(sin_over_m_omega[:: layout.j], step / MASSES.M)
             np.testing.assert_array_equal(m_omega_sin[:: layout.j], 0.0)
+
+
+class TestTwoRowFlow:
+    """The trajectory's free flow on the phase-space array [u; p] against the
+    rotation formula on separate rows u and p, written out from the bank's
+    triple tables as the integrator ran it before the rows were stacked."""
+
+    @staticmethod
+    def formula(u, p, tables):
+        cos, sin_over_m_omega, m_omega_sin = tables
+        kick = u * m_omega_sin
+        u *= cos
+        u += p * sin_over_m_omega
+        p *= cos
+        p -= kick
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
+    @pytest.mark.parametrize("full", [False, True])
+    def test_matches_the_rotation_formula_bit_for_bit(self, layout, full):
+        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        tables, flow = (bank.full, bank.full_flow) if full else (bank.half, bank.half_flow)
+        rng = np.random.default_rng(layout.N)
+        for case in range(4):
+            u = rng.normal(0, 1.0, layout.N)
+            p = rng.normal(0, 5.0, layout.N)
+            # signed zeros on both kinds of bead, in both rows
+            u[rng.integers(0, layout.N, 3)] = rng.choice([0.0, -0.0], 3)
+            p[rng.integers(0, layout.N, 3)] = rng.choice([0.0, -0.0], 3)
+            p[:: layout.j][case % 2 :: 2] = -0.0 if case < 2 else 0.0
+            if case % 2:  # an infinite measurement bead: inf * 0 = NaN
+                u[layout.j * (layout.n // 2)] = np.inf if case == 1 else -np.inf
+            want = np.stack((u, p))
+            x, cross = want.copy(), np.empty((2, layout.N))
+            rows = want.copy()  # and through the wrapper on separate rows
+            with np.errstate(invalid="ignore"):
+                self.formula(*want, tables)
+                _free_flow((x, *x, cross, *cross), flow)
+                _rotate_inplace(*rows, bank, full=full)
+            for got in (x, rows):
+                np.testing.assert_array_equal(got, want)
+                # assert_array_equal takes 0.0 == -0.0; the signs must agree too
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestTrotter:

@@ -209,7 +209,7 @@ class TestBlockStagingMaps:
 class TestFrozenTables:
     def test_layout_tables_are_read_only(self):
         layout = build_layout(3, 4, 9.0)
-        for table in (layout.stiffness, layout.flat_stiffness, layout.flat_staging):
+        for table in (layout.stiffness, layout.flat_stiffness, layout.bead_classes):
             with pytest.raises(ValueError):
                 table[0] = table[1]
 
@@ -246,6 +246,24 @@ class TestState:
         masses[name] = (150.0, np.inf) if name == "m_alpha" else np.inf
         with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
             MassConfig(**masses)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("M", "1"), ("m_prime", True), ("M", None), ("m_alpha", 5.0), ("m_alpha", "ab"),
+         ("m_alpha", ("150", 150.0)), ("m_alpha", (150.0, False)), ("m_alpha", (1.0, 2.0, 3.0))],
+    )
+    def test_non_number_mass_rejected(self, name, value):
+        # a string or a bool is not converted, and m_alpha must be a pair
+        masses = dict(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
+        masses[name] = value
+        with pytest.raises(ValidationError, match=name):
+            MassConfig(**masses)
+
+    def test_mass_pair_may_be_a_list_or_an_array(self):
+        for pair in ([150, 75.0], np.array([150.0, 75.0])):
+            cfg = MassConfig(M=720.0, m_prime=130.0, m_alpha=pair)
+            assert cfg.m_alpha == (150.0, 75.0)
+            assert all(type(m) is float for m in cfg.m_alpha)
 
     def test_state_validation(self):
         with pytest.raises(ValidationError):

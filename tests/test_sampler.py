@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import warnings
 
@@ -81,6 +82,34 @@ class TestHmcConfig:
         for theta0 in [(0.0, 0.5), (1.0, -0.2), (np.nan, 0.5)]:
             with pytest.raises(ValidationError):
                 small_config(theta0=theta0)
+
+    def test_start_of_three_numbers_rejected(self):
+        # not silently cut to its first two
+        with pytest.raises(ValidationError, match="theta0"):
+            small_config(theta0=(1.0, 0.5, 7.0))
+
+    def test_start_of_one_number_rejected(self):
+        with pytest.raises(ValidationError, match="theta0"):
+            small_config(theta0=(1.0,))
+
+    @pytest.mark.parametrize("theta0", [("1", 0.5), (1.0, True), "12", 1.0, None])
+    def test_start_that_is_not_a_pair_of_numbers_rejected(self, theta0):
+        # a string is not converted, a bool is not a number
+        with pytest.raises(ValidationError, match="theta0"):
+            small_config(theta0=theta0)
+
+    def test_start_is_two_floats(self):
+        for theta0 in ([1, 0.5], np.array([1.0, 0.5])):
+            cfg = small_config(theta0=theta0)
+            assert cfg.theta0 == (1.0, 0.5)
+            assert all(type(x) is float for x in cfg.theta0)
+
+    @pytest.mark.parametrize("field, value", [("M", "720"), ("m_prime", True), ("m_alpha", 5.0)])
+    def test_masses_that_are_not_numbers_rejected(self, field, value):
+        masses = dict(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
+        masses[field] = value
+        with pytest.raises(ValidationError, match=field):
+            small_config(masses=MassConfig(**masses))
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
@@ -341,11 +370,16 @@ class TestCarriedPotential:
         )
         potential = h_total(state, ctx, MASSES).potential
         force = grad_hprime(state, ctx)
-        calls = {"grad": 0, "inverse": 0}
+        calls = {"grad": 0, "inverse": 0, "potential": 0}
+        kernel = inspect.signature(staghmc.integrator._hprime)
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                if key == "grad":  # does this pass form the potential too?
+                    bound = kernel.bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    calls["potential"] += bool(bound.arguments["potential"])
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -360,7 +394,8 @@ class TestCarriedPotential:
             state, ctx, cfg, np.random.default_rng(3), potential=potential, force=force
         )
         assert stats_out.pathology is None
-        assert calls == {"grad": STEP.P, "inverse": STEP.P}
+        # P passes, of which only the last forms the proposal's potential
+        assert calls == {"grad": STEP.P, "inverse": STEP.P, "potential": 1}
 
     def test_carried_h_before_matches_fresh_energy(self, toy_problem):
         ctx = toy_problem.context()
