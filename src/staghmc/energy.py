@@ -32,8 +32,9 @@ Everything that does not depend on the state is frozen once: the lattice
 tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
 problem) the log-input increments L and their difference Ldot, with
 rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta.
-No table of the plan or of the kernel's workspace is larger than O(N).
-The staging potential of h_N is one product of the contiguous squares of
+No table of the plan or of the kernel's workspace is larger than O(N),
+but the layout's (j+1, j) staging block and the workspace's C-ordered
+copy of its transpose, O(j^2) each. The staging potential of h_N is one product of the contiguous squares of
 ``u[:-1]`` with a flat layout table that is zero at the measurement beads,
 and the kinetic terms of all three pieces come from one function,
 `_kinetic`. One private kernel, `_hprime`, then makes the single pass over
