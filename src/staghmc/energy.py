@@ -29,105 +29,11 @@ as du = dtau p / m. Measurement beads use M as the effective mass directly
 (matching the printed oscillator form above), parameters use m_alpha.
 
 Everything that does not depend on the state is frozen once: the lattice
-tables on `LatticeLayout`, and on `PathContext` (the plan of one inference
-problem) the log-input increments L and their difference Ldot, with
-rho = L / beta + c, c = (2 + gamma) beta / (2 gamma), and rhodot = Ldot / beta.
-No table of the plan or of the kernel's workspace is larger than O(N),
-but the layout's (j+1, j) staging block and the workspace's C-ordered
-copy of its transpose, O(j^2) each. The staging potential of h_N is one product of the contiguous squares of
-``u[:-1]`` with a flat layout table that is zero at the measurement beads,
-and the kinetic terms of all three pieces come from one function,
-`_kinetic`. One private kernel, `_hprime`, then makes the single pass over
-the path: q from u by the staging inverse, E = exp(-beta q) and the
-residual A = rho - (beta/gamma) E. It never builds rho, rhodot or their
-derivatives as arrays, only the sums they enter, folded by linearity:
-A . drho/dbeta = (c sum A - A . L / beta) / beta, qs . (T rhodot) =
-(T / beta) qs . Ldot and (beta/gamma) sum E = sum rho - sum A, with rho
-itself needed only at the two end beads. From these a pass forms the
-potential of H' = h_n + h_1 (for `h_total`), the exact analytic gradient
-of H' w.r.t. u and theta (for `grad_hprime` and the trajectory), or both.
-dH'/dq is chained through the staging transpose, and the force of the
-boundary springs, one per segment, is a stencil on the difference row
-d = u_b[1:] - u_b[:-1] of the measurement beads. Potential and force
-depend on positions alone: a momentum refresh fixes the state's
-position-only energy (`Potential`) and its force, so the sampler carries
-both from one iteration to the next, adds the new kinetic terms with
-`_refreshed`, and takes the proposal's potential and force from the
-trajectory's last kernel pass, the only one of its P passes that forms
-the potential.
-
-At the benchmark size (N = 301) a NumPy call costs about a microsecond
-whatever its length, so the kernel keeps the number of calls small:
-
-* Row stacks. Each scaled sum of path rows is one ``np.dot`` of a few
-  coefficients, written once per pass, with a contiguous stack of at
-  most three rows over beads i = 2..N:
-  A = [-(beta/gamma), c, 1/beta] . [E, 1, L];
-  g_q = [beta (dt/T) (beta/gamma), -dt/beta] . [Z, Ldot], with
-  Z = (A + beta/2) E; and the boundary force
-  [coup, -beta/sigma^2] . [lap, resid] (below). Every sum the potential
-  and the theta gradient read, but A . A, comes out of one (3, 3) product
-  of the rows [A, Z, Ldot] with the columns [q, 1, L]: their dot
-  products with q, their plain sums and their dot products with L. The
-  rows 1, L and Ldot are constant. E and q each lead their stack, so
-  each is also one contiguous length-N row (bead 1, then the stack's
-  first row) for the elementwise work.
-* Array operands. Every scalar an elementwise call takes (beta, -beta,
-  beta/2 and the clamp) is a 0-d array, the first three views of the
-  same row of coefficients: NumPy 2 takes a Python-float operand for
-  about 0.7 us more per call, nearly the cost of the call itself here.
-* One set of kernel rows. Each context allocates one workspace
-  (`_Scratch`) once, and every array operation of `_hprime` writes into
-  it with ``out=``, the staging maps included. Its rows u, q, g_q and g_u
-  are one `lattice._StagingRows`, which builds once every view the two
-  staging products take of them; u is the first row of the (2, N)
-  phase-space array [u; p] that the trajectory's free flow moves. The
-  kernel reads its beads from the row u: `h_total` and `grad_hprime`
-  copy a state's beads in, and the trajectory copies them in once and
-  moves them there for all its P gradients. The views u_b = ``u[::j]``,
-  ``u_b[1:]`` and ``u_b[:-1]`` are built once too; in-place writes to a
-  row show through its views, so nothing is ever rebuilt or invalidated.
-  A context is therefore not safe to share between threads; parallel
-  chains run in processes.
-* One boundary stage per pass. `_boundary_stage` fills the rows that
-  depend on theta and the measurement beads u_b = u[::j] alone: the data
-  residuals ``resid`` = ln(y_s / r_s) - beta u_b, the difference row d,
-  and the spring stencil ``lap`` = d_{s-1} - d_s made from it, with one
-  neighbour at each end; the springs pull with coup lap, coup = T / (j dt).
-  It keeps nothing between passes: every gradient of a trajectory
-  follows a drift of theta and u_b, so a stage kept for the next pass
-  would never be reused.
-* Rows a call overwrites. Every kernel call rewrites the coefficients,
-  q, E, the boundary rows, the rows A and Z and the (3, 3) sums; a
-  gradient call also rewrites g_q, the adjoint's window product, the
-  boundary force and ``g_u``. Only a pass that forms the potential takes
-  the dot products resid . resid, d . d and A . A and the h_1 algebra.
-  The trajectory (`integrator`) calls the kernel directly: it gets g_u as
-  the workspace row itself, valid until the next call, and g_theta as two
-  Python floats. `grad_hprime` and `h_total` are thin wrappers over the
-  same kernel that check the state's size, load its beads, and return
-  fresh arrays and floats.
-* Python-float scalars. beta, gamma, the end values of q and E and the
-  (3, 3) sums each leave NumPy in one ``tolist()``, and the scalar
-  algebra runs on Python floats, a tenth of the cost of a NumPy scalar or
-  two-entry array operation and the same IEEE double arithmetic, so the
-  results are bit-identical. Python floats raise where NumPy saturates,
-  though: ZeroDivisionError on a zero divisor and OverflowError from
-  ``**``. So every divisor is beta, gamma or 2 gamma (non-zero after the
-  domain check), there is no power (beta / gamma^2 is
-  (beta / gamma) / gamma), and 1 / sigma^2 is a constant of the plan,
-  divided out once as (1 / sigma) / sigma, which saturates to inf where
-  sigma^2 would underflow to a 0.0 divisor. Sums and products of Python
-  floats saturate to inf and NaN as NumPy's do.
-* One saturation policy. `_saturating` is one module-level
-  ``np.errstate`` that lets overflow, invalid operations and division by
-  zero saturate to inf and NaN, and underflow round to 0, silently. It
-  decorates the five public entry points, `h_N`, `h_total`,
-  `grad_hprime`, `integrator.trotter_propagate` and
-  `sampler.hmc_iteration`, so the kernel and every helper they call run
-  under it; the caller's state comes back on return, also after a raise.
-  NumPy (>= 2.0) keeps each decorated call's token apart, so the calls
-  may nest and run in threads.
+tables on `LatticeLayout`, and the plan of one inference problem on
+`PathContext`. One private kernel, `_hprime`, makes the single pass over
+the path behind `h_total`, `grad_hprime` and the trajectory, in the
+context's workspace (`_Scratch`). Potential and force depend on positions
+alone, so the sampler carries both from one iteration to the next.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -169,9 +75,15 @@ __all__ = [
 
 EXP_CLAMP = 700.0
 
-# the one saturation policy, a decorator of the public entry points; it
-# sets underflow too, so a caller's np.errstate(all="raise") cannot turn an
-# exp(-beta q) that rounds to 0 into a FloatingPointError
+# the one saturation policy: overflow, invalid operations and division by
+# zero saturate to inf and NaN, and underflow rounds to 0, silently. It
+# decorates the five public entry points h_N, h_total, grad_hprime,
+# integrator.trotter_propagate and sampler.hmc_iteration, so the kernel and
+# every helper they call run under it; the caller's state comes back on
+# return, also after a raise. NumPy (>= 2.0) keeps each decorated call's
+# token apart, so the calls may nest and run in threads. It sets underflow
+# too, so a caller's np.errstate(all="raise") cannot turn an exp(-beta q)
+# that rounds to 0 into a FloatingPointError
 _saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
@@ -183,10 +95,8 @@ class PathContext:
     L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding) and their difference
     Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
     carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
-    (2 gamma) and rhodot_i = Ldot_i / beta, with ``Ls`` and ``Ldots`` their
-    views over beads i = 2..N; and the log data residuals ln(y_s / r_s).
-    The boundary-to-boundary springs need no table: the kernel applies
-    them as a stencil on the measurement beads.
+    (2 gamma) and rhodot_i = Ldot_i / beta; and the log data residuals
+    ln(y_s / r_s). The springs need no table (see `_boundary_stage`).
 
     The context also owns the private, mutable workspace of the kernel
     (`_Scratch`), allocated once, so a context must not be shared by
@@ -201,8 +111,6 @@ class PathContext:
     L: np.ndarray = field(init=False, repr=False)
     Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
-    Ls: np.ndarray = field(init=False, repr=False)
-    Ldots: np.ndarray = field(init=False, repr=False)
     _scratch: "_Scratch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -219,8 +127,6 @@ class PathContext:
         for name, value in (("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "Ls", L[1:])
-        object.__setattr__(self, "Ldots", Ldot[1:])
         object.__setattr__(self, "_scratch", _Scratch(lay, L, Ldot, self.obs.sigma))
 
     def __reduce__(self):
@@ -232,12 +138,17 @@ class PathContext:
 class _Scratch:
     """The workspace of `_hprime` for one `PathContext`, allocated once.
 
-    ``phase``, the tuple (x, u, p, cross, cross_u, cross_p) of the (2, N)
-    phase-space array x = [u; p] and the (2, N) row pair of the free flow's
-    cross terms, each with its two rows (see `integrator`). The kernel rows
-    ``rows`` (a `lattice._StagingRows`): u = x[0], which a caller loads
-    with a state's beads or a trajectory moves in place, and q, g_q and
-    g_u, with every view the staging maps take of them. Views of these rows
+    At the benchmark size (N = 301) a NumPy call costs about a microsecond
+    whatever its length, so the kernel keeps its calls few: each writes
+    into these rows with ``out=``, and each scaled sum of path rows is one
+    ``np.dot`` with a stack below. No row is larger than O(N), but the
+    layout's (j+1, j) staging block and the C-ordered copy of its
+    transpose in ``rows``, O(j^2) each.
+
+    ``phase``, the phase-space array x = [u; p] of the free flow and its
+    cross terms, with their rows (see `integrator._free_flow`). The kernel
+    rows ``rows`` (a `lattice._StagingRows`): u = x[0], and q, g_q and g_u,
+    with every view the staging maps take of them. Views of these rows
     built once: ``q_ends``, ``gq_tail``, ``g_ub``, the measurement beads
     ``u_b`` = u[::j] and their shifted views ``ub_next`` = u_b[1:] and
     ``ub_prev`` = u_b[:-1].
@@ -247,26 +158,27 @@ class _Scratch:
     row); ``E_rows`` = [E, 1, L], likewise led by the tail of the row
     ``E`` (with ``E_tail`` and ``E_ends``); ``work`` = [A, Z, Ldot], whose
     last two rows are ``grad_rows``; their (3, 3) product ``sums`` with
-    the columns, and its flat view ``sum_list``. The per-pass scalars
-    ``coef``: the coefficients ``coef_A``, ``coef_g`` and ``coef_b``, and
-    the 0-d operands ``beta``, ``minus_beta`` and ``half_beta`` of the
-    elementwise calls, with the constant ``clamp`` = EXP_CLAMP (a NumPy
-    call takes a 0-d array operand for about half the cost of a Python
-    float).
+    the columns, and its flat view ``sum_list``: every sum the potential
+    and the theta gradient read, but A . A. The per-pass ``coef``:
+    the coefficients of A = ``coef_A`` . E_rows, g_q = ``coef_g`` .
+    grad_rows, with Z = (A + beta/2) E, and the boundary force ``coef_b`` .
+    bound, and the 0-d operands ``beta``, ``minus_beta`` and ``half_beta``
+    of the elementwise calls, with the constant ``clamp`` = EXP_CLAMP (a
+    NumPy call takes a 0-d array operand for about half the cost of a
+    Python float, which is why the integrator's kick steps are 0-d too).
 
     The boundary rows, which `_boundary_stage` fills on every pass, over
     the measurement beads: ``bound`` = [lap, resid] (the spring stencil
-    and the data residuals) and the force ``force_b`` made from it. The
-    length-n difference row ``d_b`` = u_b[1:] - u_b[:-1] is the middle of
-    a length-(n+2) row that holds it between two zeros that are never
-    written, and ``lap`` is its left view ``pad_prev`` minus its right view
-    ``pad_next``, so the end beads feel one neighbour each.
+    lap = d_{s-1} - d_s and the data residuals) and the force ``force_b``
+    made from it. The length-n difference row ``d_b`` = u_b[1:] - u_b[:-1]
+    is the middle of a length-(n+2) row that holds it between two zeros
+    that are never written, and ``lap`` is its left view ``pad_prev`` minus
+    its right view ``pad_next``, so the end beads feel one neighbour each.
 
     Constants of the plan as Python floats: the number ``n_tail`` = N - 1
     of beads i = 2..N, ``L_sum``, the sum of L over them, and
-    ``inv_sigma2`` = 1 / sigma^2. ``flow`` and ``flow_key`` remember the
-    integrator's free-flow tables and kick steps for the last (masses,
-    d_tau).
+    ``inv_sigma2`` = 1 / sigma^2. ``flow`` and ``flow_key``: the memo of
+    `integrator._flow_tables`.
     """
 
     __slots__ = (
@@ -363,10 +275,8 @@ def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
 def _kinetic(
     p: np.ndarray, pi: np.ndarray, masses: MassConfig, layout: LatticeLayout
 ) -> tuple[float, float, float]:
-    """The kinetic terms of h_N, h_n and h_1: sum dt p^2 / (2 m') over the
-    staging beads, sum p^2 / (2 M) over the measurement beads (both from
-    one product of p^2 with ``layout.bead_classes``), and pi^2 / (2
-    m_alpha)."""
+    """The kinetic terms of h_N, h_n and h_1 (the module docstring), the
+    first two from one product of p^2 with ``layout.bead_classes``."""
     staging, measured = np.dot(layout.bead_classes, np.square(p)).tolist()
     pa, pg = pi.tolist()
     ma, mg = masses.m_alpha
@@ -434,12 +344,11 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
 
 
 def _boundary_stage(s: _Scratch, ctx: PathContext) -> None:
-    """Fill the boundary rows of ``s`` (see `_Scratch`), the rows of the
-    kernel that depend on theta and the measurement beads ``s.u_b`` of the
-    row u alone: the data residuals ``resid`` = ln(y_s / r_s) - beta u_b,
-    the difference row ``d_b`` and the spring stencil ``lap`` =
-    d_{s-1} - d_s, with the zero ends of the pad. Reads beta from the
-    pass's operand ``s.beta``."""
+    """Fill the boundary rows of ``s`` (see `_Scratch`): the residuals
+    ``resid`` = ln(y_s / r_s) - beta u_b, with beta from the pass's operand
+    ``s.beta``, the difference row ``d_b`` and the stencil ``lap``. Nothing
+    is kept for the next pass: every gradient of a trajectory follows a
+    drift of theta and u_b, so a kept stage would never be reused."""
     resid = s.resid
     np.multiply(s.u_b, s.beta, out=resid)
     np.subtract(ctx.lnyr, resid, out=resid)
@@ -451,8 +360,8 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     """The one pass over the path behind `h_total`, `grad_hprime` and the
     trajectory.
 
-    The N beads are the workspace row ``rows.u``, loaded by the caller;
-    beta and gamma are Python floats. Returns the position parts (h_n, h_1)
+    The N beads are the workspace row ``rows.u``, loaded by the caller.
+    Returns the position parts (h_n, h_1)
     of the state's `Potential`, and with ``gradient`` also the gradient of
     H', as the 5-tuple (h_n, h_1, g_u, g_beta, g_gamma): g_u is the
     workspace row ``g_u``, valid until the next call on the context, and the
@@ -462,8 +371,18 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     forms the potential, and a gradient pass gives the potential of
     `h_total` bit for bit. Rows of the workspace run over beads i = 2..N
     (slots 1..N-1); rho, rhodot and their derivatives are never built as
-    arrays, only the sums they enter (see the module docstring). Every
-    array operation writes into the context's scratch. Runs under a
+    arrays, only the sums they enter, folded by linearity (the comments
+    below), with rho itself needed only at the two end beads. Every array
+    operation writes into the context's scratch, and no call reads a row
+    an earlier one left but u and the constant rows.
+
+    The scalar algebra runs on Python floats (the arguments beta and gamma,
+    and the end values of q and E and the (3, 3) sums, each out of NumPy
+    in one ``tolist()``): the same IEEE double arithmetic as NumPy scalars, so
+    bit-identical, at a tenth of the cost. Python floats raise where NumPy
+    saturates, ZeroDivisionError on a zero divisor and OverflowError from
+    ``**``, so the algebra has neither (the comments below); their sums
+    and products saturate to inf and NaN as NumPy's do. Runs under a
     caller's `_saturating`.
     """
     s = ctx._scratch

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _positive, _positive_pair
+from .errors import ValidationError, _integer, _positive, _positive_pair
 from .model import DimensionlessParams, InputSignal, TimeSeriesData
 
 __all__ = [
@@ -85,6 +85,8 @@ class LatticeLayout:
     _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "j", _integer("j", self.j))
         if self.n < 1 or self.j < 1:
             raise ValidationError(f"n and j must be >= 1, got n={self.n}, j={self.j}")
         _positive("T", self.T)
@@ -206,13 +208,9 @@ def staging_forward(q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
 
 
 def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
-    """Map staging coordinates u back to bead positions q.
-
-    Per segment this is the backward recursion
-    q_m = u_m + (m/(m+1)) q_{m+1} + (1/(m+1)) u_left, m = j-1..1, unrolled to
-    q_m = m * sum_{l>=m} u_l / l + ((j-m)/j) u_left and applied to all
-    segments at once as the block product ``windows @ staging_block``.
-    """
+    """Map staging coordinates u back to bead positions q: per segment the
+    backward recursion of the module docstring, unrolled into the block
+    product ``windows @ staging_block`` (see `LatticeLayout`)."""
     u = np.asarray(u, dtype=float)
     _check_size(u, layout, "u")
     rows = _StagingRows(layout)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _positive
+from .errors import DomainError, NonFiniteError, ValidationError, _integer, _positive
 
 __all__ = [
     "PhysicalParams",
@@ -302,21 +302,18 @@ def _invgamma_shape_scale(params: PhysicalParams, r0: float):
     return shape, scale
 
 
-def equilibrium_pdf(S, params: PhysicalParams, r0: float, normalized: bool = True):
+def equilibrium_pdf(S, params: PhysicalParams, r0: float):
     """Stationary density of S under constant input r(t) = r0.
 
     The law is p(S) proportional to S^{-2(1+gamma)/gamma} exp(-2 K r0 / (gamma S)),
     an inverse-gamma distribution with shape (2+gamma)/gamma and scale
-    2 K r0 / gamma. With ``normalized=False`` the bare power-exponential
-    form above is returned.
+    2 K r0 / gamma.
     """
     S = np.asarray(S, dtype=float)
     if np.any(S <= 0):
         raise DomainError("equilibrium density is supported on S > 0")
     shape, scale = _invgamma_shape_scale(params, r0)
     log_core = -(shape + 1.0) * np.log(S) - scale / S
-    if not normalized:
-        return np.exp(log_core)
     log_norm = shape * math.log(scale) - math.lgamma(shape)
     return np.exp(log_norm + log_core)
 
@@ -357,6 +354,7 @@ class TruthPath:
 
 def fine_grid(T: float, n: int, j: int, factor: int = 20) -> np.ndarray:
     """Simulation grid refining the n*j inference lattice by ``factor``."""
+    n, j, factor = _integer("n", n), _integer("j", j), _integer("factor", factor)
     if n < 1 or j < 1 or factor < 1:
         raise ValidationError("n, j, factor must all be >= 1")
     return np.linspace(0.0, T, n * j * factor + 1)

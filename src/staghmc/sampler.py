@@ -251,10 +251,8 @@ def hmc_iteration(
     needs, its free-flow tables included, follows from ``ctx`` and
     ``config``. The proposal's potential and force come from the
     trajectory's last kernel pass, so an iteration given both makes P
-    kernel passes, of which only the last forms the potential, and no
-    `h_total`. The refreshed energy and the proposal's take their kinetic
-    terms from `energy._kinetic`, as `h_total` does, so they match it bit
-    for bit.
+    kernel passes and no `h_total`; both its energies match `h_total` bit
+    for bit (`energy._refreshed`).
     Returns the next state (positions revert on rejection) and the iteration
     stats, whose ``potential`` and ``force`` are those of the next state: a
     rejection keeps the ones given. Invalid proposals never raise, a
@@ -266,10 +264,9 @@ def hmc_iteration(
     the input (with fresh momenta), so a caller that keeps the input and
     then mutates the result must copy first.
 
-    Decorated with `energy._saturating`, the saturation policy of the five
-    entry points (with `h_N`, `h_total`, `grad_hprime` and
-    `integrator.trotter_propagate`), so the whole iteration, the refreshed
-    energy of a carried potential included, saturates instead of warning.
+    Decorated with `energy._saturating`, so the whole iteration, the
+    refreshed energy of a carried potential included, saturates instead of
+    warning.
     """
     masses, layout = config.masses, ctx.layout
     p, pi = sample_momenta(masses, layout, rng)

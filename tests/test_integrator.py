@@ -18,7 +18,6 @@ from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
     _free_flow,
-    _rotate_inplace,
     _trajectory,
     trotter_propagate,
 )
@@ -56,10 +55,18 @@ def random_state(layout, rng, u_scale=0.5, p_scale=3.0):
     )
 
 
+def rotate(u, p, bank):
+    """The trajectory's free flow by the bank's step, in place, on separate
+    rows ``u`` and ``p`` through a stacked copy."""
+    x, cross = np.stack((u, p)), np.empty((2, u.size))
+    _free_flow((x, *x, cross, *cross), bank.flow)
+    u[...], p[...] = x
+
+
 def rotated(state, bank):
-    """The in-place half-step free flow applied to a copy."""
+    """The free flow by the bank's step applied to a copy."""
     out = state.copy()
-    _rotate_inplace(out.u, out.p, bank)
+    rotate(out.u, out.p, bank)
     return out
 
 
@@ -124,7 +131,7 @@ class TestOscillatorBank:
 
     def test_no_staging_beads_is_a_free_drift(self):
         layout = build_layout(4, 1, 20.0)
-        bank = OscillatorBank.build(layout, MASSES, 0.25)
+        bank = OscillatorBank.build(layout, MASSES, 0.125)
         assert bank.omega.size == 0
         rng = np.random.default_rng(1)
         st = random_state(layout, rng)
@@ -136,7 +143,7 @@ class TestOscillatorBank:
 class TestRotation:
     def test_conserves_harmonic_energy(self):
         layout = build_layout(3, 10, 83.0)
-        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        bank = OscillatorBank.build(layout, MASSES, 0.185)
         for seed in range(50):
             rng = np.random.default_rng(seed)
             st = random_state(layout, rng, u_scale=1.0, p_scale=5.0)
@@ -147,7 +154,7 @@ class TestRotation:
     def test_leaves_boundary_and_parameters_alone(self):
         # but for the free drift of the measurement beads
         layout = build_layout(3, 10, 83.0)
-        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        bank = OscillatorBank.build(layout, MASSES, 0.185)
         st = random_state(layout, np.random.default_rng(2))
         out = rotated(st, bank)
         b = np.arange(layout.n + 1) * layout.j
@@ -161,7 +168,7 @@ class TestRotation:
         ref = OscillatorBank.build(layout, MASSES, 1.0)
         idx = np.flatnonzero(np.arange(layout.N) % layout.j)[4]  # a staging bead
         omega = ref.omega[4]
-        bank = OscillatorBank.build(layout, MASSES, 4.0 * np.pi / omega)
+        bank = OscillatorBank.build(layout, MASSES, 2.0 * np.pi / omega)
         st = PolymerState(
             u=np.zeros(layout.N),
             theta=np.array([1.8, 0.2]),
@@ -179,7 +186,7 @@ class TestRotation:
         ref = OscillatorBank.build(layout, MASSES, 1.0)
         idx = np.flatnonzero(np.arange(layout.N) % layout.j)[4]  # a staging bead
         omega = ref.omega[4]
-        bank = OscillatorBank.build(layout, MASSES, np.pi / omega)
+        bank = OscillatorBank.build(layout, MASSES, 0.5 * np.pi / omega)
         st = PolymerState(
             u=np.zeros(layout.N),
             theta=np.array([1.8, 0.2]),
@@ -195,17 +202,16 @@ class TestRotation:
 
     def test_full_step_is_two_half_steps(self):
         layout = build_layout(3, 10, 83.0)
-        bank = OscillatorBank.build(layout, MASSES, 0.37)
+        half_step = OscillatorBank.build(layout, MASSES, 0.185)
         st = random_state(layout, np.random.default_rng(6), u_scale=1.0, p_scale=5.0)
-        twice = rotated(rotated(st, bank), bank)
-        once = st.copy()
-        _rotate_inplace(once.u, once.p, bank, full=True)
+        twice = rotated(rotated(st, half_step), half_step)
+        once = rotated(st, OscillatorBank.build(layout, MASSES, 0.37))
         np.testing.assert_allclose(once.u, twice.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(once.p, twice.p, rtol=0, atol=1e-12)
 
     def test_tables_are_read_only(self):
         bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.37)
-        for table in (*bank.half, *bank.full):
+        for table in bank.flow:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
@@ -230,13 +236,12 @@ def view_rotation(state, bank, step):
 
 class TestFlatRotation:
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
-    @pytest.mark.parametrize("full", [False, True])
-    def test_matches_view_formula(self, layout, full):
-        bank = OscillatorBank.build(layout, MASSES, 0.37)
+    @pytest.mark.parametrize("whole_step", [False, True])
+    def test_matches_view_formula(self, layout, whole_step):
+        step = 0.37 if whole_step else 0.185
+        bank = OscillatorBank.build(layout, MASSES, step)
         st = random_state(layout, np.random.default_rng(layout.N), u_scale=1.0, p_scale=5.0)
-        out = st.copy()
-        _rotate_inplace(out.u, out.p, bank, full=full)
-        step = bank.d_tau if full else bank.d_tau / 2.0
+        out = rotated(st, bank)
         ref = view_rotation(st, bank, step)
         stg = np.arange(layout.N) % layout.j != 0
         np.testing.assert_array_equal(out.u[stg], ref.u[stg])
@@ -250,24 +255,41 @@ class TestFlatRotation:
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
     def test_tables_are_flat_with_identity_at_measurement_beads(self, layout):
         # identity on the momenta; the positions drift as free particles
-        bank = OscillatorBank.build(layout, MASSES, 0.37)
-        for step, (cos, sin_over_m_omega, m_omega_sin) in ((0.185, bank.half), (0.37, bank.full)):
-            for table in (cos, sin_over_m_omega, m_omega_sin):
-                assert table.shape == (layout.N,)
+        for step in (0.185, 0.37):
+            cos, sin_over_m_omega, minus_m_omega_sin = OscillatorBank.build(
+                layout, MASSES, step
+            ).flow
+            assert cos.shape == (2, layout.N)
+            np.testing.assert_array_equal(cos[0], cos[1])
+            for table in (cos, sin_over_m_omega, minus_m_omega_sin):
+                assert table.shape[-1] == layout.N
                 assert not table.flags.writeable
-            np.testing.assert_array_equal(cos[:: layout.j], 1.0)
+            np.testing.assert_array_equal(cos[:, :: layout.j], 1.0)
             np.testing.assert_array_equal(sin_over_m_omega[:: layout.j], step / MASSES.M)
-            np.testing.assert_array_equal(m_omega_sin[:: layout.j], 0.0)
+            # -0.0, so that p + u (-0.0) keeps the sign of a zero momentum
+            np.testing.assert_array_equal(minus_m_omega_sin[:: layout.j], 0.0)
+            assert np.all(np.signbit(minus_m_omega_sin[:: layout.j]))
 
 
 class TestTwoRowFlow:
     """The trajectory's free flow on the phase-space array [u; p] against the
-    rotation formula on separate rows u and p, written out from the bank's
-    triple tables as the integrator ran it before the rows were stacked."""
+    rotation formula on separate rows u and p, as the integrator ran it
+    before the rows were stacked, with flat tables built here from the
+    bank's frequencies and the step, not read from the bank."""
 
     @staticmethod
-    def formula(u, p, tables):
-        cos, sin_over_m_omega, m_omega_sin = tables
+    def formula(u, p, bank, step):
+        lay = bank.layout
+        omega = bank.omega.reshape(lay.n, lay.j - 1)
+        m_omega = bank.m * omega
+        angle = omega * step
+        sin = np.sin(angle)
+        # the free-particle entries (1, step / M, 0) at the measurement beads
+        cos, sin_over_m_omega = np.ones(lay.N), np.full(lay.N, step / bank.masses.M)
+        m_omega_sin = np.zeros(lay.N)
+        lay.staging(cos)[...] = np.cos(angle)
+        lay.staging(sin_over_m_omega)[...] = sin / m_omega
+        lay.staging(m_omega_sin)[...] = m_omega * sin
         kick = u * m_omega_sin
         u *= cos
         u += p * sin_over_m_omega
@@ -275,10 +297,10 @@ class TestTwoRowFlow:
         p -= kick
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
-    @pytest.mark.parametrize("full", [False, True])
-    def test_matches_the_rotation_formula_bit_for_bit(self, layout, full):
-        bank = OscillatorBank.build(layout, MASSES, 0.37)
-        tables, flow = (bank.full, bank.full_flow) if full else (bank.half, bank.half_flow)
+    @pytest.mark.parametrize("whole_step", [False, True])
+    def test_matches_the_rotation_formula_bit_for_bit(self, layout, whole_step):
+        step = 0.37 if whole_step else 0.185
+        bank = OscillatorBank.build(layout, MASSES, step)
         rng = np.random.default_rng(layout.N)
         for case in range(4):
             u = rng.normal(0, 1.0, layout.N)
@@ -291,15 +313,12 @@ class TestTwoRowFlow:
                 u[layout.j * (layout.n // 2)] = np.inf if case == 1 else -np.inf
             want = np.stack((u, p))
             x, cross = want.copy(), np.empty((2, layout.N))
-            rows = want.copy()  # and through the wrapper on separate rows
             with np.errstate(invalid="ignore"):
-                self.formula(*want, tables)
-                _free_flow((x, *x, cross, *cross), flow)
-                _rotate_inplace(*rows, bank, full=full)
-            for got in (x, rows):
-                np.testing.assert_array_equal(got, want)
-                # assert_array_equal takes 0.0 == -0.0; the signs must agree too
-                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                self.formula(*want, bank, step)
+                _free_flow((x, *x, cross, *cross), bank.flow)
+            np.testing.assert_array_equal(x, want)
+            # assert_array_equal takes 0.0 == -0.0; the signs must agree too
+            np.testing.assert_array_equal(np.signbit(x), np.signbit(want))
 
 
 class TestTrotter:
@@ -338,6 +357,20 @@ class TestTrotter:
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_array_equal(getattr(second, name), getattr(first, name))
 
+    def test_flow_memo_follows_masses_and_step(self):
+        # the context remembers the free-flow tables of its last (masses,
+        # d_tau); a change of either, and a change back, must look up the
+        # right bank
+        layout, ctx = make_problem(2, 5, 60.0)
+        st = random_state(layout, np.random.default_rng(11))
+        other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(150.0, 150.0))
+        for masses, d_tau in ((MASSES, 0.25), (other, 0.25), (MASSES, 0.3), (MASSES, 0.25)):
+            cfg = IntegratorConfig(d_tau=d_tau, P=3)
+            got = trotter_propagate(st, ctx, masses, cfg)
+            want = trotter_propagate(st, make_problem(2, 5, 60.0)[1], masses, cfg)
+            for name in ("u", "p", "theta", "pi"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     @pytest.mark.parametrize("bead", [0, 5, 10])
     def test_infinite_boundary_momentum_rejected_without_warning(self, bead):
         # the identity table entries meet inf as inf * 0 = NaN; the trajectory
@@ -357,8 +390,8 @@ class TestTrotter:
         layout, ctx = make_problem(2, 5, 60.0)
         st = random_state(layout, np.random.default_rng(12 + P))
         cfg = IntegratorConfig(d_tau=0.25, P=P)
-        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
         half = 0.5 * cfg.d_tau
+        bank = OscillatorBank.build(layout, MASSES, half)
         ref = st.copy()
 
         def kick():
@@ -369,7 +402,7 @@ class TestTrotter:
         for _ in range(P):
             kick()
             for _ in range(2):
-                _rotate_inplace(ref.u, ref.p, bank)
+                rotate(ref.u, ref.p, bank)
                 ref.theta += half * ref.pi / np.array(MASSES.m_alpha)
             kick()
         out = trotter_propagate(st, ctx, MASSES, cfg)
@@ -400,7 +433,7 @@ class TestTrotter:
         try:
             kick(0.5 * cfg.d_tau)
             for step in range(1, P + 1):
-                _rotate_inplace(ref.u, ref.p, bank, full=True)
+                rotate(ref.u, ref.p, bank)
                 ref.theta += cfg.d_tau * ref.pi / np.array(MASSES.m_alpha)
                 kick(cfg.d_tau if step < P else 0.5 * cfg.d_tau)
         except NonFiniteError:  # a runaway trajectory must run away alike

@@ -77,6 +77,20 @@ class TestLayout:
         with pytest.raises(ValidationError):
             build_layout(10, 30, 0.0)
 
+    @pytest.mark.parametrize(
+        "n, j",
+        [(True, 3), (2.0, 3), (2, 3.0), (2, True), ("2", 3), (np.float64(2.0), 3)],
+        ids=["n-bool", "n-float", "j-float", "j-bool", "n-text", "n-numpy-float"],
+    )
+    def test_counts_must_be_integers(self, n, j):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build_layout(n, j, 10.0)
+
+    def test_numpy_integer_counts_become_python_ints(self):
+        lay = build_layout(np.int64(2), np.int32(3), 10.0)
+        assert type(lay.n) is int and type(lay.j) is int
+        assert lay == build_layout(2, 3, 10.0)
+
 
 class TestStagingTransform:
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")

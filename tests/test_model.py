@@ -152,12 +152,6 @@ class TestEquilibrium:
         mass = np.trapezoid(equilibrium_pdf(S, self.P, 0.6), S)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
-    def test_unnormalized_shape(self):
-        S = np.array([10.0, 30.0, 90.0])
-        raw = equilibrium_pdf(S, self.P, 0.6, normalized=False)
-        want = S ** (-2 * 1.2 / 0.2) * np.exp(-2 * 50 * 0.6 / (0.2 * S))
-        np.testing.assert_allclose(raw, want, rtol=1e-12)
-
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
             equilibrium_pdf(np.array([-1.0]), self.P, 0.6)
@@ -241,6 +235,15 @@ class TestTimeSeriesData:
 
 class TestSimulateTruth:
     P = PhysicalParams(K=50, gamma=0.2, T=833)
+
+    @pytest.mark.parametrize(
+        "n, j, factor",
+        [(True, 30, 20), (10.0, 30, 20), (10, 30.0, 20), (10, 30, 20.0), (10, 30, True), (10, "30", 20)],
+        ids=["n-bool", "n-float", "j-float", "factor-float", "factor-bool", "j-text"],
+    )
+    def test_grid_counts_must_be_integers(self, n, j, factor):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            fine_grid(833.0, n, j, factor)
 
     def test_reproducible(self):
         grid = fine_grid(833, 10, 30)
