@@ -145,8 +145,13 @@ class _Scratch:
     layout's (j+1, j) staging block and the C-ordered copy of its
     transpose in ``rows``, O(j^2) each.
 
-    ``phase``, the phase-space array x = [u; p] of the free flow and its
-    cross terms, with their rows (see `integrator._free_flow`). The kernel
+    ``phase``, the phase-space array x = [u; p] of the trajectory and a
+    (2, N) scratch pair ``cross``, with their rows (see
+    `integrator._free_flow`). Each use of ``cross`` writes it before it
+    reads it: the free flow's cross terms, each kick's scaled force in
+    ``cross_p``, and the squares x^2 that score the two ends of a
+    trajectory (`_start_energy`, `_end_energy`; ``u_sq_head`` is the view
+    of u^2 over the first N-1 beads, which the harmonic sum reads). The kernel
     rows ``rows`` (a `lattice._StagingRows`): u = x[0], and q, g_q and g_u,
     with every view the staging maps take of them. Views of these rows
     built once: ``q_ends``, ``gq_tail``, ``g_ub``, the measurement beads
@@ -183,7 +188,7 @@ class _Scratch:
 
     __slots__ = (
         "T", "dt", "dt_T", "coup", "L0", "LN", "n_tail", "L_sum", "inv_sigma2",
-        "phase",
+        "phase", "u_sq_head",
         "rows", "q_ends", "q_cols", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
         "E", "E_tail", "E_ends", "E_rows", "work", "A", "Z", "grad_rows",
         "sums", "sum_list", "coef", "coef_A", "coef_g", "coef_b", "beta", "minus_beta",
@@ -202,6 +207,7 @@ class _Scratch:
         self.inv_sigma2 = 1.0 / sigma / sigma  # inf, not a raise, if sigma^2 underflows
         x, cross = np.empty((2, N)), np.empty((2, N))
         self.phase = (x, *x, cross, *cross)
+        self.u_sq_head = cross[0, :-1]
         # q and E each head a stack [row tail, 1, L]: bead 1, then the rows
         q_stack, E_stack = np.empty(3 * tail + 1), np.empty(3 * tail + 1)
         for stack in (q_stack, E_stack):
@@ -272,19 +278,28 @@ def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
     return 0.5 * float(np.square(state.u[:-1]).dot(layout.flat_stiffness))
 
 
-def _kinetic(
-    p: np.ndarray, pi: np.ndarray, masses: MassConfig, layout: LatticeLayout
+def _kinetic_terms(
+    sums: list, pa: float, pg: float, masses: MassConfig, dt: float
 ) -> tuple[float, float, float]:
-    """The kinetic terms of h_N, h_n and h_1 (the module docstring), the
-    first two from one product of p^2 with ``layout.bead_classes``."""
-    staging, measured = np.dot(layout.bead_classes, np.square(p)).tolist()
-    pa, pg = pi.tolist()
+    """The kinetic terms of h_N, h_n and h_1 (the module docstring) from
+    ``sums``, the sums of p^2 over the staging and the measurement beads
+    (one product with ``layout.bead_classes``), and the parameter momenta,
+    all Python floats."""
+    staging, measured = sums
     ma, mg = masses.m_alpha
     return (
-        (0.5 * layout.dt / masses.m_prime) * staging,
+        (0.5 * dt / masses.m_prime) * staging,
         measured / (2.0 * masses.M),
         pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg),
     )
+
+
+def _kinetic(
+    p: np.ndarray, pi: np.ndarray, masses: MassConfig, layout: LatticeLayout
+) -> tuple[float, float, float]:
+    """`_kinetic_terms` of the momenta (p, pi)."""
+    sums = np.dot(layout.bead_classes, np.square(p)).tolist()
+    return _kinetic_terms(sums, *pi.tolist(), masses, layout.dt)
 
 
 @_saturating  # a non-finite measurement bead meets its 0 weight as inf * 0 = NaN
@@ -294,24 +309,16 @@ def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float
     return _kinetic(state.p, state.pi, masses, layout)[0] + _harmonic(state, layout)
 
 
-def _refreshed(
-    potential: Potential, state: PolymerState, masses: MassConfig, layout: LatticeLayout
-) -> EnergyBreakdown:
-    """All three pieces and their sum, from the state's known ``potential``
-    plus the kinetic terms of its momenta. Runs under a caller's
-    `_saturating`.
-
-    Bit-identical to ``h_total(state, ...)`` when ``potential`` is the
-    ``.potential`` of an ``h_total`` of the same positions and parameters.
-    """
-    fast, bound, slow = _kinetic(state.p, state.pi, masses, layout)
+def _pieces(potential: Potential, kinetic: tuple) -> tuple[float, float, float, float]:
+    """h_N, h_n, h_1 and their sum, from a state's ``potential`` and the
+    ``kinetic`` terms of its momenta (`_kinetic_terms`), added in the one
+    order that every energy of a state is added. Runs under a caller's
+    `_saturating`."""
+    fast, bound, slow = kinetic
     h_fast = fast + potential.h_N
     h_bound = bound + potential.h_n
     h_slow = slow + potential.h_1
-    return EnergyBreakdown(
-        h_N=h_fast, h_n=h_bound, h_1=h_slow, total=h_fast + h_bound + h_slow,
-        potential=potential,
-    )
+    return h_fast, h_bound, h_slow, h_fast + h_bound + h_slow
 
 
 def _load(state: PolymerState, ctx: PathContext) -> list:
@@ -327,7 +334,44 @@ def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> Energy
     """All three pieces and their sum."""
     h_n, h_1 = _hprime(*_load(state, ctx), ctx, False)
     potential = Potential(_harmonic(state, ctx.layout), h_n, h_1)
-    return _refreshed(potential, state, masses, ctx.layout)
+    kinetic = _kinetic(state.p, state.pi, masses, ctx.layout)
+    return EnergyBreakdown(*_pieces(potential, kinetic), potential)
+
+
+def _phase_kinetic(ctx: PathContext, masses: MassConfig, pa: float, pg: float) -> tuple:
+    """`_kinetic_terms` of the workspace's momentum row p, whose squares the
+    caller has written into the scratch row ``cross_p``, and of (pa, pg)."""
+    lay = ctx.layout
+    sums = np.dot(lay.bead_classes, ctx._scratch.phase[5]).tolist()
+    return _kinetic_terms(sums, pa, pg, masses, lay.dt)
+
+
+def _start_energy(
+    potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
+) -> float:
+    """The total energy of the state loaded into the workspace's phase array
+    x = [u; p], whose positions and parameters have ``potential`` and whose
+    parameter momenta are (pa, pg): bit for bit ``h_total(...).total``,
+    when ``potential`` is that of an `h_total` of the same positions. Runs
+    under a caller's `_saturating`."""
+    _, _, p, _, _, p_sq = ctx._scratch.phase
+    np.square(p, out=p_sq)
+    return _pieces(potential, _phase_kinetic(ctx, masses, pa, pg))[3]
+
+
+def _end_energy(
+    h_n: float, h_1: float, ctx: PathContext, masses: MassConfig, pa: float, pg: float
+) -> tuple[float, Potential]:
+    """The total energy and the `Potential` of the state in the workspace's
+    phase array x = [u; p] with parameter momenta (pa, pg), given the
+    position parts (h_n, h_1) of its kernel pass: bit for bit those of
+    `h_total`, from one square of x, the harmonic and the kinetic products
+    and one ``tolist``. Runs under a caller's `_saturating`."""
+    s = ctx._scratch
+    x, _, _, sq, _, _ = s.phase
+    np.square(x, out=sq)
+    potential = Potential(0.5 * float(s.u_sq_head.dot(ctx.layout.flat_stiffness)), h_n, h_1)
+    return _pieces(potential, _phase_kinetic(ctx, masses, pa, pg))[3], potential
 
 
 @_saturating

@@ -167,33 +167,47 @@ def _free_flow(phase: tuple, flow: tuple):
     x += cross
 
 
+def _load_phase(state: PolymerState, ctx: PathContext) -> list:
+    """Check the state's size, copy its beads and momenta into the
+    workspace's phase array x = [u; p], and return [beta, gamma, pi_beta,
+    pi_gamma] as Python floats: the start of `_trajectory`."""
+    _check_size(state.u, ctx.layout, "u")
+    _, u, p = ctx._scratch.phase[:3]
+    np.copyto(u, state.u)
+    np.copyto(p, state.p)
+    return state.theta.tolist() + state.pi.tolist()
+
+
 def _trajectory(
-    state: PolymerState,
     ctx: PathContext,
     masses: MassConfig,
     config: IntegratorConfig,
     force: Gradient | None,
+    start: list,
 ) -> tuple:
-    """The trajectory of `trotter_propagate` from ``state``, whose force is
-    ``force`` (the `Gradient` of H' at its positions, or None to compute it
-    here). Returns ``(proposal, force, (h_n, h_1))``: the new state, as
-    `trotter_propagate` returns it; the fresh `Gradient` of H' at its
-    positions, bit for bit that of `grad_hprime`; and the position parts of
-    its `Potential` from the same kernel pass, the only one of the P that
-    forms the potential. The carried ``force`` is read, never written; a
+    """The trajectory of `trotter_propagate`, run in the workspace from the
+    state that `_load_phase` loaded and whose floats it returned as
+    ``start``; ``force`` is the `Gradient` of H' at its positions, or None
+    to compute it here. The carried ``force`` is read, never written; a
     non-finite one raises NonFiniteError. Runs under a caller's
     `_saturating`.
+
+    Returns ``(end, g_theta, (h_n, h_1))``, all Python floats: the end's
+    (beta, gamma, pi_beta, pi_gamma), the theta part of the force at the
+    end, and the position parts of the end's `Potential` from the same
+    kernel pass, the only one of the P that forms the potential. The end's
+    beads and momenta stay in the phase array, and the u part of its force
+    in the kernel row g_u, until the next call on the context: every kick
+    scales the force into the scratch row ``cross_p``, which is free
+    between two free flows, so the kernel rows are never scaled.
+    `_proposal` and `_exit_force` copy them out, bit for bit what
+    `trotter_propagate` and `grad_hprime` return.
     """
     d_tau = config.d_tau
     flow, kick_half, kick_full = _flow_tables(ctx, masses, d_tau)
-    _check_size(state.u, ctx.layout, "u")
-    s = ctx._scratch
-    phase, kick = s.phase, s.rows.g_u
-    x, u, p = phase[:3]
-    np.copyto(u, state.u)
-    np.copyto(p, state.p)
-    beta, gamma = state.theta.tolist()
-    pa, pg = state.pi.tolist()
+    phase = ctx._scratch.phase
+    p, kick = phase[2], phase[5]
+    beta, gamma, pa, pg = start
     ma, mg = masses.m_alpha
     half = 0.5 * d_tau
     if force is None:
@@ -201,7 +215,6 @@ def _trajectory(
     else:
         g_u = force.g_u
         g_beta, g_gamma = force.g_theta.tolist()
-    # the kick row is the kernel's g_u row: spent by the next pass anyway
     p -= np.multiply(g_u, kick_half, out=kick)
     pa -= g_beta * half
     pg -= g_gamma * half
@@ -212,16 +225,26 @@ def _trajectory(
         beta += d_tau * pa / ma
         gamma += d_tau * pg / mg
         h_n, h_1, g_u, g_beta, g_gamma = _hprime(beta, gamma, ctx, True, i == last)
-        if i == last:  # the closing half kick, from the force kept
-            force = Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
+        if i == last:  # the closing half kick
             step, kick_step = half, kick_half
-        g_u *= kick_step
-        p -= g_u
+        p -= np.multiply(g_u, kick_step, out=kick)
         pa -= g_beta * step
         pg -= g_gamma * step
-    out = x.copy()
-    proposal = PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
-    return proposal, force, (h_n, h_1)
+    return (beta, gamma, pa, pg), (g_beta, g_gamma), (h_n, h_1)
+
+
+def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
+    """The end of the last `_trajectory` on ``ctx`` as a new state, which
+    shares no array with the workspace."""
+    out = ctx._scratch.phase[0].copy()
+    beta, gamma, pa, pg = end
+    return PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
+
+
+def _exit_force(ctx: PathContext, g_theta: tuple) -> Gradient:
+    """The `Gradient` of H' at the end of the last `_trajectory` on ``ctx``,
+    given its theta part ``g_theta``; fresh arrays."""
+    return Gradient(ctx._scratch.rows.g_u.copy(), np.array(g_theta))
 
 
 @_saturating
@@ -241,4 +264,5 @@ def trotter_propagate(
     checked once, up front; non-finite forces then raise NonFiniteError
     (the sampler counts that as a rejected proposal).
     """
-    return _trajectory(state, ctx, masses, config, None)[0]
+    start = _load_phase(state, ctx)
+    return _proposal(ctx, _trajectory(ctx, masses, config, None, start)[0])

@@ -5,11 +5,13 @@ multi-scale trajectory, and applies the Metropolis test on the total
 Hamiltonian. Proposals that leave the valid parameter domain (beta <= 0 or
 gamma <= 0) or produce non-finite energies are rejected rather than raised.
 Chains are reproducible from a single 64-bit seed; parallel chains get
-independent streams spawned from it, one process per chain.
+independent streams spawned from it and run on a pool of min(chains, CPUs
+in the affinity mask) processes.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import multiprocessing
@@ -20,7 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import Gradient, PathContext, Potential, _harmonic, _refreshed, _saturating, h_total
+from .energy import (
+    Gradient,
+    PathContext,
+    Potential,
+    _end_energy,
+    _saturating,
+    _start_energy,
+    h_total,
+)
 from .errors import (
     DomainError,
     NonFiniteError,
@@ -31,6 +41,9 @@ from .errors import (
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
+    _exit_force,
+    _load_phase,
+    _proposal,
     _trajectory,
     trotter_propagate,
 )
@@ -147,6 +160,8 @@ class IterationStats(NamedTuple):
     # the returned state's potential and force, for the next iteration
     potential: Potential | None = None
     force: Gradient | None = None
+    # the returned state's (beta, gamma), as Python floats
+    theta: tuple[float, float] | None = None
 
 
 @dataclass
@@ -221,8 +236,11 @@ def sample_momenta(
 def metropolis_accept(
     h_before: float, h_after: float, rng: np.random.Generator
 ) -> bool:
-    """min(1, exp(h_before - h_after)) acceptance; non-finite energy gaps
-    (including NaN) are rejected. Consumes at most one uniform draw."""
+    """min(1, exp(h_before - h_after)) acceptance. The gap dh = h_after -
+    h_before decides without a draw where it can: dh <= 0 is accepted, -inf
+    included (a start of infinite energy has zero probability, so it is
+    left), and a NaN or +inf gap is rejected. Any other gap consumes one
+    uniform draw."""
     dh = float(h_after) - float(h_before)
     if math.isnan(dh):
         return False
@@ -251,13 +269,15 @@ def hmc_iteration(
     needs, its free-flow tables included, follows from ``ctx`` and
     ``config``. The proposal's potential and force come from the
     trajectory's last kernel pass, so an iteration given both makes P
-    kernel passes and no `h_total`; both its energies match `h_total` bit
-    for bit (`energy._refreshed`).
+    kernel passes and no `h_total`. Both ends are scored in the context's
+    workspace, where the trajectory runs (`energy._start_energy` and
+    `energy._end_energy`), and match `h_total` bit for bit; the proposal
+    and its force are copied out of the workspace only on acceptance.
     Returns the next state (positions revert on rejection) and the iteration
-    stats, whose ``potential`` and ``force`` are those of the next state: a
-    rejection keeps the ones given. Invalid proposals never raise, a
-    non-finite start force included; they score an infinite energy and the
-    pathology is recorded.
+    stats, whose ``potential``, ``force`` and ``theta`` are those of the
+    next state: a rejection keeps the ones given. Invalid proposals never
+    raise, a non-finite start force included; they score an infinite
+    energy and the pathology is recorded.
 
     The input state is never mutated, but it is not copied either: on
     rejection the returned state shares its ``u`` and ``theta`` arrays with
@@ -265,29 +285,26 @@ def hmc_iteration(
     then mutates the result must copy first.
 
     Decorated with `energy._saturating`, so the whole iteration, the
-    refreshed energy of a carried potential included, saturates instead of
-    warning.
+    energies of both ends included, saturates instead of warning.
     """
-    masses, layout = config.masses, ctx.layout
-    p, pi = sample_momenta(masses, layout, rng)
+    masses = config.masses
+    p, pi = sample_momenta(masses, ctx.layout, rng)
     cur = PolymerState._trusted(state.u, state.theta, p, pi)
-    pathology = None
-    proposal = after = moved = None
+    start = _load_phase(cur, ctx)
     if potential is None:
         before = h_total(cur, ctx, masses)
+        potential, h_before = before.potential, before.total
     else:
-        before = _refreshed(potential, cur, masses, layout)
-    h_before = before.total
-    try:  # the trajectory checks the state size up front
-        proposal, moved, (h_n, h_1) = _trajectory(cur, ctx, masses, config.integrator, force)
-        beta, gamma = proposal.theta.tolist()
+        h_before = _start_energy(potential, ctx, masses, *start[2:])
+    pathology = None
+    try:
+        end, g_theta, (h_n, h_1) = _trajectory(ctx, masses, config.integrator, force, start)
+        beta, gamma, pa, pg = end
         if not (beta > 0 and gamma > 0):
             pathology = "nonpositive-parameter"
             h_after = float("inf")
         else:
-            moved_potential = Potential(_harmonic(proposal, layout), h_n, h_1)
-            after = _refreshed(moved_potential, proposal, masses, layout)
-            h_after = after.total
+            h_after, moved = _end_energy(h_n, h_1, ctx, masses, pa, pg)
             if not math.isfinite(h_after):
                 pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
@@ -295,16 +312,15 @@ def hmc_iteration(
         h_after = float("inf")
 
     accepted = metropolis_accept(h_before, h_after, rng)
-    nxt, kept, force = (proposal, after, moved) if accepted else (cur, before, force)
-    return nxt, IterationStats(
-        accepted=accepted,
-        h_before=float(h_before),
-        h_after=float(h_after),
-        dh=float(h_after - h_before),
-        pathology=pathology,
-        potential=kept.potential,
-        force=force,
+    if accepted:  # only now copy the proposal and its force out of the workspace
+        state, potential, theta = _proposal(ctx, end), moved, (beta, gamma)
+        force = _exit_force(ctx, g_theta)
+    else:
+        state, theta = cur, tuple(start[:2])
+    stats = IterationStats(
+        accepted, h_before, h_after, h_after - h_before, pathology, potential, force, theta
     )
+    return state, stats
 
 
 def _run_seeded(
@@ -320,29 +336,24 @@ def _run_seeded(
     rng = np.random.default_rng(seed_seq)
 
     n = config.n_mc
-    beta = np.empty(n)
-    gamma = np.empty(n)
-    accepted = np.zeros(n, dtype=bool)
-    h_before = np.empty(n)
-    h_after = np.empty(n)
-    dh = np.empty(n)
+    # the rows (beta, gamma, accepted, h_before, h_after, dh), appended as
+    # Python floats to one flat buffer
+    rows = array.array("d")
     pathologies: dict[str, int] = {}
 
     t0 = time.perf_counter()
     potential = h_total(state, ctx, config.masses).potential
     force = None  # computed by the first trajectory, where it may fail
-    for i in range(n):
+    for _ in range(n):
         state, stats = hmc_iteration(state, ctx, config, rng, potential=potential, force=force)
         potential, force = stats.potential, stats.force
-        beta[i], gamma[i] = state.theta.tolist()
-        accepted[i] = stats.accepted
-        h_before[i] = stats.h_before
-        h_after[i] = stats.h_after
-        dh[i] = stats.dh
+        rows.extend((*stats.theta, stats.accepted, stats.h_before, stats.h_after, stats.dh))
         if stats.pathology is not None:
             pathologies[stats.pathology] = pathologies.get(stats.pathology, 0) + 1
     elapsed = time.perf_counter() - t0
 
+    beta, gamma, accepted, h_before, h_after, dh = np.frombuffer(rows).reshape(n, 6).T.copy()
+    accepted = accepted != 0.0
     K = layout.T * gamma / beta**2
     meta = {
         "config": config.echo(),
@@ -385,7 +396,9 @@ def _chain_worker(args):
 def run_parallel_chains(
     problem: InferenceProblem, config: HmcConfig, processes: int | None = None
 ) -> list[ChainRecord]:
-    """Run config.chains independent chains, one process per chain.
+    """Run config.chains independent chains on a pool of ``processes``
+    worker processes, by default min(config.chains, the CPUs in this
+    process's affinity mask); a single chain runs in this process.
 
     Chain c draws from the c-th stream spawned off the master seed, so
     chains=1 reproduces run_chain exactly and adding chains never perturbs

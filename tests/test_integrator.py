@@ -17,7 +17,10 @@ from staghmc.energy import PathContext, _saturating, grad_hprime, h_N, h_total
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
+    _exit_force,
     _free_flow,
+    _load_phase,
+    _proposal,
     _trajectory,
     trotter_propagate,
 )
@@ -452,7 +455,11 @@ class TestTrotter:
         cfg = IntegratorConfig(d_tau=0.25, P=3)
         start = grad_hprime(st, ctx)
         kept = start.g_u.copy(), start.g_theta.copy()
-        out, force, (h_n, h_1) = _saturating(_trajectory)(st, ctx, MASSES, cfg, start)
+        loaded = _load_phase(st, ctx)
+        assert loaded == [*st.theta.tolist(), *st.pi.tolist()]
+        end, g_theta, (h_n, h_1) = _saturating(_trajectory)(ctx, MASSES, cfg, start, loaded)
+        assert all(type(v) is float for v in (*end, *g_theta, h_n, h_1))
+        out, force = _proposal(ctx, end), _exit_force(ctx, g_theta)
         fresh = trotter_propagate(st, ctx, MASSES, cfg)
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_array_equal(getattr(out, name), getattr(fresh, name))
@@ -461,11 +468,12 @@ class TestTrotter:
         np.testing.assert_array_equal(force.g_theta, want.g_theta)
         potential = h_total(out, ctx, MASSES).potential
         assert (h_n, h_1) == (potential.h_n, potential.h_1)
-        # the carried force is read, never written, and the exit force
-        # holds no row of the workspace
+        # the carried force is read, never written, and the proposal and
+        # the exit force hold no row of the workspace
         np.testing.assert_array_equal(start.g_u, kept[0])
         np.testing.assert_array_equal(start.g_theta, kept[1])
         assert not np.shares_memory(force.g_u, ctx._scratch.rows.g_u)
+        assert not np.shares_memory(out.u, ctx._scratch.phase[0])
 
     def test_state_size_checked_once_up_front(self):
         layout, ctx = make_problem(2, 5, 60.0)
