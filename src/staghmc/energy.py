@@ -298,7 +298,7 @@ def _kinetic(
     p: np.ndarray, pi: np.ndarray, masses: MassConfig, layout: LatticeLayout
 ) -> tuple[float, float, float]:
     """`_kinetic_terms` of the momenta (p, pi)."""
-    sums = np.dot(layout.bead_classes, np.square(p)).tolist()
+    sums = layout.bead_classes.dot(np.square(p)).tolist()
     return _kinetic_terms(sums, *pi.tolist(), masses, layout.dt)
 
 
@@ -325,7 +325,7 @@ def _load(state: PolymerState, ctx: PathContext) -> list:
     """Check the state's size, copy its beads into the kernel's row u, and
     return [beta, gamma] as Python floats."""
     _check_size(state.u, ctx.layout, "u")
-    np.copyto(ctx._scratch.rows.u, state.u)
+    ctx._scratch.rows.u[...] = state.u
     return state.theta.tolist()
 
 
@@ -342,7 +342,7 @@ def _phase_kinetic(ctx: PathContext, masses: MassConfig, pa: float, pg: float) -
     """`_kinetic_terms` of the workspace's momentum row p, whose squares the
     caller has written into the scratch row ``cross_p``, and of (pa, pg)."""
     lay = ctx.layout
-    sums = np.dot(lay.bead_classes, ctx._scratch.phase[5]).tolist()
+    sums = lay.bead_classes.dot(ctx._scratch.phase[5]).tolist()
     return _kinetic_terms(sums, pa, pg, masses, lay.dt)
 
 
@@ -453,12 +453,12 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     np.exp(E, out=E)
     q0, qN = s.q_ends.tolist()
     E0, EN = s.E_ends.tolist()
-    np.dot(s.coef_A, s.E_rows, out=A)
+    s.coef_A.dot(s.E_rows, out=A)
     np.add(A, s.half_beta, out=s.Z)
     s.Z *= s.E_tail
     # [A, Z, Ldot] times [q, 1, L]; A . q, Z . L, sum Ldot and Ldot . L go
     # unread
-    np.dot(s.work, s.q_cols, out=s.sums)
+    s.work.dot(s.q_cols, out=s.sums)
     _, A_sum, A_L, Z_q, Z_sum, _, q_Ldot, _, _ = s.sum_list.tolist()
     w_sum = c * s.n_tail + s.L_sum / beta - A_sum  # (beta/gamma) sum E
     h_n = h_1 = None
@@ -473,12 +473,12 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
 
     # d/dq of the path action, chained through the staging transpose
     g_q = rows.g_q
-    np.dot(s.coef_g, s.grad_rows, out=s.gq_tail)
+    s.coef_g.dot(s.grad_rows, out=s.gq_tail)
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
     g_u = rows.adjoint()
     # direct boundary terms of h_n: the springs and the data residuals
-    np.dot(s.coef_b, s.bound, out=s.force_b)
+    s.coef_b.dot(s.bound, out=s.force_b)
     s.g_ub += s.force_b
 
     # theta gradient; d rho / d beta = (c - L / beta) / beta, so

@@ -173,8 +173,8 @@ def _load_phase(state: PolymerState, ctx: PathContext) -> list:
     pi_gamma] as Python floats: the start of `_trajectory`."""
     _check_size(state.u, ctx.layout, "u")
     _, u, p = ctx._scratch.phase[:3]
-    np.copyto(u, state.u)
-    np.copyto(p, state.p)
+    u[...] = state.u
+    p[...] = state.p
     return state.theta.tolist() + state.pi.tolist()
 
 

@@ -277,12 +277,12 @@ class _StagingRows:
 
     def inverse(self) -> None:
         """Write q from u."""
-        np.dot(self.windows, self.block, out=self.q_blocks)
+        self.windows.dot(self.block, out=self.q_blocks)
         self.q[-1] = self.u[-1]
 
     def adjoint(self) -> np.ndarray:
         """Write g_u from g_q, and return it."""
-        np.dot(self.gq_blocks, self.block_t, out=self.g_win)
+        self.gq_blocks.dot(self.block_t, out=self.g_win)
         self.gu_blocks[...] = self.win_left
         self.g_u[-1] = self.g_q[-1]
         self.gu_ends += self.win_right

@@ -11,7 +11,6 @@ in the affinity mask) processes.
 
 from __future__ import annotations
 
-import array
 import functools
 import math
 import multiprocessing
@@ -336,23 +335,23 @@ def _run_seeded(
     rng = np.random.default_rng(seed_seq)
 
     n = config.n_mc
-    # the rows (beta, gamma, accepted, h_before, h_after, dh), appended as
-    # Python floats to one flat buffer
-    rows = array.array("d")
+    # one column (beta, gamma, accepted, h_before, h_after, dh) per
+    # iteration, stored from Python floats in one call
+    table = np.empty((6, n))
     pathologies: dict[str, int] = {}
 
     t0 = time.perf_counter()
     potential = h_total(state, ctx, config.masses).potential
     force = None  # computed by the first trajectory, where it may fail
-    for _ in range(n):
+    for i in range(n):
         state, stats = hmc_iteration(state, ctx, config, rng, potential=potential, force=force)
         potential, force = stats.potential, stats.force
-        rows.extend((*stats.theta, stats.accepted, stats.h_before, stats.h_after, stats.dh))
+        table[:, i] = (*stats.theta, stats.accepted, stats.h_before, stats.h_after, stats.dh)
         if stats.pathology is not None:
             pathologies[stats.pathology] = pathologies.get(stats.pathology, 0) + 1
     elapsed = time.perf_counter() - t0
 
-    beta, gamma, accepted, h_before, h_after, dh = np.frombuffer(rows).reshape(n, 6).T.copy()
+    beta, gamma, accepted, h_before, h_after, dh = table
     accepted = accepted != 0.0
     K = layout.T * gamma / beta**2
     meta = {
