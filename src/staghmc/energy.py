@@ -141,7 +141,9 @@ class _Scratch:
     At the benchmark size (N = 301) a NumPy call costs about a microsecond
     whatever its length, so the kernel keeps its calls few: each writes
     into these rows with ``out=``, and each scaled sum of path rows is one
-    ``np.dot`` with a stack below. No row is larger than O(N), but the
+    product with a stack below, called as the method ``ndarray.dot``: the
+    same C product as ``np.dot``, without the 0.2 us of its Python-level
+    dispatch. No row is larger than O(N), but the
     layout's (j+1, j) staging block and the C-ordered copy of its
     transpose in ``rows``, O(j^2) each.
 

@@ -15,13 +15,15 @@ gradient per step: P kernel passes per trajectory.
 The free flow is per bead, so it runs over all beads at once
 (`_free_flow`) from the `OscillatorBank` tables of the step, on the
 phase-space array x = [u; p] of the context's workspace, whose first row
-is the kernel row u. The trajectory (`_trajectory`) copies the state's
-beads and momenta into it once and runs there: the free flows move the
-array in place, and the kicks take the forces straight from the kernel
-`energy._hprime`, not through the public `grad_hprime`. Beta, gamma,
-pi_beta and pi_gamma stay Python floats for all P steps, as the kernel
-returns g_theta: the same IEEE operations as on length-2 arrays, so
-bit-identical, at a tenth of the dispatch cost.
+is the kernel row u. `_load_phase` copies a state's beads and momenta
+into it, and the trajectory (`_trajectory`) runs there: the free flows
+move the array in place, and the kicks take the forces straight from the
+kernel `energy._hprime`, not through the public `grad_hprime`. Beta,
+gamma, pi_beta and pi_gamma stay Python floats for all P steps, as the
+kernel returns g_theta: the same IEEE operations as on length-2 arrays,
+so bit-identical, at a tenth of the dispatch cost. The end stays in the
+workspace until `_proposal` and `_exit_force` copy it out, which the
+sampler does only for an accepted proposal.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau

@@ -262,7 +262,7 @@ class _StagingRows:
         self.u = np.empty(N) if u is None else u
         self.q = np.empty(N) if q is None else q
         self.g_q, self.g_u = np.empty(N), np.empty(N)
-        # a C-ordered transpose: np.dot takes it at half the cost of the
+        # a C-ordered transpose: the product takes it at half the cost of the
         # transposed view
         self.block = layout.staging_block
         self.block_t = np.ascontiguousarray(layout.staging_block.T)

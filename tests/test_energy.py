@@ -280,7 +280,16 @@ class TestDecoupling:
 
 class TestGradient:
     @pytest.mark.parametrize(
-        "n,j,T", [(3, 10, 83.0), (2, 5, 21.0), (1, 2, 3.0), (4, 1, 9.0), (5, 2, 17.0)]
+        "n,j,T",
+        [
+            (3, 10, 83.0),
+            (2, 5, 21.0),
+            (1, 2, 3.0),
+            (4, 1, 9.0),
+            (5, 2, 17.0),
+            (1, 1, 3.0),
+            (1, 30, 60.0),
+        ],
     )
     def test_matches_central_differences(self, n, j, T):
         layout, _, ctx = make_problem(n=n, j=j, T=T, seed=j)

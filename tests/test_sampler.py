@@ -18,7 +18,7 @@ from staghmc import (
 )
 from staghmc.diagnostics import discard_start
 from staghmc.energy import PathContext, grad_hprime, h_total
-from staghmc.integrator import IntegratorConfig
+from staghmc.integrator import IntegratorConfig, trotter_propagate
 from staghmc.lattice import MassConfig, build_layout, initial_state
 from staghmc.model import (
     DimensionlessParams,
@@ -261,6 +261,12 @@ class TestMetropolis:
         assert not metropolis_accept(1.0, np.nan, _NoDraw())
         assert not metropolis_accept(np.inf, np.inf, _NoDraw())
 
+    def test_gap_of_minus_inf_accepted_without_draw(self):
+        # a start of infinite energy has zero probability: leave it
+        assert metropolis_accept(np.inf, 1.0, _NoDraw())
+        assert metropolis_accept(np.inf, -np.inf, _NoDraw())
+        assert metropolis_accept(1.0, -np.inf, _NoDraw())
+
     def test_decision_uses_single_uniform(self):
         # exp(-0.5) = 0.6065...
         assert metropolis_accept(0.0, 0.5, _Fixed(0.60))
@@ -423,6 +429,62 @@ class TestCarriedPotential:
         assert any(acc for acc, _ in outcomes)
         assert any(not acc and path is None for acc, path in outcomes)
         assert outcomes[20][1] is not None and not outcomes[20][0]
+
+    def test_h_after_is_h_total_of_the_proposal(self, toy_problem):
+        # the sampler scores the proposal in the workspace and builds it
+        # only on acceptance; its energy must still be h_total's, bit for
+        # bit, at the preset step (all accepted here) and a long one
+        ctx = toy_problem.context()
+        layout = ctx.layout
+        outcomes = []
+        for d_tau in (STEP.d_tau, 1.0):
+            cfg = small_config(integrator=IntegratorConfig(d_tau=d_tau, P=STEP.P))
+            state = initial_state(
+                toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), layout
+            )
+            rng = np.random.default_rng(13)
+            potential, force = h_total(state, ctx, MASSES).potential, None
+            for _ in range(100):
+                refreshed = state.copy()
+                refreshed.p, refreshed.pi = sample_momenta(MASSES, layout, copy.deepcopy(rng))
+                state, stats_out = hmc_iteration(
+                    state, ctx, cfg, rng, potential=potential, force=force
+                )
+                potential, force = stats_out.potential, stats_out.force
+                assert stats_out.theta == tuple(state.theta.tolist())
+                if stats_out.pathology is not None:
+                    continue
+                proposal = trotter_propagate(refreshed, ctx, MASSES, cfg.integrator)
+                assert stats_out.h_after == h_total(proposal, ctx, MASSES).total
+                outcomes.append(stats_out.accepted)
+        assert len(outcomes) > 150
+        assert any(outcomes) and not all(outcomes)
+
+    def test_proposal_and_force_copied_out_only_on_acceptance(self, toy_problem, monkeypatch):
+        import staghmc.sampler
+
+        copies = {"_proposal": 0, "_exit_force": 0}
+        for name in copies:
+            def counted(*args, _fn=getattr(staghmc.sampler, name), _name=name):
+                copies[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(staghmc.sampler, name, counted)
+        ctx = toy_problem.context()
+        cfg = small_config(integrator=IntegratorConfig(d_tau=1.0, P=3))
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        rng = np.random.default_rng(13)
+        potential, force, accepted = None, None, []
+        for _ in range(40):
+            state, stats_out = hmc_iteration(
+                state, ctx, cfg, rng, potential=potential, force=force
+            )
+            potential, force = stats_out.potential, stats_out.force
+            accepted.append(stats_out.accepted)
+        assert any(accepted) and not all(accepted)
+        assert copies == {"_proposal": sum(accepted), "_exit_force": sum(accepted)}
 
     def test_carried_force_matches_fresh_gradient(self, toy_problem):
         ctx = toy_problem.context()
