@@ -42,11 +42,12 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     Gradient,
     PathContext,
     _hprime,
+    _load,
     _saturating,
     grad_hprime,
 )
 from .errors import ValidationError, _integer, _positive
-from .lattice import LatticeLayout, MassConfig, PolymerState, _check_size
+from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
     "IntegratorConfig",
@@ -170,14 +171,12 @@ def _free_flow(phase: tuple, flow: tuple):
 
 
 def _load_phase(state: PolymerState, ctx: PathContext) -> list:
-    """Check the state's size, copy its beads and momenta into the
-    workspace's phase array x = [u; p], and return [beta, gamma, pi_beta,
-    pi_gamma] as Python floats: the start of `_trajectory`."""
-    _check_size(state.u, ctx.layout, "u")
-    _, u, p = ctx._scratch.phase[:3]
-    u[...] = state.u
-    p[...] = state.p
-    return state.theta.tolist() + state.pi.tolist()
+    """`energy._load` with the momenta: copy the state into the workspace's
+    phase array x = [u; p], and return [beta, gamma, pi_beta, pi_gamma] as
+    Python floats, the start of `_trajectory`."""
+    start = _load(state, ctx)
+    ctx._scratch.phase[2][...] = state.p
+    return start + state.pi.tolist()
 
 
 def _trajectory(
