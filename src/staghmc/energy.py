@@ -32,8 +32,12 @@ Everything that does not depend on the state is frozen once: the lattice
 tables on `LatticeLayout`, and the plan of one inference problem on
 `PathContext`. One private kernel, `_hprime`, makes the single pass over
 the path behind `h_total`, `grad_hprime` and the trajectory, in the
-context's workspace (`_Scratch`). Potential and force depend on positions
-alone, so the sampler carries both from one iteration to the next.
+context's workspace (`_Scratch`). This module alone moves a state through
+the workspace: `_load` copies it in, `_end_energy` (or `_start_energy`,
+given the potential) adds up its energy there, for `h_total` and both ends
+of a trajectory alike, and `_proposal` and `_exit_force` copy a state and
+a force out. Potential and force depend on positions alone, so the sampler
+carries both from one iteration to the next.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -147,13 +151,13 @@ class _Scratch:
     layout's (j+1, j) staging block and the C-ordered copy of its
     transpose in ``rows``, O(j^2) each.
 
-    ``phase``, the phase-space array x = [u; p] of the trajectory and a
+    ``phase``, the phase-space array x = [u; p] that `_load` fills and a
     (2, N) scratch pair ``cross``, with their rows (see
     `integrator._free_flow`). Each use of ``cross`` writes it before it
     reads it: the free flow's cross terms, each kick's scaled force in
-    ``cross_p``, and the squares x^2 that score the two ends of a
-    trajectory (`_start_energy`, `_end_energy`; ``u_sq_head`` is the view
-    of u^2 over the first N-1 beads, which the harmonic sum reads). The kernel
+    ``cross_p``, and the squares that score a state (p^2 in
+    `_start_energy`, x^2 in `_end_energy`; ``u_sq_head`` is the view of
+    u^2 over the first N-1 beads, which the harmonic sum reads). The kernel
     rows ``rows`` (a `lattice._StagingRows`): u = x[0], and q, g_q and g_u,
     with every view the staging maps take of them. Views of these rows
     built once: ``q_ends``, ``gq_tail``, ``g_ub``, the measurement beads
@@ -246,6 +250,21 @@ class _Scratch:
         self.flow, self.flow_key = None, (None, None)
 
 
+def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
+    """The state in the workspace's phase array x = [u; p], with ``end`` =
+    (beta, gamma, pi_beta, pi_gamma), as a new state that shares no array
+    with the workspace."""
+    out = ctx._scratch.phase[0].copy()
+    beta, gamma, pa, pg = end
+    return PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
+
+
+def _exit_force(ctx: PathContext, g_theta: tuple) -> Gradient:
+    """The `Gradient` of H' whose u part the last gradient pass left in the
+    kernel row g_u, given its theta part ``g_theta``; fresh arrays."""
+    return Gradient(ctx._scratch.rows.g_u.copy(), np.array(g_theta))
+
+
 class Potential(NamedTuple):
     """The position-only parts of h_N, h_n and h_1: what a momentum refresh
     leaves unchanged."""
@@ -275,105 +294,77 @@ class Gradient(NamedTuple):
     g_theta: np.ndarray
 
 
-def _harmonic(state: PolymerState, layout: LatticeLayout) -> float:
-    """Position part of h_N: 0.5 sum T k u^2 / (dt (k-1)) over staging beads."""
-    return 0.5 * float(np.square(state.u[:-1]).dot(layout.flat_stiffness))
-
-
-def _kinetic_terms(
-    sums: list, pa: float, pg: float, masses: MassConfig, dt: float
-) -> tuple[float, float, float]:
-    """The kinetic terms of h_N, h_n and h_1 (the module docstring) from
-    ``sums``, the sums of p^2 over the staging and the measurement beads
-    (one product with ``layout.bead_classes``), and the parameter momenta,
-    all Python floats."""
-    staging, measured = sums
-    ma, mg = masses.m_alpha
-    return (
-        (0.5 * dt / masses.m_prime) * staging,
-        measured / (2.0 * masses.M),
-        pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg),
-    )
-
-
-def _kinetic(
-    p: np.ndarray, pi: np.ndarray, masses: MassConfig, layout: LatticeLayout
-) -> tuple[float, float, float]:
-    """`_kinetic_terms` of the momenta (p, pi)."""
-    sums = layout.bead_classes.dot(np.square(p)).tolist()
-    return _kinetic_terms(sums, *pi.tolist(), masses, layout.dt)
-
-
 @_saturating  # a non-finite measurement bead meets its 0 weight as inf * 0 = NaN
 def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float:
-    """Fast harmonic energy, staging beads only (zero when j = 1)."""
+    """Fast harmonic energy, staging beads only (zero when j = 1), from the
+    state's own arrays: the reference for the workspace's scorer."""
     _check_size(state.u, layout, "u")
-    return _kinetic(state.p, state.pi, masses, layout)[0] + _harmonic(state, layout)
+    staging = layout.bead_classes.dot(np.square(state.p)).tolist()[0]
+    kinetic = (0.5 * layout.dt / masses.m_prime) * staging
+    return kinetic + 0.5 * float(np.square(state.u[:-1]).dot(layout.flat_stiffness))
 
 
-def _pieces(potential: Potential, kinetic: tuple) -> tuple[float, float, float, float]:
-    """h_N, h_n, h_1 and their sum, from a state's ``potential`` and the
-    ``kinetic`` terms of its momenta (`_kinetic_terms`), added in the one
-    order that every energy of a state is added. Runs under a caller's
-    `_saturating`."""
-    fast, bound, slow = kinetic
-    h_fast = fast + potential.h_N
-    h_bound = bound + potential.h_n
-    h_slow = slow + potential.h_1
+def _pieces(
+    potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
+) -> tuple[float, float, float, float]:
+    """h_N, h_n, h_1 and their sum, as Python floats: ``potential`` plus the
+    kinetic terms (the module docstring) of the workspace's momentum row p,
+    whose squares the caller has written into the scratch row ``cross_p``,
+    and of (pa, pg), added in the one order that every energy of a state is
+    added. Runs under a caller's `_saturating`."""
+    lay = ctx.layout
+    staging, measured = lay.bead_classes.dot(ctx._scratch.phase[5]).tolist()
+    ma, mg = masses.m_alpha
+    h_fast = (0.5 * lay.dt / masses.m_prime) * staging + potential.h_N
+    h_bound = measured / (2.0 * masses.M) + potential.h_n
+    h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
     return h_fast, h_bound, h_slow, h_fast + h_bound + h_slow
 
 
 def _load(state: PolymerState, ctx: PathContext) -> list:
-    """Check the state's size, copy its beads into the kernel's row u, and
-    return [beta, gamma] as Python floats."""
+    """Check the state's size, copy its beads and momenta into the
+    workspace's phase array x = [u; p], whose first row is the kernel row
+    u, and return [beta, gamma, pi_beta, pi_gamma] as Python floats."""
     _check_size(state.u, ctx.layout, "u")
-    ctx._scratch.rows.u[...] = state.u
-    return state.theta.tolist()
-
-
-@_saturating
-def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
-    """All three pieces and their sum."""
-    h_n, h_1 = _hprime(*_load(state, ctx), ctx, False)
-    potential = Potential(_harmonic(state, ctx.layout), h_n, h_1)
-    kinetic = _kinetic(state.p, state.pi, masses, ctx.layout)
-    return EnergyBreakdown(*_pieces(potential, kinetic), potential)
-
-
-def _phase_kinetic(ctx: PathContext, masses: MassConfig, pa: float, pg: float) -> tuple:
-    """`_kinetic_terms` of the workspace's momentum row p, whose squares the
-    caller has written into the scratch row ``cross_p``, and of (pa, pg)."""
-    lay = ctx.layout
-    sums = lay.bead_classes.dot(ctx._scratch.phase[5]).tolist()
-    return _kinetic_terms(sums, pa, pg, masses, lay.dt)
+    _, u, p, _, _, _ = ctx._scratch.phase
+    u[...] = state.u
+    p[...] = state.p
+    return state.theta.tolist() + state.pi.tolist()
 
 
 def _start_energy(
     potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
 ) -> float:
-    """The total energy of the state loaded into the workspace's phase array
-    x = [u; p], whose positions and parameters have ``potential`` and whose
-    parameter momenta are (pa, pg): bit for bit ``h_total(...).total``,
-    when ``potential`` is that of an `h_total` of the same positions. Runs
-    under a caller's `_saturating`."""
+    """The total energy of the state loaded into the workspace (`_load`),
+    whose positions and parameters have ``potential`` and whose parameter
+    momenta are (pa, pg). Runs under a caller's `_saturating`."""
     _, _, p, _, _, p_sq = ctx._scratch.phase
     np.square(p, out=p_sq)
-    return _pieces(potential, _phase_kinetic(ctx, masses, pa, pg))[3]
+    return _pieces(potential, ctx, masses, pa, pg)[3]
 
 
 def _end_energy(
     h_n: float, h_1: float, ctx: PathContext, masses: MassConfig, pa: float, pg: float
-) -> tuple[float, Potential]:
-    """The total energy and the `Potential` of the state in the workspace's
-    phase array x = [u; p] with parameter momenta (pa, pg), given the
-    position parts (h_n, h_1) of its kernel pass: bit for bit those of
-    `h_total`, from one square of x, the harmonic and the kinetic products
-    and one ``tolist``. Runs under a caller's `_saturating`."""
+) -> tuple:
+    """The energy of the state in the workspace's phase array x = [u; p]
+    with parameter momenta (pa, pg), given the position parts (h_n, h_1) of
+    its kernel pass: (h_N, h_n, h_1, total, potential), from one square of
+    x, the harmonic and the kinetic products and one ``tolist``; the fields
+    of `EnergyBreakdown`. Runs under a caller's `_saturating`."""
     s = ctx._scratch
     x, _, _, sq, _, _ = s.phase
     np.square(x, out=sq)
     potential = Potential(0.5 * float(s.u_sq_head.dot(ctx.layout.flat_stiffness)), h_n, h_1)
-    return _pieces(potential, _phase_kinetic(ctx, masses, pa, pg))[3], potential
+    return (*_pieces(potential, ctx, masses, pa, pg), potential)
+
+
+@_saturating
+def h_total(state: PolymerState, ctx: PathContext, masses: MassConfig) -> EnergyBreakdown:
+    """All three pieces and their sum, scored in the context's workspace as
+    the sampler scores both ends of a trajectory."""
+    beta, gamma, pa, pg = _load(state, ctx)
+    h_n, h_1 = _hprime(beta, gamma, ctx, False)
+    return EnergyBreakdown(*_end_energy(h_n, h_1, ctx, masses, pa, pg))
 
 
 @_saturating
@@ -385,8 +376,8 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    _, _, g_u, g_beta, g_gamma = _hprime(*_load(state, ctx), ctx, True, False)
-    return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
+    _, _, _, g_beta, g_gamma = _hprime(*_load(state, ctx)[:2], ctx, True, False)
+    return _exit_force(ctx, (g_beta, g_gamma))
 
 
 def _boundary_stage(s: _Scratch, ctx: PathContext) -> None:

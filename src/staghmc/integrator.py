@@ -15,15 +15,15 @@ gradient per step: P kernel passes per trajectory.
 The free flow is per bead, so it runs over all beads at once
 (`_free_flow`) from the `OscillatorBank` tables of the step, on the
 phase-space array x = [u; p] of the context's workspace, whose first row
-is the kernel row u. `_load_phase` copies a state's beads and momenta
-into it, and the trajectory (`_trajectory`) runs there: the free flows
-move the array in place, and the kicks take the forces straight from the
-kernel `energy._hprime`, not through the public `grad_hprime`. Beta,
-gamma, pi_beta and pi_gamma stay Python floats for all P steps, as the
-kernel returns g_theta: the same IEEE operations as on length-2 arrays,
-so bit-identical, at a tenth of the dispatch cost. The end stays in the
-workspace until `_proposal` and `_exit_force` copy it out, which the
-sampler does only for an accepted proposal.
+is the kernel row u. This module holds the dynamics only: `energy._load`
+copies a state in, the trajectory (`_trajectory`) runs there, and
+`energy._proposal` and `energy._exit_force` copy the end out, which the
+sampler does only for an accepted proposal. The free flows move the
+array in place, and the kicks take the forces straight from the kernel
+`energy._hprime`, not through the public `grad_hprime`. Beta, gamma,
+pi_beta and pi_gamma stay Python floats for all P steps, as the kernel
+returns g_theta: the same IEEE operations as on length-2 arrays, so
+bit-identical, at a tenth of the dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -43,6 +43,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     PathContext,
     _hprime,
     _load,
+    _proposal,
     _saturating,
     grad_hprime,
 )
@@ -170,15 +171,6 @@ def _free_flow(phase: tuple, flow: tuple):
     x += cross
 
 
-def _load_phase(state: PolymerState, ctx: PathContext) -> list:
-    """`energy._load` with the momenta: copy the state into the workspace's
-    phase array x = [u; p], and return [beta, gamma, pi_beta, pi_gamma] as
-    Python floats, the start of `_trajectory`."""
-    start = _load(state, ctx)
-    ctx._scratch.phase[2][...] = state.p
-    return start + state.pi.tolist()
-
-
 def _trajectory(
     ctx: PathContext,
     masses: MassConfig,
@@ -187,7 +179,7 @@ def _trajectory(
     start: list,
 ) -> tuple:
     """The trajectory of `trotter_propagate`, run in the workspace from the
-    state that `_load_phase` loaded and whose floats it returned as
+    state that `energy._load` loaded and whose floats it returned as
     ``start``; ``force`` is the `Gradient` of H' at its positions, or None
     to compute it here. The carried ``force`` is read, never written; a
     non-finite one raises NonFiniteError. Runs under a caller's
@@ -201,8 +193,9 @@ def _trajectory(
     in the kernel row g_u, until the next call on the context: every kick
     scales the force into the scratch row ``cross_p``, which is free
     between two free flows, so the kernel rows are never scaled.
-    `_proposal` and `_exit_force` copy them out, bit for bit what
-    `trotter_propagate` and `grad_hprime` return.
+    `energy._proposal` and `energy._exit_force` copy them out, bit for bit
+    what `trotter_propagate` and `grad_hprime` return, and
+    `energy._end_energy` scores them.
     """
     d_tau = config.d_tau
     flow, kick_half, kick_full = _flow_tables(ctx, masses, d_tau)
@@ -234,20 +227,6 @@ def _trajectory(
     return (beta, gamma, pa, pg), (g_beta, g_gamma), (h_n, h_1)
 
 
-def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
-    """The end of the last `_trajectory` on ``ctx`` as a new state, which
-    shares no array with the workspace."""
-    out = ctx._scratch.phase[0].copy()
-    beta, gamma, pa, pg = end
-    return PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
-
-
-def _exit_force(ctx: PathContext, g_theta: tuple) -> Gradient:
-    """The `Gradient` of H' at the end of the last `_trajectory` on ``ctx``,
-    given its theta part ``g_theta``; fresh arrays."""
-    return Gradient(ctx._scratch.rows.g_u.copy(), np.array(g_theta))
-
-
 @_saturating
 def trotter_propagate(
     state: PolymerState,
@@ -265,5 +244,5 @@ def trotter_propagate(
     checked once, up front; non-finite forces then raise NonFiniteError
     (the sampler counts that as a rejected proposal).
     """
-    start = _load_phase(state, ctx)
+    start = _load(state, ctx)
     return _proposal(ctx, _trajectory(ctx, masses, config, None, start)[0])

@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,9 @@ from .energy import (
     PathContext,
     Potential,
     _end_energy,
+    _exit_force,
+    _load,
+    _proposal,
     _saturating,
     _start_energy,
     h_total,
@@ -40,9 +43,6 @@ from .errors import (
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
-    _exit_force,
-    _load_phase,
-    _proposal,
     _trajectory,
     trotter_propagate,
 )
@@ -95,6 +95,8 @@ class InferenceProblem:
     signal: InputSignal
     obs: ObservationModel
     j: int
+    # built once: every context of the problem shares it
+    _layout: LatticeLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "j", _integer("j", self.j))
@@ -104,12 +106,14 @@ class InferenceProblem:
             self.signal.value(self.data.times)
         except DomainError as exc:
             raise ValidationError(f"input signal does not cover the data: {exc}") from None
+        layout = build_layout(self.data.n_segments, self.j, self.data.horizon)
+        object.__setattr__(self, "_layout", layout)
 
     def layout(self) -> LatticeLayout:
-        return build_layout(self.data.n_segments, self.j, self.data.horizon)
+        return self._layout
 
     def context(self) -> PathContext:
-        return PathContext(self.layout(), self.signal, self.data, self.obs)
+        return PathContext(self._layout, self.signal, self.data, self.obs)
 
 
 @dataclass(frozen=True)
@@ -201,8 +205,13 @@ class ChainRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ChainRecord":
+        """Read a chain CSV. beta, gamma and K must be finite; H_after and
+        dH may hold inf or NaN, the record of a rejected proposal."""
         raw = _read_csv(path, CHAIN_CSV_HEADER)
         columns = {name: raw[:, i].copy() for i, (name, _) in enumerate(CHAIN_COLUMNS, 1)}
+        for name in ("beta", "gamma", "K"):
+            if not np.all(np.isfinite(columns[name])):
+                raise ValidationError(f"non-finite {name} in chain file {path}")
         columns["accepted"] = columns["accepted"] != 0.0
         return cls(**columns, meta={"source": str(path)})
 
@@ -264,14 +273,15 @@ def hmc_iteration(
     ``potential`` and ``force`` are the state's position-only energy and
     the `Gradient` of H' at its positions (the ``potential`` and ``force``
     of the previous iteration's stats); without them, they are computed
-    afresh, the force inside the trajectory. Everything else the trajectory
-    needs, its free-flow tables included, follows from ``ctx`` and
-    ``config``. The proposal's potential and force come from the
-    trajectory's last kernel pass, so an iteration given both makes P
-    kernel passes and no `h_total`. Both ends are scored in the context's
-    workspace, where the trajectory runs (`energy._start_energy` and
-    `energy._end_energy`), and match `h_total` bit for bit; the proposal
-    and its force are copied out of the workspace only on acceptance.
+    afresh, the potential by `h_total` and the force inside the trajectory.
+    Everything else the trajectory needs, its free-flow tables included,
+    follows from ``ctx`` and ``config``. The proposal's potential and force
+    come from the trajectory's last kernel pass, so an iteration given both
+    makes P kernel passes and no `h_total`. Both ends are scored in the
+    context's workspace, where the trajectory runs, by the scorer of
+    `h_total` (`energy._start_energy` and `energy._end_energy`); the
+    proposal and its force are copied out of the workspace only on
+    acceptance.
     Returns the next state (positions revert on rejection) and the iteration
     stats, whose ``potential``, ``force`` and ``theta`` are those of the
     next state: a rejection keeps the ones given. Invalid proposals never
@@ -289,12 +299,10 @@ def hmc_iteration(
     masses = config.masses
     p, pi = sample_momenta(masses, ctx.layout, rng)
     cur = PolymerState._trusted(state.u, state.theta, p, pi)
-    start = _load_phase(cur, ctx)
     if potential is None:
-        before = h_total(cur, ctx, masses)
-        potential, h_before = before.potential, before.total
-    else:
-        h_before = _start_energy(potential, ctx, masses, *start[2:])
+        potential = h_total(cur, ctx, masses).potential
+    start = _load(cur, ctx)
+    h_before = _start_energy(potential, ctx, masses, *start[2:])
     pathology = None
     try:
         end, g_theta, (h_n, h_1) = _trajectory(ctx, masses, config.integrator, force, start)
@@ -303,7 +311,7 @@ def hmc_iteration(
             pathology = "nonpositive-parameter"
             h_after = float("inf")
         else:
-            h_after, moved = _end_energy(h_n, h_1, ctx, masses, pa, pg)
+            *_, h_after, moved = _end_energy(h_n, h_1, ctx, masses, pa, pg)
             if not math.isfinite(h_after):
                 pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
@@ -396,14 +404,19 @@ def run_parallel_chains(
     problem: InferenceProblem, config: HmcConfig, processes: int | None = None
 ) -> list[ChainRecord]:
     """Run config.chains independent chains on a pool of ``processes``
-    worker processes, by default min(config.chains, the CPUs in this
-    process's affinity mask); a single chain runs in this process.
+    worker processes (an integer >= 1, checked before any pool is made),
+    by default min(config.chains, the CPUs in this process's affinity
+    mask); a single chain runs in this process.
 
     Chain c draws from the c-th stream spawned off the master seed, so
     chains=1 reproduces run_chain exactly and adding chains never perturbs
     existing ones. A failing chain does not abort its siblings; failures are
     reported together after all chains finish.
     """
+    if processes is not None:
+        processes = _integer("processes", processes)
+        if processes < 1:
+            raise ValidationError(f"processes must be >= 1, got {processes}")
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     jobs = [(problem, config, c, seeds[c]) for c in range(config.chains)]
     if config.chains == 1:

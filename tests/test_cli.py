@@ -417,6 +417,30 @@ class TestSummarize:
         assert not (out / "summary.json").exists()
         assert not list(out.glob("density_*.csv"))
 
+    @pytest.mark.parametrize("column, value", [(1, "inf"), (2, "nan"), (3, "-inf")])
+    def test_non_finite_parameter_rejected_before_writing(self, tmp_path, capsys, column, value):
+        # beta, gamma or K: no summary and no density of a non-finite draw
+        path = tmp_path / "bad.csv"
+        row = ["7", "1.5", "0.5", "10", "1", "3", "3", "0"]
+        row[column] = value
+        rows = [f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(6)] + [",".join(row)]
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert self.summarize(tmp_path, [str(path)], "summ", discard=0.0, rc_only=True) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert ("beta", "gamma", "K")[column - 1] in err
+        assert not (tmp_path / "summ").exists()
+
+    def test_non_finite_energy_columns_read(self, tmp_path):
+        # a rejected runaway proposal records H_after = inf and dH = inf
+        path = tmp_path / "runaway.csv"
+        rows = [f"{i+1},1.5,0.5,{10 + i},1,3,3,0" for i in range(11)]
+        rows.append("12,1.5,0.5,10,0,3,inf,inf")
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + "\n".join(rows) + "\n")
+        summary, _ = self.summarize(tmp_path, [str(path)], "summ", discard=0.0)
+        assert summary["n_retained"] == 12
+
     def test_empty_chain_list_rejected(self, tmp_path):
         assert self.summarize(tmp_path, [], "none", rc_only=True) == 2
 

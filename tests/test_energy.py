@@ -30,6 +30,8 @@ from staghmc.lattice import (
     staging_inverse,
 )
 
+from test_integrator import LAYOUTS
+
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
 MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
 
@@ -176,24 +178,31 @@ class TestPieces:
         e = h_total(st, ctx, MASSES)
         assert e.total == e.h_N + e.h_n + e.h_1
 
+    # h_total is also the sampler's scorer of both trajectory ends, so this
+    # single-formula literal is the independent check of the energies the
+    # Metropolis test reads
     def test_total_matches_unsplit_hamiltonian(self):
-        for seed in range(5):
-            layout, _, ctx = make_problem(seed=seed)
-            st = random_state(layout, np.random.default_rng(100 + seed))
-            ours = h_total(st, ctx, MASSES).total
-            ref = total_literal(st, ctx, MASSES)
-            assert ours == pytest.approx(ref, rel=1e-10)
+        for layout in LAYOUTS:
+            for seed in range(5):
+                _, _, ctx = make_problem(layout.n, layout.j, layout.T, seed=seed)
+                st = random_state(layout, np.random.default_rng(100 + seed))
+                ours = h_total(st, ctx, MASSES).total
+                ref = total_literal(st, ctx, MASSES)
+                assert ours == pytest.approx(ref, rel=1e-12)
 
     def test_total_matches_unsplit_on_reference_lattice(self):
-        layout = build_layout(10, 30, 833.0)
-        rng = np.random.default_rng(42)
-        times = np.linspace(0, 833.0, 11)
-        data = TimeSeriesData(times=times, values=SIGNAL.value(times) * np.exp(rng.normal(0, 0.3, 11)))
-        ctx = PathContext(layout, SIGNAL, data, ObservationModel(0.1))
-        st = random_state(layout, rng, u_scale=0.3)
-        assert h_total(st, ctx, MASSES).total == pytest.approx(
-            total_literal(st, ctx, MASSES), rel=1e-10
-        )
+        # LAYOUTS holds the reference lattice n = 10, j = 30, T = 833
+        for layout in LAYOUTS:
+            n, T = layout.n, layout.T
+            rng = np.random.default_rng(42)
+            times = np.linspace(0, T, n + 1)
+            values = SIGNAL.value(times) * np.exp(rng.normal(0, 0.3, n + 1))
+            data = TimeSeriesData(times=times, values=values)
+            ctx = PathContext(layout, SIGNAL, data, ObservationModel(0.1))
+            st = random_state(layout, rng, u_scale=0.3)
+            assert h_total(st, ctx, MASSES).total == pytest.approx(
+                total_literal(st, ctx, MASSES), rel=1e-12
+            )
 
 
 class TestFlatTerms:
@@ -201,18 +210,20 @@ class TestFlatTerms:
 
     @pytest.mark.parametrize("n, j", [(1, 1), (2, 2), (3, 10), (10, 30)])
     def test_staging_terms_match_view_formulas(self, n, j):
-        from staghmc.energy import _harmonic, _kinetic
-
-        layout = build_layout(n, j, 83.0)
+        layout, _, ctx = make_problem(n, j, 83.0)
         for seed in range(5):
             st = random_state(layout, np.random.default_rng(seed), u_scale=2.0)
             us, ps = layout.staging(st.u), layout.staging(st.p)
             harmonic = 0.5 * float((layout.stiffness * (us * us)).sum())
             kinetic = (0.5 * layout.dt / MASSES.m_prime) * float((ps * ps).sum())
-            assert _harmonic(st, layout) == pytest.approx(harmonic, rel=1e-14, abs=0.0)
-            assert _kinetic(st.p, st.pi, MASSES, layout)[0] == pytest.approx(
-                kinetic, rel=1e-14, abs=0.0
+            assert h_total(st, ctx, MASSES).potential.h_N == pytest.approx(
+                harmonic, rel=1e-14, abs=0.0
             )
+            # at u = 0 the harmonic part is 0, so h_N is the kinetic term
+            # alone; subtracting the harmonic part instead would lose digits
+            still = st.copy()
+            still.u[...] = 0.0
+            assert h_N(still, MASSES, layout) == pytest.approx(kinetic, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n, j", [(1, 1), (2, 5), (10, 30)])
     def test_spring_laplacian_matches_pairwise_form(self, n, j):

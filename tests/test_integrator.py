@@ -13,14 +13,20 @@ from staghmc import (
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.energy import PathContext, _saturating, grad_hprime, h_N, h_total
+from staghmc.energy import (
+    PathContext,
+    _exit_force,
+    _load,
+    _proposal,
+    _saturating,
+    grad_hprime,
+    h_N,
+    h_total,
+)
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
-    _exit_force,
     _free_flow,
-    _load_phase,
-    _proposal,
     _trajectory,
     trotter_propagate,
 )
@@ -455,7 +461,7 @@ class TestTrotter:
         cfg = IntegratorConfig(d_tau=0.25, P=3)
         start = grad_hprime(st, ctx)
         kept = start.g_u.copy(), start.g_theta.copy()
-        loaded = _load_phase(st, ctx)
+        loaded = _load(st, ctx)
         assert loaded == [*st.theta.tolist(), *st.pi.tolist()]
         end, g_theta, (h_n, h_1) = _saturating(_trajectory)(ctx, MASSES, cfg, start, loaded)
         assert all(type(v) is float for v in (*end, *g_theta, h_n, h_1))

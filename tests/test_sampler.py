@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -175,6 +176,18 @@ class TestInferenceProblem:
         assert ctx.layout.n == toy_problem.data.n_segments
         assert ctx.layout.N == 4 * 5 + 1
         assert ctx.layout.T == toy_problem.data.horizon
+
+    def test_contexts_share_one_layout(self, toy_problem):
+        first, second = toy_problem.context(), toy_problem.context()
+        assert first is not second
+        assert first.layout is second.layout is toy_problem.layout()
+
+    def test_pickle_round_trip(self, toy_problem):
+        back = pickle.loads(pickle.dumps(toy_problem))
+        assert back.layout() == toy_problem.layout()
+        assert back.context().layout is back.layout()
+        cfg = small_config(n_mc=5, seed=3)
+        np.testing.assert_array_equal(run_chain(back, cfg).beta, run_chain(toy_problem, cfg).beta)
 
 
 class TestSampleMomenta:
@@ -683,6 +696,17 @@ class TestParallelChains:
         cfg = small_config(n_mc=4, chains=2)
         with pytest.raises(StagHmcError, match="chain 0.*chain 1"):
             run_parallel_chains(toy_problem, cfg)
+
+    @pytest.mark.parametrize("processes", [0, -1, 2.5, "2", True])
+    def test_bad_process_count_rejected_before_any_pool(self, toy_problem, monkeypatch, processes):
+        import staghmc.sampler
+
+        def no_pool(*args):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", no_pool)
+        with pytest.raises(ValidationError, match="processes"):
+            run_parallel_chains(toy_problem, small_config(n_mc=4, chains=2), processes=processes)
 
     def test_default_pool_follows_the_affinity_mask(self, toy_problem, monkeypatch):
         # one CPU allowed on an eight-CPU host: one worker, not eight
