@@ -33,7 +33,8 @@ tables on `LatticeLayout`, and the plan of one inference problem on
 `PathContext`. One private kernel, `_hprime`, makes the single pass over
 the path behind `h_total`, `grad_hprime` and the trajectory, in the
 context's workspace (`_Scratch`). This module alone moves a state through
-the workspace: `_load` copies it in, `_end_energy` (or `_start_energy`,
+the workspace: `_load` copies it in (`_load_drawn` only its beads, after a
+momentum refresh drawn there), `_end_energy` (or `_start_energy`,
 given the potential) adds up its energy there, for `h_total` and both ends
 of a trajectory alike, and `_proposal` and `_exit_force` copy a state and
 a force out. Potential and force depend on positions alone, so the sampler
@@ -49,6 +50,7 @@ longer tracks the (flat) clamped energy; such states are rejected anyway.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -79,6 +81,11 @@ __all__ = [
 
 EXP_CLAMP = 700.0
 
+# the nine per-pass coefficients of `_hprime` (see `_Scratch`), packed as
+# native doubles straight into the bytes of the workspace's ``coef``: the
+# values of an assignment from a list, at a fifth of its cost
+_pack_coef = struct.Struct("9d").pack_into
+
 # the one saturation policy: overflow, invalid operations and division by
 # zero saturate to inf and NaN, and underflow rounds to 0, silently. It
 # decorates the five public entry points h_N, h_total, grad_hprime,
@@ -100,7 +107,7 @@ class PathContext:
     Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
     carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
     (2 gamma) and rhodot_i = Ldot_i / beta; and the log data residuals
-    ln(y_s / r_s). The springs need no table (see `_boundary_stage`).
+    ln(y_s / r_s). The springs need no table (see `_Scratch`).
 
     The context also owns the private, mutable workspace of the kernel
     (`_Scratch`), allocated once, so a context must not be shared by
@@ -112,9 +119,10 @@ class PathContext:
     signal: InputSignal
     data: TimeSeriesData
     obs: ObservationModel
-    L: np.ndarray = field(init=False, repr=False)
-    Ldot: np.ndarray = field(init=False, repr=False)
-    lnyr: np.ndarray = field(init=False, repr=False)
+    # derived from the four inputs, which alone decide equality and hash
+    L: np.ndarray = field(init=False, repr=False, compare=False)
+    Ldot: np.ndarray = field(init=False, repr=False, compare=False)
+    lnyr: np.ndarray = field(init=False, repr=False, compare=False)
     _scratch: "_Scratch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,9 +161,12 @@ class _Scratch:
 
     ``phase``, the phase-space array x = [u; p] that `_load` fills and a
     (2, N) scratch pair ``cross``, with their rows (see
-    `integrator._free_flow`). Each use of ``cross`` writes it before it
-    reads it: the free flow's cross terms, each kick's scaled force in
-    ``cross_p``, and the squares that score a state (p^2 in
+    `integrator._free_flow`). x heads one buffer [u; p; pi], so that after
+    u the momenta are one contiguous length-(N+2) row ``momenta`` = [p; pi],
+    with ``pi_slots`` its last two entries: `sampler.sample_momenta` draws
+    a refresh straight into it, and `_load_drawn` then copies u alone.
+    Each use of ``cross`` writes it before it reads it: the free flow's
+    cross terms, each kick's scaled force in ``cross_p``, and the squares that score a state (p^2 in
     `_start_energy`, x^2 in `_end_energy`; ``u_sq_head`` is the view of
     u^2 over the first N-1 beads, which the harmonic sum reads). The kernel
     rows ``rows`` (a `lattice._StagingRows`): u = x[0], and q, g_q and g_u,
@@ -167,24 +178,31 @@ class _Scratch:
     The row stacks, over beads i = 2..N: ``q_cols``, the (N-1, 3) columns
     [q, 1, L] (q's tail leads them, so that q is one contiguous length-N
     row); ``E_rows`` = [E, 1, L], likewise led by the tail of the row
-    ``E`` (with ``E_tail`` and ``E_ends``); ``work`` = [A, Z, Ldot], whose
-    last two rows are ``grad_rows``; their (3, 3) product ``sums`` with
-    the columns, and its flat view ``sum_list``: every sum the potential
-    and the theta gradient read, but A . A. The per-pass ``coef``:
-    the coefficients of A = ``coef_A`` . E_rows, g_q = ``coef_g`` .
+    ``E`` (with ``E_tail``, ``E_ends`` and ``E_b`` = E[::j], which holds
+    -beta q at the measurement beads, where q = u, until the clamp);
+    ``work`` = [A, Z, Ldot], whose last two rows are ``grad_rows``; their
+    (3, 3) product ``sums`` with the columns, and its flat view
+    ``sum_list``: every sum the potential and the theta gradient read, but
+    A . A. The per-pass ``coef``, which `_pack_coef` writes through its
+    byte view ``coef_bytes``: the coefficients of A = ``coef_A`` . E_rows,
+    g_q = ``coef_g`` .
     grad_rows, with Z = (A + beta/2) E, and the boundary force ``coef_b`` .
-    bound, and the 0-d operands ``beta``, ``minus_beta`` and ``half_beta``
-    of the elementwise calls, with the constant ``clamp`` = EXP_CLAMP (a
-    NumPy call takes a 0-d array operand for about half the cost of a
-    Python float, which is why the integrator's kick steps are 0-d too).
+    bound, and the 0-d operands ``minus_beta`` and ``half_beta`` of the
+    elementwise calls, with the constant ``clamp`` = EXP_CLAMP (a NumPy
+    call takes a 0-d array operand for about half the cost of a Python
+    float, which is why the integrator's kick steps are 0-d too).
 
-    The boundary rows, which `_boundary_stage` fills on every pass, over
-    the measurement beads: ``bound`` = [lap, resid] (the spring stencil
-    lap = d_{s-1} - d_s and the data residuals) and the force ``force_b``
-    made from it. The length-n difference row ``d_b`` = u_b[1:] - u_b[:-1]
-    is the middle of a length-(n+2) row that holds it between two zeros
-    that are never written, and ``lap`` is its left view ``pad_prev`` minus
-    its right view ``pad_next``, so the end beads feel one neighbour each.
+    The boundary rows, which every pass fills afresh, over the measurement
+    beads: ``bound`` = [lap, resid] (the spring stencil lap = d_{s-1} - d_s
+    and the data residuals resid = ln(y_s / r_s) - beta u_b, formed in one
+    call as lnyr + E_b: column 0 of the staging block is (1, 0, ..., 0) and
+    q[-1] is copied from u[-1], so q = u bit for bit at these beads, and
+    a - u beta == a + u (-beta) in IEEE arithmetic) and the force
+    ``force_b`` made from it. The length-n difference row ``d_b`` = u_b[1:]
+    - u_b[:-1] is the middle of a length-(n+2) row that holds it between
+    two zeros that are never written, and ``lap`` is its left view
+    ``pad_prev`` minus its right view ``pad_next``, so the end beads feel
+    one neighbour each.
 
     Constants of the plan as Python floats: the number ``n_tail`` = N - 1
     of beads i = 2..N, ``L_sum``, the sum of L over them, and
@@ -194,10 +212,10 @@ class _Scratch:
 
     __slots__ = (
         "T", "dt", "dt_T", "coup", "L0", "LN", "n_tail", "L_sum", "inv_sigma2",
-        "phase", "u_sq_head",
+        "phase", "momenta", "pi_slots", "u_sq_head",
         "rows", "q_ends", "q_cols", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
-        "E", "E_tail", "E_ends", "E_rows", "work", "A", "Z", "grad_rows",
-        "sums", "sum_list", "coef", "coef_A", "coef_g", "coef_b", "beta", "minus_beta",
+        "E", "E_tail", "E_ends", "E_b", "E_rows", "work", "A", "Z", "grad_rows",
+        "sums", "sum_list", "coef", "coef_bytes", "coef_A", "coef_g", "coef_b", "minus_beta",
         "half_beta", "clamp",
         "bound", "lap", "resid", "force_b", "d_b", "pad_prev", "pad_next",
         "flow", "flow_key",
@@ -211,8 +229,11 @@ class _Scratch:
         self.L0, self.LN = float(L[1]), float(L[-1])
         self.n_tail, self.L_sum = float(tail), float(L[1:].sum())
         self.inv_sigma2 = 1.0 / sigma / sigma  # inf, not a raise, if sigma^2 underflows
-        x, cross = np.empty((2, N)), np.empty((2, N))
+        # [u; p; pi]: x = [u; p], and after u the momentum row [p; pi]
+        upi = np.empty(2 * N + 2)
+        x, cross = upi[: 2 * N].reshape(2, N), np.empty((2, N))
         self.phase = (x, *x, cross, *cross)
+        self.momenta, self.pi_slots = upi[N:], upi[2 * N :]
         self.u_sq_head = cross[0, :-1]
         # q and E each head a stack [row tail, 1, L]: bead 1, then the rows
         q_stack, E_stack = np.empty(3 * tail + 1), np.empty(3 * tail + 1)
@@ -228,7 +249,7 @@ class _Scratch:
         ub = self.u_b = rows.u[:: lay.j]
         self.ub_next, self.ub_prev = ub[1:], ub[:-1]
         self.E = E_stack[:N]
-        self.E_tail, self.E_ends = self.E[1:], self.E[:: N - 1]
+        self.E_tail, self.E_ends, self.E_b = self.E[1:], self.E[:: N - 1], self.E[:: lay.j]
         self.E_rows = E_stack[1:].reshape(3, tail)
         self.work = np.empty((3, tail))
         self.A, self.Z, Ldot_tail = self.work
@@ -236,11 +257,11 @@ class _Scratch:
         self.grad_rows = self.work[1:]
         self.sums = np.empty((3, 3))
         self.sum_list = self.sums.reshape(9)
-        coef = self.coef = np.empty(10)
+        coef = self.coef = np.empty(9)
+        self.coef_bytes = memoryview(coef).cast("B")
         self.coef_A, self.coef_g, self.coef_b = coef[:3], coef[3:5], coef[5:7]
-        self.beta = coef[7:8].reshape(())
-        self.minus_beta = coef[8:9].reshape(())
-        self.half_beta = coef[9:10].reshape(())
+        self.minus_beta = coef[7:8].reshape(())
+        self.half_beta = coef[8:9].reshape(())
         self.clamp = np.array(EXP_CLAMP)
         self.bound = np.empty((2, lay.n + 1))
         self.lap, self.resid = self.bound
@@ -332,6 +353,17 @@ def _load(state: PolymerState, ctx: PathContext) -> list:
     return state.theta.tolist() + state.pi.tolist()
 
 
+def _load_drawn(state: PolymerState, ctx: PathContext) -> list:
+    """`_load` after a momentum draw into the workspace's row [p; pi]
+    (``momenta``, see `sampler.sample_momenta`): check the state's size,
+    copy only its beads u, and return [beta, gamma, pi_beta, pi_gamma] as
+    Python floats, the momenta those of the draw."""
+    _check_size(state.u, ctx.layout, "u")
+    s = ctx._scratch
+    s.phase[1][...] = state.u
+    return state.theta.tolist() + s.pi_slots.tolist()
+
+
 def _start_energy(
     potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
 ) -> float:
@@ -380,19 +412,6 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     return _exit_force(ctx, (g_beta, g_gamma))
 
 
-def _boundary_stage(s: _Scratch, ctx: PathContext) -> None:
-    """Fill the boundary rows of ``s`` (see `_Scratch`): the residuals
-    ``resid`` = ln(y_s / r_s) - beta u_b, with beta from the pass's operand
-    ``s.beta``, the difference row ``d_b`` and the stencil ``lap``. Nothing
-    is kept for the next pass: every gradient of a trajectory follows a
-    drift of theta and u_b, so a kept stage would never be reused."""
-    resid = s.resid
-    np.multiply(s.u_b, s.beta, out=resid)
-    np.subtract(ctx.lnyr, resid, out=resid)
-    np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
-    np.subtract(s.pad_prev, s.pad_next, out=s.lap)
-
-
 def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potential: bool = True):
     """The one pass over the path behind `h_total`, `grad_hprime` and the
     trajectory.
@@ -433,15 +452,21 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     rhoN = s.LN / beta + c
     dt_T, T = s.dt_T, s.T
     # the coefficients of A, of g_q and of the boundary force, then the 0-d
-    # operands beta, -beta and beta/2
-    s.coef[...] = [
+    # operands -beta and beta/2
+    _pack_coef(
+        s.coef_bytes, 0,
         -bg, c, 1.0 / beta, beta * dt_T * bg, -s.dt / beta, s.coup, -beta * s.inv_sigma2,
-        beta, -beta, 0.5 * beta,
-    ]
-    _boundary_stage(s, ctx)
+        -beta, 0.5 * beta,
+    )
     A, E, rows = s.A, s.E, s.rows
     rows.inverse()
     np.multiply(rows.q, s.minus_beta, out=E)
+    # the boundary rows: q = u at the measurement beads, so the residuals
+    # ln(y_s / r_s) - beta u_b are read off -beta q before the clamp; then
+    # the spring differences d_b and their stencil lap
+    np.add(ctx.lnyr, s.E_b, out=s.resid)
+    np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
+    np.subtract(s.pad_prev, s.pad_next, out=s.lap)
     np.minimum(E, s.clamp, out=E)
     np.exp(E, out=E)
     q0, qN = s.q_ends.tolist()

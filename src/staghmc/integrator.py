@@ -179,11 +179,11 @@ def _trajectory(
     start: list,
 ) -> tuple:
     """The trajectory of `trotter_propagate`, run in the workspace from the
-    state that `energy._load` loaded and whose floats it returned as
-    ``start``; ``force`` is the `Gradient` of H' at its positions, or None
-    to compute it here. The carried ``force`` is read, never written; a
-    non-finite one raises NonFiniteError. Runs under a caller's
-    `_saturating`.
+    state that `energy._load` (or `energy._load_drawn`) loaded and whose
+    floats it returned as ``start``; ``force`` is the `Gradient` of H' at
+    its positions, or None to compute it here. The carried ``force`` is
+    read, never written; a non-finite one raises NonFiniteError. Runs under
+    a caller's `_saturating`.
 
     Returns ``(end, g_theta, (h_n, h_1))``, all Python floats: the end's
     (beta, gamma, pi_beta, pi_gamma), the theta part of the force at the

@@ -99,6 +99,13 @@ def from_dimensionless(theta: DimensionlessParams, T: float) -> PhysicalParams:
 # input signal
 
 
+def _value_key(x):
+    """The hash key of an optional 1-d float array that agrees with
+    ``np.array_equal``: its values as Python floats, whose hash maps -0.0
+    and 0.0 alike."""
+    return None if x is None else tuple(x.tolist())
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """Deterministic input r(t), strictly positive on the horizon.
@@ -175,6 +182,20 @@ class InputSignal:
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, slopes.size - 1)
         return slopes[seg] / np.interp(t, self.times, self.values)
 
+    def __eq__(self, other):
+        if type(other) is not InputSignal:
+            return NotImplemented
+        if (self.kind, self.a, self.omega, self.b) != (other.kind, other.a, other.omega, other.b):
+            return False
+        # a sinusoid holds no nodes, a tabulated signal both arrays
+        return self.kind == "sinusoid" or (
+            np.array_equal(self.times, other.times) and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.a, self.omega, self.b,
+                     _value_key(self.times), _value_key(self.values)))
+
     def _check_range(self, t):
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
             raise DomainError(
@@ -240,6 +261,16 @@ class TimeSeriesData:
             raise ValidationError("observations must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+
+    def __eq__(self, other):
+        if type(other) is not TimeSeriesData:
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(
+            self.values, other.values
+        )
+
+    def __hash__(self):
+        return hash((_value_key(self.times), _value_key(self.values)))
 
     @property
     def n_segments(self) -> int:

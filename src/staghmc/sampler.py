@@ -27,7 +27,7 @@ from .energy import (
     Potential,
     _end_energy,
     _exit_force,
-    _load,
+    _load_drawn,
     _proposal,
     _saturating,
     _start_energy,
@@ -228,16 +228,35 @@ def _momentum_scale(masses: MassConfig, layout: LatticeLayout) -> np.ndarray:
     return scale
 
 
+# (masses, layout, scale) of the last draw, matched by identity (both are
+# frozen, and the entry keeps them alive), so that a chain's draws hash no
+# dataclass; a miss looks the table up in `_momentum_scale`. One tuple,
+# replaced whole, so threads always read a consistent entry
+_last_scale = (None, None, None)
+
+
 def sample_momenta(
-    masses: MassConfig, layout: LatticeLayout, rng: np.random.Generator
+    masses: MassConfig,
+    layout: LatticeLayout,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (p, pi) from the Gaussians matching the kinetic terms: variance M
     on measurement beads, m_prime/dt on staging beads, m_alpha on parameters.
 
     One draw of N + 2 standard normals, scaled in place; p and pi are views
-    of it. The stream matches a draw of N followed by a draw of 2."""
-    z = rng.standard_normal(layout.N + 2)
-    z *= _momentum_scale(masses, layout)
+    of it. The stream matches a draw of N followed by a draw of 2. With
+    ``out``, a float64 array of N + 2 entries, the normals are drawn into
+    it, the same values from the same stream; `hmc_iteration` draws so into
+    its workspace's row [p; pi]."""
+    global _last_scale
+    last_masses, last_layout, scale = _last_scale
+    if last_masses is not masses or last_layout is not layout:
+        scale = _momentum_scale(masses, layout)
+        _last_scale = (masses, layout, scale)
+    # a tuple size: an int one costs NumPy a caught TypeError beside ``out``
+    z = rng.standard_normal((layout.N + 2,), out=out)
+    z *= scale
     return z[: layout.N], z[layout.N :]
 
 
@@ -270,10 +289,12 @@ def hmc_iteration(
 ) -> tuple[PolymerState, IterationStats]:
     """One momentum-refresh / trajectory / Metropolis cycle.
 
-    ``potential`` and ``force`` are the state's position-only energy and
-    the `Gradient` of H' at its positions (the ``potential`` and ``force``
-    of the previous iteration's stats); without them, they are computed
-    afresh, the potential by `h_total` and the force inside the trajectory.
+    The fresh momenta are drawn by `sample_momenta` straight into the
+    context's workspace, where the trajectory runs. ``potential`` and
+    ``force`` are the state's position-only energy and the `Gradient` of H'
+    at its positions (the ``potential`` and ``force`` of the previous
+    iteration's stats); without them, they are computed afresh, the
+    potential by `h_total` and the force inside the trajectory.
     Everything else the trajectory needs, its free-flow tables included,
     follows from ``ctx`` and ``config``. The proposal's potential and force
     come from the trajectory's last kernel pass, so an iteration given both
@@ -282,27 +303,28 @@ def hmc_iteration(
     `h_total` (`energy._start_energy` and `energy._end_energy`); the
     proposal and its force are copied out of the workspace only on
     acceptance.
-    Returns the next state (positions revert on rejection) and the iteration
-    stats, whose ``potential``, ``force`` and ``theta`` are those of the
-    next state: a rejection keeps the ones given. Invalid proposals never
-    raise, a non-finite start force included; they score an infinite
-    energy and the pathology is recorded.
+    Returns the next state and the iteration stats, whose ``potential``,
+    ``force`` and ``theta`` are those of the next state. An accepted
+    proposal is a new state that shares no array with the input or the
+    workspace; a rejection returns the input state object itself (its
+    momenta are the input's, not the discarded draw) and keeps the
+    ``potential`` and ``force`` given. Invalid proposals never raise, a
+    non-finite start force included; they score an infinite energy and the
+    pathology is recorded.
 
     The input state is never mutated, but it is not copied either: on
-    rejection the returned state shares its ``u`` and ``theta`` arrays with
-    the input (with fresh momenta), so a caller that keeps the input and
+    rejection it is returned as is, so a caller that keeps the input and
     then mutates the result must copy first.
 
     Decorated with `energy._saturating`, so the whole iteration, the
     energies of both ends included, saturates instead of warning.
     """
     masses = config.masses
-    p, pi = sample_momenta(masses, ctx.layout, rng)
-    cur = PolymerState._trusted(state.u, state.theta, p, pi)
     if potential is None:
-        potential = h_total(cur, ctx, masses).potential
-    start = _load(cur, ctx)
-    h_before = _start_energy(potential, ctx, masses, *start[2:])
+        potential = h_total(state, ctx, masses).potential
+    sample_momenta(masses, ctx.layout, rng, out=ctx._scratch.momenta)
+    start = _load_drawn(state, ctx)
+    h_before = _start_energy(potential, ctx, masses, start[2], start[3])
     pathology = None
     try:
         end, g_theta, (h_n, h_1) = _trajectory(ctx, masses, config.integrator, force, start)
@@ -323,7 +345,7 @@ def hmc_iteration(
         state, potential, theta = _proposal(ctx, end), moved, (beta, gamma)
         force = _exit_force(ctx, g_theta)
     else:
-        state, theta = cur, tuple(start[:2])
+        theta = (start[0], start[1])
     stats = IterationStats(
         accepted, h_before, h_after, h_after - h_before, pathology, potential, force, theta
     )

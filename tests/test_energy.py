@@ -365,6 +365,12 @@ class TestScratch:
         assert all(type(x) is float for x in kept)
         assert h_total(a, make_problem()[2], MASSES) == first
 
+    def test_pickled_context_compares_equal(self):
+        _, _, ctx = make_problem()
+        back = pickle.loads(pickle.dumps(ctx))
+        assert back == ctx and hash(back) == hash(ctx)
+        assert back != make_problem(seed=1)[2]
+
     def test_unpickled_context_gets_its_own_workspace(self):
         layout, _, ctx = make_problem()
         back = pickle.loads(pickle.dumps(ctx))
@@ -445,6 +451,39 @@ class TestBoundaryStageCache:
         for row in rows:
             for out in returned:
                 assert not np.shares_memory(out, row)
+
+
+class TestResidualsFromExponentRow:
+    """The kernel reads the data residuals off its exponent row -beta q at
+    the measurement beads, which holds only if the staging inverse leaves
+    those beads exactly as they are."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: f"n{lay.n}j{lay.j}")
+    def test_inverse_keeps_measurement_beads_bit_for_bit(self, layout):
+        from staghmc.lattice import _StagingRows
+
+        rows = _StagingRows(layout)
+        rng = np.random.default_rng(layout.N)
+        for scale in (1e-300, 0.5, 1e3, 1e300):
+            rows.u[...] = rng.normal(0.0, scale, layout.N)
+            rows.inverse()
+            assert rows.q[:: layout.j].tobytes() == rows.u[:: layout.j].tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: f"n{lay.n}j{lay.j}")
+    def test_resid_row_matches_the_direct_formula(self, layout):
+        import staghmc.energy as energy
+
+        _, _, ctx = make_problem(layout.n, layout.j, layout.T)
+        kernel = energy._saturating(energy._hprime)
+        rng = np.random.default_rng(layout.N + 1)
+        for gradient in (False, True):
+            for _ in range(5):
+                st = random_state(layout, rng)
+                beta, gamma = st.theta.tolist()
+                ctx._scratch.rows.u[...] = st.u
+                kernel(beta, gamma, ctx, gradient)
+                want = np.subtract(ctx.lnyr, np.multiply(st.u[:: layout.j], beta))
+                assert ctx._scratch.resid.tobytes() == want.tobytes()
 
 
 class TestPlanSize:

@@ -198,6 +198,16 @@ class TestInputSignal:
         with pytest.raises(ValidationError):
             InputSignal.tabulated([0.0, 1.0], [1.0, -1.0])
 
+    def test_tabulated_value_equality_and_hash(self):
+        sig = InputSignal.tabulated([0.0, 2.0, 5.0], [0.4, 0.9, 0.6])
+        twin = InputSignal.tabulated(np.array([0.0, 2.0, 5.0]), np.array([0.4, 0.9, 0.6]))
+        assert sig == twin and hash(sig) == hash(twin)
+        assert sig != InputSignal.tabulated([0.0, 2.0, 5.0], [0.4, np.nextafter(0.9, 1.0), 0.6])
+        assert sig != InputSignal.tabulated([0.0, 2.5, 5.0], [0.4, 0.9, 0.6])
+        assert sig != SEC4_INPUT and SEC4_INPUT != sig
+        assert SEC4_INPUT == InputSignal.sinusoid(1.0, 0.01, 0.1)
+        assert hash(SEC4_INPUT) == hash(InputSignal.sinusoid(1.0, 0.01, 0.1))
+
     def test_csv_round_trip(self, tmp_path):
         sig = InputSignal.tabulated([0.0, 2.0, 5.0], [0.4, 0.9, 0.6])
         f = tmp_path / "input.csv"
@@ -206,6 +216,7 @@ class TestInputSignal:
         back = InputSignal.from_csv(f)
         np.testing.assert_array_equal(back.times, sig.times)
         np.testing.assert_array_equal(back.values, sig.values)
+        assert back == sig
 
 
 class TestTimeSeriesData:
@@ -226,6 +237,27 @@ class TestTimeSeriesData:
         np.testing.assert_array_equal(back.times, data.times)
         np.testing.assert_array_equal(back.values, data.values)
         assert back.digest() == data.digest()
+
+    def test_value_equality_and_hash(self):
+        t, y = np.linspace(0, 833, 11), np.linspace(0.3, 1.3, 11)
+        data = TimeSeriesData(times=t, values=y)
+        twin = TimeSeriesData(times=t.copy(), values=y.copy())
+        assert data == twin and hash(data) == hash(twin)
+        assert len({data, twin}) == 1
+        # a signed-zero first time is the same series
+        signed = t.copy()
+        signed[0] = -0.0
+        assert TimeSeriesData(times=signed, values=y) == data
+        assert hash(TimeSeriesData(times=signed, values=y)) == hash(data)
+        assert data != (t, y)
+
+    @pytest.mark.parametrize("field, index", [("values", 4), ("values", 0), ("times", 10)])
+    def test_one_ulp_apart_compares_unequal(self, field, index):
+        arrays = {"times": np.linspace(0, 833, 11), "values": np.linspace(0.3, 1.3, 11)}
+        data = TimeSeriesData(**arrays)
+        arrays[field] = arrays[field].copy()
+        arrays[field][index] = np.nextafter(arrays[field][index], np.inf)
+        assert data != TimeSeriesData(**arrays)
 
     def test_properties(self):
         data = TimeSeriesData(times=np.linspace(0, 833, 11), values=np.ones(11))

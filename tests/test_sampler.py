@@ -182,6 +182,11 @@ class TestInferenceProblem:
         assert first is not second
         assert first.layout is second.layout is toy_problem.layout()
 
+    def test_pickle_round_trip_compares_equal(self, toy_problem):
+        back = pickle.loads(pickle.dumps(toy_problem))
+        assert back == toy_problem and hash(back) == hash(toy_problem)
+        assert back.context() == toy_problem.context()
+
     def test_pickle_round_trip(self, toy_problem):
         back = pickle.loads(pickle.dumps(toy_problem))
         assert back.layout() == toy_problem.layout()
@@ -239,6 +244,37 @@ class TestSampleMomenta:
             np.testing.assert_array_equal(pi, pi_ref)
         # both streams stand at the same position afterwards
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_draw_into_out_matches_allocating_draw(self, seed):
+        layout = build_layout(3, 10, 83.0)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        row = np.full(2 * layout.N + 2, np.nan)[layout.N :]  # as the workspace holds it
+        for _ in range(20):
+            p, pi = sample_momenta(MASSES, layout, rng, out=row)
+            p_ref, pi_ref = sample_momenta(MASSES, layout, ref)
+            assert np.shares_memory(p, row) and np.shares_memory(pi, row)
+            assert p.tobytes() == p_ref.tobytes() and pi.tobytes() == pi_ref.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_draw_into_out_of_the_wrong_size_raises(self):
+        layout = build_layout(3, 10, 83.0)
+        with pytest.raises(ValueError):
+            sample_momenta(MASSES, layout, np.random.default_rng(0), out=np.empty(layout.N))
+
+    def test_scale_table_follows_masses_and_layout(self):
+        # the draw remembers the table of its last (masses, layout) by
+        # identity; a switch of either, and back, must scale by the right one
+        layouts = build_layout(3, 10, 83.0), build_layout(3, 5, 83.0)
+        other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(15.0, 150.0))
+        for masses, layout in ((MASSES, layouts[0]), (other, layouts[0]),
+                               (other, layouts[1]), (MASSES, layouts[0])):
+            p, pi = sample_momenta(masses, layout, np.random.default_rng(9))
+            z = np.random.default_rng(9).standard_normal(layout.N + 2)
+            want = z[: layout.N] * np.sqrt(masses.m_prime / layout.dt)
+            want[:: layout.j] = z[: layout.N : layout.j] * np.sqrt(masses.M)
+            np.testing.assert_array_equal(p, want)
+            np.testing.assert_array_equal(pi, z[layout.N :] * np.sqrt(masses.m_alpha))
 
     def test_scale_table_is_read_only(self):
         from staghmc.sampler import _momentum_scale
@@ -351,6 +387,72 @@ class TestHmcIteration:
         assert stats_out.accepted is accepted
         for name in ("u", "theta", "p", "pi"):
             np.testing.assert_array_equal(getattr(state, name), getattr(snapshot, name))
+
+
+class TestMomentumRefresh:
+    """The iteration draws its momenta into the context's workspace."""
+
+    def run(self, ctx, state, masses, d_tau, seed):
+        cfg = small_config(masses=masses, integrator=IntegratorConfig(d_tau=d_tau, P=3))
+        return hmc_iteration(state, ctx, cfg, np.random.default_rng(seed))
+
+    def test_settings_switch_on_one_context_matches_fresh_contexts(self, toy_problem):
+        ctx = toy_problem.context()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(150.0, 150.0))
+        for seed, (masses, d_tau) in enumerate(((MASSES, 0.25), (other, 0.25), (MASSES, 0.3))):
+            got, got_stats = self.run(ctx, state, masses, d_tau, seed)
+            want, want_stats = self.run(toy_problem.context(), state, masses, d_tau, seed)
+            for name in ("u", "theta", "p", "pi"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got_stats[:4] == want_stats[:4] and got_stats.theta == want_stats.theta
+            assert got_stats.potential == want_stats.potential
+
+    def test_rejection_returns_the_input_state(self, toy_problem):
+        ctx = toy_problem.context()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        out, stats_out = self.run(ctx, state, MASSES, 40.0, 0)
+        assert not stats_out.accepted
+        assert out is state
+
+    def test_accepted_state_shares_no_memory_with_the_workspace(self, toy_problem):
+        from test_energy import workspace_arrays
+
+        ctx = toy_problem.context()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        out, stats_out = self.run(ctx, state, MASSES, 0.25, 0)
+        assert stats_out.accepted
+        arrays = [out.u, out.theta, out.p, out.pi, *stats_out.force]
+        for row in workspace_arrays(ctx._scratch):
+            for array in arrays:
+                assert not np.shares_memory(array, row)
+
+    def test_iterations_hash_no_settings(self, toy_problem, monkeypatch):
+        ctx = toy_problem.context()
+        cfg = small_config()
+        state = initial_state(
+            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
+        )
+        rng = np.random.default_rng(2)
+        state, stats_out = hmc_iteration(state, ctx, cfg, rng)  # fills the memos
+        hashed = []
+        for cls in (MassConfig, type(ctx.layout)):
+            def counted(obj, _hash=cls.__hash__):
+                hashed.append(type(obj).__name__)
+                return _hash(obj)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        for _ in range(10):
+            state, stats_out = hmc_iteration(
+                state, ctx, cfg, rng, potential=stats_out.potential, force=stats_out.force
+            )
+        assert hashed == []
 
 
 class TestSaturatingStates:
