@@ -166,9 +166,10 @@ class _Scratch:
     with ``pi_slots`` its last two entries: `sampler.sample_momenta` draws
     a refresh straight into it, and `_load_drawn` then copies u alone.
     Each use of ``cross`` writes it before it reads it: the free flow's
-    cross terms, each kick's scaled force in ``cross_p``, and the squares that score a state (p^2 in
-    `_start_energy`, x^2 in `_end_energy`; ``u_sq_head`` is the view of
-    u^2 over the first N-1 beads, which the harmonic sum reads). The kernel
+    cross terms, each kick's scaled force in ``cross_p``, and the squares
+    that score a state (p^2 in `_start_energy`, x^2 in `_end_energy`;
+    ``u_sq_head`` is the view of u^2 over the first N-1 beads, which the
+    harmonic sum reads). The kernel
     rows ``rows`` (a `lattice._StagingRows`): u = x[0], and q, g_q and g_u,
     with every view the staging maps take of them. Views of these rows
     built once: ``q_ends``, ``gq_tail``, ``g_ub``, the measurement beads
