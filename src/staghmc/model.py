@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +104,17 @@ def _value_key(x):
     ``np.array_equal``: its values as Python floats, whose hash maps -0.0
     and 0.0 alike."""
     return None if x is None else tuple(x.tolist())
+
+
+def _arrays_eq(self, other):
+    """Value equality of a dataclass whose fields are all arrays."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _arrays_hash(self):
+    return hash(tuple(_value_key(getattr(self, f.name)) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -262,15 +273,7 @@ class TimeSeriesData:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def __eq__(self, other):
-        if type(other) is not TimeSeriesData:
-            return NotImplemented
-        return np.array_equal(self.times, other.times) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __hash__(self):
-        return hash((_value_key(self.times), _value_key(self.values)))
+    __eq__, __hash__ = _arrays_eq, _arrays_hash
 
     @property
     def n_segments(self) -> int:
@@ -373,6 +376,8 @@ class TruthPath:
     times: np.ndarray
     S: np.ndarray
     q: np.ndarray
+
+    __eq__, __hash__ = _arrays_eq, _arrays_hash
 
     def to_csv(self, path):
         _write_csv(path, "t,S,q", np.column_stack([self.times, self.S, self.q]))

@@ -285,6 +285,15 @@ class TestSimulateTruth:
         c = simulate_truth(self.P, SEC4_INPUT, grid, seed=4)
         assert not np.array_equal(a.S, c.S)
 
+    def test_value_equality_and_hash(self):
+        grid = fine_grid(833, 2, 3, factor=2)
+        a = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
+        b = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
+        assert a == b and hash(a) == hash(b)
+        q = a.q.copy()
+        q[-1] = np.nextafter(q[-1], np.inf)
+        assert a != TruthPath(times=a.times, S=a.S, q=q)
+
     def test_default_start(self):
         grid = fine_grid(833, 10, 30)
         path = simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
