@@ -453,6 +453,8 @@ class TestMomentumRefresh:
                 state, ctx, cfg, rng, potential=stats_out.potential, force=stats_out.force
             )
         assert hashed == []
+        hash(MASSES)  # the counter itself works
+        assert hashed == ["MassConfig"]
 
 
 class TestSaturatingStates:
