@@ -26,6 +26,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -124,9 +125,8 @@ def _texts(value) -> list:
     return list(value)
 
 
-# every key the config document may contain, each leaf the conversion of
-# its value. "command" is written into config echoes, so echoes re-load as
-# configs.
+# every key the config document may contain, each leaf the conversion of its
+# value; "command" is in every config echo, so an echo re-loads as a config
 SCHEMA = {
     "command": _text,
     "seed": _whole,
@@ -242,6 +242,16 @@ def _need(cfg: dict, field: str):
     return value
 
 
+def _build(cls, cfg: dict, block: str, **given):
+    """``cls`` with each init field not in ``given`` read by `_need` as ``block.<field>``."""
+    read = {
+        f.name: _need(cfg, f"{block}.{f.name}")
+        for f in fields(cls)
+        if f.init and f.name not in given
+    }
+    return cls(**read, **given)
+
+
 def _build_signal(cfg: dict) -> InputSignal:
     kind = _need(cfg, "signal.kind")
     if kind == "sinusoid":
@@ -260,19 +270,20 @@ def _build_signal(cfg: dict) -> InputSignal:
     raise ValidationError(f"unknown signal kind {kind!r}")
 
 
-def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
-    """Write the config echo, each command's first file, creating ``out_dir``
-    first: a command calls it only after every check of its settings (for
-    `simulate`, after the simulation itself), so a rejected config leaves no
-    output directory behind."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"config_{command}.json")
-    echo = dict(cfg)
-    echo["command"] = command
+def _write_json(doc: dict, out_dir: str, name: str) -> str:
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
+    """Write the config echo, each command's first file, making ``out_dir``:
+    a command calls it only after every check of its settings (for `simulate`,
+    after the simulation), so a rejected config leaves no output directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return _write_json({**cfg, "command": command}, out_dir, f"config_{command}.json")
 
 
 def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
@@ -295,16 +306,12 @@ def _summary_dict(records: list[ChainRecord], pooled: ChainRecord, discard: floa
 
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
-    params = PhysicalParams(
-        K=_need(cfg, "model.K"),
-        gamma=_need(cfg, "model.gamma"),
-        T=_need(cfg, "model.T"),
-    )
+    params = _build(PhysicalParams, cfg, "model")
     signal = _build_signal(cfg)
     n = _need(cfg, "observation.n")
     if n < 1:
         raise ValidationError(f"observation.n must be >= 1, got {n}")
-    sigma = _need(cfg, "observation.sigma")
+    obs = _build(ObservationModel, cfg, "observation")
     j = _need(cfg, "lattice.j")
     factor = _need(cfg, "simulate.factor")
     s0 = cfg["simulate"]["s0"]
@@ -317,7 +324,7 @@ def cmd_simulate(cfg: dict) -> int:
     grid = fine_grid(params.T, n, j, factor)
     truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
     obs_times = np.linspace(0.0, params.T, n + 1)
-    data = generate_observations(truth, obs_times, params, ObservationModel(sigma), seed=rng)
+    data = generate_observations(truth, obs_times, params, obs, seed=rng)
 
     # written once the run has succeeded, so a failed simulation leaves no files
     echo_path = _write_echo(cfg, "simulate", out_dir)
@@ -329,14 +336,6 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _write_summary(summary: dict, out_dir: str) -> str:
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
     obs_file = _need(cfg, "infer.observations_file")
@@ -344,24 +343,12 @@ def cmd_infer(cfg: dict) -> int:
         raise ValidationError(f"observations file not found: {obs_file}")
     data = TimeSeriesData.from_csv(obs_file)
     signal = _build_signal(cfg)
-    sigma = _need(cfg, "observation.sigma")
-    problem = InferenceProblem(data, signal, ObservationModel(sigma), _need(cfg, "lattice.j"))
+    obs = _build(ObservationModel, cfg, "observation")
+    problem = InferenceProblem(data, signal, obs, _need(cfg, "lattice.j"))
 
-    start_params = PhysicalParams(
-        K=_need(cfg, "infer.start.K"),
-        gamma=_need(cfg, "infer.start.gamma"),
-        T=data.horizon,
-    )
-    theta0 = to_dimensionless(start_params)
-    masses = MassConfig(
-        M=_need(cfg, "infer.masses.M"),
-        m_prime=_need(cfg, "infer.masses.m_prime"),
-        m_alpha=_need(cfg, "infer.masses.m_alpha"),
-    )
-    integ = IntegratorConfig(
-        d_tau=_need(cfg, "infer.integrator.d_tau"),
-        P=_need(cfg, "infer.integrator.P"),
-    )
+    theta0 = to_dimensionless(_build(PhysicalParams, cfg, "infer.start", T=data.horizon))
+    masses = _build(MassConfig, cfg, "infer.masses")
+    integ = _build(IntegratorConfig, cfg, "infer.integrator")
     n_mc = _need(cfg, "infer.n_mc")
     discard = _need(cfg, "infer.discard")
     discard_start(discard, n_mc)
@@ -384,7 +371,7 @@ def cmd_infer(cfg: dict) -> int:
 
     summary = _summary_dict(records, _pooled_record(records, discard), discard)
     summary["chains_meta"] = [rec.meta for rec in records]
-    summary_path = _write_summary(summary, out_dir)
+    summary_path = _write_json(summary, out_dir, "summary.json")
 
     print(f"config echo: {echo_path}")
     for path in chain_paths:
@@ -422,7 +409,7 @@ def cmd_summarize(cfg: dict) -> int:
 
     # every check above runs before the first file write
     echo_path = _write_echo(cfg, "summarize", out_dir)
-    summary_path = _write_summary(_summary_dict(records, pooled, discard), out_dir)
+    summary_path = _write_json(_summary_dict(records, pooled, discard), out_dir, "summary.json")
     print(f"config echo: {echo_path}")
     print(f"summary: {summary_path}")
 

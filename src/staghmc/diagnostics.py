@@ -8,7 +8,7 @@ estimator for plotting marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,13 +41,8 @@ class ParameterSummary:
     ess: float
 
     def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sd": self.sd,
-            "quantiles": dict(self.quantiles),
-            "ci95": list(self.ci95),
-            "ess": self.ess,
-        }
+        """``dataclasses.asdict``: ``ci95`` comes back as a tuple."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -59,13 +54,8 @@ class PosteriorSummary:
     discard: float
 
     def as_dict(self) -> dict:
-        return {
-            "parameters": {k: v.as_dict() for k, v in self.parameters.items()},
-            "acceptance_rate": self.acceptance_rate,
-            "n_total": self.n_total,
-            "n_retained": self.n_retained,
-            "discard": self.discard,
-        }
+        """``dataclasses.asdict``: each ``ci95`` comes back as a tuple."""
+        return asdict(self)
 
 
 def ess(series) -> float:

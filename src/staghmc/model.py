@@ -27,6 +27,7 @@ the forward (Euler-Maruyama) simulator, and synthetic-observation generation.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 from array import array
 from dataclasses import dataclass, field, fields
@@ -100,14 +101,13 @@ def from_dimensionless(theta: DimensionlessParams, T: float) -> PhysicalParams:
 
 
 def _value_key(x):
-    """The hash key of an optional 1-d float array that agrees with
-    ``np.array_equal``: its values as Python floats, whose hash maps -0.0
-    and 0.0 alike."""
-    return None if x is None else tuple(x.tolist())
+    """The hash key of a field that agrees with ``np.array_equal``: a 1-d
+    array's values as Python floats (-0.0 and 0.0 hash alike), else the value."""
+    return tuple(x.tolist()) if isinstance(x, np.ndarray) else x
 
 
 def _arrays_eq(self, other):
-    """Value equality of a dataclass whose fields are all arrays."""
+    """Value equality of a dataclass by ``np.array_equal`` on every field."""
     if type(other) is not type(self):
         return NotImplemented
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
@@ -163,6 +163,8 @@ class InputSignal:
         else:
             raise ValidationError(f"unknown input kind {self.kind!r}")
 
+    __eq__, __hash__ = _arrays_eq, _arrays_hash
+
     @classmethod
     def sinusoid(cls, a: float, omega: float, b: float) -> "InputSignal":
         return cls(kind="sinusoid", a=a, omega=omega, b=b)
@@ -192,20 +194,6 @@ class InputSignal:
         slopes = np.diff(self.values) / np.diff(self.times)
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, slopes.size - 1)
         return slopes[seg] / np.interp(t, self.times, self.values)
-
-    def __eq__(self, other):
-        if type(other) is not InputSignal:
-            return NotImplemented
-        if (self.kind, self.a, self.omega, self.b) != (other.kind, other.a, other.omega, other.b):
-            return False
-        # a sinusoid holds no nodes, a tabulated signal both arrays
-        return self.kind == "sinusoid" or (
-            np.array_equal(self.times, other.times) and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.a, self.omega, self.b,
-                     _value_key(self.times), _value_key(self.values)))
 
     def _check_range(self, t):
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
@@ -496,9 +484,19 @@ def generate_observations(
 # --------------------------------------------------------------------------
 # CSV helpers shared by the container types
 
+CSV_BLOCK_ROWS = 4096
+
 
 def _write_csv(path, header: str, rows: np.ndarray):
-    np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
+    """Write ``rows`` under the line ``header``, each entry ``%.17g`` (whole
+    numbers print as integers), comma separated, by one ``%`` of a repeated
+    row template per ``CSV_BLOCK_ROWS`` rows (~2 MB of temporaries)."""
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for a in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[a : a + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path, expected_header: str) -> np.ndarray:
@@ -508,7 +506,10 @@ def _read_csv(path, expected_header: str) -> np.ndarray:
             raise ValidationError(
                 f"unexpected CSV header {header!r} in {path}; want {expected_header!r}"
             )
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        body = fh.read()
+    if not body.strip():
+        raise ValidationError(f"no data rows in {path}")
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     if data.shape[1] != len(expected_header.split(",")):
         raise ValidationError(f"wrong column count in {path}")
     return data

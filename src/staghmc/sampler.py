@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +59,7 @@ from .model import (
     ObservationModel,
     TimeSeriesData,
     _read_csv,
+    _write_csv,
 )
 
 __all__ = [
@@ -80,9 +81,6 @@ CHAIN_COLUMNS = (
     ("h_before", "H_before"), ("h_after", "H_after"), ("dh", "dH"),
 )
 CHAIN_CSV_HEADER = ",".join(["iter", *(header for _, header in CHAIN_COLUMNS)])
-# %.17g prints the whole-number iteration and accepted columns as integers
-CHAIN_CSV_ROW = ",".join(["%.17g"] * (len(CHAIN_COLUMNS) + 1)) + "\n"
-CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -139,19 +137,9 @@ class HmcConfig:
         object.__setattr__(self, "theta0", _positive_pair("theta0", self.theta0))
 
     def echo(self) -> dict:
-        """JSON-ready mirror of every knob, sufficient to reproduce the run."""
-        return {
-            "n_mc": self.n_mc,
-            "theta0": list(self.theta0),
-            "masses": {
-                "M": self.masses.M,
-                "m_prime": self.masses.m_prime,
-                "m_alpha": list(self.masses.m_alpha),
-            },
-            "integrator": {"d_tau": self.integrator.d_tau, "P": self.integrator.P},
-            "seed": self.seed,
-            "chains": self.chains,
-        }
+        """JSON-ready mirror of every knob, sufficient to reproduce the run:
+        ``dataclasses.asdict``, so the pairs theta0 and m_alpha are tuples."""
+        return asdict(self)
 
 
 class IterationStats(NamedTuple):
@@ -189,19 +177,9 @@ class ChainRecord:
         return float(np.mean(self.accepted))
 
     def to_csv(self, path) -> None:
-        cols = np.column_stack(
-            [
-                np.arange(1, self.n_rows + 1, dtype=float),
-                *(getattr(self, name) for name, _ in CHAIN_COLUMNS),
-            ]
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(CHAIN_CSV_HEADER + "\n")
-            # one % of the repeated row template per block of rows; blocks
-            # bound the formatting temporaries at about 2 MB
-            for a in range(0, self.n_rows, CSV_BLOCK_ROWS):
-                block = cols[a : a + CSV_BLOCK_ROWS]
-                fh.write((CHAIN_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+        cols = [np.arange(1, self.n_rows + 1, dtype=float)]
+        cols += [getattr(self, name) for name, _ in CHAIN_COLUMNS]
+        _write_csv(path, CHAIN_CSV_HEADER, np.column_stack(cols))
 
     @classmethod
     def from_csv(cls, path) -> "ChainRecord":
@@ -371,8 +349,7 @@ def _run_seeded(
     pathologies: dict[str, int] = {}
 
     t0 = time.perf_counter()
-    potential = h_total(state, ctx, config.masses).potential
-    force = None  # computed by the first trajectory, where it may fail
+    potential = force = None  # the first iteration computes both
     for i in range(n):
         state, stats = hmc_iteration(state, ctx, config, rng, potential=potential, force=force)
         potential, force = stats.potential, stats.force
@@ -459,9 +436,8 @@ def run_parallel_chains(
     except ValueError:
         mp_ctx = multiprocessing.get_context()
     with mp_ctx.Pool(processes=processes) as pool:
-        outs = pool.map(_chain_worker, jobs)
+        outs = pool.map(_chain_worker, jobs)  # in job order
 
-    outs.sort(key=lambda t: t[0])
     errors = [err for _, _, err in outs if err is not None]
     if errors:
         raise StagHmcError("; ".join(errors))

@@ -11,6 +11,7 @@ import pytest
 
 from staghmc.cli import main, resolve_config, build_parser
 from staghmc.model import TimeSeriesData, TruthPath
+from staghmc.sampler import CHAIN_COLUMNS, ChainRecord
 
 
 def small_config(obs_file="observations.csv"):
@@ -441,6 +442,18 @@ class TestSummarize:
         summary, _ = self.summarize(tmp_path, [str(path)], "summ", discard=0.0)
         assert summary["n_retained"] == 12
 
+    def test_chain_file_without_rows_rejected_before_writing(self, tmp_path, capsys):
+        # a header and no rows: the file of a 0-row record, or a truncated one
+        path = tmp_path / "empty.csv"
+        ChainRecord(**{name: np.empty(0) for name, _ in CHAIN_COLUMNS}, meta={}).to_csv(path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = self.summarize(tmp_path, [str(path)], "summ", discard=0.0, rc_only=True)
+        assert rc == 2
+        assert f"no data rows in {path}" in capsys.readouterr().err
+        assert not (tmp_path / "summ").exists()
+
     def test_empty_chain_list_rejected(self, tmp_path):
         assert self.summarize(tmp_path, [], "none", rc_only=True) == 2
 
@@ -566,6 +579,35 @@ def test_bad_value_rejected_before_writing(tmp_path, monkeypatch, capsys, comman
     assert not out.exists()
     assert sorted(os.listdir(tmp_path)) == before
     assert f"config field {'.'.join(field)} " in capsys.readouterr().err
+
+
+# one field of each config block that a command builds a dataclass from,
+# with a command that reads it
+MISSING_FIELDS = [
+    ("simulate", ("model", "T")),
+    ("simulate", ("observation", "sigma")),
+    ("infer", ("observation", "sigma")),
+    ("infer", ("infer", "start", "gamma")),
+    ("infer", ("infer", "masses", "m_alpha")),
+    ("infer", ("infer", "integrator", "P")),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field", MISSING_FIELDS, ids=[f"{c}-{'.'.join(f)}" for c, f in MISSING_FIELDS]
+)
+def test_missing_field_named_before_writing(tmp_path, capsys, command, field):
+    cfg = config_for(tmp_path, command)
+    block = cfg
+    for key in field[:-1]:
+        block = block[key]
+    del block[field[-1]]
+    cfg_path = write_config(tmp_path, cfg, "missing.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"missing config field {'.'.join(field)};" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.skipif(shutil.which("staghmc") is None, reason="console script not installed")

@@ -25,8 +25,10 @@ from staghmc import (
     simulate_truth,
     to_dimensionless,
 )
+from staghmc.diagnostics import write_density_csv
 from staghmc.energy import PathContext
 from staghmc.lattice import build_layout
+from staghmc.model import CSV_BLOCK_ROWS
 
 SEC4_INPUT = InputSignal.sinusoid(1.0, 0.01, 0.1)
 
@@ -424,3 +426,80 @@ class TestGenerateObservations:
             generate_observations(
                 path, [0.0, 83.31], self.P, ObservationModel(sigma=0.1), seed=0
             )
+
+
+# entries whose %.17g text is easy to get wrong: a signed zero, the
+# infinities, NaN, the smallest subnormal and the largest double
+SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308])
+# positive finite values, the only ones an observation or an input may hold
+SPECIAL_POSITIVE = np.array([5e-324, 1.0, 1.7976931348623157e308])
+
+
+def _table(rng, n_rows, n_cols, special):
+    """An (n_rows, n_cols) table of random values with ``special`` planted,
+    cyclically, in its first, last and block-boundary rows."""
+    table = rng.standard_normal((n_rows, n_cols)) * 1e3
+    for row in {0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, n_rows - 1}:
+        if row < n_rows:
+            table[row] = np.resize(np.roll(special, -row * n_cols), n_cols)
+    return table
+
+
+class TestCsvFormat:
+    """Every container's CSV is the bytes np.savetxt would write, across the
+    writer's row blocks (2, 4 097 and 9 000 rows)."""
+
+    @staticmethod
+    def savetxt_bytes(tmp_path, header, *columns):
+        ref = tmp_path / "ref.csv"
+        np.savetxt(
+            ref, np.column_stack(columns), delimiter=",", header=header, comments="",
+            fmt="%.17g",
+        )
+        return ref.read_bytes()
+
+    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    def test_truth_path(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        cols = _table(rng, n_rows, 3, SPECIAL).T
+        path = tmp_path / "truth.csv"
+        TruthPath(*cols).to_csv(path)
+        assert path.read_bytes() == self.savetxt_bytes(tmp_path, "t,S,q", *cols)
+
+    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    def test_observations(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        times = np.arange(n_rows) * 0.5
+        times[0] = -0.0
+        values = np.abs(_table(rng, n_rows, 1, SPECIAL_POSITIVE)[:, 0])
+        path = tmp_path / "obs.csv"
+        TimeSeriesData(times, values).to_csv(path)
+        assert path.read_bytes() == self.savetxt_bytes(tmp_path, "t,y", times, values)
+
+    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    def test_tabulated_input(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        times = np.arange(n_rows) * 0.5
+        times[0] = -0.0
+        values = np.abs(_table(rng, n_rows, 1, SPECIAL_POSITIVE)[:, 0])
+        sig = InputSignal.tabulated(times, values)
+        path = tmp_path / "input.csv"
+        sig.to_csv(path)
+        want = self.savetxt_bytes(tmp_path, "t,r", times, sig.value(times))
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    def test_density(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        grid, density = _table(rng, n_rows, 2, SPECIAL).T
+        path = tmp_path / "density.csv"
+        write_density_csv(path, grid, density)
+        assert path.read_bytes() == self.savetxt_bytes(tmp_path, "x,density", grid, density)
+
+    def test_header_without_rows_is_named(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"no data rows in {path}"):
+                TimeSeriesData.from_csv(path)

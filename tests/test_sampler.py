@@ -127,6 +127,13 @@ class TestHmcConfig:
         assert echo["masses"]["M"] == 720.0
         assert echo["integrator"] == {"d_tau": 0.25, "P": 3}
 
+    def test_echo_rebuilds_the_config(self):
+        cfg = small_config(seed=2**64 - 1, chains=5, theta0=(1.25, 0.75))
+        echo = json.loads(json.dumps(cfg.echo()))
+        echo["masses"] = MassConfig(**echo["masses"])
+        echo["integrator"] = IntegratorConfig(**echo["integrator"])
+        assert HmcConfig(**echo) == cfg
+
 
 class TestIntegerCounts:
     """P, n_mc, chains, seed and j are checked as integers when the config
