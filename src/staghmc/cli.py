@@ -382,13 +382,16 @@ def cmd_infer(cfg: dict) -> int:
         lo, hi = p["ci95"]
         print(f"{name}: mean {p['mean']:.4g}, 95% interval [{lo:.4g}, {hi:.4g}]")
     print(f"acceptance rate: {summary['acceptance_rate']:.3f}")
+    # a chain that stopped moving: no acceptance in the rows the summary keeps
     for i, rec in enumerate(records):
+        kept = discard_start(discard, rec.n_rows)
+        if rec.accepted[kept:].any():
+            continue
         if rec.acceptance_rate == 0.0:
-            print(
-                f"warning: chain {i:02d} accepted none of its {rec.n_rows} proposals;"
-                " its draws are the starting values",
-                file=sys.stderr,
-            )
+            why = f"of its {rec.n_rows} proposals; its draws are the starting values"
+        else:
+            why = f"after its first {kept} of {rec.n_rows} proposals; it stopped moving"
+        print(f"warning: chain {i:02d} accepted none {why}", file=sys.stderr)
     return 0
 
 

@@ -28,11 +28,11 @@ as du = dtau p / m. Measurement beads use M as the effective mass directly
 (matching the drift form of the slow update), staging beads use m'/dt
 (matching the printed oscillator form above), parameters use m_alpha.
 
-Everything that does not depend on the state is frozen once: the lattice
-tables on `LatticeLayout`, and the plan of one inference problem on
-`PathContext`. One private kernel, `_hprime`, makes the single pass over
-the path behind `h_total`, `grad_hprime` and the trajectory, in the
-context's workspace (`_Scratch`). This module alone moves a state through
+Everything that does not depend on the state is built once: the lattice
+tables on `LatticeLayout`, and the input tables of one problem on
+`InferenceProblem`. One private kernel, `_hprime`, makes the single pass
+over the path behind `h_total`, `grad_hprime` and the trajectory, in a
+chain's workspace (`PathContext`). This module alone moves a state through
 the workspace: `_load` copies it in (`_load_drawn` only its beads, after a
 momentum refresh drawn there), `_end_energy` (or `_start_energy`,
 given the potential) adds up its energy there, for `h_total` and both ends
@@ -56,20 +56,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, NonFiniteError, ValidationError, _integer
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
     PolymerState,
-    _check_data,
     _check_size,
     _StagingRows,
+    build_layout,
     staging_adjoint,
     staging_inverse,
 )
 from .model import InputSignal, ObservationModel, TimeSeriesData
 
 __all__ = [
+    "InferenceProblem",
     "PathContext",
     "Potential",
     "EnergyBreakdown",
@@ -81,7 +82,7 @@ __all__ = [
 
 EXP_CLAMP = 700.0
 
-# the nine per-pass coefficients of `_hprime` (see `_Scratch`), packed as
+# the nine per-pass coefficients of `_hprime` (see `PathContext`), packed as
 # native doubles straight into the bytes of the workspace's ``coef``: the
 # values of an assignment from a list, at a fifth of its cost
 _pack_coef = struct.Struct("9d").pack_into
@@ -99,35 +100,39 @@ _saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", unde
 
 
 @dataclass(frozen=True)
-class PathContext:
-    """The frozen plan of one inference problem (lattice, input, data).
+class InferenceProblem:
+    """The plan of one inference, shared by every chain: the observations,
+    the input signal they respond to, the noise model and the lattice
+    refinement j (beads per data segment). These four alone decide equality
+    and hash, and a problem pickles as them.
 
-    Holds, as read-only length-N arrays, the log-input increments
-    L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding) and their difference
-    Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are padding: the i = 2 term
-    carries no rate of change), so rho_i = L_i / beta + (2 + gamma) beta /
-    (2 gamma) and rhodot_i = Ldot_i / beta; and the log data residuals
-    ln(y_s / r_s). The springs need no table (see `_Scratch`).
-
-    The context also owns the private, mutable workspace of the kernel
-    (`_Scratch`), allocated once, so a context must not be shared by
-    threads that evaluate energies or gradients concurrently; parallel
-    chains run in separate processes, each with its own context.
+    Built from them once: the `layout` and, read-only and of length N, the
+    log-input increments L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding),
+    their difference Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are
+    padding: the i = 2 term carries no rate of change), so that rho_i =
+    L_i / beta + (2 + gamma) beta / (2 gamma) and rhodot_i = Ldot_i / beta,
+    and the log data residuals ``lnyr`` = ln(y_s / r_s).
     """
 
-    layout: LatticeLayout
-    signal: InputSignal
     data: TimeSeriesData
+    signal: InputSignal
     obs: ObservationModel
-    # derived from the four inputs, which alone decide equality and hash
+    j: int
+    # derived from the four inputs; every context of the problem shares them
+    _layout: LatticeLayout = field(init=False, repr=False, compare=False)
     L: np.ndarray = field(init=False, repr=False, compare=False)
     Ldot: np.ndarray = field(init=False, repr=False, compare=False)
     lnyr: np.ndarray = field(init=False, repr=False, compare=False)
-    _scratch: "_Scratch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lay = self.layout
-        _check_data(self.data, lay)
+        object.__setattr__(self, "j", _integer("j", self.j))
+        if self.j < 1:
+            raise ValidationError(f"j must be >= 1, got {self.j}")
+        try:  # a tabulated input must span the data's times
+            self.signal.value(self.data.times)
+        except DomainError as exc:
+            raise ValidationError(f"input signal does not cover the data: {exc}") from None
+        lay = build_layout(self.data.n_segments, self.j, self.data.horizon)
         r = np.asarray(self.signal.value(lay.times), dtype=float)
         if np.any(r <= 0):
             raise DomainError("input signal must be strictly positive on the lattice")
@@ -136,19 +141,28 @@ class PathContext:
         Ldot = np.zeros(lay.N)
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
         lnyr = np.log(self.data.values / r[:: lay.j])
-        for name, value in (("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
-            value.setflags(write=False)
+        for table in (L, Ldot, lnyr):
+            table.setflags(write=False)
+        for name, value in (("_layout", lay), ("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_scratch", _Scratch(lay, L, Ldot, self.obs.sigma))
 
     def __reduce__(self):
-        # rebuilt from its inputs: pickled views of the workspace would come
-        # back as copies, not views of its rows
-        return PathContext, (self.layout, self.signal, self.data, self.obs)
+        return InferenceProblem, (self.data, self.signal, self.obs, self.j)
+
+    def layout(self) -> LatticeLayout:
+        return self._layout
+
+    def context(self) -> PathContext:
+        return PathContext(self)
 
 
-class _Scratch:
-    """The workspace of `_hprime` for one `PathContext`, allocated once.
+class PathContext:
+    """One chain's workspace over an `InferenceProblem`, allocated once: the
+    mutable rows of the kernel `_hprime`, beside the problem's ``layout``
+    and its table ``lnyr``. A context equals only itself and pickles as its
+    problem, so it comes back with a fresh workspace. Threads that evaluate
+    concurrently must not share one; parallel chains run in separate
+    processes, each with its own context.
 
     At the benchmark size (N = 301) a NumPy call costs about a microsecond
     whatever its length, so the kernel keeps its calls few: each writes
@@ -157,7 +171,7 @@ class _Scratch:
     same C product as ``np.dot``, without the 0.2 us of its Python-level
     dispatch. No row is larger than O(N), but the
     layout's (j+1, j) staging block and the C-ordered copy of its
-    transpose in ``rows``, O(j^2) each.
+    transpose in ``rows``, O(j^2) each. The springs need no table.
 
     ``phase``, the phase-space array x = [u; p] that `_load` fills and a
     (2, N) scratch pair ``cross``, with their rows (see
@@ -212,6 +226,7 @@ class _Scratch:
     """
 
     __slots__ = (
+        "problem", "layout", "lnyr",
         "T", "dt", "dt_T", "coup", "L0", "LN", "n_tail", "L_sum", "inv_sigma2",
         "phase", "momenta", "pi_slots", "u_sq_head",
         "rows", "q_ends", "q_cols", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
@@ -222,7 +237,9 @@ class _Scratch:
         "flow", "flow_key",
     )
 
-    def __init__(self, lay: LatticeLayout, L: np.ndarray, Ldot: np.ndarray, sigma: float):
+    def __init__(self, problem: InferenceProblem):
+        lay, L, sigma = problem.layout(), problem.L, problem.obs.sigma
+        self.problem, self.layout, self.lnyr = problem, lay, problem.lnyr
         N, tail = lay.N, lay.N - 1
         self.T, self.dt = lay.T, lay.dt
         self.dt_T = lay.dt / lay.T
@@ -254,7 +271,7 @@ class _Scratch:
         self.E_rows = E_stack[1:].reshape(3, tail)
         self.work = np.empty((3, tail))
         self.A, self.Z, Ldot_tail = self.work
-        Ldot_tail[:] = Ldot[1:]
+        Ldot_tail[:] = problem.Ldot[1:]
         self.grad_rows = self.work[1:]
         self.sums = np.empty((3, 3))
         self.sum_list = self.sums.reshape(9)
@@ -271,12 +288,16 @@ class _Scratch:
         self.d_b, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
         self.flow, self.flow_key = None, (None, None)
 
+    def __reduce__(self):
+        # a fresh workspace: pickled views of its rows would come back as copies
+        return PathContext, (self.problem,)
+
 
 def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
     """The state in the workspace's phase array x = [u; p], with ``end`` =
     (beta, gamma, pi_beta, pi_gamma), as a new state that shares no array
     with the workspace."""
-    out = ctx._scratch.phase[0].copy()
+    out = ctx.phase[0].copy()
     beta, gamma, pa, pg = end
     return PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
 
@@ -284,7 +305,7 @@ def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
 def _exit_force(ctx: PathContext, g_theta: tuple) -> Gradient:
     """The `Gradient` of H' whose u part the last gradient pass left in the
     kernel row g_u, given its theta part ``g_theta``; fresh arrays."""
-    return Gradient(ctx._scratch.rows.g_u.copy(), np.array(g_theta))
+    return Gradient(ctx.rows.g_u.copy(), np.array(g_theta))
 
 
 class Potential(NamedTuple):
@@ -335,7 +356,7 @@ def _pieces(
     and of (pa, pg), added in the one order that every energy of a state is
     added. Runs under a caller's `_saturating`."""
     lay = ctx.layout
-    staging, measured = lay.bead_classes.dot(ctx._scratch.phase[5]).tolist()
+    staging, measured = lay.bead_classes.dot(ctx.phase[5]).tolist()
     ma, mg = masses.m_alpha
     h_fast = (0.5 * lay.dt / masses.m_prime) * staging + potential.h_N
     h_bound = measured / (2.0 * masses.M) + potential.h_n
@@ -348,7 +369,7 @@ def _load(state: PolymerState, ctx: PathContext) -> list:
     workspace's phase array x = [u; p], whose first row is the kernel row
     u, and return [beta, gamma, pi_beta, pi_gamma] as Python floats."""
     _check_size(state.u, ctx.layout, "u")
-    _, u, p, _, _, _ = ctx._scratch.phase
+    _, u, p, _, _, _ = ctx.phase
     u[...] = state.u
     p[...] = state.p
     return state.theta.tolist() + state.pi.tolist()
@@ -360,9 +381,8 @@ def _load_drawn(state: PolymerState, ctx: PathContext) -> list:
     copy only its beads u, and return [beta, gamma, pi_beta, pi_gamma] as
     Python floats, the momenta those of the draw."""
     _check_size(state.u, ctx.layout, "u")
-    s = ctx._scratch
-    s.phase[1][...] = state.u
-    return state.theta.tolist() + s.pi_slots.tolist()
+    ctx.phase[1][...] = state.u
+    return state.theta.tolist() + ctx.pi_slots.tolist()
 
 
 def _start_energy(
@@ -371,7 +391,7 @@ def _start_energy(
     """The total energy of the state loaded into the workspace (`_load`),
     whose positions and parameters have ``potential`` and whose parameter
     momenta are (pa, pg). Runs under a caller's `_saturating`."""
-    _, _, p, _, _, p_sq = ctx._scratch.phase
+    _, _, p, _, _, p_sq = ctx.phase
     np.square(p, out=p_sq)
     return _pieces(potential, ctx, masses, pa, pg)[3]
 
@@ -384,10 +404,9 @@ def _end_energy(
     its kernel pass: (h_N, h_n, h_1, total, potential), from one square of
     x, the harmonic and the kinetic products and one ``tolist``; the fields
     of `EnergyBreakdown`. Runs under a caller's `_saturating`."""
-    s = ctx._scratch
-    x, _, _, sq, _, _ = s.phase
+    x, _, _, sq, _, _ = ctx.phase
     np.square(x, out=sq)
-    potential = Potential(0.5 * float(s.u_sq_head.dot(ctx.layout.flat_stiffness)), h_n, h_1)
+    potential = Potential(0.5 * float(ctx.u_sq_head.dot(ctx.layout.flat_stiffness)), h_n, h_1)
     return (*_pieces(potential, ctx, masses, pa, pg), potential)
 
 
@@ -442,48 +461,47 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     and products saturate to inf and NaN as NumPy's do. Runs under a
     caller's `_saturating`.
     """
-    s = ctx._scratch
     # Python floats: every division below is by beta, gamma or 2 gamma, so
     # none can raise ZeroDivisionError
     if beta == 0.0 or gamma == 0.0:
         raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
     bg = beta / gamma
     c = (2.0 + gamma) * beta / (2.0 * gamma)
-    rho0 = s.L0 / beta + c  # rho at beads 2 and N
-    rhoN = s.LN / beta + c
-    dt_T, T = s.dt_T, s.T
+    rho0 = ctx.L0 / beta + c  # rho at beads 2 and N
+    rhoN = ctx.LN / beta + c
+    dt_T, T = ctx.dt_T, ctx.T
     # the coefficients of A, of g_q and of the boundary force, then the 0-d
     # operands -beta and beta/2
     _pack_coef(
-        s.coef_bytes, 0,
-        -bg, c, 1.0 / beta, beta * dt_T * bg, -s.dt / beta, s.coup, -beta * s.inv_sigma2,
+        ctx.coef_bytes, 0,
+        -bg, c, 1.0 / beta, beta * dt_T * bg, -ctx.dt / beta, ctx.coup, -beta * ctx.inv_sigma2,
         -beta, 0.5 * beta,
     )
-    A, E, rows = s.A, s.E, s.rows
+    A, E, rows = ctx.A, ctx.E, ctx.rows
     rows.inverse()
-    np.multiply(rows.q, s.minus_beta, out=E)
+    np.multiply(rows.q, ctx.minus_beta, out=E)
     # the boundary rows: q = u at the measurement beads, so the residuals
     # ln(y_s / r_s) - beta u_b are read off -beta q before the clamp; then
     # the spring differences d_b and their stencil lap
-    np.add(ctx.lnyr, s.E_b, out=s.resid)
-    np.subtract(s.ub_next, s.ub_prev, out=s.d_b)
-    np.subtract(s.pad_prev, s.pad_next, out=s.lap)
-    np.minimum(E, s.clamp, out=E)
+    np.add(ctx.lnyr, ctx.E_b, out=ctx.resid)
+    np.subtract(ctx.ub_next, ctx.ub_prev, out=ctx.d_b)
+    np.subtract(ctx.pad_prev, ctx.pad_next, out=ctx.lap)
+    np.minimum(E, ctx.clamp, out=E)
     np.exp(E, out=E)
-    q0, qN = s.q_ends.tolist()
-    E0, EN = s.E_ends.tolist()
-    s.coef_A.dot(s.E_rows, out=A)
-    np.add(A, s.half_beta, out=s.Z)
-    s.Z *= s.E_tail
+    q0, qN = ctx.q_ends.tolist()
+    E0, EN = ctx.E_ends.tolist()
+    ctx.coef_A.dot(ctx.E_rows, out=A)
+    np.add(A, ctx.half_beta, out=ctx.Z)
+    ctx.Z *= ctx.E_tail
     # [A, Z, Ldot] times [q, 1, L]; A . q, Z . L, sum Ldot and Ldot . L go
     # unread
-    s.work.dot(s.q_cols, out=s.sums)
-    _, A_sum, A_L, Z_q, Z_sum, _, q_Ldot, _, _ = s.sum_list.tolist()
-    w_sum = c * s.n_tail + s.L_sum / beta - A_sum  # (beta/gamma) sum E
+    ctx.work.dot(ctx.q_cols, out=ctx.sums)
+    _, A_sum, A_L, Z_q, Z_sum, _, q_Ldot, _, _ = ctx.sum_list.tolist()
+    w_sum = c * ctx.n_tail + ctx.L_sum / beta - A_sum  # (beta/gamma) sum E
     h_n = h_1 = None
     if potential:
-        resid, d = s.resid, s.d_b
-        h_n = 0.5 * (s.inv_sigma2 * float(resid.dot(resid)) + s.coup * float(d.dot(d)))
+        resid, d = ctx.resid, ctx.d_b
+        h_n = 0.5 * (ctx.inv_sigma2 * float(resid.dot(resid)) + ctx.coup * float(d.dot(d)))
         # qs . (T rhodot) = (T / beta) q_Ldot
         body = 0.5 * float(A.dot(A)) - (0.5 * beta) * w_sum - (T / beta) * q_Ldot
         h_1 = dt_T * body + (EN - E0) / gamma + qN * rhoN - q0 * rho0
@@ -492,13 +510,13 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
 
     # d/dq of the path action, chained through the staging transpose
     g_q = rows.g_q
-    s.coef_g.dot(s.grad_rows, out=s.gq_tail)
+    ctx.coef_g.dot(ctx.grad_rows, out=ctx.gq_tail)
     g_q[0] = bg * E0 - rho0
     g_q[-1] += rhoN - bg * EN
     g_u = rows.adjoint()
     # direct boundary terms of h_n: the springs and the data residuals
-    s.coef_b.dot(s.bound, out=s.force_b)
-    s.g_ub += s.force_b
+    ctx.coef_b.dot(ctx.bound, out=ctx.force_b)
+    ctx.g_ub += ctx.force_b
 
     # theta gradient; d rho / d beta = (c - L / beta) / beta, so
     # A . drho = (c sum A - A . L / beta) / beta; d rho / d gamma
@@ -515,7 +533,7 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
         + qN * ((2.0 * c - rhoN) / beta)
         - q0 * ((2.0 * c - rho0) / beta)
     )
-    g_beta -= s.inv_sigma2 * float(s.resid.dot(s.u_b))
+    g_beta -= ctx.inv_sigma2 * float(ctx.resid.dot(ctx.u_b))
     # beta / gamma^2 as bg / gamma: no Python-float power, which would
     # raise OverflowError where a product saturates to inf
     g_gamma = dt_T * (bg / gamma) * (Z_sum - A_sum)

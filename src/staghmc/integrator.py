@@ -135,13 +135,12 @@ def _flow_tables(ctx: PathContext, masses: MassConfig, d_tau: float) -> tuple:
     for the last masses (by identity; a `MassConfig` is frozen) and d_tau,
     so that a chain looks them up once.
     """
-    s = ctx._scratch
-    key = s.flow_key
+    key = ctx.flow_key
     if key[0] is not masses or key[1] != d_tau:
         bank = OscillatorBank.build(ctx.layout, masses, d_tau)
-        s.flow = (bank.flow, np.array(0.5 * d_tau), np.array(d_tau))
-        s.flow_key = (masses, d_tau)
-    return s.flow
+        ctx.flow = (bank.flow, np.array(0.5 * d_tau), np.array(d_tau))
+        ctx.flow_key = (masses, d_tau)
+    return ctx.flow
 
 
 def _free_flow(phase: tuple, flow: tuple):
@@ -199,7 +198,7 @@ def _trajectory(
     """
     d_tau = config.d_tau
     flow, kick_half, kick_full = _flow_tables(ctx, masses, d_tau)
-    phase = ctx._scratch.phase
+    phase = ctx.phase
     p, kick = phase[2], phase[5]
     beta, gamma, pa, pg = start
     ma, mg = masses.m_alpha

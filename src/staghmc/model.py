@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import re
 from array import array
 from dataclasses import dataclass, field, fields
 
@@ -499,7 +500,16 @@ def _write_csv(path, header: str, rows: np.ndarray):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+# a line that `_read_csv` reads as a row: one with text before any "#"
+_ROW_LINE = re.compile(r"^[^#\n]", re.MULTILINE)
+
+
 def _read_csv(path, expected_header: str) -> np.ndarray:
+    """The rows under the line ``expected_header`` as a 2-d float array, one
+    column per header field. Empty and ``#`` comment lines are skipped, and
+    so is the text after a ``#``. No rows, or a row that is not one number
+    per field, is a ValidationError that names the file and, for a bad row,
+    its 1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
@@ -507,9 +517,31 @@ def _read_csv(path, expected_header: str) -> np.ndarray:
                 f"unexpected CSV header {header!r} in {path}; want {expected_header!r}"
             )
         body = fh.read()
-    if not body.strip():
+    if _ROW_LINE.search(body) is None:
         raise ValidationError(f"no data rows in {path}")
-    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    if data.shape[1] != len(expected_header.split(",")):
-        raise ValidationError(f"wrong column count in {path}")
+    width = expected_header.count(",") + 1
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != width:
+        raise _bad_row(path, body, width)
     return data
+
+
+def _bad_row(path, body: str, width: int) -> ValidationError:
+    """The error for the first row of ``body``, the lines after the header,
+    that is not ``width`` numbers; only a failed read pays for this scan."""
+    for number, line in enumerate(body.split("\n"), 2):
+        text = line.split("#", 1)[0]
+        if not text:
+            continue
+        cells = text.split(",")
+        if len(cells) != width:
+            return ValidationError(f"{path}, line {number}: want {width} columns, got {len(cells)}")
+        for cell in cells:
+            try:  # loadtxt, unlike float, takes no "_" between digits
+                float(cell.replace("_", "!"))
+            except ValueError:
+                return ValidationError(f"{path}, line {number}: {cell.strip()!r} is not a number")
+    return ValidationError(f"unreadable rows in {path}")

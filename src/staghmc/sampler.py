@@ -16,13 +16,14 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .energy import (
     Gradient,
+    InferenceProblem,
     PathContext,
     Potential,
     _end_energy,
@@ -50,14 +51,10 @@ from .lattice import (
     LatticeLayout,
     MassConfig,
     PolymerState,
-    build_layout,
     initial_state,
 )
 from .model import (
     DimensionlessParams,
-    InputSignal,
-    ObservationModel,
-    TimeSeriesData,
     _read_csv,
     _write_csv,
 )
@@ -81,37 +78,6 @@ CHAIN_COLUMNS = (
     ("h_before", "H_before"), ("h_after", "H_after"), ("dh", "dH"),
 )
 CHAIN_CSV_HEADER = ",".join(["iter", *(header for _, header in CHAIN_COLUMNS)])
-
-
-@dataclass(frozen=True)
-class InferenceProblem:
-    """Everything needed to pose the inference: the observations, the input
-    signal they respond to, the noise model, and the lattice refinement j
-    (beads per data segment)."""
-
-    data: TimeSeriesData
-    signal: InputSignal
-    obs: ObservationModel
-    j: int
-    # built once: every context of the problem shares it
-    _layout: LatticeLayout = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", _integer("j", self.j))
-        if self.j < 1:
-            raise ValidationError(f"j must be >= 1, got {self.j}")
-        try:  # a tabulated input must span the data's times
-            self.signal.value(self.data.times)
-        except DomainError as exc:
-            raise ValidationError(f"input signal does not cover the data: {exc}") from None
-        layout = build_layout(self.data.n_segments, self.j, self.data.horizon)
-        object.__setattr__(self, "_layout", layout)
-
-    def layout(self) -> LatticeLayout:
-        return self._layout
-
-    def context(self) -> PathContext:
-        return PathContext(self._layout, self.signal, self.data, self.obs)
 
 
 @dataclass(frozen=True)
@@ -287,8 +253,11 @@ def hmc_iteration(
     workspace; a rejection returns the input state object itself (its
     momenta are the input's, not the discarded draw) and keeps the
     ``potential`` and ``force`` given. Invalid proposals never raise, a
-    non-finite start force included; they score an infinite energy and the
-    pathology is recorded.
+    non-finite start force included: the pathology is recorded, and an
+    iteration with a pathology is rejected without a draw. That includes a
+    proposal whose energy overflows to -inf, which `metropolis_accept`
+    alone would take; a start of infinite energy with a finite proposal is
+    accepted.
 
     The input state is never mutated, but it is not copied either: on
     rejection it is returned as is, so a caller that keeps the input and
@@ -300,7 +269,7 @@ def hmc_iteration(
     masses = config.masses
     if potential is None:
         potential = h_total(state, ctx, masses).potential
-    sample_momenta(masses, ctx.layout, rng, out=ctx._scratch.momenta)
+    sample_momenta(masses, ctx.layout, rng, out=ctx.momenta)
     start = _load_drawn(state, ctx)
     h_before = _start_energy(potential, ctx, masses, start[2], start[3])
     pathology = None
@@ -318,7 +287,7 @@ def hmc_iteration(
         pathology = type(exc).__name__
         h_after = float("inf")
 
-    accepted = metropolis_accept(h_before, h_after, rng)
+    accepted = pathology is None and metropolis_accept(h_before, h_after, rng)
     if accepted:  # only now copy the proposal and its force out of the workspace
         state, potential, theta = _proposal(ctx, end), moved, (beta, gamma)
         force = _exit_force(ctx, g_theta)

@@ -291,6 +291,40 @@ class TestInfer:
         assert lines[0].startswith("warning: chain 01 accepted none")
         assert "acceptance rate: 0.500" in captured.out
 
+    @pytest.mark.parametrize("retained_hit, warned", [(False, True), (True, False)])
+    def test_chain_that_stops_moving_warns(
+        self, tmp_path, monkeypatch, capsys, retained_hit, warned
+    ):
+        # n_mc = 120 and discard = 0.25: rows 30.. are retained. The chain
+        # accepts in its burn-in only, or also once in its retained rows
+        import staghmc.cli
+        from staghmc.sampler import ChainRecord
+
+        def burn_in_only(problem, hmc):
+            n = hmc.n_mc
+            accepted = np.zeros(n, dtype=bool)
+            accepted[:30:3] = True
+            accepted[n - 1] = retained_hit
+            beta = np.ones(n)
+            return [
+                ChainRecord(
+                    beta=beta, gamma=np.full(n, 0.5), K=10.0 * beta, accepted=accepted,
+                    h_before=np.zeros(n), h_after=np.zeros(n), dh=np.zeros(n), meta={},
+                )
+            ]
+
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", burn_in_only)
+        rc, _ = self.infer_into(tmp_path, "run", chains=1)
+        err = capsys.readouterr().err
+        assert rc == 0
+        if warned:
+            assert err.splitlines() == [
+                "warning: chain 00 accepted none after its first 30 of 120 proposals;"
+                " it stopped moving"
+            ]
+        else:
+            assert "warning" not in err
+
     @pytest.mark.parametrize("chains", [1, 3])
     def test_short_tabulated_signal_rejected_before_writing(self, tmp_path, capsys, chains):
         cfg = config_for(tmp_path, "infer")  # data over [0, 40]
@@ -446,6 +480,40 @@ class TestSummarize:
         # a header and no rows: the file of a 0-row record, or a truncated one
         path = tmp_path / "empty.csv"
         ChainRecord(**{name: np.empty(0) for name, _ in CHAIN_COLUMNS}, meta={}).to_csv(path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = self.summarize(tmp_path, [str(path)], "summ", discard=0.0, rc_only=True)
+        assert rc == 2
+        assert f"no data rows in {path}" in capsys.readouterr().err
+        assert not (tmp_path / "summ").exists()
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("2,abc,0.5,10,1,3,3,0\n", 3, "'abc' is not a number"),
+            ("2,1.5,0.5\n", 3, "want 8 columns, got 3"),
+            ("# resumed\n\n2,1.5,0.5,10,1,3,3,0,9\n", 5, "want 8 columns, got 9"),
+            ("2,1.5,0.5,10,1,3,3,0\n   \n", 4, "want 8 columns, got 1"),
+        ],
+        ids=["non-numeric", "short", "long-after-comment", "whitespace-only"],
+    )
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, capsys, body, line, message):
+        # the first row is good, so the bad one is not the first of the body
+        path = tmp_path / "bad.csv"
+        header = ",".join(["iter", "beta", "gamma", "K", "accepted", "H_before", "H_after", "dH"])
+        path.write_text(f"{header}\n1,1.5,0.5,10,1,3,3,0\n{body}")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = self.summarize(tmp_path, [str(path)], "summ", discard=0.0, rc_only=True)
+        assert rc == 2
+        assert f"{path}, line {line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "summ").exists()
+
+    def test_comment_only_chain_file_rejected_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "notes.csv"
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n# one\n# two\n")
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

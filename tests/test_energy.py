@@ -16,7 +16,7 @@ from staghmc import (
 from staghmc.energy import (
     EXP_CLAMP,
     Gradient,
-    PathContext,
+    InferenceProblem,
     Potential,
     grad_hprime,
     h_N,
@@ -37,13 +37,12 @@ MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
 
 
 def make_problem(n=3, j=10, T=83.0, seed=0):
-    layout = build_layout(n, j, T)
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, T, n + 1)
     y = SIGNAL.value(times) * np.exp(rng.normal(0, 0.5, n + 1))
     data = TimeSeriesData(times=times, values=y)
-    ctx = PathContext(layout, SIGNAL, data, ObservationModel(sigma=0.1))
-    return layout, data, ctx
+    ctx = InferenceProblem(data, SIGNAL, ObservationModel(sigma=0.1), j).context()
+    return ctx.layout, data, ctx
 
 
 def random_state(layout, rng, u_scale=0.5):
@@ -55,10 +54,10 @@ def random_state(layout, rng, u_scale=0.5):
     )
 
 
-def workspace_arrays(scratch):
-    """Every array a context's workspace holds: its slots, the slots of its
-    kernel rows, and the arrays inside tuples among them."""
-    held = [getattr(scratch, name, None) for name in type(scratch).__slots__]
+def workspace_arrays(ctx):
+    """Every array a context holds: its slots, the slots of its kernel rows,
+    and the arrays inside tuples among them."""
+    held = [getattr(ctx, name, None) for name in type(ctx).__slots__]
     arrays = []
     while held:
         item = held.pop()
@@ -83,7 +82,7 @@ def total_literal(state, ctx, masses):
     beta, gamma = state.theta
     q = staging_inverse(state.u, lay)
     t = lay.times
-    r = ctx.signal.value(t)
+    r = ctx.problem.signal.value(t)
     dt, T = lay.dt, lay.T
     rho = np.zeros(lay.N)
     rho[1:] = T * np.log(r[1:] / r[:-1]) / (beta * dt) + (2 + gamma) * beta / (2 * gamma)
@@ -104,8 +103,8 @@ def total_literal(state, ctx, masses):
         - T * q[1:] * rhodot[1:]
     )
     edge = (1 / gamma) * E[-1] + q[-1] * rho[-1] - (1 / gamma) * E[0] - q[0] * rho[1]
-    lnyr = np.log(ctx.data.values / r[:: lay.j])
-    meas = np.sum((lnyr - beta * q[bmask]) ** 2) / (2 * ctx.obs.sigma**2)
+    lnyr = np.log(ctx.problem.data.values / r[:: lay.j])
+    meas = np.sum((lnyr - beta * q[bmask]) ** 2) / (2 * ctx.problem.obs.sigma**2)
     return kin + harm + body + edge + meas
 
 
@@ -153,7 +152,7 @@ class TestPieces:
         y = np.ones(4)
         y[0] = np.exp(sigma)
         data = TimeSeriesData(times=np.linspace(0, 6.0, 4), values=y)
-        ctx = PathContext(layout, sig, data, ObservationModel(sigma))
+        ctx = InferenceProblem(data, sig, ObservationModel(sigma), layout.j).context()
         st = PolymerState(
             u=np.zeros(layout.N), theta=np.array([1.3, 0.7]),
             p=np.zeros(layout.N), pi=np.zeros(2),
@@ -198,7 +197,7 @@ class TestPieces:
             times = np.linspace(0, T, n + 1)
             values = SIGNAL.value(times) * np.exp(rng.normal(0, 0.3, n + 1))
             data = TimeSeriesData(times=times, values=values)
-            ctx = PathContext(layout, SIGNAL, data, ObservationModel(0.1))
+            ctx = InferenceProblem(data, SIGNAL, ObservationModel(0.1), layout.j).context()
             st = random_state(layout, rng, u_scale=0.3)
             assert h_total(st, ctx, MASSES).total == pytest.approx(
                 total_literal(st, ctx, MASSES), rel=1e-12
@@ -240,7 +239,7 @@ class TestFlatTerms:
             st = random_state(layout, rng)
             st.u[:: layout.j] = ub
             h_total(st, ctx, MASSES)
-            np.testing.assert_array_equal(ctx._scratch.lap, want)
+            np.testing.assert_array_equal(ctx.lap, want)
 
     def test_flat_tables_are_read_only(self):
         layout, _, ctx = make_problem()
@@ -365,22 +364,54 @@ class TestScratch:
         assert all(type(x) is float for x in kept)
         assert h_total(a, make_problem()[2], MASSES) == first
 
-    def test_pickled_context_compares_equal(self):
-        _, _, ctx = make_problem()
-        back = pickle.loads(pickle.dumps(ctx))
-        assert back == ctx and hash(back) == hash(ctx)
-        assert back != make_problem(seed=1)[2]
-
     def test_unpickled_context_gets_its_own_workspace(self):
         layout, _, ctx = make_problem()
         back = pickle.loads(pickle.dumps(ctx))
-        assert back._scratch is not ctx._scratch
-        assert np.shares_memory(back._scratch.E_tail, back._scratch.E)
+        assert back is not ctx and back != ctx and back.problem == ctx.problem
+        assert not np.shares_memory(back.phase[0], ctx.phase[0])
+        assert np.shares_memory(back.E_tail, back.E)
         for st in self.states(layout):
             want, got = grad_hprime(st, ctx), grad_hprime(st, back)
             np.testing.assert_array_equal(got.g_u, want.g_u)
             np.testing.assert_array_equal(got.g_theta, want.g_theta)
             assert h_total(st, back, MASSES) == h_total(st, ctx, MASSES)
+
+    def test_contexts_share_the_tables_and_no_workspace_row(self):
+        from staghmc.integrator import IntegratorConfig, trotter_propagate
+
+        layout, _, first = make_problem()
+        problem = first.problem
+        second = problem.context()
+        assert first.lnyr is problem.lnyr and second.lnyr is problem.lnyr
+        assert first.layout is second.layout is problem.layout()
+        assert first == first and first != second
+        st = self.states(layout)[0]
+        for ctx in (first, second):  # fill every row, the flow memo included
+            h_total(st, ctx, MASSES)
+            trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
+        rows = workspace_arrays(first), workspace_arrays(second)
+        assert sum(a.flags.writeable for a in rows[0]) > 40
+        for a in rows[0]:
+            for b in rows[1]:
+                if np.shares_memory(a, b):  # only the problem's tables
+                    assert not (a.flags.writeable or b.flags.writeable)
+
+    def test_pickled_problem_rebuilds_read_only_tables(self):
+        layout, _, ctx = make_problem()
+        problem = ctx.problem
+        assert problem.__reduce__()[1] == (problem.data, problem.signal, problem.obs, problem.j)
+        back = pickle.loads(pickle.dumps(problem))
+        assert back == problem and hash(back) == hash(problem)
+        for name in ("L", "Ldot", "lnyr"):
+            table = getattr(back, name)
+            assert not table.flags.writeable
+            assert table.tobytes() == getattr(problem, name).tobytes()
+        fresh = back.context()
+        for st in self.states(layout):
+            want, got = grad_hprime(st, ctx), grad_hprime(st, fresh)
+            assert got.g_u.tobytes() == want.g_u.tobytes()
+            assert got.g_theta.tobytes() == want.g_theta.tobytes()
+            assert h_total(st, fresh, MASSES) == h_total(st, ctx, MASSES)
 
 
 class TestBoundaryStageCache:
@@ -414,7 +445,7 @@ class TestBoundaryStageCache:
 
         @energy._saturating
         def trajectory_gradient(st):
-            np.copyto(ctx._scratch.rows.u, st.u)
+            np.copyto(ctx.rows.u, st.u)
             _, _, g_u, g_beta, g_gamma = energy._hprime(*st.theta.tolist(), ctx, True)
             return g_u.copy(), np.array([g_beta, g_gamma])
 
@@ -444,9 +475,9 @@ class TestBoundaryStageCache:
         st = random_state(layout, np.random.default_rng(5))
         g = grad_hprime(st, ctx)
         moved = trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
-        rows = workspace_arrays(ctx._scratch)
-        assert any(row is ctx._scratch.rows.g_u for row in rows)
-        assert any(row is ctx._scratch.rows.u for row in rows)
+        rows = workspace_arrays(ctx)
+        assert any(row is ctx.rows.g_u for row in rows)
+        assert any(row is ctx.rows.u for row in rows)
         returned = [g.g_u, g.g_theta, moved.u, moved.p, moved.theta, moved.pi]
         for row in rows:
             for out in returned:
@@ -480,10 +511,10 @@ class TestResidualsFromExponentRow:
             for _ in range(5):
                 st = random_state(layout, rng)
                 beta, gamma = st.theta.tolist()
-                ctx._scratch.rows.u[...] = st.u
+                ctx.rows.u[...] = st.u
                 kernel(beta, gamma, ctx, gradient)
                 want = np.subtract(ctx.lnyr, np.multiply(st.u[:: layout.j], beta))
-                assert ctx._scratch.resid.tobytes() == want.tobytes()
+                assert ctx.resid.tobytes() == want.tobytes()
 
 
 class TestPlanSize:
@@ -494,10 +525,11 @@ class TestPlanSize:
         layout, _, ctx = make_problem(n, j, 4000.0)
         grad_hprime(random_state(layout, np.random.default_rng(17)), ctx)
         h_total(random_state(layout, np.random.default_rng(18)), ctx, MASSES)
-        held = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
+        problem = ctx.problem
+        held = [getattr(problem, f.name) for f in dataclasses.fields(problem)]
         held += [getattr(layout, f.name) for f in dataclasses.fields(layout)]
         arrays = [item for item in held if isinstance(item, np.ndarray)]
-        arrays += workspace_arrays(ctx._scratch)
+        arrays += workspace_arrays(ctx)
         assert len(arrays) > 40
         assert max(a.size for a in arrays) <= 3 * layout.N
 
@@ -516,7 +548,7 @@ class TestKernelRow:
         st = PolymerState(u=u, theta=theta, p=np.ones(u.size), pi=np.ones(2))
         fresh = make_problem()[2]
         want = grad_hprime(st, fresh)
-        np.copyto(ctx._scratch.rows.u, st.u)
+        np.copyto(ctx.rows.u, st.u)
         kernel_gradient = energy._saturating(energy._hprime)
         _, _, g_u, g_beta, g_gamma = kernel_gradient(*st.theta.tolist(), ctx, True)
         np.testing.assert_array_equal(g_u, want.g_u)
@@ -537,7 +569,7 @@ class TestKernelRow:
         for seed in range(5):
             st = random_state(layout, np.random.default_rng(seed), u_scale=1.0)
             want = h_total(st, make_problem(n, j, 83.0)[2], MASSES).potential
-            np.copyto(ctx._scratch.rows.u, st.u)
+            np.copyto(ctx.rows.u, st.u)
             h_n, h_1, *_ = kernel(*st.theta.tolist(), ctx, True)
             assert (h_n, h_1) == (want.h_n, want.h_1)
             assert type(h_n) is float and type(h_1) is float
@@ -551,7 +583,7 @@ class TestKernelRow:
         kernel = energy._saturating(energy._hprime)
         for seed in range(5):
             st = random_state(layout, np.random.default_rng(seed), u_scale=1.0)
-            np.copyto(ctx._scratch.rows.u, st.u)
+            np.copyto(ctx.rows.u, st.u)
             h_n, h_1, g_u, g_beta, g_gamma = kernel(*st.theta.tolist(), ctx, True, True)
             assert type(h_n) is float and type(h_1) is float
             full = g_u.copy(), g_beta, g_gamma  # g_u is the workspace row
@@ -669,15 +701,6 @@ class TestGuards:
             back = pickle.loads(pickle.dumps(err))
             assert str(back) == str(err) and back.what == "simulated path"
             np.testing.assert_array_equal(back.indices, idx)
-
-    def test_context_validates_consistency(self):
-        layout = build_layout(3, 10, 83.0)
-        data = TimeSeriesData(times=np.linspace(0, 83.0, 5), values=np.ones(5))
-        with pytest.raises(ValidationError):
-            PathContext(layout, SIGNAL, data, ObservationModel(0.1))
-        data = TimeSeriesData(times=np.linspace(0, 80.0, 4), values=np.ones(4))
-        with pytest.raises(ValidationError):
-            PathContext(layout, SIGNAL, data, ObservationModel(0.1))
 
     def test_state_layout_mismatch(self):
         layout, _, ctx = make_problem()

@@ -14,7 +14,7 @@ from staghmc import (
     ValidationError,
 )
 from staghmc.energy import (
-    PathContext,
+    InferenceProblem,
     _exit_force,
     _load,
     _proposal,
@@ -46,13 +46,12 @@ LAYOUTS = [
 
 
 def make_problem(n=3, j=10, T=83.0, seed=0):
-    layout = build_layout(n, j, T)
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, T, n + 1)
     y = SIGNAL.value(times) * np.exp(rng.normal(0, 0.5, n + 1))
     data = TimeSeriesData(times=times, values=y)
-    ctx = PathContext(layout, SIGNAL, data, ObservationModel(sigma=0.1))
-    return layout, ctx
+    ctx = InferenceProblem(data, SIGNAL, ObservationModel(sigma=0.1), j).context()
+    return ctx.layout, ctx
 
 
 def random_state(layout, rng, u_scale=0.5, p_scale=3.0):
@@ -478,8 +477,8 @@ class TestTrotter:
         # the exit force hold no row of the workspace
         np.testing.assert_array_equal(start.g_u, kept[0])
         np.testing.assert_array_equal(start.g_theta, kept[1])
-        assert not np.shares_memory(force.g_u, ctx._scratch.rows.g_u)
-        assert not np.shares_memory(out.u, ctx._scratch.phase[0])
+        assert not np.shares_memory(force.g_u, ctx.rows.g_u)
+        assert not np.shares_memory(out.u, ctx.phase[0])
 
     def test_state_size_checked_once_up_front(self):
         layout, ctx = make_problem(2, 5, 60.0)

@@ -234,13 +234,12 @@ class TestFrozenTables:
             block[1, 1] = 0.0
 
     def test_plan_tables_are_read_only(self):
-        from staghmc.energy import PathContext
+        from staghmc.energy import InferenceProblem
         from staghmc.model import ObservationModel
 
-        layout = build_layout(2, 3, 6.0)
         data = TimeSeriesData(times=np.linspace(0, 6.0, 3), values=np.ones(3))
-        ctx = PathContext(layout, InputSignal.constant(1.0), data, ObservationModel(0.1))
-        for table in (ctx.L, ctx.Ldot, ctx.lnyr):
+        problem = InferenceProblem(data, InputSignal.constant(1.0), ObservationModel(0.1), 3)
+        for table in (problem.L, problem.Ldot, problem.lnyr):
             with pytest.raises(ValueError):
                 table[0] = 1.0
 

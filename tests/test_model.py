@@ -26,8 +26,7 @@ from staghmc import (
     to_dimensionless,
 )
 from staghmc.diagnostics import write_density_csv
-from staghmc.energy import PathContext
-from staghmc.lattice import build_layout
+from staghmc.energy import InferenceProblem
 from staghmc.model import CSV_BLOCK_ROWS
 
 SEC4_INPUT = InputSignal.sinusoid(1.0, 0.01, 0.1)
@@ -87,34 +86,33 @@ class TestPathTransform:
 
 
 def drift_plan(grid, signal):
-    """The plan of a one-segment lattice on ``grid``, which holds the drift
-    tables L and Ldot (rho = L / beta + c, rhodot = Ldot / beta)."""
+    """The problem of a one-segment lattice on ``grid``, which holds the
+    drift tables L and Ldot (rho = L / beta + c, rhodot = Ldot / beta)."""
     T = grid[-1] - grid[0]
-    layout = build_layout(1, grid.size - 1, T)
     data = TimeSeriesData(times=np.array([0.0, T]), values=np.ones(2))
-    return PathContext(layout, signal, data, ObservationModel(1.0))
+    return InferenceProblem(data, signal, ObservationModel(1.0), grid.size - 1)
 
 
-def drift_tables(ctx, theta):
+def drift_tables(problem, theta):
     c = (2.0 + theta.gamma) * theta.beta / (2.0 * theta.gamma)
-    return ctx.L / theta.beta + c, ctx.Ldot / theta.beta
+    return problem.L / theta.beta + c, problem.Ldot / theta.beta
 
 
 class TestRhoDiscrete:
     def test_constant_input_frozen_values(self):
         grid = np.linspace(0, 10, 11)
-        ctx = drift_plan(grid, InputSignal.constant(0.7))
-        rho, rhodot = drift_tables(ctx, DimensionlessParams(beta=1.0, gamma=2.0))
+        problem = drift_plan(grid, InputSignal.constant(0.7))
+        rho, rhodot = drift_tables(problem, DimensionlessParams(beta=1.0, gamma=2.0))
         np.testing.assert_allclose(rho[1:], 1.0, rtol=1e-14)
         np.testing.assert_allclose(rhodot, 0.0, atol=0)
-        rho, _ = drift_tables(ctx, DimensionlessParams(beta=2.0, gamma=0.2))
+        rho, _ = drift_tables(problem, DimensionlessParams(beta=2.0, gamma=0.2))
         np.testing.assert_allclose(rho[1:], 11.0, rtol=1e-14)
 
     def test_matches_direct_formula(self):
         grid = np.linspace(0, 833, 301)
         theta = DimensionlessParams(beta=1.5, gamma=0.4)
-        ctx = drift_plan(grid, SEC4_INPUT)
-        rho, rhodot = drift_tables(ctx, theta)
+        problem = drift_plan(grid, SEC4_INPUT)
+        rho, rhodot = drift_tables(problem, theta)
         dt = grid[1] - grid[0]
         r = SEC4_INPUT.value(grid)
         for i in [1, 2, 150, 299, 300]:
@@ -125,7 +123,7 @@ class TestRhoDiscrete:
         for i in [2, 3, 157, 300]:
             assert rhodot[i] == pytest.approx((rho[i] - rho[i - 1]) / dt, rel=1e-12)
         # slot 0 is padding; the i = 2 term carries no rate of change
-        assert ctx.L[0] == 0.0 and ctx.Ldot[0] == 0.0 and ctx.Ldot[1] == 0.0
+        assert problem.L[0] == 0.0 and problem.Ldot[0] == 0.0 and problem.Ldot[1] == 0.0
 
 
 class TestEquilibrium:
@@ -503,3 +501,30 @@ class TestCsvFormat:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"no data rows in {path}"):
                 TimeSeriesData.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,y\n0,1\n\n# gap\n1,x\n", "line 5: 'x' is not a number"),
+            ("t,y\n0,1\n1\n", "line 3: want 2 columns, got 1"),
+            ("t,y\n0,1,2\n", "line 2: want 2 columns, got 3"),
+            ("t,y\n0,1\n1_0,1\n", "line 3: '1_0' is not a number"),
+            ("t,y\n# only\n#notes\n", "no data rows in"),
+        ],
+        ids=["non-numeric", "short", "long", "digit-separator", "comments-only"],
+    )
+    def test_malformed_rows_are_named_by_file_line(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as raised:
+                TimeSeriesData.from_csv(path)
+        assert message in str(raised.value) and str(path) in str(raised.value)
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t,y\n\n# first\n0,1.5 # start\n\n2,0.5\n")
+        back = TimeSeriesData.from_csv(path)
+        np.testing.assert_array_equal(back.times, [0.0, 2.0])
+        np.testing.assert_array_equal(back.values, [1.5, 0.5])
