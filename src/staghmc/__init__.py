@@ -14,9 +14,7 @@ from .model import (
     equilibrium_moments,
     equilibrium_pdf,
     fine_grid,
-    from_dimensionless,
     generate_observations,
-    path_inverse,
     path_transform,
     simulate_truth,
     to_dimensionless,

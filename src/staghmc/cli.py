@@ -37,7 +37,7 @@ from .diagnostics import (
     summarize,
     write_density_csv,
 )
-from .errors import DomainError, StagHmcError, ValidationError, _positive
+from .errors import DomainError, StagHmcError, ValidationError, _naming, _positive
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -204,7 +204,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             )
         cfg = _deep_merge(cfg, PRESETS[args.preset])
     if args.config is not None:
-        if not os.path.exists(args.config):
+        if not os.path.isfile(args.config):
             raise ValidationError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -212,7 +212,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         cfg = _deep_merge(cfg, loaded)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -242,32 +242,46 @@ def _need(cfg: dict, field: str):
     return value
 
 
+def _count(cfg: dict, field: str) -> int:
+    """The whole-number config field ``field``, read by `_need`, if it is >= 1."""
+    value = _need(cfg, field)
+    if value < 1:
+        raise ValidationError(f"{field} must be >= 1, got {value}")
+    return value
+
+
 def _build(cls, cfg: dict, block: str, **given):
-    """``cls`` with each init field not in ``given`` read by `_need` as ``block.<field>``."""
+    """``cls`` with each init field not in ``given`` read by `_need` as
+    ``block.<field>``; a ValidationError of ``cls`` is prefixed with the block."""
     read = {
         f.name: _need(cfg, f"{block}.{f.name}")
         for f in fields(cls)
         if f.init and f.name not in given
     }
-    return cls(**read, **given)
+    with _naming(f"config block {block}"):
+        return cls(**read, **given)
 
 
 def _build_signal(cfg: dict) -> InputSignal:
     kind = _need(cfg, "signal.kind")
     if kind == "sinusoid":
-        return InputSignal.sinusoid(
-            _need(cfg, "signal.a"),
-            _need(cfg, "signal.omega"),
-            _need(cfg, "signal.b"),
-        )
+        a, omega, b = (_need(cfg, f"signal.{name}") for name in ("a", "omega", "b"))
+        with _naming("config block signal"):
+            return InputSignal.sinusoid(a, omega, b)
     if kind == "constant":
-        return InputSignal.constant(_need(cfg, "signal.value"))
+        value = _need(cfg, "signal.value")
+        with _naming("config block signal"):
+            return InputSignal.constant(value)
     if kind == "tabulated":
-        path = _need(cfg, "signal.file")
-        if not os.path.exists(path):
-            raise ValidationError(f"signal file not found: {path}")
-        return InputSignal.from_csv(path)
-    raise ValidationError(f"unknown signal kind {kind!r}")
+        return InputSignal.from_csv(_input_file(_need(cfg, "signal.file"), "signal.file"))
+    raise ValidationError(f"config field signal.kind has an unknown value {kind!r}")
+
+
+def _input_file(path: str, field: str) -> str:
+    """``path``, read from the config field ``field``, if it names a file."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"file not found: {path} (config field {field})")
+    return path
 
 
 def _write_json(doc: dict, out_dir: str, name: str) -> str:
@@ -308,12 +322,10 @@ def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
     params = _build(PhysicalParams, cfg, "model")
     signal = _build_signal(cfg)
-    n = _need(cfg, "observation.n")
-    if n < 1:
-        raise ValidationError(f"observation.n must be >= 1, got {n}")
+    n = _count(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
-    j = _need(cfg, "lattice.j")
-    factor = _need(cfg, "simulate.factor")
+    j = _count(cfg, "lattice.j")
+    factor = _count(cfg, "simulate.factor")
     s0 = cfg["simulate"]["s0"]
     if s0 is not None:
         _positive("config field simulate.s0", s0)
@@ -338,20 +350,19 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
-    obs_file = _need(cfg, "infer.observations_file")
-    if not os.path.exists(obs_file):
-        raise ValidationError(f"observations file not found: {obs_file}")
+    obs_file = _input_file(_need(cfg, "infer.observations_file"), "infer.observations_file")
     data = TimeSeriesData.from_csv(obs_file)
     signal = _build_signal(cfg)
     obs = _build(ObservationModel, cfg, "observation")
-    problem = InferenceProblem(data, signal, obs, _need(cfg, "lattice.j"))
+    problem = InferenceProblem(data, signal, obs, _count(cfg, "lattice.j"))
 
     theta0 = to_dimensionless(_build(PhysicalParams, cfg, "infer.start", T=data.horizon))
     masses = _build(MassConfig, cfg, "infer.masses")
     integ = _build(IntegratorConfig, cfg, "infer.integrator")
-    n_mc = _need(cfg, "infer.n_mc")
+    n_mc = _count(cfg, "infer.n_mc")
     discard = _need(cfg, "infer.discard")
-    discard_start(discard, n_mc)
+    with _naming("config field infer.discard"):
+        discard_start(discard, n_mc)
     hmc = HmcConfig(
         n_mc=n_mc,
         theta0=(theta0.beta, theta0.gamma),
@@ -401,14 +412,14 @@ def cmd_summarize(cfg: dict) -> int:
     if not chain_files:
         raise ValidationError("summarize.chain_files must list at least one chain CSV")
     for path in chain_files:
-        if not os.path.exists(path):
-            raise ValidationError(f"chain file not found: {path}")
+        _input_file(path, "summarize.chain_files")
     points = _need(cfg, "summarize.density_points")
     if points < 2:
         raise ValidationError(f"summarize.density_points must be >= 2, got {points}")
     discard = _need(cfg, "summarize.discard")
     records = [ChainRecord.from_csv(path) for path in chain_files]
-    pooled = _pooled_record(records, discard)
+    with _naming("config field summarize.discard"):
+        pooled = _pooled_record(records, discard)
 
     # every check above runs before the first file write
     echo_path = _write_echo(cfg, "summarize", out_dir)

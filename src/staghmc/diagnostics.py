@@ -40,10 +40,6 @@ class ParameterSummary:
     ci95: tuple
     ess: float
 
-    def as_dict(self) -> dict:
-        """``dataclasses.asdict``: ``ci95`` comes back as a tuple."""
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PosteriorSummary:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer,
-positive-number and positive-pair checks of the library configs."""
+"""Exception types shared across the package, the integer,
+positive-number and positive-pair checks of the library configs, and the
+prefix that names where a rejected value came from."""
 
+import contextlib
 import math
 import numbers
 
@@ -45,6 +47,16 @@ def _positive_pair(name: str, value) -> tuple[float, float]:
     if isinstance(value, str) or items is None or len(items) != 2:
         raise ValidationError(f"{name} must be a pair of two numbers, got {value!r}")
     return tuple(float(_positive(name, x)) for x in items)
+
+
+@contextlib.contextmanager
+def _naming(where: str):
+    """Prefix a ValidationError raised in the block with ``where``, the
+    file or config field its value came from."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 class DomainError(StagHmcError, ValueError):

@@ -63,6 +63,8 @@ class LatticeLayout:
     ``staging_block`` is the (j+1, j) matrix B of the staging inverse on one
     segment: q[s*j + m] = sum_l u[s*j + l] B[l, m], with B[0, m] = (j-m)/j
     and B[l, m] = m/l for 1 <= m <= l <= j (zero above the diagonal).
+    ``staging_block_t`` is its C-ordered transpose, which the adjoint's
+    product takes at half the cost of the transposed view.
 
     ``flat_stiffness`` runs over the contiguous first N-1 beads ``x[:-1]``
     (the last bead is always a measurement bead): the staging stiffness at
@@ -80,6 +82,7 @@ class LatticeLayout:
     dt: float = field(init=False)
     stiffness: np.ndarray = field(init=False, repr=False, compare=False)
     staging_block: np.ndarray = field(init=False, repr=False, compare=False)
+    staging_block_t: np.ndarray = field(init=False, repr=False, compare=False)
     flat_stiffness: np.ndarray = field(init=False, repr=False, compare=False)
     bead_classes: np.ndarray = field(init=False, repr=False, compare=False)
     _m: np.ndarray = field(init=False, repr=False, compare=False)
@@ -108,6 +111,7 @@ class LatticeLayout:
         tables = {
             "stiffness": stiffness,
             "staging_block": block,
+            "staging_block_t": np.ascontiguousarray(block.T),
             "flat_stiffness": flat_stiffness.reshape(-1),
             "bead_classes": bead_classes,
             "_m": m,
@@ -262,10 +266,7 @@ class _StagingRows:
         self.u = np.empty(N) if u is None else u
         self.q = np.empty(N) if q is None else q
         self.g_q, self.g_u = np.empty(N), np.empty(N)
-        # a C-ordered transpose: the product takes it at half the cost of the
-        # transposed view
-        self.block = layout.staging_block
-        self.block_t = np.ascontiguousarray(layout.staging_block.T)
+        self.block, self.block_t = layout.staging_block, layout.staging_block_t
         step = self.u.itemsize
         self.windows = np.ndarray((n, j + 1), buffer=self.u, strides=(j * step, step))
         self.q_blocks = self.q[:-1].reshape(n, j)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _integer, _positive
+from .errors import DomainError, NonFiniteError, ValidationError, _integer, _naming, _positive
 
 __all__ = [
     "PhysicalParams",
@@ -45,9 +45,7 @@ __all__ = [
     "TimeSeriesData",
     "TruthPath",
     "to_dimensionless",
-    "from_dimensionless",
     "path_transform",
-    "path_inverse",
     "equilibrium_pdf",
     "equilibrium_moments",
     "simulate_truth",
@@ -71,6 +69,12 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("K", "gamma", "T"):
             _positive(name, getattr(self, name))
+        beta = math.sqrt(self.T * self.gamma / self.K)
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ValidationError(
+                f"beta = sqrt(T gamma / K) must be positive and finite, got {beta}"
+                f" from K={self.K}, gamma={self.gamma}, T={self.T}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,6 @@ def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
     return DimensionlessParams(
         beta=math.sqrt(params.T * params.gamma / params.K), gamma=params.gamma
     )
-
-
-def from_dimensionless(theta: DimensionlessParams, T: float) -> PhysicalParams:
-    """Invert `to_dimensionless`: K = T gamma / beta^2."""
-    return PhysicalParams(K=T * theta.gamma / theta.beta**2, gamma=theta.gamma, T=T)
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +145,8 @@ class InputSignal:
             lo = min(self.b, self.a + self.b)
             if not lo > 0:
                 raise ValidationError(
-                    f"sinusoid input can reach {lo} <= 0; r(t) must stay positive"
+                    f"sinusoid input with a={self.a}, b={self.b} can reach {lo} <= 0;"
+                    " r(t) must stay positive"
                 )
         elif self.kind == "tabulated":
             t = np.asarray(self.times, dtype=float)
@@ -202,24 +202,11 @@ class InputSignal:
                 f"time outside tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
 
-    def to_csv(self, path, grid=None):
-        """Write samples of r as CSV with header ``t,r``.
-
-        Tabulated signals write their own nodes; analytic signals require
-        an explicit evaluation grid.
-        """
-        if self.kind == "tabulated":
-            t = self.times if grid is None else np.asarray(grid, dtype=float)
-        else:
-            if grid is None:
-                raise ValidationError("analytic signal needs an explicit grid for CSV export")
-            t = np.asarray(grid, dtype=float)
-        _write_csv(path, "t,r", np.column_stack([t, self.value(t)]))
-
     @classmethod
     def from_csv(cls, path) -> "InputSignal":
         data = _read_csv(path, "t,r")
-        return cls.tabulated(data[:, 0], data[:, 1])
+        with _naming(str(path)):
+            return cls.tabulated(data[:, 0], data[:, 1])
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +235,8 @@ class TimeSeriesData:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValidationError("need matching 1-d time/value arrays with >= 2 points")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValidationError("observation times and values must be finite")
         if abs(t[0]) > 1e-12 * max(1.0, abs(t[-1])):
             raise ValidationError(f"first observation time must be 0, got {t[0]}")
         dt = np.diff(t)
@@ -257,8 +246,6 @@ class TimeSeriesData:
             raise ValidationError("observation times must be equidistant (1e-9 relative)")
         if not np.all(v > 0):
             raise ValidationError("observed values must be strictly positive")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValidationError("observations must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -285,7 +272,8 @@ class TimeSeriesData:
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesData":
         data = _read_csv(path, "t,y")
-        return cls(times=data[:, 0], values=data[:, 1])
+        with _naming(str(path)):
+            return cls(times=data[:, 0], values=data[:, 1])
 
 
 # --------------------------------------------------------------------------
@@ -301,16 +289,6 @@ def path_transform(q, t, theta: DimensionlessParams, signal: InputSignal, T: flo
     r = signal.value(t)
     scale = T * theta.gamma / theta.beta**2
     return scale * r * np.exp(theta.beta * q)
-
-
-def path_inverse(S, t, theta: DimensionlessParams, signal: InputSignal, T: float):
-    """Invert `path_transform`: q = ln(S beta^2 / (T gamma r(t))) / beta."""
-    S = np.asarray(S, dtype=float)
-    if np.any(S <= 0):
-        raise DomainError("S must be strictly positive to invert the path transform")
-    r = signal.value(t)
-    scale = T * theta.gamma / theta.beta**2
-    return np.log(S / (scale * r)) / theta.beta
 
 
 # --------------------------------------------------------------------------
@@ -371,11 +349,6 @@ class TruthPath:
     def to_csv(self, path):
         _write_csv(path, "t,S,q", np.column_stack([self.times, self.S, self.q]))
 
-    @classmethod
-    def from_csv(cls, path) -> "TruthPath":
-        data = _read_csv(path, "t,S,q")
-        return cls(times=data[:, 0], S=data[:, 1], q=data[:, 2])
-
 
 def fine_grid(T: float, n: int, j: int, factor: int = 20) -> np.ndarray:
     """Simulation grid refining the n*j inference lattice by ``factor``."""
@@ -418,11 +391,13 @@ def simulate_truth(
     q0 = math.log(s0 / (params.K * r0)) / theta.beta
 
     h = np.diff(t)
-    # rho(t) in continuous form; evaluated once on the whole grid
-    rho = (T / theta.beta) * np.asarray(signal.dlog_dt(t[:-1]), dtype=float) + (
-        (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
-    )
-    drift0 = -h * rho / T
+    # rho(t) in continuous form; evaluated once on the whole grid. A step
+    # beyond the double range leaves a non-finite path, rejected below
+    with np.errstate(over="ignore"):
+        rho = (T / theta.beta) * np.asarray(signal.dlog_dt(t[:-1]), dtype=float) + (
+            (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
+        )
+        drift0 = -h * rho / T
     noise = np.sqrt(h / T) * rng.standard_normal(h.size)
     coef = theta.beta / (T * params.gamma)
     beta = theta.beta
@@ -478,7 +453,12 @@ def generate_observations(
         raise ValidationError(f"observation times not on the simulation grid: {bad}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eps = rng.standard_normal(obs_times.size)
-    y = (path.S[idx] / params.K) * np.exp(obs.sigma * eps)
+    with np.errstate(over="ignore"):
+        y = (path.S[idx] / params.K) * np.exp(obs.sigma * eps)
+    # a reading beyond the double range, 0 or inf, is no observation
+    out_of_range = ~(np.isfinite(y) & (y > 0))
+    if out_of_range.any():
+        raise NonFiniteError("simulated observations", indices=np.flatnonzero(out_of_range))
     return TimeSeriesData(times=obs_times, values=y)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from staghmc.cli import main, resolve_config, build_parser
-from staghmc.model import TimeSeriesData, TruthPath
+from staghmc.model import TimeSeriesData
 from staghmc.sampler import CHAIN_COLUMNS, ChainRecord
 
 
@@ -106,9 +106,10 @@ class TestConfigResolution:
 class TestSimulate:
     def test_writes_outputs_and_echo(self, tmp_path):
         out = run_simulate(tmp_path)
-        truth = TruthPath.from_csv(out / "truth.csv")
+        truth = np.loadtxt(out / "truth.csv", delimiter=",", skiprows=1)
         data = TimeSeriesData.from_csv(out / "observations.csv")
-        assert truth.times.size == 4 * 3 * 5 + 1
+        assert (out / "truth.csv").read_text().startswith("t,S,q\n")
+        assert truth.shape == (4 * 3 * 5 + 1, 3)
         assert data.times.size == 5
         assert data.horizon == 40.0
         echo = json.loads((out / "config_simulate.json").read_text())
@@ -215,6 +216,19 @@ class TestInfer:
         cfg = small_config(obs_file=str(tmp_path / "nowhere.csv"))
         cfg_path = write_config(tmp_path, cfg)
         assert main(["infer", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("row", ["10,nan", "nan,0.5", "10,inf", "-inf,0.5"])
+    def test_non_finite_observation_named(self, tmp_path, capsys, row):
+        # before the spacing and sign checks, which would misname the fault
+        path = tmp_path / "obs.csv"
+        path.write_text(f"t,y\n0,0.5\n{row}\n20,0.5\n30,0.5\n40,0.5\n")
+        cfg_path = write_config(tmp_path, small_config(obs_file=str(path)))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra", [{"discard": 1.5}, {"discard": -0.1}, {"discard": 0.9, "n_mc": 2}]
@@ -647,6 +661,32 @@ def test_bad_value_rejected_before_writing(tmp_path, monkeypatch, capsys, comman
     assert not out.exists()
     assert sorted(os.listdir(tmp_path)) == before
     assert f"config field {'.'.join(field)} " in capsys.readouterr().err
+
+
+# values that a config block's dataclass rejects, with the command that
+# builds it: K and gamma whose beta = sqrt(T gamma / K) underflows to 0
+BAD_BLOCKS = [
+    ("simulate", ("model",), {"K": 1e300, "gamma": 1e-300}, "beta = sqrt"),
+    ("infer", ("infer", "start"), {"K": 1e300, "gamma": 1e-300}, "beta = sqrt"),
+    ("infer", ("infer", "masses"), {"M": -1.0}, "M must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,block,values,message", BAD_BLOCKS, ids=[".".join(b[1]) for b in BAD_BLOCKS]
+)
+def test_dataclass_error_names_its_block(tmp_path, capsys, command, block, values, message):
+    cfg = config_for(tmp_path, command)
+    for key, value in values.items():
+        set_field(cfg, (*block, key), value)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config block {'.'.join(block)}: ")
+    assert message in err
+    assert not out.exists()
 
 
 # one field of each config block that a command builds a dataclass from,

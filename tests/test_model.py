@@ -18,9 +18,7 @@ from staghmc import (
     equilibrium_moments,
     equilibrium_pdf,
     fine_grid,
-    from_dimensionless,
     generate_observations,
-    path_inverse,
     path_transform,
     simulate_truth,
     to_dimensionless,
@@ -40,18 +38,6 @@ class TestParameterMaps:
         d = to_dimensionless(PhysicalParams(K=200, gamma=0.5, T=833))
         assert d.beta == pytest.approx(1.4430869689661812, rel=1e-14)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            p = PhysicalParams(
-                K=float(rng.uniform(1, 500)),
-                gamma=float(rng.uniform(0.01, 3)),
-                T=float(rng.uniform(10, 2000)),
-            )
-            back = from_dimensionless(to_dimensionless(p), p.T)
-            assert back.K == pytest.approx(p.K, rel=1e-12)
-            assert back.gamma == p.gamma
-
     def test_positivity_validation(self):
         with pytest.raises(ValidationError):
             PhysicalParams(K=-1, gamma=0.2, T=833)
@@ -60,17 +46,17 @@ class TestParameterMaps:
         with pytest.raises(ValidationError):
             DimensionlessParams(beta=1.0, gamma=-0.5)
 
+    @pytest.mark.parametrize(
+        "K, gamma, T",
+        [(1e300, 1e-300, 833.0), (1e-300, 1e300, 1e300)],
+        ids=["beta-underflows", "beta-overflows"],
+    )
+    def test_beta_out_of_range_rejected(self, K, gamma, T):
+        with pytest.raises(ValidationError, match=r"beta = sqrt\(T gamma / K\)"):
+            PhysicalParams(K=K, gamma=gamma, T=T)
+
 
 class TestPathTransform:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        t = np.linspace(0, 833, 301)
-        theta = DimensionlessParams(beta=1.8, gamma=0.2)
-        q = rng.normal(0, 2, t.size)
-        S = path_transform(q, t, theta, SEC4_INPUT, 833.0)
-        q2 = path_inverse(S, t, theta, SEC4_INPUT, 833.0)
-        np.testing.assert_allclose(q2, q, rtol=0, atol=1e-12)
-
     def test_scale_is_K(self):
         # T gamma / beta^2 reduces to K, so q = 0 maps onto K r(t)
         p = PhysicalParams(K=50, gamma=0.2, T=833)
@@ -78,11 +64,6 @@ class TestPathTransform:
         t = np.array([0.0, 100.0, 500.0])
         S = path_transform(np.zeros(3), t, theta, SEC4_INPUT, p.T)
         np.testing.assert_allclose(S, p.K * SEC4_INPUT.value(t), rtol=1e-13)
-
-    def test_inverse_rejects_nonpositive(self):
-        theta = DimensionlessParams(beta=1.0, gamma=1.0)
-        with pytest.raises(DomainError):
-            path_inverse(np.array([1.0, -2.0]), np.array([0.0, 1.0]), theta, SEC4_INPUT, 833.0)
 
 
 def drift_plan(grid, signal):
@@ -211,8 +192,7 @@ class TestInputSignal:
     def test_csv_round_trip(self, tmp_path):
         sig = InputSignal.tabulated([0.0, 2.0, 5.0], [0.4, 0.9, 0.6])
         f = tmp_path / "input.csv"
-        sig.to_csv(f)
-        assert f.read_text().splitlines()[0] == "t,r"
+        f.write_text("t,r\n0,0.4\n2,0.9\n5,0.6\n")
         back = InputSignal.from_csv(f)
         np.testing.assert_array_equal(back.times, sig.times)
         np.testing.assert_array_equal(back.values, sig.values)
@@ -227,6 +207,15 @@ class TestTimeSeriesData:
             TimeSeriesData(times=[0.0, 1.0, 2.5], values=[1.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
             TimeSeriesData(times=[0.0, 1.0], values=[1.0, -0.1])
+        # a non-finite entry is named as such, not as a spacing or sign fault
+        for bad in (np.nan, np.inf, -np.inf):
+            for times, values in (
+                ([0.0, bad, 2.0], [1.0, 1.0, 1.0]),
+                ([0.0, 1.0, bad], [1.0, 1.0, 1.0]),
+                ([0.0, 1.0, 2.0], [1.0, bad, 1.0]),
+            ):
+                with pytest.raises(ValidationError, match="finite"):
+                    TimeSeriesData(times=times, values=values)
 
     def test_csv_round_trip_and_digest(self, tmp_path):
         data = TimeSeriesData(times=np.linspace(0, 833, 11), values=np.full(11, 0.37))
@@ -331,9 +320,8 @@ class TestSimulateTruth:
         f = tmp_path / "truth.csv"
         path.to_csv(f)
         assert f.read_text().splitlines()[0] == "t,S,q"
-        back = TruthPath.from_csv(f)
-        np.testing.assert_array_equal(back.S, path.S)
-        np.testing.assert_array_equal(back.q, path.q)
+        back = np.loadtxt(f, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back, np.column_stack([path.times, path.S, path.q]))
 
 
 def reference_truth(params, signal, t, seed, exp=math.exp):
@@ -473,18 +461,6 @@ class TestCsvFormat:
         path = tmp_path / "obs.csv"
         TimeSeriesData(times, values).to_csv(path)
         assert path.read_bytes() == self.savetxt_bytes(tmp_path, "t,y", times, values)
-
-    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
-    def test_tabulated_input(self, tmp_path, n_rows):
-        rng = np.random.default_rng(n_rows)
-        times = np.arange(n_rows) * 0.5
-        times[0] = -0.0
-        values = np.abs(_table(rng, n_rows, 1, SPECIAL_POSITIVE)[:, 0])
-        sig = InputSignal.tabulated(times, values)
-        path = tmp_path / "input.csv"
-        sig.to_csv(path)
-        want = self.savetxt_bytes(tmp_path, "t,r", times, sig.value(times))
-        assert path.read_bytes() == want
 
     @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
     def test_density(self, tmp_path, n_rows):
