@@ -29,7 +29,7 @@ from staghmc.energy import h_N, h_total
 from staghmc.integrator import OscillatorBank, _free_flow, trotter_propagate
 from staghmc.lattice import PolymerState, build_layout, initial_state
 from staghmc.model import DimensionlessParams
-from staghmc.sampler import HmcConfig, InferenceProblem, hmc_iteration, sample_momenta
+from staghmc.sampler import Chain, HmcConfig, InferenceProblem, hmc_iteration, sample_momenta
 
 PARAMS = PhysicalParams(K=50.0, gamma=0.2, T=833.0)
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
@@ -89,14 +89,14 @@ def main():
     start = to_dimensionless(PhysicalParams(K=200.0, gamma=0.5, T=PARAMS.T))
     cfg = HmcConfig(n_mc=1, theta0=(start.beta, start.gamma),
                     masses=MASSES, integrator=STEP, seed=0)
-    state = initial_state(problem.data, problem.signal,
-                          DimensionlessParams(*cfg.theta0), layout)
+    chain = Chain(problem, cfg, initial_state(problem.data, problem.signal,
+                                              DimensionlessParams(*cfg.theta0), layout))
     chain_rng = np.random.default_rng(12345)
     snapshots = []
     for i in range(300):
-        state, _ = hmc_iteration(state, ctx, cfg, chain_rng)
+        hmc_iteration(chain, chain_rng)
         if i >= 100 and (i - 100) % 10 == 0:
-            snapshots.append(state)
+            snapshots.append(chain.state())
 
     print("\nenergy error vs outer step (fixed trajectory length 0.75):")
     print(f"{'dtau':>8s}{'P':>5s}{'median |dH|':>14s}{'ratio':>8s}")

@@ -284,6 +284,24 @@ def _input_file(path: str, field: str) -> str:
     return path
 
 
+# the config echo that each command writes first into its output directory
+ECHO_NAME = "config_{}.json"
+
+
+def _output_name(cfg: dict, field: str, taken: list) -> str:
+    """The config field ``field``, read by `_need`, if it is a plain file
+    name for the output directory: not empty, with no directory part, and
+    none of the names ``taken`` by the command's other files."""
+    name = _need(cfg, field)
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        problem = "not a plain file name"
+    elif name in taken:
+        problem = "another output file has this name"
+    else:
+        return name
+    raise ValidationError(f"config field {field} has an invalid value {name!r}: {problem}")
+
+
 def _write_json(doc: dict, out_dir: str, name: str) -> str:
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
@@ -297,7 +315,7 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     a command calls it only after every check of its settings (for `simulate`,
     after the simulation), so a rejected config leaves no output directory."""
     os.makedirs(out_dir, exist_ok=True)
-    return _write_json({**cfg, "command": command}, out_dir, f"config_{command}.json")
+    return _write_json({**cfg, "command": command}, out_dir, ECHO_NAME.format(command))
 
 
 def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
@@ -329,8 +347,11 @@ def cmd_simulate(cfg: dict) -> int:
     s0 = cfg["simulate"]["s0"]
     if s0 is not None:
         _positive("config field simulate.s0", s0)
-    truth_path = os.path.join(out_dir, _need(cfg, "simulate.truth_file"))
-    obs_path = os.path.join(out_dir, _need(cfg, "simulate.observations_file"))
+    echo_name = ECHO_NAME.format("simulate")
+    truth_name = _output_name(cfg, "simulate.truth_file", [echo_name])
+    obs_name = _output_name(cfg, "simulate.observations_file", [echo_name, truth_name])
+    truth_path = os.path.join(out_dir, truth_name)
+    obs_path = os.path.join(out_dir, obs_name)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)

@@ -32,13 +32,13 @@ Everything that does not depend on the state is built once: the lattice
 tables on `LatticeLayout`, and the input tables of one problem on
 `InferenceProblem`. One private kernel, `_hprime`, makes the single pass
 over the path behind `h_total`, `grad_hprime` and the trajectory, in a
-chain's workspace (`PathContext`). This module alone moves a state through
-the workspace: `_load` copies it in (`_load_drawn` only its beads, after a
-momentum refresh drawn there), `_end_energy` (or `_start_energy`,
-given the potential) adds up its energy there, for `h_total` and both ends
-of a trajectory alike, and `_proposal` and `_exit_force` copy a state and
-a force out. Potential and force depend on positions alone, so the sampler
-carries both from one iteration to the next.
+workspace (`PathContext`). `_load` copies a state in, `_end_energy` (or
+`_start_energy`, given the potential) adds up its energy there, for
+`h_total` and both ends of a trajectory alike, and `_proposal` copies a
+state out for `trotter_propagate`. Potential and force depend on positions
+alone, so the sampler keeps both with the chain's beads: a chain
+(`sampler.Chain`) lives in two workspaces, and its iterations copy nothing
+out of them.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -157,12 +157,12 @@ class InferenceProblem:
 
 
 class PathContext:
-    """One chain's workspace over an `InferenceProblem`, allocated once: the
-    mutable rows of the kernel `_hprime`, beside the problem's ``layout``
-    and its table ``lnyr``. A context equals only itself and pickles as its
-    problem, so it comes back with a fresh workspace. Threads that evaluate
-    concurrently must not share one; parallel chains run in separate
-    processes, each with its own context.
+    """A workspace over an `InferenceProblem`, allocated once: the mutable
+    rows of the kernel `_hprime`, beside the problem's ``layout`` and its
+    table ``lnyr``. A chain (`sampler.Chain`) holds two. A context equals
+    only itself and pickles as its problem, so it comes back with a fresh
+    workspace. Threads that evaluate concurrently must not share one;
+    parallel chains run in separate processes, each with its own contexts.
 
     At the benchmark size (N = 301) a NumPy call costs about a microsecond
     whatever its length, so the kernel keeps its calls few: each writes
@@ -178,7 +178,7 @@ class PathContext:
     `integrator._free_flow`). x heads one buffer [u; p; pi], so that after
     u the momenta are one contiguous length-(N+2) row ``momenta`` = [p; pi],
     with ``pi_slots`` its last two entries: `sampler.sample_momenta` draws
-    a refresh straight into it, and `_load_drawn` then copies u alone.
+    a refresh straight into it, and the sampler then copies in u alone.
     Each use of ``cross`` writes it before it reads it: the free flow's
     cross terms, each kick's scaled force in ``cross_p``, and the squares
     that score a state (p^2 in `_start_energy`, x^2 in `_end_energy`;
@@ -221,8 +221,7 @@ class PathContext:
 
     Constants of the plan as Python floats: the number ``n_tail`` = N - 1
     of beads i = 2..N, ``L_sum``, the sum of L over them, and
-    ``inv_sigma2`` = 1 / sigma^2. ``flow`` and ``flow_key``: the memo of
-    `integrator._flow_tables`.
+    ``inv_sigma2`` = 1 / sigma^2. A workspace holds no setting of a chain.
     """
 
     __slots__ = (
@@ -234,7 +233,6 @@ class PathContext:
         "sums", "sum_list", "coef", "coef_bytes", "coef_A", "coef_g", "coef_b", "minus_beta",
         "half_beta", "clamp",
         "bound", "lap", "resid", "force_b", "d_b", "pad_prev", "pad_next",
-        "flow", "flow_key",
     )
 
     def __init__(self, problem: InferenceProblem):
@@ -286,7 +284,6 @@ class PathContext:
         self.force_b = np.empty(lay.n + 1)
         pad = np.zeros(lay.n + 2)
         self.d_b, self.pad_prev, self.pad_next = pad[1:-1], pad[:-1], pad[1:]
-        self.flow, self.flow_key = None, (None, None)
 
     def __reduce__(self):
         # a fresh workspace: pickled views of its rows would come back as copies
@@ -300,12 +297,6 @@ def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
     out = ctx.phase[0].copy()
     beta, gamma, pa, pg = end
     return PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
-
-
-def _exit_force(ctx: PathContext, g_theta: tuple) -> Gradient:
-    """The `Gradient` of H' whose u part the last gradient pass left in the
-    kernel row g_u, given its theta part ``g_theta``; fresh arrays."""
-    return Gradient(ctx.rows.g_u.copy(), np.array(g_theta))
 
 
 class Potential(NamedTuple):
@@ -375,22 +366,13 @@ def _load(state: PolymerState, ctx: PathContext) -> list:
     return state.theta.tolist() + state.pi.tolist()
 
 
-def _load_drawn(state: PolymerState, ctx: PathContext) -> list:
-    """`_load` after a momentum draw into the workspace's row [p; pi]
-    (``momenta``, see `sampler.sample_momenta`): check the state's size,
-    copy only its beads u, and return [beta, gamma, pi_beta, pi_gamma] as
-    Python floats, the momenta those of the draw."""
-    _check_size(state.u, ctx.layout, "u")
-    ctx.phase[1][...] = state.u
-    return state.theta.tolist() + ctx.pi_slots.tolist()
-
-
 def _start_energy(
     potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
 ) -> float:
-    """The total energy of the state loaded into the workspace (`_load`),
-    whose positions and parameters have ``potential`` and whose parameter
-    momenta are (pa, pg). Runs under a caller's `_saturating`."""
+    """The total energy of the state in the workspace, whose positions and
+    parameters have ``potential``, whose bead momenta are the row p and
+    whose parameter momenta are (pa, pg). Runs under a caller's
+    `_saturating`."""
     _, _, p, _, _, p_sq = ctx.phase
     np.square(p, out=p_sq)
     return _pieces(potential, ctx, masses, pa, pg)[3]
@@ -428,8 +410,8 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
     the theta derivatives include the beta- and gamma-dependence of rho.
     Raises NonFiniteError if any component is NaN or infinite.
     """
-    _, _, _, g_beta, g_gamma = _hprime(*_load(state, ctx)[:2], ctx, True, False)
-    return _exit_force(ctx, (g_beta, g_gamma))
+    _, _, g_u, g_beta, g_gamma = _hprime(*_load(state, ctx)[:2], ctx, True, False)
+    return Gradient(g_u.copy(), np.array([g_beta, g_gamma]))
 
 
 def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potential: bool = True):

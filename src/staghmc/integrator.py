@@ -15,15 +15,17 @@ gradient per step: P kernel passes per trajectory.
 The free flow is per bead, so it runs over all beads at once
 (`_free_flow`) from the `OscillatorBank` tables of the step, on the
 phase-space array x = [u; p] of the context's workspace, whose first row
-is the kernel row u. This module holds the dynamics only: `energy._load`
-copies a state in, the trajectory (`_trajectory`) runs there, and
-`energy._proposal` and `energy._exit_force` copy the end out, which the
-sampler does only for an accepted proposal. The free flows move the
-array in place, and the kicks take the forces straight from the kernel
-`energy._hprime`, not through the public `grad_hprime`. Beta, gamma,
-pi_beta and pi_gamma stay Python floats for all P steps, as the kernel
-returns g_theta: the same IEEE operations as on length-2 arrays, so
-bit-identical, at a tenth of the dispatch cost.
+is the kernel row u. This module holds the dynamics only: the trajectory
+(`_trajectory`) runs in a workspace whose beads and momenta are loaded,
+and leaves its end there. `trotter_propagate` loads a state with
+`energy._load` and copies the end out with `energy._proposal`; the
+sampler's `Chain` keeps the end in the workspace and swaps workspaces on
+acceptance instead. The free flows move the array in place, and the kicks
+take the forces straight from the kernel `energy._hprime`, not through
+the public `grad_hprime`. Beta, gamma, pi_beta and pi_gamma stay Python
+floats for all P steps, as the kernel returns g_theta: the same IEEE
+operations as on length-2 arrays, so bit-identical, at a tenth of the
+dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
-    Gradient,
     PathContext,
     _hprime,
     _load,
@@ -128,19 +129,12 @@ class OscillatorBank:
         return cls(layout, masses, d_tau)
 
 
-def _flow_tables(ctx: PathContext, masses: MassConfig, d_tau: float) -> tuple:
+def _flow_tables(layout: LatticeLayout, masses: MassConfig, d_tau: float) -> tuple:
     """``(flow, kick_half, kick_full)``: the ``flow`` tables of the shared
-    `OscillatorBank` of (ctx.layout, masses, d_tau), and the kick steps
-    dtau/2 and dtau as 0-d arrays. The context's workspace remembers them
-    for the last masses (by identity; a `MassConfig` is frozen) and d_tau,
-    so that a chain looks them up once.
-    """
-    key = ctx.flow_key
-    if key[0] is not masses or key[1] != d_tau:
-        bank = OscillatorBank.build(ctx.layout, masses, d_tau)
-        ctx.flow = (bank.flow, np.array(0.5 * d_tau), np.array(d_tau))
-        ctx.flow_key = (masses, d_tau)
-    return ctx.flow
+    `OscillatorBank` of (layout, masses, d_tau), and the kick steps dtau/2
+    and dtau as 0-d arrays. A chain looks them up once."""
+    bank = OscillatorBank.build(layout, masses, d_tau)
+    return bank.flow, np.array(0.5 * d_tau), np.array(d_tau)
 
 
 def _free_flow(phase: tuple, flow: tuple):
@@ -174,15 +168,18 @@ def _trajectory(
     ctx: PathContext,
     masses: MassConfig,
     config: IntegratorConfig,
-    force: Gradient | None,
-    start: list,
+    tables: tuple,
+    start: tuple,
+    force: tuple | None,
 ) -> tuple:
-    """The trajectory of `trotter_propagate`, run in the workspace from the
-    state that `energy._load` (or `energy._load_drawn`) loaded and whose
-    floats it returned as ``start``; ``force`` is the `Gradient` of H' at
-    its positions, or None to compute it here. The carried ``force`` is
-    read, never written; a non-finite one raises NonFiniteError. Runs under
-    a caller's `_saturating`.
+    """The trajectory of `trotter_propagate`, run in the workspace ``ctx``
+    from the beads and momenta loaded there, with ``start`` = (beta, gamma,
+    pi_beta, pi_gamma) as Python floats and ``tables`` those of
+    `_flow_tables`. ``force`` is the force at the start, (g_u, g_beta,
+    g_gamma) with g_u an array of any other workspace and the rest Python
+    floats, or None to compute it here. The carried ``force`` is read,
+    never written; a non-finite one raises NonFiniteError. Runs under a
+    caller's `_saturating`.
 
     Returns ``(end, g_theta, (h_n, h_1))``, all Python floats: the end's
     (beta, gamma, pi_beta, pi_gamma), the theta part of the force at the
@@ -191,13 +188,12 @@ def _trajectory(
     beads and momenta stay in the phase array, and the u part of its force
     in the kernel row g_u, until the next call on the context: every kick
     scales the force into the scratch row ``cross_p``, which is free
-    between two free flows, so the kernel rows are never scaled.
-    `energy._proposal` and `energy._exit_force` copy them out, bit for bit
-    what `trotter_propagate` and `grad_hprime` return, and
+    between two free flows, so the kernel rows are never scaled. They are
+    bit for bit what `trotter_propagate` and `grad_hprime` return, and
     `energy._end_energy` scores them.
     """
     d_tau = config.d_tau
-    flow, kick_half, kick_full = _flow_tables(ctx, masses, d_tau)
+    flow, kick_half, kick_full = tables
     phase = ctx.phase
     p, kick = phase[2], phase[5]
     beta, gamma, pa, pg = start
@@ -206,8 +202,7 @@ def _trajectory(
     if force is None:
         _, _, g_u, g_beta, g_gamma = _hprime(beta, gamma, ctx, True, False)
     else:
-        g_u = force.g_u
-        g_beta, g_gamma = force.g_theta.tolist()
+        g_u, g_beta, g_gamma = force
     p -= np.multiply(g_u, kick_half, out=kick)
     pa -= g_beta * half
     pg -= g_gamma * half
@@ -244,4 +239,5 @@ def trotter_propagate(
     (the sampler counts that as a rejected proposal).
     """
     start = _load(state, ctx)
-    return _proposal(ctx, _trajectory(ctx, masses, config, None, start)[0])
+    tables = _flow_tables(ctx.layout, masses, config.d_tau)
+    return _proposal(ctx, _trajectory(ctx, masses, config, tables, start, None)[0])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
 import re
 from array import array
@@ -509,13 +510,19 @@ def _read_csv(path, expected_header: str) -> np.ndarray:
     return data
 
 
+def _rows(body: str):
+    """(1-based file line, text before any "#") of each line of ``body``,
+    the lines after the header, that `_read_csv` reads as a row."""
+    for number, line in enumerate(body.split("\n"), 2):
+        text = line.split("#", 1)[0]
+        if text:
+            yield number, text
+
+
 def _bad_row(path, body: str, width: int) -> ValidationError:
     """The error for the first row of ``body``, the lines after the header,
     that is not ``width`` numbers; only a failed read pays for this scan."""
-    for number, line in enumerate(body.split("\n"), 2):
-        text = line.split("#", 1)[0]
-        if not text:
-            continue
+    for number, text in _rows(body):
         cells = text.split(",")
         if len(cells) != width:
             return ValidationError(f"{path}, line {number}: want {width} columns, got {len(cells)}")
@@ -525,3 +532,12 @@ def _bad_row(path, body: str, width: int) -> ValidationError:
             except ValueError:
                 return ValidationError(f"{path}, line {number}: {cell.strip()!r} is not a number")
     return ValidationError(f"unreadable rows in {path}")
+
+
+def _row_line(path, index: int) -> int:
+    """The 1-based file line of row ``index`` (0-based) of the array that
+    `_read_csv` read from ``path``, for an error that names a bad value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        body = fh.read()
+    return next(itertools.islice(_rows(body), index, None))[0]

@@ -4,9 +4,12 @@ Each iteration refreshes all momenta from their Gaussians, runs the
 multi-scale trajectory, and applies the Metropolis test on the total
 Hamiltonian. Proposals that leave the valid parameter domain (beta <= 0 or
 gamma <= 0) or produce non-finite energies are rejected rather than raised.
-Chains are reproducible from a single 64-bit seed; parallel chains get
-independent streams spawned from it and run on a pool of min(chains, CPUs
-in the affinity mask) processes.
+A chain (`Chain`) stays resident between iterations: its beads and their
+force live in one workspace of the problem, the next trajectory runs in a
+second, and an accepted proposal swaps the two, so no iteration copies a
+state out. Chains are reproducible from a single 64-bit seed; parallel
+chains get independent streams spawned from it and run on a pool of
+min(chains, CPUs in the affinity mask) processes.
 """
 
 from __future__ import annotations
@@ -22,14 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import (
-    Gradient,
     InferenceProblem,
-    PathContext,
-    Potential,
     _end_energy,
-    _exit_force,
-    _load_drawn,
-    _proposal,
     _saturating,
     _start_energy,
     h_total,
@@ -44,6 +41,7 @@ from .errors import (
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
+    _flow_tables,
     _trajectory,
     trotter_propagate,
 )
@@ -56,10 +54,12 @@ from .lattice import (
 from .model import (
     DimensionlessParams,
     _read_csv,
+    _row_line,
     _write_csv,
 )
 
 __all__ = [
+    "Chain",
     "ChainRecord",
     "HmcConfig",
     "InferenceProblem",
@@ -114,11 +114,6 @@ class IterationStats(NamedTuple):
     h_after: float
     dh: float
     pathology: str | None = None
-    # the returned state's potential and force, for the next iteration
-    potential: Potential | None = None
-    force: Gradient | None = None
-    # the returned state's (beta, gamma), as Python floats
-    theta: tuple[float, float] | None = None
 
 
 @dataclass
@@ -149,13 +144,27 @@ class ChainRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ChainRecord":
-        """Read a chain CSV. beta, gamma and K must be finite; H_after and
-        dH may hold inf or NaN, the record of a rejected proposal."""
+        """Read a chain CSV. beta, gamma and K must be positive and finite,
+        and accepted 0 or 1, as the sampler records them; the first row that
+        breaks this is a ValidationError naming the file and its line.
+        H_after and dH may hold inf or NaN, the record of a rejected
+        proposal."""
         raw = _read_csv(path, CHAIN_CSV_HEADER)
         columns = {name: raw[:, i].copy() for i, (name, _) in enumerate(CHAIN_COLUMNS, 1)}
-        for name in ("beta", "gamma", "K"):
-            if not np.all(np.isfinite(columns[name])):
-                raise ValidationError(f"non-finite {name} in chain file {path}")
+        bad = {
+            name: ~((columns[name] > 0.0) & (columns[name] < np.inf))
+            for name in ("beta", "gamma", "K")
+        }
+        bad["accepted"] = (columns["accepted"] != 0.0) & (columns["accepted"] != 1.0)
+        rows = np.flatnonzero(np.logical_or.reduce(list(bad.values())))
+        if rows.size:
+            row = rows[0]
+            name = next(name for name in bad if bad[name][row])
+            rule = "0 or 1" if name == "accepted" else "positive and finite"
+            raise ValidationError(
+                f"{path}, line {_row_line(path, row)}: {name} must be {rule}, "
+                f"got {float(columns[name][row])!r}"
+            )
         columns["accepted"] = columns["accepted"] != 0.0
         return cls(**columns, meta={"source": str(path)})
 
@@ -192,7 +201,7 @@ def sample_momenta(
     of it. The stream matches a draw of N followed by a draw of 2. With
     ``out``, a float64 array of N + 2 entries, the normals are drawn into
     it, the same values from the same stream; `hmc_iteration` draws so into
-    its workspace's row [p; pi]."""
+    the row [p; pi] of the workspace where the trajectory runs."""
     global _last_scale
     last_masses, last_layout, scale = _last_scale
     if last_masses is not masses or last_layout is not layout:
@@ -222,65 +231,95 @@ def metropolis_accept(
     return float(rng.random()) < math.exp(-dh)  # -dh < 0: cannot overflow
 
 
+class Chain:
+    """One chain's resident state over an `InferenceProblem`, between two
+    iterations.
+
+    ``cur`` and ``work`` are two workspaces (`PathContext`) of the problem.
+    ``cur`` holds the current beads in its kernel row u and, once a
+    trajectory has formed it, the u part of their force in its kernel row
+    g_u; the next trajectory runs in ``work``. An accepted proposal swaps
+    the two, so no iteration copies a state or a force out. ``theta`` is the
+    current (beta, gamma), ``potential`` its `Potential`, and ``g_theta``
+    the theta part of the force, all Python floats. ``g_theta`` is None
+    until the first accepted proposal brings its force along; until then
+    each trajectory computes the force at its start. ``masses``,
+    ``integrator`` and ``tables``, the free flow's tables and kick steps
+    (`integrator._flow_tables`), are the chain's settings, looked up once.
+    The momentum scale is `sample_momenta`'s own lookup, one identity check
+    per draw.
+
+    Built from a `PolymerState`, which it copies in and scores with
+    `h_total`; the state is not kept. `state` returns a copy of the current
+    one.
+    """
+
+    __slots__ = (
+        "masses", "integrator", "layout", "tables", "cur", "work", "theta", "potential",
+        "g_theta",
+    )
+
+    def __init__(self, problem: InferenceProblem, config: HmcConfig, state: PolymerState):
+        self.masses, self.integrator = config.masses, config.integrator
+        self.layout = problem.layout()
+        self.tables = _flow_tables(self.layout, self.masses, self.integrator.d_tau)
+        self.cur, self.work = problem.context(), problem.context()
+        # checks the state's size and loads its beads into ``cur``
+        self.potential = h_total(state, self.cur, self.masses).potential
+        self.theta = tuple(state.theta.tolist())
+        self.g_theta = None
+
+    def state(self) -> PolymerState:
+        """A copy of the current beads and parameters, with zero momenta:
+        every iteration draws its own."""
+        N = self.layout.N
+        return PolymerState._trusted(
+            self.cur.rows.u.copy(), np.array(self.theta), np.zeros(N), np.zeros(2)
+        )
+
+
 @_saturating
-def hmc_iteration(
-    state: PolymerState,
-    ctx: PathContext,
-    config: HmcConfig,
-    rng: np.random.Generator,
-    potential: Potential | None = None,
-    force: Gradient | None = None,
-) -> tuple[PolymerState, IterationStats]:
-    """One momentum-refresh / trajectory / Metropolis cycle.
+def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, IterationStats]:
+    """One momentum-refresh / trajectory / Metropolis cycle of ``chain``.
 
     The fresh momenta are drawn by `sample_momenta` straight into the
-    context's workspace, where the trajectory runs. ``potential`` and
-    ``force`` are the state's position-only energy and the `Gradient` of H'
-    at its positions (the ``potential`` and ``force`` of the previous
-    iteration's stats); without them, they are computed afresh, the
-    potential by `h_total` and the force inside the trajectory.
-    Everything else the trajectory needs, its free-flow tables included,
-    follows from ``ctx`` and ``config``. The proposal's potential and force
-    come from the trajectory's last kernel pass, so an iteration given both
-    makes P kernel passes and no `h_total`. Both ends are scored in the
-    context's workspace, where the trajectory runs, by the scorer of
-    `h_total` (`energy._start_energy` and `energy._end_energy`); the
-    proposal and its force are copied out of the workspace only on
-    acceptance.
-    Returns the next state and the iteration stats, whose ``potential``,
-    ``force`` and ``theta`` are those of the next state. An accepted
-    proposal is a new state that shares no array with the input or the
-    workspace; a rejection returns the input state object itself (its
-    momenta are the input's, not the discarded draw) and keeps the
-    ``potential`` and ``force`` given. Invalid proposals never raise, a
-    non-finite start force included: the pathology is recorded, and an
-    iteration with a pathology is rejected without a draw. That includes a
-    proposal whose energy overflows to -inf, which `metropolis_accept`
-    alone would take; a start of infinite energy with a finite proposal is
-    accepted.
+    chain's ``work`` workspace, and the current beads are copied in beside
+    them. The trajectory runs there from the carried force, or computes
+    the force at its start if the chain has none; it makes P kernel passes,
+    of which the last also forms the proposal's potential. Both ends are
+    scored by the scorer of `h_total` (`energy._start_energy`, from the
+    carried potential, and `energy._end_energy`), so no iteration calls
+    `h_total`. On acceptance the workspaces swap, and the proposal, its
+    potential and its force are the chain's; a rejection leaves the chain
+    as it was.
 
-    The input state is never mutated, but it is not copied either: on
-    rejection it is returned as is, so a caller that keeps the input and
-    then mutates the result must copy first.
+    Returns the chain itself and the iteration stats. Invalid proposals
+    never raise, a non-finite start force included: the pathology is
+    recorded, and an iteration with a pathology is rejected without a draw.
+    That includes a proposal whose energy overflows to -inf, which
+    `metropolis_accept` alone would take; a start of infinite energy with a
+    finite proposal is accepted.
 
     Decorated with `energy._saturating`, so the whole iteration, the
     energies of both ends included, saturates instead of warning.
     """
-    masses = config.masses
-    if potential is None:
-        potential = h_total(state, ctx, masses).potential
-    sample_momenta(masses, ctx.layout, rng, out=ctx.momenta)
-    start = _load_drawn(state, ctx)
-    h_before = _start_energy(potential, ctx, masses, start[2], start[3])
+    cur, work, masses = chain.cur, chain.work, chain.masses
+    sample_momenta(masses, chain.layout, rng, out=work.momenta)
+    work.rows.u[...] = cur.rows.u
+    pa, pg = work.pi_slots.tolist()
+    h_before = _start_energy(chain.potential, work, masses, pa, pg)
+    force = None if chain.g_theta is None else (cur.rows.g_u, *chain.g_theta)
     pathology = None
     try:
-        end, g_theta, (h_n, h_1) = _trajectory(ctx, masses, config.integrator, force, start)
+        end, g_theta, (h_n, h_1) = _trajectory(
+            work, masses, chain.integrator, chain.tables, (*chain.theta, pa, pg), force
+        )
         beta, gamma, pa, pg = end
         if not (beta > 0 and gamma > 0):
             pathology = "nonpositive-parameter"
             h_after = float("inf")
         else:
-            *_, h_after, moved = _end_energy(h_n, h_1, ctx, masses, pa, pg)
+            *_, h_after, moved = _end_energy(h_n, h_1, work, masses, pa, pg)
             if not math.isfinite(h_after):
                 pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
@@ -288,15 +327,10 @@ def hmc_iteration(
         h_after = float("inf")
 
     accepted = pathology is None and metropolis_accept(h_before, h_after, rng)
-    if accepted:  # only now copy the proposal and its force out of the workspace
-        state, potential, theta = _proposal(ctx, end), moved, (beta, gamma)
-        force = _exit_force(ctx, g_theta)
-    else:
-        theta = (start[0], start[1])
-    stats = IterationStats(
-        accepted, h_before, h_after, h_after - h_before, pathology, potential, force, theta
-    )
-    return state, stats
+    if accepted:
+        chain.cur, chain.work = work, cur
+        chain.theta, chain.potential, chain.g_theta = (beta, gamma), moved, g_theta
+    return chain, IterationStats(accepted, h_before, h_after, h_after - h_before, pathology)
 
 
 def _run_seeded(
@@ -305,10 +339,9 @@ def _run_seeded(
     chain_index: int,
     seed_seq: np.random.SeedSequence,
 ) -> ChainRecord:
-    ctx = problem.context()
-    layout = ctx.layout
+    layout = problem.layout()
     theta0 = DimensionlessParams(*config.theta0)
-    state = initial_state(problem.data, problem.signal, theta0, layout)
+    chain = Chain(problem, config, initial_state(problem.data, problem.signal, theta0, layout))
     rng = np.random.default_rng(seed_seq)
 
     n = config.n_mc
@@ -318,11 +351,9 @@ def _run_seeded(
     pathologies: dict[str, int] = {}
 
     t0 = time.perf_counter()
-    potential = force = None  # the first iteration computes both
     for i in range(n):
-        state, stats = hmc_iteration(state, ctx, config, rng, potential=potential, force=force)
-        potential, force = stats.potential, stats.force
-        table[:, i] = (*stats.theta, stats.accepted, stats.h_before, stats.h_after, stats.dh)
+        chain, stats = hmc_iteration(chain, rng)
+        table[:, i] = (*chain.theta, stats.accepted, stats.h_before, stats.h_after, stats.dh)
         if stats.pathology is not None:
             pathologies[stats.pathology] = pathologies.get(stats.pathology, 0) + 1
     elapsed = time.perf_counter() - t0

@@ -42,6 +42,7 @@ from staghmc.model import (
     to_dimensionless,
 )
 from staghmc.sampler import (
+    Chain,
     HmcConfig,
     InferenceProblem,
     hmc_iteration,
@@ -349,15 +350,17 @@ def test_criterion_08_energy_error_scaling():
     from staghmc.lattice import initial_state
     from staghmc.model import DimensionlessParams
 
-    state = initial_state(
-        problem.data, problem.signal, DimensionlessParams(*cfg.theta0), layout
+    chain = Chain(
+        problem, cfg, initial_state(
+            problem.data, problem.signal, DimensionlessParams(*cfg.theta0), layout
+        )
     )
     rng = np.random.default_rng(12345)
     snapshots = []
     for i in range(300):
-        state, _ = hmc_iteration(state, ctx, cfg, rng)
+        hmc_iteration(chain, rng)
         if i >= 100 and (i - 100) % 10 == 0:
-            snapshots.append(state)
+            snapshots.append(chain.state())
     assert len(snapshots) == 20
 
     coarse = IntegratorConfig(d_tau=0.125, P=6)

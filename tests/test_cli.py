@@ -481,6 +481,30 @@ class TestSummarize:
         assert ("beta", "gamma", "K")[column - 1] in err
         assert not (tmp_path / "summ").exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("7,-1.5,0.5,10,1,3,3,0", "beta must be positive and finite, got -1.5"),
+            ("7,1.5,0,10,1,3,3,0", "gamma must be positive and finite, got 0.0"),
+            ("7,-1,-1,-10,7,3,3,0", "beta must be positive and finite, got -1.0"),
+            ("7,1.5,0.5,-10,1,3,3,0", "K must be positive and finite, got -10.0"),
+            ("7,1.5,0.5,10,7,3,3,0", "accepted must be 0 or 1, got 7.0"),
+            ("7,1.5,0.5,10,0.5,3,3,0", "accepted must be 0 or 1, got 0.5"),
+        ],
+        ids=["beta", "gamma", "all-negative", "K", "accepted-7", "accepted-half"],
+    )
+    def test_row_the_sampler_never_records_is_named_by_line(self, tmp_path, capsys, row, message):
+        # a comment and a blank line above it: the line is the file's, not
+        # the row's; a later bad row is not the one named
+        path = tmp_path / "bad.csv"
+        good = [f"{i+1},1.5,0.5,10,1,3,3,0" for i in range(6)]
+        body = "\n".join([*good[:3], "# resumed", "", *good[3:], row, "8,-1,1,1,1,3,3,0"])
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + body + "\n")
+        capsys.readouterr()
+        assert self.summarize(tmp_path, [str(path)], "summ", discard=0.0, rc_only=True) == 2
+        assert capsys.readouterr().err == f"error: {path}, line 10: {message}\n"
+        assert not (tmp_path / "summ").exists()
+
     def test_non_finite_energy_columns_read(self, tmp_path):
         # a rejected runaway proposal records H_after = inf and dH = inf
         path = tmp_path / "runaway.csv"
@@ -638,6 +662,10 @@ BAD_VALUES = [
     ("summarize", ("summarize",), 5, "summarize-block"),
     ("simulate", ("out",), 5, "out"),
     ("simulate", ("simulate", "truth_file"), 5, "truth_file"),
+    ("simulate", ("simulate", "truth_file"), "", "truth_file-empty"),
+    ("simulate", ("simulate", "truth_file"), "sub/t.csv", "truth_file-subdir"),
+    ("simulate", ("simulate", "observations_file"), "truth.csv", "observations_file-taken"),
+    ("simulate", ("simulate", "truth_file"), "config_simulate.json", "truth_file-echo"),
     ("simulate", ("simulate", "s0"), "abc", "s0-text"),
     ("simulate", ("simulate", "s0"), -1.0, "s0-negative"),
     ("simulate", ("simulate", "s0"), float("inf"), "s0-inf"),

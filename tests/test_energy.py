@@ -726,12 +726,21 @@ class TestSaturationPolicy:
 
     def entry_points(self, layout, ctx):
         from staghmc.integrator import IntegratorConfig, trotter_propagate
-        from staghmc.sampler import HmcConfig, hmc_iteration
+        from staghmc.sampler import Chain, HmcConfig, hmc_iteration
 
         step = IntegratorConfig(d_tau=0.25, P=3)
         config = HmcConfig(n_mc=1, theta0=(1.0, 1.0), masses=MASSES, integrator=step)
         st = self.saturating(layout)
         rng = np.random.default_rng(15)
+
+        def iteration(potential=None):
+            # a chain built at the state scores it with h_total, also under
+            # the same warning filter and error state
+            chain = Chain(ctx.problem, config, st)
+            if potential is not None:
+                chain.potential = potential
+            return hmc_iteration(chain, rng)
+
         # a carried potential of NumPy scalars: the refreshed energy sums
         # inf and -inf in hmc_iteration itself
         carried = Potential(np.float64(np.inf), np.float64(-np.inf), 0.0)
@@ -740,10 +749,8 @@ class TestSaturationPolicy:
             "h_total": lambda: h_total(st, ctx, MASSES),
             "grad_hprime": lambda: grad_hprime(st, ctx),
             "trotter_propagate": lambda: trotter_propagate(st, ctx, MASSES, step),
-            "hmc_iteration": lambda: hmc_iteration(st, ctx, config, rng),
-            "hmc_iteration-carried": lambda: hmc_iteration(
-                st, ctx, config, rng, potential=carried
-            ),
+            "hmc_iteration": iteration,
+            "hmc_iteration-carried": lambda: iteration(carried),
         }
 
     @pytest.mark.parametrize(
@@ -768,9 +775,9 @@ class TestSaturationPolicy:
         calls = self.entry_points(layout, ctx)
         with np.errstate(all="raise"):
             caller = np.geterr()
-            # hmc_iteration nests h_total and trotter_propagate, which nests
-            # the kernel; under the caller's state they would raise
-            # FloatingPointError
+            # the chain's construction nests h_total, and hmc_iteration the
+            # trajectory and the kernel; under the caller's state they would
+            # raise FloatingPointError
             _, stats = calls["hmc_iteration"]()
             assert stats.pathology == "NonFiniteError" and not stats.accepted
             assert np.geterr() == caller

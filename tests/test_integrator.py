@@ -15,7 +15,6 @@ from staghmc import (
 )
 from staghmc.energy import (
     InferenceProblem,
-    _exit_force,
     _load,
     _proposal,
     _saturating,
@@ -26,6 +25,7 @@ from staghmc.energy import (
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
+    _flow_tables,
     _free_flow,
     _trajectory,
     trotter_propagate,
@@ -454,30 +454,33 @@ class TestTrotter:
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"n{l.n}j{l.j}")
     def test_carried_force_in_exit_force_and_potential_out(self, layout):
-        # what the sampler carries from one iteration to the next
+        # what the sampler carries from one iteration to the next: the
+        # force goes in from another workspace, and the end's force and
+        # potential come out of the trajectory's own
         _, ctx = make_problem(layout.n, layout.j, layout.T, seed=5)
+        held = ctx.problem.context()
         st = random_state(layout, np.random.default_rng(7), u_scale=0.3)
         cfg = IntegratorConfig(d_tau=0.25, P=3)
-        start = grad_hprime(st, ctx)
-        kept = start.g_u.copy(), start.g_theta.copy()
+        start = grad_hprime(st, held)
+        force = (held.rows.g_u, *start.g_theta.tolist())
+        kept = held.rows.g_u.tobytes()
         loaded = _load(st, ctx)
         assert loaded == [*st.theta.tolist(), *st.pi.tolist()]
-        end, g_theta, (h_n, h_1) = _saturating(_trajectory)(ctx, MASSES, cfg, start, loaded)
+        tables = _flow_tables(layout, MASSES, cfg.d_tau)
+        end, g_theta, (h_n, h_1) = _saturating(_trajectory)(
+            ctx, MASSES, cfg, tables, loaded, force
+        )
         assert all(type(v) is float for v in (*end, *g_theta, h_n, h_1))
-        out, force = _proposal(ctx, end), _exit_force(ctx, g_theta)
-        fresh = trotter_propagate(st, ctx, MASSES, cfg)
+        assert held.rows.g_u.tobytes() == kept  # the carried force is read, never written
+        out, end_force = _proposal(ctx, end), ctx.rows.g_u.copy()
+        fresh = trotter_propagate(st, ctx.problem.context(), MASSES, cfg)
         for name in ("u", "p", "theta", "pi"):
             np.testing.assert_array_equal(getattr(out, name), getattr(fresh, name))
-        want = grad_hprime(out, ctx)
-        np.testing.assert_array_equal(force.g_u, want.g_u)
-        np.testing.assert_array_equal(force.g_theta, want.g_theta)
-        potential = h_total(out, ctx, MASSES).potential
+        want = grad_hprime(out, held)
+        np.testing.assert_array_equal(end_force, want.g_u)
+        assert g_theta == tuple(want.g_theta.tolist())
+        potential = h_total(out, held, MASSES).potential
         assert (h_n, h_1) == (potential.h_n, potential.h_1)
-        # the carried force is read, never written, and the proposal and
-        # the exit force hold no row of the workspace
-        np.testing.assert_array_equal(start.g_u, kept[0])
-        np.testing.assert_array_equal(start.g_theta, kept[1])
-        assert not np.shares_memory(force.g_u, ctx.rows.g_u)
         assert not np.shares_memory(out.u, ctx.phase[0])
 
     def test_state_size_checked_once_up_front(self):

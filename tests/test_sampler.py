@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from staghmc import (
+    DomainError,
     InputSignal,
     NonFiniteError,
     ObservationModel,
@@ -20,7 +21,7 @@ from staghmc import (
 from staghmc.diagnostics import discard_start
 from staghmc.energy import grad_hprime, h_total
 from staghmc.integrator import IntegratorConfig, trotter_propagate
-from staghmc.lattice import MassConfig, build_layout, initial_state
+from staghmc.lattice import MassConfig, PolymerState, build_layout, initial_state
 from staghmc.model import (
     DimensionlessParams,
     fine_grid,
@@ -29,6 +30,7 @@ from staghmc.model import (
 )
 from staghmc.sampler import (
     CHAIN_CSV_HEADER,
+    Chain,
     ChainRecord,
     HmcConfig,
     InferenceProblem,
@@ -334,62 +336,69 @@ class TestMetropolis:
         assert abs(hits / 10_000 - np.exp(-dh)) < 0.02
 
 
+def start_state(problem, theta0=(1.0, 0.5)):
+    """The data-pinned start of a chain on ``problem``."""
+    return initial_state(
+        problem.data, problem.signal, DimensionlessParams(*theta0), problem.layout()
+    )
+
+
+def new_chain(problem, cfg=None, state=None):
+    cfg = small_config() if cfg is None else cfg
+    return Chain(problem, cfg, start_state(problem, cfg.theta0) if state is None else state)
+
+
+def step_config(d_tau, **kw):
+    return small_config(integrator=IntegratorConfig(d_tau=d_tau, P=STEP.P), **kw)
+
+
+def refreshed(chain, rng):
+    """The chain's state with the momenta that ``rng`` draws next, drawn
+    from a copy of it."""
+    state = chain.state()
+    state.p, state.pi = sample_momenta(chain.masses, chain.layout, copy.deepcopy(rng))
+    return state
+
+
 class TestHmcIteration:
     def test_h_before_matches_refreshed_state(self, toy_problem):
-        ctx = toy_problem.context()
-        cfg = small_config()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        probe = state.copy()
-        probe.p, probe.pi = sample_momenta(MASSES, ctx.layout, np.random.default_rng(5))
-        expected = h_total(probe, ctx, MASSES).total
-        _, stats_out = hmc_iteration(state, ctx, cfg, np.random.default_rng(5))
-        assert stats_out.h_before == expected
+        chain = new_chain(toy_problem)
+        expected = h_total(refreshed(chain, np.random.default_rng(5)), toy_problem.context(), MASSES)
+        out, stats_out = hmc_iteration(chain, np.random.default_rng(5))
+        assert out is chain
+        assert stats_out.h_before == expected.total
         assert stats_out.dh == stats_out.h_after - stats_out.h_before
 
     def test_rejection_reverts_positions(self, toy_problem):
-        ctx = toy_problem.context()
-        cfg = small_config(integrator=IntegratorConfig(d_tau=40.0, P=3))
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        nxt, stats_out = hmc_iteration(state, ctx, cfg, np.random.default_rng(0))
+        chain = new_chain(toy_problem, step_config(40.0))
+        before = chain.state()
+        _, stats_out = hmc_iteration(chain, np.random.default_rng(0))
         assert not stats_out.accepted
         assert stats_out.pathology is not None
-        np.testing.assert_array_equal(nxt.u, state.u)
-        np.testing.assert_array_equal(nxt.theta, state.theta)
+        np.testing.assert_array_equal(chain.state().u, before.u)
+        np.testing.assert_array_equal(chain.state().theta, before.theta)
 
     def test_nonpositive_parameter_is_rejected(self, posterior_problem):
-        ctx = posterior_problem.context()
         beta0 = float(np.sqrt(800.0 * 0.5 / 200.0))
         # gamma is nearly massless, so the drift throws it negative
         cfg = small_config(
             theta0=(beta0, 0.5),
             masses=MassConfig(720.0, 130.0, (1e30, 0.02)),
         )
-        state = initial_state(
-            posterior_problem.data,
-            SIGNAL,
-            DimensionlessParams(beta0, 0.5),
-            ctx.layout,
-        )
-        _, stats_out = hmc_iteration(state, ctx, cfg, np.random.default_rng(0))
+        chain = new_chain(posterior_problem, cfg)
+        _, stats_out = hmc_iteration(chain, np.random.default_rng(0))
         assert stats_out.pathology == "nonpositive-parameter"
         assert not stats_out.accepted
         assert stats_out.h_after == np.inf
 
     @pytest.mark.parametrize("d_tau, accepted", [(0.25, True), (40.0, False)])
     def test_input_state_not_mutated(self, toy_problem, d_tau, accepted):
-        ctx = toy_problem.context()
-        cfg = small_config(integrator=IntegratorConfig(d_tau=d_tau, P=3))
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
+        state = start_state(toy_problem)
         state.p[:] = 1.5
         state.pi[:] = -0.5
         snapshot = state.copy()
-        _, stats_out = hmc_iteration(state, ctx, cfg, np.random.default_rng(4))
+        chain = new_chain(toy_problem, step_config(d_tau), state)
+        _, stats_out = hmc_iteration(chain, np.random.default_rng(4))
         assert stats_out.accepted is accepted
         for name in ("u", "theta", "p", "pi"):
             np.testing.assert_array_equal(getattr(state, name), getattr(snapshot, name))
@@ -411,96 +420,92 @@ class TestHmcIteration:
             h_N, h_n, _, _, moved = end_energy(*args)
             return h_N, h_n, -np.inf, -np.inf, moved
 
-        ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        rng = np.random.default_rng(6)
-        _, finite = hmc_iteration(state, ctx, small_config(), np.random.default_rng(6))
+        _, finite = hmc_iteration(new_chain(toy_problem), np.random.default_rng(6))
         assert finite.accepted and finite.pathology is None  # the control
+        chain = new_chain(toy_problem)
+        cur = chain.cur
+        rng = np.random.default_rng(6)
         monkeypatch.setattr(sampler, "_end_energy", overflowed)
-        out, stats_out = hmc_iteration(state, ctx, small_config(), rng)
+        _, stats_out = hmc_iteration(chain, rng)
         assert stats_out.h_after == -np.inf
         assert stats_out.pathology == "nonfinite-energy"
-        assert not stats_out.accepted and out is state
-        assert rng.random() == self.after_momenta(6, ctx.layout).random()
+        assert not stats_out.accepted and chain.cur is cur
+        assert rng.random() == self.after_momenta(6, chain.layout).random()
 
     def test_start_of_infinite_energy_moves_to_a_finite_proposal(self, toy_problem):
-        ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
+        chain = new_chain(toy_problem)
+        chain.potential = chain.potential._replace(h_N=np.inf)
+        cur = chain.cur
         rng = np.random.default_rng(6)
-        infinite = h_total(state, ctx, MASSES).potential._replace(h_N=np.inf)
-        out, stats_out = hmc_iteration(state, ctx, small_config(), rng, potential=infinite)
+        _, stats_out = hmc_iteration(chain, rng)
         assert stats_out.h_before == np.inf and np.isfinite(stats_out.h_after)
-        assert stats_out.accepted and stats_out.pathology is None and out is not state
-        assert rng.random() == self.after_momenta(6, ctx.layout).random()
+        assert stats_out.accepted and stats_out.pathology is None and chain.cur is not cur
+        assert rng.random() == self.after_momenta(6, chain.layout).random()
 
 
 class TestMomentumRefresh:
-    """The iteration draws its momenta into the context's workspace."""
+    """The iteration draws its momenta into the chain's workspace."""
 
-    def run(self, ctx, state, masses, d_tau, seed):
-        cfg = small_config(masses=masses, integrator=IntegratorConfig(d_tau=d_tau, P=3))
-        return hmc_iteration(state, ctx, cfg, np.random.default_rng(seed))
+    def run(self, problem, state, masses, d_tau, seed):
+        chain = new_chain(problem, step_config(d_tau, masses=masses), state)
+        return chain, hmc_iteration(chain, np.random.default_rng(seed))[1]
 
-    def test_settings_switch_on_one_context_matches_fresh_contexts(self, toy_problem):
-        ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
+    def test_chains_of_other_settings_match_fresh_problems(self, toy_problem):
+        # the momentum scale and the flow tables are looked up by settings;
+        # chains of other settings in turn must each get their own
+        state = start_state(toy_problem)
         other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(150.0, 150.0))
         for seed, (masses, d_tau) in enumerate(((MASSES, 0.25), (other, 0.25), (MASSES, 0.3))):
-            got, got_stats = self.run(ctx, state, masses, d_tau, seed)
-            want, want_stats = self.run(toy_problem.context(), state, masses, d_tau, seed)
-            for name in ("u", "theta", "p", "pi"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got_stats[:4] == want_stats[:4] and got_stats.theta == want_stats.theta
-            assert got_stats.potential == want_stats.potential
+            got, got_stats = self.run(toy_problem, state, masses, d_tau, seed)
+            fresh = pickle.loads(pickle.dumps(toy_problem))
+            want, want_stats = self.run(fresh, state, masses, d_tau, seed)
+            for name in ("u", "theta"):
+                assert getattr(got.state(), name).tobytes() == getattr(want.state(), name).tobytes()
+            assert got_stats == want_stats
+            assert got.theta == want.theta and got.potential == want.potential
 
-    def test_rejection_returns_the_input_state(self, toy_problem):
-        ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        out, stats_out = self.run(ctx, state, MASSES, 40.0, 0)
-        assert not stats_out.accepted
-        assert out is state
+    def test_rejection_leaves_the_chain_as_it_was(self, toy_problem):
+        chain = new_chain(toy_problem, step_config(1.0))
+        rng = np.random.default_rng(1)
+        rejected = []
+        for _ in range(40):
+            kept = (chain.cur, chain.work, chain.theta, chain.potential, chain.g_theta)
+            u, g_u = chain.cur.rows.u.tobytes(), chain.cur.rows.g_u.tobytes()
+            _, stats_out = hmc_iteration(chain, rng)
+            if stats_out.accepted:
+                continue
+            rejected.append(kept[-1] is not None)
+            assert (chain.cur, chain.work, chain.theta, chain.potential, chain.g_theta) == kept
+            assert chain.cur.rows.u.tobytes() == u
+            if kept[-1] is not None:  # the u part of a carried force stays too
+                assert chain.cur.rows.g_u.tobytes() == g_u
+        assert any(rejected)
 
     def test_accepted_state_shares_no_memory_with_the_workspace(self, toy_problem):
         from test_energy import workspace_arrays
 
-        ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        out, stats_out = self.run(ctx, state, MASSES, 0.25, 0)
+        state = start_state(toy_problem)
+        chain, stats_out = self.run(toy_problem, state, MASSES, 0.25, 0)
         assert stats_out.accepted
-        arrays = [out.u, out.theta, out.p, out.pi, *stats_out.force]
-        for row in workspace_arrays(ctx):
+        out = chain.state()
+        arrays = [out.u, out.theta, out.p, out.pi, state.u, state.theta, state.p, state.pi]
+        for row in workspace_arrays(chain.cur) + workspace_arrays(chain.work):
             for array in arrays:
                 assert not np.shares_memory(array, row)
 
     def test_iterations_hash_no_settings(self, toy_problem, monkeypatch):
-        ctx = toy_problem.context()
-        cfg = small_config()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
+        chain = new_chain(toy_problem)
         rng = np.random.default_rng(2)
-        state, stats_out = hmc_iteration(state, ctx, cfg, rng)  # fills the memos
+        hmc_iteration(chain, rng)
         hashed = []
-        for cls in (MassConfig, type(ctx.layout)):
+        for cls in (MassConfig, type(chain.layout)):
             def counted(obj, _hash=cls.__hash__):
                 hashed.append(type(obj).__name__)
                 return _hash(obj)
 
             monkeypatch.setattr(cls, "__hash__", counted)
         for _ in range(10):
-            state, stats_out = hmc_iteration(
-                state, ctx, cfg, rng, potential=stats_out.potential, force=stats_out.force
-            )
+            hmc_iteration(chain, rng)
         assert hashed == []
         hash(MASSES)  # the counter itself works
         assert hashed == ["MassConfig"]
@@ -514,9 +519,7 @@ class TestSaturatingStates:
     )
     def test_warning_free_and_rejected(self, toy_problem, theta):
         ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
+        state = start_state(toy_problem)
         state.theta[:] = theta
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -525,7 +528,8 @@ class TestSaturatingStates:
                 grad_hprime(state, ctx)
             except NonFiniteError:
                 pass
-            _, stats_out = hmc_iteration(state, ctx, small_config(), np.random.default_rng(0))
+            chain = new_chain(toy_problem, state=state)
+            _, stats_out = hmc_iteration(chain, np.random.default_rng(0))
         assert not stats_out.accepted
         assert stats_out.pathology is not None
 
@@ -534,15 +538,13 @@ class TestCarriedPotential:
     def test_call_budget_of_one_iteration(self, toy_problem, monkeypatch):
         import staghmc.integrator
         import staghmc.lattice
+        import staghmc.sampler
 
-        ctx = toy_problem.context()
-        cfg = small_config()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        potential = h_total(state, ctx, MASSES).potential
-        force = grad_hprime(state, ctx)
-        calls = {"grad": 0, "inverse": 0, "potential": 0}
+        chain = new_chain(toy_problem)
+        rng = np.random.default_rng(3)
+        while chain.g_theta is None:  # until the chain carries a force
+            hmc_iteration(chain, rng)
+        calls = {"grad": 0, "inverse": 0, "potential": 0, "h_total": 0}
         kernel = inspect.signature(staghmc.integrator._hprime)
 
         def counted(key, fn):
@@ -556,147 +558,167 @@ class TestCarriedPotential:
 
             return wrapper
 
-        # the trajectory's entry into the kernel, and the kernel's staging map
+        # the trajectory's entry into the kernel, the kernel's staging map,
+        # and the scorer the chain starts with
         monkeypatch.setattr(
             staghmc.integrator, "_hprime", counted("grad", staghmc.integrator._hprime)
         )
         rows = staghmc.lattice._StagingRows
         monkeypatch.setattr(rows, "inverse", counted("inverse", rows.inverse))
-        _, stats_out = hmc_iteration(
-            state, ctx, cfg, np.random.default_rng(3), potential=potential, force=force
-        )
+        monkeypatch.setattr(staghmc.sampler, "h_total", counted("h_total", h_total))
+        _, stats_out = hmc_iteration(chain, rng)
         assert stats_out.pathology is None
         # P passes, of which only the last forms the proposal's potential
-        assert calls == {"grad": STEP.P, "inverse": STEP.P, "potential": 1}
+        assert calls == {"grad": STEP.P, "inverse": STEP.P, "potential": 1, "h_total": 0}
 
     def test_carried_h_before_matches_fresh_energy(self, toy_problem):
+        # a long step, so that some proposals are rejected on dH alone and
+        # some meet a pathology
         ctx = toy_problem.context()
-        layout = ctx.layout
-        # a long step, so that some proposals are rejected on dH alone
-        cfg = small_config(integrator=IntegratorConfig(d_tau=1.5, P=3))
-        blowup = small_config(integrator=IntegratorConfig(d_tau=40.0, P=3))
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), layout
-        )
+        chain = new_chain(toy_problem, step_config(2.0))
         rng = np.random.default_rng(11)
-        potential = h_total(state, ctx, MASSES).potential
         outcomes = []
-        for i in range(40):
-            probe = state.copy()
-            probe.p, probe.pi = sample_momenta(MASSES, layout, copy.deepcopy(rng))
-            expected = h_total(probe, ctx, MASSES).total
-            state, stats_out = hmc_iteration(
-                state, ctx, blowup if i == 20 else cfg, rng, potential=potential
-            )
+        for _ in range(40):
+            expected = h_total(refreshed(chain, rng), ctx, MASSES).total
+            _, stats_out = hmc_iteration(chain, rng)
             assert stats_out.h_before == expected
-            potential = stats_out.potential
-            assert potential == h_total(state, ctx, MASSES).potential
+            assert chain.potential == h_total(chain.state(), ctx, MASSES).potential
             outcomes.append((stats_out.accepted, stats_out.pathology))
         assert any(acc for acc, _ in outcomes)
         assert any(not acc and path is None for acc, path in outcomes)
-        assert outcomes[20][1] is not None and not outcomes[20][0]
+        assert any(path is not None for _, path in outcomes)
 
     def test_h_after_is_h_total_of_the_proposal(self, toy_problem):
-        # the sampler scores the proposal in the workspace and builds it
-        # only on acceptance; its energy must still be h_total's, bit for
+        # the sampler scores the proposal in the workspace and keeps it
+        # there on acceptance; its energy must still be h_total's, bit for
         # bit, at the preset step (all accepted here) and a long one
         ctx = toy_problem.context()
-        layout = ctx.layout
         outcomes = []
         for d_tau in (STEP.d_tau, 1.0):
-            cfg = small_config(integrator=IntegratorConfig(d_tau=d_tau, P=STEP.P))
-            state = initial_state(
-                toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), layout
-            )
+            cfg = step_config(d_tau)
+            chain = new_chain(toy_problem, cfg)
             rng = np.random.default_rng(13)
-            potential, force = h_total(state, ctx, MASSES).potential, None
             for _ in range(100):
-                refreshed = state.copy()
-                refreshed.p, refreshed.pi = sample_momenta(MASSES, layout, copy.deepcopy(rng))
-                state, stats_out = hmc_iteration(
-                    state, ctx, cfg, rng, potential=potential, force=force
-                )
-                potential, force = stats_out.potential, stats_out.force
-                assert stats_out.theta == tuple(state.theta.tolist())
+                start = refreshed(chain, rng)
+                _, stats_out = hmc_iteration(chain, rng)
                 if stats_out.pathology is not None:
                     continue
-                proposal = trotter_propagate(refreshed, ctx, MASSES, cfg.integrator)
+                proposal = trotter_propagate(start, ctx, MASSES, cfg.integrator)
                 assert stats_out.h_after == h_total(proposal, ctx, MASSES).total
+                if stats_out.accepted:  # the chain holds the proposal
+                    assert chain.state().u.tobytes() == proposal.u.tobytes()
+                    assert chain.theta == tuple(proposal.theta.tolist())
                 outcomes.append(stats_out.accepted)
         assert len(outcomes) > 150
         assert any(outcomes) and not all(outcomes)
 
-    def test_proposal_and_force_copied_out_only_on_acceptance(self, toy_problem, monkeypatch):
-        import staghmc.sampler
+    def test_acceptance_swaps_workspaces_and_copies_nothing_out(self, toy_problem, monkeypatch):
+        import staghmc.energy
+        import staghmc.integrator
 
-        copies = {"_proposal": 0, "_exit_force": 0}
-        for name in copies:
-            def counted(*args, _fn=getattr(staghmc.sampler, name), _name=name):
-                copies[_name] += 1
-                return _fn(*args)
+        chain = new_chain(toy_problem, step_config(1.0))
 
-            monkeypatch.setattr(staghmc.sampler, name, counted)
-        ctx = toy_problem.context()
-        cfg = small_config(integrator=IntegratorConfig(d_tau=1.0, P=3))
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an iteration built a state or a workspace")
+
+        for owner, name in (
+            (staghmc.integrator, "_proposal"),
+            (PolymerState, "_trusted"),
+            (PolymerState, "__post_init__"),
+            (staghmc.energy.PathContext, "__init__"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
         rng = np.random.default_rng(13)
-        potential, force, accepted = None, None, []
+        accepted = []
         for _ in range(40):
-            state, stats_out = hmc_iteration(
-                state, ctx, cfg, rng, potential=potential, force=force
-            )
-            potential, force = stats_out.potential, stats_out.force
+            cur, work = chain.cur, chain.work
+            _, stats_out = hmc_iteration(chain, rng)
+            swapped = (work, cur) if stats_out.accepted else (cur, work)
+            assert (chain.cur, chain.work) == swapped
             accepted.append(stats_out.accepted)
         assert any(accepted) and not all(accepted)
-        assert copies == {"_proposal": sum(accepted), "_exit_force": sum(accepted)}
 
     def test_carried_force_matches_fresh_gradient(self, toy_problem):
         ctx = toy_problem.context()
-        layout = ctx.layout
-        cfg = small_config(integrator=IntegratorConfig(d_tau=1.5, P=3))
-        blowup = small_config(integrator=IntegratorConfig(d_tau=40.0, P=3))
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), layout
-        )
+        chain = new_chain(toy_problem, step_config(2.0))
         rng = np.random.default_rng(11)
-        potential, force = h_total(state, ctx, MASSES).potential, None
         outcomes = []
-        for i in range(40):
-            given = force
-            state, stats_out = hmc_iteration(
-                state, ctx, blowup if i == 20 else cfg, rng, potential=potential, force=force
-            )
-            potential, force = stats_out.potential, stats_out.force
+        for _ in range(40):
+            given = chain.g_theta
+            _, stats_out = hmc_iteration(chain, rng)
             if not stats_out.accepted:
-                assert force is given  # a rejection keeps the force it was given
-            if force is not None:
-                want = grad_hprime(state, ctx)
-                np.testing.assert_array_equal(force.g_u, want.g_u)
-                np.testing.assert_array_equal(force.g_theta, want.g_theta)
-            outcomes.append((stats_out.accepted, given is not None))
-        assert any(acc and given for acc, given in outcomes)
-        assert any(not acc and given for acc, given in outcomes)
-        assert not outcomes[20][0]
+                assert chain.g_theta == given  # a rejection keeps the force
+            if chain.g_theta is not None:
+                want = grad_hprime(chain.state(), ctx)
+                np.testing.assert_array_equal(chain.cur.rows.g_u, want.g_u)
+                assert chain.g_theta == tuple(want.g_theta.tolist())
+            outcomes.append((stats_out.accepted, stats_out.pathology, given is not None))
+        assert any(acc and given for acc, _, given in outcomes)
+        assert any(not acc and given for acc, _, given in outcomes)
+        assert any(path is not None and given for _, path, given in outcomes)
 
     def test_nonfinite_start_force_is_a_rejection(self, toy_problem):
         # a chain starts with no carried force: the trajectory computes it,
         # and a non-finite one rejects the proposal instead of raising
-        ctx = toy_problem.context()
-        state = initial_state(
-            toy_problem.data, SIGNAL, DimensionlessParams(1.0, 0.5), ctx.layout
-        )
-        state.u[ctx.layout.j] = np.inf
+        state = start_state(toy_problem)
+        state.u[toy_problem.j] = np.inf
         with pytest.raises(NonFiniteError):
-            grad_hprime(state, ctx)
-        _, stats_out = hmc_iteration(state, ctx, small_config(), np.random.default_rng(5))
+            grad_hprime(state, toy_problem.context())
+        chain = new_chain(toy_problem, state=state)
+        _, stats_out = hmc_iteration(chain, np.random.default_rng(5))
         assert not stats_out.accepted
         assert stats_out.pathology == "NonFiniteError"
-        assert stats_out.force is None
+        assert chain.g_theta is None
 
 
 class TestRunChain:
+    @staticmethod
+    def literal_chain(problem, cfg):
+        """The chain of ``cfg`` written out from public functions: refresh
+        the momenta, score the refreshed state, propagate, score the
+        proposal, and apply the Metropolis test with the sampler's rules. A
+        proposal that raises, leaves beta > 0 and gamma > 0, or has an
+        energy that is not finite is rejected without a draw."""
+        layout = problem.layout()
+        state = initial_state(
+            problem.data, problem.signal, DimensionlessParams(*cfg.theta0), layout
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        rows = []
+        for _ in range(cfg.n_mc):
+            refreshed = state.copy()
+            refreshed.p, refreshed.pi = sample_momenta(cfg.masses, layout, rng)
+            h_before = h_total(refreshed, problem.context(), cfg.masses).total
+            try:
+                proposal = trotter_propagate(
+                    refreshed, problem.context(), cfg.masses, cfg.integrator
+                )
+            except (NonFiniteError, DomainError):
+                proposal = None
+            h_after, valid = np.inf, False
+            if proposal is not None and np.all(proposal.theta > 0):
+                h_after = h_total(proposal, problem.context(), cfg.masses).total
+                valid = bool(np.isfinite(h_after))
+            accepted = valid and metropolis_accept(h_before, h_after, rng)
+            if accepted:
+                state = proposal
+            rows.append((*state.theta.tolist(), accepted, h_before, h_after))
+        return np.array(rows).T
+
+    # three seeds at the preset step, and one step that meets all three
+    # kinds of pathology
+    @pytest.mark.parametrize("seed, d_tau", [(1, 0.25), (2, 0.25), (3, 0.25), (4, 3.0)])
+    def test_matches_a_literal_hmc_loop(self, toy_problem, seed, d_tau):
+        cfg = small_config(n_mc=60, seed=seed, integrator=IntegratorConfig(d_tau=d_tau, P=3))
+        rec = run_chain(toy_problem, cfg)
+        want = self.literal_chain(toy_problem, cfg)
+        got = (rec.beta, rec.gamma, rec.accepted, rec.h_before, rec.h_after)
+        for name, a, b in zip(("beta", "gamma", "accepted", "H_before", "H_after"), got, want):
+            assert a.tobytes() == b.astype(a.dtype).tobytes(), name
+        assert rec.accepted.any() and not rec.accepted.all()
+        if d_tau > 1.0:
+            assert len(rec.meta["pathologies"]) == 3
+
     def test_record_shape_and_rates(self, toy_problem):
         rec = run_chain(toy_problem, small_config(n_mc=30))
         assert rec.n_rows == 30
@@ -921,7 +943,7 @@ class TestDetailedBalance:
         signal = InputSignal.constant(0.6)
         layout = build_layout(1, 1, T)
         data = TimeSeriesData(times=np.array([0.0, T]), values=np.array([0.6, 0.6]))
-        ctx = InferenceProblem(data, signal, ObservationModel(sigma=1e9), 1).context()
+        problem = InferenceProblem(data, signal, ObservationModel(sigma=1e9), 1)
         masses = MassConfig(M=1.0, m_prime=1.0, m_alpha=(1e30, 1e30))
         cfg = HmcConfig(
             n_mc=1,
@@ -930,14 +952,17 @@ class TestDetailedBalance:
             integrator=IntegratorConfig(d_tau=0.6, P=1),
             seed=0,
         )
-        state = initial_state(data, signal, DimensionlessParams(1e-7, 0.5), layout)
+        chain = Chain(
+            problem, cfg, initial_state(data, signal, DimensionlessParams(1e-7, 0.5), layout)
+        )
         rng = np.random.default_rng(99)
         n = 100_000
         gap = np.empty(n)
         n_acc = 0
         for i in range(n):
-            state, st = hmc_iteration(state, ctx, cfg, rng)
-            gap[i] = state.u[1] - state.u[0]
+            _, st = hmc_iteration(chain, rng)
+            u = chain.state().u
+            gap[i] = u[1] - u[0]
             n_acc += st.accepted
         assert n_acc / n > 0.9
         ks = stats.kstest(gap, "norm").statistic
