@@ -37,7 +37,7 @@ from .diagnostics import (
     summarize,
     write_density_csv,
 )
-from .errors import DomainError, StagHmcError, ValidationError, _naming, _positive
+from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _naming, _positive
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -50,7 +50,8 @@ from .model import (
     simulate_truth,
     to_dimensionless,
 )
-from .sampler import CHAIN_COLUMNS, ChainRecord, HmcConfig, InferenceProblem, run_parallel_chains
+from .sampler import CHAIN_COLUMNS, ChainRecord, HmcConfig, InferenceProblem, _start_chain
+from .sampler import run_parallel_chains
 
 __all__ = ["main"]
 
@@ -377,7 +378,8 @@ def cmd_infer(cfg: dict) -> int:
     obs = _build(ObservationModel, cfg, "observation")
     problem = InferenceProblem(data, signal, obs, _count(cfg, "lattice.j"))
 
-    theta0 = to_dimensionless(_build(PhysicalParams, cfg, "infer.start", T=data.horizon))
+    start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)
+    theta0 = to_dimensionless(start)
     masses = _build(MassConfig, cfg, "infer.masses")
     integ = _build(IntegratorConfig, cfg, "infer.integrator")
     n_mc = _count(cfg, "infer.n_mc")
@@ -392,6 +394,16 @@ def cmd_infer(cfg: dict) -> int:
         seed=cfg["seed"],
         chains=cfg["chains"],
     )
+    # every chain starts here: a start whose force is not finite on this
+    # problem is refused before the first write
+    with _naming("config block infer.start"):
+        try:
+            _start_chain(problem, hmc)
+        except (NonFiniteError, DomainError) as exc:
+            raise ValidationError(
+                f"no chain can start at K = {start.K!r}, gamma = {start.gamma!r} with the "
+                f"given data, signal, observation and lattice: {exc}"
+            ) from None
 
     echo_path = _write_echo(cfg, "infer", out_dir)
     records = run_parallel_chains(problem, hmc)

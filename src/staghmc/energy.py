@@ -415,8 +415,8 @@ def grad_hprime(state: PolymerState, ctx: PathContext) -> Gradient:
 
 
 def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potential: bool = True):
-    """The one pass over the path behind `h_total`, `grad_hprime` and the
-    trajectory.
+    """The one pass over the path behind `h_total`, `grad_hprime`, the
+    trajectory and the start force of a chain (`sampler.Chain`).
 
     The N beads are the workspace row ``rows.u``, loaded by the caller.
     Returns the position parts (h_n, h_1)

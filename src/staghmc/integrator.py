@@ -170,16 +170,17 @@ def _trajectory(
     config: IntegratorConfig,
     tables: tuple,
     start: tuple,
-    force: tuple | None,
+    force: tuple,
 ) -> tuple:
     """The trajectory of `trotter_propagate`, run in the workspace ``ctx``
     from the beads and momenta loaded there, with ``start`` = (beta, gamma,
     pi_beta, pi_gamma) as Python floats and ``tables`` those of
     `_flow_tables`. ``force`` is the force at the start, (g_u, g_beta,
-    g_gamma) with g_u an array of any other workspace and the rest Python
-    floats, or None to compute it here. The carried ``force`` is read,
-    never written; a non-finite one raises NonFiniteError. Runs under a
-    caller's `_saturating`.
+    g_gamma) with g_u a kernel row g_u and the rest Python floats: the
+    sampler's chain carries it in its other workspace, and
+    `trotter_propagate` forms it in ``ctx``, whose row the opening kick
+    reads before the first pass writes it. ``force`` is read, never
+    written. Runs under a caller's `_saturating`.
 
     Returns ``(end, g_theta, (h_n, h_1))``, all Python floats: the end's
     (beta, gamma, pi_beta, pi_gamma), the theta part of the force at the
@@ -199,10 +200,7 @@ def _trajectory(
     beta, gamma, pa, pg = start
     ma, mg = masses.m_alpha
     half = 0.5 * d_tau
-    if force is None:
-        _, _, g_u, g_beta, g_gamma = _hprime(beta, gamma, ctx, True, False)
-    else:
-        g_u, g_beta, g_gamma = force
+    g_u, g_beta, g_gamma = force
     p -= np.multiply(g_u, kick_half, out=kick)
     pa -= g_beta * half
     pg -= g_gamma * half
@@ -231,7 +229,8 @@ def trotter_propagate(
     """Run the full trajectory K(dtau/2) [F(dtau) K(dtau)]^(P-1) F(dtau)
     K(dtau/2) and return the new state, which shares no array with the
     input or the workspace; the input is not modified. The force at the
-    start costs one more kernel pass here; the sampler carries it instead.
+    start costs one more kernel pass here; the sampler's chain carries it
+    from its construction and each accepted proposal instead.
 
     Decorated with `energy._saturating`: overflow, invalid operations and
     division by zero saturate to inf and NaN silently. The state size is
@@ -239,5 +238,6 @@ def trotter_propagate(
     (the sampler counts that as a rejected proposal).
     """
     start = _load(state, ctx)
+    force = _hprime(*start[:2], ctx, True, False)[2:]
     tables = _flow_tables(ctx.layout, masses, config.d_tau)
-    return _proposal(ctx, _trajectory(ctx, masses, config, tables, start, None)[0])
+    return _proposal(ctx, _trajectory(ctx, masses, config, tables, start, force)[0])

@@ -5,11 +5,11 @@ multi-scale trajectory, and applies the Metropolis test on the total
 Hamiltonian. Proposals that leave the valid parameter domain (beta <= 0 or
 gamma <= 0) or produce non-finite energies are rejected rather than raised.
 A chain (`Chain`) stays resident between iterations: its beads and their
-force live in one workspace of the problem, the next trajectory runs in a
-second, and an accepted proposal swaps the two, so no iteration copies a
-state out. Chains are reproducible from a single 64-bit seed; parallel
-chains get independent streams spawned from it and run on a pool of
-min(chains, CPUs in the affinity mask) processes.
+force, taken when it is built, live in one workspace of the problem, the
+next trajectory runs in a second, and an accepted proposal swaps the two,
+so no iteration copies a state out. Chains are reproducible from a single
+64-bit seed; parallel chains get independent streams spawned from it and
+run on a pool of min(chains, CPUs in the affinity mask) processes.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .energy import (
     InferenceProblem,
     _end_energy,
+    _hprime,
     _saturating,
     _start_energy,
     h_total,
@@ -236,22 +237,23 @@ class Chain:
     iterations.
 
     ``cur`` and ``work`` are two workspaces (`PathContext`) of the problem.
-    ``cur`` holds the current beads in its kernel row u and, once a
-    trajectory has formed it, the u part of their force in its kernel row
-    g_u; the next trajectory runs in ``work``. An accepted proposal swaps
-    the two, so no iteration copies a state or a force out. ``theta`` is the
-    current (beta, gamma), ``potential`` its `Potential`, and ``g_theta``
-    the theta part of the force, all Python floats. ``g_theta`` is None
-    until the first accepted proposal brings its force along; until then
-    each trajectory computes the force at its start. ``masses``,
-    ``integrator`` and ``tables``, the free flow's tables and kick steps
-    (`integrator._flow_tables`), are the chain's settings, looked up once.
-    The momentum scale is `sample_momenta`'s own lookup, one identity check
-    per draw.
+    ``cur`` holds the current beads in its kernel row u and the u part of
+    their force in its kernel row g_u; the next trajectory runs in
+    ``work``. An accepted proposal swaps the two, so no iteration copies a
+    state or a force out. ``theta`` is the current (beta, gamma),
+    ``potential`` its `Potential`, and ``g_theta`` the theta part of the
+    force, all Python floats. ``masses``, ``integrator`` and ``tables``, the
+    free flow's tables and kick steps (`integrator._flow_tables`), are the
+    chain's settings, looked up once. The momentum scale is
+    `sample_momenta`'s own lookup, one identity check per draw.
 
-    Built from a `PolymerState`, which it copies in and scores with
-    `h_total`; the state is not kept. `state` returns a copy of the current
-    one.
+    Built from a `PolymerState`, which it copies in, scores with `h_total`
+    and takes the force of with one gradient pass, so a chain is complete
+    from the start: a start whose force is not finite raises
+    NonFiniteError, and one with beta or gamma 0 DomainError. The state is
+    not kept; `state` returns a copy of the current one, and a chain built
+    from that copy continues as this one does. Decorated with
+    `energy._saturating`, as `hmc_iteration` is.
     """
 
     __slots__ = (
@@ -259,6 +261,7 @@ class Chain:
         "g_theta",
     )
 
+    @_saturating
     def __init__(self, problem: InferenceProblem, config: HmcConfig, state: PolymerState):
         self.masses, self.integrator = config.masses, config.integrator
         self.layout = problem.layout()
@@ -267,7 +270,7 @@ class Chain:
         # checks the state's size and loads its beads into ``cur``
         self.potential = h_total(state, self.cur, self.masses).potential
         self.theta = tuple(state.theta.tolist())
-        self.g_theta = None
+        self.g_theta = _hprime(*self.theta, self.cur, True, False)[3:]
 
     def state(self) -> PolymerState:
         """A copy of the current beads and parameters, with zero momenta:
@@ -284,21 +287,19 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
 
     The fresh momenta are drawn by `sample_momenta` straight into the
     chain's ``work`` workspace, and the current beads are copied in beside
-    them. The trajectory runs there from the carried force, or computes
-    the force at its start if the chain has none; it makes P kernel passes,
-    of which the last also forms the proposal's potential. Both ends are
-    scored by the scorer of `h_total` (`energy._start_energy`, from the
-    carried potential, and `energy._end_energy`), so no iteration calls
-    `h_total`. On acceptance the workspaces swap, and the proposal, its
-    potential and its force are the chain's; a rejection leaves the chain
-    as it was.
+    them. The trajectory runs there from the carried force; it makes P
+    kernel passes, of which the last also forms the proposal's potential.
+    Both ends are scored by the scorer of `h_total`
+    (`energy._start_energy`, from the carried potential, and
+    `energy._end_energy`), so no iteration calls `h_total`. On acceptance
+    the workspaces swap, and the proposal, its potential and its force are
+    the chain's; a rejection leaves the chain as it was.
 
     Returns the chain itself and the iteration stats. Invalid proposals
-    never raise, a non-finite start force included: the pathology is
-    recorded, and an iteration with a pathology is rejected without a draw.
-    That includes a proposal whose energy overflows to -inf, which
-    `metropolis_accept` alone would take; a start of infinite energy with a
-    finite proposal is accepted.
+    never raise: the pathology is recorded, and an iteration with a
+    pathology is rejected without a draw. That includes a proposal whose
+    energy overflows to -inf, which `metropolis_accept` alone would take; a
+    start of infinite energy with a finite proposal is accepted.
 
     Decorated with `energy._saturating`, so the whole iteration, the
     energies of both ends included, saturates instead of warning.
@@ -308,7 +309,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     work.rows.u[...] = cur.rows.u
     pa, pg = work.pi_slots.tolist()
     h_before = _start_energy(chain.potential, work, masses, pa, pg)
-    force = None if chain.g_theta is None else (cur.rows.g_u, *chain.g_theta)
+    force = (cur.rows.g_u, *chain.g_theta)
     pathology = None
     try:
         end, g_theta, (h_n, h_1) = _trajectory(
@@ -333,6 +334,14 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     return chain, IterationStats(accepted, h_before, h_after, h_after - h_before, pathology)
 
 
+def _start_chain(problem: InferenceProblem, config: HmcConfig) -> Chain:
+    """A chain at the data-pinned start of ``config``, where every chain of
+    a run starts."""
+    theta0 = DimensionlessParams(*config.theta0)
+    start = initial_state(problem.data, problem.signal, theta0, problem.layout())
+    return Chain(problem, config, start)
+
+
 def _run_seeded(
     problem: InferenceProblem,
     config: HmcConfig,
@@ -340,8 +349,7 @@ def _run_seeded(
     seed_seq: np.random.SeedSequence,
 ) -> ChainRecord:
     layout = problem.layout()
-    theta0 = DimensionlessParams(*config.theta0)
-    chain = Chain(problem, config, initial_state(problem.data, problem.signal, theta0, layout))
+    chain = _start_chain(problem, config)
     rng = np.random.default_rng(seed_seq)
 
     n = config.n_mc
@@ -386,7 +394,14 @@ def _run_seeded(
 
 
 def run_chain(problem: InferenceProblem, config: HmcConfig) -> ChainRecord:
-    """Run a single chain for n_mc iterations from the data-pinned start."""
+    """Run a single chain for n_mc iterations from the data-pinned start.
+    A config of more chains is a ValidationError: `run_parallel_chains`
+    runs those."""
+    if config.chains != 1:
+        raise ValidationError(
+            f"run_chain runs one chain, got chains = {config.chains}; "
+            "use run_parallel_chains"
+        )
     child = np.random.SeedSequence(config.seed).spawn(1)[0]
     return _run_seeded(problem, config, 0, child)
 

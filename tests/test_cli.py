@@ -717,6 +717,21 @@ def test_dataclass_error_names_its_block(tmp_path, capsys, command, block, value
     assert not out.exists()
 
 
+def test_start_no_chain_can_take_rejected_before_writing(tmp_path, capsys):
+    # K = 1e-300 passes the block's own checks, but the force at the start
+    # it gives is not finite, so no chain can start there
+    cfg = config_for(tmp_path, "infer")
+    set_field(cfg, ("infer", "start", "K"), 1e-300)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config block infer.start: no chain can start at K = 1e-300")
+    assert "non-finite gradient" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 # one field of each config block that a command builds a dataclass from,
 # with a command that reads it
 MISSING_FIELDS = [

@@ -714,9 +714,12 @@ class TestGuards:
 
 
 class TestSaturationPolicy:
-    """`energy._saturating` decorates the five entry points: at a saturating
-    state none of them warns, and each hands the caller's floating-point
-    error state back unchanged, nested or after a raise."""
+    """`energy._saturating` decorates the five entry points and the chain's
+    construction: at a saturating state none of them warns, and each hands
+    the caller's floating-point error state back unchanged, nested or after
+    a raise. A chain cannot start at such a state, whose force is not
+    finite, so the iteration starts from a finite state and saturates on a
+    long step."""
 
     def saturating(self, layout):
         st = random_state(layout, np.random.default_rng(14))
@@ -734,9 +737,10 @@ class TestSaturationPolicy:
         rng = np.random.default_rng(15)
 
         def iteration(potential=None):
-            # a chain built at the state scores it with h_total, also under
-            # the same warning filter and error state
-            chain = Chain(ctx.problem, config, st)
+            # the chain's construction scores its start with h_total and
+            # takes its force, also under the same warning filter and error
+            # state
+            chain = self.long_step_chain(layout, ctx)
             if potential is not None:
                 chain.potential = potential
             return hmc_iteration(chain, rng)
@@ -751,13 +755,34 @@ class TestSaturationPolicy:
             "trotter_propagate": lambda: trotter_propagate(st, ctx, MASSES, step),
             "hmc_iteration": iteration,
             "hmc_iteration-carried": lambda: iteration(carried),
+            "Chain": lambda: Chain(ctx.problem, config, st),
         }
+
+    def long_step_chain(self, layout, ctx):
+        """A chain at a finite start whose first trajectory, at d_tau = 6.0
+        (as in `TestRunChain::test_meta_counts_pathologies`), overflows."""
+        from staghmc.integrator import IntegratorConfig
+        from staghmc.sampler import Chain, HmcConfig
+
+        step = IntegratorConfig(d_tau=6.0, P=3)
+        config = HmcConfig(n_mc=1, theta0=(1.0, 1.0), masses=MASSES, integrator=step)
+        return Chain(ctx.problem, config, random_state(layout, np.random.default_rng(15)))
+
+    def test_long_step_iteration_saturates(self):
+        # the control: without the decorator, the iteration of the cases
+        # below meets a floating-point event that would warn
+        from staghmc.sampler import hmc_iteration
+
+        layout, _, ctx = make_problem()
+        chain = self.long_step_chain(layout, ctx)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            hmc_iteration.__wrapped__(chain, np.random.default_rng(15))
 
     @pytest.mark.parametrize(
         "name",
         [
             "h_N", "h_total", "grad_hprime", "trotter_propagate", "hmc_iteration",
-            "hmc_iteration-carried",
+            "hmc_iteration-carried", "Chain",
         ],
     )
     def test_entry_point_at_a_saturating_state_never_warns(self, name):
@@ -768,7 +793,7 @@ class TestSaturationPolicy:
             try:
                 call()
             except NonFiniteError:  # a rejectable gradient, not a warning
-                assert name in ("grad_hprime", "trotter_propagate")
+                assert name in ("grad_hprime", "trotter_propagate", "Chain")
 
     def test_caller_error_state_survives_nested_calls_and_raises(self):
         layout, _, ctx = make_problem()
@@ -781,8 +806,9 @@ class TestSaturationPolicy:
             _, stats = calls["hmc_iteration"]()
             assert stats.pathology == "NonFiniteError" and not stats.accepted
             assert np.geterr() == caller
-            with pytest.raises(NonFiniteError):
-                calls["grad_hprime"]()
-            assert np.geterr() == caller
+            for name in ("grad_hprime", "Chain"):
+                with pytest.raises(NonFiniteError):
+                    calls[name]()
+                assert np.geterr() == caller
             with pytest.raises(FloatingPointError):
                 np.divide(np.ones(1), 0.0)

@@ -467,19 +467,19 @@ class TestMomentumRefresh:
     def test_rejection_leaves_the_chain_as_it_was(self, toy_problem):
         chain = new_chain(toy_problem, step_config(1.0))
         rng = np.random.default_rng(1)
-        rejected = []
+        rejected = 0
         for _ in range(40):
             kept = (chain.cur, chain.work, chain.theta, chain.potential, chain.g_theta)
             u, g_u = chain.cur.rows.u.tobytes(), chain.cur.rows.g_u.tobytes()
             _, stats_out = hmc_iteration(chain, rng)
             if stats_out.accepted:
                 continue
-            rejected.append(kept[-1] is not None)
+            rejected += 1
             assert (chain.cur, chain.work, chain.theta, chain.potential, chain.g_theta) == kept
+            # the beads and the u part of their force stay too
             assert chain.cur.rows.u.tobytes() == u
-            if kept[-1] is not None:  # the u part of a carried force stays too
-                assert chain.cur.rows.g_u.tobytes() == g_u
-        assert any(rejected)
+            assert chain.cur.rows.g_u.tobytes() == g_u
+        assert rejected
 
     def test_accepted_state_shares_no_memory_with_the_workspace(self, toy_problem):
         from test_energy import workspace_arrays
@@ -512,7 +512,8 @@ class TestMomentumRefresh:
 
 
 class TestSaturatingStates:
-    """Extreme parameters saturate to inf/NaN without a single warning."""
+    """Extreme parameters saturate to inf/NaN without a single warning, and
+    a chain cannot start there: its force is not finite."""
 
     @pytest.mark.parametrize(
         "theta", [(1e200, 0.2), (1.0, 1e-200), (1e-200, 0.2), (1e-170, 1e-170)]
@@ -524,14 +525,10 @@ class TestSaturatingStates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h_total(state, ctx, MASSES)
-            try:
+            with pytest.raises(NonFiniteError):
                 grad_hprime(state, ctx)
-            except NonFiniteError:
-                pass
-            chain = new_chain(toy_problem, state=state)
-            _, stats_out = hmc_iteration(chain, np.random.default_rng(0))
-        assert not stats_out.accepted
-        assert stats_out.pathology is not None
+            with pytest.raises(NonFiniteError):
+                new_chain(toy_problem, state=state)
 
 
 class TestCarriedPotential:
@@ -542,8 +539,6 @@ class TestCarriedPotential:
 
         chain = new_chain(toy_problem)
         rng = np.random.default_rng(3)
-        while chain.g_theta is None:  # until the chain carries a force
-            hmc_iteration(chain, rng)
         calls = {"grad": 0, "inverse": 0, "potential": 0, "h_total": 0}
         kernel = inspect.signature(staghmc.integrator._hprime)
 
@@ -642,36 +637,85 @@ class TestCarriedPotential:
         ctx = toy_problem.context()
         chain = new_chain(toy_problem, step_config(2.0))
         rng = np.random.default_rng(11)
+
+        def fresh():  # the force the chain carries is the gradient of its beads
+            want = grad_hprime(chain.state(), ctx)
+            np.testing.assert_array_equal(chain.cur.rows.g_u, want.g_u)
+            assert chain.g_theta == tuple(want.g_theta.tolist())
+
+        fresh()  # the start's, from the chain's construction
         outcomes = []
         for _ in range(40):
             given = chain.g_theta
             _, stats_out = hmc_iteration(chain, rng)
             if not stats_out.accepted:
                 assert chain.g_theta == given  # a rejection keeps the force
-            if chain.g_theta is not None:
-                want = grad_hprime(chain.state(), ctx)
-                np.testing.assert_array_equal(chain.cur.rows.g_u, want.g_u)
-                assert chain.g_theta == tuple(want.g_theta.tolist())
-            outcomes.append((stats_out.accepted, stats_out.pathology, given is not None))
-        assert any(acc and given for acc, _, given in outcomes)
-        assert any(not acc and given for acc, _, given in outcomes)
-        assert any(path is not None and given for _, path, given in outcomes)
+            fresh()
+            outcomes.append((stats_out.accepted, stats_out.pathology))
+        assert any(acc for acc, _ in outcomes)
+        assert any(not acc and path is None for acc, path in outcomes)
+        assert any(path is not None for _, path in outcomes)
 
-    def test_nonfinite_start_force_is_a_rejection(self, toy_problem):
-        # a chain starts with no carried force: the trajectory computes it,
-        # and a non-finite one rejects the proposal instead of raising
+    def test_nonfinite_start_force_is_refused_at_construction(self, toy_problem):
+        # a chain is built with the force of its start; a start whose force
+        # is not finite is refused there, without a warning
         state = start_state(toy_problem)
         state.u[toy_problem.j] = np.inf
         with pytest.raises(NonFiniteError):
             grad_hprime(state, toy_problem.context())
-        chain = new_chain(toy_problem, state=state)
-        _, stats_out = hmc_iteration(chain, np.random.default_rng(5))
-        assert not stats_out.accepted
-        assert stats_out.pathology == "NonFiniteError"
-        assert chain.g_theta is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="gradient w.r.t. u"):
+                new_chain(toy_problem, state=state)
+
+    def test_zero_parameter_start_is_refused_at_construction(self, toy_problem):
+        state = start_state(toy_problem)
+        state.theta[1] = 0.0
+        with pytest.raises(DomainError):
+            new_chain(toy_problem, state=state)
+
+
+class TestResume:
+    """A chain rebuilt from `Chain.state()` continues as the original does:
+    the beads, theta and the generator are all that an exact resume needs,
+    since a chain is built with the force and the potential of its start."""
+
+    @staticmethod
+    def run(chain, rng, m):
+        rows = []
+        for _ in range(m):
+            _, stats_out = hmc_iteration(chain, rng)
+            rows.append((*chain.theta, stats_out.accepted, stats_out.h_before, stats_out.h_after))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("last_accepted", [False, True], ids=["rejected", "accepted"])
+    def test_rebuilt_chain_continues_bit_for_bit(self, toy_problem, last_accepted):
+        cfg = step_config(1.0)
+        chain = new_chain(toy_problem, cfg)
+        rng = np.random.default_rng(21)
+        # k iterations, at least 5, of which the last ended as asked
+        for k in range(1, 200):
+            _, stats_out = hmc_iteration(chain, rng)
+            if k >= 5 and stats_out.accepted is last_accepted:
+                break
+        assert stats_out.accepted is last_accepted
+        resumed = Chain(toy_problem, cfg, chain.state())
+        assert resumed.cur.rows.g_u.tobytes() == chain.cur.rows.g_u.tobytes()
+        assert resumed.g_theta == chain.g_theta
+        assert resumed.theta == chain.theta and resumed.potential == chain.potential
+        got = self.run(resumed, copy.deepcopy(rng), 30)
+        want = self.run(chain, rng, 30)
+        assert got.tobytes() == want.tobytes()
+        accepted = want[:, 2]
+        assert accepted.any() and not accepted.all()
 
 
 class TestRunChain:
+    def test_more_than_one_chain_is_refused(self, toy_problem):
+        # one record whose meta echoes chains = 4 would misreport the run
+        with pytest.raises(ValidationError, match="run_parallel_chains"):
+            run_chain(toy_problem, small_config(chains=4))
+
     @staticmethod
     def literal_chain(problem, cfg):
         """The chain of ``cfg`` written out from public functions: refresh
