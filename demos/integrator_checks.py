@@ -58,7 +58,7 @@ def moderate_state(layout, rng):
 def main():
     problem = make_context()
     ctx = problem.context()
-    layout = problem.layout()
+    layout = problem.layout
     rng = np.random.default_rng(42)
 
     worst = 0.0
@@ -101,7 +101,8 @@ def main():
     print("\nenergy error vs outer step (fixed trajectory length 0.75):")
     print(f"{'dtau':>8s}{'P':>5s}{'median |dH|':>14s}{'ratio':>8s}")
     mrng = np.random.default_rng(777)
-    momenta = [sample_momenta(MASSES, layout, mrng) for _ in snapshots]
+    scale = MASSES.momentum_scale(layout)
+    momenta = [sample_momenta(scale, mrng) for _ in snapshots]
     previous = None
     for d_tau, P in ((0.25, 3), (0.125, 6), (0.0625, 12), (0.03125, 24)):
         step = IntegratorConfig(d_tau=d_tau, P=P)

@@ -37,6 +37,7 @@ from .diagnostics import (
     summarize,
     write_density_csv,
 )
+from .energy import _inv_sigma2
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _naming, _positive
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
@@ -376,6 +377,8 @@ def cmd_infer(cfg: dict) -> int:
     data = TimeSeriesData.from_csv(obs_file)
     signal = _build_signal(cfg)
     obs = _build(ObservationModel, cfg, "observation")
+    with _naming("config block observation"):  # the plan refuses it too, but unnamed
+        _inv_sigma2(obs)
     problem = InferenceProblem(data, signal, obs, _count(cfg, "lattice.j"))
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)

@@ -99,6 +99,17 @@ _pack_coef = struct.Struct("9d").pack_into
 _saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
+def _inv_sigma2(obs: ObservationModel) -> float:
+    """1 / sigma^2 of ``obs``. A sigma so small that it overflows, which
+    would make every likelihood and force infinite, is a ValidationError."""
+    inv_sigma2 = 1.0 / obs.sigma / obs.sigma
+    if math.isinf(inv_sigma2):
+        raise ValidationError(
+            f"sigma = {obs.sigma!r} is too small for the likelihood: 1/sigma^2 overflows"
+        )
+    return inv_sigma2
+
+
 @dataclass(frozen=True)
 class InferenceProblem:
     """The plan of one inference, shared by every chain: the observations,
@@ -106,7 +117,8 @@ class InferenceProblem:
     refinement j (beads per data segment). These four alone decide equality
     and hash, and a problem pickles as them.
 
-    Built from them once: the `layout` and, read-only and of length N, the
+    Built from them once: the `layout`, the data term's weight
+    ``inv_sigma2`` (`_inv_sigma2`) and, read-only and of length N, the
     log-input increments L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding),
     their difference Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are
     padding: the i = 2 term carries no rate of change), so that rho_i =
@@ -119,7 +131,8 @@ class InferenceProblem:
     obs: ObservationModel
     j: int
     # derived from the four inputs; every context of the problem shares them
-    _layout: LatticeLayout = field(init=False, repr=False, compare=False)
+    layout: LatticeLayout = field(init=False, repr=False, compare=False)
+    inv_sigma2: float = field(init=False, repr=False, compare=False)
     L: np.ndarray = field(init=False, repr=False, compare=False)
     Ldot: np.ndarray = field(init=False, repr=False, compare=False)
     lnyr: np.ndarray = field(init=False, repr=False, compare=False)
@@ -128,6 +141,7 @@ class InferenceProblem:
         object.__setattr__(self, "j", _integer("j", self.j))
         if self.j < 1:
             raise ValidationError(f"j must be >= 1, got {self.j}")
+        inv_sigma2 = _inv_sigma2(self.obs)
         try:  # a tabulated input must span the data's times
             self.signal.value(self.data.times)
         except DomainError as exc:
@@ -143,14 +157,12 @@ class InferenceProblem:
         lnyr = np.log(self.data.values / r[:: lay.j])
         for table in (L, Ldot, lnyr):
             table.setflags(write=False)
-        for name, value in (("_layout", lay), ("L", L), ("Ldot", Ldot), ("lnyr", lnyr)):
+        derived = {"layout": lay, "inv_sigma2": inv_sigma2, "L": L, "Ldot": Ldot, "lnyr": lnyr}
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return InferenceProblem, (self.data, self.signal, self.obs, self.j)
-
-    def layout(self) -> LatticeLayout:
-        return self._layout
 
     def context(self) -> PathContext:
         return PathContext(self)
@@ -236,7 +248,7 @@ class PathContext:
     )
 
     def __init__(self, problem: InferenceProblem):
-        lay, L, sigma = problem.layout(), problem.L, problem.obs.sigma
+        lay, L = problem.layout, problem.L
         self.problem, self.layout, self.lnyr = problem, lay, problem.lnyr
         N, tail = lay.N, lay.N - 1
         self.T, self.dt = lay.T, lay.dt
@@ -244,7 +256,7 @@ class PathContext:
         self.coup = lay.T / (lay.j * lay.dt)
         self.L0, self.LN = float(L[1]), float(L[-1])
         self.n_tail, self.L_sum = float(tail), float(L[1:].sum())
-        self.inv_sigma2 = 1.0 / sigma / sigma  # inf, not a raise, if sigma^2 underflows
+        self.inv_sigma2 = problem.inv_sigma2
         # [u; p; pi]: x = [u; p], and after u the momentum row [p; pi]
         upi = np.empty(2 * N + 2)
         x, cross = upi[: 2 * N].reshape(2, N), np.empty((2, N))
@@ -296,7 +308,7 @@ def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
     with the workspace."""
     out = ctx.phase[0].copy()
     beta, gamma, pa, pg = end
-    return PolymerState._trusted(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
+    return PolymerState(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
 
 
 class Potential(NamedTuple):

@@ -13,19 +13,20 @@ slow part H' = h_n + h_1. Only H' is integrated numerically, with one
 gradient per step: P kernel passes per trajectory.
 
 The free flow is per bead, so it runs over all beads at once
-(`_free_flow`) from the `OscillatorBank` tables of the step, on the
+(`_free_flow`) from the flow tables of the step's `OscillatorBank`, and
+the kicks scale the force by the bank's 0-d kick steps; both act on the
 phase-space array x = [u; p] of the context's workspace, whose first row
 is the kernel row u. This module holds the dynamics only: the trajectory
-(`_trajectory`) runs in a workspace whose beads and momenta are loaded,
-and leaves its end there. `trotter_propagate` loads a state with
-`energy._load` and copies the end out with `energy._proposal`; the
-sampler's `Chain` keeps the end in the workspace and swaps workspaces on
-acceptance instead. The free flows move the array in place, and the kicks
-take the forces straight from the kernel `energy._hprime`, not through
-the public `grad_hprime`. Beta, gamma, pi_beta and pi_gamma stay Python
-floats for all P steps, as the kernel returns g_theta: the same IEEE
-operations as on length-2 arrays, so bit-identical, at a tenth of the
-dispatch cost.
+(`_trajectory`) runs from a bank in a workspace whose beads and momenta
+are loaded, and leaves its end there. `trotter_propagate` looks its bank
+up, loads a state with `energy._load` and copies the end out with
+`energy._proposal`; the sampler's `Chain` holds its bank, keeps the end in
+the workspace and swaps workspaces on acceptance instead. The free flows
+move the array in place, and the kicks take the forces straight from the
+kernel `energy._hprime`, not through the public `grad_hprime`. Beta,
+gamma, pi_beta and pi_gamma stay Python floats for all P steps, as the
+kernel returns g_theta: the same IEEE operations as on length-2 arrays,
+so bit-identical, at a tenth of the dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -84,8 +85,10 @@ class OscillatorBank:
     that `_free_flow` takes, the first a (2, N) array, the others flat
     length-N arrays over all beads: the measurement beads ``s*j`` hold the
     free-particle entries (1, d_tau / M, -0.0) of their drift. A half step
-    is the flow of the bank built at d_tau / 2. ``omega`` and every table
-    are read-only. The frequencies satisfy m omega_k^2 = T k / (dt (k-1))
+    is the flow of the bank built at d_tau / 2. ``kick_half`` and
+    ``kick_full`` are the kick steps d_tau / 2 and d_tau as 0-d arrays, the
+    operands of the trajectory's kicks. ``omega`` and every table are
+    read-only. The frequencies satisfy m omega_k^2 = T k / (dt (k-1))
     exactly, so the rotation conserves h_N to round-off.
     """
 
@@ -95,6 +98,8 @@ class OscillatorBank:
     m: float = field(init=False)
     omega: np.ndarray = field(init=False, repr=False, compare=False)
     flow: tuple = field(init=False, repr=False, compare=False)
+    kick_half: np.ndarray = field(init=False, repr=False, compare=False)
+    kick_full: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lay = self.layout
@@ -120,6 +125,10 @@ class OscillatorBank:
         np.negative(tables[3], out=tables[3])
         tables.setflags(write=False)  # before the views, which inherit it
         object.__setattr__(self, "flow", (tables[:2], tables[2], tables[3]))
+        for name, step in (("kick_half", 0.5 * self.d_tau), ("kick_full", self.d_tau)):
+            kick = np.array(step)
+            kick.setflags(write=False)
+            object.__setattr__(self, name, kick)
 
     @classmethod
     @functools.lru_cache(maxsize=16)
@@ -127,14 +136,6 @@ class OscillatorBank:
         cls, layout: LatticeLayout, masses: MassConfig, d_tau: float
     ) -> "OscillatorBank":
         return cls(layout, masses, d_tau)
-
-
-def _flow_tables(layout: LatticeLayout, masses: MassConfig, d_tau: float) -> tuple:
-    """``(flow, kick_half, kick_full)``: the ``flow`` tables of the shared
-    `OscillatorBank` of (layout, masses, d_tau), and the kick steps dtau/2
-    and dtau as 0-d arrays. A chain looks them up once."""
-    bank = OscillatorBank.build(layout, masses, d_tau)
-    return bank.flow, np.array(0.5 * d_tau), np.array(d_tau)
 
 
 def _free_flow(phase: tuple, flow: tuple):
@@ -168,14 +169,15 @@ def _trajectory(
     ctx: PathContext,
     masses: MassConfig,
     config: IntegratorConfig,
-    tables: tuple,
+    bank: OscillatorBank,
     start: tuple,
     force: tuple,
 ) -> tuple:
     """The trajectory of `trotter_propagate`, run in the workspace ``ctx``
     from the beads and momenta loaded there, with ``start`` = (beta, gamma,
-    pi_beta, pi_gamma) as Python floats and ``tables`` those of
-    `_flow_tables`. ``force`` is the force at the start, (g_u, g_beta,
+    pi_beta, pi_gamma) as Python floats, and the flow tables and kick steps
+    of ``bank``, the `OscillatorBank` of (ctx.layout, masses,
+    config.d_tau). ``force`` is the force at the start, (g_u, g_beta,
     g_gamma) with g_u a kernel row g_u and the rest Python floats: the
     sampler's chain carries it in its other workspace, and
     `trotter_propagate` forms it in ``ctx``, whose row the opening kick
@@ -194,7 +196,7 @@ def _trajectory(
     `energy._end_energy` scores them.
     """
     d_tau = config.d_tau
-    flow, kick_half, kick_full = tables
+    flow, kick_half, kick_full = bank.flow, bank.kick_half, bank.kick_full
     phase = ctx.phase
     p, kick = phase[2], phase[5]
     beta, gamma, pa, pg = start
@@ -239,5 +241,5 @@ def trotter_propagate(
     """
     start = _load(state, ctx)
     force = _hprime(*start[:2], ctx, True, False)[2:]
-    tables = _flow_tables(ctx.layout, masses, config.d_tau)
-    return _proposal(ctx, _trajectory(ctx, masses, config, tables, start, force)[0])
+    bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
+    return _proposal(ctx, _trajectory(ctx, masses, config, bank, start, force)[0])

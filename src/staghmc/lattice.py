@@ -151,6 +151,17 @@ class MassConfig:
         _positive("m_prime", self.m_prime)
         object.__setattr__(self, "m_alpha", _positive_pair("m_alpha", self.m_alpha))
 
+    def momentum_scale(self, layout: LatticeLayout) -> np.ndarray:
+        """Read-only (N + 2) standard deviations of the momenta (p, pi):
+        sqrt(m_prime/dt) at staging beads, sqrt(M) at measurement beads,
+        then sqrt(m_alpha). A chain builds its table once."""
+        scale = np.empty(layout.N + 2)
+        scale[: layout.N] = np.sqrt(self.m_prime / layout.dt)
+        scale[: layout.N : layout.j] = np.sqrt(self.M)
+        scale[layout.N :] = np.sqrt(self.m_alpha)
+        scale.setflags(write=False)
+        return scale
+
 
 @dataclass
 class PolymerState:
@@ -176,19 +187,7 @@ class PolymerState:
             raise ValidationError("theta and pi must have shape (2,)")
 
     def copy(self) -> "PolymerState":
-        return PolymerState._trusted(
-            self.u.copy(), self.theta.copy(), self.p.copy(), self.pi.copy()
-        )
-
-    @classmethod
-    def _trusted(cls, u, theta, p, pi) -> "PolymerState":
-        """A state of arrays that already meet `__post_init__`'s contract
-        (float arrays, u and p 1-d of one length, theta and pi of shape
-        (2,)), such as those of another state, built without checking them
-        again."""
-        state = object.__new__(cls)
-        state.u, state.theta, state.p, state.pi = u, theta, p, pi
-        return state
+        return PolymerState(self.u.copy(), self.theta.copy(), self.p.copy(), self.pi.copy())
 
 
 def _check_size(x: np.ndarray, layout: LatticeLayout, name: str):

@@ -7,14 +7,17 @@ gamma <= 0) or produce non-finite energies are rejected rather than raised.
 A chain (`Chain`) stays resident between iterations: its beads and their
 force, taken when it is built, live in one workspace of the problem, the
 next trajectory runs in a second, and an accepted proposal swaps the two,
-so no iteration copies a state out. Chains are reproducible from a single
-64-bit seed; parallel chains get independent streams spawned from it and
-run on a pool of min(chains, CPUs in the affinity mask) processes.
+so no iteration copies a state out. A chain also holds what its settings
+fix, looked up once when it is built: the free flow's `OscillatorBank`,
+with the kick steps, and the momentum scale. So an iteration looks nothing
+up by settings, and the module keeps no mutable state. Chains are
+reproducible from a single 64-bit seed; parallel chains get independent
+streams spawned from it and run on a pool of min(chains, CPUs in the
+affinity mask) processes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import multiprocessing
 import os
@@ -42,16 +45,11 @@ from .errors import (
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
-    _flow_tables,
+    OscillatorBank,
     _trajectory,
     trotter_propagate,
 )
-from .lattice import (
-    LatticeLayout,
-    MassConfig,
-    PolymerState,
-    initial_state,
-)
+from .lattice import MassConfig, PolymerState, initial_state
 from .model import (
     DimensionlessParams,
     _read_csv,
@@ -170,48 +168,23 @@ class ChainRecord:
         return cls(**columns, meta={"source": str(path)})
 
 
-@functools.lru_cache(maxsize=16)
-def _momentum_scale(masses: MassConfig, layout: LatticeLayout) -> np.ndarray:
-    """Read-only (N + 2) standard deviations of (p, pi): sqrt(m_prime/dt) at
-    staging beads, sqrt(M) at measurement beads, then sqrt(m_alpha)."""
-    scale = np.empty(layout.N + 2)
-    scale[: layout.N] = np.sqrt(masses.m_prime / layout.dt)
-    scale[: layout.N : layout.j] = np.sqrt(masses.M)
-    scale[layout.N :] = np.sqrt(masses.m_alpha)
-    scale.setflags(write=False)
-    return scale
-
-
-# (masses, layout, scale) of the last draw, matched by identity (both are
-# frozen, and the entry keeps them alive), so that a chain's draws hash no
-# dataclass; a miss looks the table up in `_momentum_scale`. One tuple,
-# replaced whole, so threads always read a consistent entry
-_last_scale = (None, None, None)
-
-
 def sample_momenta(
-    masses: MassConfig,
-    layout: LatticeLayout,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    scale: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (p, pi) from the Gaussians matching the kinetic terms: variance M
-    on measurement beads, m_prime/dt on staging beads, m_alpha on parameters.
+    """Draw (p, pi) from the Gaussians matching the kinetic terms: ``scale``
+    holds their N + 2 standard deviations, `MassConfig.momentum_scale` of
+    the chain's masses and layout (sqrt(M) on measurement beads,
+    sqrt(m_prime/dt) on staging beads, sqrt(m_alpha) on the parameters).
 
     One draw of N + 2 standard normals, scaled in place; p and pi are views
     of it. The stream matches a draw of N followed by a draw of 2. With
     ``out``, a float64 array of N + 2 entries, the normals are drawn into
     it, the same values from the same stream; `hmc_iteration` draws so into
     the row [p; pi] of the workspace where the trajectory runs."""
-    global _last_scale
-    last_masses, last_layout, scale = _last_scale
-    if last_masses is not masses or last_layout is not layout:
-        scale = _momentum_scale(masses, layout)
-        _last_scale = (masses, layout, scale)
     # a tuple size: an int one costs NumPy a caught TypeError beside ``out``
-    z = rng.standard_normal((layout.N + 2,), out=out)
+    z = rng.standard_normal(scale.shape, out=out)
     z *= scale
-    return z[: layout.N], z[layout.N :]
+    return z[:-2], z[-2:]
 
 
 def metropolis_accept(
@@ -242,10 +215,11 @@ class Chain:
     ``work``. An accepted proposal swaps the two, so no iteration copies a
     state or a force out. ``theta`` is the current (beta, gamma),
     ``potential`` its `Potential`, and ``g_theta`` the theta part of the
-    force, all Python floats. ``masses``, ``integrator`` and ``tables``, the
-    free flow's tables and kick steps (`integrator._flow_tables`), are the
-    chain's settings, looked up once. The momentum scale is
-    `sample_momenta`'s own lookup, one identity check per draw.
+    force, all Python floats. ``masses`` and ``integrator`` are the
+    chain's settings, and what they fix is looked up once, when the chain
+    is built: ``bank``, the shared `OscillatorBank` of the free flow and
+    the kick steps, and ``scale``, the read-only momentum scale
+    (`MassConfig.momentum_scale`) that `sample_momenta` draws by.
 
     Built from a `PolymerState`, which it copies in, scores with `h_total`
     and takes the force of with one gradient pass, so a chain is complete
@@ -257,15 +231,14 @@ class Chain:
     """
 
     __slots__ = (
-        "masses", "integrator", "layout", "tables", "cur", "work", "theta", "potential",
-        "g_theta",
+        "masses", "integrator", "bank", "scale", "cur", "work", "theta", "potential", "g_theta",
     )
 
     @_saturating
     def __init__(self, problem: InferenceProblem, config: HmcConfig, state: PolymerState):
         self.masses, self.integrator = config.masses, config.integrator
-        self.layout = problem.layout()
-        self.tables = _flow_tables(self.layout, self.masses, self.integrator.d_tau)
+        self.bank = OscillatorBank.build(problem.layout, self.masses, self.integrator.d_tau)
+        self.scale = self.masses.momentum_scale(problem.layout)
         self.cur, self.work = problem.context(), problem.context()
         # checks the state's size and loads its beads into ``cur``
         self.potential = h_total(state, self.cur, self.masses).potential
@@ -275,21 +248,19 @@ class Chain:
     def state(self) -> PolymerState:
         """A copy of the current beads and parameters, with zero momenta:
         every iteration draws its own."""
-        N = self.layout.N
-        return PolymerState._trusted(
-            self.cur.rows.u.copy(), np.array(self.theta), np.zeros(N), np.zeros(2)
-        )
+        u = self.cur.rows.u.copy()
+        return PolymerState(u, np.array(self.theta), np.zeros(u.size), np.zeros(2))
 
 
 @_saturating
 def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, IterationStats]:
     """One momentum-refresh / trajectory / Metropolis cycle of ``chain``.
 
-    The fresh momenta are drawn by `sample_momenta` straight into the
-    chain's ``work`` workspace, and the current beads are copied in beside
-    them. The trajectory runs there from the carried force; it makes P
-    kernel passes, of which the last also forms the proposal's potential.
-    Both ends are scored by the scorer of `h_total`
+    The fresh momenta are drawn by `sample_momenta`, at the chain's
+    ``scale``, straight into its ``work`` workspace, and the current beads
+    are copied in beside them. The trajectory runs there from the carried
+    force; it makes P kernel passes, of which the last also forms the
+    proposal's potential. Both ends are scored by the scorer of `h_total`
     (`energy._start_energy`, from the carried potential, and
     `energy._end_energy`), so no iteration calls `h_total`. On acceptance
     the workspaces swap, and the proposal, its potential and its force are
@@ -305,7 +276,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     energies of both ends included, saturates instead of warning.
     """
     cur, work, masses = chain.cur, chain.work, chain.masses
-    sample_momenta(masses, chain.layout, rng, out=work.momenta)
+    sample_momenta(chain.scale, rng, out=work.momenta)
     work.rows.u[...] = cur.rows.u
     pa, pg = work.pi_slots.tolist()
     h_before = _start_energy(chain.potential, work, masses, pa, pg)
@@ -313,7 +284,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     pathology = None
     try:
         end, g_theta, (h_n, h_1) = _trajectory(
-            work, masses, chain.integrator, chain.tables, (*chain.theta, pa, pg), force
+            work, masses, chain.integrator, chain.bank, (*chain.theta, pa, pg), force
         )
         beta, gamma, pa, pg = end
         if not (beta > 0 and gamma > 0):
@@ -338,7 +309,7 @@ def _start_chain(problem: InferenceProblem, config: HmcConfig) -> Chain:
     """A chain at the data-pinned start of ``config``, where every chain of
     a run starts."""
     theta0 = DimensionlessParams(*config.theta0)
-    start = initial_state(problem.data, problem.signal, theta0, problem.layout())
+    start = initial_state(problem.data, problem.signal, theta0, problem.layout)
     return Chain(problem, config, start)
 
 
@@ -348,7 +319,7 @@ def _run_seeded(
     chain_index: int,
     seed_seq: np.random.SeedSequence,
 ) -> ChainRecord:
-    layout = problem.layout()
+    layout = problem.layout
     chain = _start_chain(problem, config)
     rng = np.random.default_rng(seed_seq)
 

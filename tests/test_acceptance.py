@@ -339,7 +339,7 @@ def test_criterion_08_energy_error_scaling():
     # (the production dtau=0.25 sits above the asymptotic regime)
     problem = benchmark_problem(0)
     ctx = problem.context()
-    layout = problem.layout()
+    layout = problem.layout
     cfg = HmcConfig(
         n_mc=1,
         theta0=(BENCH_START.beta, BENCH_START.gamma),
@@ -368,7 +368,7 @@ def test_criterion_08_energy_error_scaling():
     mrng = np.random.default_rng(777)
     dh = {coarse: [], fine: []}
     for snap in snapshots:
-        p, pi = sample_momenta(BENCH_MASSES, layout, mrng)
+        p, pi = sample_momenta(chain.scale, mrng)
         start = dataclasses.replace(snap, p=p, pi=pi)
         h0 = h_total(start, ctx, BENCH_MASSES).total
         for step in (coarse, fine):

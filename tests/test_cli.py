@@ -732,6 +732,23 @@ def test_start_no_chain_can_take_rejected_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+def test_sigma_whose_inverse_square_overflows_rejected_by_infer(tmp_path, capsys, sigma):
+    # a positive, finite sigma whose 1/sigma^2 is inf would make every
+    # likelihood and force infinite; simulate has no 1/sigma^2 and runs
+    cfg = config_for(tmp_path, "infer")
+    set_field(cfg, ("observation", "sigma"), sigma)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config block observation: ") and err.count("\n") == 1
+    assert f"sigma = {sigma!r}" in err
+    assert not out.exists()
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
+
+
 # one field of each config block that a command builds a dataclass from,
 # with a command that reads it
 MISSING_FIELDS = [

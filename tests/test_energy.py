@@ -383,7 +383,7 @@ class TestScratch:
         problem = first.problem
         second = problem.context()
         assert first.lnyr is problem.lnyr and second.lnyr is problem.lnyr
-        assert first.layout is second.layout is problem.layout()
+        assert first.layout is second.layout is problem.layout
         assert first == first and first != second
         st = self.states(layout)[0]
         for ctx in (first, second):  # fill every row, the flow memo included

@@ -25,7 +25,6 @@ from staghmc.energy import (
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,
-    _flow_tables,
     _free_flow,
     _trajectory,
     trotter_propagate,
@@ -222,6 +221,14 @@ class TestRotation:
         for table in bank.flow:
             with pytest.raises(ValueError):
                 table[0] = 0.0
+
+    def test_kick_steps_are_read_only_scalars(self):
+        bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.37)
+        assert (bank.kick_half.shape, bank.kick_full.shape) == ((), ())
+        assert (float(bank.kick_half), float(bank.kick_full)) == (0.5 * 0.37, 0.37)
+        for kick in (bank.kick_half, bank.kick_full):
+            with pytest.raises(ValueError):
+                kick[...] = 0.0
 
 
 def view_rotation(state, bank, step):
@@ -466,9 +473,9 @@ class TestTrotter:
         kept = held.rows.g_u.tobytes()
         loaded = _load(st, ctx)
         assert loaded == [*st.theta.tolist(), *st.pi.tolist()]
-        tables = _flow_tables(layout, MASSES, cfg.d_tau)
+        bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
         end, g_theta, (h_n, h_1) = _saturating(_trajectory)(
-            ctx, MASSES, cfg, tables, loaded, force
+            ctx, MASSES, cfg, bank, loaded, force
         )
         assert all(type(v) is float for v in (*end, *g_theta, h_n, h_1))
         assert held.rows.g_u.tobytes() == kept  # the carried force is read, never written

@@ -180,6 +180,18 @@ class TestInferenceProblem:
                 data=toy_problem.data, signal=SIGNAL, obs=toy_problem.obs, j=0
             )
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+    def test_rejects_sigma_whose_inverse_square_overflows(self, toy_problem, sigma):
+        obs = ObservationModel(sigma)  # positive and finite: the model takes it
+        with pytest.raises(ValidationError, match="1/sigma\\^2 overflows"):
+            InferenceProblem(data=toy_problem.data, signal=SIGNAL, obs=obs, j=5)
+
+    def test_small_sigma_with_a_finite_weight_is_kept(self, toy_problem):
+        obs = ObservationModel(1e-150)
+        problem = InferenceProblem(data=toy_problem.data, signal=SIGNAL, obs=obs, j=5)
+        assert problem.inv_sigma2 == 1.0 / 1e-150 / 1e-150
+        assert problem.context().inv_sigma2 == problem.inv_sigma2
+
     def test_context_matches_data(self, toy_problem):
         ctx = toy_problem.context()
         assert ctx.layout.n == toy_problem.data.n_segments
@@ -189,7 +201,7 @@ class TestInferenceProblem:
     def test_contexts_share_one_layout(self, toy_problem):
         first, second = toy_problem.context(), toy_problem.context()
         assert first is not second
-        assert first.layout is second.layout is toy_problem.layout()
+        assert first.layout is second.layout is toy_problem.layout
 
     def test_pickle_round_trip_compares_equal(self, toy_problem):
         back = pickle.loads(pickle.dumps(toy_problem))
@@ -197,8 +209,8 @@ class TestInferenceProblem:
 
     def test_pickle_round_trip(self, toy_problem):
         back = pickle.loads(pickle.dumps(toy_problem))
-        assert back.layout() == toy_problem.layout()
-        assert back.context().layout is back.layout()
+        assert back.layout == toy_problem.layout
+        assert back.context().layout is back.layout
         cfg = small_config(n_mc=5, seed=3)
         np.testing.assert_array_equal(run_chain(back, cfg).beta, run_chain(toy_problem, cfg).beta)
 
@@ -210,7 +222,7 @@ class TestSampleMomenta:
         rng = np.random.default_rng(123)
         ps, pis = [], []
         for _ in range(50_000):
-            p, pi = sample_momenta(MASSES, layout, rng)
+            p, pi = sample_momenta(MASSES.momentum_scale(layout), rng)
             ps.append(p)
             pis.append(pi)
         ps = np.array(ps)
@@ -231,9 +243,9 @@ class TestSampleMomenta:
             MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 0.0))
 
     def test_fixed_seed_reproducible(self):
-        layout = build_layout(3, 10, 83.0)
-        p1, pi1 = sample_momenta(MASSES, layout, np.random.default_rng(42))
-        p2, pi2 = sample_momenta(MASSES, layout, np.random.default_rng(42))
+        scale = MASSES.momentum_scale(build_layout(3, 10, 83.0))
+        p1, pi1 = sample_momenta(scale, np.random.default_rng(42))
+        p2, pi2 = sample_momenta(scale, np.random.default_rng(42))
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(pi1, pi2)
 
@@ -243,7 +255,7 @@ class TestSampleMomenta:
         rng = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
         for _ in range(200):
-            p, pi = sample_momenta(MASSES, layout, rng)
+            p, pi = sample_momenta(MASSES.momentum_scale(layout), rng)
             z = ref.standard_normal(layout.N)
             p_ref = z * np.sqrt(MASSES.m_prime / layout.dt)
             p_ref[:: layout.j] = z[:: layout.j] * np.sqrt(MASSES.M)
@@ -259,25 +271,25 @@ class TestSampleMomenta:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         row = np.full(2 * layout.N + 2, np.nan)[layout.N :]  # as the workspace holds it
         for _ in range(20):
-            p, pi = sample_momenta(MASSES, layout, rng, out=row)
-            p_ref, pi_ref = sample_momenta(MASSES, layout, ref)
+            p, pi = sample_momenta(MASSES.momentum_scale(layout), rng, out=row)
+            p_ref, pi_ref = sample_momenta(MASSES.momentum_scale(layout), ref)
             assert np.shares_memory(p, row) and np.shares_memory(pi, row)
             assert p.tobytes() == p_ref.tobytes() and pi.tobytes() == pi_ref.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_into_out_of_the_wrong_size_raises(self):
-        layout = build_layout(3, 10, 83.0)
+        scale = MASSES.momentum_scale(build_layout(3, 10, 83.0))
         with pytest.raises(ValueError):
-            sample_momenta(MASSES, layout, np.random.default_rng(0), out=np.empty(layout.N))
+            sample_momenta(scale, np.random.default_rng(0), out=np.empty(scale.size - 2))
 
     def test_scale_table_follows_masses_and_layout(self):
-        # the draw remembers the table of its last (masses, layout) by
-        # identity; a switch of either, and back, must scale by the right one
+        # each (masses, layout) builds its own table; a switch of either,
+        # and back, must scale by the right one
         layouts = build_layout(3, 10, 83.0), build_layout(3, 5, 83.0)
         other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(15.0, 150.0))
         for masses, layout in ((MASSES, layouts[0]), (other, layouts[0]),
                                (other, layouts[1]), (MASSES, layouts[0])):
-            p, pi = sample_momenta(masses, layout, np.random.default_rng(9))
+            p, pi = sample_momenta(masses.momentum_scale(layout), np.random.default_rng(9))
             z = np.random.default_rng(9).standard_normal(layout.N + 2)
             want = z[: layout.N] * np.sqrt(masses.m_prime / layout.dt)
             want[:: layout.j] = z[: layout.N : layout.j] * np.sqrt(masses.M)
@@ -285,9 +297,7 @@ class TestSampleMomenta:
             np.testing.assert_array_equal(pi, z[layout.N :] * np.sqrt(masses.m_alpha))
 
     def test_scale_table_is_read_only(self):
-        from staghmc.sampler import _momentum_scale
-
-        scale = _momentum_scale(MASSES, build_layout(3, 10, 83.0))
+        scale = MASSES.momentum_scale(build_layout(3, 10, 83.0))
         assert scale.shape == (33,)
         with pytest.raises(ValueError):
             scale[0] = 1.0
@@ -339,7 +349,7 @@ class TestMetropolis:
 def start_state(problem, theta0=(1.0, 0.5)):
     """The data-pinned start of a chain on ``problem``."""
     return initial_state(
-        problem.data, problem.signal, DimensionlessParams(*theta0), problem.layout()
+        problem.data, problem.signal, DimensionlessParams(*theta0), problem.layout
     )
 
 
@@ -356,7 +366,7 @@ def refreshed(chain, rng):
     """The chain's state with the momenta that ``rng`` draws next, drawn
     from a copy of it."""
     state = chain.state()
-    state.p, state.pi = sample_momenta(chain.masses, chain.layout, copy.deepcopy(rng))
+    state.p, state.pi = sample_momenta(chain.scale, copy.deepcopy(rng))
     return state
 
 
@@ -403,10 +413,10 @@ class TestHmcIteration:
         for name in ("u", "theta", "p", "pi"):
             np.testing.assert_array_equal(getattr(state, name), getattr(snapshot, name))
 
-    def after_momenta(self, seed, layout):
-        """A stream of ``seed`` past one momentum refresh on ``layout``."""
+    def after_momenta(self, seed, chain):
+        """A stream of ``seed`` past one momentum refresh of ``chain``."""
         rng = np.random.default_rng(seed)
-        sample_momenta(MASSES, layout, rng)
+        sample_momenta(chain.scale, rng)
         return rng
 
     def test_proposal_overflowing_to_minus_inf_is_rejected(self, toy_problem, monkeypatch):
@@ -430,7 +440,7 @@ class TestHmcIteration:
         assert stats_out.h_after == -np.inf
         assert stats_out.pathology == "nonfinite-energy"
         assert not stats_out.accepted and chain.cur is cur
-        assert rng.random() == self.after_momenta(6, chain.layout).random()
+        assert rng.random() == self.after_momenta(6, chain).random()
 
     def test_start_of_infinite_energy_moves_to_a_finite_proposal(self, toy_problem):
         chain = new_chain(toy_problem)
@@ -440,7 +450,7 @@ class TestHmcIteration:
         _, stats_out = hmc_iteration(chain, rng)
         assert stats_out.h_before == np.inf and np.isfinite(stats_out.h_after)
         assert stats_out.accepted and stats_out.pathology is None and chain.cur is not cur
-        assert rng.random() == self.after_momenta(6, chain.layout).random()
+        assert rng.random() == self.after_momenta(6, chain).random()
 
 
 class TestMomentumRefresh:
@@ -451,8 +461,8 @@ class TestMomentumRefresh:
         return chain, hmc_iteration(chain, np.random.default_rng(seed))[1]
 
     def test_chains_of_other_settings_match_fresh_problems(self, toy_problem):
-        # the momentum scale and the flow tables are looked up by settings;
-        # chains of other settings in turn must each get their own
+        # a chain builds its momentum scale and looks its bank up from its
+        # settings; chains of other settings in turn must each get their own
         state = start_state(toy_problem)
         other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(150.0, 150.0))
         for seed, (masses, d_tau) in enumerate(((MASSES, 0.25), (other, 0.25), (MASSES, 0.3))):
@@ -463,6 +473,34 @@ class TestMomentumRefresh:
                 assert getattr(got.state(), name).tobytes() == getattr(want.state(), name).tobytes()
             assert got_stats == want_stats
             assert got.theta == want.theta and got.potential == want.potential
+
+    def test_interleaved_chains_match_their_solo_runs(self, toy_problem):
+        # two chains of other masses and layouts, stepped in turn in one
+        # process, each hold their own tables and run as they run alone
+        coarse = InferenceProblem(toy_problem.data, SIGNAL, toy_problem.obs, j=3)
+        other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(15.0, 150.0))
+        plans = (
+            (toy_problem, step_config(1.0), 21),
+            (coarse, step_config(1.0, masses=other), 22),
+        )
+
+        def step(chain, rng):
+            _, stats_out = hmc_iteration(chain, rng)
+            return (*chain.theta, stats_out.accepted, stats_out.h_before, stats_out.h_after)
+
+        solo = []
+        for problem, cfg, seed in plans:
+            chain, rng = new_chain(problem, cfg), np.random.default_rng(seed)
+            solo.append(np.array([step(chain, rng) for _ in range(40)]))
+        runs = [(new_chain(p, cfg), np.random.default_rng(seed)) for p, cfg, seed in plans]
+        mixed = [[], []]
+        for _ in range(40):
+            for rows, (chain, rng) in zip(mixed, runs):
+                rows.append(step(chain, rng))
+        assert runs[0][0].cur.layout.N != runs[1][0].cur.layout.N
+        for want, got in zip(solo, mixed):
+            assert np.array(got).tobytes() == want.tobytes()
+            assert 0 < want[:, 2].sum() < len(want)  # accepted some, not all
 
     def test_rejection_leaves_the_chain_as_it_was(self, toy_problem):
         chain = new_chain(toy_problem, step_config(1.0))
@@ -498,7 +536,7 @@ class TestMomentumRefresh:
         rng = np.random.default_rng(2)
         hmc_iteration(chain, rng)
         hashed = []
-        for cls in (MassConfig, type(chain.layout)):
+        for cls in (MassConfig, type(chain.cur.layout)):
             def counted(obj, _hash=cls.__hash__):
                 hashed.append(type(obj).__name__)
                 return _hash(obj)
@@ -618,7 +656,6 @@ class TestCarriedPotential:
 
         for owner, name in (
             (staghmc.integrator, "_proposal"),
-            (PolymerState, "_trusted"),
             (PolymerState, "__post_init__"),
             (staghmc.energy.PathContext, "__init__"),
         ):
@@ -723,15 +760,16 @@ class TestRunChain:
         proposal, and apply the Metropolis test with the sampler's rules. A
         proposal that raises, leaves beta > 0 and gamma > 0, or has an
         energy that is not finite is rejected without a draw."""
-        layout = problem.layout()
+        layout = problem.layout
         state = initial_state(
             problem.data, problem.signal, DimensionlessParams(*cfg.theta0), layout
         )
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         rows = []
+        scale = cfg.masses.momentum_scale(layout)
         for _ in range(cfg.n_mc):
             refreshed = state.copy()
-            refreshed.p, refreshed.pi = sample_momenta(cfg.masses, layout, rng)
+            refreshed.p, refreshed.pi = sample_momenta(scale, rng)
             h_before = h_total(refreshed, problem.context(), cfg.masses).total
             try:
                 proposal = trotter_propagate(
