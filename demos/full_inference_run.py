@@ -75,7 +75,9 @@ def main():
         p = summary.parameters[name]
         lo, hi = p.ci95
         hit = "covers" if lo <= true_value <= hi else "MISSES"
-        print(f"{name:10s}{p.mean:10.3f}{p.sd:10.3f}{lo:10.3f}{hi:10.3f}{p.ess:8.0f}"
+        # ess is None for a series that never moved
+        neff = "-" if p.ess is None else f"{p.ess:.0f}"
+        print(f"{name:10s}{p.mean:10.3f}{p.sd:10.3f}{lo:10.3f}{hi:10.3f}{neff:>8s}"
               f"   truth {true_value:g}: {hit}")
 
     for name in ("K", "gamma"):

@@ -5,9 +5,9 @@ Three subcommands share one JSON configuration document:
 * ``simulate`` integrates the reservoir SDE and writes a truth path plus
   noisy observations.
 * ``infer`` runs HMC chains against an observation file and writes one CSV
-  per chain plus a pooled posterior summary.
-* ``summarize`` re-reads chain CSVs, applies a burn-in discard, and writes
-  summary JSON and density curves.
+  per chain plus their posterior summary.
+* ``summarize`` re-reads chain CSVs and writes the same summary JSON, and
+  density curves of the draws each chain keeps after its burn-in.
 
 Configuration precedence, lowest to highest: built-in defaults, a named
 preset, the ``--config`` file, then individual flags. One pass over the
@@ -26,11 +26,12 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .diagnostics import (
+    _kept_rows,
     discard_start,
     kde,
     silverman_bandwidth,
@@ -51,7 +52,7 @@ from .model import (
     simulate_truth,
     to_dimensionless,
 )
-from .sampler import CHAIN_COLUMNS, ChainRecord, HmcConfig, InferenceProblem, _start_chain
+from .sampler import ChainRecord, HmcConfig, InferenceProblem, _start_chain
 from .sampler import run_parallel_chains
 
 __all__ = ["main"]
@@ -320,24 +321,6 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     return _write_json({**cfg, "command": command}, out_dir, ECHO_NAME.format(command))
 
 
-def _pooled_record(records: list[ChainRecord], discard: float) -> ChainRecord:
-    """Drop the burn-in fraction from each chain, then concatenate."""
-    starts = [discard_start(discard, rec.n_rows) for rec in records]
-    columns = {
-        name: np.concatenate([getattr(rec, name)[start:] for rec, start in zip(records, starts)])
-        for name, _ in CHAIN_COLUMNS
-    }
-    return ChainRecord(**columns, meta={"pooled_from": len(records), "discard": discard})
-
-
-def _summary_dict(records: list[ChainRecord], pooled: ChainRecord, discard: float) -> dict:
-    out = summarize(pooled, discard=0.0).as_dict()
-    out["discard"] = discard
-    out["chains"] = len(records)
-    out["n_total"] = int(sum(r.n_rows for r in records))
-    return out
-
-
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
     params = _build(PhysicalParams, cfg, "model")
@@ -416,7 +399,7 @@ def cmd_infer(cfg: dict) -> int:
         rec.to_csv(path)
         chain_paths.append(path)
 
-    summary = _summary_dict(records, _pooled_record(records, discard), discard)
+    summary = asdict(summarize(*records, discard=discard))
     summary["chains_meta"] = [rec.meta for rec in records]
     summary_path = _write_json(summary, out_dir, "summary.json")
 
@@ -455,16 +438,17 @@ def cmd_summarize(cfg: dict) -> int:
     discard = _need(cfg, "summarize.discard")
     records = [ChainRecord.from_csv(path) for path in chain_files]
     with _naming("config field summarize.discard"):
-        pooled = _pooled_record(records, discard)
+        summary = summarize(*records, discard=discard)
 
     # every check above runs before the first file write
     echo_path = _write_echo(cfg, "summarize", out_dir)
-    summary_path = _write_json(_summary_dict(records, pooled, discard), out_dir, "summary.json")
+    summary_path = _write_json(asdict(summary), out_dir, "summary.json")
     print(f"config echo: {echo_path}")
     print(f"summary: {summary_path}")
 
+    kept = _kept_rows(records, discard)
     for name in ("beta", "gamma", "K"):
-        series = getattr(pooled, name)
+        series = kept[name]
         try:
             h = silverman_bandwidth(series)
             pad = 3.0 * h

@@ -1,14 +1,14 @@
 """Posterior summaries and sampler health metrics from chain records.
 
 Everything here is a pure function of the chain arrays: moment and quantile
-summaries with effective sample sizes, and a Gaussian kernel density
-estimator for plotting marginals.
+summaries with effective sample sizes over the kept rows of one or more
+chains, and a Gaussian kernel density estimator for plotting marginals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ParameterSummary:
     sd: float
     quantiles: dict
     ci95: tuple
-    ess: float
+    ess: float | None
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class PosteriorSummary:
     n_total: int
     n_retained: int
     discard: float
-
-    def as_dict(self) -> dict:
-        """``dataclasses.asdict``: each ``ci95`` comes back as a tuple."""
-        return asdict(self)
+    chains: int
 
 
 def ess(series) -> float:
@@ -88,16 +85,13 @@ def ess(series) -> float:
 def _parameter_summary(x: np.ndarray) -> ParameterSummary:
     # ECDF-based quantiles: pooling identical chains leaves them unchanged
     qs = np.percentile(x, QUANTILE_LEVELS, method="averaged_inverted_cdf")
-    if x.size >= 10 and x.std() > 0:
-        neff = ess(x)
-    else:
-        neff = float(x.size)
     return ParameterSummary(
         mean=float(x.mean()),
         sd=float(x.std(ddof=0)),
         quantiles={f"{q:g}%": float(v) for q, v in zip(QUANTILE_LEVELS, qs)},
         ci95=(float(qs[0]), float(qs[-1])),
-        ess=neff,
+        # a series that never moved, or is too short, has no estimable ESS
+        ess=ess(x) if x.size >= 10 and x.std() > 0 else None,
     )
 
 
@@ -113,25 +107,33 @@ def discard_start(discard: float, n_rows: int) -> int:
     return start
 
 
-def summarize(record: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
-    """Summaries of beta, gamma, K over the retained rows.
-
-    ``discard`` is the burn-in fraction dropped from the front of the chain;
-    the retained set must be non-empty.
-    """
-    n_total = record.n_rows
-    start = discard_start(discard, n_total)
-    params = {
-        "beta": _parameter_summary(record.beta[start:]),
-        "gamma": _parameter_summary(record.gamma[start:]),
-        "K": _parameter_summary(record.K[start:]),
+def _kept_rows(records, discard: float) -> dict:
+    """beta, gamma, K and accepted of every chain after its burn-in fraction
+    ``discard`` (`discard_start`), joined in chain order."""
+    starts = [discard_start(discard, rec.n_rows) for rec in records]
+    return {
+        name: np.concatenate([getattr(rec, name)[start:] for rec, start in zip(records, starts)])
+        for name in ("beta", "gamma", "K", "accepted")
     }
+
+
+def summarize(*records: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
+    """Summaries of beta, gamma, K over the kept rows of one or more chains.
+
+    ``discard`` is the burn-in fraction dropped from the front of each
+    chain; each chain must keep a row. The kept rows are pooled in chain
+    order, so quantiles are those of the pooled draws.
+    """
+    if not records:
+        raise ValidationError("summarize needs at least one chain record")
+    kept = _kept_rows(records, discard)
     return PosteriorSummary(
-        parameters=params,
-        acceptance_rate=float(np.mean(record.accepted[start:])),
-        n_total=n_total,
-        n_retained=n_total - start,
+        parameters={name: _parameter_summary(kept[name]) for name in ("beta", "gamma", "K")},
+        acceptance_rate=float(np.mean(kept["accepted"])),
+        n_total=sum(rec.n_rows for rec in records),
+        n_retained=kept["accepted"].size,
         discard=float(discard),
+        chains=len(records),
     )
 
 

@@ -101,11 +101,6 @@ class HmcConfig:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "theta0", _positive_pair("theta0", self.theta0))
 
-    def echo(self) -> dict:
-        """JSON-ready mirror of every knob, sufficient to reproduce the run:
-        ``dataclasses.asdict``, so the pairs theta0 and m_alpha are tuples."""
-        return asdict(self)
-
 
 class IterationStats(NamedTuple):
     accepted: bool
@@ -341,7 +336,7 @@ def _run_seeded(
     accepted = accepted != 0.0
     K = layout.T * gamma / beta**2
     meta = {
-        "config": config.echo(),
+        "config": asdict(config),
         "data_digest": problem.data.digest(),
         "sigma": problem.obs.sigma,
         "j": problem.j,

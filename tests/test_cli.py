@@ -387,9 +387,10 @@ class TestSummarize:
         run_dir, chains = self.make_run(tmp_path)
         inline = json.loads((run_dir / "summary.json").read_text())
         merged, _ = self.summarize(tmp_path, chains)
-        assert merged["parameters"] == inline["parameters"]
-        assert merged["acceptance_rate"] == inline["acceptance_rate"]
-        assert merged["n_retained"] == inline["n_retained"]
+        assert set(inline) - {"chains_meta"} == set(merged)
+        for key in ("parameters", "acceptance_rate", "n_retained", "n_total", "chains", "discard"):
+            assert merged[key] == inline[key], key
+        assert merged["chains"] == 2 and merged["n_total"] == 240
 
     def test_duplicate_chain_keeps_quantiles(self, tmp_path):
         _, chains = self.make_run(tmp_path, chains=1)
@@ -431,6 +432,17 @@ class TestSummarize:
         assert summary["parameters"]["K"]["mean"] == 10.0
         assert not (out / "density_K.csv").exists()
         assert "histogram" in capsys.readouterr().err
+
+    def test_chain_that_never_moved_has_null_ess(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        rows = "\n".join(f"{i+1},1.5,0.5,10,0,3,3,0" for i in range(40))
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
+        _, out = self.summarize(tmp_path, [str(path)], "flat", discard=0.0)
+        text = (out / "summary.json").read_text()
+        assert text.count('"ess": null') == 3
+        summary = json.loads(text)
+        assert summary["parameters"]["beta"]["mean"] == 1.5
+        assert summary["acceptance_rate"] == 0.0
 
     def test_one_row_chain_skips_every_density(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -95,7 +96,13 @@ class TestSummarize:
         assert p.mean == 1.5
         assert p.sd == 0.0
         assert all(v == 1.5 for v in p.quantiles.values())
-        assert p.ess == 200.0
+        # a series that never moved has no estimable ESS
+        assert p.ess is None
+
+    def test_short_series_has_no_ess(self):
+        s = summarize(make_record(np.arange(1.0, 8.0)))
+        assert s.parameters["beta"].ess is None
+        assert s.parameters["beta"].mean == 4.0
 
     def test_discard_drops_front(self):
         beta = np.concatenate([np.zeros(30), np.ones(70)])
@@ -130,11 +137,47 @@ class TestSummarize:
 
     def test_as_dict_is_json_ready(self):
         rec = make_record(np.linspace(0.5, 1.5, 64))
-        blob = json.dumps(summarize(rec, discard=0.25).as_dict())
+        blob = json.dumps(asdict(summarize(rec, discard=0.25)))
         back = json.loads(blob)
         assert set(back["parameters"]) == {"beta", "gamma", "K"}
         assert back["n_retained"] == 48
         assert "2.5%" in back["parameters"]["gamma"]["quantiles"]
+        assert back["chains"] == 1 and back["n_total"] == 64
+
+    def test_chains_summarize_their_joined_kept_rows(self):
+        rng = np.random.default_rng(17)
+        a = make_record(rng.gamma(4.0, 0.3, 90), rng.gamma(2.0, 0.2, 90),
+                        accepted=rng.random(90) < 0.7)
+        b = make_record(rng.gamma(4.0, 0.3, 57), rng.gamma(2.0, 0.2, 57),
+                        accepted=rng.random(57) < 0.4)
+        d = 0.3
+        ka, kb = 27, 17  # round(90 * 0.3), round(57 * 0.3)
+        joined = make_record(
+            np.concatenate([a.beta[ka:], b.beta[kb:]]),
+            np.concatenate([a.gamma[ka:], b.gamma[kb:]]),
+            np.concatenate([a.K[ka:], b.K[kb:]]),
+            np.concatenate([a.accepted[ka:], b.accepted[kb:]]),
+        )
+        got = summarize(a, b, discard=d)
+        one = summarize(joined)
+        assert got.parameters == one.parameters
+        assert got.parameters["gamma"].mean == float(joined.gamma.mean())
+        assert got.parameters["K"].ess == ess(joined.K)
+        assert got.acceptance_rate == one.acceptance_rate
+        assert got.n_retained == one.n_retained == 103
+        assert (got.chains, got.n_total, got.discard) == (2, 147, d)
+        # the pooled quantiles do not depend on the chain order
+        assert summarize(b, a, discard=d).parameters["K"].quantiles == got.parameters["K"].quantiles
+
+    def test_discard_leaving_a_chain_nothing_is_an_error(self):
+        long, short = make_record(np.linspace(1.0, 2.0, 100)), make_record(np.ones(1))
+        assert summarize(long, discard=0.9).n_retained == 10
+        with pytest.raises(ValidationError, match="leaves no rows of the 1-row chain"):
+            summarize(long, short, discard=0.9)
+
+    def test_no_chain_is_an_error(self):
+        with pytest.raises(ValidationError, match="at least one chain"):
+            summarize()
 
 
 class TestKde:

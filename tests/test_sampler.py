@@ -3,6 +3,7 @@ import inspect
 import json
 import pickle
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestHmcConfig:
 
     def test_echo_is_json_ready(self):
         cfg = small_config(seed=9, chains=3)
-        echo = json.loads(json.dumps(cfg.echo()))
+        echo = json.loads(json.dumps(asdict(cfg)))
         assert echo["n_mc"] == 20
         assert echo["seed"] == 9
         assert echo["chains"] == 3
@@ -131,7 +132,7 @@ class TestHmcConfig:
 
     def test_echo_rebuilds_the_config(self):
         cfg = small_config(seed=2**64 - 1, chains=5, theta0=(1.25, 0.75))
-        echo = json.loads(json.dumps(cfg.echo()))
+        echo = json.loads(json.dumps(asdict(cfg)))
         echo["masses"] = MassConfig(**echo["masses"])
         echo["integrator"] = IntegratorConfig(**echo["integrator"])
         assert HmcConfig(**echo) == cfg
@@ -166,7 +167,7 @@ class TestIntegerCounts:
         cfg = small_config(
             n_mc=np.int64(3), chains=np.int16(1), seed=np.uint64(1), integrator=step
         )
-        echo = json.loads(json.dumps(cfg.echo()))
+        echo = json.loads(json.dumps(asdict(cfg)))
         assert echo["integrator"]["P"] == 2 and echo["n_mc"] == 3
         rec = run_chain(toy_problem, cfg)
         want = run_chain(toy_problem, small_config(n_mc=3, integrator=IntegratorConfig(0.25, 2)))
@@ -848,7 +849,7 @@ class TestRunChain:
         cfg = small_config(n_mc=10, seed=5)
         rec = run_chain(toy_problem, cfg)
         assert rec.meta["data_digest"] == toy_problem.data.digest()
-        assert rec.meta["config"] == cfg.echo()
+        assert rec.meta["config"] == asdict(cfg)
         assert rec.meta["wall_clock_s"] > 0
         assert rec.meta["j"] == toy_problem.j
         json.dumps(rec.meta)
