@@ -412,15 +412,21 @@ def cmd_infer(cfg: dict) -> int:
         lo, hi = p["ci95"]
         print(f"{name}: mean {p['mean']:.4g}, 95% interval [{lo:.4g}, {hi:.4g}]")
     print(f"acceptance rate: {summary['acceptance_rate']:.3f}")
-    # a chain that stopped moving: no acceptance in the rows the summary keeps
+    # a chain that stopped moving: no acceptance in the second half of the
+    # rows the summary keeps, if not in all of them
     for i, rec in enumerate(records):
-        kept = discard_start(discard, rec.n_rows)
-        if rec.accepted[kept:].any():
+        n = rec.n_rows
+        kept = discard_start(discard, n)
+        late = (kept + n) // 2
+        if rec.accepted[late:].any():
             continue
         if rec.acceptance_rate == 0.0:
-            why = f"of its {rec.n_rows} proposals; its draws are the starting values"
+            why = f"of its {n} proposals; its draws are the starting values"
+        elif not rec.accepted[kept:].any():
+            why = f"after its first {kept} of {n} proposals; it stopped moving"
         else:
-            why = f"after its first {kept} of {rec.n_rows} proposals; it stopped moving"
+            last = np.flatnonzero(rec.accepted)[-1] + 1
+            why = f"in its last {n - late} of {n} proposals; it last accepted proposal {last}"
         print(f"warning: chain {i:02d} accepted none {why}", file=sys.stderr)
     return 0
 
@@ -439,6 +445,18 @@ def cmd_summarize(cfg: dict) -> int:
     records = [ChainRecord.from_csv(path) for path in chain_files]
     with _naming("config field summarize.discard"):
         summary = summarize(*records, discard=discard)
+    # infer's summary.json holds chains_meta, which no chain CSV does
+    old_path = os.path.join(out_dir, "summary.json")
+    try:
+        with open(old_path, encoding="utf-8") as fh:
+            old = json.load(fh)
+    except (OSError, ValueError):
+        old = None
+    if isinstance(old, dict) and "chains_meta" in old:
+        raise ValidationError(
+            f"{old_path} is the summary that infer wrote, with its chains_meta; "
+            "give summarize another --out"
+        )
 
     # every check above runs before the first file write
     echo_path = _write_echo(cfg, "summarize", out_dir)

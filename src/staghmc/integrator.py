@@ -17,16 +17,17 @@ The free flow is per bead, so it runs over all beads at once
 the kicks scale the force by the bank's 0-d kick steps; both act on the
 phase-space array x = [u; p] of the context's workspace, whose first row
 is the kernel row u. This module holds the dynamics only: the trajectory
-(`_trajectory`) runs from a bank in a workspace whose beads and momenta
+(`_trajectory`) runs P steps of one bank, which alone fixes the step,
+its d_tau and the masses included, in a workspace whose beads and momenta
 are loaded, and leaves its end there. `trotter_propagate` looks its bank
 up, loads a state with `energy._load` and copies the end out with
-`energy._proposal`; the sampler's `Chain` holds its bank, keeps the end in
-the workspace and swaps workspaces on acceptance instead. The free flows
-move the array in place, and the kicks take the forces straight from the
-kernel `energy._hprime`, not through the public `grad_hprime`. Beta,
-gamma, pi_beta and pi_gamma stay Python floats for all P steps, as the
-kernel returns g_theta: the same IEEE operations as on length-2 arrays,
-so bit-identical, at a tenth of the dispatch cost.
+`energy._proposal`; the sampler's `Chain` holds its bank and P, keeps the
+end in the workspace and swaps workspaces on acceptance instead. The free
+flows move the array in place, and the kicks take the forces straight
+from the kernel `energy._hprime`, not through the public `grad_hprime`.
+Beta, gamma, pi_beta and pi_gamma stay Python floats for all P steps, as
+the kernel returns g_theta: the same IEEE operations as on length-2
+arrays, so bit-identical, at a tenth of the dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
 the composite is a valid HMC proposal map regardless of step size; dtau
@@ -166,18 +167,14 @@ def _free_flow(phase: tuple, flow: tuple):
 
 
 def _trajectory(
-    ctx: PathContext,
-    masses: MassConfig,
-    config: IntegratorConfig,
-    bank: OscillatorBank,
-    start: tuple,
-    force: tuple,
+    ctx: PathContext, bank: OscillatorBank, P: int, start: tuple, force: tuple
 ) -> tuple:
-    """The trajectory of `trotter_propagate`, run in the workspace ``ctx``
-    from the beads and momenta loaded there, with ``start`` = (beta, gamma,
-    pi_beta, pi_gamma) as Python floats, and the flow tables and kick steps
-    of ``bank``, the `OscillatorBank` of (ctx.layout, masses,
-    config.d_tau). ``force`` is the force at the start, (g_u, g_beta,
+    """The trajectory of `trotter_propagate`, P steps of ``bank``, run in
+    the workspace ``ctx`` from the beads and momenta loaded there, with
+    ``start`` = (beta, gamma, pi_beta, pi_gamma) as Python floats. The
+    `OscillatorBank` is the step: its flow tables, its kick steps, its
+    ``d_tau`` and the parameter masses ``bank.masses.m_alpha`` that the
+    drifts divide by. ``force`` is the force at the start, (g_u, g_beta,
     g_gamma) with g_u a kernel row g_u and the rest Python floats: the
     sampler's chain carries it in its other workspace, and
     `trotter_propagate` forms it in ``ctx``, whose row the opening kick
@@ -195,20 +192,20 @@ def _trajectory(
     bit for bit what `trotter_propagate` and `grad_hprime` return, and
     `energy._end_energy` scores them.
     """
-    d_tau = config.d_tau
+    d_tau = bank.d_tau
     flow, kick_half, kick_full = bank.flow, bank.kick_half, bank.kick_full
     phase = ctx.phase
     p, kick = phase[2], phase[5]
     beta, gamma, pa, pg = start
-    ma, mg = masses.m_alpha
+    ma, mg = bank.masses.m_alpha
     half = 0.5 * d_tau
     g_u, g_beta, g_gamma = force
     p -= np.multiply(g_u, kick_half, out=kick)
     pa -= g_beta * half
     pg -= g_gamma * half
     step, kick_step = d_tau, kick_full
-    last = config.P - 1
-    for i in range(config.P):
+    last = P - 1
+    for i in range(P):
         _free_flow(phase, flow)
         beta += d_tau * pa / ma
         gamma += d_tau * pg / mg
@@ -242,4 +239,4 @@ def trotter_propagate(
     start = _load(state, ctx)
     force = _hprime(*start[:2], ctx, True, False)[2:]
     bank = OscillatorBank.build(ctx.layout, masses, config.d_tau)
-    return _proposal(ctx, _trajectory(ctx, masses, config, bank, start, force)[0])
+    return _proposal(ctx, _trajectory(ctx, bank, config.P, start, force)[0])

@@ -9,7 +9,8 @@ force, taken when it is built, live in one workspace of the problem, the
 next trajectory runs in a second, and an accepted proposal swaps the two,
 so no iteration copies a state out. A chain also holds what its settings
 fix, looked up once when it is built: the free flow's `OscillatorBank`,
-with the kick steps, and the momentum scale. So an iteration looks nothing
+which is the step (its masses, d_tau, flow tables and kick steps), the
+number P of steps, and the momentum scale. So an iteration looks nothing
 up by settings, and the module keeps no mutable state. Chains are
 reproducible from a single 64-bit seed; parallel chains get independent
 streams spawned from it and run on a pool of min(chains, CPUs in the
@@ -210,11 +211,13 @@ class Chain:
     ``work``. An accepted proposal swaps the two, so no iteration copies a
     state or a force out. ``theta`` is the current (beta, gamma),
     ``potential`` its `Potential`, and ``g_theta`` the theta part of the
-    force, all Python floats. ``masses`` and ``integrator`` are the
-    chain's settings, and what they fix is looked up once, when the chain
-    is built: ``bank``, the shared `OscillatorBank` of the free flow and
-    the kick steps, and ``scale``, the read-only momentum scale
-    (`MassConfig.momentum_scale`) that `sample_momenta` draws by.
+    force, all Python floats. What the chain's settings fix is looked up
+    once, when the chain is built: ``bank``, the shared `OscillatorBank`
+    of its masses and step, which carries both (``bank.masses``,
+    ``bank.d_tau``) beside the free flow's tables and the kick steps;
+    ``P``, the int number of steps per trajectory; and ``scale``, the
+    read-only momentum scale (`MassConfig.momentum_scale`) that
+    `sample_momenta` draws by. The config itself is not kept.
 
     Built from a `PolymerState`, which it copies in, scores with `h_total`
     and takes the force of with one gradient pass, so a chain is complete
@@ -225,18 +228,17 @@ class Chain:
     `energy._saturating`, as `hmc_iteration` is.
     """
 
-    __slots__ = (
-        "masses", "integrator", "bank", "scale", "cur", "work", "theta", "potential", "g_theta",
-    )
+    __slots__ = ("bank", "P", "scale", "cur", "work", "theta", "potential", "g_theta")
 
     @_saturating
     def __init__(self, problem: InferenceProblem, config: HmcConfig, state: PolymerState):
-        self.masses, self.integrator = config.masses, config.integrator
-        self.bank = OscillatorBank.build(problem.layout, self.masses, self.integrator.d_tau)
-        self.scale = self.masses.momentum_scale(problem.layout)
+        masses, integ = config.masses, config.integrator
+        self.bank = OscillatorBank.build(problem.layout, masses, integ.d_tau)
+        self.P = integ.P
+        self.scale = masses.momentum_scale(problem.layout)
         self.cur, self.work = problem.context(), problem.context()
         # checks the state's size and loads its beads into ``cur``
-        self.potential = h_total(state, self.cur, self.masses).potential
+        self.potential = h_total(state, self.cur, masses).potential
         self.theta = tuple(state.theta.tolist())
         self.g_theta = _hprime(*self.theta, self.cur, True, False)[3:]
 
@@ -254,8 +256,9 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     The fresh momenta are drawn by `sample_momenta`, at the chain's
     ``scale``, straight into its ``work`` workspace, and the current beads
     are copied in beside them. The trajectory runs there from the carried
-    force; it makes P kernel passes, of which the last also forms the
-    proposal's potential. Both ends are scored by the scorer of `h_total`
+    force, ``chain.P`` steps of ``chain.bank``; it makes P kernel passes,
+    of which the last also forms the proposal's potential. Both ends are
+    scored with the bank's masses by the scorer of `h_total`
     (`energy._start_energy`, from the carried potential, and
     `energy._end_energy`), so no iteration calls `h_total`. On acceptance
     the workspaces swap, and the proposal, its potential and its force are
@@ -270,7 +273,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     Decorated with `energy._saturating`, so the whole iteration, the
     energies of both ends included, saturates instead of warning.
     """
-    cur, work, masses = chain.cur, chain.work, chain.masses
+    cur, work, masses = chain.cur, chain.work, chain.bank.masses
     sample_momenta(chain.scale, rng, out=work.momenta)
     work.rows.u[...] = cur.rows.u
     pa, pg = work.pi_slots.tolist()
@@ -279,7 +282,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     pathology = None
     try:
         end, g_theta, (h_n, h_1) = _trajectory(
-            work, masses, chain.integrator, chain.bank, (*chain.theta, pa, pg), force
+            work, chain.bank, chain.P, (*chain.theta, pa, pg), force
         )
         beta, gamma, pa, pg = end
         if not (beta > 0 and gamma > 0):

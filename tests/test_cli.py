@@ -339,6 +339,56 @@ class TestInfer:
         else:
             assert "warning" not in err
 
+    @pytest.mark.parametrize("late_hit, warned", [(False, True), (True, False)])
+    def test_chain_that_stops_in_its_kept_rows_warns(
+        self, tmp_path, monkeypatch, capsys, late_hit, warned
+    ):
+        # n_mc = 120 and discard = 0.25: rows 30.. are kept, and rows 75..
+        # are their second half. The chain accepts in its burn-in and the
+        # first half of its kept rows only, or also once in the last quarter
+        import staghmc.cli
+        from staghmc.sampler import ChainRecord
+
+        def stops_early(problem, hmc):
+            n = hmc.n_mc
+            accepted = np.zeros(n, dtype=bool)
+            accepted[:61:3] = True
+            accepted[110] = late_hit
+            beta = np.ones(n)
+            return [
+                ChainRecord(
+                    beta=beta, gamma=np.full(n, 0.5), K=10.0 * beta, accepted=accepted,
+                    h_before=np.zeros(n), h_after=np.zeros(n), dh=np.zeros(n), meta={},
+                )
+            ]
+
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", stops_early)
+        rc, _ = self.infer_into(tmp_path, "run", chains=1)
+        err = capsys.readouterr().err
+        assert rc == 0
+        if warned:
+            assert err.splitlines() == [
+                "warning: chain 00 accepted none in its last 45 of 120 proposals;"
+                " it last accepted proposal 61"
+            ]
+        else:
+            assert "warning" not in err
+
+    def test_quick_start_chain_does_not_warn(self, tmp_path, monkeypatch, capsys):
+        # the README quick-start's simulate and infer
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--preset", "paper-sec4", "--seed", "2718", "--out", "run"])
+        assert rc == 0
+        cfg = {"infer": {"observations_file": "run/observations.csv", "n_mc": 4000}}
+        cfg_path = write_config(tmp_path, cfg, "infer.json")
+        capsys.readouterr()
+        rc = main(
+            ["infer", "--preset", "paper-sec4", "--seed", "7", "--config", cfg_path,
+             "--out", "run"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("chains", [1, 3])
     def test_short_tabulated_signal_rejected_before_writing(self, tmp_path, capsys, chains):
         cfg = config_for(tmp_path, "infer")  # data over [0, 40]
@@ -391,6 +441,28 @@ class TestSummarize:
         for key in ("parameters", "acceptance_rate", "n_retained", "n_total", "chains", "discard"):
             assert merged[key] == inline[key], key
         assert merged["chains"] == 2 and merged["n_total"] == 240
+
+    def test_infer_summary_is_not_overwritten(self, tmp_path, capsys):
+        run_dir, chains = self.make_run(tmp_path)
+        summary_path = run_dir / "summary.json"
+        before, listing = summary_path.read_bytes(), sorted(os.listdir(run_dir))
+        capsys.readouterr()
+        cfg = {"summarize": {"chain_files": chains, "discard": 0.25}}
+        cfg_path = write_config(tmp_path, cfg, "summ.json")
+        rc = main(["summarize", "--config", cfg_path, "--out", str(run_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(summary_path) in err[0] and "chains_meta" in err[0]
+        assert summary_path.read_bytes() == before
+        # neither the config echo nor a density file
+        assert sorted(os.listdir(run_dir)) == listing
+
+    def test_summarize_overwrites_its_own_summary(self, tmp_path):
+        _, chains = self.make_run(tmp_path)
+        first, out = self.summarize(tmp_path, chains)
+        again, same = self.summarize(tmp_path, chains[:1])
+        assert same == out
+        assert (first["chains"], again["chains"]) == (2, 1)
 
     def test_duplicate_chain_keeps_quantiles(self, tmp_path):
         _, chains = self.make_run(tmp_path, chains=1)

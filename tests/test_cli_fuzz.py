@@ -139,10 +139,12 @@ def seeds(tmp_path_factory):
                  "--config", str(root / "infer.json"), "--out", str(run)]) == 0
     summ = {"summarize": {"chain_files": [str(run / "chain00.csv")], "discard": 0.25}}
     (root / "summ.json").write_text(json.dumps(summ))
-    assert main(["summarize", "--config", str(root / "summ.json"), "--out", str(run)]) == 0
+    summary = run / "summary"  # summarize may not overwrite infer's summary.json
+    assert main(["summarize", "--config", str(root / "summ.json"), "--out", str(summary)]) == 0
 
+    outs = {"simulate": run, "infer": run, "summarize": summary}
     docs = {
-        name: json.loads((run / f"config_{command}.json").read_text())
+        name: json.loads((outs[command] / f"config_{command}.json").read_text())
         for name, command in DOCS.items()
     }
     t = np.linspace(0.0, 833.0, 101)

@@ -474,9 +474,7 @@ class TestTrotter:
         loaded = _load(st, ctx)
         assert loaded == [*st.theta.tolist(), *st.pi.tolist()]
         bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
-        end, g_theta, (h_n, h_1) = _saturating(_trajectory)(
-            ctx, MASSES, cfg, bank, loaded, force
-        )
+        end, g_theta, (h_n, h_1) = _saturating(_trajectory)(ctx, bank, cfg.P, loaded, force)
         assert all(type(v) is float for v in (*end, *g_theta, h_n, h_1))
         assert held.rows.g_u.tobytes() == kept  # the carried force is read, never written
         out, end_force = _proposal(ctx, end), ctx.rows.g_u.copy()
@@ -489,6 +487,25 @@ class TestTrotter:
         potential = h_total(out, held, MASSES).potential
         assert (h_n, h_1) == (potential.h_n, potential.h_1)
         assert not np.shares_memory(out.u, ctx.phase[0])
+
+    def test_trajectory_takes_masses_and_step_from_its_bank(self):
+        # the bank is the step: a bank of other masses and another d_tau
+        # than the module's runs the trajectory of those settings
+        layout, ctx = make_problem(2, 5, 60.0)
+        held = ctx.problem.context()
+        st = random_state(layout, np.random.default_rng(17), u_scale=0.3)
+        other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(15.0, 90.0))
+        cfg = IntegratorConfig(d_tau=0.3, P=3)
+        bank = OscillatorBank.build(layout, other, cfg.d_tau)
+        start = grad_hprime(st, held)
+        force = (held.rows.g_u, *start.g_theta.tolist())
+        end = _saturating(_trajectory)(ctx, bank, cfg.P, _load(st, ctx), force)[0]
+        out = _proposal(ctx, end)
+        want = trotter_propagate(st, ctx.problem.context(), other, cfg)
+        for name in ("u", "p", "theta", "pi"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(want, name))
+        module = trotter_propagate(st, ctx.problem.context(), MASSES, cfg)
+        assert not np.array_equal(out.theta, module.theta)
 
     def test_state_size_checked_once_up_front(self):
         layout, ctx = make_problem(2, 5, 60.0)

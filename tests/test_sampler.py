@@ -21,7 +21,7 @@ from staghmc import (
 )
 from staghmc.diagnostics import discard_start
 from staghmc.energy import grad_hprime, h_total
-from staghmc.integrator import IntegratorConfig, trotter_propagate
+from staghmc.integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from staghmc.lattice import MassConfig, PolymerState, build_layout, initial_state
 from staghmc.model import (
     DimensionlessParams,
@@ -474,6 +474,18 @@ class TestMomentumRefresh:
                 assert getattr(got.state(), name).tobytes() == getattr(want.state(), name).tobytes()
             assert got_stats == want_stats
             assert got.theta == want.theta and got.potential == want.potential
+
+    def test_chain_holds_the_bank_of_its_settings_and_P(self, toy_problem):
+        # the bank is the step, masses and d_tau included; the chain keeps
+        # it and P, not the settings they came from
+        other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(15.0, 150.0))
+        for cfg in (small_config(), step_config(0.3, masses=other)):
+            chain = new_chain(toy_problem, cfg)
+            integ = cfg.integrator
+            assert chain.bank is OscillatorBank.build(toy_problem.layout, cfg.masses, integ.d_tau)
+            assert (chain.bank.masses, chain.bank.d_tau) == (cfg.masses, integ.d_tau)
+            assert chain.P == integ.P and type(chain.P) is int
+            assert not hasattr(chain, "masses") and not hasattr(chain, "integrator")
 
     def test_interleaved_chains_match_their_solo_runs(self, toy_problem):
         # two chains of other masses and layouts, stepped in turn in one
