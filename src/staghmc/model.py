@@ -27,10 +27,7 @@ the forward (Euler-Maruyama) simulator, and synthetic-observation generation.
 from __future__ import annotations
 
 import hashlib
-import io
-import itertools
 import math
-import re
 from array import array
 from dataclasses import dataclass, field, fields
 
@@ -205,7 +202,7 @@ class InputSignal:
 
     @classmethod
     def from_csv(cls, path) -> "InputSignal":
-        data = _read_csv(path, "t,r")
+        data, _ = _read_csv(path, "t,r")
         with _naming(str(path)):
             return cls.tabulated(data[:, 0], data[:, 1])
 
@@ -272,7 +269,7 @@ class TimeSeriesData:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesData":
-        data = _read_csv(path, "t,y")
+        data, _ = _read_csv(path, "t,y")
         with _naming(str(path)):
             return cls(times=data[:, 0], values=data[:, 1])
 
@@ -481,33 +478,31 @@ def _write_csv(path, header: str, rows: np.ndarray):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-# a line that `_read_csv` reads as a row: one with text before any "#"
-_ROW_LINE = re.compile(r"^[^#\n]", re.MULTILINE)
-
-
-def _read_csv(path, expected_header: str) -> np.ndarray:
+def _read_csv(path, expected_header: str) -> tuple[np.ndarray, list[int]]:
     """The rows under the line ``expected_header`` as a 2-d float array, one
-    column per header field. Empty and ``#`` comment lines are skipped, and
-    so is the text after a ``#``. No rows, or a row that is not one number
-    per field, is a ValidationError that names the file and, for a bad row,
-    its 1-based line."""
+    column per header field, and the 1-based file line of each row. Empty
+    and ``#`` comment lines are skipped, and so is the text after a ``#``:
+    the rows are those of `_rows`, found in one scan of the file and parsed
+    by one ``np.loadtxt``. No rows, or a row that is not one number per
+    field, is a ValidationError that names the file and, for a bad row, its
+    line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
             raise ValidationError(
                 f"unexpected CSV header {header!r} in {path}; want {expected_header!r}"
             )
-        body = fh.read()
-    if _ROW_LINE.search(body) is None:
+        rows = list(_rows(fh.read()))
+    if not rows:
         raise ValidationError(f"no data rows in {path}")
     width = expected_header.count(",") + 1
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        data = np.loadtxt([text for _, text in rows], delimiter=",", ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != width:
-        raise _bad_row(path, body, width)
-    return data
+        raise _bad_row(path, rows, width)
+    return data, [number for number, _ in rows]
 
 
 def _rows(body: str):
@@ -519,10 +514,11 @@ def _rows(body: str):
             yield number, text
 
 
-def _bad_row(path, body: str, width: int) -> ValidationError:
-    """The error for the first row of ``body``, the lines after the header,
-    that is not ``width`` numbers; only a failed read pays for this scan."""
-    for number, text in _rows(body):
+def _bad_row(path, rows, width: int) -> ValidationError:
+    """The error for the first of ``rows``, the (file line, text) pairs of
+    `_rows`, that is not ``width`` numbers; only a failed read pays for
+    this scan."""
+    for number, text in rows:
         cells = text.split(",")
         if len(cells) != width:
             return ValidationError(f"{path}, line {number}: want {width} columns, got {len(cells)}")
@@ -532,12 +528,3 @@ def _bad_row(path, body: str, width: int) -> ValidationError:
             except ValueError:
                 return ValidationError(f"{path}, line {number}: {cell.strip()!r} is not a number")
     return ValidationError(f"unreadable rows in {path}")
-
-
-def _row_line(path, index: int) -> int:
-    """The 1-based file line of row ``index`` (0-based) of the array that
-    `_read_csv` read from ``path``, for an error that names a bad value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        body = fh.read()
-    return next(itertools.islice(_rows(body), index, None))[0]

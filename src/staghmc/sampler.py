@@ -54,7 +54,6 @@ from .lattice import MassConfig, PolymerState, initial_state
 from .model import (
     DimensionlessParams,
     _read_csv,
-    _row_line,
     _write_csv,
 )
 
@@ -139,26 +138,33 @@ class ChainRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ChainRecord":
-        """Read a chain CSV. beta, gamma and K must be positive and finite,
-        and accepted 0 or 1, as the sampler records them; the first row that
-        breaks this is a ValidationError naming the file and its line.
-        H_after and dH may hold inf or NaN, the record of a rejected
-        proposal."""
-        raw = _read_csv(path, CHAIN_CSV_HEADER)
+        """Read a chain CSV. The iteration numbers must rise by 1 from row
+        to row, from a whole number >= 1 (a file cut from the front reads,
+        one chain pasted under another does not); beta, gamma and K must be
+        positive and finite, and accepted 0 or 1, as the sampler records
+        them. The first row that breaks this is a ValidationError naming
+        the file and its line. H_after and dH may hold inf or NaN, the
+        record of a rejected proposal."""
+        raw, lines = _read_csv(path, CHAIN_CSV_HEADER)
+        iters = raw[:, 0]
         columns = {name: raw[:, i].copy() for i, (name, _) in enumerate(CHAIN_COLUMNS, 1)}
-        bad = {
-            name: ~((columns[name] > 0.0) & (columns[name] < np.inf))
-            for name in ("beta", "gamma", "K")
-        }
+        whole = 1 <= iters[0] < np.inf and iters[0] % 1 == 0
+        bad = {"iter": np.append(not whole, iters[1:] != iters[:-1] + 1)}
+        for name in ("beta", "gamma", "K"):
+            bad[name] = ~((columns[name] > 0.0) & (columns[name] < np.inf))
         bad["accepted"] = (columns["accepted"] != 0.0) & (columns["accepted"] != 1.0)
         rows = np.flatnonzero(np.logical_or.reduce(list(bad.values())))
         if rows.size:
             row = rows[0]
             name = next(name for name in bad if bad[name][row])
-            rule = "0 or 1" if name == "accepted" else "positive and finite"
+            if name == "iter":
+                rule = f"{int(iters[row - 1]) + 1}" if row else "a whole number >= 1"
+                value = iters[row]
+            else:
+                rule = "0 or 1" if name == "accepted" else "positive and finite"
+                value = columns[name][row]
             raise ValidationError(
-                f"{path}, line {_row_line(path, row)}: {name} must be {rule}, "
-                f"got {float(columns[name][row])!r}"
+                f"{path}, line {lines[row]}: {name} must be {rule}, got {float(value)!r}"
             )
         columns["accepted"] = columns["accepted"] != 0.0
         return cls(**columns, meta={"source": str(path)})
@@ -391,10 +397,13 @@ def run_parallel_chains(
     by default min(config.chains, the CPUs in this process's affinity
     mask); a single chain runs in this process.
 
-    Chain c draws from the c-th stream spawned off the master seed, so
-    chains=1 reproduces run_chain exactly and adding chains never perturbs
-    existing ones. A failing chain does not abort its siblings; failures are
-    reported together after all chains finish.
+    The pool hands out one chain per task, as workers free up: chains take
+    unequal times, so a chunk of slow ones would leave the other workers
+    idle at the end. It returns them in chain order. Chain c draws from
+    the c-th stream spawned off the master seed, so chains=1 reproduces
+    run_chain exactly and adding chains never perturbs existing ones. A
+    failing chain does not abort its siblings; failures are reported
+    together after all chains finish.
     """
     if processes is not None:
         processes = _integer("processes", processes)
@@ -420,7 +429,7 @@ def run_parallel_chains(
     except ValueError:
         mp_ctx = multiprocessing.get_context()
     with mp_ctx.Pool(processes=processes) as pool:
-        outs = pool.map(_chain_worker, jobs)  # in job order
+        outs = pool.map(_chain_worker, jobs, chunksize=1)  # in job order
 
     errors = [err for _, _, err in outs if err is not None]
     if errors:

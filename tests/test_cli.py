@@ -589,6 +589,53 @@ class TestSummarize:
         assert capsys.readouterr().err == f"error: {path}, line 10: {message}\n"
         assert not (tmp_path / "summ").exists()
 
+    def test_joined_chain_file_rejected_with_its_line(self, tmp_path, capsys):
+        # one chain's body pasted under another restarts the iteration
+        # numbers: read as one chain, its start and burn-in would be kept
+        run_dir, _ = self.make_run(tmp_path, chains=1)
+        text = (run_dir / "chain00.csv").read_text()
+        joined = tmp_path / "joined.csv"
+        joined.write_text(text + text.split("\n", 1)[1])
+        n = text.count("\n") - 1
+        capsys.readouterr()
+        assert self.summarize(tmp_path, [str(joined)], "summ", rc_only=True) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {joined}, line {n + 2}: iter must be {n + 1}, got 1.0\n"
+        assert not (tmp_path / "summ").exists()
+
+    @pytest.mark.parametrize(
+        "iters, line, message",
+        [
+            ("1 2 nan 4", 4, "iter must be 3, got nan"),
+            ("nan 2 3 4", 2, "iter must be a whole number >= 1, got nan"),
+            ("1 2 4 5", 4, "iter must be 3, got 4.0"),
+            ("1 2 2 3", 4, "iter must be 3, got 2.0"),
+            ("0 1 2 3", 2, "iter must be a whole number >= 1, got 0.0"),
+            ("1.5 2.5 3.5", 2, "iter must be a whole number >= 1, got 1.5"),
+            ("inf inf", 2, "iter must be a whole number >= 1, got inf"),
+        ],
+        ids=["nan", "nan-first", "skipped", "repeated", "zero-first", "fraction", "inf"],
+    )
+    def test_iteration_numbers_must_rise_by_one(self, tmp_path, capsys, iters, line, message):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i},1.5,0.5,10,1,3,3,0" for i in iters.split()]
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert self.summarize(tmp_path, [str(path)], "summ", discard=0.0, rc_only=True) == 2
+        assert capsys.readouterr().err == f"error: {path}, line {line}: {message}\n"
+        assert not (tmp_path / "summ").exists()
+
+    def test_chain_file_cut_from_the_front_reads(self, tmp_path):
+        # the rows from iteration 101 on, numbered from 101
+        run_dir, _ = self.make_run(tmp_path, chains=1)
+        chain = run_dir / "chain00.csv"
+        header, *rows = chain.read_text().splitlines()
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join([header, *rows[100:]]) + "\n")
+        summary, _ = self.summarize(tmp_path, [str(cut)], "cut", discard=0.0)
+        assert summary["n_total"] == len(rows) - 100
+        np.testing.assert_array_equal(ChainRecord.from_csv(cut).K, ChainRecord.from_csv(chain).K[100:])
+
     def test_non_finite_energy_columns_read(self, tmp_path):
         # a rejected runaway proposal records H_after = inf and dH = inf
         path = tmp_path / "runaway.csv"

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -25,7 +26,8 @@ from staghmc import (
 )
 from staghmc.diagnostics import write_density_csv
 from staghmc.energy import InferenceProblem
-from staghmc.model import CSV_BLOCK_ROWS
+from staghmc.model import CSV_BLOCK_ROWS, _read_csv
+from staghmc.sampler import CHAIN_CSV_HEADER, ChainRecord
 
 SEC4_INPUT = InputSignal.sinusoid(1.0, 0.01, 0.1)
 
@@ -504,3 +506,80 @@ class TestCsvFormat:
         back = TimeSeriesData.from_csv(path)
         np.testing.assert_array_equal(back.times, [0.0, 2.0])
         np.testing.assert_array_equal(back.values, [1.5, 0.5])
+
+
+# edge-case bodies under the header "t,y", each with the file lines of its
+# rows where it reads, else its error ({path} is the file's)
+EDGE_BODIES = {
+    "whitespace-only": ("   \n", "{path}, line 2: want 2 columns, got 1"),
+    "whitespace-line": ("0,1\n   \n1,2\n", "{path}, line 3: want 2 columns, got 1"),
+    "tab-line": ("0,1\n\t\n1,2\n", "{path}, line 3: want 2 columns, got 1"),
+    "form-feed-line": ("0,1\n\f\n1,2\n", "{path}, line 3: want 2 columns, got 1"),
+    "comment-only": ("# a\n#b\n", "no data rows in {path}"),
+    "trailing-comments": ("0,1 # start\n1,2# end\n", [2, 3]),
+    "spaced-cells": (" 0 , 1 \n\t1,\t2\n", [2, 3]),
+    "empty-cell": ("0,1\n1,\n", "{path}, line 3: '' is not a number"),
+    "digit-separator": ("0,1\n1_0,1\n", "{path}, line 3: '1_0' is not a number"),
+    "hex": ("0,1\n0x1,2\n", "{path}, line 3: '0x1' is not a number"),
+    "quotes": ('0,1\n"1",2\n', "{path}, line 3: '\"1\"' is not a number"),
+    "nan-inf": ("0,nan\ninf,-inf\n", [2, 3]),
+    "too-many-columns": ("0,1,2\n1,2,3\n", "{path}, line 2: want 2 columns, got 3"),
+    "too-few-columns": ("0,1\n1\n", "{path}, line 3: want 2 columns, got 1"),
+    "no-final-newline": ("\n# note\n0,1\n\n1,2", [4, 6]),
+}
+
+
+class TestReadCsv:
+    """`_read_csv` finds the rows in one scan and parses just them: it
+    reads what np.loadtxt reads of the whole body after the header, and
+    returns each row's 1-based file line."""
+
+    @staticmethod
+    def loadtxt_body(path):
+        body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+        return np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+
+    @pytest.mark.parametrize("name", EDGE_BODIES)
+    def test_edge_bodies(self, tmp_path, name):
+        body, want = EDGE_BODIES[name]
+        path = tmp_path / "obs.csv"
+        path.write_text("t,y\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(ValidationError) as raised:
+                    _read_csv(path, "t,y")
+                assert str(raised.value) == want.format(path=path)
+                return
+            rows, lines = _read_csv(path, "t,y")
+        np.testing.assert_array_equal(rows, self.loadtxt_body(path))
+        assert lines == want
+
+    def test_chain_body_with_comment_blank_and_crlf_lines(self, tmp_path):
+        rng = np.random.default_rng(29)
+        n = 60
+        rec = ChainRecord(
+            beta=rng.random(n) + 0.5, gamma=rng.random(n) + 0.1, K=100.0 * rng.random(n) + 1.0,
+            accepted=rng.random(n) < 0.5, h_before=1e5 * rng.standard_normal(n),
+            h_after=rng.standard_normal(n), dh=rng.standard_normal(n), meta={},
+        )
+        rec.h_after[7], rec.dh[7] = np.inf, np.nan  # a rejected runaway proposal
+        clean = tmp_path / "clean.csv"
+        rec.to_csv(clean)
+        header, *body = clean.read_text().splitlines()
+        lines, want = [header], []
+        for i, row in enumerate(body):
+            if i % 7 == 3:
+                lines.append("# resumed")
+            if i % 11 == 5:
+                lines.append("")
+            lines.append(row + (" # note" if i % 13 == 0 else ""))
+            want.append(len(lines))
+        path = tmp_path / "mixed.csv"
+        path.write_bytes("".join(
+            line + ("\r\n" if k % 3 else "\n") for k, line in enumerate(lines)
+        ).encode())
+        rows, got = _read_csv(path, CHAIN_CSV_HEADER)
+        np.testing.assert_array_equal(rows, self.loadtxt_body(path))
+        np.testing.assert_array_equal(rows, np.loadtxt(clean, delimiter=",", skiprows=1))
+        assert got == want

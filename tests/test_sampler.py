@@ -922,6 +922,28 @@ class TestRunChain:
         with pytest.raises(ValidationError):
             ChainRecord.from_csv(path)
 
+    def test_bad_value_is_named_from_one_read(self, tmp_path, monkeypatch):
+        # the line of a bad beta below comment lines comes with the rows:
+        # the file is opened once, not scanned again for the line
+        import builtins
+
+        import staghmc.model
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return builtins.open(*args, **kwargs)
+
+        path = tmp_path / "chain.csv"
+        body = ["1,1.5,0.5,10,1,3,3,0", "# resumed", "", "2,-1.5,0.5,10,1,3,3,0"]
+        path.write_text(CHAIN_CSV_HEADER + "\n" + "\n".join(body) + "\n")
+        monkeypatch.setattr(staghmc.model, "open", counting_open, raising=False)
+        with pytest.raises(ValidationError) as raised:
+            ChainRecord.from_csv(path)
+        assert str(raised.value) == f"{path}, line 5: beta must be positive and finite, got -1.5"
+        assert opened == [path]
+
 
 def _batch_se(x, nb=20):
     m = x.size // nb
@@ -979,10 +1001,11 @@ class TestParallelChains:
             run_parallel_chains(toy_problem, small_config(n_mc=4, chains=2), processes=processes)
 
     def test_default_pool_follows_the_affinity_mask(self, toy_problem, monkeypatch):
-        # one CPU allowed on an eight-CPU host: one worker, not eight
+        # one CPU allowed on an eight-CPU host: one worker, not eight; the
+        # chains go to it one per task
         import staghmc.sampler
 
-        sizes = []
+        sizes, chunks = [], []
 
         class InlinePool:
             def __init__(self, processes):
@@ -994,7 +1017,8 @@ class TestParallelChains:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=None):
+                chunks.append(chunksize)
                 return [fn(job) for job in jobs]
 
         class Context:
@@ -1006,6 +1030,7 @@ class TestParallelChains:
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
         assert sizes == [1]
+        assert chunks == [1]
         seeds = np.random.SeedSequence(cfg.seed).spawn(3)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
