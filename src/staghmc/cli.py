@@ -209,7 +209,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         if not os.path.isfile(args.config):
             raise ValidationError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -509,6 +509,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         out = _need(cfg, "out")
+        if out == "":  # a whitespace-only name is a legal directory
+            raise ValidationError("config field out has an invalid value '': not a directory name")
         # each command makes its output directory only at its first write;
         # an --out that names a file still fails up front, as a runtime error
         if os.path.exists(out) and not os.path.isdir(out):

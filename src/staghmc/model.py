@@ -486,7 +486,7 @@ def _read_csv(path, expected_header: str) -> tuple[np.ndarray, list[int]]:
     by one ``np.loadtxt``. No rows, or a row that is not one number per
     field, is a ValidationError that names the file and, for a bad row, its
     line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
         header = fh.readline().strip()
         if header != expected_header:
             raise ValidationError(

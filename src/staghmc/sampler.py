@@ -13,8 +13,9 @@ which is the step (its masses, d_tau, flow tables and kick steps), the
 number P of steps, and the momentum scale. So an iteration looks nothing
 up by settings, and the module keeps no mutable state. Chains are
 reproducible from a single 64-bit seed; parallel chains get independent
-streams spawned from it and run on a pool of min(chains, CPUs in the
-affinity mask) processes.
+streams spawned from it; a lone chain runs in this process, and more run
+on a pool of min(chains, CPUs in the affinity mask) workers, so a caller
+who wants fewer narrows the mask.
 """
 
 from __future__ import annotations
@@ -389,13 +390,11 @@ def _chain_worker(args):
         return index, None, f"chain {index}: {type(exc).__name__}: {exc}"
 
 
-def run_parallel_chains(
-    problem: InferenceProblem, config: HmcConfig, processes: int | None = None
-) -> list[ChainRecord]:
-    """Run config.chains independent chains on a pool of ``processes``
-    worker processes (an integer >= 1, checked before any pool is made),
-    by default min(config.chains, the CPUs in this process's affinity
-    mask); a single chain runs in this process.
+def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[ChainRecord]:
+    """Run config.chains independent chains, a single one in this process
+    and more on a pool of min(config.chains, the CPUs in this process's
+    affinity mask) workers; to use fewer, narrow the mask
+    (``taskset``, ``os.sched_setaffinity``).
 
     The pool hands out one chain per task, as workers free up: chains take
     unequal times, so a chunk of slow ones would leave the other workers
@@ -403,33 +402,25 @@ def run_parallel_chains(
     the c-th stream spawned off the master seed, so chains=1 reproduces
     run_chain exactly and adding chains never perturbs existing ones. A
     failing chain does not abort its siblings; failures are reported
-    together after all chains finish.
+    together after all chains finish, as one StagHmcError that names each
+    failed chain (``chain 0: ...``).
     """
-    if processes is not None:
-        processes = _integer("processes", processes)
-        if processes < 1:
-            raise ValidationError(f"processes must be >= 1, got {processes}")
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     jobs = [(problem, config, c, seeds[c]) for c in range(config.chains)]
     if config.chains == 1:
-        _, record, err = _chain_worker(jobs[0])
-        if err is not None:
-            raise StagHmcError(err)
-        return [record]
-
-    if processes is None:
+        outs = [_chain_worker(jobs[0])]
+    else:
         # the CPUs this process may run on, where the platform can say
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count() or 1
-        processes = min(config.chains, cpus)
-    try:
-        mp_ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        mp_ctx = multiprocessing.get_context()
-    with mp_ctx.Pool(processes=processes) as pool:
-        outs = pool.map(_chain_worker, jobs, chunksize=1)  # in job order
+        try:
+            mp_ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            mp_ctx = multiprocessing.get_context()
+        with mp_ctx.Pool(processes=min(config.chains, cpus)) as pool:
+            outs = pool.map(_chain_worker, jobs, chunksize=1)  # in job order
 
     errors = [err for _, _, err in outs if err is not None]
     if errors:

@@ -379,7 +379,7 @@ def test_criterion_08_energy_error_scaling():
     assert 3.0 <= ratio <= 5.0
 
 
-def test_criterion_09_parallel_scaling():
+def test_criterion_09_parallel_scaling(monkeypatch):
     # best-effort and hardware-dependent: a miss warns instead of failing
     cores = os.cpu_count() or 1
     if cores < 16:
@@ -402,14 +402,19 @@ def test_criterion_09_parallel_scaling():
             chains=chains,
         )
 
+    import staghmc.sampler
     from staghmc.sampler import run_parallel_chains
 
-    t0 = time.perf_counter()
-    run_parallel_chains(problem, config(16), processes=16)
-    parallel = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_parallel_chains(problem, config(16), processes=1)
-    sequential = time.perf_counter() - t0
+    def timed_on(cpus):
+        # the pool has min(chains, CPUs in the affinity mask) workers
+        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: len(cpus))
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        t0 = time.perf_counter()
+        run_parallel_chains(problem, config(16))
+        return time.perf_counter() - t0
+
+    parallel = timed_on(set(range(16)))
+    sequential = timed_on({0})
     speedup = sequential / parallel
     print(f"criterion 9: 16-chain speedup {speedup:.1f}x (target >= 8x)")
     if speedup < 8.0:

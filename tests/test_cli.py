@@ -102,6 +102,35 @@ class TestConfigResolution:
         cfg_path = write_config(tmp_path, small_config())
         assert main(["infer", "--config", cfg_path, "--chains", "0"]) == 2
 
+    def test_byte_order_mark_reads_as_without(self, tmp_path):
+        # as Excel's "CSV UTF-8" and PowerShell 5's utf8 write it
+        plain = write_config(tmp_path, small_config())
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "config.json").read_bytes())
+        parse = build_parser().parse_args
+        assert resolve_config(parse(["infer", "--config", str(marked)])) == resolve_config(
+            parse(["infer", "--config", plain])
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "infer"])
+    def test_empty_out_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        import staghmc.cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("no work may start")
+
+        cfg_path = write_config(tmp_path, config_for(tmp_path, command), "run.json")
+        monkeypatch.setattr(staghmc.cli, "simulate_truth", fail)
+        monkeypatch.setattr(staghmc.cli, "run_parallel_chains", fail)
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field out has an invalid value '': not a directory name\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 class TestSimulate:
     def test_writes_outputs_and_echo(self, tmp_path):

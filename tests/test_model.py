@@ -27,7 +27,7 @@ from staghmc import (
 from staghmc.diagnostics import write_density_csv
 from staghmc.energy import InferenceProblem
 from staghmc.model import CSV_BLOCK_ROWS, _read_csv
-from staghmc.sampler import CHAIN_CSV_HEADER, ChainRecord
+from staghmc.sampler import CHAIN_COLUMNS, CHAIN_CSV_HEADER, ChainRecord
 
 SEC4_INPUT = InputSignal.sinusoid(1.0, 0.01, 0.1)
 
@@ -506,6 +506,29 @@ class TestCsvFormat:
         back = TimeSeriesData.from_csv(path)
         np.testing.assert_array_equal(back.times, [0.0, 2.0])
         np.testing.assert_array_equal(back.values, [1.5, 0.5])
+
+    @pytest.mark.parametrize("kind", ["observations", "chain"])
+    def test_byte_order_mark_reads_as_without(self, tmp_path, kind):
+        # as Excel's "CSV UTF-8" and PowerShell 5's utf8 write it
+        rng = np.random.default_rng(30)
+        n = 12
+        if kind == "observations":
+            cls, names = TimeSeriesData, ("times", "values")
+            obj = TimeSeriesData(np.arange(n) * 10.0, rng.random(n) + 0.5)
+        else:
+            cls, names = ChainRecord, [name for name, _ in CHAIN_COLUMNS]
+            obj = ChainRecord(
+                beta=rng.random(n) + 0.5, gamma=rng.random(n) + 0.1, K=rng.random(n) + 1.0,
+                accepted=rng.random(n) < 0.5, h_before=rng.standard_normal(n),
+                h_after=rng.standard_normal(n), dh=rng.standard_normal(n), meta={},
+            )
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        obj.to_csv(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = cls.from_csv(plain), cls.from_csv(marked)
+        for name in names:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
 
 
 # edge-case bodies under the header "t,y", each with the file lines of its

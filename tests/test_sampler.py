@@ -967,9 +967,14 @@ class TestParallelChains:
         assert not np.array_equal(recs[0].beta, recs[1].beta)
         assert not np.array_equal(recs[1].beta, recs[2].beta)
 
-    def test_pool_chains_match_in_process_runs(self, toy_problem):
+    def test_pool_chains_match_in_process_runs(self, toy_problem, monkeypatch):
+        # two CPUs in the mask, on any host: a pool of two workers
+        import staghmc.sampler
+
+        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = small_config(n_mc=25, seed=8, chains=2)
-        pooled = run_parallel_chains(toy_problem, cfg, processes=2)
+        pooled = run_parallel_chains(toy_problem, cfg)
         seeds = np.random.SeedSequence(cfg.seed).spawn(2)
         for c, rec in enumerate(pooled):
             solo = _run_seeded(toy_problem, cfg, c, seeds[c])
@@ -989,16 +994,23 @@ class TestParallelChains:
         with pytest.raises(StagHmcError, match="chain 0.*chain 1"):
             run_parallel_chains(toy_problem, cfg)
 
-    @pytest.mark.parametrize("processes", [0, -1, 2.5, "2", True])
-    def test_bad_process_count_rejected_before_any_pool(self, toy_problem, monkeypatch, processes):
+    def test_lone_chain_makes_no_pool_and_names_its_failure(self, toy_problem, monkeypatch):
         import staghmc.sampler
 
         def no_pool(*args):
             raise AssertionError("a pool was made")
 
+        def fail(problem, config, chain_index, seed_seq):
+            raise DomainError("injected failure")
+
         monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", no_pool)
-        with pytest.raises(ValidationError, match="processes"):
-            run_parallel_chains(toy_problem, small_config(n_mc=4, chains=2), processes=processes)
+        cfg = small_config(n_mc=5, seed=6)
+        assert len(run_parallel_chains(toy_problem, cfg)) == 1
+        # a lone chain's failure is reported as a pool's is
+        monkeypatch.setattr(staghmc.sampler, "_run_seeded", fail)
+        with pytest.raises(StagHmcError, match="^chain 0: DomainError: injected failure$") as raised:
+            run_parallel_chains(toy_problem, cfg)
+        assert type(raised.value) is StagHmcError
 
     def test_default_pool_follows_the_affinity_mask(self, toy_problem, monkeypatch):
         # one CPU allowed on an eight-CPU host: one worker, not eight; the
