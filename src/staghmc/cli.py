@@ -39,7 +39,8 @@ from .diagnostics import (
     write_density_csv,
 )
 from .energy import _inv_sigma2
-from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError, _naming, _positive
+from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
+from .errors import _count, _naming, _positive, _seed
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -224,10 +225,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     cfg = _typed(cfg, SCHEMA)
-    if not (0 <= _need(cfg, "seed") < 2**64):
-        raise ValidationError("seed must fit in an unsigned 64-bit integer")
-    if _need(cfg, "chains") < 1:
-        raise ValidationError(f"chains must be >= 1, got {cfg['chains']}")
+    _seed(_need(cfg, "seed"))
+    _count("chains", _need(cfg, "chains"))
     return cfg
 
 
@@ -245,12 +244,9 @@ def _need(cfg: dict, field: str):
     return value
 
 
-def _count(cfg: dict, field: str) -> int:
-    """The whole-number config field ``field``, read by `_need`, if it is >= 1."""
-    value = _need(cfg, field)
-    if value < 1:
-        raise ValidationError(f"{field} must be >= 1, got {value}")
-    return value
+def _need_count(cfg: dict, field: str) -> int:
+    """The config field ``field``, read by `_need`, if it is a count (`_count`)."""
+    return _count(field, _need(cfg, field))
 
 
 def _build(cls, cfg: dict, block: str, **given):
@@ -325,10 +321,10 @@ def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
     params = _build(PhysicalParams, cfg, "model")
     signal = _build_signal(cfg)
-    n = _count(cfg, "observation.n")
+    n = _need_count(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
-    j = _count(cfg, "lattice.j")
-    factor = _count(cfg, "simulate.factor")
+    j = _need_count(cfg, "lattice.j")
+    factor = _need_count(cfg, "simulate.factor")
     s0 = cfg["simulate"]["s0"]
     if s0 is not None:
         _positive("config field simulate.s0", s0)
@@ -362,13 +358,17 @@ def cmd_infer(cfg: dict) -> int:
     obs = _build(ObservationModel, cfg, "observation")
     with _naming("config block observation"):  # the plan refuses it too, but unnamed
         _inv_sigma2(obs)
-    problem = InferenceProblem(data, signal, obs, _count(cfg, "lattice.j"))
+    j = _need_count(cfg, "lattice.j")
+    # the checks above leave the plan one refusal, a tabulated signal that
+    # stops short of the data: name its file
+    with _naming(f"{cfg['signal'].get('file')} (config field signal.file)"):
+        problem = InferenceProblem(data, signal, obs, j)
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)
     theta0 = to_dimensionless(start)
     masses = _build(MassConfig, cfg, "infer.masses")
     integ = _build(IntegratorConfig, cfg, "infer.integrator")
-    n_mc = _count(cfg, "infer.n_mc")
+    n_mc = _need_count(cfg, "infer.n_mc")
     discard = _need(cfg, "infer.discard")
     with _naming("config field infer.discard"):
         discard_start(discard, n_mc)

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _integer
+from .errors import DomainError, NonFiniteError, ValidationError, _count
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
@@ -138,9 +138,7 @@ class InferenceProblem:
     lnyr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "j", _integer("j", self.j))
-        if self.j < 1:
-            raise ValidationError(f"j must be >= 1, got {self.j}")
+        object.__setattr__(self, "j", _count("j", self.j))
         inv_sigma2 = _inv_sigma2(self.obs)
         try:  # a tabulated input must span the data's times
             self.signal.value(self.data.times)

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, the integer,
-positive-number and positive-pair checks of the library configs, and the
-prefix that names where a rejected value came from."""
+"""Exception types shared across the package, the one check of each input
+rule (an integer, a count, a u64 seed, a positive number, a positive pair),
+and the prefix that names where a rejected value came from.
+
+Every setting, in a library config or on the command line, goes through
+its rule's check, so each rule has one wording, such as
+``<name> must be >= 1, got <value>`` for every count."""
 
 import contextlib
 import math
@@ -23,6 +27,24 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, if it is an integer (`_integer`) >= 1:
+    n, j, P, n_mc, chains and the simulation's refinement factor."""
+    value = _integer(name, value)
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _seed(value) -> int:
+    """``value`` as a Python int, if it is an integer (`_integer`) that fits
+    in an unsigned 64-bit word, the range of a run's seed."""
+    value = _integer("seed", value)
+    if not 0 <= value < 2**64:
+        raise ValidationError("seed must fit in an unsigned 64-bit integer")
+    return value
 
 
 def _positive(name: str, value):

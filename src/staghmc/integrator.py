@@ -50,7 +50,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _saturating,
     grad_hprime,
 )
-from .errors import ValidationError, _integer, _positive
+from .errors import _count, _positive
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
@@ -69,9 +69,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         _positive("d_tau", self.d_tau)
-        object.__setattr__(self, "P", _integer("P", self.P))
-        if self.P < 1:
-            raise ValidationError(f"P must be >= 1, got {self.P}")
+        object.__setattr__(self, "P", _count("P", self.P))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _positive, _positive_pair
+from .errors import ValidationError, _count, _positive, _positive_pair
 from .model import DimensionlessParams, InputSignal, TimeSeriesData
 
 __all__ = [
@@ -88,10 +88,8 @@ class LatticeLayout:
     _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n))
-        object.__setattr__(self, "j", _integer("j", self.j))
-        if self.n < 1 or self.j < 1:
-            raise ValidationError(f"n and j must be >= 1, got n={self.n}, j={self.j}")
+        object.__setattr__(self, "n", _count("n", self.n))
+        object.__setattr__(self, "j", _count("j", self.j))
         _positive("T", self.T)
         n, j = self.n, self.j
         dt = self.T / (n * j)

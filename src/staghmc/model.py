@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _integer, _naming, _positive
+from .errors import DomainError, NonFiniteError, ValidationError, _count, _naming, _positive
 
 __all__ = [
     "PhysicalParams",
@@ -98,6 +98,24 @@ def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
 # input signal
 
 
+def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``values`` as float arrays, if they are a sampled
+    series: matching 1-d arrays of at least 2 finite points, the times
+    strictly increasing and the values positive. Anything else is a
+    ValidationError whose message starts with ``what``."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+        raise ValidationError(f"{what} needs matching 1-d time/value arrays with >= 2 points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValidationError(f"{what} times and values must be finite")
+    if not np.all(np.diff(t) > 0):
+        raise ValidationError(f"{what} times must be strictly increasing")
+    if not np.all(v > 0):
+        raise ValidationError(f"{what} values must be strictly positive")
+    return t, v
+
+
 def _value_key(x):
     """The hash key of a field that agrees with ``np.array_equal``: a 1-d
     array's values as Python floats (-0.0 and 0.0 hash alike), else the value."""
@@ -147,16 +165,7 @@ class InputSignal:
                     " r(t) must stay positive"
                 )
         elif self.kind == "tabulated":
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-                raise ValidationError("tabulated input needs matching 1-d arrays, >= 2 points")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-                raise ValidationError("tabulated input nodes must be finite")
-            if not np.all(np.diff(t) > 0):
-                raise ValidationError("tabulated input times must be strictly increasing")
-            if not np.all(v > 0):
-                raise ValidationError("tabulated input values must be strictly positive")
+            t, v = _series("tabulated input", self.times, self.values)
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", v)
         else:
@@ -229,21 +238,12 @@ class TimeSeriesData:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValidationError("need matching 1-d time/value arrays with >= 2 points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValidationError("observation times and values must be finite")
+        t, v = _series("observation", self.times, self.values)
         if abs(t[0]) > 1e-12 * max(1.0, abs(t[-1])):
             raise ValidationError(f"first observation time must be 0, got {t[0]}")
         dt = np.diff(t)
-        if not np.all(dt > 0):
-            raise ValidationError("observation times must be strictly increasing")
         if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
             raise ValidationError("observation times must be equidistant (1e-9 relative)")
-        if not np.all(v > 0):
-            raise ValidationError("observed values must be strictly positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -350,9 +350,7 @@ class TruthPath:
 
 def fine_grid(T: float, n: int, j: int, factor: int = 20) -> np.ndarray:
     """Simulation grid refining the n*j inference lattice by ``factor``."""
-    n, j, factor = _integer("n", n), _integer("j", j), _integer("factor", factor)
-    if n < 1 or j < 1 or factor < 1:
-        raise ValidationError("n, j, factor must all be >= 1")
+    n, j, factor = _count("n", n), _count("j", j), _count("factor", factor)
     return np.linspace(0.0, T, n * j * factor + 1)
 
 
@@ -366,9 +364,11 @@ def simulate_truth(
     """Integrate the q-form SDE with Euler-Maruyama on the given grid.
 
     The state starts from S(0) = s0 (default K r(0), the equilibrium mean
-    scale). Noise increments use a dedicated generator seeded by ``seed``;
-    ``seed`` may also be an existing numpy Generator. A path that leaves the
-    double range, in q or in S, raises NonFiniteError at its first bad step.
+    scale); an s0 that is not positive and finite is a ValidationError,
+    raised before any noise is drawn. Noise increments use a dedicated
+    generator seeded by ``seed``; ``seed`` may also be an existing numpy
+    Generator. A path that leaves the double range, in q or in S, raises
+    NonFiniteError at its first bad step.
 
     The steps run on Python floats read through memoryviews of the step
     arrays, the same IEEE operations as on NumPy scalars at a fraction of
@@ -382,10 +382,7 @@ def simulate_truth(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     r0 = float(signal.value(t[0]))
-    if s0 is None:
-        s0 = params.K * r0
-    if s0 <= 0:
-        raise DomainError("initial state s0 must be positive")
+    s0 = _positive("s0", params.K * r0 if s0 is None else s0)
     q0 = math.log(s0 / (params.K * r0)) / theta.beta
 
     h = np.diff(t)

@@ -42,8 +42,9 @@ from .errors import (
     NonFiniteError,
     StagHmcError,
     ValidationError,
-    _integer,
+    _count,
     _positive_pair,
+    _seed,
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
@@ -92,14 +93,9 @@ class HmcConfig:
     chains: int = 1
 
     def __post_init__(self):
-        for name in ("n_mc", "chains", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n_mc < 1:
-            raise ValidationError(f"n_mc must be >= 1, got {self.n_mc}")
-        if self.chains < 1:
-            raise ValidationError(f"chains must be >= 1, got {self.chains}")
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        for name in ("n_mc", "chains"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "theta0", _positive_pair("theta0", self.theta0))
 
 

@@ -430,7 +430,9 @@ class TestInfer:
         rc = main(["infer", "--config", cfg_path, "--chains", str(chains), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        assert "does not cover the data" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not cover the data" in err
+        assert f"{table} (config field signal.file)" in err
 
     def test_out_path_collision_is_runtime_failure(self, tmp_path):
         (tmp_path / "blocked").write_text("a file, not a directory")

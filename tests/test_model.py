@@ -268,6 +268,14 @@ class TestSimulateTruth:
         with pytest.raises(ValidationError, match="must be an integer"):
             fine_grid(833.0, n, j, factor)
 
+    @pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf, -1.0, 0.0, True, "1"])
+    def test_bad_start_rejected_before_any_draw(self, s0):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"^s0 must be (positive and finite|a number)"):
+            simulate_truth(self.P, SEC4_INPUT, fine_grid(833, 10, 30), seed=rng, s0=s0)
+        assert rng.bit_generator.state == state  # no noise was drawn
+
     def test_reproducible(self):
         grid = fine_grid(833, 10, 30)
         a = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
