@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _count
+from .errors import DomainError, NonFiniteError, ValidationError, _count, _set
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
@@ -138,14 +138,13 @@ class InferenceProblem:
     lnyr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "j", _count("j", self.j))
+        _set(self, j=_count("j", self.j))
         inv_sigma2 = _inv_sigma2(self.obs)
-        try:  # a tabulated input must span the data's times
-            self.signal.value(self.data.times)
+        lay = build_layout(self.data.n_segments, self.j, self.data.horizon)
+        try:  # a tabulated input must span the lattice's times
+            r = np.asarray(self.signal.value(lay.times), dtype=float)
         except DomainError as exc:
             raise ValidationError(f"input signal does not cover the data: {exc}") from None
-        lay = build_layout(self.data.n_segments, self.j, self.data.horizon)
-        r = np.asarray(self.signal.value(lay.times), dtype=float)
         if np.any(r <= 0):
             raise DomainError("input signal must be strictly positive on the lattice")
         L = np.zeros(lay.N)
@@ -153,11 +152,7 @@ class InferenceProblem:
         Ldot = np.zeros(lay.N)
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
         lnyr = np.log(self.data.values / r[:: lay.j])
-        for table in (L, Ldot, lnyr):
-            table.setflags(write=False)
-        derived = {"layout": lay, "inv_sigma2": inv_sigma2, "L": L, "Ldot": Ldot, "lnyr": lnyr}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        _set(self, layout=lay, inv_sigma2=inv_sigma2, L=L, Ldot=Ldot, lnyr=lnyr)
 
     def __reduce__(self):
         return InferenceProblem, (self.data, self.signal, self.obs, self.j)

@@ -1,10 +1,15 @@
 """Exception types shared across the package, the one check of each input
 rule (an integer, a count, a u64 seed, a positive number, a positive pair),
-and the prefix that names where a rejected value came from.
+the prefix that names where a rejected value came from, and the one setter
+of a frozen dataclass's fields.
 
 Every setting, in a library config or on the command line, goes through
 its rule's check, so each rule has one wording, such as
-``<name> must be >= 1, got <value>`` for every count."""
+``<name> must be >= 1, got <value>`` for every count. Every normalised or
+derived field of a frozen dataclass is set once, by `_set`, which makes
+each array it sets read-only, so no array a frozen object holds (a table,
+or a data container's copy of its series) can change under a plan built
+from it."""
 
 import contextlib
 import math
@@ -69,6 +74,17 @@ def _positive_pair(name: str, value) -> tuple[float, float]:
     if isinstance(value, str) or items is None or len(items) != 2:
         raise ValidationError(f"{name} must be a pair of two numbers, got {value!r}")
     return tuple(float(_positive(name, x)) for x in items)
+
+
+def _set(obj, **fields):
+    """Set each of ``fields`` on the frozen dataclass ``obj`` (from its
+    ``__post_init__``), after making every NumPy array among the values,
+    and among the items of a tuple value, read-only."""
+    for name, value in fields.items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @contextlib.contextmanager

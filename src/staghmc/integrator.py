@@ -50,7 +50,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _saturating,
     grad_hprime,
 )
-from .errors import _count, _positive
+from .errors import _count, _positive, _set
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
@@ -69,7 +69,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         _positive("d_tau", self.d_tau)
-        object.__setattr__(self, "P", _count("P", self.P))
+        _set(self, P=_count("P", self.P))
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,7 @@ class OscillatorBank:
         n, j = lay.n, lay.j
         m = self.masses.m_prime / lay.dt
         omega = np.tile(np.sqrt(lay.stiffness / m), n)
-        omega.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "omega", omega)
+        _set(self, m=m, omega=omega)
         omega = omega.reshape(n, j - 1)
         m_omega = m * omega
         angle = omega * self.d_tau
@@ -122,12 +120,11 @@ class OscillatorBank:
         lay.staging(tables[3])[...] = m_omega * sin
         tables[1] = tables[0]
         np.negative(tables[3], out=tables[3])
-        tables.setflags(write=False)  # before the views, which inherit it
-        object.__setattr__(self, "flow", (tables[:2], tables[2], tables[3]))
-        for name, step in (("kick_half", 0.5 * self.d_tau), ("kick_full", self.d_tau)):
-            kick = np.array(step)
-            kick.setflags(write=False)
-            object.__setattr__(self, name, kick)
+        tables.setflags(write=False)  # the views' shared base, which _set does not reach
+        _set(
+            self, flow=(tables[:2], tables[2], tables[3]),
+            kick_half=np.array(0.5 * self.d_tau), kick_full=np.array(self.d_tau),
+        )
 
     @classmethod
     @functools.lru_cache(maxsize=16)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _count, _positive, _positive_pair
+from .errors import ValidationError, _count, _positive, _positive_pair, _set
 from .model import DimensionlessParams, InputSignal, TimeSeriesData
 
 __all__ = [
@@ -85,38 +85,27 @@ class LatticeLayout:
     staging_block_t: np.ndarray = field(init=False, repr=False, compare=False)
     flat_stiffness: np.ndarray = field(init=False, repr=False, compare=False)
     bead_classes: np.ndarray = field(init=False, repr=False, compare=False)
-    _m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _count("n", self.n))
-        object.__setattr__(self, "j", _count("j", self.j))
+        _set(self, n=_count("n", self.n), j=_count("j", self.j))
         _positive("T", self.T)
         n, j = self.n, self.j
         dt = self.T / (n * j)
-        object.__setattr__(self, "N", n * j + 1)
-        object.__setattr__(self, "dt", dt)
         k = np.arange(2, j + 1, dtype=float)
-        m = k - 1.0
         cols = np.arange(j, dtype=float)
         block = np.tril(cols / np.maximum(np.arange(j + 1.0), 1.0)[:, None])
         block[0] = (j - cols) / j
-        stiffness = self.T * k / (dt * m)
+        stiffness = self.T * k / (dt * (k - 1.0))
         flat_stiffness = np.zeros((n, j))
         flat_stiffness[:, 1:] = stiffness
         bead_classes = np.zeros((2, n * j + 1))
         bead_classes[0, :-1].reshape(n, j)[:, 1:] = 1.0
         bead_classes[1, ::j] = 1.0
-        tables = {
-            "stiffness": stiffness,
-            "staging_block": block,
-            "staging_block_t": np.ascontiguousarray(block.T),
-            "flat_stiffness": flat_stiffness.reshape(-1),
-            "bead_classes": bead_classes,
-            "_m": m,
-        }
-        for name, table in tables.items():
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        _set(
+            self, N=n * j + 1, dt=dt, stiffness=stiffness, staging_block=block,
+            staging_block_t=np.ascontiguousarray(block.T),
+            flat_stiffness=flat_stiffness.reshape(-1), bead_classes=bead_classes,
+        )
 
     @property
     def times(self) -> np.ndarray:
@@ -147,7 +136,7 @@ class MassConfig:
     def __post_init__(self):
         _positive("M", self.M)
         _positive("m_prime", self.m_prime)
-        object.__setattr__(self, "m_alpha", _positive_pair("m_alpha", self.m_alpha))
+        _set(self, m_alpha=_positive_pair("m_alpha", self.m_alpha))
 
     def momentum_scale(self, layout: LatticeLayout) -> np.ndarray:
         """Read-only (N + 2) standard deviations of the momenta (p, pi):
@@ -203,7 +192,7 @@ def staging_forward(q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
         return u
     qs = q[:-1].reshape(layout.n, j)        # qs[s, m] = q[s*j + m]
     qn = q[1:].reshape(layout.n, j)         # qn[s, m] = q[s*j + m + 1]
-    m = layout._m
+    m = np.arange(1.0, j)
     layout.staging(u)[...] = qs[:, 1:] - (m * qn[:, 1:] + qs[:, :1]) / (m + 1.0)
     return u
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _count, _naming, _positive
+from .errors import DomainError, NonFiniteError, ValidationError, _count, _naming, _positive, _set
 
 __all__ = [
     "PhysicalParams",
@@ -99,12 +99,13 @@ def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
 
 
 def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
-    """``times`` and ``values`` as float arrays, if they are a sampled
+    """``times`` and ``values`` as new float arrays, if they are a sampled
     series: matching 1-d arrays of at least 2 finite points, the times
     strictly increasing and the values positive. Anything else is a
-    ValidationError whose message starts with ``what``."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+    ValidationError whose message starts with ``what``. The arrays are
+    copies, so a container that freezes them (`_set`) owns them."""
+    t = np.array(times, dtype=float)
+    v = np.array(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 2:
         raise ValidationError(f"{what} needs matching 1-d time/value arrays with >= 2 points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
@@ -140,8 +141,9 @@ class InputSignal:
     Two kinds are supported:
 
     * ``sinusoid``: r(t) = a sin^2(omega t) + b, evaluated analytically.
-    * ``tabulated``: piecewise-linear interpolation of sampled (t, r) pairs;
-      evaluation outside the tabulated range is an error.
+    * ``tabulated``: piecewise-linear interpolation of sampled (t, r) pairs,
+      held as read-only copies; evaluation outside the tabulated range is
+      an error.
     """
 
     kind: str
@@ -166,8 +168,7 @@ class InputSignal:
                 )
         elif self.kind == "tabulated":
             t, v = _series("tabulated input", self.times, self.values)
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
+            _set(self, times=t, values=v)
         else:
             raise ValidationError(f"unknown input kind {self.kind!r}")
 
@@ -183,7 +184,7 @@ class InputSignal:
 
     @classmethod
     def tabulated(cls, times, values) -> "InputSignal":
-        return cls(kind="tabulated", times=np.asarray(times), values=np.asarray(values))
+        return cls(kind="tabulated", times=times, values=values)
 
     def value(self, t):
         """r(t); vectorized over t."""
@@ -232,7 +233,8 @@ class ObservationModel:
 
 @dataclass(frozen=True)
 class TimeSeriesData:
-    """Observed series y_s > 0 on equidistant times t_1 = 0, ..., t_{n+1} = T."""
+    """Observed series y_s > 0 on equidistant times t_1 = 0, ..., t_{n+1} = T;
+    it holds read-only copies of the arrays it is given."""
 
     times: np.ndarray
     values: np.ndarray
@@ -244,8 +246,7 @@ class TimeSeriesData:
         dt = np.diff(t)
         if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
             raise ValidationError("observation times must be equidistant (1e-9 relative)")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        _set(self, times=t, values=v)
 
     __eq__, __hash__ = _arrays_eq, _arrays_hash
 
@@ -336,11 +337,15 @@ def equilibrium_moments(params: PhysicalParams, r0: float):
 
 @dataclass(frozen=True)
 class TruthPath:
-    """A simulated ground-truth path sampled on ``times``."""
+    """A simulated ground-truth path sampled on ``times``; it holds
+    read-only copies of the arrays it is given."""
 
     times: np.ndarray
     S: np.ndarray
     q: np.ndarray
+
+    def __post_init__(self):
+        _set(self, **{f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)})
 
     __eq__, __hash__ = _arrays_eq, _arrays_hash
 
@@ -379,7 +384,7 @@ def simulate_truth(
         raise ValidationError("simulation grid must be 1-d and strictly increasing")
     theta = to_dimensionless(params)
     T = params.T
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     r0 = float(signal.value(t[0]))
     s0 = _positive("s0", params.K * r0 if s0 is None else s0)
@@ -446,7 +451,7 @@ def generate_observations(
     if np.any(np.abs(path.times[idx] - obs_times) > tol):
         bad = obs_times[np.abs(path.times[idx] - obs_times) > tol]
         raise ValidationError(f"observation times not on the simulation grid: {bad}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eps = rng.standard_normal(obs_times.size)
     with np.errstate(over="ignore"):
         y = (path.S[idx] / params.K) * np.exp(obs.sigma * eps)

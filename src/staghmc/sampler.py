@@ -45,6 +45,7 @@ from .errors import (
     _count,
     _positive_pair,
     _seed,
+    _set,
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
@@ -93,10 +94,10 @@ class HmcConfig:
     chains: int = 1
 
     def __post_init__(self):
-        for name in ("n_mc", "chains"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _seed(self.seed))
-        object.__setattr__(self, "theta0", _positive_pair("theta0", self.theta0))
+        _set(
+            self, n_mc=_count("n_mc", self.n_mc), chains=_count("chains", self.chains),
+            seed=_seed(self.seed), theta0=_positive_pair("theta0", self.theta0),
+        )
 
 
 class IterationStats(NamedTuple):

@@ -421,18 +421,28 @@ class TestInfer:
     @pytest.mark.parametrize("chains", [1, 3])
     def test_short_tabulated_signal_rejected_before_writing(self, tmp_path, capsys, chains):
         cfg = config_for(tmp_path, "infer")  # data over [0, 40]
-        table = tmp_path / "signal.csv"
-        table.write_text("t,r\n0,0.5\n10,0.7\n20,0.6\n")
-        cfg["signal"] = {"kind": "tabulated", "file": str(table)}
-        cfg_path = write_config(tmp_path, cfg, "short.json")
-        out = tmp_path / "run"
-        capsys.readouterr()
-        rc = main(["infer", "--config", cfg_path, "--chains", str(chains), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "does not cover the data" in err
-        assert f"{table} (config field signal.file)" in err
+        # data that start at 8e-10, within 1e-12 T of 0, under a table that
+        # covers them but not the lattice's first bead at t = 0
+        late = tmp_path / "late.csv"
+        TimeSeriesData(np.linspace(8e-10, 833.0, 5), np.full(5, 0.5)).to_csv(late)
+        cases = [
+            (cfg["infer"]["observations_file"], "0,0.5\n10,0.7\n20,0.6\n"),
+            (str(late), "5e-10,0.5\n900,0.7\n"),
+        ]
+        for k, (obs_file, rows) in enumerate(cases):
+            table = tmp_path / f"signal{k}.csv"
+            table.write_text("t,r\n" + rows)
+            cfg["infer"]["observations_file"] = obs_file
+            cfg["signal"] = {"kind": "tabulated", "file": str(table)}
+            cfg_path = write_config(tmp_path, cfg, f"short{k}.json")
+            out = tmp_path / f"run{k}"
+            capsys.readouterr()
+            rc = main(["infer", "--config", cfg_path, "--chains", str(chains), "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert "does not cover the data" in err
+            assert f"{table} (config field signal.file)" in err
 
     def test_out_path_collision_is_runtime_failure(self, tmp_path):
         (tmp_path / "blocked").write_text("a file, not a directory")

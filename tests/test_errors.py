@@ -1,17 +1,22 @@
 """One check per input rule: every count setting, the sampled-series rule
 and the seed range are each checked in one place, so each has one wording
-wherever the setting is given."""
+wherever the setting is given. And one setter of frozen fields: every
+array a frozen object holds is read-only, and the data containers hold
+copies, so no array a caller keeps can change them."""
 
 import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from staghmc import cli
 from staghmc.errors import ValidationError
-from staghmc.integrator import IntegratorConfig
+from staghmc.integrator import IntegratorConfig, OscillatorBank
 from staghmc.lattice import LatticeLayout, MassConfig
-from staghmc.model import InputSignal, ObservationModel, TimeSeriesData, fine_grid
+from staghmc.model import (
+    InputSignal, ObservationModel, PhysicalParams, TimeSeriesData, fine_grid, simulate_truth,
+)
 from staghmc.sampler import HmcConfig, InferenceProblem
 
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
@@ -115,3 +120,70 @@ def test_seed_range_has_one_wording(seed):
         hmc(seed=seed)
     with pytest.raises(ValidationError, match=message):
         cli.resolve_config(cli.build_parser().parse_args(["infer", "--seed", str(seed)]))
+
+
+TRUTH = PhysicalParams(K=30.0, gamma=0.4, T=40.0)
+
+
+def built_from_arrays(kind):
+    """(an object built from new arrays of a caller, those arrays, the plan
+    built from the object or None) for each way arrays are handed over."""
+    t, v = np.linspace(0.0, 40.0, 5), np.full(5, 0.5)
+    if kind == "observation":
+        data = TimeSeriesData(t, v)
+        return data, (t, v), InferenceProblem(data, SIGNAL, NOISE, 3)
+    if kind == "tabulated input":
+        signal = InputSignal.tabulated(t, v)
+        return signal, (t, v), InferenceProblem(DATA, signal, NOISE, 3)
+    return simulate_truth(TRUTH, SIGNAL, t, seed=1), (t,), None
+
+
+@pytest.mark.parametrize("kind", ["observation", "tabulated input", "truth path"])
+def test_writing_the_callers_arrays_changes_nothing(kind):
+    built, arrays, plan = built_from_arrays(kind)
+    want = built_from_arrays(kind)[0]
+    key = hash(built)
+    for a in arrays:
+        assert a.flags.writeable  # the caller's own arrays are not frozen
+        a[1] *= 2.0
+    assert built == want and hash(built) == key
+    if plan is not None:  # the plan's tables still follow from its inputs
+        rebuilt = InferenceProblem(plan.data, plan.signal, plan.obs, plan.j)
+        assert rebuilt.lnyr.tobytes() == plan.lnyr.tobytes()
+
+
+def array_fields(obj):
+    """(field name, array) of every array field of the dataclass ``obj``,
+    in a tuple field or a dataclass field too."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from array_fields(value)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield f.name, item
+
+
+LAYOUT = LatticeLayout(n=4, j=3, T=40.0)
+# MassConfig, IntegratorConfig and HmcConfig hold no arrays: their pairs
+# are tuples of floats
+WITH_ARRAYS = {
+    "LatticeLayout": lambda: LAYOUT,
+    "OscillatorBank": lambda: OscillatorBank(LAYOUT, MASSES, 0.25),
+    "InferenceProblem": lambda: InferenceProblem(
+        DATA, InputSignal.tabulated([0.0, 40.0], [1.0, 2.0]), NOISE, 3
+    ),
+    "InputSignal": lambda: InputSignal.tabulated([0.0, 40.0], [1.0, 2.0]),
+    "TimeSeriesData": lambda: TimeSeriesData([0.0, 20.0, 40.0], [1.0, 2.0, 1.0]),
+    "TruthPath": lambda: simulate_truth(TRUTH, SIGNAL, np.linspace(0.0, 40.0, 9), seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", WITH_ARRAYS)
+def test_every_array_field_is_read_only(kind):
+    found = list(array_fields(WITH_ARRAYS[kind]()))
+    assert found
+    for name, a in found:
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 1.0
