@@ -27,7 +27,7 @@ from staghmc import (
 )
 from staghmc.energy import h_N, h_total
 from staghmc.integrator import OscillatorBank, _free_flow, trotter_propagate
-from staghmc.lattice import PolymerState, build_layout, initial_state
+from staghmc.lattice import LatticeLayout, PolymerState, initial_state
 from staghmc.model import DimensionlessParams
 from staghmc.sampler import Chain, HmcConfig, InferenceProblem, hmc_iteration, sample_momenta
 
@@ -101,7 +101,7 @@ def main():
     print("\nenergy error vs outer step (fixed trajectory length 0.75):")
     print(f"{'dtau':>8s}{'P':>5s}{'median |dH|':>14s}{'ratio':>8s}")
     mrng = np.random.default_rng(777)
-    scale = MASSES.momentum_scale(layout)
+    scale = OscillatorBank.build(layout, MASSES, STEP.d_tau).scale
     momenta = [sample_momenta(scale, mrng) for _ in snapshots]
     previous = None
     for d_tau, P in ((0.25, 3), (0.125, 6), (0.0625, 12), (0.03125, 24)):

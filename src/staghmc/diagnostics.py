@@ -8,11 +8,10 @@ chains, and a Gaussian kernel density estimator for plotting marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, _positive
+from .errors import DomainError, ValidationError, _frozen, _positive
 from .model import _write_csv
 from .sampler import ChainRecord
 
@@ -32,7 +31,7 @@ QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 KDE_BLOCK_DOUBLES = 1 << 16
 
 
-@dataclass(frozen=True)
+@_frozen
 class ParameterSummary:
     mean: float
     sd: float
@@ -41,7 +40,7 @@ class ParameterSummary:
     ess: float | None
 
 
-@dataclass(frozen=True)
+@_frozen
 class PosteriorSummary:
     parameters: dict
     acceptance_rate: float

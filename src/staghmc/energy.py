@@ -51,19 +51,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _count, _set
+from .errors import DomainError, NonFiniteError, ValidationError, _count, _frozen, _set
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
     PolymerState,
     _check_size,
     _StagingRows,
-    build_layout,
     staging_adjoint,
     staging_inverse,
 )
@@ -110,7 +109,7 @@ def _inv_sigma2(obs: ObservationModel) -> float:
     return inv_sigma2
 
 
-@dataclass(frozen=True)
+@_frozen
 class InferenceProblem:
     """The plan of one inference, shared by every chain: the observations,
     the input signal they respond to, the noise model and the lattice
@@ -131,16 +130,16 @@ class InferenceProblem:
     obs: ObservationModel
     j: int
     # derived from the four inputs; every context of the problem shares them
-    layout: LatticeLayout = field(init=False, repr=False, compare=False)
-    inv_sigma2: float = field(init=False, repr=False, compare=False)
-    L: np.ndarray = field(init=False, repr=False, compare=False)
-    Ldot: np.ndarray = field(init=False, repr=False, compare=False)
-    lnyr: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: LatticeLayout = field(init=False, repr=False)
+    inv_sigma2: float = field(init=False, repr=False)
+    L: np.ndarray = field(init=False, repr=False)
+    Ldot: np.ndarray = field(init=False, repr=False)
+    lnyr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _set(self, j=_count("j", self.j))
         inv_sigma2 = _inv_sigma2(self.obs)
-        lay = build_layout(self.data.n_segments, self.j, self.data.horizon)
+        lay = LatticeLayout(self.data.n_segments, self.j, self.data.horizon)
         try:  # a tabulated input must span the lattice's times
             r = np.asarray(self.signal.value(lay.times), dtype=float)
         except DomainError as exc:
@@ -153,9 +152,6 @@ class InferenceProblem:
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
         lnyr = np.log(self.data.values / r[:: lay.j])
         _set(self, layout=lay, inv_sigma2=inv_sigma2, L=L, Ldot=Ldot, lnyr=lnyr)
-
-    def __reduce__(self):
-        return InferenceProblem, (self.data, self.signal, self.obs, self.j)
 
     def context(self) -> PathContext:
         return PathContext(self)

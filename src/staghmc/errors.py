@@ -1,17 +1,21 @@
 """Exception types shared across the package, the one check of each input
 rule (an integer, a count, a u64 seed, a positive number, a positive pair),
-the prefix that names where a rejected value came from, and the one setter
-of a frozen dataclass's fields.
+the prefix that names where a rejected value came from, and the one rule
+for a frozen object: what it is (`_frozen`) and how its fields are set
+(`_set`).
 
 Every setting, in a library config or on the command line, goes through
 its rule's check, so each rule has one wording, such as
-``<name> must be >= 1, got <value>`` for every count. Every normalised or
-derived field of a frozen dataclass is set once, by `_set`, which makes
-each array it sets read-only, so no array a frozen object holds (a table,
-or a data container's copy of its series) can change under a plan built
-from it."""
+``<name> must be >= 1, got <value>`` for every count. A frozen object is
+its init fields: it compares, hashes and pickles as them, so unpickling
+rebuilds it through its ``__post_init__``. Every normalised or derived
+field is set once, by `_set`, which makes each array it sets read-only,
+and every array that one is a view of, so no array a frozen object holds
+(a table, or a data container's copy of its series) can change under a
+plan built from it, in this process or in a worker it was pickled to."""
 
 import contextlib
+import dataclasses
 import math
 import numbers
 
@@ -76,14 +80,42 @@ def _positive_pair(name: str, value) -> tuple[float, float]:
     return tuple(float(_positive(name, x)) for x in items)
 
 
+def _frozen(cls):
+    """``cls`` as a frozen dataclass that is its init fields. Two objects
+    are equal, and hash alike, when their init fields are, a 1-d array
+    keyed by its values as Python floats (-0.0 and 0.0 alike); the derived
+    fields (``init=False``) follow from them and take no part. An object
+    pickles as its init fields, so unpickling rebuilds it: its
+    ``__post_init__`` checks it and freezes its arrays again."""
+    cls = dataclasses.dataclass(frozen=True, eq=False)(cls)
+    # taken once: a fields() call per hash would slow every cache lookup
+    names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+
+    def init_values(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def key(self):
+        values = init_values(self)
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
+
+    cls.__eq__ = lambda self, other: (
+        key(self) == key(other) if type(other) is type(self) else NotImplemented
+    )
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__reduce__ = lambda self: (type(self), init_values(self))
+    return cls
+
+
 def _set(obj, **fields):
     """Set each of ``fields`` on the frozen dataclass ``obj`` (from its
     ``__post_init__``), after making every NumPy array among the values,
-    and among the items of a tuple value, read-only."""
+    and among the items of a tuple value, read-only, together with the
+    array it is a view of (its ``.base``, followed to the owner)."""
     for name, value in fields.items():
         for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
+            while isinstance(item, np.ndarray):
                 item.setflags(write=False)
+                item = item.base
         object.__setattr__(obj, name, value)
 
 

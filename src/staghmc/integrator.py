@@ -38,7 +38,7 @@ fixed trajectory length P dtau).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _saturating,
     grad_hprime,
 )
-from .errors import _count, _positive, _set
+from .errors import _count, _frozen, _positive, _set
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntegratorConfig:
     """Inner step size dtau and the number P of inner steps per trajectory."""
 
@@ -72,40 +72,48 @@ class IntegratorConfig:
         _set(self, P=_count("P", self.P))
 
 
-@dataclass(frozen=True)
+@_frozen
 class OscillatorBank:
     """Per-bead data of the exact free flow by one step d_tau, a function of
     (layout, masses, d_tau) alone; `build` returns one shared bank per key.
 
     Effective mass m = m'/dt is shared; the frequency per staging order k,
     omega_k = sqrt(T k / ((k-1) dt m)), decreases with k (``omega`` lists it
-    per staging bead, in lattice order). ``flow`` is the triple
-    ([cos; cos], sin / (m omega), -m omega sin) of the angle omega d_tau
-    that `_free_flow` takes, the first a (2, N) array, the others flat
-    length-N arrays over all beads: the measurement beads ``s*j`` hold the
-    free-particle entries (1, d_tau / M, -0.0) of their drift. A half step
-    is the flow of the bank built at d_tau / 2. ``kick_half`` and
-    ``kick_full`` are the kick steps d_tau / 2 and d_tau as 0-d arrays, the
-    operands of the trajectory's kicks. ``omega`` and every table are
-    read-only. The frequencies satisfy m omega_k^2 = T k / (dt (k-1))
-    exactly, so the rotation conserves h_N to round-off.
+    per staging bead, in lattice order). ``scale`` holds the N + 2
+    standard deviations of the momenta (p, pi) that `sample_momenta` draws
+    by: sqrt(m) at staging beads, sqrt(M) at measurement beads, then
+    sqrt(m_alpha). ``flow`` is the triple ([cos; cos], sin / (m omega),
+    -m omega sin) of the angle omega d_tau that `_free_flow` takes, the
+    first a (2, N) array, the others flat length-N arrays over all beads:
+    the measurement beads ``s*j`` hold the free-particle entries
+    (1, d_tau / M, -0.0) of their drift. A half step is the flow of the
+    bank built at d_tau / 2. ``kick_half`` and ``kick_full`` are the kick
+    steps d_tau / 2 and d_tau as 0-d arrays, the operands of the
+    trajectory's kicks. ``omega``, ``scale`` and every table are read-only.
+    The frequencies satisfy m omega_k^2 = T k / (dt (k-1)) exactly, so the
+    rotation conserves h_N to round-off.
     """
 
     layout: LatticeLayout
     masses: MassConfig
     d_tau: float
     m: float = field(init=False)
-    omega: np.ndarray = field(init=False, repr=False, compare=False)
-    flow: tuple = field(init=False, repr=False, compare=False)
-    kick_half: np.ndarray = field(init=False, repr=False, compare=False)
-    kick_full: np.ndarray = field(init=False, repr=False, compare=False)
+    omega: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
+    flow: tuple = field(init=False, repr=False)
+    kick_half: np.ndarray = field(init=False, repr=False)
+    kick_full: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lay = self.layout
         n, j = lay.n, lay.j
         m = self.masses.m_prime / lay.dt
         omega = np.tile(np.sqrt(lay.stiffness / m), n)
-        _set(self, m=m, omega=omega)
+        scale = np.empty(lay.N + 2)
+        scale[: lay.N] = np.sqrt(m)
+        scale[: lay.N : j] = np.sqrt(self.masses.M)
+        scale[lay.N :] = np.sqrt(self.masses.m_alpha)
+        _set(self, m=m, omega=omega, scale=scale)
         omega = omega.reshape(n, j - 1)
         m_omega = m * omega
         angle = omega * self.d_tau
@@ -120,7 +128,6 @@ class OscillatorBank:
         lay.staging(tables[3])[...] = m_omega * sin
         tables[1] = tables[0]
         np.negative(tables[3], out=tables[3])
-        tables.setflags(write=False)  # the views' shared base, which _set does not reach
         _set(
             self, flow=(tables[:2], tables[2], tables[3]),
             kick_half=np.array(0.5 * self.d_tau), kick_full=np.array(self.d_tau),

@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _count, _positive, _positive_pair, _set
+from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _set
 from .model import DimensionlessParams, InputSignal, TimeSeriesData
 
 __all__ = [
     "LatticeLayout",
     "MassConfig",
     "PolymerState",
-    "build_layout",
     "staging_forward",
     "staging_inverse",
     "staging_adjoint",
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class LatticeLayout:
     """Geometry of the path lattice: n segments of j steps over [0, T].
 
@@ -80,11 +79,11 @@ class LatticeLayout:
     T: float
     N: int = field(init=False)
     dt: float = field(init=False)
-    stiffness: np.ndarray = field(init=False, repr=False, compare=False)
-    staging_block: np.ndarray = field(init=False, repr=False, compare=False)
-    staging_block_t: np.ndarray = field(init=False, repr=False, compare=False)
-    flat_stiffness: np.ndarray = field(init=False, repr=False, compare=False)
-    bead_classes: np.ndarray = field(init=False, repr=False, compare=False)
+    stiffness: np.ndarray = field(init=False, repr=False)
+    staging_block: np.ndarray = field(init=False, repr=False)
+    staging_block_t: np.ndarray = field(init=False, repr=False)
+    flat_stiffness: np.ndarray = field(init=False, repr=False)
+    bead_classes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _set(self, n=_count("n", self.n), j=_count("j", self.j))
@@ -118,12 +117,7 @@ class LatticeLayout:
         return x[:-1].reshape(self.n, self.j)[:, 1:]
 
 
-def build_layout(n: int, j: int, T: float) -> LatticeLayout:
-    """Construct the layout; N = n*j + 1 beads with spacing dt = T/(n*j)."""
-    return LatticeLayout(n=n, j=j, T=T)
-
-
-@dataclass(frozen=True)
+@_frozen
 class MassConfig:
     """Effective masses: M for measurement beads, m_prime for staging beads
     (the staging kinetic term is dt p^2 / (2 m_prime), i.e. oscillator mass
@@ -137,17 +131,6 @@ class MassConfig:
         _positive("M", self.M)
         _positive("m_prime", self.m_prime)
         _set(self, m_alpha=_positive_pair("m_alpha", self.m_alpha))
-
-    def momentum_scale(self, layout: LatticeLayout) -> np.ndarray:
-        """Read-only (N + 2) standard deviations of the momenta (p, pi):
-        sqrt(m_prime/dt) at staging beads, sqrt(M) at measurement beads,
-        then sqrt(m_alpha). A chain builds its table once."""
-        scale = np.empty(layout.N + 2)
-        scale[: layout.N] = np.sqrt(self.m_prime / layout.dt)
-        scale[: layout.N : layout.j] = np.sqrt(self.M)
-        scale[layout.N :] = np.sqrt(self.m_alpha)
-        scale.setflags(write=False)
-        return scale
 
 
 @dataclass

@@ -29,11 +29,12 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _count, _naming, _positive, _set
+from .errors import DomainError, NonFiniteError, ValidationError
+from .errors import _count, _frozen, _naming, _positive, _set
 
 __all__ = [
     "PhysicalParams",
@@ -55,7 +56,7 @@ __all__ = [
 # parameter containers
 
 
-@dataclass(frozen=True)
+@_frozen
 class PhysicalParams:
     """Reservoir parameters in physical units: retention K, noise gamma,
     and the time horizon T of the observation window."""
@@ -75,7 +76,7 @@ class PhysicalParams:
             )
 
 
-@dataclass(frozen=True)
+@_frozen
 class DimensionlessParams:
     """Sampler-facing parameters theta = (beta, gamma)."""
 
@@ -117,24 +118,7 @@ def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
     return t, v
 
 
-def _value_key(x):
-    """The hash key of a field that agrees with ``np.array_equal``: a 1-d
-    array's values as Python floats (-0.0 and 0.0 hash alike), else the value."""
-    return tuple(x.tolist()) if isinstance(x, np.ndarray) else x
-
-
-def _arrays_eq(self, other):
-    """Value equality of a dataclass by ``np.array_equal`` on every field."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
-def _arrays_hash(self):
-    return hash(tuple(_value_key(getattr(self, f.name)) for f in fields(self)))
-
-
-@dataclass(frozen=True)
+@_frozen
 class InputSignal:
     """Deterministic input r(t), strictly positive on the horizon.
 
@@ -171,8 +155,6 @@ class InputSignal:
             _set(self, times=t, values=v)
         else:
             raise ValidationError(f"unknown input kind {self.kind!r}")
-
-    __eq__, __hash__ = _arrays_eq, _arrays_hash
 
     @classmethod
     def sinusoid(cls, a: float, omega: float, b: float) -> "InputSignal":
@@ -221,7 +203,7 @@ class InputSignal:
 # observations
 
 
-@dataclass(frozen=True)
+@_frozen
 class ObservationModel:
     """Multiplicative log-normal measurement noise of width sigma."""
 
@@ -231,7 +213,7 @@ class ObservationModel:
         _positive("sigma", self.sigma)
 
 
-@dataclass(frozen=True)
+@_frozen
 class TimeSeriesData:
     """Observed series y_s > 0 on equidistant times t_1 = 0, ..., t_{n+1} = T;
     it holds read-only copies of the arrays it is given."""
@@ -247,8 +229,6 @@ class TimeSeriesData:
         if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
             raise ValidationError("observation times must be equidistant (1e-9 relative)")
         _set(self, times=t, values=v)
-
-    __eq__, __hash__ = _arrays_eq, _arrays_hash
 
     @property
     def n_segments(self) -> int:
@@ -335,7 +315,7 @@ def equilibrium_moments(params: PhysicalParams, r0: float):
 # forward simulation
 
 
-@dataclass(frozen=True)
+@_frozen
 class TruthPath:
     """A simulated ground-truth path sampled on ``times``; it holds
     read-only copies of the arrays it is given."""
@@ -346,8 +326,6 @@ class TruthPath:
 
     def __post_init__(self):
         _set(self, **{f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)})
-
-    __eq__, __hash__ = _arrays_eq, _arrays_hash
 
     def to_csv(self, path):
         _write_csv(path, "t,S,q", np.column_stack([self.times, self.S, self.q]))

@@ -9,8 +9,8 @@ force, taken when it is built, live in one workspace of the problem, the
 next trajectory runs in a second, and an accepted proposal swaps the two,
 so no iteration copies a state out. A chain also holds what its settings
 fix, looked up once when it is built: the free flow's `OscillatorBank`,
-which is the step (its masses, d_tau, flow tables and kick steps), the
-number P of steps, and the momentum scale. So an iteration looks nothing
+which is the step (its masses, d_tau, flow tables, kick steps and
+momentum scale), and the number P of steps. So an iteration looks nothing
 up by settings, and the module keeps no mutable state. Chains are
 reproducible from a single 64-bit seed; parallel chains get independent
 streams spawned from it; a lone chain runs in this process, and more run
@@ -43,6 +43,7 @@ from .errors import (
     StagHmcError,
     ValidationError,
     _count,
+    _frozen,
     _positive_pair,
     _seed,
     _set,
@@ -82,7 +83,7 @@ CHAIN_COLUMNS = (
 CHAIN_CSV_HEADER = ",".join(["iter", *(header for _, header in CHAIN_COLUMNS)])
 
 
-@dataclass(frozen=True)
+@_frozen
 class HmcConfig:
     """Sampler settings. theta0 is the dimensionless start (beta, gamma)."""
 
@@ -108,9 +109,10 @@ class IterationStats(NamedTuple):
     pathology: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainRecord:
-    """Per-iteration trace of one chain plus run metadata."""
+    """Per-iteration trace of one chain plus run metadata; a mutable record,
+    equal only to itself."""
 
     beta: np.ndarray
     gamma: np.ndarray
@@ -172,8 +174,8 @@ def sample_momenta(
     scale: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (p, pi) from the Gaussians matching the kinetic terms: ``scale``
-    holds their N + 2 standard deviations, `MassConfig.momentum_scale` of
-    the chain's masses and layout (sqrt(M) on measurement beads,
+    holds their N + 2 standard deviations, `OscillatorBank.scale` of the
+    chain's masses and layout (sqrt(M) on measurement beads,
     sqrt(m_prime/dt) on staging beads, sqrt(m_alpha) on the parameters).
 
     One draw of N + 2 standard normals, scaled in place; p and pi are views
@@ -218,10 +220,10 @@ class Chain:
     force, all Python floats. What the chain's settings fix is looked up
     once, when the chain is built: ``bank``, the shared `OscillatorBank`
     of its masses and step, which carries both (``bank.masses``,
-    ``bank.d_tau``) beside the free flow's tables and the kick steps;
-    ``P``, the int number of steps per trajectory; and ``scale``, the
-    read-only momentum scale (`MassConfig.momentum_scale`) that
-    `sample_momenta` draws by. The config itself is not kept.
+    ``bank.d_tau``) beside the free flow's tables, the kick steps and the
+    momentum scale ``bank.scale`` that `sample_momenta` draws by; and
+    ``P``, the int number of steps per trajectory. The config itself is
+    not kept.
 
     Built from a `PolymerState`, which it copies in, scores with `h_total`
     and takes the force of with one gradient pass, so a chain is complete
@@ -232,14 +234,13 @@ class Chain:
     `energy._saturating`, as `hmc_iteration` is.
     """
 
-    __slots__ = ("bank", "P", "scale", "cur", "work", "theta", "potential", "g_theta")
+    __slots__ = ("bank", "P", "cur", "work", "theta", "potential", "g_theta")
 
     @_saturating
     def __init__(self, problem: InferenceProblem, config: HmcConfig, state: PolymerState):
         masses, integ = config.masses, config.integrator
         self.bank = OscillatorBank.build(problem.layout, masses, integ.d_tau)
         self.P = integ.P
-        self.scale = masses.momentum_scale(problem.layout)
         self.cur, self.work = problem.context(), problem.context()
         # checks the state's size and loads its beads into ``cur``
         self.potential = h_total(state, self.cur, masses).potential
@@ -257,7 +258,7 @@ class Chain:
 def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, IterationStats]:
     """One momentum-refresh / trajectory / Metropolis cycle of ``chain``.
 
-    The fresh momenta are drawn by `sample_momenta`, at the chain's
+    The fresh momenta are drawn by `sample_momenta`, at the bank's
     ``scale``, straight into its ``work`` workspace, and the current beads
     are copied in beside them. The trajectory runs there from the carried
     force, ``chain.P`` steps of ``chain.bank``; it makes P kernel passes,
@@ -278,7 +279,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     energies of both ends included, saturates instead of warning.
     """
     cur, work, masses = chain.cur, chain.work, chain.bank.masses
-    sample_momenta(chain.scale, rng, out=work.momenta)
+    sample_momenta(chain.bank.scale, rng, out=work.momenta)
     work.rows.u[...] = cur.rows.u
     pa, pg = work.pi_slots.tolist()
     h_before = _start_energy(chain.potential, work, masses, pa, pg)

@@ -24,9 +24,9 @@ from staghmc.integrator import (
     trotter_propagate,
 )
 from staghmc.lattice import (
+    LatticeLayout,
     MassConfig,
     PolymerState,
-    build_layout,
     staging_forward,
     staging_inverse,
 )
@@ -158,7 +158,7 @@ def test_criterion_02_reaches_truth_within_first_accepted_steps(benchmark_batch)
 
 
 def test_criterion_03_trajectory_reversibility():
-    layout = build_layout(BENCH_SEGMENTS, BENCH_J, BENCH_PARAMS.T)
+    layout = LatticeLayout(BENCH_SEGMENTS, BENCH_J, BENCH_PARAMS.T)
     ctx = benchmark_problem(0).context()
     rng = np.random.default_rng(42)
 
@@ -193,7 +193,7 @@ def test_criterion_03_trajectory_reversibility():
 
 
 def test_criterion_04_exact_harmonic_subpropagator():
-    layout = build_layout(BENCH_SEGMENTS, BENCH_J, BENCH_PARAMS.T)
+    layout = LatticeLayout(BENCH_SEGMENTS, BENCH_J, BENCH_PARAMS.T)
     bank = OscillatorBank.build(layout, BENCH_MASSES, BENCH_STEP.d_tau / 2.0)
     rng = np.random.default_rng(4)
     worst_rel = 0.0
@@ -231,7 +231,7 @@ def test_criterion_05_gradients_match_finite_differences():
     h = 1e-5
 
     def check(n, j, T, seed):
-        layout = build_layout(n, j, T)
+        layout = LatticeLayout(n, j, T)
         problem = InferenceProblem(
             TimeSeriesData(
                 times=np.linspace(0.0, T, n + 1),
@@ -274,10 +274,10 @@ def test_criterion_05_gradients_match_finite_differences():
 
 def test_criterion_06_staging_algebra():
     layouts = {
-        2: build_layout(1, 1, 2.0),
-        11: build_layout(10, 1, 11.0),
-        101: build_layout(10, 10, 101.0),
-        301: build_layout(10, 30, 833.0),
+        2: LatticeLayout(1, 1, 2.0),
+        11: LatticeLayout(10, 1, 11.0),
+        101: LatticeLayout(10, 10, 101.0),
+        301: LatticeLayout(10, 30, 833.0),
     }
     worst_rt, worst_id = 0.0, 0.0
     for N, layout in layouts.items():
@@ -368,7 +368,7 @@ def test_criterion_08_energy_error_scaling():
     mrng = np.random.default_rng(777)
     dh = {coarse: [], fine: []}
     for snap in snapshots:
-        p, pi = sample_momenta(chain.scale, mrng)
+        p, pi = sample_momenta(chain.bank.scale, mrng)
         start = dataclasses.replace(snap, p=p, pi=pi)
         h0 = h_total(start, ctx, BENCH_MASSES).total
         for step in (coarse, fine):

@@ -23,9 +23,9 @@ from staghmc.energy import (
     h_total,
 )
 from staghmc.lattice import (
+    LatticeLayout,
     MassConfig,
     PolymerState,
-    build_layout,
     staging_adjoint,
     staging_inverse,
 )
@@ -112,7 +112,7 @@ class TestPieces:
     def test_h_N_hand_values(self):
         # layout (n=1, j=2, T=2): dt = 1, single staging bead with k = 2,
         # spring constant T k/(dt (k-1)) = 4
-        layout = build_layout(1, 2, 2.0)
+        layout = LatticeLayout(1, 2, 2.0)
         masses = MassConfig(M=1.0, m_prime=1.0, m_alpha=(1.0, 1.0))
         st = PolymerState(
             u=np.array([0.0, 1.0, 0.0]), theta=np.array([1.0, 1.0]),
@@ -136,7 +136,7 @@ class TestPieces:
         assert h_N(st, MASSES, layout) == pytest.approx(want, rel=1e-14)
 
     def test_h_N_zero_when_no_staging(self):
-        layout = build_layout(4, 1, 8.0)
+        layout = LatticeLayout(4, 1, 8.0)
         st = PolymerState(
             u=np.ones(5), theta=np.array([1.0, 1.0]), p=np.ones(5), pi=np.zeros(2)
         )
@@ -146,7 +146,7 @@ class TestPieces:
         # constant input r = 1, u = 0: the residual is ln(y_s); choosing
         # y = (e^sigma, 1, 1, 1) leaves a single sigma-sized log residual,
         # contributing exactly 1/2
-        layout = build_layout(3, 4, 6.0)
+        layout = LatticeLayout(3, 4, 6.0)
         sig = InputSignal.constant(1.0)
         sigma = 0.1
         y = np.ones(4)

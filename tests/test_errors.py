@@ -1,16 +1,20 @@
 """One check per input rule: every count setting, the sampled-series rule
 and the seed range are each checked in one place, so each has one wording
-wherever the setting is given. And one setter of frozen fields: every
-array a frozen object holds is read-only, and the data containers hold
-copies, so no array a caller keeps can change them."""
+wherever the setting is given. And one rule for a frozen object: every
+array it holds, and every array that one is a view of, is read-only; the
+data containers hold copies, so no array a caller keeps can change them;
+and a pickled copy is rebuilt from the init fields, so it equals the
+original, hashes alike and holds read-only arrays too."""
 
+import inspect
+import pickle
 import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from staghmc import cli
+from staghmc import cli, diagnostics, energy, integrator, lattice, model, sampler
 from staghmc.errors import ValidationError
 from staghmc.integrator import IntegratorConfig, OscillatorBank
 from staghmc.lattice import LatticeLayout, MassConfig
@@ -154,14 +158,16 @@ def test_writing_the_callers_arrays_changes_nothing(kind):
 
 def array_fields(obj):
     """(field name, array) of every array field of the dataclass ``obj``,
-    in a tuple field or a dataclass field too."""
+    in a tuple field or a dataclass field too, and of every array that one
+    is a view of (its ``.base``, followed to the owner)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
             yield from array_fields(value)
         for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
+            while isinstance(item, np.ndarray):
                 yield f.name, item
+                item = item.base
 
 
 LAYOUT = LatticeLayout(n=4, j=3, T=40.0)
@@ -187,3 +193,61 @@ def test_every_array_field_is_read_only(kind):
         assert not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 1.0
+
+
+def _summaries():
+    problem = InferenceProblem(DATA, SIGNAL, NOISE, 3)
+    return diagnostics.summarize(sampler.run_chain(problem, hmc(seed=5)))
+
+
+# the name of every frozen dataclass of the package
+FROZEN_CLASSES = sorted(
+    cls.__name__
+    for module in (model, lattice, integrator, energy, sampler, diagnostics)
+    for cls in vars(module).values()
+    if inspect.isclass(cls) and cls.__module__ == module.__name__ and is_dataclass(cls)
+    and cls.__dataclass_params__.frozen
+)
+# one instance of each, the array holders as above
+FROZEN = {
+    **WITH_ARRAYS,
+    "PhysicalParams": lambda: TRUTH,
+    "DimensionlessParams": lambda: model.DimensionlessParams(1.2, 0.4),
+    "ObservationModel": lambda: NOISE,
+    "MassConfig": lambda: MASSES,
+    "IntegratorConfig": lambda: STEP,
+    "HmcConfig": lambda: hmc(seed=3, chains=2),
+    "ParameterSummary": lambda: _summaries().parameters["K"],
+    "PosteriorSummary": _summaries,
+}
+# they hold dicts, so they stay unhashable
+UNHASHABLE = {"ParameterSummary", "PosteriorSummary"}
+
+
+@pytest.mark.parametrize("name", FROZEN_CLASSES)
+def test_pickled_copy_equals_the_original(name):
+    obj = FROZEN[name]()
+    back = pickle.loads(pickle.dumps(obj))
+    assert back is not obj and type(back) is type(obj)
+    assert back == obj and not back != obj
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(back)
+    else:
+        assert hash(back) == hash(obj)
+
+
+@pytest.mark.parametrize("kind", WITH_ARRAYS)
+def test_pickled_copy_holds_only_read_only_arrays(kind):
+    back = pickle.loads(pickle.dumps(WITH_ARRAYS[kind]()))
+    found = list(array_fields(back))
+    assert found
+    for name, a in found:
+        assert not a.flags.writeable, name
+
+
+def test_chain_records_compare_by_identity():
+    rec = sampler.run_chain(InferenceProblem(DATA, SIGNAL, NOISE, 3), hmc(seed=5))
+    twin = sampler.ChainRecord(**{f.name: getattr(rec, f.name) for f in fields(rec)})
+    assert rec == rec
+    assert not rec == twin and rec != twin

@@ -29,18 +29,18 @@ from staghmc.integrator import (
     _trajectory,
     trotter_propagate,
 )
-from staghmc.lattice import MassConfig, PolymerState, build_layout
+from staghmc.lattice import LatticeLayout, MassConfig, PolymerState
 
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
 MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYOUTS = [
-    build_layout(1, 1, 5.0),
-    build_layout(2, 5, 833.0),
-    build_layout(10, 10, 120.0),
-    build_layout(10, 30, 833.0),
-    build_layout(5, 1, 7.0),
-    build_layout(4, 2, 13.0),
+    LatticeLayout(1, 1, 5.0),
+    LatticeLayout(2, 5, 833.0),
+    LatticeLayout(10, 10, 120.0),
+    LatticeLayout(10, 30, 833.0),
+    LatticeLayout(5, 1, 7.0),
+    LatticeLayout(4, 2, 13.0),
 ]
 
 
@@ -109,14 +109,14 @@ class TestConfig:
 
 class TestOscillatorBank:
     def test_frequency_matches_spring_constant(self):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
         bank = OscillatorBank.build(layout, MASSES, 0.25)
         k = np.tile(np.arange(2.0, layout.j + 1), layout.n)
         stiff = layout.T * k / (layout.dt * (k - 1.0))
         np.testing.assert_allclose(bank.m * bank.omega**2, stiff, rtol=1e-12)
 
     def test_frequencies_decrease_with_order(self):
-        layout = build_layout(2, 6, 40.0)
+        layout = LatticeLayout(2, 6, 40.0)
         bank = OscillatorBank.build(layout, MASSES, 0.25)
         per_segment = bank.omega.reshape(layout.n, layout.j - 1)
         assert np.all(np.diff(per_segment, axis=1) < 0)
@@ -124,9 +124,9 @@ class TestOscillatorBank:
         np.testing.assert_allclose(per_segment[0], per_segment[1], rtol=1e-15)
 
     def test_one_shared_read_only_bank_per_key(self):
-        bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.25)
+        bank = OscillatorBank.build(LatticeLayout(3, 10, 83.0), MASSES, 0.25)
         same = OscillatorBank.build(
-            build_layout(3, 10, 83.0), MassConfig(720.0, 130.0, (150.0, 150.0)), 0.25
+            LatticeLayout(3, 10, 83.0), MassConfig(720.0, 130.0, (150.0, 150.0)), 0.25
         )
         assert same is bank
         assert OscillatorBank.build(bank.layout, MASSES, 0.5) is not bank
@@ -137,7 +137,7 @@ class TestOscillatorBank:
             bank.omega[0] = 1.0
 
     def test_no_staging_beads_is_a_free_drift(self):
-        layout = build_layout(4, 1, 20.0)
+        layout = LatticeLayout(4, 1, 20.0)
         bank = OscillatorBank.build(layout, MASSES, 0.125)
         assert bank.omega.size == 0
         rng = np.random.default_rng(1)
@@ -149,7 +149,7 @@ class TestOscillatorBank:
 
 class TestRotation:
     def test_conserves_harmonic_energy(self):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
         bank = OscillatorBank.build(layout, MASSES, 0.185)
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -160,7 +160,7 @@ class TestRotation:
 
     def test_leaves_boundary_and_parameters_alone(self):
         # but for the free drift of the measurement beads
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
         bank = OscillatorBank.build(layout, MASSES, 0.185)
         st = random_state(layout, np.random.default_rng(2))
         out = rotated(st, bank)
@@ -171,7 +171,7 @@ class TestRotation:
         np.testing.assert_array_equal(out.pi, st.pi)
 
     def test_full_period_returns_to_start(self):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
         ref = OscillatorBank.build(layout, MASSES, 1.0)
         idx = np.flatnonzero(np.arange(layout.N) % layout.j)[4]  # a staging bead
         omega = ref.omega[4]
@@ -189,7 +189,7 @@ class TestRotation:
         assert abs(out.p[idx] + 2.1) < 1e-12
 
     def test_quarter_period_swaps_position_and_momentum(self):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
         ref = OscillatorBank.build(layout, MASSES, 1.0)
         idx = np.flatnonzero(np.arange(layout.N) % layout.j)[4]  # a staging bead
         omega = ref.omega[4]
@@ -208,7 +208,7 @@ class TestRotation:
         assert abs(out.p[idx] + m_omega * st.u[idx]) < 1e-12
 
     def test_full_step_is_two_half_steps(self):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
         half_step = OscillatorBank.build(layout, MASSES, 0.185)
         st = random_state(layout, np.random.default_rng(6), u_scale=1.0, p_scale=5.0)
         twice = rotated(rotated(st, half_step), half_step)
@@ -217,13 +217,13 @@ class TestRotation:
         np.testing.assert_allclose(once.p, twice.p, rtol=0, atol=1e-12)
 
     def test_tables_are_read_only(self):
-        bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.37)
+        bank = OscillatorBank.build(LatticeLayout(3, 10, 83.0), MASSES, 0.37)
         for table in bank.flow:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
     def test_kick_steps_are_read_only_scalars(self):
-        bank = OscillatorBank.build(build_layout(3, 10, 83.0), MASSES, 0.37)
+        bank = OscillatorBank.build(LatticeLayout(3, 10, 83.0), MASSES, 0.37)
         assert (bank.kick_half.shape, bank.kick_full.shape) == ((), ())
         assert (float(bank.kick_half), float(bank.kick_full)) == (0.5 * 0.37, 0.37)
         for kick in (bank.kick_half, bank.kick_full):
@@ -509,7 +509,7 @@ class TestTrotter:
 
     def test_state_size_checked_once_up_front(self):
         layout, ctx = make_problem(2, 5, 60.0)
-        st = random_state(build_layout(2, 4, 60.0), np.random.default_rng(9))
+        st = random_state(LatticeLayout(2, 4, 60.0), np.random.default_rng(9))
         with pytest.raises(ValidationError):
             trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
 

@@ -3,9 +3,9 @@ import pytest
 
 from staghmc import DimensionlessParams, InputSignal, TimeSeriesData, ValidationError
 from staghmc.lattice import (
+    LatticeLayout,
     MassConfig,
     PolymerState,
-    build_layout,
     initial_state,
     staging_adjoint,
     staging_forward,
@@ -15,12 +15,12 @@ from staghmc.lattice import (
 # layouts covering N = 2, 11, 101, 301 plus the edge cases j = 1 (no
 # staging beads) and j = 2 (one staging bead per segment)
 LAYOUTS = [
-    build_layout(1, 1, 5.0),
-    build_layout(2, 5, 833.0),
-    build_layout(10, 10, 120.0),
-    build_layout(10, 30, 833.0),
-    build_layout(5, 1, 7.0),
-    build_layout(4, 2, 13.0),
+    LatticeLayout(1, 1, 5.0),
+    LatticeLayout(2, 5, 833.0),
+    LatticeLayout(10, 10, 120.0),
+    LatticeLayout(10, 30, 833.0),
+    LatticeLayout(5, 1, 7.0),
+    LatticeLayout(4, 2, 13.0),
 ]
 
 
@@ -51,7 +51,7 @@ def _inverse_literal(u, layout):
 
 class TestLayout:
     def test_reference_layout(self):
-        lay = build_layout(10, 30, 833.0)
+        lay = LatticeLayout(10, 30, 833.0)
         assert lay.N == 301
         assert lay.dt == pytest.approx(833.0 / 300.0, rel=1e-15)
         beads = np.arange(1, lay.N + 1)  # 1-based bead indices
@@ -66,16 +66,16 @@ class TestLayout:
 
     def test_staging_view_shapes(self):
         x = np.arange(9.0)
-        np.testing.assert_array_equal(build_layout(4, 2, 8.0).staging(x), [[1], [3], [5], [7]])
-        assert build_layout(8, 1, 8.0).staging(x).shape == (8, 0)
+        np.testing.assert_array_equal(LatticeLayout(4, 2, 8.0).staging(x), [[1], [3], [5], [7]])
+        assert LatticeLayout(8, 1, 8.0).staging(x).shape == (8, 0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            build_layout(0, 30, 833.0)
+            LatticeLayout(0, 30, 833.0)
         with pytest.raises(ValidationError):
-            build_layout(10, -1, 833.0)
+            LatticeLayout(10, -1, 833.0)
         with pytest.raises(ValidationError):
-            build_layout(10, 30, 0.0)
+            LatticeLayout(10, 30, 0.0)
 
     @pytest.mark.parametrize(
         "n, j",
@@ -84,12 +84,12 @@ class TestLayout:
     )
     def test_counts_must_be_integers(self, n, j):
         with pytest.raises(ValidationError, match="must be an integer"):
-            build_layout(n, j, 10.0)
+            LatticeLayout(n, j, 10.0)
 
     def test_numpy_integer_counts_become_python_ints(self):
-        lay = build_layout(np.int64(2), np.int32(3), 10.0)
+        lay = LatticeLayout(np.int64(2), np.int32(3), 10.0)
         assert type(lay.n) is int and type(lay.j) is int
-        assert lay == build_layout(2, 3, 10.0)
+        assert lay == LatticeLayout(2, 3, 10.0)
 
 
 class TestStagingTransform:
@@ -118,7 +118,7 @@ class TestStagingTransform:
         )
 
     def test_boundaries_untouched(self):
-        layout = build_layout(3, 7, 10.0)
+        layout = LatticeLayout(3, 7, 10.0)
         rng = np.random.default_rng(0)
         q = rng.normal(size=layout.N)
         u = staging_forward(q, layout)
@@ -127,7 +127,7 @@ class TestStagingTransform:
         np.testing.assert_array_equal(staging_inverse(u, layout)[b], u[b])
 
     def test_linear_path_has_zero_staging(self):
-        layout = build_layout(4, 6, 20.0)
+        layout = LatticeLayout(4, 6, 20.0)
         # piecewise-linear in bead index between arbitrary boundary values
         rng = np.random.default_rng(5)
         vals = rng.normal(0, 2, layout.n + 1)
@@ -178,7 +178,7 @@ class TestStagingAdjoint:
 
     def test_chain_rule_against_fd(self):
         # scalar phi(q) = sum sin(q); d phi/du must match finite differences
-        layout = build_layout(3, 4, 9.0)
+        layout = LatticeLayout(3, 4, 9.0)
         rng = np.random.default_rng(8)
         u = rng.normal(size=layout.N)
         direction = rng.normal(size=layout.N)
@@ -222,13 +222,13 @@ class TestBlockStagingMaps:
 
 class TestFrozenTables:
     def test_layout_tables_are_read_only(self):
-        layout = build_layout(3, 4, 9.0)
+        layout = LatticeLayout(3, 4, 9.0)
         for table in (layout.stiffness, layout.flat_stiffness, layout.bead_classes):
             with pytest.raises(ValueError):
                 table[0] = table[1]
 
     def test_staging_block_is_read_only(self):
-        block = build_layout(3, 4, 9.0).staging_block
+        block = LatticeLayout(3, 4, 9.0).staging_block
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[1, 1] = 0.0
@@ -285,7 +285,7 @@ class TestState:
             PolymerState(u=np.zeros(5), theta=np.zeros(3), p=np.zeros(5), pi=np.zeros(2))
 
     def test_initial_state(self):
-        layout = build_layout(10, 30, 833.0)
+        layout = LatticeLayout(10, 30, 833.0)
         signal = InputSignal.sinusoid(1.0, 0.01, 0.1)
         times = np.linspace(0, 833, 11)
         rng = np.random.default_rng(2)
@@ -300,7 +300,7 @@ class TestState:
         assert beta == theta0.beta and gamma == 0.5
 
     def test_initial_state_rejects_mismatch(self):
-        layout = build_layout(9, 30, 833.0)
+        layout = LatticeLayout(9, 30, 833.0)
         signal = InputSignal.constant(1.0)
         data = TimeSeriesData(times=np.linspace(0, 833, 11), values=np.ones(11))
         with pytest.raises(ValidationError):

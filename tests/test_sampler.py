@@ -22,7 +22,7 @@ from staghmc import (
 from staghmc.diagnostics import discard_start
 from staghmc.energy import grad_hprime, h_total
 from staghmc.integrator import IntegratorConfig, OscillatorBank, trotter_propagate
-from staghmc.lattice import MassConfig, PolymerState, build_layout, initial_state
+from staghmc.lattice import LatticeLayout, MassConfig, PolymerState, initial_state
 from staghmc.model import (
     DimensionlessParams,
     fine_grid,
@@ -219,11 +219,12 @@ class TestInferenceProblem:
 class TestSampleMomenta:
     def test_class_variances(self):
         # 50,000 draws on a 5-bead layout: >= 1e5 samples per class
-        layout = build_layout(2, 2, 4.0)
+        layout = LatticeLayout(2, 2, 4.0)
+        scale = OscillatorBank.build(layout, MASSES, STEP.d_tau).scale
         rng = np.random.default_rng(123)
         ps, pis = [], []
         for _ in range(50_000):
-            p, pi = sample_momenta(MASSES.momentum_scale(layout), rng)
+            p, pi = sample_momenta(scale, rng)
             ps.append(p)
             pis.append(pi)
         ps = np.array(ps)
@@ -244,7 +245,7 @@ class TestSampleMomenta:
             MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 0.0))
 
     def test_fixed_seed_reproducible(self):
-        scale = MASSES.momentum_scale(build_layout(3, 10, 83.0))
+        scale = OscillatorBank.build(LatticeLayout(3, 10, 83.0), MASSES, STEP.d_tau).scale
         p1, pi1 = sample_momenta(scale, np.random.default_rng(42))
         p2, pi2 = sample_momenta(scale, np.random.default_rng(42))
         np.testing.assert_array_equal(p1, p2)
@@ -252,11 +253,12 @@ class TestSampleMomenta:
 
     @pytest.mark.parametrize("seed", [3, 17, 2024])
     def test_single_draw_matches_two_draws(self, seed):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
+        scale = OscillatorBank.build(layout, MASSES, STEP.d_tau).scale
         rng = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
         for _ in range(200):
-            p, pi = sample_momenta(MASSES.momentum_scale(layout), rng)
+            p, pi = sample_momenta(scale, rng)
             z = ref.standard_normal(layout.N)
             p_ref = z * np.sqrt(MASSES.m_prime / layout.dt)
             p_ref[:: layout.j] = z[:: layout.j] * np.sqrt(MASSES.M)
@@ -268,29 +270,31 @@ class TestSampleMomenta:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_draw_into_out_matches_allocating_draw(self, seed):
-        layout = build_layout(3, 10, 83.0)
+        layout = LatticeLayout(3, 10, 83.0)
+        scale = OscillatorBank.build(layout, MASSES, STEP.d_tau).scale
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         row = np.full(2 * layout.N + 2, np.nan)[layout.N :]  # as the workspace holds it
         for _ in range(20):
-            p, pi = sample_momenta(MASSES.momentum_scale(layout), rng, out=row)
-            p_ref, pi_ref = sample_momenta(MASSES.momentum_scale(layout), ref)
+            p, pi = sample_momenta(scale, rng, out=row)
+            p_ref, pi_ref = sample_momenta(scale, ref)
             assert np.shares_memory(p, row) and np.shares_memory(pi, row)
             assert p.tobytes() == p_ref.tobytes() and pi.tobytes() == pi_ref.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_into_out_of_the_wrong_size_raises(self):
-        scale = MASSES.momentum_scale(build_layout(3, 10, 83.0))
+        scale = OscillatorBank.build(LatticeLayout(3, 10, 83.0), MASSES, STEP.d_tau).scale
         with pytest.raises(ValueError):
             sample_momenta(scale, np.random.default_rng(0), out=np.empty(scale.size - 2))
 
     def test_scale_table_follows_masses_and_layout(self):
         # each (masses, layout) builds its own table; a switch of either,
         # and back, must scale by the right one
-        layouts = build_layout(3, 10, 83.0), build_layout(3, 5, 83.0)
+        layouts = LatticeLayout(3, 10, 83.0), LatticeLayout(3, 5, 83.0)
         other = MassConfig(M=360.0, m_prime=65.0, m_alpha=(15.0, 150.0))
         for masses, layout in ((MASSES, layouts[0]), (other, layouts[0]),
                                (other, layouts[1]), (MASSES, layouts[0])):
-            p, pi = sample_momenta(masses.momentum_scale(layout), np.random.default_rng(9))
+            scale = OscillatorBank.build(layout, masses, STEP.d_tau).scale
+            p, pi = sample_momenta(scale, np.random.default_rng(9))
             z = np.random.default_rng(9).standard_normal(layout.N + 2)
             want = z[: layout.N] * np.sqrt(masses.m_prime / layout.dt)
             want[:: layout.j] = z[: layout.N : layout.j] * np.sqrt(masses.M)
@@ -298,7 +302,7 @@ class TestSampleMomenta:
             np.testing.assert_array_equal(pi, z[layout.N :] * np.sqrt(masses.m_alpha))
 
     def test_scale_table_is_read_only(self):
-        scale = MASSES.momentum_scale(build_layout(3, 10, 83.0))
+        scale = OscillatorBank.build(LatticeLayout(3, 10, 83.0), MASSES, STEP.d_tau).scale
         assert scale.shape == (33,)
         with pytest.raises(ValueError):
             scale[0] = 1.0
@@ -367,7 +371,7 @@ def refreshed(chain, rng):
     """The chain's state with the momenta that ``rng`` draws next, drawn
     from a copy of it."""
     state = chain.state()
-    state.p, state.pi = sample_momenta(chain.scale, copy.deepcopy(rng))
+    state.p, state.pi = sample_momenta(chain.bank.scale, copy.deepcopy(rng))
     return state
 
 
@@ -417,7 +421,7 @@ class TestHmcIteration:
     def after_momenta(self, seed, chain):
         """A stream of ``seed`` past one momentum refresh of ``chain``."""
         rng = np.random.default_rng(seed)
-        sample_momenta(chain.scale, rng)
+        sample_momenta(chain.bank.scale, rng)
         return rng
 
     def test_proposal_overflowing_to_minus_inf_is_rejected(self, toy_problem, monkeypatch):
@@ -779,7 +783,7 @@ class TestRunChain:
         )
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         rows = []
-        scale = cfg.masses.momentum_scale(layout)
+        scale = OscillatorBank.build(layout, cfg.masses, cfg.integrator.d_tau).scale
         for _ in range(cfg.n_mc):
             refreshed = state.copy()
             refreshed.p, refreshed.pi = sample_momenta(scale, rng)
@@ -1073,7 +1077,7 @@ class TestDetailedBalance:
         # u_1 - u_0 must sample N(0, 1)
         T = 7.0
         signal = InputSignal.constant(0.6)
-        layout = build_layout(1, 1, T)
+        layout = LatticeLayout(1, 1, T)
         data = TimeSeriesData(times=np.array([0.0, T]), values=np.array([0.6, 0.6]))
         problem = InferenceProblem(data, signal, ObservationModel(sigma=1e9), 1)
         masses = MassConfig(M=1.0, m_prime=1.0, m_alpha=(1e30, 1e30))
