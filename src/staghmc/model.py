@@ -420,15 +420,11 @@ def generate_observations(
     """
     obs_times = np.asarray(obs_times, dtype=float)
     tol = 1e-9 * max(1.0, abs(path.times[-1]))
-    idx = np.searchsorted(path.times, obs_times)
-    idx = np.clip(idx, 0, path.times.size - 1)
-    left = np.clip(idx - 1, 0, path.times.size - 1)
-    idx = np.where(
-        np.abs(path.times[left] - obs_times) < np.abs(path.times[idx] - obs_times), left, idx
-    )
-    if np.any(np.abs(path.times[idx] - obs_times) > tol):
-        bad = obs_times[np.abs(path.times[idx] - obs_times) > tol]
-        raise ValidationError(f"observation times not on the simulation grid: {bad}")
+    # the first grid point at or after t - tol: t's own, where it has one
+    idx = np.minimum(np.searchsorted(path.times, obs_times - tol), path.times.size - 1)
+    off = np.abs(path.times[idx] - obs_times) > tol
+    if off.any():
+        raise ValidationError(f"observation times not on the simulation grid: {obs_times[off]}")
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(obs_times.size)
     with np.errstate(over="ignore"):

@@ -12,10 +12,11 @@ fix, looked up once when it is built: the free flow's `OscillatorBank`,
 which is the step (its masses, d_tau, flow tables, kick steps and
 momentum scale), and the number P of steps. So an iteration looks nothing
 up by settings, and the module keeps no mutable state. Chains are
-reproducible from a single 64-bit seed; parallel chains get independent
-streams spawned from it; a lone chain runs in this process, and more run
-on a pool of min(chains, CPUs in the affinity mask) workers, so a caller
-who wants fewer narrows the mask.
+reproducible from a single 64-bit seed. One runner, `run_parallel_chains`,
+spawns each chain its own stream from it and reports every failed chain
+in one StagHmcError; `run_chain` is this runner for one chain. A lone
+chain runs in this process, and more run on a pool of min(chains, CPUs in
+the affinity mask) workers, so a caller who wants fewer narrows the mask.
 """
 
 from __future__ import annotations
@@ -368,7 +369,9 @@ def _run_seeded(
 
 
 def run_chain(problem: InferenceProblem, config: HmcConfig) -> ChainRecord:
-    """Run a single chain for n_mc iterations from the data-pinned start.
+    """Run a single chain for n_mc iterations from the data-pinned start:
+    `run_parallel_chains` of one chain, in this process on chain 0's
+    stream, its failure raised as the one StagHmcError ``chain 0: ...``.
     A config of more chains is a ValidationError: `run_parallel_chains`
     runs those."""
     if config.chains != 1:
@@ -376,8 +379,7 @@ def run_chain(problem: InferenceProblem, config: HmcConfig) -> ChainRecord:
             f"run_chain runs one chain, got chains = {config.chains}; "
             "use run_parallel_chains"
         )
-    child = np.random.SeedSequence(config.seed).spawn(1)[0]
-    return _run_seeded(problem, config, 0, child)
+    return run_parallel_chains(problem, config)[0]
 
 
 def _chain_worker(args):
@@ -397,8 +399,8 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
     The pool hands out one chain per task, as workers free up: chains take
     unequal times, so a chunk of slow ones would leave the other workers
     idle at the end. It returns them in chain order. Chain c draws from
-    the c-th stream spawned off the master seed, so chains=1 reproduces
-    run_chain exactly and adding chains never perturbs existing ones. A
+    the c-th stream spawned off the master seed, so run_chain is this
+    runner for one chain and adding chains never perturbs existing ones. A
     failing chain does not abort its siblings; failures are reported
     together after all chains finish, as one StagHmcError that names each
     failed chain (``chain 0: ...``).

@@ -416,6 +416,18 @@ class TestGenerateObservations:
         assert abs(res.mean()) < 3 * sigma / math.sqrt(res.size)
         assert res.std() == pytest.approx(sigma, rel=0.05)
 
+    @pytest.mark.parametrize("k", [1, 600, 6000])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_time_within_tolerance_reads_its_grid_point(self, k, side):
+        # half the tolerance (1e-9 of the horizon) off grid point k, the
+        # last one included, reads that point's S
+        path = self._path()
+        obs_t = [0.0, path.times[k] + side * 0.5e-9 * 833]
+        data = generate_observations(
+            path, obs_t, self.P, ObservationModel(sigma=1e-300), seed=0
+        )
+        np.testing.assert_array_equal(data.values, path.S[[0, k]] / self.P.K)
+
     def test_off_grid_time_rejected(self):
         path = self._path()
         with pytest.raises(ValidationError):

@@ -19,7 +19,7 @@ from staghmc import (
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.diagnostics import discard_start
+from staghmc.diagnostics import discard_start, ess
 from staghmc.energy import grad_hprime, h_total
 from staghmc.integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from staghmc.lattice import LatticeLayout, MassConfig, PolymerState, initial_state
@@ -770,6 +770,21 @@ class TestRunChain:
         with pytest.raises(ValidationError, match="run_parallel_chains"):
             run_chain(toy_problem, small_config(chains=4))
 
+    def test_failure_names_chain_0(self, toy_problem, monkeypatch):
+        # run_chain is run_parallel_chains of one chain: a start whose force
+        # is not finite is reported as that runner reports a failed chain
+        import staghmc.sampler
+
+        def infinite_start(*args):
+            state = initial_state(*args)
+            state.u[toy_problem.j] = np.inf
+            return state
+
+        monkeypatch.setattr(staghmc.sampler, "initial_state", infinite_start)
+        with pytest.raises(StagHmcError, match="^chain 0: NonFiniteError: ") as raised:
+            run_chain(toy_problem, small_config(n_mc=5))
+        assert type(raised.value) is StagHmcError
+
     @staticmethod
     def literal_chain(problem, cfg):
         """The chain of ``cfg`` written out from public functions: refresh
@@ -949,12 +964,6 @@ class TestRunChain:
         assert opened == [path]
 
 
-def _batch_se(x, nb=20):
-    m = x.size // nb
-    bm = x[: nb * m].reshape(nb, m).mean(axis=1)
-    return float(np.std(bm, ddof=1) / np.sqrt(nb))
-
-
 class TestParallelChains:
     def test_single_chain_matches_run_chain(self, toy_problem):
         cfg = small_config(n_mc=25, seed=6)
@@ -1063,8 +1072,12 @@ class TestParallelChains:
         kept = [r.K[discard_start(0.2, r.n_rows) :] for r in recs]
         long_K = long.K[discard_start(0.2, long.n_rows) :]
         pooled = np.concatenate(kept)
-        se_pool = np.sqrt(np.mean([_batch_se(k) ** 2 for k in kept]) / 4)
-        se_long = _batch_se(long_K)
+
+        def se(x):  # the standard error of a chain's mean, from its ESS
+            return np.std(x, ddof=1) / np.sqrt(ess(x))
+
+        se_pool = np.sqrt(np.mean([se(k) ** 2 for k in kept]) / 4)
+        se_long = se(long_K)
         diff = abs(pooled.mean() - long_K.mean())
         assert diff < 4 * np.sqrt(se_pool**2 + se_long**2)
 
