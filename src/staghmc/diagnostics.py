@@ -3,6 +3,12 @@
 Everything here is a pure function of the chain arrays: moment and quantile
 summaries with effective sample sizes over the kept rows of one or more
 chains, and a Gaussian kernel density estimator for plotting marginals.
+
+A series that never moved, every draw equal to the first by exact
+comparison, has neither: `ess` returns None for it (as for fewer than 10
+draws), so a stalled parameter's summary reads ``"ess": null``, and `kde`
+refuses it with a DomainError. A test on the rounded standard deviation
+would not do, since a constant series can read an sd of 1e-16.
 """
 
 from __future__ import annotations
@@ -50,23 +56,32 @@ class PosteriorSummary:
     chains: int
 
 
-def ess(series) -> float:
-    """Effective sample size via the initial-positive-sequence rule.
+def _never_moved(x: np.ndarray) -> bool:
+    """Every draw of the non-empty series ``x`` equals the first. The test is
+    exact, with no mean whose rounding could make a constant series look
+    spread, so it is the one rule of `ess` and `kde`."""
+    return bool(np.all(x == x[0]))
+
+
+def ess(series) -> float | None:
+    """Effective sample size via the initial-positive-sequence rule, or None
+    where a series has none: fewer than 10 draws, a series that never moved,
+    or one whose variance underflows to 0. Only a series that is not 1-d is
+    an error (ValidationError).
 
     Autocorrelations are summed over consecutive pairs while the pair sums
     stay positive; the result is clipped to the series length (an antithetic
     chain is reported as fully efficient, not super-efficient).
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 10:
-        raise ValidationError("ess needs a 1-d series of at least 10 samples")
+    if x.ndim != 1:
+        raise ValidationError("ess needs a 1-d series")
     L = x.size
-    if np.all(x == x[0]):
-        return float(L)
+    if L < 10 or _never_moved(x):
+        return None
     x = x - x.mean()
-    var = float(np.dot(x, x)) / L
-    if var == 0.0:
-        return float(L)
+    if np.dot(x, x) / L == 0.0:  # the variance underflows
+        return None
     nfft = 1 << (2 * L - 1).bit_length()
     f = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(f * np.conj(f), nfft)[:L] / L
@@ -89,8 +104,7 @@ def _parameter_summary(x: np.ndarray) -> ParameterSummary:
         sd=float(x.std(ddof=0)),
         quantiles={f"{q:g}%": float(v) for q, v in zip(QUANTILE_LEVELS, qs)},
         ci95=(float(qs[0]), float(qs[-1])),
-        # a series that never moved, or is too short, has no estimable ESS
-        ess=ess(x) if x.size >= 10 and x.std() > 0 else None,
+        ess=ess(x),
     )
 
 
@@ -153,8 +167,9 @@ def silverman_bandwidth(series) -> float:
 def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     """Gaussian kernel density of ``series`` evaluated on ``grid``.
 
-    Uses the Silverman bandwidth unless one is given. A zero-variance series
-    has no meaningful bandwidth; that is an error (use a histogram instead).
+    Uses the Silverman bandwidth unless one is given. A series that never
+    moved has no meaningful bandwidth; that is a DomainError (use a
+    histogram instead).
 
     The grid is evaluated in row blocks of about ``KDE_BLOCK_DOUBLES``
     kernel values, in two buffers allocated once per call, so the memory
@@ -170,7 +185,7 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
         raise ValidationError("kde needs a 1-d series of at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValidationError("kde series must be finite")
-    if x.std() == 0.0:
+    if _never_moved(x):
         raise DomainError(
             "series has zero variance; a kernel density is degenerate, use a histogram"
         )

@@ -170,12 +170,9 @@ def staging_forward(q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     _check_size(q, layout, "q")
     u = q.copy()
-    j = layout.j
-    if j < 2:
-        return u
-    qs = q[:-1].reshape(layout.n, j)        # qs[s, m] = q[s*j + m]
-    qn = q[1:].reshape(layout.n, j)         # qn[s, m] = q[s*j + m + 1]
-    m = np.arange(1.0, j)
+    qs = q[:-1].reshape(layout.n, layout.j)  # qs[s, m] = q[s*j + m]
+    qn = q[1:].reshape(layout.n, layout.j)   # qn[s, m] = q[s*j + m + 1]
+    m = np.arange(1.0, layout.j)
     layout.staging(u)[...] = qs[:, 1:] - (m * qn[:, 1:] + qs[:, :1]) / (m + 1.0)
     return u
 

@@ -17,7 +17,9 @@ turns it into an additive-noise equation for q(t) on the horizon [0, T],
 
 which is the form every discretized quantity in this package is built on.
 Observations are noisy logarithmic readings y_s with
-ln y_s = ln(S(t_s)/K) + sigma eps_s, eps_s ~ N(0, 1).
+ln y_s = ln(S(t_s)/K) + sigma eps_s, eps_s ~ N(0, 1), on equidistant times
+from t_1 = 0. A first time given within 1e-12 T of 0 is stored as exactly
+0, the time the lattice starts at, so an input tabulated from 0 covers it.
 
 This module holds the parameter containers, input-signal abstraction,
 coordinate transforms, the analytic equilibrium law under constant input,
@@ -216,18 +218,23 @@ class ObservationModel:
 @_frozen
 class TimeSeriesData:
     """Observed series y_s > 0 on equidistant times t_1 = 0, ..., t_{n+1} = T;
-    it holds read-only copies of the arrays it is given."""
+    it holds read-only copies of the arrays it is given. A first time within
+    1e-12 T of 0 is stored as exactly 0.0, the time the lattice's first bead
+    and every signal read at ``times`` start from."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         t, v = _series("observation", self.times, self.values)
-        if abs(t[0]) > 1e-12 * max(1.0, abs(t[-1])):
+        # the second time must follow 0 too, to stay after t[0] once it is 0
+        if abs(t[0]) > 1e-12 * max(1.0, abs(t[-1])) or t[1] <= 0.0:
             raise ValidationError(f"first observation time must be 0, got {t[0]}")
         dt = np.diff(t)
         if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
             raise ValidationError("observation times must be equidistant (1e-9 relative)")
+        if t[0] != 0.0:  # a signed zero keeps its bytes
+            t[0] = 0.0
         _set(self, times=t, values=v)
 
     @property

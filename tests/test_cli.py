@@ -418,6 +418,21 @@ class TestInfer:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
+    def test_first_time_just_below_zero_runs_on_a_table_from_zero(self, tmp_path, capsys):
+        # data over [0, 40] whose first time, 2e-11 below 0, is within
+        # 1e-12 T of 0: it is stored as 0, which the table covers
+        early = tmp_path / "early.csv"
+        early.write_text("t,y\n-2e-11,0.5\n10,0.7\n20,0.6\n30,0.6\n40,0.5\n")
+        table = tmp_path / "signal.csv"
+        table.write_text("t,r\n0,0.5\n40,0.7\n")
+        cfg = small_config(obs_file=str(early))
+        cfg["signal"] = {"kind": "tabulated", "file": str(table)}
+        cfg_path = write_config(tmp_path, cfg, "early.json")
+        out = tmp_path / "run"
+        rc = main(["infer", "--config", cfg_path, "--chains", "1", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert ChainRecord.from_csv(out / "chain00.csv").n_rows == 120
+
     @pytest.mark.parametrize("chains", [1, 3])
     def test_short_tabulated_signal_rejected_before_writing(self, tmp_path, capsys, chains):
         cfg = config_for(tmp_path, "infer")  # data over [0, 40]
@@ -556,6 +571,18 @@ class TestSummarize:
         summary = json.loads(text)
         assert summary["parameters"]["beta"]["mean"] == 1.5
         assert summary["acceptance_rate"] == 0.0
+
+    def test_stalled_chain_at_an_inexact_beta_has_null_ess_and_no_density(
+        self, tmp_path, capsys
+    ):
+        # the rounded mean of 100 copies of this beta leaves a std of 2e-16
+        path = tmp_path / "stalled.csv"
+        rows = "\n".join(f"{i+1},1.4430869689661812,0.5,200,0,3,3,0" for i in range(100))
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
+        _, out = self.summarize(tmp_path, [str(path)], "stalled", discard=0.0)
+        assert (out / "summary.json").read_text().count('"ess": null') == 3
+        assert not list(out.glob("density_*.csv"))
+        assert capsys.readouterr().err.count("histogram") == 3
 
     def test_one_row_chain_skips_every_density(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

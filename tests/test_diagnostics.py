@@ -33,17 +33,35 @@ def make_record(beta, gamma=None, K=None, accepted=None):
     )
 
 
+# constant series of values that a sum does not keep exact: at many of these
+# lengths the rounded mean leaves a standard deviation of 1e-17 to 1e-15
+NEVER_MOVED_VALUES = (
+    math.sqrt(833 * 0.5 / 200), 0.1, 1 / 3, math.pi, math.e, 0.3, 0.7, 2 / 3,
+)
+NEVER_MOVED_LENGTHS = (10, 11, 100, 200, 1001, 3200, 8001)
+
+
 class TestEss:
-    def test_rejects_short_series(self):
-        with pytest.raises(ValidationError):
-            ess(np.arange(9.0))
+    def test_short_series_has_no_ess(self):
+        assert ess(np.arange(9.0)) is None
+        assert ess(np.array([])) is None
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="1-d"):
             ess(np.zeros((5, 5)))
+        with pytest.raises(ValidationError, match="1-d"):
+            ess(3.0)
 
-    def test_constant_series_is_fully_efficient(self):
-        assert ess(np.full(50, 3.14)) == 50.0
+    def test_constant_series_has_no_ess(self):
+        assert ess(np.full(50, 3.14)) is None
+        assert ess(np.full(50, 1.5)) is None
+        assert ess(np.zeros(50)) is None
+
+    def test_underflowing_variance_has_no_ess(self):
+        # it moved, by the least subnormal, but every centred square is 0
+        x = np.zeros(20)
+        x[::2] = 5e-324
+        assert ess(x) is None
 
     def test_iid_close_to_length(self):
         L = 5000
@@ -98,6 +116,15 @@ class TestSummarize:
         assert all(v == 1.5 for v in p.quantiles.values())
         # a series that never moved has no estimable ESS
         assert p.ess is None
+
+    @pytest.mark.parametrize("n", NEVER_MOVED_LENGTHS)
+    @pytest.mark.parametrize("value", NEVER_MOVED_VALUES)
+    def test_series_that_never_moved_has_no_ess(self, value, n):
+        # for 37 of these 56 series np.full(n, value).std() is not 0
+        x = np.full(n, value)
+        p = summarize(make_record(x, x, x)).parameters
+        assert [p[name].ess for name in ("beta", "gamma", "K")] == [None, None, None]
+        assert p["beta"].quantiles["50%"] == value
 
     def test_short_series_has_no_ess(self):
         s = summarize(make_record(np.arange(1.0, 8.0)))
@@ -217,6 +244,12 @@ class TestKde:
     def test_zero_variance_suggests_histogram(self):
         with pytest.raises(DomainError, match="histogram"):
             kde(np.full(100, 2.0), np.linspace(0, 4, 11))
+
+    @pytest.mark.parametrize("n", NEVER_MOVED_LENGTHS)
+    @pytest.mark.parametrize("value", NEVER_MOVED_VALUES)
+    def test_series_that_never_moved_has_no_density(self, value, n):
+        with pytest.raises(DomainError, match="histogram"):
+            kde(np.full(n, value), np.linspace(value - 1.0, value + 1.0, 11))
 
     def test_rejects_bad_inputs(self):
         grid = np.linspace(-1, 1, 5)

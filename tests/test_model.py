@@ -250,6 +250,24 @@ class TestTimeSeriesData:
         arrays[field][index] = np.nextafter(arrays[field][index], np.inf)
         assert data != TimeSeriesData(**arrays)
 
+    @pytest.mark.parametrize("t0", [-5e-10, 5e-10, -0.0])
+    def test_first_time_near_zero_is_stored_as_zero(self, t0):
+        t, y = np.linspace(0, 833, 201), np.full(201, 0.5)
+        near = t.copy()
+        near[0] = t0
+        data = TimeSeriesData(times=near, values=y)
+        assert data.times[0] == 0.0
+        # a time off 0 becomes 0.0, and a signed zero keeps its bytes
+        np.testing.assert_array_equal(data.times[1:], t[1:])
+        start = np.array([0.0 if t0 else t0])
+        assert data.times[:1].tobytes() == start.tobytes()
+        # a signal tabulated from 0 can be read at every data time
+        InputSignal.tabulated([0.0, 833.0], [0.5, 0.7]).value(data.times)
+
+    def test_second_time_must_follow_zero(self):
+        with pytest.raises(ValidationError, match="first observation time must be 0"):
+            TimeSeriesData(times=[-1e-13, -5e-14], values=[1.0, 1.0])
+
     def test_properties(self):
         data = TimeSeriesData(times=np.linspace(0, 833, 11), values=np.ones(11))
         assert data.n_segments == 10
