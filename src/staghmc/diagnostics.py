@@ -6,9 +6,10 @@ chains, and a Gaussian kernel density estimator for plotting marginals.
 
 A series that never moved, every draw equal to the first by exact
 comparison, has neither: `ess` returns None for it (as for fewer than 10
-draws), so a stalled parameter's summary reads ``"ess": null``, and `kde`
-refuses it with a DomainError. A test on the rounded standard deviation
-would not do, since a constant series can read an sd of 1e-16.
+draws or a non-finite draw), so a stalled parameter's summary reads
+``"ess": null``, and `kde` refuses it with a DomainError. A test on the
+rounded standard deviation would not do, since a constant series can read
+an sd of 1e-16.
 """
 
 from __future__ import annotations
@@ -65,9 +66,10 @@ def _never_moved(x: np.ndarray) -> bool:
 
 def ess(series) -> float | None:
     """Effective sample size via the initial-positive-sequence rule, or None
-    where a series has none: fewer than 10 draws, a series that never moved,
-    or one whose variance underflows to 0. Only a series that is not 1-d is
-    an error (ValidationError).
+    where a series has none: fewer than 10 draws, a draw that is not finite
+    (nan or inf), a series that never moved, or one whose variance
+    underflows to 0. Only a series that is not 1-d is an error
+    (ValidationError).
 
     Autocorrelations are summed over consecutive pairs while the pair sums
     stay positive; the result is clipped to the series length (an antithetic
@@ -77,7 +79,7 @@ def ess(series) -> float | None:
     if x.ndim != 1:
         raise ValidationError("ess needs a 1-d series")
     L = x.size
-    if L < 10 or _never_moved(x):
+    if L < 10 or not np.isfinite(x).all() or _never_moved(x):
         return None
     x = x - x.mean()
     if np.dot(x, x) / L == 0.0:  # the variance underflows

@@ -25,6 +25,7 @@ import math
 import multiprocessing
 import os
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -344,17 +345,21 @@ def _run_seeded(
     beta, gamma, accepted, h_before, h_after, dh = table
     accepted = accepted != 0.0
     K = layout.T * gamma / beta**2
+    # how well the step fits the chain's N beads: None if no dH is finite
+    abs_dh = np.abs(dh[np.isfinite(dh)])
     meta = {
         "config": asdict(config),
         "data_digest": problem.data.digest(),
         "sigma": problem.obs.sigma,
         "j": problem.j,
+        "N": layout.N,
         "T": layout.T,
         "chain_index": chain_index,
         "spawn_key": [int(k) for k in seed_seq.spawn_key],
         "wall_clock_s": elapsed,
         "acceptance_rate": float(np.mean(accepted)),
         "pathologies": pathologies,
+        "median_abs_dh": float(np.median(abs_dh)) if abs_dh.size else None,
     }
     return ChainRecord(
         beta=beta,
@@ -382,12 +387,23 @@ def run_chain(problem: InferenceProblem, config: HmcConfig) -> ChainRecord:
     return run_parallel_chains(problem, config)[0]
 
 
+class _ChainTraceback(Exception):
+    """The formatted tracebacks of the failed chains, as text: the cause of
+    the StagHmcError that reports them, as ``concurrent.futures`` attaches
+    the traceback of a failed call in a worker."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _chain_worker(args):
+    """(index, record, None) for a chain that ran; (index, None, (message,
+    formatted traceback)) for one that failed."""
     problem, config, index, seed_seq = args
     try:
         return index, _run_seeded(problem, config, index, seed_seq), None
     except Exception as exc:  # isolate failures so sibling chains finish
-        return index, None, f"chain {index}: {type(exc).__name__}: {exc}"
+        return index, None, (f"chain {index}: {type(exc).__name__}: {exc}", traceback.format_exc())
 
 
 def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[ChainRecord]:
@@ -403,7 +419,8 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
     runner for one chain and adding chains never perturbs existing ones. A
     failing chain does not abort its siblings; failures are reported
     together after all chains finish, as one StagHmcError that names each
-    failed chain (``chain 0: ...``).
+    failed chain (``chain 0: ...``) and whose ``__cause__`` holds their
+    tracebacks, from this process or a worker alike.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     jobs = [(problem, config, c, seeds[c]) for c in range(config.chains)]
@@ -424,5 +441,6 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
 
     errors = [err for _, _, err in outs if err is not None]
     if errors:
-        raise StagHmcError("; ".join(errors))
+        messages, tracebacks = zip(*errors)
+        raise StagHmcError("; ".join(messages)) from _ChainTraceback("\n".join(tracebacks))
     return [rec for _, rec, _ in outs]

@@ -303,7 +303,12 @@ class TestInfer:
         metas = summary["chains_meta"]
         assert [m["chain_index"] for m in metas] == [0, 1]
         for meta in metas:
-            assert set(meta) >= {"wall_clock_s", "acceptance_rate", "pathologies", "data_digest"}
+            assert set(meta) >= {
+                "wall_clock_s", "acceptance_rate", "pathologies", "data_digest",
+                "N", "median_abs_dh",
+            }
+            assert meta["N"] == 4 * 3 + 1  # the n = 4 segments of j = 3 steps
+            assert meta["median_abs_dh"] >= 0.0
             assert all(isinstance(v, int) and v > 0 for v in meta["pathologies"].values())
         assert summary["chains"] == len(metas)
 

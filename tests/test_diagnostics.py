@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -62,6 +63,19 @@ class TestEss:
         x = np.zeros(20)
         x[::2] = 5e-324
         assert ess(x) is None
+
+    def test_non_finite_series_has_no_ess(self):
+        # a nan or inf draw gives the series no ESS, quietly, and the
+        # summary of a record with one nan draw reads null beside its nan mean
+        beta = np.linspace(1.0, 2.0, 20)
+        beta[3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ess([np.nan] * 5 + list(range(10))) is None
+            assert ess([0.0] * 5 + [np.inf] + list(range(10))) is None
+            summary = summarize(make_record(beta)).parameters["beta"]
+        assert math.isnan(summary.mean)
+        assert summary.ess is None
 
     def test_iid_close_to_length(self):
         L = 5000

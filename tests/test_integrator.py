@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -33,7 +30,6 @@ from staghmc.lattice import LatticeLayout, MassConfig, PolymerState
 
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
 MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYOUTS = [
     LatticeLayout(1, 1, 5.0),
     LatticeLayout(2, 5, 833.0),
@@ -573,14 +569,3 @@ class TestTrotter:
         with pytest.raises(NonFiniteError):
             trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
 
-
-def test_integrator_checks_demo_runs():
-    env = dict(os.environ)
-    src = os.path.join(REPO, "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run(
-        [sys.executable, os.path.join(REPO, "demos", "integrator_checks.py")],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "reversibility" in proc.stdout

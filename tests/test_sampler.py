@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import math
 import pickle
 import warnings
 from dataclasses import asdict
@@ -35,6 +36,7 @@ from staghmc.sampler import (
     ChainRecord,
     HmcConfig,
     InferenceProblem,
+    IterationStats,
     _run_seeded,
     hmc_iteration,
     metropolis_accept,
@@ -784,6 +786,41 @@ class TestRunChain:
         with pytest.raises(StagHmcError, match="^chain 0: NonFiniteError: ") as raised:
             run_chain(toy_problem, small_config(n_mc=5))
         assert type(raised.value) is StagHmcError
+        # its cause is the chain's traceback, down to the start that failed
+        cause = self.chain_traceback(raised.value, 1)
+        assert "in _start_chain" in cause
+        assert "staghmc.errors.NonFiniteError: " in cause
+
+    def test_pool_failure_keeps_its_cause(self, toy_problem, monkeypatch):
+        # of two chains on the pool, chain 1 fails in a worker: its message
+        # is the lone chain's form, and its traceback comes back as the cause
+        import staghmc.sampler
+
+        run_seeded = staghmc.sampler._run_seeded
+
+        def chain_1_fails(problem, config, chain_index, seed_seq):
+            if chain_index == 1:
+                raise IndexError("injected failure")
+            return run_seeded(problem, config, chain_index, seed_seq)
+
+        # the pool forks, so its workers inherit the patch
+        monkeypatch.setattr(staghmc.sampler, "_run_seeded", chain_1_fails)
+        with pytest.raises(StagHmcError, match="^chain 1: IndexError: injected failure$") as raised:
+            run_parallel_chains(toy_problem, small_config(n_mc=5, chains=2))
+        cause = self.chain_traceback(raised.value, 1)
+        assert "in chain_1_fails" in cause
+        assert "\nIndexError: injected failure\n" in cause
+
+    @staticmethod
+    def chain_traceback(error, n_failed):
+        """The text of the traceback cause of ``error``, checked to hold
+        ``n_failed`` formatted tracebacks."""
+        cause = error.__cause__
+        assert cause is not None and error.__suppress_context__
+        text = str(cause)
+        assert text.count("Traceback (most recent call last):") == n_failed
+        assert "in _chain_worker" in text
+        return text
 
     @staticmethod
     def literal_chain(problem, cfg):
@@ -858,7 +895,22 @@ class TestRunChain:
         assert seen
         counts = {name: seen.count(name) for name in set(seen)}
         assert rec.meta["pathologies"] == counts
+        # the step's fit is the median abs(dH) over the finite dH alone
+        finite = np.isfinite(rec.dh)
+        assert not finite.all()
+        assert rec.meta["median_abs_dh"] == float(np.median(np.abs(rec.dh[finite])))
         assert run_chain(toy_problem, small_config(n_mc=5)).meta["pathologies"] == {}
+
+    def test_meta_step_fit_without_a_finite_dh_is_none(self, toy_problem, monkeypatch):
+        import staghmc.sampler
+
+        def blown_up(chain, rng):
+            return chain, IterationStats(False, 1.0, math.inf, math.inf, "nonfinite-energy")
+
+        monkeypatch.setattr(staghmc.sampler, "hmc_iteration", blown_up)
+        meta = run_chain(toy_problem, small_config(n_mc=5)).meta
+        assert meta["median_abs_dh"] is None
+        json.dumps(meta)
 
     def test_single_iteration_single_row(self, toy_problem):
         rec = run_chain(toy_problem, small_config(n_mc=1))
@@ -883,6 +935,8 @@ class TestRunChain:
         assert rec.meta["config"] == asdict(cfg)
         assert rec.meta["wall_clock_s"] > 0
         assert rec.meta["j"] == toy_problem.j
+        assert rec.meta["N"] == toy_problem.layout.N
+        assert rec.meta["median_abs_dh"] == float(np.median(np.abs(rec.dh)))
         json.dumps(rec.meta)
 
     def test_csv_round_trip(self, toy_problem, tmp_path):
