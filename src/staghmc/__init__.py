@@ -11,8 +11,6 @@ from .model import (
     PhysicalParams,
     TimeSeriesData,
     TruthPath,
-    equilibrium_moments,
-    equilibrium_pdf,
     fine_grid,
     generate_observations,
     path_transform,

@@ -48,6 +48,7 @@ from .model import (
     ObservationModel,
     PhysicalParams,
     TimeSeriesData,
+    _signal_over,
     fine_grid,
     generate_observations,
     simulate_truth,
@@ -276,6 +277,13 @@ def _build_signal(cfg: dict) -> InputSignal:
     raise ValidationError(f"config field signal.kind has an unknown value {kind!r}")
 
 
+def _naming_signal_file(cfg: dict):
+    """Prefix a ValidationError raised in the block with the file of the
+    tabulated signal: a table that stops short of the data or of the
+    simulation grid is refused under its file's name."""
+    return _naming(f"{cfg['signal'].get('file')} (config field signal.file)")
+
+
 def _input_file(path: str, field: str) -> str:
     """``path``, read from the config field ``field``, if it names a file."""
     if not os.path.isfile(path):
@@ -336,6 +344,8 @@ def cmd_simulate(cfg: dict) -> int:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)
+    with _naming_signal_file(cfg):
+        _signal_over(signal, grid)
     truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, obs, seed=rng)
@@ -360,8 +370,8 @@ def cmd_infer(cfg: dict) -> int:
         _inv_sigma2(obs)
     j = _need_count(cfg, "lattice.j")
     # the checks above leave the plan one refusal, a tabulated signal that
-    # stops short of the data: name its file
-    with _naming(f"{cfg['signal'].get('file')} (config field signal.file)"):
+    # stops short of the data
+    with _naming_signal_file(cfg):
         problem = InferenceProblem(data, signal, obs, j)
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)

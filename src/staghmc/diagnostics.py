@@ -152,13 +152,22 @@ def summarize(*records: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
     )
 
 
+def _check_finite_series(x: np.ndarray):
+    """Refuse a series with a nan or infinite draw, for `kde` and
+    `silverman_bandwidth` alike."""
+    if not np.isfinite(x).all():
+        raise ValidationError("kde series must be finite")
+
+
 def silverman_bandwidth(series) -> float:
     """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
     Fewer than two samples have no spread: that is a DomainError, as a zero
-    variance is for `kde`."""
+    variance is for `kde`. A nan or infinite draw is a ValidationError, as
+    it is for `kde`."""
     x = np.asarray(series, dtype=float)
     if x.size < 2:
         raise DomainError(f"a bandwidth needs at least 2 samples, got {x.size}")
+    _check_finite_series(x)
     sd = float(x.std(ddof=1))
     q75, q25 = np.percentile(x, [75.0, 25.0])
     iqr = float(q75 - q25)
@@ -185,8 +194,7 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("kde needs a 1-d series of at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("kde series must be finite")
+    _check_finite_series(x)
     if _never_moved(x):
         raise DomainError(
             "series has zero variance; a kernel density is degenerate, use a histogram"

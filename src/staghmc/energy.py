@@ -66,7 +66,7 @@ from .lattice import (  # noqa: F401 -- the public maps stay bound here for trac
     staging_adjoint,
     staging_inverse,
 )
-from .model import InputSignal, ObservationModel, TimeSeriesData
+from .model import InputSignal, ObservationModel, TimeSeriesData, _signal_over
 
 __all__ = [
     "InferenceProblem",
@@ -140,10 +140,7 @@ class InferenceProblem:
         _set(self, j=_count("j", self.j))
         inv_sigma2 = _inv_sigma2(self.obs)
         lay = LatticeLayout(self.data.n_segments, self.j, self.data.horizon)
-        try:  # a tabulated input must span the lattice's times
-            r = np.asarray(self.signal.value(lay.times), dtype=float)
-        except DomainError as exc:
-            raise ValidationError(f"input signal does not cover the data: {exc}") from None
+        r = _signal_over(self.signal, lay.times)  # a table must span the lattice
         if np.any(r <= 0):
             raise DomainError("input signal must be strictly positive on the lattice")
         L = np.zeros(lay.N)

@@ -133,32 +133,26 @@ class DomainError(StagHmcError, ValueError):
     """Mathematically invalid argument, e.g. gamma = 0 where 1/gamma is needed."""
 
 
+_SHOWN_INDICES = 5  # at most this many indices are spelled out in a message
+
+
 class NonFiniteError(StagHmcError, ArithmeticError):
     """An energy, gradient, or state component became NaN or infinite.
 
     Carries enough context to locate the failure (``what``, and the offending
-    ``indices`` when known); the sampler turns this into a rejected proposal
-    rather than a crash, so the message names only how many indices failed
-    and the first few of them.
+    ``indices``); the sampler turns this into a rejected proposal rather
+    than a crash, so the message names only how many indices failed and the
+    first few of them.
     """
 
-    def __init__(self, what: str, indices=None):
+    def __init__(self, what: str, indices):
         self.what = what
         self.indices = indices
-        super().__init__(f"non-finite {what}{_index_detail(indices)}")
+        flat = np.ravel(indices)
+        head = ", ".join(str(int(i)) for i in flat[:_SHOWN_INDICES])
+        more = ", ..." if flat.size > _SHOWN_INDICES else ""
+        noun = "index" if flat.size == 1 else "indices"
+        super().__init__(f"non-finite {what} at {flat.size} {noun} [{head}{more}]")
 
     def __reduce__(self):
         return type(self), (self.what, self.indices)
-
-
-_SHOWN_INDICES = 5  # at most this many indices are spelled out in a message
-
-
-def _index_detail(indices) -> str:
-    if indices is None:
-        return ""
-    flat = np.ravel(indices)
-    head = ", ".join(str(int(i)) for i in flat[:_SHOWN_INDICES])
-    more = ", ..." if flat.size > _SHOWN_INDICES else ""
-    noun = "index" if flat.size == 1 else "indices"
-    return f" at {flat.size} {noun} [{head}{more}]"

@@ -22,8 +22,8 @@ from t_1 = 0. A first time given within 1e-12 T of 0 is stored as exactly
 0, the time the lattice starts at, so an input tabulated from 0 covers it.
 
 This module holds the parameter containers, input-signal abstraction,
-coordinate transforms, the analytic equilibrium law under constant input,
-the forward (Euler-Maruyama) simulator, and synthetic-observation generation.
+coordinate transforms, the forward (Euler-Maruyama) simulator, and
+synthetic-observation generation.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "TruthPath",
     "to_dimensionless",
     "path_transform",
-    "equilibrium_pdf",
-    "equilibrium_moments",
     "simulate_truth",
     "generate_observations",
 ]
@@ -201,6 +199,16 @@ class InputSignal:
             return cls.tabulated(data[:, 0], data[:, 1])
 
 
+def _signal_over(signal: InputSignal, times) -> np.ndarray:
+    """r(times) as floats. A tabulated input that stops short of ``times`` is
+    a ValidationError: the one refusal of an input that does not cover the
+    data, whether a plan or a simulation asks."""
+    try:
+        return np.asarray(signal.value(times), dtype=float)
+    except DomainError as exc:
+        raise ValidationError(f"input signal does not cover the data: {exc}") from None
+
+
 # --------------------------------------------------------------------------
 # observations
 
@@ -275,47 +283,6 @@ def path_transform(q, t, theta: DimensionlessParams, signal: InputSignal, T: flo
     r = signal.value(t)
     scale = T * theta.gamma / theta.beta**2
     return scale * r * np.exp(theta.beta * q)
-
-
-# --------------------------------------------------------------------------
-# equilibrium law under constant input
-
-
-def _invgamma_shape_scale(params: PhysicalParams, r0: float):
-    if r0 <= 0:
-        raise DomainError("constant input level r0 must be positive")
-    shape = (2.0 + params.gamma) / params.gamma
-    scale = 2.0 * params.K * r0 / params.gamma
-    return shape, scale
-
-
-def equilibrium_pdf(S, params: PhysicalParams, r0: float):
-    """Stationary density of S under constant input r(t) = r0.
-
-    The law is p(S) proportional to S^{-2(1+gamma)/gamma} exp(-2 K r0 / (gamma S)),
-    an inverse-gamma distribution with shape (2+gamma)/gamma and scale
-    2 K r0 / gamma.
-    """
-    S = np.asarray(S, dtype=float)
-    if np.any(S <= 0):
-        raise DomainError("equilibrium density is supported on S > 0")
-    shape, scale = _invgamma_shape_scale(params, r0)
-    log_core = -(shape + 1.0) * np.log(S) - scale / S
-    log_norm = shape * math.log(scale) - math.lgamma(shape)
-    return np.exp(log_norm + log_core)
-
-
-def equilibrium_moments(params: PhysicalParams, r0: float):
-    """Mean and variance of the stationary law: (K r0, K^2 r0^2 gamma/(2-gamma)).
-
-    The variance diverges for gamma >= 2 and is reported as ``inf``.
-    """
-    _invgamma_shape_scale(params, r0)
-    mean = params.K * r0
-    if params.gamma >= 2.0:
-        return mean, math.inf
-    var = params.K**2 * r0**2 * params.gamma / (2.0 - params.gamma)
-    return mean, var
 
 
 # --------------------------------------------------------------------------

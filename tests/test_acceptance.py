@@ -35,7 +35,6 @@ from staghmc.model import (
     ObservationModel,
     PhysicalParams,
     TimeSeriesData,
-    _invgamma_shape_scale,
     fine_grid,
     generate_observations,
     simulate_truth,
@@ -321,9 +320,12 @@ def test_criterion_07_equilibrium_law():
     samples = path.S[int(burn / h_step):: int(spacing / h_step)][:n_samples]
     elapsed = time.perf_counter() - t0
     assert samples.size == n_samples
-    shape, scale = _invgamma_shape_scale(params, r0)
+    # the paper's law: inverse gamma, shape (2 + gamma)/gamma, scale 2 K r0/gamma
+    law = stats.invgamma(
+        (2.0 + params.gamma) / params.gamma, scale=2.0 * params.K * r0 / params.gamma
+    )
     mean = float(samples.mean())
-    dist, _ = stats.kstest(samples, stats.invgamma(shape, scale=scale).cdf)
+    dist, _ = stats.kstest(samples, law.cdf)
     print(
         f"criterion 7: sample mean {mean:.3f} (need within 2% of 30), "
         f"KS distance {dist:.4f} (need < 0.05), {elapsed:.1f}s (need < 30)"

@@ -185,6 +185,24 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("rows", ["5,0.5\n90,0.7\n", "0,0.5\n30,0.7\n"], ids=["late", "early"])
+    def test_short_tabulated_signal_rejected_as_infer_rejects_it(self, tmp_path, capsys, rows):
+        # a table that starts after 0 or stops before T = 40: a one-line
+        # validation error naming the file, not a runtime failure
+        table = tmp_path / "signal.csv"
+        table.write_text("t,r\n" + rows)
+        cfg = small_config()
+        cfg["signal"] = {"kind": "tabulated", "file": str(table)}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            f"error: {table} (config field signal.file): input signal does not cover the data: "
+        )
+
 
 class TestInfer:
     def infer_into(self, tmp_path, out_name, seed=7, chains=2, extra=None):

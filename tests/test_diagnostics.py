@@ -281,6 +281,16 @@ class TestKde:
         got = silverman_bandwidth(x)
         assert got == pytest.approx(0.9 * x.std(ddof=1) * 21 ** (-0.2), rel=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_silverman_refuses_a_non_finite_series_as_kde_does(self, bad):
+        # not a nan bandwidth behind two RuntimeWarnings
+        x = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValidationError, match="must be finite") as refused:
+            silverman_bandwidth(x)
+        with pytest.raises(ValidationError) as kde_refused:
+            kde(x, np.linspace(0.0, 3.0, 5))
+        assert str(refused.value) == str(kde_refused.value)
+
     def test_blocked_evaluation_matches_single_block(self):
         # series large enough that the grid is processed in several blocks
         rng = np.random.default_rng(13)

@@ -696,7 +696,7 @@ class TestGuards:
         assert str(back) == str(err)
         assert back.what == err.what
         np.testing.assert_array_equal(back.indices, indices)
-        for idx in (None, 7, np.array([3, 7])):
+        for idx in (7, np.array([3, 7])):
             err = NonFiniteError("simulated path", indices=idx)
             back = pickle.loads(pickle.dumps(err))
             assert str(back) == str(err) and back.what == "simulated path"

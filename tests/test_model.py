@@ -16,8 +16,6 @@ from staghmc import (
     TimeSeriesData,
     TruthPath,
     ValidationError,
-    equilibrium_moments,
-    equilibrium_pdf,
     fine_grid,
     generate_observations,
     path_transform,
@@ -107,39 +105,6 @@ class TestRhoDiscrete:
             assert rhodot[i] == pytest.approx((rho[i] - rho[i - 1]) / dt, rel=1e-12)
         # slot 0 is padding; the i = 2 term carries no rate of change
         assert problem.L[0] == 0.0 and problem.Ldot[0] == 0.0 and problem.Ldot[1] == 0.0
-
-
-class TestEquilibrium:
-    P = PhysicalParams(K=50, gamma=0.2, T=833)
-
-    def test_moments_frozen(self):
-        mean, var = equilibrium_moments(self.P, 0.6)
-        assert mean == pytest.approx(30.0, rel=1e-14)
-        assert var == pytest.approx(100.0, rel=1e-12)
-
-    def test_variance_divergence_flag(self):
-        _, var = equilibrium_moments(PhysicalParams(K=50, gamma=2.0, T=833), 0.6)
-        assert math.isinf(var)
-        _, var = equilibrium_moments(PhysicalParams(K=50, gamma=2.5, T=833), 0.6)
-        assert math.isinf(var)
-
-    def test_matches_scipy_invgamma(self):
-        # shape (2+gamma)/gamma = 11, scale 2 K r0 / gamma = 300
-        S = np.linspace(5, 120, 200)
-        ours = equilibrium_pdf(S, self.P, 0.6)
-        ref = stats.invgamma.pdf(S, a=11.0, scale=300.0)
-        np.testing.assert_allclose(ours, ref, rtol=1e-12)
-
-    def test_normalization_by_quadrature(self):
-        S = np.linspace(1e-2, 2000, 400001)
-        mass = np.trapezoid(equilibrium_pdf(S, self.P, 0.6), S)
-        assert mass == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            equilibrium_pdf(np.array([-1.0]), self.P, 0.6)
-        with pytest.raises(DomainError):
-            equilibrium_moments(self.P, -0.6)
 
 
 class TestInputSignal:
