@@ -48,7 +48,6 @@ from .model import (
     ObservationModel,
     PhysicalParams,
     TimeSeriesData,
-    _signal_over,
     fine_grid,
     generate_observations,
     simulate_truth,
@@ -139,8 +138,7 @@ SCHEMA = {
     "out": _text,
     "model": {"K": _number, "gamma": _number, "T": _number},
     "signal": {
-        "kind": _text, "a": _number, "omega": _number, "b": _number, "value": _number,
-        "file": _text,
+        "kind": _text, "a": _number, "omega": _number, "b": _number, "file": _text,
     },
     "observation": {"sigma": _number, "n": _whole},
     "lattice": {"j": _whole},
@@ -268,20 +266,19 @@ def _build_signal(cfg: dict) -> InputSignal:
         a, omega, b = (_need(cfg, f"signal.{name}") for name in ("a", "omega", "b"))
         with _naming("config block signal"):
             return InputSignal.sinusoid(a, omega, b)
-    if kind == "constant":
-        value = _need(cfg, "signal.value")
-        with _naming("config block signal"):
-            return InputSignal.constant(value)
     if kind == "tabulated":
         return InputSignal.from_csv(_input_file(_need(cfg, "signal.file"), "signal.file"))
     raise ValidationError(f"config field signal.kind has an unknown value {kind!r}")
 
 
-def _naming_signal_file(cfg: dict):
-    """Prefix a ValidationError raised in the block with the file of the
-    tabulated signal: a table that stops short of the data or of the
-    simulation grid is refused under its file's name."""
-    return _naming(f"{cfg['signal'].get('file')} (config field signal.file)")
+def _naming_signal(cfg: dict):
+    """Prefix a ValidationError raised in the block with where the signal,
+    built by `_build_signal`, came from: the file of a table, or the config
+    block of a sinusoid. A signal that cannot be read where the lattice or
+    the simulation grid reads it is refused under this name."""
+    if cfg["signal"]["kind"] == "tabulated":
+        return _naming(f"{cfg['signal']['file']} (config field signal.file)")
+    return _naming("config block signal")
 
 
 def _input_file(path: str, field: str) -> str:
@@ -344,9 +341,8 @@ def cmd_simulate(cfg: dict) -> int:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)
-    with _naming_signal_file(cfg):
-        _signal_over(signal, grid)
-    truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
+    with _naming_signal(cfg):
+        truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, obs, seed=rng)
 
@@ -369,9 +365,10 @@ def cmd_infer(cfg: dict) -> int:
     with _naming("config block observation"):  # the plan refuses it too, but unnamed
         _inv_sigma2(obs)
     j = _need_count(cfg, "lattice.j")
-    # the checks above leave the plan one refusal, a tabulated signal that
-    # stops short of the data
-    with _naming_signal_file(cfg):
+    # the checks above leave the plan one refusal, a signal that cannot be
+    # read at the lattice's times: a table that stops short of the data, or
+    # an r that is not > 0 there
+    with _naming_signal(cfg):
         problem = InferenceProblem(data, signal, obs, j)
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)

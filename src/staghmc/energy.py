@@ -82,7 +82,7 @@ __all__ = [
 EXP_CLAMP = 700.0
 
 # the nine per-pass coefficients of `_hprime` (see `PathContext`), packed as
-# native doubles straight into the bytes of the workspace's ``coef``: the
+# native doubles straight into the workspace's ``coef_bytes``: the
 # values of an assignment from a list, at a fifth of its cost
 _pack_coef = struct.Struct("9d").pack_into
 
@@ -114,7 +114,10 @@ class InferenceProblem:
     """The plan of one inference, shared by every chain: the observations,
     the input signal they respond to, the noise model and the lattice
     refinement j (beads per data segment). These four alone decide equality
-    and hash, and a problem pickles as them.
+    and hash, and a problem pickles as them. The signal is read at the
+    lattice's times through `model._signal_over`, so a table that stops
+    short of the data, or an r that is not > 0 at a bead, is a
+    ValidationError.
 
     Built from them once: the `layout`, the data term's weight
     ``inv_sigma2`` (`_inv_sigma2`) and, read-only and of length N, the
@@ -140,9 +143,7 @@ class InferenceProblem:
         _set(self, j=_count("j", self.j))
         inv_sigma2 = _inv_sigma2(self.obs)
         lay = LatticeLayout(self.data.n_segments, self.j, self.data.horizon)
-        r = _signal_over(self.signal, lay.times)  # a table must span the lattice
-        if np.any(r <= 0):
-            raise DomainError("input signal must be strictly positive on the lattice")
+        r = _signal_over(self.signal, lay.times)
         L = np.zeros(lay.N)
         L[1:] = (lay.T / lay.dt) * np.diff(np.log(r))
         Ldot = np.zeros(lay.N)
@@ -196,14 +197,14 @@ class PathContext:
     ``work`` = [A, Z, Ldot], whose last two rows are ``grad_rows``; their
     (3, 3) product ``sums`` with the columns, and its flat view
     ``sum_list``: every sum the potential and the theta gradient read, but
-    A . A. The per-pass ``coef``, which `_pack_coef` writes through its
-    byte view ``coef_bytes``: the coefficients of A = ``coef_A`` . E_rows,
-    g_q = ``coef_g`` .
-    grad_rows, with Z = (A + beta/2) E, and the boundary force ``coef_b`` .
-    bound, and the 0-d operands ``minus_beta`` and ``half_beta`` of the
-    elementwise calls, with the constant ``clamp`` = EXP_CLAMP (a NumPy
-    call takes a 0-d array operand for about half the cost of a Python
-    float, which is why the integrator's kick steps are 0-d too).
+    A . A. The nine per-pass coefficients, which `_pack_coef` writes through
+    ``coef_bytes``, the byte view of their one buffer: those of A =
+    ``coef_A`` . E_rows, g_q = ``coef_g`` . grad_rows, with Z = (A +
+    beta/2) E, and the boundary force ``coef_b`` . bound, and the 0-d
+    operands ``minus_beta`` and ``half_beta`` of the elementwise calls,
+    with the constant ``clamp`` = EXP_CLAMP (a NumPy call takes a 0-d array
+    operand for about half the cost of a Python float, which is why the
+    integrator's kick steps are 0-d too).
 
     The boundary rows, which every pass fills afresh, over the measurement
     beads: ``bound`` = [lap, resid] (the spring stencil lap = d_{s-1} - d_s
@@ -228,7 +229,7 @@ class PathContext:
         "phase", "momenta", "pi_slots", "u_sq_head",
         "rows", "q_ends", "q_cols", "gq_tail", "g_ub", "u_b", "ub_next", "ub_prev",
         "E", "E_tail", "E_ends", "E_b", "E_rows", "work", "A", "Z", "grad_rows",
-        "sums", "sum_list", "coef", "coef_bytes", "coef_A", "coef_g", "coef_b", "minus_beta",
+        "sums", "sum_list", "coef_bytes", "coef_A", "coef_g", "coef_b", "minus_beta",
         "half_beta", "clamp",
         "bound", "lap", "resid", "force_b", "d_b", "pad_prev", "pad_next",
     )
@@ -271,7 +272,7 @@ class PathContext:
         self.grad_rows = self.work[1:]
         self.sums = np.empty((3, 3))
         self.sum_list = self.sums.reshape(9)
-        coef = self.coef = np.empty(9)
+        coef = np.empty(9)
         self.coef_bytes = memoryview(coef).cast("B")
         self.coef_A, self.coef_g, self.coef_b = coef[:3], coef[3:5], coef[5:7]
         self.minus_beta = coef[7:8].reshape(())

@@ -156,9 +156,6 @@ class PolymerState:
         if self.theta.shape != (2,) or self.pi.shape != (2,):
             raise ValidationError("theta and pi must have shape (2,)")
 
-    def copy(self) -> "PolymerState":
-        return PolymerState(self.u.copy(), self.theta.copy(), self.p.copy(), self.pi.copy())
-
 
 def _check_size(x: np.ndarray, layout: LatticeLayout, name: str):
     if x.ndim != 1 or x.size != layout.N:

@@ -124,7 +124,8 @@ class InputSignal:
 
     Two kinds are supported:
 
-    * ``sinusoid``: r(t) = a sin^2(omega t) + b, evaluated analytically.
+    * ``sinusoid``: r(t) = a sin^2(omega t) + b, evaluated analytically; a
+      constant input r is ``sinusoid(0.0, 0.0, r)``.
     * ``tabulated``: piecewise-linear interpolation of sampled (t, r) pairs,
       held as read-only copies; evaluation outside the tabulated range is
       an error.
@@ -159,10 +160,6 @@ class InputSignal:
     @classmethod
     def sinusoid(cls, a: float, omega: float, b: float) -> "InputSignal":
         return cls(kind="sinusoid", a=a, omega=omega, b=b)
-
-    @classmethod
-    def constant(cls, value: float) -> "InputSignal":
-        return cls(kind="sinusoid", a=0.0, omega=0.0, b=value)
 
     @classmethod
     def tabulated(cls, times, values) -> "InputSignal":
@@ -200,13 +197,23 @@ class InputSignal:
 
 
 def _signal_over(signal: InputSignal, times) -> np.ndarray:
-    """r(times) as floats. A tabulated input that stops short of ``times`` is
-    a ValidationError: the one refusal of an input that does not cover the
-    data, whether a plan or a simulation asks."""
+    """r(times) as floats, if the signal can be read at ``times``: the one
+    check of where a signal is read, whether a plan or a simulation asks. A
+    tabulated input that stops short of ``times``, or a value that is not
+    > 0 (a table can interpolate to 0; NaN is refused too), is a
+    ValidationError."""
     try:
-        return np.asarray(signal.value(times), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) is refused below
+            r = np.asarray(signal.value(times), dtype=float)
     except DomainError as exc:
         raise ValidationError(f"input signal does not cover the data: {exc}") from None
+    bad = np.flatnonzero(~(r > 0))
+    if bad.size:
+        t, value = np.ravel(times)[bad[0]], np.ravel(r)[bad[0]]
+        raise ValidationError(
+            f"input signal must be positive wherever it is read: r({t}) = {value}"
+        )
+    return r
 
 
 # --------------------------------------------------------------------------
@@ -321,11 +328,13 @@ def simulate_truth(
     """Integrate the q-form SDE with Euler-Maruyama on the given grid.
 
     The state starts from S(0) = s0 (default K r(0), the equilibrium mean
-    scale); an s0 that is not positive and finite is a ValidationError,
-    raised before any noise is drawn. Noise increments use a dedicated
-    generator seeded by ``seed``; ``seed`` may also be an existing numpy
-    Generator. A path that leaves the double range, in q or in S, raises
-    NonFiniteError at its first bad step.
+    scale). A grid that does not increase, a signal that cannot be read on
+    the whole grid (`_signal_over`) and an s0 that is not positive and
+    finite are each a ValidationError, raised before any noise is drawn,
+    so a zero of r never reaches d ln r / dt. Noise increments use a
+    dedicated generator seeded by ``seed``; ``seed`` may also be an
+    existing numpy Generator. A path that leaves the double range, in q or
+    in S, raises NonFiniteError at its first bad step.
 
     The steps run on Python floats read through memoryviews of the step
     arrays, the same IEEE operations as on NumPy scalars at a fraction of
@@ -336,8 +345,10 @@ def simulate_truth(
         raise ValidationError("simulation grid must be 1-d and strictly increasing")
     theta = to_dimensionless(params)
     T = params.T
+    _signal_over(signal, t)  # every read below, dlog_dt's and S's, is on the grid
     rng = np.random.default_rng(seed)
 
+    # a scalar read: the array read's sin^2 can differ from it in the last bit
     r0 = float(signal.value(t[0]))
     s0 = _positive("s0", params.K * r0 if s0 is None else s0)
     q0 = math.log(s0 / (params.K * r0)) / theta.beta
@@ -473,8 +484,8 @@ def _bad_row(path, rows, width: int) -> ValidationError:
         if len(cells) != width:
             return ValidationError(f"{path}, line {number}: want {width} columns, got {len(cells)}")
         for cell in cells:
-            try:  # loadtxt, unlike float, takes no "_" between digits
-                float(cell.replace("_", "!"))
+            try:  # loadtxt, unlike float, takes no "_" and no non-ASCII digit
+                float(cell.strip().replace("_", "!").encode("ascii"))
             except ValueError:
                 return ValidationError(f"{path}, line {number}: {cell.strip()!r} is not a number")
     return ValidationError(f"unreadable rows in {path}")

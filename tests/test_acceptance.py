@@ -6,6 +6,7 @@ prints a one-line measurement next to its pass/fail status; run with -s to
 see the lines on success.
 """
 
+import copy
 import dataclasses
 import os
 import time
@@ -93,7 +94,7 @@ def random_state(layout, rng, u_scale=0.3):
 
 def rotated(state, bank):
     """The integrator's free flow by the bank's step applied to a copy."""
-    out = state.copy()
+    out = copy.deepcopy(state)
     x, cross = np.stack((out.u, out.p)), np.empty((2, out.u.size))
     _free_flow((x, *x, cross, *cross), bank.flow)
     out.u[...], out.p[...] = x
@@ -101,7 +102,7 @@ def rotated(state, bank):
 
 
 def flipped(state):
-    out = state.copy()
+    out = copy.deepcopy(state)
     out.p *= -1.0
     out.pi *= -1.0
     return out
@@ -253,14 +254,14 @@ def test_criterion_05_gradients_match_finite_differences():
             g = grad_hprime(st, ctx)
             fd_u = np.empty(layout.N)
             for i in range(layout.N):
-                up, dn = st.copy(), st.copy()
+                up, dn = copy.deepcopy(st), copy.deepcopy(st)
                 up.u[i] += h
                 dn.u[i] -= h
                 fd_u[i] = (hprime(up) - hprime(dn)) / (2 * h)
             np.testing.assert_allclose(g.g_u, fd_u, rtol=1e-6, atol=1e-8)
             fd_t = np.empty(2)
             for a in range(2):
-                up, dn = st.copy(), st.copy()
+                up, dn = copy.deepcopy(st), copy.deepcopy(st)
                 up.theta[a] += h
                 dn.theta[a] -= h
                 fd_t[a] = (hprime(up) - hprime(dn)) / (2 * h)
@@ -311,7 +312,7 @@ def test_criterion_07_equilibrium_law():
     # constant drive r0=0.6: stationary S is inverse-gamma with mean K r0 = 30
     r0 = 0.6
     h_step, spacing, burn, n_samples = 0.2, 4.0, 3000.0, 100_000
-    signal = InputSignal.constant(r0)
+    signal = InputSignal.sinusoid(0.0, 0.0, r0)
     n_steps = int(round((burn + n_samples * spacing) / h_step))
     grid = np.arange(n_steps + 1) * h_step
     params = PhysicalParams(K=K_TRUE, gamma=GAMMA_TRUE, T=grid[-1])

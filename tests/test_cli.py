@@ -954,6 +954,60 @@ def test_start_no_chain_can_take_rejected_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_signal_not_positive_where_read_is_named_by_its_file(tmp_path, capsys, command):
+    # the table interpolates to exactly 0.0 at t = 6, where the lattice
+    # (data at t = 0, 6, 12, j = 3) and the simulation grid (factor 1) read it
+    table = tmp_path / "sig.csv"
+    table.write_text("t,r\n0,10\n6.000000000000001,1e-300\n12,1\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,y\n0,1\n6,1\n12,1\n")
+    cfg = small_config(obs_file=str(obs))
+    cfg["model"]["T"], cfg["observation"]["n"], cfg["simulate"]["factor"] = 12.0, 2, 1
+    cfg["signal"] = {"kind": "tabulated", "file": str(table)}
+    cfg_path = write_config(tmp_path, cfg, "zero.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {table} (config field signal.file): input signal must be positive"
+        " wherever it is read: r(6.0) = 0.0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_sinusoid_not_positive_where_read_is_named_by_its_block(tmp_path, capsys, command):
+    # omega t overflows past t = 1.8, so sin(omega t) and r are NaN there
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, ("signal", "omega"), 1e308)
+    cfg_path = write_config(tmp_path, cfg, "nan.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: config block signal: input signal must be positive wherever it is read: r("
+    )
+    assert err.endswith(") = nan\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["square", "constant"])
+def test_unknown_signal_kind_rejected(tmp_path, capsys, kind):
+    # a constant input is a sinusoid with a = 0; "constant" is no kind
+    cfg = config_for(tmp_path, "infer")
+    cfg["signal"] = {"kind": kind}
+    cfg_path = write_config(tmp_path, cfg, "kind.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config field signal.kind has an unknown value {kind!r}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
 def test_sigma_whose_inverse_square_overflows_rejected_by_infer(tmp_path, capsys, sigma):
     # a positive, finite sigma whose 1/sigma^2 is inf would make every

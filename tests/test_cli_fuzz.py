@@ -49,6 +49,19 @@ CSV_FILES = {
 INPUT_FILES = {("infer", "observations_file"), ("signal", "file")}
 
 
+def _fuzzed_schema():
+    """SCHEMA with the key ``signal.value`` of the deleted ``constant`` input
+    kind back in its old place, after ``signal.b``: a config that still sets
+    it must be refused by name (``unknown config key``), and the case list,
+    from which the tier-1 sample is drawn by position, keeps its order."""
+    signal = {}
+    for key, rule in SCHEMA["signal"].items():
+        signal[key] = rule
+        if key == "b":
+            signal["value"] = _number
+    return {**SCHEMA, "signal": signal}
+
+
 def _leaves(schema, path=()):
     for key, rule in schema.items():
         if isinstance(rule, dict):
@@ -95,7 +108,7 @@ def _field_values(field, rule):
 def config_cases():
     cases = []
     for doc in DOCS:
-        for field, rule in _leaves(SCHEMA):
+        for field, rule in _leaves(_fuzzed_schema()):
             for name, value in _field_values(field, rule):
                 cases.append((f"{doc}-{'.'.join(field)}-{name}", doc, field, value))
         for name in ("empty", "bom", "crlf", "truncated", "list"):

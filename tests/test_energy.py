@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import warnings
@@ -147,7 +148,7 @@ class TestPieces:
         # y = (e^sigma, 1, 1, 1) leaves a single sigma-sized log residual,
         # contributing exactly 1/2
         layout = LatticeLayout(3, 4, 6.0)
-        sig = InputSignal.constant(1.0)
+        sig = InputSignal.sinusoid(0.0, 0.0, 1.0)
         sigma = 0.1
         y = np.ones(4)
         y[0] = np.exp(sigma)
@@ -165,7 +166,7 @@ class TestPieces:
         rng = np.random.default_rng(2)
         st = random_state(layout, rng)
         st.pi = np.array([1.0, 2.0])
-        still = st.copy()
+        still = copy.deepcopy(st)
         still.pi = np.zeros(2)
         assert h_total(st, ctx, masses).h_1 - h_total(still, ctx, masses).h_1 == pytest.approx(
             2.5, rel=1e-12
@@ -220,7 +221,7 @@ class TestFlatTerms:
             )
             # at u = 0 the harmonic part is 0, so h_N is the kinetic term
             # alone; subtracting the harmonic part instead would lose digits
-            still = st.copy()
+            still = copy.deepcopy(st)
             still.u[...] = 0.0
             assert h_N(still, MASSES, layout) == pytest.approx(kinetic, rel=1e-14, abs=0.0)
 
@@ -310,14 +311,14 @@ class TestGradient:
             g = grad_hprime(st, ctx)
             fd_u = np.empty(layout.N)
             for i in range(layout.N):
-                up, dn = st.copy(), st.copy()
+                up, dn = copy.deepcopy(st), copy.deepcopy(st)
                 up.u[i] += h
                 dn.u[i] -= h
                 fd_u[i] = (hprime(up, ctx) - hprime(dn, ctx)) / (2 * h)
             np.testing.assert_allclose(g.g_u, fd_u, rtol=1e-6, atol=1e-8)
             fd_t = np.empty(2)
             for a in range(2):
-                up, dn = st.copy(), st.copy()
+                up, dn = copy.deepcopy(st), copy.deepcopy(st)
                 up.theta[a] += h
                 dn.theta[a] -= h
                 fd_t[a] = (hprime(up, ctx) - hprime(dn, ctx)) / (2 * h)
@@ -424,7 +425,7 @@ class TestBoundaryStageCache:
     def pair(self, layout, case):
         rng = np.random.default_rng(31)
         a = random_state(layout, rng)
-        b = a.copy()
+        b = copy.deepcopy(a)
         bead = layout.j  # an inner measurement bead
         if case == "hit":
             layout.staging(b.u)[...] = rng.normal(0, 0.5, (layout.n, layout.j - 1))

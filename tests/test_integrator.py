@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -68,13 +69,13 @@ def rotate(u, p, bank):
 
 def rotated(state, bank):
     """The free flow by the bank's step applied to a copy."""
-    out = state.copy()
+    out = copy.deepcopy(state)
     rotate(out.u, out.p, bank)
     return out
 
 
 def flipped(state):
-    out = state.copy()
+    out = copy.deepcopy(state)
     out.p *= -1.0
     out.pi *= -1.0
     return out
@@ -229,7 +230,7 @@ class TestRotation:
 
 def view_rotation(state, bank, step):
     """The rotation on the (n, j-1) staging views, with tables in that shape."""
-    out = state.copy()
+    out = copy.deepcopy(state)
     lay = bank.layout
     omega = bank.omega.reshape(lay.n, lay.j - 1)
     m_omega = bank.m * omega
@@ -347,7 +348,7 @@ class TestTrotter:
     def test_input_state_not_mutated(self):
         layout, ctx = make_problem(2, 5, 60.0)
         st = random_state(layout, np.random.default_rng(8))
-        snapshot = st.copy()
+        snapshot = copy.deepcopy(st)
         trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
         np.testing.assert_array_equal(st.u, snapshot.u)
         np.testing.assert_array_equal(st.p, snapshot.p)
@@ -403,7 +404,7 @@ class TestTrotter:
         cfg = IntegratorConfig(d_tau=0.25, P=P)
         half = 0.5 * cfg.d_tau
         bank = OscillatorBank.build(layout, MASSES, half)
-        ref = st.copy()
+        ref = copy.deepcopy(st)
 
         def kick():
             g_u, g_theta = grad_hprime(ref, ctx)
@@ -434,7 +435,7 @@ class TestTrotter:
         # not a power of two, so that a reordered product shows in the bits
         cfg = IntegratorConfig(d_tau=0.3, P=P)
         bank = OscillatorBank.build(layout, MASSES, cfg.d_tau)
-        ref = st.copy()
+        ref = copy.deepcopy(st)
 
         def kick(step):
             g_u, g_theta = grad_hprime(ref, ctx)

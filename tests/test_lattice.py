@@ -238,7 +238,8 @@ class TestFrozenTables:
         from staghmc.model import ObservationModel
 
         data = TimeSeriesData(times=np.linspace(0, 6.0, 3), values=np.ones(3))
-        problem = InferenceProblem(data, InputSignal.constant(1.0), ObservationModel(0.1), 3)
+        signal = InputSignal.sinusoid(0.0, 0.0, 1.0)
+        problem = InferenceProblem(data, signal, ObservationModel(0.1), 3)
         for table in (problem.L, problem.Ldot, problem.lnyr):
             with pytest.raises(ValueError):
                 table[0] = 1.0
@@ -301,7 +302,13 @@ class TestState:
 
     def test_initial_state_rejects_mismatch(self):
         layout = LatticeLayout(9, 30, 833.0)
-        signal = InputSignal.constant(1.0)
+        signal = InputSignal.sinusoid(0.0, 0.0, 1.0)
         data = TimeSeriesData(times=np.linspace(0, 833, 11), values=np.ones(11))
         with pytest.raises(ValidationError):
             initial_state(data, signal, DimensionlessParams(1.0, 1.0), layout)
+        # the data's ten segments, over T = 800 instead of the data's 833
+        message = r"^data horizon 833\.0 != lattice horizon 800\.0$"
+        with pytest.raises(ValidationError, match=message):
+            initial_state(
+                data, signal, DimensionlessParams(1.0, 1.0), LatticeLayout(10, 30, 800.0)
+            )

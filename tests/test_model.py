@@ -82,7 +82,7 @@ def drift_tables(problem, theta):
 class TestRhoDiscrete:
     def test_constant_input_frozen_values(self):
         grid = np.linspace(0, 10, 11)
-        problem = drift_plan(grid, InputSignal.constant(0.7))
+        problem = drift_plan(grid, InputSignal.sinusoid(0.0, 0.0, 0.7))
         rho, rhodot = drift_tables(problem, DimensionlessParams(beta=1.0, gamma=2.0))
         np.testing.assert_allclose(rho[1:], 1.0, rtol=1e-14)
         np.testing.assert_allclose(rhodot, 0.0, atol=0)
@@ -130,6 +130,10 @@ class TestInputSignal:
         with pytest.raises(ValidationError, match="finite"):
             InputSignal.tabulated(times, values)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown input kind 'square'$"):
+            InputSignal(kind="square")
+
     def test_dlog_dt_matches_fd(self):
         t = np.linspace(1, 800, 57)
         h = 1e-6
@@ -164,6 +168,38 @@ class TestInputSignal:
         np.testing.assert_array_equal(back.times, sig.times)
         np.testing.assert_array_equal(back.values, sig.values)
         assert back == sig
+
+
+# a table whose middle node, a hair after t = 6, holds 1e-300: read at
+# t = 6 it interpolates to exactly 0.0
+ZERO_TABLE = InputSignal.tabulated([0.0, 6.000000000000001, 12.0], [10.0, 1e-300, 1.0])
+
+
+class TestSignalOver:
+    """The plan and the simulation read a signal through one check
+    (`model._signal_over`): r must be > 0 wherever it is read."""
+
+    @pytest.mark.parametrize(
+        "signal, where",
+        [
+            (ZERO_TABLE, r"r\(6\.0\) = 0\.0"),
+            (InputSignal.sinusoid(1.0, 1e308, 0.1), r"r\(2\.0\) = nan"),
+        ],
+        ids=["zero", "nan"],
+    )
+    def test_plan_and_simulation_refuse_a_signal_not_positive_where_read(self, signal, where):
+        # data at t = 0, 6, 12 and j = 3: the lattice, and the simulation
+        # grid refined by 1, read r at t = 0, 2, ..., 12
+        message = f"^input signal must be positive wherever it is read: {where}$"
+        data = TimeSeriesData(times=[0.0, 6.0, 12.0], values=[1.0, 1.0, 1.0])
+        with pytest.raises(ValidationError, match=message):
+            InferenceProblem(data, signal, ObservationModel(0.1), 3)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        params = PhysicalParams(K=50.0, gamma=0.2, T=12.0)
+        with pytest.raises(ValidationError, match=message):
+            simulate_truth(params, signal, fine_grid(12.0, 2, 3, factor=1), seed=rng)
+        assert rng.bit_generator.state == state  # no noise was drawn
 
 
 class TestTimeSeriesData:
@@ -259,6 +295,15 @@ class TestSimulateTruth:
             simulate_truth(self.P, SEC4_INPUT, fine_grid(833, 10, 30), seed=rng, s0=s0)
         assert rng.bit_generator.state == state  # no noise was drawn
 
+    @pytest.mark.parametrize(
+        "grid", [[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [0.0], [[0.0, 1.0]]],
+        ids=["flat", "falling", "one-point", "2-d"],
+    )
+    def test_grid_must_increase(self, grid):
+        message = "^simulation grid must be 1-d and strictly increasing$"
+        with pytest.raises(ValidationError, match=message):
+            simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
+
     def test_reproducible(self):
         grid = fine_grid(833, 10, 30)
         a = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
@@ -298,7 +343,7 @@ class TestSimulateTruth:
 
     def test_equilibrium_distribution_desk_scale(self):
         # constant input: S must relax to the inverse-gamma stationary law
-        sig = InputSignal.constant(0.6)
+        sig = InputSignal.sinusoid(0.0, 0.0, 0.6)
         h, t_total = 0.5, 8e4
         grid = np.arange(0.0, t_total + h / 2, h)
         path = simulate_truth(self.P, sig, grid, seed=12)
@@ -411,6 +456,16 @@ class TestGenerateObservations:
         )
         np.testing.assert_array_equal(data.values, path.S[[0, k]] / self.P.K)
 
+    def test_reading_beyond_the_double_range_names_its_indices(self):
+        # S / K overflows at the last two times: no reading there
+        path = TruthPath(times=[0.0, 1.0, 2.0], S=[1.0, 1e308, 1e308], q=[0.0, 0.0, 0.0])
+        params = PhysicalParams(K=1e-3, gamma=0.2, T=2.0)
+        with pytest.raises(
+            NonFiniteError, match=r"^non-finite simulated observations at 2 indices \[1, 2\]$"
+        ) as raised:
+            generate_observations(path, path.times, params, ObservationModel(sigma=0.1), seed=0)
+        np.testing.assert_array_equal(raised.value.indices, [1, 2])
+
     def test_off_grid_time_rejected(self):
         path = self._path()
         with pytest.raises(ValidationError):
@@ -490,13 +545,16 @@ class TestCsvFormat:
             ("t,y\n0,1\n1\n", "line 3: want 2 columns, got 1"),
             ("t,y\n0,1,2\n", "line 2: want 2 columns, got 3"),
             ("t,y\n0,1\n1_0,1\n", "line 3: '1_0' is not a number"),
+            # float reads an Arabic-Indic one, loadtxt does not; both strip
+            # the no-break space around the 1 of line 2
+            ("t,y\n0,\u00a01\n6,\u0661\n", "line 3: '\u0661' is not a number"),
             ("t,y\n# only\n#notes\n", "no data rows in"),
         ],
-        ids=["non-numeric", "short", "long", "digit-separator", "comments-only"],
+        ids=["non-numeric", "short", "long", "digit-separator", "non-ascii-digit", "comments-only"],
     )
     def test_malformed_rows_are_named_by_file_line(self, tmp_path, text, message):
         path = tmp_path / "obs.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError) as raised:

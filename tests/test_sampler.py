@@ -413,7 +413,7 @@ class TestHmcIteration:
         state = start_state(toy_problem)
         state.p[:] = 1.5
         state.pi[:] = -0.5
-        snapshot = state.copy()
+        snapshot = copy.deepcopy(state)
         chain = new_chain(toy_problem, step_config(d_tau), state)
         _, stats_out = hmc_iteration(chain, np.random.default_rng(4))
         assert stats_out.accepted is accepted
@@ -837,7 +837,7 @@ class TestRunChain:
         rows = []
         scale = OscillatorBank.build(layout, cfg.masses, cfg.integrator.d_tau).scale
         for _ in range(cfg.n_mc):
-            refreshed = state.copy()
+            refreshed = copy.deepcopy(state)
             refreshed.p, refreshed.pi = sample_momenta(scale, rng)
             h_before = h_total(refreshed, problem.context(), cfg.masses).total
             try:
@@ -1018,6 +1018,31 @@ class TestRunChain:
         assert opened == [path]
 
 
+def inline_context(sizes, chunks):
+    """A stand-in multiprocessing context whose pool runs each job in this
+    process; it records each pool's size in ``sizes`` and each map's chunk
+    size in ``chunks``."""
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=None):
+            chunks.append(chunksize)
+            return [fn(job) for job in jobs]
+
+    class Context:
+        Pool = InlinePool
+
+    return Context()
+
+
 class TestParallelChains:
     def test_single_chain_matches_run_chain(self, toy_problem):
         cfg = small_config(n_mc=25, seed=6)
@@ -1085,32 +1110,39 @@ class TestParallelChains:
         import staghmc.sampler
 
         sizes, chunks = [], []
-
-        class InlinePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=None):
-                chunks.append(chunksize)
-                return [fn(job) for job in jobs]
-
-        class Context:
-            Pool = InlinePool
-
+        context = inline_context(sizes, chunks)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", lambda *a: Context())
+        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", lambda *a: context)
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
         assert sizes == [1]
         assert chunks == [1]
         seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+        for c, rec in enumerate(recs):
+            np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
+
+    def test_pool_without_affinity_mask_or_fork(self, toy_problem, monkeypatch):
+        # a platform with no affinity mask, whose CPU count is unknown, and
+        # no "fork" start method: one worker, from the default context
+        import staghmc.sampler
+
+        sizes, asked = [], []
+
+        def get_context(method=None):
+            asked.append(method)
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return inline_context(sizes, [])
+
+        monkeypatch.delattr(staghmc.sampler.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", get_context)
+        cfg = small_config(n_mc=5, seed=6, chains=2)
+        recs = run_parallel_chains(toy_problem, cfg)
+        assert sizes == [1]
+        assert asked == ["fork", None]
+        seeds = np.random.SeedSequence(cfg.seed).spawn(2)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
 
@@ -1143,7 +1175,7 @@ class TestDetailedBalance:
         # bond (T / (2 j dt)) (u_1 - u_0)^2 = (u_1 - u_0)^2 / 2, so the gap
         # u_1 - u_0 must sample N(0, 1)
         T = 7.0
-        signal = InputSignal.constant(0.6)
+        signal = InputSignal.sinusoid(0.0, 0.0, 0.6)
         layout = LatticeLayout(1, 1, T)
         data = TimeSeriesData(times=np.array([0.0, T]), values=np.array([0.6, 0.6]))
         problem = InferenceProblem(data, signal, ObservationModel(sigma=1e9), 1)
