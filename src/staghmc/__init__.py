@@ -13,7 +13,6 @@ from .model import (
     TruthPath,
     fine_grid,
     generate_observations,
-    path_transform,
     simulate_truth,
     to_dimensionless,
 )

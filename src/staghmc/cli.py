@@ -260,25 +260,21 @@ def _build(cls, cfg: dict, block: str, **given):
         return cls(**read, **given)
 
 
-def _build_signal(cfg: dict) -> InputSignal:
+def _build_signal(cfg: dict) -> tuple[InputSignal, str]:
+    """The config's signal and the name its refusals carry: the file of a
+    table, ``<file> (config field signal.file)``, or ``config block signal``
+    for a sinusoid. A signal that cannot be read where the lattice or the
+    simulation grid reads it is refused under this name (`_naming`)."""
     kind = _need(cfg, "signal.kind")
     if kind == "sinusoid":
         a, omega, b = (_need(cfg, f"signal.{name}") for name in ("a", "omega", "b"))
-        with _naming("config block signal"):
-            return InputSignal.sinusoid(a, omega, b)
+        name = "config block signal"
+        with _naming(name):
+            return InputSignal.sinusoid(a, omega, b), name
     if kind == "tabulated":
-        return InputSignal.from_csv(_input_file(_need(cfg, "signal.file"), "signal.file"))
+        path = _input_file(_need(cfg, "signal.file"), "signal.file")
+        return InputSignal.from_csv(path), f"{path} (config field signal.file)"
     raise ValidationError(f"config field signal.kind has an unknown value {kind!r}")
-
-
-def _naming_signal(cfg: dict):
-    """Prefix a ValidationError raised in the block with where the signal,
-    built by `_build_signal`, came from: the file of a table, or the config
-    block of a sinusoid. A signal that cannot be read where the lattice or
-    the simulation grid reads it is refused under this name."""
-    if cfg["signal"]["kind"] == "tabulated":
-        return _naming(f"{cfg['signal']['file']} (config field signal.file)")
-    return _naming("config block signal")
 
 
 def _input_file(path: str, field: str) -> str:
@@ -325,7 +321,7 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
     params = _build(PhysicalParams, cfg, "model")
-    signal = _build_signal(cfg)
+    signal, signal_name = _build_signal(cfg)
     n = _need_count(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
     j = _need_count(cfg, "lattice.j")
@@ -341,7 +337,7 @@ def cmd_simulate(cfg: dict) -> int:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     grid = fine_grid(params.T, n, j, factor)
-    with _naming_signal(cfg):
+    with _naming(signal_name):
         truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, obs, seed=rng)
@@ -360,7 +356,7 @@ def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
     obs_file = _input_file(_need(cfg, "infer.observations_file"), "infer.observations_file")
     data = TimeSeriesData.from_csv(obs_file)
-    signal = _build_signal(cfg)
+    signal, signal_name = _build_signal(cfg)
     obs = _build(ObservationModel, cfg, "observation")
     with _naming("config block observation"):  # the plan refuses it too, but unnamed
         _inv_sigma2(obs)
@@ -368,7 +364,7 @@ def cmd_infer(cfg: dict) -> int:
     # the checks above leave the plan one refusal, a signal that cannot be
     # read at the lattice's times: a table that stops short of the data, or
     # an r that is not > 0 there
-    with _naming_signal(cfg):
+    with _naming(signal_name):
         problem = InferenceProblem(data, signal, obs, j)
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _set
-from .model import DimensionlessParams, InputSignal, TimeSeriesData
+from .model import DimensionlessParams, InputSignal, TimeSeriesData, _signal_over
 
 __all__ = [
     "LatticeLayout",
@@ -270,9 +270,11 @@ def initial_state(
 ) -> PolymerState:
     """Starting state: boundary beads pinned to the noise-free reading of the
     data, q_s = ln(y_s / r(t_s)) / beta, intermediate beads on the straight
-    line between them (staging coordinates exactly zero), momenta zeroed."""
+    line between them (staging coordinates exactly zero), momenta zeroed.
+    r is read at the data times through `model._signal_over`, so a signal
+    that cannot be read there is the plan's ValidationError."""
     _check_data(data, layout)
-    r_meas = np.asarray(signal.value(data.times), dtype=float)
+    r_meas = _signal_over(signal, data.times)
     q_bound = np.log(data.values / r_meas) / theta0.beta
     u = np.zeros(layout.N)
     u[:: layout.j] = q_bound

@@ -21,9 +21,8 @@ ln y_s = ln(S(t_s)/K) + sigma eps_s, eps_s ~ N(0, 1), on equidistant times
 from t_1 = 0. A first time given within 1e-12 T of 0 is stored as exactly
 0, the time the lattice starts at, so an input tabulated from 0 covers it.
 
-This module holds the parameter containers, input-signal abstraction,
-coordinate transforms, the forward (Euler-Maruyama) simulator, and
-synthetic-observation generation.
+This module holds the parameter containers, input-signal abstraction, the
+forward (Euler-Maruyama) simulator, and synthetic-observation generation.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "TimeSeriesData",
     "TruthPath",
     "to_dimensionless",
-    "path_transform",
     "simulate_truth",
     "generate_observations",
 ]
@@ -129,6 +127,10 @@ class InputSignal:
     * ``tabulated``: piecewise-linear interpolation of sampled (t, r) pairs,
       held as read-only copies; evaluation outside the tabulated range is
       an error.
+
+    `value` gives r(t) and `rate` dr/dt. The package reads r through
+    `_signal_over`, which checks where it is read; the one other read is
+    `simulate_truth`'s scalar r(t[0]), on a grid that check has passed.
     """
 
     kind: str
@@ -173,15 +175,16 @@ class InputSignal:
         self._check_range(t)
         return np.interp(t, self.times, self.values)
 
-    def dlog_dt(self, t):
-        """d/dt ln r(t); piecewise-constant slope/value for tabulated inputs."""
+    def rate(self, t):
+        """dr/dt; for a tabulated input, the slope of the segment that starts
+        at or before t (the last segment's from its last node on)."""
         t = np.asarray(t, dtype=float)
         if self.kind == "sinusoid":
-            return self.a * self.omega * np.sin(2.0 * self.omega * t) / self.value(t)
+            return self.a * self.omega * np.sin(2.0 * self.omega * t)
         self._check_range(t)
         slopes = np.diff(self.values) / np.diff(self.times)
         seg = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, slopes.size - 1)
-        return slopes[seg] / np.interp(t, self.times, self.values)
+        return slopes[seg]
 
     def _check_range(self, t):
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
@@ -198,7 +201,8 @@ class InputSignal:
 
 def _signal_over(signal: InputSignal, times) -> np.ndarray:
     """r(times) as floats, if the signal can be read at ``times``: the one
-    check of where a signal is read, whether a plan or a simulation asks. A
+    check of where a signal is read, whether a plan, a simulation or a
+    chain's start asks, and the one read of r on those times. A
     tabulated input that stops short of ``times``, or a value that is not
     > 0 (a table can interpolate to 0; NaN is refused too), is a
     ValidationError."""
@@ -278,21 +282,6 @@ class TimeSeriesData:
 
 
 # --------------------------------------------------------------------------
-# coordinate transforms
-
-
-def path_transform(q, t, theta: DimensionlessParams, signal: InputSignal, T: float):
-    """Map dimensionless path q(t) to the observable S(t).
-
-    S = (T gamma r(t) / beta^2) exp(beta q); note T gamma / beta^2 = K.
-    """
-    q = np.asarray(q, dtype=float)
-    r = signal.value(t)
-    scale = T * theta.gamma / theta.beta**2
-    return scale * r * np.exp(theta.beta * q)
-
-
-# --------------------------------------------------------------------------
 # forward simulation
 
 
@@ -331,10 +320,13 @@ def simulate_truth(
     scale). A grid that does not increase, a signal that cannot be read on
     the whole grid (`_signal_over`) and an s0 that is not positive and
     finite are each a ValidationError, raised before any noise is drawn,
-    so a zero of r never reaches d ln r / dt. Noise increments use a
-    dedicated generator seeded by ``seed``; ``seed`` may also be an
-    existing numpy Generator. A path that leaves the double range, in q or
-    in S, raises NonFiniteError at its first bad step.
+    so a zero of r never reaches d ln r / dt. That check's array is the
+    grid's one read of r: the drift takes rho = (T / beta) r'/r + ... from
+    it and `InputSignal.rate`, and S = (T gamma / beta^2) r e^{beta q}, with
+    T gamma / beta^2 = K. Noise increments use a dedicated generator seeded
+    by ``seed``; ``seed`` may also be an existing numpy Generator. A path
+    that leaves the double range, in q or in S, raises NonFiniteError at
+    its first bad step.
 
     The steps run on Python floats read through memoryviews of the step
     arrays, the same IEEE operations as on NumPy scalars at a fraction of
@@ -345,7 +337,7 @@ def simulate_truth(
         raise ValidationError("simulation grid must be 1-d and strictly increasing")
     theta = to_dimensionless(params)
     T = params.T
-    _signal_over(signal, t)  # every read below, dlog_dt's and S's, is on the grid
+    r = _signal_over(signal, t)
     rng = np.random.default_rng(seed)
 
     # a scalar read: the array read's sin^2 can differ from it in the last bit
@@ -357,7 +349,7 @@ def simulate_truth(
     # rho(t) in continuous form; evaluated once on the whole grid. A step
     # beyond the double range leaves a non-finite path, rejected below
     with np.errstate(over="ignore"):
-        rho = (T / theta.beta) * np.asarray(signal.dlog_dt(t[:-1]), dtype=float) + (
+        rho = (T / theta.beta) * (signal.rate(t[:-1]) / r[:-1]) + (
             (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
         )
         drift0 = -h * rho / T
@@ -380,7 +372,7 @@ def simulate_truth(
     # a non-finite q stays non-finite, so the first one is the bad step
     _check_finite(q, "simulated path")
     with np.errstate(over="ignore"):
-        S = path_transform(q, t, theta, signal, T)
+        S = (T * params.gamma / theta.beta**2) * r * np.exp(theta.beta * q)
     _check_finite(S, "simulated S")
     return TruthPath(times=t, S=S, q=q)
 
@@ -462,7 +454,7 @@ def _read_csv(path, expected_header: str) -> tuple[np.ndarray, list[int]]:
     except ValueError:
         data = None
     if data is None or data.shape[1] != width:
-        raise _bad_row(path, rows, width)
+        raise next(_bad_rows(path, rows, width))
     return data, [number for number, _ in rows]
 
 
@@ -475,17 +467,19 @@ def _rows(body: str):
             yield number, text
 
 
-def _bad_row(path, rows, width: int) -> ValidationError:
-    """The error for the first of ``rows``, the (file line, text) pairs of
-    `_rows`, that is not ``width`` numbers; only a failed read pays for
-    this scan."""
+def _bad_rows(path, rows, width: int):
+    """The errors, in file order, of the ``rows`` (the (file line, text)
+    pairs of `_rows`) that are not ``width`` numbers; `_read_csv` raises
+    the first, so only a failed read pays for this scan. Every read that
+    ``np.loadtxt`` refuses has one: with no quote character and the
+    comments gone, loadtxt splits a row at each "," as the scan does, and
+    reads a cell by the rule of the scan's check."""
     for number, text in rows:
         cells = text.split(",")
         if len(cells) != width:
-            return ValidationError(f"{path}, line {number}: want {width} columns, got {len(cells)}")
+            yield ValidationError(f"{path}, line {number}: want {width} columns, got {len(cells)}")
         for cell in cells:
             try:  # loadtxt, unlike float, takes no "_" and no non-ASCII digit
                 float(cell.strip().replace("_", "!").encode("ascii"))
             except ValueError:
-                return ValidationError(f"{path}, line {number}: {cell.strip()!r} is not a number")
-    return ValidationError(f"unreadable rows in {path}")
+                yield ValidationError(f"{path}, line {number}: {cell.strip()!r} is not a number")

@@ -300,6 +300,27 @@ class TestState:
         beta, gamma = state.theta
         assert beta == theta0.beta and gamma == 0.5
 
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            (
+                InputSignal.tabulated([0.0, 10.0], [1.0, 2.0]),
+                r"does not cover the data: time outside tabulated range \[0\.0, 10\.0\]$",
+            ),
+            (
+                InputSignal.tabulated([0.0, 6.000000000000001, 12.0], [10.0, 1e-300, 1.0]),
+                r"must be positive wherever it is read: r\(6\.0\) = 0\.0$",
+            ),
+        ],
+        ids=["short", "zero"],
+    )
+    def test_initial_state_refuses_a_signal_the_plan_refuses(self, signal, message):
+        # the plan's one check of a read: a table that stops short of the
+        # data, or one that interpolates to 0 at t = 6
+        data = TimeSeriesData(times=[0.0, 6.0, 12.0], values=[1.0, 1.0, 1.0])
+        with pytest.raises(ValidationError, match=f"^input signal {message}"):
+            initial_state(data, signal, DimensionlessParams(1.0, 1.0), LatticeLayout(2, 3, 12.0))
+
     def test_initial_state_rejects_mismatch(self):
         layout = LatticeLayout(9, 30, 833.0)
         signal = InputSignal.sinusoid(0.0, 0.0, 1.0)

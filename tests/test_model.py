@@ -18,7 +18,6 @@ from staghmc import (
     ValidationError,
     fine_grid,
     generate_observations,
-    path_transform,
     simulate_truth,
     to_dimensionless,
 )
@@ -58,12 +57,12 @@ class TestParameterMaps:
 
 class TestPathTransform:
     def test_scale_is_K(self):
-        # T gamma / beta^2 reduces to K, so q = 0 maps onto K r(t)
+        # S = (T gamma / beta^2) r e^{beta q}, and T gamma / beta^2 reduces to K
         p = PhysicalParams(K=50, gamma=0.2, T=833)
-        theta = to_dimensionless(p)
-        t = np.array([0.0, 100.0, 500.0])
-        S = path_transform(np.zeros(3), t, theta, SEC4_INPUT, p.T)
-        np.testing.assert_allclose(S, p.K * SEC4_INPUT.value(t), rtol=1e-13)
+        path = simulate_truth(p, SEC4_INPUT, fine_grid(833, 10, 3, factor=2), seed=4)
+        beta = to_dimensionless(p).beta
+        want = p.K * SEC4_INPUT.value(path.times) * np.exp(beta * path.q)
+        np.testing.assert_allclose(path.S, want, rtol=1e-13)
 
 
 def drift_plan(grid, signal):
@@ -134,17 +133,27 @@ class TestInputSignal:
         with pytest.raises(ValidationError, match="^unknown input kind 'square'$"):
             InputSignal(kind="square")
 
-    def test_dlog_dt_matches_fd(self):
+    def test_rate_matches_fd(self):
         t = np.linspace(1, 800, 57)
         h = 1e-6
-        fd = (np.log(SEC4_INPUT.value(t + h)) - np.log(SEC4_INPUT.value(t - h))) / (2 * h)
-        np.testing.assert_allclose(SEC4_INPUT.dlog_dt(t), fd, rtol=1e-7, atol=1e-9)
+        fd = (SEC4_INPUT.value(t + h) - SEC4_INPUT.value(t - h)) / (2 * h)
+        np.testing.assert_allclose(SEC4_INPUT.rate(t), fd, rtol=1e-7, atol=1e-9)
+
+    def test_tabulated_rate_is_the_next_segment_slope(self):
+        sig = InputSignal.tabulated([0.0, 1.0, 3.0, 4.0], [1.0, 2.0, 1.0, 4.0])
+        # at an interior node, the segment that starts there; at and after
+        # the last node (within the range's 1e-12), the last segment's
+        at = [0.0, 0.5, 1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(sig.rate(at), [1.0, 1.0, -0.5, -0.5, 3.0])
+        np.testing.assert_array_equal(sig.rate([3.5, 4.0, 4.0 + 1e-13]), [3.0, 3.0, 3.0])
+        with pytest.raises(DomainError):
+            sig.rate(4.5)
 
     def test_tabulated_interp_and_range(self):
         sig = InputSignal.tabulated([0.0, 1.0, 3.0], [1.0, 2.0, 1.0])
         assert sig.value(0.5) == pytest.approx(1.5)
         assert sig.value(2.0) == pytest.approx(1.5)
-        np.testing.assert_allclose(sig.dlog_dt(0.5), 1.0 / 1.5)
+        assert sig.rate(0.5) == 1.0
         with pytest.raises(DomainError):
             sig.value(3.5)
         with pytest.raises(ValidationError):
@@ -321,6 +330,17 @@ class TestSimulateTruth:
         q[-1] = np.nextafter(q[-1], np.inf)
         assert a != TruthPath(times=a.times, S=a.S, q=q)
 
+    def test_reads_the_grid_once(self, monkeypatch):
+        # the check's array read gives r, rho and S; r(t[0]) is read as a scalar
+        reads = []
+        value = InputSignal.value
+        monkeypatch.setattr(
+            InputSignal, "value", lambda self, t: reads.append(np.shape(t)) or value(self, t)
+        )
+        grid = fine_grid(833, 10, 30)
+        simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
+        assert grid.size == 6001 and reads == [(6001,), ()]
+
     def test_default_start(self):
         grid = fine_grid(833, 10, 30)
         path = simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
@@ -364,12 +384,16 @@ class TestSimulateTruth:
 
 def reference_truth(params, signal, t, seed, exp=math.exp):
     """`simulate_truth` from S(0) = K r(0) as a plain step loop over NumPy
-    scalars, with no check of the path."""
+    scalars, with no check of the path, for a sinusoid ``signal``: it writes
+    r, d ln r/dt and S out from the signal's constants."""
     theta = to_dimensionless(params)
     beta, gamma, T = theta.beta, params.gamma, params.T
+    a, omega = signal.a, signal.omega
+    r = a * np.sin(omega * t) ** 2 + signal.b
     rng = np.random.default_rng(seed)
     h = np.diff(t)
-    rho = (T / beta) * signal.dlog_dt(t[:-1]) + (2.0 + gamma) * beta / (2.0 * gamma)
+    dlog_r = a * omega * np.sin(2.0 * omega * t[:-1]) / r[:-1]
+    rho = (T / beta) * dlog_r + (2.0 + gamma) * beta / (2.0 * gamma)
     drift0 = -h * rho / T
     noise = np.sqrt(h / T) * rng.standard_normal(h.size)
     coef = beta / (T * gamma)
@@ -378,7 +402,7 @@ def reference_truth(params, signal, t, seed, exp=math.exp):
     for k in range(h.size):
         qk = qk + h[k] * coef * exp(-beta * qk) + drift0[k] + noise[k]
         q[k + 1] = qk
-    return q, path_transform(q, t, theta, signal, T)
+    return q, (T * gamma / beta**2) * r * np.exp(beta * q)
 
 
 class TestSimulateTruthSteps:
