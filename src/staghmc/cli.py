@@ -40,7 +40,7 @@ from .diagnostics import (
 )
 from .energy import _inv_sigma2
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
-from .errors import _count, _naming, _positive, _seed
+from .errors import _count, _naming, _seed
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -62,18 +62,16 @@ DEFAULTS = {
     "seed": 0,
     "chains": 1,
     "out": ".",
-    "simulate": {
-        "factor": 20,
-        "s0": None,
-        "truth_file": "truth.csv",
-        "observations_file": "observations.csv",
-    },
+    "simulate": {"truth_file": "truth.csv", "observations_file": "observations.csv"},
     "infer": {
         "observations_file": "observations.csv",
         "discard": 0.2,
     },
-    "summarize": {"chain_files": [], "discard": 0.2, "density_points": 256},
+    "summarize": {"chain_files": [], "discard": 0.2},
 }
+
+# the points of each density curve that summarize writes
+DENSITY_POINTS = 256
 
 # benchmark configuration used throughout the docs: sinusoidal drive,
 # 10 observation segments over T=833, 30 staging beads per segment
@@ -142,9 +140,7 @@ SCHEMA = {
     },
     "observation": {"sigma": _number, "n": _whole},
     "lattice": {"j": _whole},
-    "simulate": {
-        "factor": _whole, "s0": _number, "truth_file": _text, "observations_file": _text
-    },
+    "simulate": {"truth_file": _text, "observations_file": _text},
     "infer": {
         "n_mc": _whole,
         "start": {"K": _number, "gamma": _number},
@@ -153,7 +149,7 @@ SCHEMA = {
         "observations_file": _text,
         "discard": _number,
     },
-    "summarize": {"chain_files": _texts, "discard": _number, "density_points": _whole},
+    "summarize": {"chain_files": _texts, "discard": _number},
 }
 
 
@@ -179,7 +175,7 @@ def _typed(doc: dict, schema: dict, path: str = "") -> dict:
         else:
             try:
                 out[key] = rule(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # 10**400 is no float
                 raise ValidationError(
                     f"config field {where} has an invalid value {value!r}: {exc}"
                 ) from None
@@ -212,7 +208,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         with open(args.config, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
                 raise ValidationError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
@@ -325,10 +321,6 @@ def cmd_simulate(cfg: dict) -> int:
     n = _need_count(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
     j = _need_count(cfg, "lattice.j")
-    factor = _need_count(cfg, "simulate.factor")
-    s0 = cfg["simulate"]["s0"]
-    if s0 is not None:
-        _positive("config field simulate.s0", s0)
     echo_name = ECHO_NAME.format("simulate")
     truth_name = _output_name(cfg, "simulate.truth_file", [echo_name])
     obs_name = _output_name(cfg, "simulate.observations_file", [echo_name, truth_name])
@@ -336,9 +328,9 @@ def cmd_simulate(cfg: dict) -> int:
     obs_path = os.path.join(out_dir, obs_name)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    grid = fine_grid(params.T, n, j, factor)
+    grid = fine_grid(params.T, n, j)
     with _naming(signal_name):
-        truth = simulate_truth(params, signal, grid, seed=rng, s0=s0)
+        truth = simulate_truth(params, signal, grid, seed=rng)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, obs, seed=rng)
 
@@ -441,9 +433,6 @@ def cmd_summarize(cfg: dict) -> int:
         raise ValidationError("summarize.chain_files must list at least one chain CSV")
     for path in chain_files:
         _input_file(path, "summarize.chain_files")
-    points = _need(cfg, "summarize.density_points")
-    if points < 2:
-        raise ValidationError(f"summarize.density_points must be >= 2, got {points}")
     discard = _need(cfg, "summarize.discard")
     records = [ChainRecord.from_csv(path) for path in chain_files]
     with _naming("config field summarize.discard"):
@@ -473,7 +462,7 @@ def cmd_summarize(cfg: dict) -> int:
         try:
             h = silverman_bandwidth(series)
             pad = 3.0 * h
-            grid = np.linspace(series.min() - pad, series.max() + pad, points)
+            grid = np.linspace(series.min() - pad, series.max() + pad, DENSITY_POINTS)
             density = kde(series, grid, bandwidth=h)
         except DomainError as exc:
             print(f"density for {name} skipped: {exc}", file=sys.stderr)

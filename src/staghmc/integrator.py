@@ -78,8 +78,8 @@ class OscillatorBank:
     (layout, masses, d_tau) alone; `build` returns one shared bank per key.
 
     Effective mass m = m'/dt is shared; the frequency per staging order k,
-    omega_k = sqrt(T k / ((k-1) dt m)), decreases with k (``omega`` lists it
-    per staging bead, in lattice order). ``scale`` holds the N + 2
+    omega_k = sqrt(T k / ((k-1) dt m)), decreases with k, and each segment's
+    staging beads share the j - 1 frequencies. ``scale`` holds the N + 2
     standard deviations of the momenta (p, pi) that `sample_momenta` draws
     by: sqrt(m) at staging beads, sqrt(M) at measurement beads, then
     sqrt(m_alpha). ``flow`` is the triple ([cos; cos], sin / (m omega),
@@ -89,7 +89,7 @@ class OscillatorBank:
     (1, d_tau / M, -0.0) of their drift. A half step is the flow of the
     bank built at d_tau / 2. ``kick_half`` and ``kick_full`` are the kick
     steps d_tau / 2 and d_tau as 0-d arrays, the operands of the
-    trajectory's kicks. ``omega``, ``scale`` and every table are read-only.
+    trajectory's kicks. ``scale`` and every table are read-only.
     The frequencies satisfy m omega_k^2 = T k / (dt (k-1)) exactly, so the
     rotation conserves h_N to round-off.
     """
@@ -97,8 +97,6 @@ class OscillatorBank:
     layout: LatticeLayout
     masses: MassConfig
     d_tau: float
-    m: float = field(init=False)
-    omega: np.ndarray = field(init=False, repr=False)
     scale: np.ndarray = field(init=False, repr=False)
     flow: tuple = field(init=False, repr=False)
     kick_half: np.ndarray = field(init=False, repr=False)
@@ -106,15 +104,13 @@ class OscillatorBank:
 
     def __post_init__(self):
         lay = self.layout
-        n, j = lay.n, lay.j
         m = self.masses.m_prime / lay.dt
-        omega = np.tile(np.sqrt(lay.stiffness / m), n)
         scale = np.empty(lay.N + 2)
         scale[: lay.N] = np.sqrt(m)
-        scale[: lay.N : j] = np.sqrt(self.masses.M)
+        scale[: lay.N : lay.j] = np.sqrt(self.masses.M)
         scale[lay.N :] = np.sqrt(self.masses.m_alpha)
-        _set(self, m=m, omega=omega, scale=scale)
-        omega = omega.reshape(n, j - 1)
+        # one frequency per staging order, broadcast over the segments
+        omega = np.sqrt(lay.stiffness / m)
         m_omega = m * omega
         angle = omega * self.d_tau
         sin = np.sin(angle)
@@ -129,7 +125,7 @@ class OscillatorBank:
         tables[1] = tables[0]
         np.negative(tables[3], out=tables[3])
         _set(
-            self, flow=(tables[:2], tables[2], tables[3]),
+            self, scale=scale, flow=(tables[:2], tables[2], tables[3]),
             kick_half=np.array(0.5 * self.d_tau), kick_full=np.array(self.d_tau),
         )
 

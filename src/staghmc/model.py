@@ -128,9 +128,9 @@ class InputSignal:
       held as read-only copies; evaluation outside the tabulated range is
       an error.
 
-    `value` gives r(t) and `rate` dr/dt. The package reads r through
-    `_signal_over`, which checks where it is read; the one other read is
-    `simulate_truth`'s scalar r(t[0]), on a grid that check has passed.
+    `value` gives r(t) and `rate` dr/dt. The package reads r only through
+    `_signal_over`, which checks where it is read. A sinusoid that can
+    reach 0, or whose peak a + b leaves the double range, is refused here.
     """
 
     kind: str
@@ -147,11 +147,16 @@ class InputSignal:
                     f"sinusoid input needs finite a, omega and b, got"
                     f" a={self.a}, omega={self.omega}, b={self.b}"
                 )
-            lo = min(self.b, self.a + self.b)
+            lo, hi = sorted((self.b, self.a + self.b))
             if not lo > 0:
                 raise ValidationError(
                     f"sinusoid input with a={self.a}, b={self.b} can reach {lo} <= 0;"
                     " r(t) must stay positive"
+                )
+            if not math.isfinite(hi):
+                raise ValidationError(
+                    f"sinusoid input with a={self.a}, b={self.b} has a peak a + b = {hi};"
+                    " r(t) must stay finite"
                 )
         elif self.kind == "tabulated":
             t, v = _series("tabulated input", self.times, self.values)
@@ -202,7 +207,7 @@ class InputSignal:
 def _signal_over(signal: InputSignal, times) -> np.ndarray:
     """r(times) as floats, if the signal can be read at ``times``: the one
     check of where a signal is read, whether a plan, a simulation or a
-    chain's start asks, and the one read of r on those times. A
+    chain's start asks, and the package's one read of r. A
     tabulated input that stops short of ``times``, or a value that is not
     > 0 (a table can interpolate to 0; NaN is refused too), is a
     ValidationError."""
@@ -308,25 +313,20 @@ def fine_grid(T: float, n: int, j: int, factor: int = 20) -> np.ndarray:
 
 
 def simulate_truth(
-    params: PhysicalParams,
-    signal: InputSignal,
-    times,
-    seed=None,
-    s0: float | None = None,
+    params: PhysicalParams, signal: InputSignal, times, seed=None
 ) -> TruthPath:
     """Integrate the q-form SDE with Euler-Maruyama on the given grid.
 
-    The state starts from S(0) = s0 (default K r(0), the equilibrium mean
-    scale). A grid that does not increase, a signal that cannot be read on
-    the whole grid (`_signal_over`) and an s0 that is not positive and
-    finite are each a ValidationError, raised before any noise is drawn,
-    so a zero of r never reaches d ln r / dt. That check's array is the
-    grid's one read of r: the drift takes rho = (T / beta) r'/r + ... from
-    it and `InputSignal.rate`, and S = (T gamma / beta^2) r e^{beta q}, with
-    T gamma / beta^2 = K. Noise increments use a dedicated generator seeded
-    by ``seed``; ``seed`` may also be an existing numpy Generator. A path
-    that leaves the double range, in q or in S, raises NonFiniteError at
-    its first bad step.
+    The path starts at q = 0, that is at S(0) = K r(0), the equilibrium
+    scale. A grid that does not increase and a signal that cannot be read
+    on the whole grid (`_signal_over`) are each a ValidationError, raised
+    before any noise is drawn, so a zero of r never reaches d ln r / dt.
+    That check's array is the simulation's one read of r: the drift takes
+    rho = (T / beta) r'/r + ... from it and `InputSignal.rate`, and
+    S = (T gamma / beta^2) r e^{beta q}, with T gamma / beta^2 = K. Noise
+    increments use a dedicated generator seeded by ``seed``; ``seed`` may
+    also be an existing numpy Generator. A path that leaves the double
+    range, in q or in S, raises NonFiniteError at its first bad step.
 
     The steps run on Python floats read through memoryviews of the step
     arrays, the same IEEE operations as on NumPy scalars at a fraction of
@@ -340,11 +340,6 @@ def simulate_truth(
     r = _signal_over(signal, t)
     rng = np.random.default_rng(seed)
 
-    # a scalar read: the array read's sin^2 can differ from it in the last bit
-    r0 = float(signal.value(t[0]))
-    s0 = _positive("s0", params.K * r0 if s0 is None else s0)
-    q0 = math.log(s0 / (params.K * r0)) / theta.beta
-
     h = np.diff(t)
     # rho(t) in continuous form; evaluated once on the whole grid. A step
     # beyond the double range leaves a non-finite path, rejected below
@@ -357,9 +352,9 @@ def simulate_truth(
     coef = theta.beta / (T * params.gamma)
     beta = theta.beta
 
-    path = array("d", [q0])
+    path = array("d", [0.0])
     append = path.append
-    qk = q0
+    qk = 0.0
     exp = math.exp
     try:
         for hk, dk, nk in zip(memoryview(h), memoryview(drift0), memoryview(noise)):

@@ -205,12 +205,13 @@ def test_criterion_04_exact_harmonic_subpropagator():
     assert worst_rel < 1e-12
 
     # a step spanning a full period (omega dtau = 2 pi) must return each
-    # oscillator class to its start
-    ref = OscillatorBank.build(layout, BENCH_MASSES, 1.0)
+    # oscillator class to its start; omega_k = sqrt(T k / ((k-1) dt m)),
+    # m = m'/dt, from the formula
+    m = BENCH_MASSES.m_prime / layout.dt
     ks = np.tile(np.arange(2, layout.j + 1), layout.n)  # staging order per staging bead
     worst_ret = 0.0
     for k in np.unique(ks):
-        omega = ref.omega[ks == k][0]
+        omega = np.sqrt(layout.T * k / ((k - 1) * layout.dt * m))
         period = OscillatorBank.build(layout, BENCH_MASSES, 2.0 * np.pi / omega)
         state = random_state(layout, rng, u_scale=0.5)
         out = rotated(state, period)

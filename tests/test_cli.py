@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ def small_config(obs_file="observations.csv"):
         "signal": {"kind": "sinusoid", "a": 1.0, "omega": 0.05, "b": 0.2},
         "observation": {"sigma": 0.15, "n": 4},
         "lattice": {"j": 3},
-        "simulate": {"factor": 5},
         "infer": {
             "n_mc": 120,
             "start": {"K": 60.0, "gamma": 0.25},
@@ -138,7 +138,7 @@ class TestSimulate:
         truth = np.loadtxt(out / "truth.csv", delimiter=",", skiprows=1)
         data = TimeSeriesData.from_csv(out / "observations.csv")
         assert (out / "truth.csv").read_text().startswith("t,S,q\n")
-        assert truth.shape == (4 * 3 * 5 + 1, 3)
+        assert truth.shape == (4 * 3 * 20 + 1, 3)  # the lattice refined 20 times
         assert data.times.size == 5
         assert data.horizon == 40.0
         echo = json.loads((out / "config_simulate.json").read_text())
@@ -626,6 +626,7 @@ class TestSummarize:
         rc = self.summarize(tmp_path, chains + [str(bad)], "bad", rc_only=True)
         assert rc == 2
 
+    # density_points is a retired key, refused whatever its value
     @pytest.mark.parametrize(
         "block",
         [{"density_points": 1}, {"density_points": "many"}, {"discard": 1.0}, {"discard": 0.99}],
@@ -796,10 +797,8 @@ INT_FIELDS = [
     ("infer", ("chains",)),
     ("simulate", ("observation", "n")),
     ("simulate", ("lattice", "j")),
-    ("simulate", ("simulate", "factor")),
     ("infer", ("infer", "integrator", "P")),
     ("infer", ("infer", "n_mc")),
-    ("summarize", ("summarize", "density_points")),
 ]
 
 
@@ -849,9 +848,9 @@ class TestIntegerFields:
     @pytest.mark.parametrize(
         "command,field",
         [
-            ("simulate", ("simulate", "factor")),
+            ("simulate", ("lattice", "j")),
             ("infer", ("infer", "integrator", "P")),
-            ("summarize", ("summarize", "density_points")),
+            ("summarize", ("seed",)),
         ],
         ids=["simulate", "infer", "summarize"],
     )
@@ -868,7 +867,6 @@ class TestIntegerFields:
         cfg["seed"] = 5.0
         cfg["observation"]["n"] = 4.0
         cfg["lattice"]["j"] = 3.0
-        cfg["simulate"]["factor"] = 5.0
         cfg_path = write_config(tmp_path, cfg, "floats.json")
         out = tmp_path / "floats"
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
@@ -888,9 +886,9 @@ BAD_VALUES = [
     ("simulate", ("simulate", "truth_file"), "sub/t.csv", "truth_file-subdir"),
     ("simulate", ("simulate", "observations_file"), "truth.csv", "observations_file-taken"),
     ("simulate", ("simulate", "truth_file"), "config_simulate.json", "truth_file-echo"),
-    ("simulate", ("simulate", "s0"), "abc", "s0-text"),
-    ("simulate", ("simulate", "s0"), -1.0, "s0-negative"),
-    ("simulate", ("simulate", "s0"), float("inf"), "s0-inf"),
+    # a JSON integer beyond the double range, which float() cannot convert
+    ("simulate", ("model", "K"), 10**400, "K-beyond-double"),
+    ("infer", ("infer", "masses", "m_alpha"), [10**400, 1.0], "m_alpha-beyond-double"),
     ("summarize", ("summarize", "chain_files"), "a.csv", "chain_files-text"),
 ]
 
@@ -957,13 +955,13 @@ def test_start_no_chain_can_take_rejected_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["infer", "simulate"])
 def test_signal_not_positive_where_read_is_named_by_its_file(tmp_path, capsys, command):
     # the table interpolates to exactly 0.0 at t = 6, where the lattice
-    # (data at t = 0, 6, 12, j = 3) and the simulation grid (factor 1) read it
+    # (data at t = 0, 6, 12, j = 3) and the simulation grid read it
     table = tmp_path / "sig.csv"
     table.write_text("t,r\n0,10\n6.000000000000001,1e-300\n12,1\n")
     obs = tmp_path / "obs.csv"
     obs.write_text("t,y\n0,1\n6,1\n12,1\n")
     cfg = small_config(obs_file=str(obs))
-    cfg["model"]["T"], cfg["observation"]["n"], cfg["simulate"]["factor"] = 12.0, 2, 1
+    cfg["model"]["T"], cfg["observation"]["n"] = 12.0, 2
     cfg["signal"] = {"kind": "tabulated", "file": str(table)}
     cfg_path = write_config(tmp_path, cfg, "zero.json")
     out = tmp_path / "out"
@@ -990,6 +988,75 @@ def test_sinusoid_not_positive_where_read_is_named_by_its_block(tmp_path, capsys
         "error: config block signal: input signal must be positive wherever it is read: r("
     )
     assert err.endswith(") = nan\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_sinusoid_whose_peak_overflows_is_named_by_its_block(tmp_path, capsys, command):
+    # a and b are finite, but r(t) = a sin^2(omega t) + b peaks at a + b = inf
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, ("signal", "a"), 1e308)
+    set_field(cfg, ("signal", "b"), 1e308)
+    cfg_path = write_config(tmp_path, cfg, "peak.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config block signal: sinusoid input with a=1e+308, b=1e+308 has a peak"
+        " a + b = inf; r(t) must stay finite\n"
+    )
+    assert not out.exists()
+
+
+# the settings that no run set, with the value each had in a config echo
+RETIRED = [
+    ("simulate", ("simulate", "s0"), None),
+    ("simulate", ("simulate", "factor"), 20),
+    ("summarize", ("summarize", "density_points"), 256),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value", RETIRED, ids=[".".join(f) for _, f, _ in RETIRED]
+)
+def test_retired_key_refused(tmp_path, capsys, command, field, value):
+    # an echo written before the key was retired is refused until it is deleted
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, field, value)
+    cfg_path = write_config(tmp_path, cfg, "old.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key {'.'.join(field)!r}\n"
+    assert not out.exists()
+
+
+def test_integer_past_the_digit_limit_is_not_valid_json(tmp_path, capsys):
+    # where Python limits int() to 4 300 digits (3.11, and 3.10 from 3.10.7),
+    # json refuses a 5 000-digit literal, so the file is no JSON; set to 4 300
+    # here, as PYTHONINTMAXSTRDIGITS=0 lifts it. Without a limit the literal
+    # reads as an int that is no double
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text('{"model": {"K": 1' + "0" * 4999 + "}}")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    try:
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old)
+    err = capsys.readouterr().err
+    if limited:
+        assert err.startswith(f"error: config file {cfg_path} is not valid JSON: ")
+    else:
+        assert err.startswith("error: config field model.K has an invalid value ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

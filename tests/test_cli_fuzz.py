@@ -50,16 +50,25 @@ INPUT_FILES = {("infer", "observations_file"), ("signal", "file")}
 
 
 def _fuzzed_schema():
-    """SCHEMA with the key ``signal.value`` of the deleted ``constant`` input
-    kind back in its old place, after ``signal.b``: a config that still sets
-    it must be refused by name (``unknown config key``), and the case list,
-    from which the tier-1 sample is drawn by position, keeps its order."""
-    signal = {}
-    for key, rule in SCHEMA["signal"].items():
-        signal[key] = rule
-        if key == "b":
-            signal["value"] = _number
-    return {**SCHEMA, "signal": signal}
+    """SCHEMA with its retired keys back in their old places: ``signal.value``
+    of the deleted ``constant`` input kind, and ``simulate.factor``,
+    ``simulate.s0`` and ``summarize.density_points``, which no run set. A
+    config that still sets one must be refused by name (``unknown config
+    key``), and the case list, from which the tier-1 sample is drawn by
+    position, keeps its order."""
+    retired = {"value": _number, "factor": _whole, "s0": _number, "density_points": _whole}
+    old_order = {
+        "signal": ("kind", "a", "omega", "b", "value", "file"),
+        "simulate": ("factor", "s0", "truth_file", "observations_file"),
+        "summarize": ("chain_files", "discard", "density_points"),
+    }
+    return {
+        **SCHEMA,
+        **{
+            block: {key: SCHEMA[block].get(key) or retired[key] for key in keys}
+            for block, keys in old_order.items()
+        },
+    }
 
 
 def _leaves(schema, path=()):

@@ -74,6 +74,14 @@ def rotated(state, bank):
     return out
 
 
+def frequencies(layout, masses):
+    """(omega, m): omega_k = sqrt(T k / ((k-1) dt m)) at each staging bead,
+    in lattice order, with m = m'/dt, from the formula and not the bank."""
+    m = masses.m_prime / layout.dt
+    k = np.tile(np.arange(2.0, layout.j + 1), layout.n)
+    return np.sqrt(layout.T * k / (layout.dt * (k - 1.0)) / m), m
+
+
 def flipped(state):
     out = copy.deepcopy(state)
     out.p *= -1.0
@@ -106,16 +114,29 @@ class TestConfig:
 
 class TestOscillatorBank:
     def test_frequency_matches_spring_constant(self):
+        # the staging entries of the tables are those of the formula's
+        # frequencies, bit for bit, and m omega^2 = T k / ((k-1) dt)
         layout = LatticeLayout(3, 10, 83.0)
         bank = OscillatorBank.build(layout, MASSES, 0.25)
+        omega, m = frequencies(layout, MASSES)
+        sin = np.sin(omega * 0.25)
+        stg = np.arange(layout.N) % layout.j != 0
+        cos, over, minus = bank.flow
+        np.testing.assert_array_equal(cos[:, stg], [np.cos(omega * 0.25)] * 2)
+        np.testing.assert_array_equal(over[stg], sin / (m * omega))
+        np.testing.assert_array_equal(minus[stg], -(m * omega * sin))
         k = np.tile(np.arange(2.0, layout.j + 1), layout.n)
         stiff = layout.T * k / (layout.dt * (k - 1.0))
-        np.testing.assert_allclose(bank.m * bank.omega**2, stiff, rtol=1e-12)
+        np.testing.assert_allclose(-minus[stg] / over[stg] / m, stiff, rtol=1e-12)
 
     def test_frequencies_decrease_with_order(self):
+        # omega = sqrt(-(m omega sin) / (sin / (m omega))) / m, off the tables
         layout = LatticeLayout(2, 6, 40.0)
         bank = OscillatorBank.build(layout, MASSES, 0.25)
-        per_segment = bank.omega.reshape(layout.n, layout.j - 1)
+        _, over, minus = bank.flow
+        stg = np.arange(layout.N) % layout.j != 0
+        omega = np.sqrt(-minus[stg] / over[stg]) / frequencies(layout, MASSES)[1]
+        per_segment = omega.reshape(layout.n, layout.j - 1)
         assert np.all(np.diff(per_segment, axis=1) < 0)
         # both segments see the same oscillators
         np.testing.assert_allclose(per_segment[0], per_segment[1], rtol=1e-15)
@@ -128,15 +149,16 @@ class TestOscillatorBank:
         assert same is bank
         assert OscillatorBank.build(bank.layout, MASSES, 0.5) is not bank
         other = MassConfig(720.0, 260.0, (150.0, 150.0))
-        assert OscillatorBank.build(bank.layout, other, 0.25).m == 2.0 * bank.m
-        assert not bank.omega.flags.writeable
+        m = other.m_prime / bank.layout.dt
+        assert OscillatorBank.build(bank.layout, other, 0.25).scale[1] == np.sqrt(m)
+        assert not bank.scale.flags.writeable
         with pytest.raises(ValueError):
-            bank.omega[0] = 1.0
+            bank.scale[0] = 1.0
 
     def test_no_staging_beads_is_a_free_drift(self):
         layout = LatticeLayout(4, 1, 20.0)
         bank = OscillatorBank.build(layout, MASSES, 0.125)
-        assert bank.omega.size == 0
+        assert np.all(bank.flow[0] == 1.0)
         rng = np.random.default_rng(1)
         st = random_state(layout, rng)
         out = rotated(st, bank)
@@ -169,9 +191,8 @@ class TestRotation:
 
     def test_full_period_returns_to_start(self):
         layout = LatticeLayout(3, 10, 83.0)
-        ref = OscillatorBank.build(layout, MASSES, 1.0)
         idx = np.flatnonzero(np.arange(layout.N) % layout.j)[4]  # a staging bead
-        omega = ref.omega[4]
+        omega = frequencies(layout, MASSES)[0][4]
         bank = OscillatorBank.build(layout, MASSES, 2.0 * np.pi / omega)
         st = PolymerState(
             u=np.zeros(layout.N),
@@ -187,9 +208,9 @@ class TestRotation:
 
     def test_quarter_period_swaps_position_and_momentum(self):
         layout = LatticeLayout(3, 10, 83.0)
-        ref = OscillatorBank.build(layout, MASSES, 1.0)
         idx = np.flatnonzero(np.arange(layout.N) % layout.j)[4]  # a staging bead
-        omega = ref.omega[4]
+        omega_all, m = frequencies(layout, MASSES)
+        omega = omega_all[4]
         bank = OscillatorBank.build(layout, MASSES, 0.5 * np.pi / omega)
         st = PolymerState(
             u=np.zeros(layout.N),
@@ -200,7 +221,7 @@ class TestRotation:
         st.u[idx] = 0.7
         st.p[idx] = -2.1
         out = rotated(st, bank)
-        m_omega = bank.m * omega
+        m_omega = m * omega
         assert abs(out.u[idx] - st.p[idx] / m_omega) < 1e-12
         assert abs(out.p[idx] + m_omega * st.u[idx]) < 1e-12
 
@@ -232,8 +253,9 @@ def view_rotation(state, bank, step):
     """The rotation on the (n, j-1) staging views, with tables in that shape."""
     out = copy.deepcopy(state)
     lay = bank.layout
-    omega = bank.omega.reshape(lay.n, lay.j - 1)
-    m_omega = bank.m * omega
+    omega, m = frequencies(lay, bank.masses)
+    omega = omega.reshape(lay.n, lay.j - 1)
+    m_omega = m * omega
     angle = omega * step
     sin = np.sin(angle)
     cos, sin_over_m_omega, m_omega_sin = np.cos(angle), sin / m_omega, m_omega * sin
@@ -287,13 +309,14 @@ class TestTwoRowFlow:
     """The trajectory's free flow on the phase-space array [u; p] against the
     rotation formula on separate rows u and p, as the integrator ran it
     before the rows were stacked, with flat tables built here from the
-    bank's frequencies and the step, not read from the bank."""
+    formula's frequencies and the step, not read from the bank."""
 
     @staticmethod
     def formula(u, p, bank, step):
         lay = bank.layout
-        omega = bank.omega.reshape(lay.n, lay.j - 1)
-        m_omega = bank.m * omega
+        omega, m = frequencies(lay, bank.masses)
+        omega = omega.reshape(lay.n, lay.j - 1)
+        m_omega = m * omega
         angle = omega * step
         sin = np.sin(angle)
         # the free-particle entries (1, step / M, 0) at the measurement beads
