@@ -25,6 +25,7 @@ import copy
 import errno
 import json
 import os
+import reprlib
 import sys
 from dataclasses import asdict, fields
 
@@ -38,7 +39,6 @@ from .diagnostics import (
     summarize,
     write_density_csv,
 )
-from .energy import _inv_sigma2
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
 from .errors import _count, _naming, _seed
 from .integrator import IntegratorConfig
@@ -167,7 +167,7 @@ def _typed(doc: dict, schema: dict, path: str = "") -> dict:
         if isinstance(rule, dict):
             if not isinstance(value, dict):
                 raise ValidationError(
-                    f"config field {where} has an invalid value {value!r}: not a block"
+                    f"config field {where} has an invalid value {reprlib.repr(value)}: not a block"
                 )
             out[key] = _typed(value, rule, where)
         elif value is None:
@@ -177,7 +177,7 @@ def _typed(doc: dict, schema: dict, path: str = "") -> dict:
                 out[key] = rule(value)
             except (TypeError, ValueError, OverflowError) as exc:  # 10**400 is no float
                 raise ValidationError(
-                    f"config field {where} has an invalid value {value!r}: {exc}"
+                    f"config field {where} has an invalid value {reprlib.repr(value)}: {exc}"
                 ) from None
     return out
 
@@ -199,7 +199,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.preset is not None:
         if args.preset not in PRESETS:
             raise ValidationError(
-                f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
+                f"unknown preset {reprlib.repr(args.preset)}; available: {sorted(PRESETS)}"
             )
         cfg = _deep_merge(cfg, PRESETS[args.preset])
     if args.config is not None:
@@ -270,7 +270,7 @@ def _build_signal(cfg: dict) -> tuple[InputSignal, str]:
     if kind == "tabulated":
         path = _input_file(_need(cfg, "signal.file"), "signal.file")
         return InputSignal.from_csv(path), f"{path} (config field signal.file)"
-    raise ValidationError(f"config field signal.kind has an unknown value {kind!r}")
+    raise ValidationError(f"config field signal.kind has an unknown value {reprlib.repr(kind)}")
 
 
 def _input_file(path: str, field: str) -> str:
@@ -295,7 +295,9 @@ def _output_name(cfg: dict, field: str, taken: list) -> str:
         problem = "another output file has this name"
     else:
         return name
-    raise ValidationError(f"config field {field} has an invalid value {name!r}: {problem}")
+    raise ValidationError(
+        f"config field {field} has an invalid value {reprlib.repr(name)}: {problem}"
+    )
 
 
 def _write_json(doc: dict, out_dir: str, name: str) -> str:
@@ -350,12 +352,11 @@ def cmd_infer(cfg: dict) -> int:
     data = TimeSeriesData.from_csv(obs_file)
     signal, signal_name = _build_signal(cfg)
     obs = _build(ObservationModel, cfg, "observation")
-    with _naming("config block observation"):  # the plan refuses it too, but unnamed
-        _inv_sigma2(obs)
     j = _need_count(cfg, "lattice.j")
-    # the checks above leave the plan one refusal, a signal that cannot be
-    # read at the lattice's times: a table that stops short of the data, or
-    # an r that is not > 0 there
+    # each value the plan takes has passed its own checks above, so the plan
+    # has one refusal left, a signal that cannot be read at the lattice's
+    # times: a table that stops short of the data, or an r that is not > 0
+    # there
     with _naming(signal_name):
         problem = InferenceProblem(data, signal, obs, j)
 
@@ -363,18 +364,13 @@ def cmd_infer(cfg: dict) -> int:
     theta0 = to_dimensionless(start)
     masses = _build(MassConfig, cfg, "infer.masses")
     integ = _build(IntegratorConfig, cfg, "infer.integrator")
-    n_mc = _need_count(cfg, "infer.n_mc")
+    hmc = _build(
+        HmcConfig, cfg, "infer", theta0=(theta0.beta, theta0.gamma), masses=masses,
+        integrator=integ, seed=cfg["seed"], chains=cfg["chains"],
+    )
     discard = _need(cfg, "infer.discard")
     with _naming("config field infer.discard"):
-        discard_start(discard, n_mc)
-    hmc = HmcConfig(
-        n_mc=n_mc,
-        theta0=(theta0.beta, theta0.gamma),
-        masses=masses,
-        integrator=integ,
-        seed=cfg["seed"],
-        chains=cfg["chains"],
-    )
+        discard_start(discard, hmc.n_mc)
     # every chain starts here: a start whose force is not finite on this
     # problem is refused before the first write
     with _naming("config block infer.start"):
@@ -431,11 +427,19 @@ def cmd_summarize(cfg: dict) -> int:
     chain_files = _need(cfg, "summarize.chain_files")
     if not chain_files:
         raise ValidationError("summarize.chain_files must list at least one chain CSV")
-    for path in chain_files:
+    for i, path in enumerate(chain_files):
         _input_file(path, "summarize.chain_files")
+        # a file listed twice would pool its chain twice, whatever the spelling
+        first = next((p for p in chain_files[:i] if os.path.samefile(p, path)), None)
+        if first is not None:
+            raise ValidationError(
+                f"config field summarize.chain_files lists one file twice: {first}, {path}"
+            )
     discard = _need(cfg, "summarize.discard")
     records = [ChainRecord.from_csv(path) for path in chain_files]
     with _naming("config field summarize.discard"):
+        kept = _kept_rows(records, discard)
+    with _naming("config field summarize.chain_files"):
         summary = summarize(*records, discard=discard)
     # infer's summary.json holds chains_meta, which no chain CSV does
     old_path = os.path.join(out_dir, "summary.json")
@@ -456,7 +460,6 @@ def cmd_summarize(cfg: dict) -> int:
     print(f"config echo: {echo_path}")
     print(f"summary: {summary_path}")
 
-    kept = _kept_rows(records, discard)
     for name in ("beta", "gamma", "K"):
         series = kept[name]
         try:

@@ -6,10 +6,10 @@ chains, and a Gaussian kernel density estimator for plotting marginals.
 
 A series that never moved, every draw equal to the first by exact
 comparison, has neither: `ess` returns None for it (as for fewer than 10
-draws or a non-finite draw), so a stalled parameter's summary reads
-``"ess": null``, and `kde` refuses it with a DomainError. A test on the
-rounded standard deviation would not do, since a constant series can read
-an sd of 1e-16.
+draws, a non-finite draw or a spread that overflows), so a stalled
+parameter's summary reads ``"ess": null``, and `kde` refuses it with a
+DomainError. A test on the rounded standard deviation would not do, since
+a constant series can read an sd of 1e-16.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def _never_moved(x: np.ndarray) -> bool:
 def ess(series) -> float | None:
     """Effective sample size via the initial-positive-sequence rule, or None
     where a series has none: fewer than 10 draws, a draw that is not finite
-    (nan or inf), a series that never moved, or one whose variance
-    underflows to 0. Only a series that is not 1-d is an error
-    (ValidationError).
+    (nan or inf), a series that never moved, or one whose centred variance
+    underflows to 0 or, like its autocovariance, leaves the double range.
+    Only a series that is not 1-d is an error (ValidationError).
 
     Autocorrelations are summed over consecutive pairs while the pair sums
     stay positive; the result is clipped to the series length (an antithetic
@@ -81,12 +81,16 @@ def ess(series) -> float | None:
     L = x.size
     if L < 10 or not np.isfinite(x).all() or _never_moved(x):
         return None
-    x = x - x.mean()
-    if np.dot(x, x) / L == 0.0:  # the variance underflows
+    # a spread past the double range saturates to inf or nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - x.mean()
+        if np.dot(x, x) / L == 0.0:  # the variance underflows
+            return None
+        nfft = 1 << (2 * L - 1).bit_length()
+        f = np.fft.rfft(x, nfft)
+        acov = np.fft.irfft(f * np.conj(f), nfft)[:L] / L
+    if not np.isfinite(acov).all():  # the variance or autocovariance overflows
         return None
-    nfft = 1 << (2 * L - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:L] / L
     rho = acov / acov[0]
     pair_sums = rho[0:-1:2] + rho[1::2]
     positive = 0.0
@@ -98,12 +102,19 @@ def ess(series) -> float | None:
     return float(min(L, L / tau))
 
 
-def _parameter_summary(x: np.ndarray) -> ParameterSummary:
+def _parameter_summary(name: str, x: np.ndarray) -> ParameterSummary:
+    """The summary of the draws ``x`` of the parameter ``name``; draws whose
+    mean or sd overflows to inf are a ValidationError naming it (a nan draw
+    reads a nan mean)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = float(x.mean()), float(x.std(ddof=0))
+    if math.isinf(mean) or math.isinf(sd):
+        raise ValidationError(f"the draws of {name} overflow: mean {mean}, sd {sd}")
     # ECDF-based quantiles: pooling identical chains leaves them unchanged
     qs = np.percentile(x, QUANTILE_LEVELS, method="averaged_inverted_cdf")
     return ParameterSummary(
-        mean=float(x.mean()),
-        sd=float(x.std(ddof=0)),
+        mean=mean,
+        sd=sd,
         quantiles={f"{q:g}%": float(v) for q, v in zip(QUANTILE_LEVELS, qs)},
         ci95=(float(qs[0]), float(qs[-1])),
         ess=ess(x),
@@ -137,13 +148,14 @@ def summarize(*records: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
 
     ``discard`` is the burn-in fraction dropped from the front of each
     chain; each chain must keep a row. The kept rows are pooled in chain
-    order, so quantiles are those of the pooled draws.
+    order, so quantiles are those of the pooled draws. Draws whose mean or
+    sd overflows are a ValidationError.
     """
     if not records:
         raise ValidationError("summarize needs at least one chain record")
     kept = _kept_rows(records, discard)
     return PosteriorSummary(
-        parameters={name: _parameter_summary(kept[name]) for name in ("beta", "gamma", "K")},
+        parameters={name: _parameter_summary(name, kept[name]) for name in ("beta", "gamma", "K")},
         acceptance_rate=float(np.mean(kept["accepted"])),
         n_total=sum(rec.n_rows for rec in records),
         n_retained=kept["accepted"].size,

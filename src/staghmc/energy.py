@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError, _count, _frozen, _set
+from .errors import DomainError, NonFiniteError, _frozen, _set
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
@@ -98,29 +98,18 @@ _pack_coef = struct.Struct("9d").pack_into
 _saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
-def _inv_sigma2(obs: ObservationModel) -> float:
-    """1 / sigma^2 of ``obs``. A sigma so small that it overflows, which
-    would make every likelihood and force infinite, is a ValidationError."""
-    inv_sigma2 = 1.0 / obs.sigma / obs.sigma
-    if math.isinf(inv_sigma2):
-        raise ValidationError(
-            f"sigma = {obs.sigma!r} is too small for the likelihood: 1/sigma^2 overflows"
-        )
-    return inv_sigma2
-
-
 @_frozen
 class InferenceProblem:
     """The plan of one inference, shared by every chain: the observations,
     the input signal they respond to, the noise model and the lattice
     refinement j (beads per data segment). These four alone decide equality
-    and hash, and a problem pickles as them. The signal is read at the
-    lattice's times through `model._signal_over`, so a table that stops
-    short of the data, or an r that is not > 0 at a bead, is a
-    ValidationError.
+    and hash, and a problem pickles as them. Each rule on them is checked
+    by the object that holds the value: the noise model's weight by
+    `ObservationModel`, j by the `LatticeLayout`, and the signal at the
+    lattice's times by `model._signal_over`, so a table that stops short of
+    the data, or an r that is not > 0 at a bead, is a ValidationError.
 
-    Built from them once: the `layout`, the data term's weight
-    ``inv_sigma2`` (`_inv_sigma2`) and, read-only and of length N, the
+    Built from them once: the `layout` and, read-only and of length N, the
     log-input increments L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding),
     their difference Ldot_i = (L_i - L_{i-1}) / dt (slots 0 and 1 are
     padding: the i = 2 term carries no rate of change), so that rho_i =
@@ -134,14 +123,11 @@ class InferenceProblem:
     j: int
     # derived from the four inputs; every context of the problem shares them
     layout: LatticeLayout = field(init=False, repr=False)
-    inv_sigma2: float = field(init=False, repr=False)
     L: np.ndarray = field(init=False, repr=False)
     Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set(self, j=_count("j", self.j))
-        inv_sigma2 = _inv_sigma2(self.obs)
         lay = LatticeLayout(self.data.n_segments, self.j, self.data.horizon)
         r = _signal_over(self.signal, lay.times)
         L = np.zeros(lay.N)
@@ -149,7 +135,7 @@ class InferenceProblem:
         Ldot = np.zeros(lay.N)
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
         lnyr = np.log(self.data.values / r[:: lay.j])
-        _set(self, layout=lay, inv_sigma2=inv_sigma2, L=L, Ldot=Ldot, lnyr=lnyr)
+        _set(self, j=lay.j, layout=lay, L=L, Ldot=Ldot, lnyr=lnyr)
 
     def context(self) -> PathContext:
         return PathContext(self)
@@ -220,7 +206,8 @@ class PathContext:
 
     Constants of the plan as Python floats: the number ``n_tail`` = N - 1
     of beads i = 2..N, ``L_sum``, the sum of L over them, and
-    ``inv_sigma2`` = 1 / sigma^2. A workspace holds no setting of a chain.
+    ``inv_sigma2`` = 1 / sigma^2, read once from the problem's
+    `ObservationModel`. A workspace holds no setting of a chain.
     """
 
     __slots__ = (
@@ -243,7 +230,7 @@ class PathContext:
         self.coup = lay.T / (lay.j * lay.dt)
         self.L0, self.LN = float(L[1]), float(L[-1])
         self.n_tail, self.L_sum = float(tail), float(L[1:].sum())
-        self.inv_sigma2 = problem.inv_sigma2
+        self.inv_sigma2 = problem.obs.inv_sigma2
         # [u; p; pi]: x = [u; p], and after u the momentum row [p; pi]
         upi = np.empty(2 * N + 2)
         x, cross = upi[: 2 * N].reshape(2, N), np.empty((2, N))

@@ -34,7 +34,7 @@ from dataclasses import field, fields
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError
 from .errors import _count, _frozen, _naming, _positive, _set
 
 __all__ = [
@@ -126,7 +126,7 @@ class InputSignal:
       constant input r is ``sinusoid(0.0, 0.0, r)``.
     * ``tabulated``: piecewise-linear interpolation of sampled (t, r) pairs,
       held as read-only copies; evaluation outside the tabulated range is
-      an error.
+      a ValidationError: the input signal does not cover the data.
 
     `value` gives r(t) and `rate` dr/dt. The package reads r only through
     `_signal_over`, which checks where it is read. A sinusoid that can
@@ -193,8 +193,9 @@ class InputSignal:
 
     def _check_range(self, t):
         if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
-            raise DomainError(
-                f"time outside tabulated range [{self.times[0]}, {self.times[-1]}]"
+            raise ValidationError(
+                "input signal does not cover the data: time outside tabulated range"
+                f" [{self.times[0]}, {self.times[-1]}]"
             )
 
     @classmethod
@@ -208,14 +209,11 @@ def _signal_over(signal: InputSignal, times) -> np.ndarray:
     """r(times) as floats, if the signal can be read at ``times``: the one
     check of where a signal is read, whether a plan, a simulation or a
     chain's start asks, and the package's one read of r. A
-    tabulated input that stops short of ``times``, or a value that is not
-    > 0 (a table can interpolate to 0; NaN is refused too), is a
-    ValidationError."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) is refused below
-            r = np.asarray(signal.value(times), dtype=float)
-    except DomainError as exc:
-        raise ValidationError(f"input signal does not cover the data: {exc}") from None
+    tabulated input that stops short of ``times`` (refused by
+    `InputSignal.value` itself), or a value that is not > 0 (a table can
+    interpolate to 0; NaN is refused too), is a ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) is refused below
+        r = np.asarray(signal.value(times), dtype=float)
     bad = np.flatnonzero(~(r > 0))
     if bad.size:
         t, value = np.ravel(times)[bad[0]], np.ravel(r)[bad[0]]
@@ -231,12 +229,24 @@ def _signal_over(signal: InputSignal, times) -> np.ndarray:
 
 @_frozen
 class ObservationModel:
-    """Multiplicative log-normal measurement noise of width sigma."""
+    """Multiplicative log-normal measurement noise of width sigma, and the
+    weight ``inv_sigma2`` = 1 / sigma^2 of the data term (ln(y/r) -
+    beta u)^2 / (2 sigma^2) that holds each measurement bead. A sigma so
+    small that this weight overflows, which would make every likelihood and
+    force infinite, is a ValidationError, for a simulation as for an
+    inference."""
 
     sigma: float
+    inv_sigma2: float = field(init=False, repr=False)
 
     def __post_init__(self):
         _positive("sigma", self.sigma)
+        inv_sigma2 = 1.0 / self.sigma / self.sigma
+        if math.isinf(inv_sigma2):
+            raise ValidationError(
+                f"sigma = {self.sigma!r} is too small for the likelihood: 1/sigma^2 overflows"
+            )
+        _set(self, inv_sigma2=inv_sigma2)
 
 
 @_frozen

@@ -12,7 +12,7 @@ import pytest
 
 from staghmc.cli import main, resolve_config, build_parser
 from staghmc.model import TimeSeriesData
-from staghmc.sampler import CHAIN_COLUMNS, ChainRecord
+from staghmc.sampler import CHAIN_COLUMNS, CHAIN_CSV_HEADER, ChainRecord
 
 
 def small_config(obs_file="observations.csv"):
@@ -544,9 +544,13 @@ class TestSummarize:
         assert (first["chains"], again["chains"]) == (2, 1)
 
     def test_duplicate_chain_keeps_quantiles(self, tmp_path):
+        # the chain pooled with a copy of itself: one file listed twice is
+        # refused (test_file_listed_twice_rejected)
         _, chains = self.make_run(tmp_path, chains=1)
+        copy = str(tmp_path / "copy.csv")
+        shutil.copyfile(chains[0], copy)
         single, _ = self.summarize(tmp_path, chains, "one")
-        doubled, _ = self.summarize(tmp_path, chains * 2, "two")
+        doubled, _ = self.summarize(tmp_path, [*chains, copy], "two")
         for name in ("beta", "gamma", "K"):
             assert doubled["parameters"][name]["mean"] == pytest.approx(
                 single["parameters"][name]["mean"], rel=1e-12
@@ -789,6 +793,39 @@ class TestSummarize:
     def test_missing_chain_file_rejected(self, tmp_path):
         rc = self.summarize(tmp_path, [str(tmp_path / "ghost.csv")], "gone", rc_only=True)
         assert rc == 2
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "hard-link"])
+    def test_file_listed_twice_rejected(self, tmp_path, monkeypatch, capsys, spelling):
+        # pooling one file twice would count its chain twice, under any name
+        monkeypatch.chdir(tmp_path)
+        chain = config_for(tmp_path, "summarize")["summarize"]["chain_files"][0]
+        again = {"same": chain, "dot": os.path.join(".", "flat.csv"), "hard-link": "link.csv"}
+        if spelling == "hard-link":
+            os.link(chain, "link.csv")
+        capsys.readouterr()
+        assert self.summarize(tmp_path, [chain, again[spelling]], "twice", rc_only=True) == 2
+        assert capsys.readouterr().err == (
+            "error: config field summarize.chain_files lists one file twice:"
+            f" {chain}, {again[spelling]}\n"
+        )
+        assert not (tmp_path / "twice").exists()
+
+    def test_draws_whose_mean_overflows_rejected_before_writing(self, tmp_path, capsys):
+        # positive, finite K draws, each of which from_csv reads, whose sum
+        # leaves the double range: no summary, and no Infinity in a JSON file
+        path = tmp_path / "huge.csv"
+        rows = "".join(f"{i},1.5,0.5,{1.5e308 + i * 1e305!r},1,3,3,0\n" for i in range(1, 41))
+        path.write_text(CHAIN_CSV_HEADER + "\n" + rows)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = self.summarize(tmp_path, [str(path)], "huge", rc_only=True)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: config field summarize.chain_files: the draws of K overflow:"
+            " mean inf, sd inf\n"
+        )
+        assert not (tmp_path / "huge").exists()
 
 
 # every integer config field, with the command that reads it
@@ -1078,18 +1115,21 @@ def test_unknown_signal_kind_rejected(tmp_path, capsys, kind):
 @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
 def test_sigma_whose_inverse_square_overflows_rejected_by_infer(tmp_path, capsys, sigma):
     # a positive, finite sigma whose 1/sigma^2 is inf would make every
-    # likelihood and force infinite; simulate has no 1/sigma^2 and runs
+    # likelihood and force infinite; the noise model refuses it, so
+    # simulate refuses it with infer's line, and neither writes a file
     cfg = config_for(tmp_path, "infer")
     set_field(cfg, ("observation", "sigma"), sigma)
     cfg_path = write_config(tmp_path, cfg, "bad.json")
-    out = tmp_path / "out"
+    want = (
+        f"error: config block observation: sigma = {sigma!r} is too small for the"
+        " likelihood: 1/sigma^2 overflows\n"
+    )
     capsys.readouterr()
-    assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config block observation: ") and err.count("\n") == 1
-    assert f"sigma = {sigma!r}" in err
-    assert not out.exists()
-    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
+    for command in ("infer", "simulate"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
 
 # one field of each config block that a command builds a dataclass from,
@@ -1200,3 +1240,38 @@ def test_path_out_of_double_range_is_a_one_line_error(tmp_path, capsys, model):
     assert err.startswith("error: non-finite simulated ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_n_mc_below_one_named_by_infer_block(tmp_path, capsys):
+    # infer builds its sampler settings from the block, as every other block
+    cfg = config_for(tmp_path, "infer")
+    set_field(cfg, ("infer", "n_mc"), 0)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config block infer: n_mc must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+# a rejected value far too long to quote in full, with the command that reads it
+LONG_VALUES = [
+    ("simulate", ("model", "K"), 10**400, "K-400-digits"),
+    ("summarize", ("summarize", "chain_files"), list(range(1000)), "chain_files-1000-numbers"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value", [c[:3] for c in LONG_VALUES], ids=[c[3] for c in LONG_VALUES]
+)
+def test_long_rejected_value_quoted_short(tmp_path, capsys, command, field, value):
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, field, value)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field {'.'.join(field)} has an invalid value ")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert not out.exists()

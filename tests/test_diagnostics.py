@@ -64,6 +64,19 @@ class TestEss:
         x[::2] = 5e-324
         assert ess(x) is None
 
+    @pytest.mark.parametrize(
+        "series",
+        [np.tile([1.0, 1e200], 20), np.linspace(1.0, 2.0, 10_000) * 1e152],
+        ids=["variance-overflows", "autocovariance-overflows"],
+    )
+    def test_overflowing_spread_has_no_ess(self, series):
+        # finite draws whose centred variance, or whose autocovariance
+        # alone (a perfectly correlated ramp), leaves the double range
+        assert np.isfinite(series).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ess(series) is None
+
     def test_non_finite_series_has_no_ess(self):
         # a nan or inf draw gives the series no ESS, quietly, and the
         # summary of a record with one nan draw reads null beside its nan mean
@@ -101,6 +114,17 @@ class TestEss:
 
 
 class TestSummarize:
+    @pytest.mark.parametrize(
+        "K", [1.5e308 + 1e305 * np.arange(40), np.tile([1.0, 1e200], 20)],
+        ids=["mean-overflows", "sd-overflows"],
+    )
+    def test_draws_whose_moments_overflow_rejected(self, K):
+        record = make_record(np.linspace(1.0, 2.0, 40), K=K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^the draws of K overflow: mean "):
+                summarize(record, discard=0.2)
+
     def test_moments_and_quantiles(self):
         rng = np.random.default_rng(42)
         beta = rng.normal(1.2, 0.1, 4000)

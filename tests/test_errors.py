@@ -58,7 +58,7 @@ COUNTS = {
     "fine_grid.factor": ("factor", lambda v: fine_grid(10.0, 2, 3, v)),
     **{
         f"cli.{field}": (field, lambda v, field=field: need_count(field, v))
-        for field in ("observation.n", "lattice.j", "infer.n_mc")
+        for field in ("observation.n", "lattice.j")
     },
 }
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from scipy import stats
 
 from staghmc import (
-    DomainError,
     DimensionlessParams,
     NonFiniteError,
     InputSignal,
@@ -146,7 +146,7 @@ class TestInputSignal:
         at = [0.0, 0.5, 1.0, 2.0, 3.0]
         np.testing.assert_array_equal(sig.rate(at), [1.0, 1.0, -0.5, -0.5, 3.0])
         np.testing.assert_array_equal(sig.rate([3.5, 4.0, 4.0 + 1e-13]), [3.0, 3.0, 3.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="^input signal does not cover the data: "):
             sig.rate(4.5)
 
     def test_tabulated_interp_and_range(self):
@@ -154,7 +154,8 @@ class TestInputSignal:
         assert sig.value(0.5) == pytest.approx(1.5)
         assert sig.value(2.0) == pytest.approx(1.5)
         assert sig.rate(0.5) == 1.0
-        with pytest.raises(DomainError):
+        message = "input signal does not cover the data: time outside tabulated range [0.0, 3.0]"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             sig.value(3.5)
         with pytest.raises(ValidationError):
             InputSignal.tabulated([0.0, 1.0], [1.0, -1.0])
@@ -209,6 +210,20 @@ class TestSignalOver:
         with pytest.raises(ValidationError, match=message):
             simulate_truth(params, signal, fine_grid(12.0, 2, 3, factor=1), seed=rng)
         assert rng.bit_generator.state == state  # no noise was drawn
+
+
+class TestObservationModel:
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+    def test_rejects_sigma_whose_inverse_square_overflows(self, sigma):
+        # positive and finite, but the data term's weight 1/sigma^2 is inf
+        message = f"^sigma = {sigma!r} is too small for the likelihood: 1/sigma\\^2 overflows$"
+        with pytest.raises(ValidationError, match=message):
+            ObservationModel(sigma)
+
+    def test_weight_is_the_inverse_square(self):
+        obs = ObservationModel(1e-150)
+        assert obs.inv_sigma2 == 1.0 / 1e-150 / 1e-150
+        assert obs == ObservationModel(1e-150) and "inv_sigma2" not in repr(obs)
 
 
 class TestTimeSeriesData:
@@ -441,7 +456,7 @@ class TestGenerateObservations:
         path = self._path()
         obs_t = np.linspace(0, 833, 11)
         data = generate_observations(
-            path, obs_t, self.P, ObservationModel(sigma=1e-300), seed=0
+            path, obs_t, self.P, ObservationModel(sigma=1e-150), seed=0
         )
         idx = np.arange(0, 6001, 600)
         np.testing.assert_array_equal(data.values, path.S[idx] / self.P.K)
@@ -469,7 +484,7 @@ class TestGenerateObservations:
         path = self._path()
         obs_t = [0.0, path.times[k] + side * 0.5e-9 * 833]
         data = generate_observations(
-            path, obs_t, self.P, ObservationModel(sigma=1e-300), seed=0
+            path, obs_t, self.P, ObservationModel(sigma=1e-150), seed=0
         )
         np.testing.assert_array_equal(data.values, path.S[[0, k]] / self.P.K)
 

@@ -185,15 +185,17 @@ class TestInferenceProblem:
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
     def test_rejects_sigma_whose_inverse_square_overflows(self, toy_problem, sigma):
-        obs = ObservationModel(sigma)  # positive and finite: the model takes it
+        # positive and finite, but its noise model refuses it, so no plan
+        # can be built on it (TestObservationModel in test_model.py)
         with pytest.raises(ValidationError, match="1/sigma\\^2 overflows"):
-            InferenceProblem(data=toy_problem.data, signal=SIGNAL, obs=obs, j=5)
+            InferenceProblem(
+                data=toy_problem.data, signal=SIGNAL, obs=ObservationModel(sigma), j=5
+            )
 
     def test_small_sigma_with_a_finite_weight_is_kept(self, toy_problem):
         obs = ObservationModel(1e-150)
         problem = InferenceProblem(data=toy_problem.data, signal=SIGNAL, obs=obs, j=5)
-        assert problem.inv_sigma2 == 1.0 / 1e-150 / 1e-150
-        assert problem.context().inv_sigma2 == problem.inv_sigma2
+        assert problem.context().inv_sigma2 == obs.inv_sigma2 == 1.0 / 1e-150 / 1e-150
 
     def test_context_matches_data(self, toy_problem):
         ctx = toy_problem.context()
