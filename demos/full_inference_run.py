@@ -34,7 +34,7 @@ from staghmc import (
     summarize,
     to_dimensionless,
 )
-from staghmc.diagnostics import silverman_bandwidth, write_density_csv
+from staghmc.diagnostics import discard_start, silverman_bandwidth, write_density_csv
 from staghmc.sampler import run_chain
 
 OUT = Path(__file__).parent / "out"
@@ -80,8 +80,9 @@ def main():
         print(f"{name:10s}{p.mean:10.3f}{p.sd:10.3f}{lo:10.3f}{hi:10.3f}{neff:>8s}"
               f"   truth {true_value:g}: {hit}")
 
+    kept = discard_start(DISCARD, record.n_rows)  # the first row summarize kept
     for name in ("K", "gamma"):
-        series = getattr(record, name)[int(N_MC * DISCARD):]
+        series = getattr(record, name)[kept:]
         pad = 3.0 * silverman_bandwidth(series)
         xs = np.linspace(series.min() - pad, series.max() + pad, 256)
         write_density_csv(OUT / f"density_{name}.csv", xs, kde(series, xs))

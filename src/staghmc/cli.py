@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import errno
 import json
@@ -62,7 +63,6 @@ DEFAULTS = {
     "seed": 0,
     "chains": 1,
     "out": ".",
-    "simulate": {"truth_file": "truth.csv", "observations_file": "observations.csv"},
     "infer": {
         "observations_file": "observations.csv",
         "discard": 0.2,
@@ -140,7 +140,7 @@ SCHEMA = {
     },
     "observation": {"sigma": _number, "n": _whole},
     "lattice": {"j": _whole},
-    "simulate": {"truth_file": _text, "observations_file": _text},
+    "simulate": {},  # no settings: a retired key under it is refused by its dotted name
     "infer": {
         "n_mc": _whole,
         "start": {"K": _number, "gamma": _number},
@@ -162,7 +162,7 @@ def _typed(doc: dict, schema: dict, path: str = "") -> dict:
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
         if key not in schema:
-            raise ValidationError(f"unknown config key {where!r}")
+            raise ValidationError(f"unknown config key {reprlib.repr(where)}")
         rule = schema[key]
         if isinstance(rule, dict):
             if not isinstance(value, dict):
@@ -273,31 +273,27 @@ def _build_signal(cfg: dict) -> tuple[InputSignal, str]:
     raise ValidationError(f"config field signal.kind has an unknown value {reprlib.repr(kind)}")
 
 
+@contextlib.contextmanager
+def _allocating(cfg: dict, *sizes: str):
+    """Refuse, naming the config fields ``sizes`` and their values, an array
+    of the block that NumPy cannot allocate: a MemoryError, or the
+    ValueError of a size past its limit. The package's own errors pass."""
+    try:
+        yield
+    except StagHmcError:
+        raise
+    except (MemoryError, ValueError) as exc:
+        named = " and ".join(f"{field} = {reprlib.repr(_need(cfg, field))}" for field in sizes)
+        raise ValidationError(
+            f"arrays sized by {named} are too large to allocate: {str(exc) or type(exc).__name__}"
+        ) from None
+
+
 def _input_file(path: str, field: str) -> str:
     """``path``, read from the config field ``field``, if it names a file."""
     if not os.path.isfile(path):
         raise ValidationError(f"file not found: {path} (config field {field})")
     return path
-
-
-# the config echo that each command writes first into its output directory
-ECHO_NAME = "config_{}.json"
-
-
-def _output_name(cfg: dict, field: str, taken: list) -> str:
-    """The config field ``field``, read by `_need`, if it is a plain file
-    name for the output directory: not empty, with no directory part, and
-    none of the names ``taken`` by the command's other files."""
-    name = _need(cfg, field)
-    if name in ("", ".", "..") or os.path.basename(name) != name:
-        problem = "not a plain file name"
-    elif name in taken:
-        problem = "another output file has this name"
-    else:
-        return name
-    raise ValidationError(
-        f"config field {field} has an invalid value {reprlib.repr(name)}: {problem}"
-    )
 
 
 def _write_json(doc: dict, out_dir: str, name: str) -> str:
@@ -313,7 +309,7 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
     a command calls it only after every check of its settings (for `simulate`,
     after the simulation), so a rejected config leaves no output directory."""
     os.makedirs(out_dir, exist_ok=True)
-    return _write_json({**cfg, "command": command}, out_dir, ECHO_NAME.format(command))
+    return _write_json({**cfg, "command": command}, out_dir, f"config_{command}.json")
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -323,21 +319,19 @@ def cmd_simulate(cfg: dict) -> int:
     n = _need_count(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
     j = _need_count(cfg, "lattice.j")
-    echo_name = ECHO_NAME.format("simulate")
-    truth_name = _output_name(cfg, "simulate.truth_file", [echo_name])
-    obs_name = _output_name(cfg, "simulate.observations_file", [echo_name, truth_name])
-    truth_path = os.path.join(out_dir, truth_name)
-    obs_path = os.path.join(out_dir, obs_name)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    grid = fine_grid(params.T, n, j)
-    with _naming(signal_name):
-        truth = simulate_truth(params, signal, grid, seed=rng)
+    with _allocating(cfg, "observation.n", "lattice.j"):
+        grid = fine_grid(params.T, n, j)
+        with _naming(signal_name):
+            truth = simulate_truth(params, signal, grid, seed=rng)
     obs_times = np.linspace(0.0, params.T, n + 1)
     data = generate_observations(truth, obs_times, params, obs, seed=rng)
 
     # written once the run has succeeded, so a failed simulation leaves no files
     echo_path = _write_echo(cfg, "simulate", out_dir)
+    truth_path = os.path.join(out_dir, "truth.csv")
+    obs_path = os.path.join(out_dir, "observations.csv")
     truth.to_csv(truth_path)
     data.to_csv(obs_path)
     print(f"config echo: {echo_path}")
@@ -354,10 +348,10 @@ def cmd_infer(cfg: dict) -> int:
     obs = _build(ObservationModel, cfg, "observation")
     j = _need_count(cfg, "lattice.j")
     # each value the plan takes has passed its own checks above, so the plan
-    # has one refusal left, a signal that cannot be read at the lattice's
-    # times: a table that stops short of the data, or an r that is not > 0
-    # there
-    with _naming(signal_name):
+    # has two refusals left: a lattice too large to allocate, and a signal
+    # that cannot be read at the lattice's times (a table that stops short
+    # of the data, or an r that is not > 0 there)
+    with _allocating(cfg, "lattice.j"), _naming(signal_name):
         problem = InferenceProblem(data, signal, obs, j)
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)

@@ -232,7 +232,9 @@ class Chain:
     from the start: a start whose force is not finite raises
     NonFiniteError, and one with beta or gamma 0 DomainError. The state is
     not kept; `state` returns a copy of the current one, and a chain built
-    from that copy continues as this one does. Decorated with
+    from that copy continues as this one does. That rebuild is the one way
+    to copy a chain: `pickle`, `copy.copy` and `copy.deepcopy` raise
+    TypeError. Decorated with
     `energy._saturating`, as `hmc_iteration` is.
     """
 
@@ -254,6 +256,13 @@ class Chain:
         every iteration draws its own."""
         u = self.cur.rows.u.copy()
         return PolymerState(u, np.array(self.theta), np.zeros(u.size), np.zeros(2))
+
+    def __reduce__(self):
+        # a workspace unpickles empty (`PathContext`), so a copy would lose its beads
+        raise TypeError(
+            "a Chain cannot be pickled or copied; rebuild it with "
+            "Chain(problem, config, chain.state())"
+        )
 
 
 @_saturating

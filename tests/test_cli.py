@@ -918,11 +918,6 @@ BAD_VALUES = [
     ("simulate", ("model",), 5, "model-block"),
     ("summarize", ("summarize",), 5, "summarize-block"),
     ("simulate", ("out",), 5, "out"),
-    ("simulate", ("simulate", "truth_file"), 5, "truth_file"),
-    ("simulate", ("simulate", "truth_file"), "", "truth_file-empty"),
-    ("simulate", ("simulate", "truth_file"), "sub/t.csv", "truth_file-subdir"),
-    ("simulate", ("simulate", "observations_file"), "truth.csv", "observations_file-taken"),
-    ("simulate", ("simulate", "truth_file"), "config_simulate.json", "truth_file-echo"),
     # a JSON integer beyond the double range, which float() cannot convert
     ("simulate", ("model", "K"), 10**400, "K-beyond-double"),
     ("infer", ("infer", "masses", "m_alpha"), [10**400, 1.0], "m_alpha-beyond-double"),
@@ -1052,6 +1047,8 @@ RETIRED = [
     ("simulate", ("simulate", "s0"), None),
     ("simulate", ("simulate", "factor"), 20),
     ("summarize", ("summarize", "density_points"), 256),
+    ("simulate", ("simulate", "truth_file"), "truth.csv"),
+    ("simulate", ("simulate", "observations_file"), "observations.csv"),
 ]
 
 
@@ -1067,6 +1064,89 @@ def test_retired_key_refused(tmp_path, capsys, command, field, value):
     capsys.readouterr()
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: unknown config key {'.'.join(field)!r}\n"
+    assert not out.exists()
+
+
+def test_long_unknown_key_quoted_short(tmp_path, capsys):
+    cfg = config_for(tmp_path, "simulate")
+    cfg["model"]["x" * 500] = 1.0
+    cfg_path = write_config(tmp_path, cfg, "long.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key 'model.xxx")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert not out.exists()
+
+
+def test_each_command_writes_fixed_names(tmp_path):
+    # no setting names an output file: simulate writes these three, and no
+    # echo holds a simulate block
+    data_dir = run_simulate(tmp_path)
+    assert sorted(os.listdir(data_dir)) == [
+        "config_simulate.json", "observations.csv", "truth.csv"
+    ]
+    cfg = small_config(obs_file=str(data_dir / "observations.csv"))
+    cfg["summarize"] = {"chain_files": [str(tmp_path / "run" / "chain00.csv")]}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["infer", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    assert main(["summarize", "--config", cfg_path, "--out", str(tmp_path / "summ")]) == 0
+    for echo in (
+        data_dir / "config_simulate.json",
+        tmp_path / "run" / "config_infer.json",
+        tmp_path / "summ" / "config_summarize.json",
+    ):
+        assert "simulate" not in json.loads(echo.read_text())
+
+
+# a size past NumPy's limit, refused before any allocation, with the command
+# that sizes its arrays by it and the fields its refusal names
+TOO_LARGE = [
+    ("infer", ("lattice", "j"), f"lattice.j = {10**30}"),
+    ("simulate", ("observation", "n"), f"observation.n = {10**30} and lattice.j = 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,named", TOO_LARGE, ids=[".".join(f) for _, f, _ in TOO_LARGE]
+)
+def test_size_past_numpy_limit_named(tmp_path, capsys, command, field, named):
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, field, 10**30)
+    cfg_path = write_config(tmp_path, cfg, "huge.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: arrays sized by {named} are too large to allocate:"
+        " Maximum allowed size exceeded\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_allocation_refused_by_memory_named(tmp_path, monkeypatch, capsys, command):
+    # the lattice and the simulation grid, each refused as NumPy refuses an
+    # array larger than the memory left
+    import staghmc.cli
+    import staghmc.energy
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    cfg_path = write_config(tmp_path, config_for(tmp_path, command), "config.json")
+    monkeypatch.setattr(staghmc.energy, "LatticeLayout", refuse)
+    monkeypatch.setattr(staghmc.cli, "fine_grid", refuse)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    named = "lattice.j = 3" if command == "infer" else "observation.n = 4 and lattice.j = 3"
+    assert capsys.readouterr().err == (
+        f"error: arrays sized by {named} are too large to allocate:"
+        " Unable to allocate 74.5 GiB for an array\n"
+    )
     assert not out.exists()
 
 

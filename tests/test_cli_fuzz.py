@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 import pytest
 
-from staghmc.cli import SCHEMA, _number, _whole, _float_pair, _texts, main
+from staghmc.cli import SCHEMA, _number, _whole, _float_pair, _text, _texts, main
 
 SEED = 20261019
 N_CONFIG_CASES = 140
@@ -51,12 +51,16 @@ INPUT_FILES = {("infer", "observations_file"), ("signal", "file")}
 
 def _fuzzed_schema():
     """SCHEMA with its retired keys back in their old places: ``signal.value``
-    of the deleted ``constant`` input kind, and ``simulate.factor``,
-    ``simulate.s0`` and ``summarize.density_points``, which no run set. A
-    config that still sets one must be refused by name (``unknown config
-    key``), and the case list, from which the tier-1 sample is drawn by
-    position, keeps its order."""
-    retired = {"value": _number, "factor": _whole, "s0": _number, "density_points": _whole}
+    of the deleted ``constant`` input kind; ``simulate.factor``,
+    ``simulate.s0`` and ``summarize.density_points``, which no run set; and
+    ``simulate.truth_file`` and ``simulate.observations_file``, now fixed
+    names. A config that still sets one must be refused by name (``unknown
+    config key``), and the case list, from which the tier-1 sample is drawn
+    by position, keeps its order."""
+    retired = {
+        "value": _number, "factor": _whole, "s0": _number, "density_points": _whole,
+        "truth_file": _text, "observations_file": _text,
+    }
     old_order = {
         "signal": ("kind", "a", "omega", "b", "value", "file"),
         "simulate": ("factor", "s0", "truth_file", "observations_file"),

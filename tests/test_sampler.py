@@ -767,6 +767,18 @@ class TestResume:
         accepted = want[:, 2]
         assert accepted.any() and not accepted.all()
 
+    @pytest.mark.parametrize(
+        "route",
+        [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copy_is_refused(self, toy_problem, route):
+        # a workspace unpickles empty, so a copy would continue from beads
+        # it never had; the rebuild above is the one copy
+        chain = new_chain(toy_problem)
+        with pytest.raises(TypeError, match=r"Chain\(problem, config, chain\.state\(\)\)"):
+            route(chain)
+
 
 class TestRunChain:
     def test_more_than_one_chain_is_refused(self, toy_problem):
