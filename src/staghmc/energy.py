@@ -32,13 +32,13 @@ Everything that does not depend on the state is built once: the lattice
 tables on `LatticeLayout`, and the input tables of one problem on
 `InferenceProblem`. One private kernel, `_hprime`, makes the single pass
 over the path behind `h_total`, `grad_hprime` and the trajectory, in a
-workspace (`PathContext`). `_load` copies a state in, `_end_energy` (or
-`_start_energy`, given the potential) adds up its energy there, for
-`h_total` and both ends of a trajectory alike, and `_proposal` copies a
-state out for `trotter_propagate`. Potential and force depend on positions
-alone, so the sampler keeps both with the chain's beads: a chain
-(`sampler.Chain`) lives in two workspaces, and its iterations copy nothing
-out of them.
+workspace (`PathContext`). `_load` copies a state in, `_end_energy`, the
+one scorer, adds up its energy there from the (h_n, h_1) of a kernel pass,
+for `h_total` and both ends of an iteration alike, and `_proposal` copies a
+state out for `trotter_propagate`. Those two parts of the potential and
+the force depend on positions alone, so the sampler keeps them with the
+chain's beads: a chain (`sampler.Chain`) lives in two workspaces, and its
+iterations copy nothing out of them.
 
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
@@ -166,9 +166,8 @@ class PathContext:
     a refresh straight into it, and the sampler then copies in u alone.
     Each use of ``cross`` writes it before it reads it: the free flow's
     cross terms, each kick's scaled force in ``cross_p``, and the squares
-    that score a state (p^2 in `_start_energy`, x^2 in `_end_energy`;
-    ``u_sq_head`` is the view of u^2 over the first N-1 beads, which the
-    harmonic sum reads). The kernel
+    x^2 that `_end_energy` scores a state from (``u_sq_head`` is the view
+    of u^2 over the first N-1 beads, which the harmonic sum reads). The kernel
     rows ``rows`` (a `lattice._StagingRows`): u = x[0], and q, g_q and g_u,
     with every view the staging maps take of them. Views of these rows
     built once: ``q_ends``, ``gq_tail``, ``g_ub``, the measurement beads
@@ -324,23 +323,6 @@ def h_N(state: PolymerState, masses: MassConfig, layout: LatticeLayout) -> float
     return kinetic + 0.5 * float(np.square(state.u[:-1]).dot(layout.flat_stiffness))
 
 
-def _pieces(
-    potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
-) -> tuple[float, float, float, float]:
-    """h_N, h_n, h_1 and their sum, as Python floats: ``potential`` plus the
-    kinetic terms (the module docstring) of the workspace's momentum row p,
-    whose squares the caller has written into the scratch row ``cross_p``,
-    and of (pa, pg), added in the one order that every energy of a state is
-    added. Runs under a caller's `_saturating`."""
-    lay = ctx.layout
-    staging, measured = lay.bead_classes.dot(ctx.phase[5]).tolist()
-    ma, mg = masses.m_alpha
-    h_fast = (0.5 * lay.dt / masses.m_prime) * staging + potential.h_N
-    h_bound = measured / (2.0 * masses.M) + potential.h_n
-    h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + potential.h_1
-    return h_fast, h_bound, h_slow, h_fast + h_bound + h_slow
-
-
 def _load(state: PolymerState, ctx: PathContext) -> list:
     """Check the state's size, copy its beads and momenta into the
     workspace's phase array x = [u; p], whose first row is the kernel row
@@ -352,30 +334,27 @@ def _load(state: PolymerState, ctx: PathContext) -> list:
     return state.theta.tolist() + state.pi.tolist()
 
 
-def _start_energy(
-    potential: Potential, ctx: PathContext, masses: MassConfig, pa: float, pg: float
-) -> float:
-    """The total energy of the state in the workspace, whose positions and
-    parameters have ``potential``, whose bead momenta are the row p and
-    whose parameter momenta are (pa, pg). Runs under a caller's
-    `_saturating`."""
-    _, _, p, _, _, p_sq = ctx.phase
-    np.square(p, out=p_sq)
-    return _pieces(potential, ctx, masses, pa, pg)[3]
-
-
 def _end_energy(
     h_n: float, h_1: float, ctx: PathContext, masses: MassConfig, pa: float, pg: float
 ) -> tuple:
     """The energy of the state in the workspace's phase array x = [u; p]
     with parameter momenta (pa, pg), given the position parts (h_n, h_1) of
-    its kernel pass: (h_N, h_n, h_1, total, potential), from one square of
-    x, the harmonic and the kinetic products and one ``tolist``; the fields
-    of `EnergyBreakdown`. Runs under a caller's `_saturating`."""
-    x, _, _, sq, _, _ = ctx.phase
+    its kernel pass: (h_N, h_n, h_1, total, potential), the fields of
+    `EnergyBreakdown`, as Python floats. One square of x, then the harmonic
+    product over u^2 and the kinetic product over p^2 (the module
+    docstring), added in the one order that every energy of a state is
+    added: the package's one scorer, for `h_total` and both ends of an
+    iteration. Runs under a caller's `_saturating`."""
+    x, _, _, sq, _, p_sq = ctx.phase
+    lay = ctx.layout
     np.square(x, out=sq)
-    potential = Potential(0.5 * float(ctx.u_sq_head.dot(ctx.layout.flat_stiffness)), h_n, h_1)
-    return (*_pieces(potential, ctx, masses, pa, pg), potential)
+    h_N = 0.5 * float(ctx.u_sq_head.dot(lay.flat_stiffness))
+    staging, measured = lay.bead_classes.dot(p_sq).tolist()
+    ma, mg = masses.m_alpha
+    h_fast = (0.5 * lay.dt / masses.m_prime) * staging + h_N
+    h_bound = measured / (2.0 * masses.M) + h_n
+    h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + h_1
+    return h_fast, h_bound, h_slow, h_fast + h_bound + h_slow, Potential(h_N, h_n, h_1)
 
 
 @_saturating

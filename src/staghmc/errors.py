@@ -40,7 +40,7 @@ def _integer(name: str, value) -> int:
 
 def _count(name: str, value) -> int:
     """``value`` as a Python int, if it is an integer (`_integer`) >= 1:
-    n, j, P, n_mc, chains and the simulation's refinement factor."""
+    n, j, P, n_mc and chains."""
     value = _integer(name, value)
     if value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value}")

@@ -181,8 +181,9 @@ def _trajectory(
 
     Returns ``(end, g_theta, (h_n, h_1))``, all Python floats: the end's
     (beta, gamma, pi_beta, pi_gamma), the theta part of the force at the
-    end, and the position parts of the end's `Potential` from the same
-    kernel pass, the only one of the P that forms the potential. The end's
+    end, and the parts (h_n, h_1) of the end's potential from the same
+    kernel pass, the only one of the P that forms the potential: the pair
+    that `energy._end_energy` completes and that a chain carries. The end's
     beads and momenta stay in the phase array, and the u part of its force
     in the kernel row g_u, until the next call on the context: every kick
     scales the force into the scratch row ``cross_p``, which is free

@@ -316,10 +316,14 @@ class TruthPath:
         _write_csv(path, "t,S,q", np.column_stack([self.times, self.S, self.q]))
 
 
-def fine_grid(T: float, n: int, j: int, factor: int = 20) -> np.ndarray:
-    """Simulation grid refining the n*j inference lattice by ``factor``."""
-    n, j, factor = _count("n", n), _count("j", j), _count("factor", factor)
-    return np.linspace(0.0, T, n * j * factor + 1)
+# steps of the simulation grid per lattice step
+GRID_FACTOR = 20
+
+
+def fine_grid(T: float, n: int, j: int) -> np.ndarray:
+    """Simulation grid refining the n*j inference lattice by `GRID_FACTOR`."""
+    n, j = _count("n", n), _count("j", j)
+    return np.linspace(0.0, T, n * j * GRID_FACTOR + 1)
 
 
 def simulate_truth(
@@ -328,8 +332,9 @@ def simulate_truth(
     """Integrate the q-form SDE with Euler-Maruyama on the given grid.
 
     The path starts at q = 0, that is at S(0) = K r(0), the equilibrium
-    scale. A grid that does not increase and a signal that cannot be read
-    on the whole grid (`_signal_over`) are each a ValidationError, raised
+    scale. A grid that does not increase, a signal that cannot be read on
+    the whole grid (`_signal_over`) and a signal whose drift term
+    (T / beta) r'/r is not finite there are each a ValidationError, raised
     before any noise is drawn, so a zero of r never reaches d ln r / dt.
     That check's array is the simulation's one read of r: the drift takes
     rho = (T / beta) r'/r + ... from it and `InputSignal.rate`, and
@@ -351,12 +356,19 @@ def simulate_truth(
     rng = np.random.default_rng(seed)
 
     h = np.diff(t)
-    # rho(t) in continuous form; evaluated once on the whole grid. A step
-    # beyond the double range leaves a non-finite path, rejected below
-    with np.errstate(over="ignore"):
-        rho = (T / theta.beta) * (signal.rate(t[:-1]) / r[:-1]) + (
-            (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
-        )
+    # rho(t) in continuous form, evaluated once on the whole grid. The
+    # signal's term (T / beta) r'/r must be finite (sin of an overflowed
+    # phase is NaN): refused before any noise is drawn. A step beyond the
+    # double range leaves a non-finite path, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = (T / theta.beta) * (signal.rate(t[:-1]) / r[:-1])
+        bad = np.flatnonzero(~np.isfinite(drift))
+        if bad.size:
+            raise ValidationError(
+                "input signal must give a finite drift wherever it is read:"
+                f" (T/beta) r'/r = {drift[bad[0]]} at t = {t[bad[0]]}"
+            )
+        rho = drift + (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
         drift0 = -h * rho / T
     noise = np.sqrt(h / T) * rng.standard_normal(h.size)
     coef = theta.beta / (T * params.gamma)

@@ -31,12 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import (
+from .energy import (  # noqa: F401 -- h_total stays bound here for tracers
     InferenceProblem,
     _end_energy,
     _hprime,
+    _load,
     _saturating,
-    _start_energy,
     h_total,
 )
 from .errors import (
@@ -218,38 +218,38 @@ class Chain:
     their force in its kernel row g_u; the next trajectory runs in
     ``work``. An accepted proposal swaps the two, so no iteration copies a
     state or a force out. ``theta`` is the current (beta, gamma),
-    ``potential`` its `Potential`, and ``g_theta`` the theta part of the
-    force, all Python floats. What the chain's settings fix is looked up
-    once, when the chain is built: ``bank``, the shared `OscillatorBank`
-    of its masses and step, which carries both (``bank.masses``,
-    ``bank.d_tau``) beside the free flow's tables, the kick steps and the
-    momentum scale ``bank.scale`` that `sample_momenta` draws by; and
-    ``P``, the int number of steps per trajectory. The config itself is
-    not kept.
+    ``potential`` the pair (h_n, h_1) of its kernel pass (h_N is formed
+    again from the beads whenever the state is scored), and ``g_theta`` the
+    theta part of the force, all Python floats. What the chain's settings
+    fix is looked up once, when the chain is built: ``bank``, the shared
+    `OscillatorBank` of its masses and step, which carries both
+    (``bank.masses``, ``bank.d_tau``) beside the free flow's tables, the
+    kick steps and the momentum scale ``bank.scale`` that `sample_momenta`
+    draws by; and ``P``, the int number of steps per trajectory. The
+    config itself is not kept.
 
-    Built from a `PolymerState`, which it copies in, scores with `h_total`
-    and takes the force of with one gradient pass, so a chain is complete
+    Built from a `PolymerState`, which it copies in and takes the
+    potential and the force of with one kernel pass, so a chain is complete
     from the start: a start whose force is not finite raises
     NonFiniteError, and one with beta or gamma 0 DomainError. The state is
     not kept; `state` returns a copy of the current one, and a chain built
     from that copy continues as this one does. That rebuild is the one way
     to copy a chain: `pickle`, `copy.copy` and `copy.deepcopy` raise
-    TypeError. Decorated with
-    `energy._saturating`, as `hmc_iteration` is.
+    TypeError. Decorated with `energy._saturating`, as `hmc_iteration` is.
     """
 
     __slots__ = ("bank", "P", "cur", "work", "theta", "potential", "g_theta")
 
     @_saturating
     def __init__(self, problem: InferenceProblem, config: HmcConfig, state: PolymerState):
-        masses, integ = config.masses, config.integrator
-        self.bank = OscillatorBank.build(problem.layout, masses, integ.d_tau)
+        integ = config.integrator
+        self.bank = OscillatorBank.build(problem.layout, config.masses, integ.d_tau)
         self.P = integ.P
         self.cur, self.work = problem.context(), problem.context()
         # checks the state's size and loads its beads into ``cur``
-        self.potential = h_total(state, self.cur, masses).potential
-        self.theta = tuple(state.theta.tolist())
-        self.g_theta = _hprime(*self.theta, self.cur, True, False)[3:]
+        self.theta = tuple(_load(state, self.cur)[:2])
+        start = _hprime(*self.theta, self.cur, True)
+        self.potential, self.g_theta = start[:2], start[3:]
 
     def state(self) -> PolymerState:
         """A copy of the current beads and parameters, with zero momenta:
@@ -274,11 +274,12 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     are copied in beside them. The trajectory runs there from the carried
     force, ``chain.P`` steps of ``chain.bank``; it makes P kernel passes,
     of which the last also forms the proposal's potential. Both ends are
-    scored with the bank's masses by the scorer of `h_total`
-    (`energy._start_energy`, from the carried potential, and
-    `energy._end_energy`), so no iteration calls `h_total`. On acceptance
-    the workspaces swap, and the proposal, its potential and its force are
-    the chain's; a rejection leaves the chain as it was.
+    scored with the bank's masses by `energy._end_energy`, the scorer of
+    `h_total`: the start from the carried (h_n, h_1), whose h_N it forms
+    again from the beads just copied in, and the end from the trajectory's
+    last pass; so no iteration calls `h_total`. On acceptance the
+    workspaces swap, and the proposal, its (h_n, h_1) and its force are the
+    chain's; a rejection leaves the chain as it was.
 
     Returns the chain itself and the iteration stats. Invalid proposals
     never raise: the pathology is recorded, and an iteration with a
@@ -293,7 +294,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     sample_momenta(chain.bank.scale, rng, out=work.momenta)
     work.rows.u[...] = cur.rows.u
     pa, pg = work.pi_slots.tolist()
-    h_before = _start_energy(chain.potential, work, masses, pa, pg)
+    h_before = _end_energy(*chain.potential, work, masses, pa, pg)[3]
     force = (cur.rows.g_u, *chain.g_theta)
     pathology = None
     try:
@@ -305,7 +306,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
             pathology = "nonpositive-parameter"
             h_after = float("inf")
         else:
-            *_, h_after, moved = _end_energy(h_n, h_1, work, masses, pa, pg)
+            h_after = _end_energy(h_n, h_1, work, masses, pa, pg)[3]
             if not math.isfinite(h_after):
                 pathology = "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
@@ -315,7 +316,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     accepted = pathology is None and metropolis_accept(h_before, h_after, rng)
     if accepted:
         chain.cur, chain.work = work, cur
-        chain.theta, chain.potential, chain.g_theta = (beta, gamma), moved, g_theta
+        chain.theta, chain.potential, chain.g_theta = (beta, gamma), (h_n, h_1), g_theta
     return chain, IterationStats(accepted, h_before, h_after, h_after - h_before, pathology)
 
 

@@ -1042,6 +1042,26 @@ def test_sinusoid_whose_peak_overflows_is_named_by_its_block(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_sinusoid_whose_drift_overflows_is_named_by_its_block(tmp_path, capsys):
+    # r(t) stays within [0.1, 1.1], but simulate's drift term (T / beta)
+    # r'/r, with r' = omega sin(2 omega t), leaves the double range
+    cfg_path = write_config(tmp_path, {"signal": {"omega": 1.5e305}}, "drift.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["simulate", "--preset", "paper-sec4", "--seed", "2718", "--config", cfg_path,
+             "--out", str(out)]
+        )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: config block signal: input signal must give a finite drift wherever it is"
+        " read: (T/beta) r'/r = inf at t = 3.332\n"
+    )
+    assert not out.exists()
+
+
 # the settings that no run set, with the value each had in a config echo
 RETIRED = [
     ("simulate", ("simulate", "s0"), None),

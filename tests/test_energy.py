@@ -18,7 +18,6 @@ from staghmc.energy import (
     EXP_CLAMP,
     Gradient,
     InferenceProblem,
-    Potential,
     grad_hprime,
     h_N,
     h_total,
@@ -738,17 +737,17 @@ class TestSaturationPolicy:
         rng = np.random.default_rng(15)
 
         def iteration(potential=None):
-            # the chain's construction scores its start with h_total and
-            # takes its force, also under the same warning filter and error
-            # state
+            # the chain's construction takes its start's potential and
+            # force in one kernel pass, also under the same warning filter
+            # and error state
             chain = self.long_step_chain(layout, ctx)
             if potential is not None:
                 chain.potential = potential
             return hmc_iteration(chain, rng)
 
-        # a carried potential of NumPy scalars: the refreshed energy sums
+        # a carried (h_n, h_1) of NumPy scalars: the refreshed energy sums
         # inf and -inf in hmc_iteration itself
-        carried = Potential(np.float64(np.inf), np.float64(-np.inf), 0.0)
+        carried = (np.float64(np.inf), np.float64(-np.inf))
         return {
             "h_N": lambda: h_N(st, MASSES, layout),
             "h_total": lambda: h_total(st, ctx, MASSES),
@@ -801,7 +800,7 @@ class TestSaturationPolicy:
         calls = self.entry_points(layout, ctx)
         with np.errstate(all="raise"):
             caller = np.geterr()
-            # the chain's construction nests h_total, and hmc_iteration the
+            # the chain's construction nests the kernel, and hmc_iteration the
             # trajectory and the kernel; under the caller's state they would
             # raise FloatingPointError
             _, stats = calls["hmc_iteration"]()

@@ -55,7 +55,6 @@ COUNTS = {
     "LatticeLayout.j": ("j", lambda v: LatticeLayout(n=2, j=v, T=10.0)),
     "fine_grid.n": ("n", lambda v: fine_grid(10.0, v, 3)),
     "fine_grid.j": ("j", lambda v: fine_grid(10.0, 2, v)),
-    "fine_grid.factor": ("factor", lambda v: fine_grid(10.0, 2, 3, v)),
     **{
         f"cli.{field}": (field, lambda v, field=field: need_count(field, v))
         for field in ("observation.n", "lattice.j")

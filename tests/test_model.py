@@ -59,7 +59,7 @@ class TestPathTransform:
     def test_scale_is_K(self):
         # S = (T gamma / beta^2) r e^{beta q}, and T gamma / beta^2 reduces to K
         p = PhysicalParams(K=50, gamma=0.2, T=833)
-        path = simulate_truth(p, SEC4_INPUT, fine_grid(833, 10, 3, factor=2), seed=4)
+        path = simulate_truth(p, SEC4_INPUT, np.linspace(0.0, 833.0, 10 * 3 * 2 + 1), seed=4)
         beta = to_dimensionless(p).beta
         want = p.K * SEC4_INPUT.value(path.times) * np.exp(beta * path.q)
         np.testing.assert_allclose(path.S, want, rtol=1e-13)
@@ -198,8 +198,8 @@ class TestSignalOver:
         ids=["zero", "nan"],
     )
     def test_plan_and_simulation_refuse_a_signal_not_positive_where_read(self, signal, where):
-        # data at t = 0, 6, 12 and j = 3: the lattice, and the simulation
-        # grid refined by 1, read r at t = 0, 2, ..., 12
+        # data at t = 0, 6, 12 and j = 3: the lattice, and a simulation
+        # grid on the same times, read r at t = 0, 2, ..., 12
         message = f"^input signal must be positive wherever it is read: {where}$"
         data = TimeSeriesData(times=[0.0, 6.0, 12.0], values=[1.0, 1.0, 1.0])
         with pytest.raises(ValidationError, match=message):
@@ -208,7 +208,7 @@ class TestSignalOver:
         state = rng.bit_generator.state
         params = PhysicalParams(K=50.0, gamma=0.2, T=12.0)
         with pytest.raises(ValidationError, match=message):
-            simulate_truth(params, signal, fine_grid(12.0, 2, 3, factor=1), seed=rng)
+            simulate_truth(params, signal, np.linspace(0.0, 12.0, 2 * 3 + 1), seed=rng)
         assert rng.bit_generator.state == state  # no noise was drawn
 
 
@@ -303,13 +303,13 @@ class TestSimulateTruth:
     P = PhysicalParams(K=50, gamma=0.2, T=833)
 
     @pytest.mark.parametrize(
-        "n, j, factor",
-        [(True, 30, 20), (10.0, 30, 20), (10, 30.0, 20), (10, 30, 20.0), (10, 30, True), (10, "30", 20)],
-        ids=["n-bool", "n-float", "j-float", "factor-float", "factor-bool", "j-text"],
+        "n, j",
+        [(True, 30), (10.0, 30), (10, 30.0), (10, "30")],
+        ids=["n-bool", "n-float", "j-float", "j-text"],
     )
-    def test_grid_counts_must_be_integers(self, n, j, factor):
+    def test_grid_counts_must_be_integers(self, n, j):
         with pytest.raises(ValidationError, match="must be an integer"):
-            fine_grid(833.0, n, j, factor)
+            fine_grid(833.0, n, j)
 
     @pytest.mark.parametrize(
         "grid", [[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [0.0], [[0.0, 1.0]]],
@@ -320,6 +320,23 @@ class TestSimulateTruth:
         with pytest.raises(ValidationError, match=message):
             simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
 
+    def test_drift_beyond_the_double_range_refused_before_noise(self):
+        # r(t) = sin^2(omega t) + 0.1 reads fine, but the drift term
+        # (T / beta) r'/r, with r' = omega sin(2 omega t), overflows; no
+        # warning escapes
+        signal = InputSignal.sinusoid(1.0, 1.5e305, 0.1)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        message = (
+            r"^input signal must give a finite drift wherever it is read:"
+            r" \(T/beta\) r'/r = inf at t = 3\.332$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                simulate_truth(self.P, signal, fine_grid(833.0, 10, 30), seed=rng)
+        assert rng.bit_generator.state == state  # no noise was drawn
+
     def test_reproducible(self):
         grid = fine_grid(833, 10, 30)
         a = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
@@ -329,7 +346,7 @@ class TestSimulateTruth:
         assert not np.array_equal(a.S, c.S)
 
     def test_value_equality_and_hash(self):
-        grid = fine_grid(833, 2, 3, factor=2)
+        grid = np.linspace(0.0, 833.0, 2 * 3 * 2 + 1)
         a = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
         b = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
         assert a == b and hash(a) == hash(b)
@@ -359,7 +376,7 @@ class TestSimulateTruth:
         # gamma -> 0 removes both the noise and the gamma/2 drift correction,
         # leaving dS/dt = r(t) - S/K; oracle via integrating factor + trapezoid
         p = PhysicalParams(K=50, gamma=1e-8, T=833)
-        grid = fine_grid(833, 10, 30, factor=40)
+        grid = np.linspace(0.0, 833.0, 10 * 30 * 40 + 1)
         path = simulate_truth(p, SEC4_INPUT, grid, seed=5)
         r = SEC4_INPUT.value(grid)
         growth = np.exp(grid / p.K)
@@ -381,7 +398,7 @@ class TestSimulateTruth:
         assert np.mean(samples) == pytest.approx(30.0, rel=0.05)
 
     def test_truth_csv_round_trip(self, tmp_path):
-        grid = fine_grid(833, 2, 3, factor=2)
+        grid = np.linspace(0.0, 833.0, 2 * 3 * 2 + 1)
         path = simulate_truth(self.P, SEC4_INPUT, grid, seed=1)
         f = tmp_path / "truth.csv"
         path.to_csv(f)

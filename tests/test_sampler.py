@@ -26,7 +26,6 @@ from staghmc.integrator import IntegratorConfig, OscillatorBank, trotter_propaga
 from staghmc.lattice import LatticeLayout, MassConfig, PolymerState, initial_state
 from staghmc.model import (
     DimensionlessParams,
-    fine_grid,
     generate_observations,
     simulate_truth,
 )
@@ -64,7 +63,7 @@ def toy_problem():
 def posterior_problem():
     """Well-posed problem with data drawn from the generative model."""
     truth = PhysicalParams(K=50.0, gamma=0.2, T=800.0)
-    grid = fine_grid(800.0, 20, 2, 60)
+    grid = np.linspace(0.0, 800.0, 20 * 2 * 60 + 1)
     path = simulate_truth(truth, SIGNAL, grid, seed=71)
     obs_times = np.linspace(0.0, 800.0, 21)
     data = generate_observations(path, obs_times, truth, ObservationModel(0.05), seed=72)
@@ -434,9 +433,13 @@ class TestHmcIteration:
         import staghmc.sampler as sampler
 
         end_energy = sampler._end_energy
+        scored = []
 
-        def overflowed(*args):
-            h_N, h_n, _, _, moved = end_energy(*args)
+        def overflowed(*args):  # the second score, the proposal's, overflows
+            h_N, h_n, h_1, total, moved = end_energy(*args)
+            scored.append(total)
+            if len(scored) == 1:
+                return h_N, h_n, h_1, total, moved
             return h_N, h_n, -np.inf, -np.inf, moved
 
         _, finite = hmc_iteration(new_chain(toy_problem), np.random.default_rng(6))
@@ -446,6 +449,7 @@ class TestHmcIteration:
         rng = np.random.default_rng(6)
         monkeypatch.setattr(sampler, "_end_energy", overflowed)
         _, stats_out = hmc_iteration(chain, rng)
+        assert len(scored) == 2 and stats_out.h_before == scored[0] < np.inf
         assert stats_out.h_after == -np.inf
         assert stats_out.pathology == "nonfinite-energy"
         assert not stats_out.accepted and chain.cur is cur
@@ -453,7 +457,7 @@ class TestHmcIteration:
 
     def test_start_of_infinite_energy_moves_to_a_finite_proposal(self, toy_problem):
         chain = new_chain(toy_problem)
-        chain.potential = chain.potential._replace(h_N=np.inf)
+        chain.potential = (np.inf, chain.potential[1])
         cur = chain.cur
         rng = np.random.default_rng(6)
         _, stats_out = hmc_iteration(chain, rng)
@@ -625,6 +629,43 @@ class TestCarriedPotential:
         # P passes, of which only the last forms the proposal's potential
         assert calls == {"grad": STEP.P, "inverse": STEP.P, "potential": 1, "h_total": 0}
 
+    def test_call_budget_of_chain_construction(self, toy_problem, monkeypatch):
+        # one kernel pass forms both the start's potential and its force,
+        # whatever route reaches the kernel, and the chain calls no h_total
+        import staghmc.energy
+        import staghmc.lattice
+        import staghmc.sampler
+
+        passes, calls = [], {"inverse": 0, "h_total": 0}
+        kernel = staghmc.energy._hprime
+        signature = inspect.signature(kernel)
+
+        def counted_kernel(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            passes.append((bound.arguments["gradient"], bound.arguments["potential"]))
+            return kernel(*args, **kwargs)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner in (staghmc.energy, staghmc.sampler):
+            monkeypatch.setattr(owner, "_hprime", counted_kernel)
+        rows = staghmc.lattice._StagingRows
+        monkeypatch.setattr(rows, "inverse", counted("inverse", rows.inverse))
+        monkeypatch.setattr(staghmc.sampler, "h_total", counted("h_total", h_total))
+        chain = new_chain(toy_problem)
+        assert passes == [(True, True)]
+        assert calls == {"inverse": 1, "h_total": 0}
+        # the pass's potential and force are those of a fresh evaluation
+        ctx = toy_problem.context()
+        assert chain.potential == h_total(chain.state(), ctx, MASSES).potential[1:]
+        assert chain.g_theta == tuple(grad_hprime(chain.state(), ctx).g_theta.tolist())
+
     def test_carried_h_before_matches_fresh_energy(self, toy_problem):
         # a long step, so that some proposals are rejected on dH alone and
         # some meet a pathology
@@ -636,7 +677,7 @@ class TestCarriedPotential:
             expected = h_total(refreshed(chain, rng), ctx, MASSES).total
             _, stats_out = hmc_iteration(chain, rng)
             assert stats_out.h_before == expected
-            assert chain.potential == h_total(chain.state(), ctx, MASSES).potential
+            assert chain.potential == h_total(chain.state(), ctx, MASSES).potential[1:]
             outcomes.append((stats_out.accepted, stats_out.pathology))
         assert any(acc for acc, _ in outcomes)
         assert any(not acc and path is None for acc, path in outcomes)
