@@ -260,13 +260,12 @@ def _build_signal(cfg: dict) -> tuple[InputSignal, str]:
     """The config's signal and the name its refusals carry: the file of a
     table, ``<file> (config field signal.file)``, or ``config block signal``
     for a sinusoid. A signal that cannot be read where the lattice or the
-    simulation grid reads it is refused under this name (`_naming`)."""
+    simulation grid reads it is refused under this name (`_naming`), when
+    it is read: a sinusoid's a, omega and b have no other check."""
     kind = _need(cfg, "signal.kind")
     if kind == "sinusoid":
         a, omega, b = (_need(cfg, f"signal.{name}") for name in ("a", "omega", "b"))
-        name = "config block signal"
-        with _naming(name):
-            return InputSignal.sinusoid(a, omega, b), name
+        return InputSignal.sinusoid(a, omega, b), "config block signal"
     if kind == "tabulated":
         path = _input_file(_need(cfg, "signal.file"), "signal.file")
         return InputSignal.from_csv(path), f"{path} (config field signal.file)"
@@ -350,7 +349,7 @@ def cmd_infer(cfg: dict) -> int:
     # each value the plan takes has passed its own checks above, so the plan
     # has two refusals left: a lattice too large to allocate, and a signal
     # that cannot be read at the lattice's times (a table that stops short
-    # of the data, or an r that is not > 0 there)
+    # of the data, or an r that is not positive and finite there)
     with _allocating(cfg, "lattice.j"), _naming(signal_name):
         problem = InferenceProblem(data, signal, obs, j)
 
@@ -366,11 +365,13 @@ def cmd_infer(cfg: dict) -> int:
     with _naming("config field infer.discard"):
         discard_start(discard, hmc.n_mc)
     # every chain starts here: a start whose force is not finite on this
-    # problem is refused before the first write
+    # problem is refused before the first write. Its beta and gamma are
+    # positive and finite (`PhysicalParams`), so `_hprime` has no
+    # DomainError to raise
     with _naming("config block infer.start"):
         try:
             _start_chain(problem, hmc)
-        except (NonFiniteError, DomainError) as exc:
+        except NonFiniteError as exc:
             raise ValidationError(
                 f"no chain can start at K = {start.K!r}, gamma = {start.gamma!r} with the "
                 f"given data, signal, observation and lattice: {exc}"

@@ -107,7 +107,8 @@ class InferenceProblem:
     by the object that holds the value: the noise model's weight by
     `ObservationModel`, j by the `LatticeLayout`, and the signal at the
     lattice's times by `model._signal_over`, so a table that stops short of
-    the data, or an r that is not > 0 at a bead, is a ValidationError.
+    the data, or an r that is not positive and finite at a bead, is a
+    ValidationError.
 
     Built from them once: the `layout` and, read-only and of length N, the
     log-input increments L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding),

@@ -57,7 +57,14 @@ __all__ = [
 @_frozen
 class PhysicalParams:
     """Reservoir parameters in physical units: retention K, noise gamma,
-    and the time horizon T of the observation window."""
+    and the time horizon T of the observation window.
+
+    Each must be positive and finite, and together they must give a
+    positive finite beta = sqrt(T gamma / K) and a finite T c, where c =
+    (2 + gamma) beta / (2 gamma) is the constant part of rho: the drift
+    of a step h <= T, -h rho / T, is then finite, so neither a simulation
+    nor a chain's start overflows on (K, gamma, T) alone. c is formed in
+    the operation order of `simulate_truth` and `energy._hprime`."""
 
     K: float
     gamma: float
@@ -66,11 +73,16 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("K", "gamma", "T"):
             _positive(name, getattr(self, name))
+        given = f" from K={self.K}, gamma={self.gamma}, T={self.T}"
         beta = math.sqrt(self.T * self.gamma / self.K)
         if not (beta > 0 and math.isfinite(beta)):
             raise ValidationError(
-                f"beta = sqrt(T gamma / K) must be positive and finite, got {beta}"
-                f" from K={self.K}, gamma={self.gamma}, T={self.T}"
+                f"beta = sqrt(T gamma / K) must be positive and finite, got {beta}{given}"
+            )
+        Tc = self.T * ((2.0 + self.gamma) * beta / (2.0 * self.gamma))
+        if not math.isfinite(Tc):
+            raise ValidationError(
+                f"T (2 + gamma) beta / (2 gamma) must be finite, got {Tc}{given}"
             )
 
 
@@ -118,7 +130,7 @@ def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
 
 @_frozen
 class InputSignal:
-    """Deterministic input r(t), strictly positive on the horizon.
+    """Deterministic input r(t), positive and finite wherever it is read.
 
     Two kinds are supported:
 
@@ -129,8 +141,9 @@ class InputSignal:
       a ValidationError: the input signal does not cover the data.
 
     `value` gives r(t) and `rate` dr/dt. The package reads r only through
-    `_signal_over`, which checks where it is read. A sinusoid that can
-    reach 0, or whose peak a + b leaves the double range, is refused here.
+    `_signal_over`, which checks it where it is read: a sinusoid, as a
+    table, needs r > 0 and finite only there, so its a, omega and b are
+    checked by that read, not here.
     """
 
     kind: str
@@ -141,27 +154,10 @@ class InputSignal:
     values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind == "sinusoid":
-            if not all(math.isfinite(x) for x in (self.a, self.omega, self.b)):
-                raise ValidationError(
-                    f"sinusoid input needs finite a, omega and b, got"
-                    f" a={self.a}, omega={self.omega}, b={self.b}"
-                )
-            lo, hi = sorted((self.b, self.a + self.b))
-            if not lo > 0:
-                raise ValidationError(
-                    f"sinusoid input with a={self.a}, b={self.b} can reach {lo} <= 0;"
-                    " r(t) must stay positive"
-                )
-            if not math.isfinite(hi):
-                raise ValidationError(
-                    f"sinusoid input with a={self.a}, b={self.b} has a peak a + b = {hi};"
-                    " r(t) must stay finite"
-                )
-        elif self.kind == "tabulated":
+        if self.kind == "tabulated":
             t, v = _series("tabulated input", self.times, self.values)
             _set(self, times=t, values=v)
-        else:
+        elif self.kind != "sinusoid":
             raise ValidationError(f"unknown input kind {self.kind!r}")
 
     @classmethod
@@ -207,18 +203,25 @@ class InputSignal:
 
 def _signal_over(signal: InputSignal, times) -> np.ndarray:
     """r(times) as floats, if the signal can be read at ``times``: the one
-    check of where a signal is read, whether a plan, a simulation or a
-    chain's start asks, and the package's one read of r. A
-    tabulated input that stops short of ``times`` (refused by
-    `InputSignal.value` itself), or a value that is not > 0 (a table can
-    interpolate to 0; NaN is refused too), is a ValidationError."""
-    with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) is refused below
+    rule for both kinds of signal, whether a plan, a simulation or a
+    chain's start asks, and the package's one read of r. A tabulated
+    input that stops short of ``times`` (refused by `InputSignal.value`
+    itself), or a value that is not positive and finite (a table can
+    interpolate to 0; a sinusoid can dip to 0, peak past the double range
+    or read NaN from a non-finite a, omega or b), is a ValidationError. A
+    sinusoid's refusal names its a, omega and b; a table's is named by its
+    file (`_naming`)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         r = np.asarray(signal.value(times), dtype=float)
-    bad = np.flatnonzero(~(r > 0))
+    bad = np.flatnonzero(~((r > 0) & (r < np.inf)))
     if bad.size:
         t, value = np.ravel(times)[bad[0]], np.ravel(r)[bad[0]]
+        given = ""
+        if signal.kind == "sinusoid":
+            given = f" from a={signal.a}, omega={signal.omega}, b={signal.b}"
         raise ValidationError(
-            f"input signal must be positive wherever it is read: r({t}) = {value}"
+            f"input signal must be positive and finite wherever it is read:"
+            f" r({t}) = {value}{given}"
         )
     return r
 

@@ -1001,7 +1001,7 @@ def test_signal_not_positive_where_read_is_named_by_its_file(tmp_path, capsys, c
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: {table} (config field signal.file): input signal must be positive"
-        " wherever it is read: r(6.0) = 0.0\n"
+        " and finite wherever it is read: r(6.0) = 0.0\n"
     )
     assert not out.exists()
 
@@ -1017,15 +1017,17 @@ def test_sinusoid_not_positive_where_read_is_named_by_its_block(tmp_path, capsys
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: config block signal: input signal must be positive wherever it is read: r("
+        "error: config block signal: input signal must be positive and finite wherever it is"
+        " read: r("
     )
-    assert err.endswith(") = nan\n") and err.count("\n") == 1
+    assert err.endswith(") = nan from a=1.0, omega=1e+308, b=0.2\n") and err.count("\n") == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "simulate"])
 def test_sinusoid_whose_peak_overflows_is_named_by_its_block(tmp_path, capsys, command):
-    # a and b are finite, but r(t) = a sin^2(omega t) + b peaks at a + b = inf
+    # a and b are finite, but r(t) = a sin^2(omega t) + b overflows where
+    # sin^2(omega t) > 0.797, which the lattice and the grid read past t = 22
     cfg = config_for(tmp_path, command)
     set_field(cfg, ("signal", "a"), 1e308)
     set_field(cfg, ("signal", "b"), 1e308)
@@ -1035,11 +1037,36 @@ def test_sinusoid_whose_peak_overflows_is_named_by_its_block(tmp_path, capsys, c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: config block signal: sinusoid input with a=1e+308, b=1e+308 has a peak"
-        " a + b = inf; r(t) must stay finite\n"
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: config block signal: input signal must be positive and finite wherever it is"
+        " read: r(2"
     )
+    assert err.endswith(") = inf from a=1e+308, omega=0.05, b=1e+308\n") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_sinusoid_positive_where_read_runs(tmp_path, capsys):
+    # r(t) = 1 - 2 sin^2(0.0005 t) would reach -1, but it stays >= 0.67 on
+    # the preset's [0, 833], where simulate and infer read it
+    signal = {"signal": {"a": -2.0, "omega": 0.0005, "b": 1.0}}
+    cfg_path = write_config(tmp_path, signal, "dip.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["simulate", "--preset", "paper-sec4", "--seed", "2718", "--config", cfg_path,
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 0
+        infer = {"infer": {"observations_file": str(tmp_path / "run" / "observations.csv"),
+                           "n_mc": 40}, **signal}
+        cfg_path = write_config(tmp_path, infer, "infer.json")
+        rc = main(
+            ["infer", "--preset", "paper-sec4", "--seed", "7", "--config", cfg_path,
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 0
+    assert (tmp_path / "run" / "summary.json").exists()
 
 
 def test_sinusoid_whose_drift_overflows_is_named_by_its_block(tmp_path, capsys):
@@ -1339,6 +1366,31 @@ def test_path_out_of_double_range_is_a_one_line_error(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite simulated ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model, given",
+    [({"gamma": 1e300}, "K=50.0, gamma=1e+300, T=833.0"),
+     ({"T": 1e300}, "K=50.0, gamma=0.2, T=1e+300")],
+    ids=["gamma-huge", "T-huge"],
+)
+def test_model_whose_drift_overflows_is_named_by_its_block(tmp_path, capsys, model, given):
+    # beta is finite, but (2 + gamma) beta / (2 gamma), or its product with
+    # a step h <= T, overflows: known from (K, gamma, T) before any noise
+    cfg_path = write_config(tmp_path, {"model": model})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["simulate", "--preset", "paper-sec4", "--config", cfg_path,
+             "--out", str(tmp_path / "out")]
+        )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: config block model: T (2 + gamma) beta / (2 gamma) must be finite,"
+        f" got inf from {given}\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -309,7 +309,7 @@ class TestState:
             ),
             (
                 InputSignal.tabulated([0.0, 6.000000000000001, 12.0], [10.0, 1e-300, 1.0]),
-                r"must be positive wherever it is read: r\(6\.0\) = 0\.0$",
+                r"must be positive and finite wherever it is read: r\(6\.0\) = 0\.0$",
             ),
         ],
         ids=["short", "zero"],

@@ -54,6 +54,21 @@ class TestParameterMaps:
         with pytest.raises(ValidationError, match=r"beta = sqrt\(T gamma / K\)"):
             PhysicalParams(K=K, gamma=gamma, T=T)
 
+    @pytest.mark.parametrize(
+        "K, gamma, T, given",
+        [(50.0, 1e300, 833.0, "K=50.0, gamma=1e+300, T=833.0"),
+         (50.0, 0.2, 1e300, "K=50.0, gamma=0.2, T=1e+300")],
+        ids=["gamma-huge", "T-huge"],
+    )
+    def test_drift_constant_out_of_range_rejected(self, K, gamma, T, given):
+        # beta is finite, but (2 + gamma) beta / (2 gamma) overflows, or its
+        # product with T does: no step of the drift -h rho / T is finite
+        message = f"T (2 + gamma) beta / (2 gamma) must be finite, got inf from {given}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PhysicalParams(K=K, gamma=gamma, T=T)
+        # large, but with a finite drift: beta = 4.1e100 and T c = 1.7e103
+        PhysicalParams(K=50.0, gamma=1e200, T=833.0)
+
 
 class TestPathTransform:
     def test_scale_is_K(self):
@@ -106,21 +121,59 @@ class TestRhoDiscrete:
         assert problem.L[0] == 0.0 and problem.Ldot[0] == 0.0 and problem.Ldot[1] == 0.0
 
 
+# data at t = 0, 83.3, ..., 833 and j = 3: the lattice, and a simulation
+# grid on the same times, read r at t = 0, 27.77..., ..., 833
+SEC4_DATA = TimeSeriesData(times=np.linspace(0.0, 833.0, 11), values=np.ones(11))
+SEC4_GRID = np.linspace(0.0, 833.0, 10 * 3 + 1)
+
+
+def refused_where_read(signal, data, grid, message):
+    """Assert that the plan on ``data`` (j = 3) and a simulation on ``grid``
+    both refuse ``signal`` with ``message``, the simulation before it draws
+    any noise."""
+    with pytest.raises(ValidationError, match=message):
+        InferenceProblem(data, signal, ObservationModel(0.1), 3)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    params = PhysicalParams(K=50.0, gamma=0.2, T=data.horizon)
+    with pytest.raises(ValidationError, match=message):
+        simulate_truth(params, signal, grid, seed=rng)
+    assert rng.bit_generator.state == state  # no noise was drawn
+
+
 class TestInputSignal:
     def test_sinusoid_positivity_guard(self):
-        with pytest.raises(ValidationError):
-            InputSignal.sinusoid(1.0, 0.01, 0.0)
-        with pytest.raises(ValidationError):
-            InputSignal.sinusoid(-0.5, 0.01, 0.3)
-        InputSignal.sinusoid(-0.2, 0.01, 0.3)  # min 0.1 > 0, fine
+        # a sinusoid is checked where it is read, as a table is: one that
+        # reaches 0 or dips below it there is refused by the read
+        at_zero = InputSignal.sinusoid(1.0, 0.01, 0.0)
+        refused_where_read(at_zero, SEC4_DATA, SEC4_GRID, r"r\(0\.0\) = 0\.0 from a=1\.0,")
+        dips = InputSignal.sinusoid(-0.5, 0.01, 0.3)  # below 0 where sin^2 > 0.6
+        where = r"r\(111\.06[0-9]*\) = -0\.10[0-9]* from a=-0\.5,"
+        refused_where_read(dips, SEC4_DATA, SEC4_GRID, where)
+        fine = InputSignal.sinusoid(-0.2, 0.01, 0.3)  # min 0.1 > 0
+        InferenceProblem(SEC4_DATA, fine, ObservationModel(0.1), 3)
+        # 1 - 2 sin^2(0.0005 t) would reach -1, but stays >= 0.67 on [0, 833]
+        dips_unread = InputSignal.sinusoid(-2.0, 0.0005, 1.0)
+        InferenceProblem(SEC4_DATA, dips_unread, ObservationModel(0.1), 3)
+        simulate_truth(PhysicalParams(K=50.0, gamma=0.2, T=833.0), dips_unread, SEC4_GRID, seed=1)
 
     @pytest.mark.parametrize(
         "a, omega, b", [(np.inf, 0.01, 0.1), (1.0, np.inf, 0.1), (1.0, -np.inf, 0.1),
-                        (1.0, 0.01, np.inf), (1e308, 0.01, 1e308)]  # a peak a + b of inf
+                        (1.0, 0.01, np.inf), (1e308, 0.01, 1e308)]  # r overflows where read
     )
     def test_sinusoid_must_be_finite(self, a, omega, b):
-        with pytest.raises(ValidationError, match="finite"):
-            InputSignal.sinusoid(a, omega, b)
+        # it constructs; the read refuses it, naming a, omega and b. An
+        # infinite a or omega makes r(0) NaN (inf * 0); an infinite b makes
+        # it inf, and a = b = 1e308 first overflows at t = 111.06..., where
+        # sin^2(omega t) = 0.80 > 0.797
+        signal = InputSignal.sinusoid(a, omega, b)
+        where = r"0\.0" if math.isinf(b) or math.isinf(a * omega) else r"111\.06[0-9]*"
+        value = "nan" if math.isinf(a * omega) else "inf"
+        message = (
+            rf"^input signal must be positive and finite wherever it is read: r\({where}\) ="
+            rf" {value} from {re.escape(f'a={a}, omega={omega}, b={b}')}$"
+        )
+        refused_where_read(signal, SEC4_DATA, SEC4_GRID, message)
 
     @pytest.mark.parametrize(
         "times, values", [([0.0, 1.0, np.inf], [1.0, 2.0, 1.0]), ([0.0, 1.0], [1.0, np.inf])]
@@ -187,29 +240,26 @@ ZERO_TABLE = InputSignal.tabulated([0.0, 6.000000000000001, 12.0], [10.0, 1e-300
 
 class TestSignalOver:
     """The plan and the simulation read a signal through one check
-    (`model._signal_over`): r must be > 0 wherever it is read."""
+    (`model._signal_over`): r must be positive and finite wherever it is
+    read."""
 
     @pytest.mark.parametrize(
         "signal, where",
         [
             (ZERO_TABLE, r"r\(6\.0\) = 0\.0"),
-            (InputSignal.sinusoid(1.0, 1e308, 0.1), r"r\(2\.0\) = nan"),
+            (
+                InputSignal.sinusoid(1.0, 1e308, 0.1),
+                r"r\(2\.0\) = nan from a=1\.0, omega=1e\+308, b=0\.1",
+            ),
         ],
         ids=["zero", "nan"],
     )
     def test_plan_and_simulation_refuse_a_signal_not_positive_where_read(self, signal, where):
         # data at t = 0, 6, 12 and j = 3: the lattice, and a simulation
         # grid on the same times, read r at t = 0, 2, ..., 12
-        message = f"^input signal must be positive wherever it is read: {where}$"
+        message = f"^input signal must be positive and finite wherever it is read: {where}$"
         data = TimeSeriesData(times=[0.0, 6.0, 12.0], values=[1.0, 1.0, 1.0])
-        with pytest.raises(ValidationError, match=message):
-            InferenceProblem(data, signal, ObservationModel(0.1), 3)
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        params = PhysicalParams(K=50.0, gamma=0.2, T=12.0)
-        with pytest.raises(ValidationError, match=message):
-            simulate_truth(params, signal, np.linspace(0.0, 12.0, 2 * 3 + 1), seed=rng)
-        assert rng.bit_generator.state == state  # no noise was drawn
+        refused_where_read(signal, data, np.linspace(0.0, 12.0, 2 * 3 + 1), message)
 
 
 class TestObservationModel:
