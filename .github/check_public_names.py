@@ -5,10 +5,10 @@
 The public names are those that ``src/staghmc/__init__.py`` imports and
 those that each package module lists in its ``__all__``. A name is in use
 if it appears as a name or as an attribute (``x.name``) in the syntax tree
-of a package module other than ``__init__.py``, of a demo (``demos/*.py``)
-or of a benchmark script (``bench/*.py``); a definition, an import or an
-``__all__`` string does not count. The one exception is the criterion
-oracles, the functions that README's oracle table (the table headed
+of a package module other than ``__init__.py`` or of a benchmark script
+(``bench/*.py``); a definition, an import or an ``__all__`` string does
+not count. The one exception is the criterion oracles, the functions
+that README's oracle table (the table headed
 ``| function | what it computes | criterion |``) names as ``module.name``:
 each is kept as an independent reference for the tests. So a public name
 that only the tests use fails the check unless README names it there, and
@@ -83,7 +83,7 @@ def main(root: str) -> int:
     init = os.path.join(root, "src", "staghmc", "__init__.py")
     paths = [
         path
-        for pattern in ("src/staghmc/*.py", "demos/*.py", "bench/*.py")
+        for pattern in ("src/staghmc/*.py", "bench/*.py")
         for path in sorted(glob.glob(os.path.join(root, pattern)))
         if path != init
     ]

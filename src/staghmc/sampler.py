@@ -14,9 +14,10 @@ momentum scale), and the number P of steps. So an iteration looks nothing
 up by settings, and the module keeps no mutable state. Chains are
 reproducible from a single 64-bit seed. One runner, `run_parallel_chains`,
 spawns each chain its own stream from it and reports every failed chain
-in one StagHmcError; `run_chain` is this runner for one chain. A lone
-chain runs in this process, and more run on a pool of min(chains, CPUs in
-the affinity mask) workers, so a caller who wants fewer narrows the mask.
+in one StagHmcError; `run_chain` is this runner for one chain. The chains
+run on min(chains, CPUs in the affinity mask) workers, so a caller who
+wants fewer narrows the mask; one worker is this process, and a pool is
+made only for two or more.
 """
 
 from __future__ import annotations
@@ -385,8 +386,9 @@ def _run_seeded(
 
 def run_chain(problem: InferenceProblem, config: HmcConfig) -> ChainRecord:
     """Run a single chain for n_mc iterations from the data-pinned start:
-    `run_parallel_chains` of one chain, in this process on chain 0's
-    stream, its failure raised as the one StagHmcError ``chain 0: ...``.
+    `run_parallel_chains` of one chain, which is one worker, so it runs in
+    this process on chain 0's stream, its failure raised as the one
+    StagHmcError ``chain 0: ...``.
     A config of more chains is a ValidationError: `run_parallel_chains`
     runs those."""
     if config.chains != 1:
@@ -417,10 +419,10 @@ def _chain_worker(args):
 
 
 def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[ChainRecord]:
-    """Run config.chains independent chains, a single one in this process
-    and more on a pool of min(config.chains, the CPUs in this process's
-    affinity mask) workers; to use fewer, narrow the mask
-    (``taskset``, ``os.sched_setaffinity``).
+    """Run config.chains independent chains on min(config.chains, the CPUs
+    in this process's affinity mask) workers; to use fewer, narrow the mask
+    (``taskset``, ``os.sched_setaffinity``). One worker is this process,
+    which runs every chain in turn; a pool is made only for two or more.
 
     The pool hands out one chain per task, as workers free up: chains take
     unequal times, so a chunk of slow ones would leave the other workers
@@ -434,19 +436,20 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     jobs = [(problem, config, c, seeds[c]) for c in range(config.chains)]
-    if config.chains == 1:
-        outs = [_chain_worker(jobs[0])]
+    # the CPUs this process may run on, where the platform can say
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        # the CPUs this process may run on, where the platform can say
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    workers = min(config.chains, cpus)
+    if workers == 1:
+        outs = [_chain_worker(job) for job in jobs]
+    else:
         try:
             mp_ctx = multiprocessing.get_context("fork")
         except ValueError:
             mp_ctx = multiprocessing.get_context()
-        with mp_ctx.Pool(processes=min(config.chains, cpus)) as pool:
+        with mp_ctx.Pool(processes=workers) as pool:
             outs = pool.map(_chain_worker, jobs, chunksize=1)  # in job order
 
     errors = [err for _, _, err in outs if err is not None]

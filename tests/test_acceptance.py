@@ -410,7 +410,7 @@ def test_criterion_09_parallel_scaling(monkeypatch):
     from staghmc.sampler import run_parallel_chains
 
     def timed_on(cpus):
-        # the pool has min(chains, CPUs in the affinity mask) workers
+        # the chains run on min(chains, CPUs in the affinity mask) workers
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: len(cpus))
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         t0 = time.perf_counter()

@@ -1142,44 +1142,64 @@ class TestParallelChains:
             run_parallel_chains(toy_problem, cfg)
 
     def test_lone_chain_makes_no_pool_and_names_its_failure(self, toy_problem, monkeypatch):
+        # one worker, whether one chain, one CPU allowed on an eight-CPU
+        # host, or no mask and an unknown CPU count, is this process: its
+        # chains run here in turn, on their own streams, and a failure is
+        # reported as a pool's is
         import staghmc.sampler
+
+        run_seeded = staghmc.sampler._run_seeded
 
         def no_pool(*args):
             raise AssertionError("a pool was made")
 
-        def fail(problem, config, chain_index, seed_seq):
-            raise DomainError("injected failure")
-
         monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", no_pool)
-        cfg = small_config(n_mc=5, seed=6)
-        assert len(run_parallel_chains(toy_problem, cfg)) == 1
-        # a lone chain's failure is reported as a pool's is
-        monkeypatch.setattr(staghmc.sampler, "_run_seeded", fail)
-        with pytest.raises(StagHmcError, match="^chain 0: DomainError: injected failure$") as raised:
-            run_parallel_chains(toy_problem, cfg)
-        assert type(raised.value) is StagHmcError
+        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for chains, failing, masked in ((1, 0, True), (3, 1, True), (3, 1, False)):
+            if not masked:
+                monkeypatch.delattr(staghmc.sampler.os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: None)
+            monkeypatch.setattr(staghmc.sampler, "_run_seeded", run_seeded)
+            cfg = small_config(n_mc=5, seed=6, chains=chains)
+            recs = run_parallel_chains(toy_problem, cfg)
+            assert len(recs) == chains
+            seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
+            for c, rec in enumerate(recs):
+                np.testing.assert_array_equal(rec.beta, run_seeded(toy_problem, cfg, c, seeds[c]).beta)
+
+            def fail(problem, config, chain_index, seed_seq, failing=failing):
+                if chain_index == failing:
+                    raise DomainError("injected failure")
+                return run_seeded(problem, config, chain_index, seed_seq)
+
+            monkeypatch.setattr(staghmc.sampler, "_run_seeded", fail)
+            pattern = f"^chain {failing}: DomainError: injected failure$"
+            with pytest.raises(StagHmcError, match=pattern) as raised:
+                run_parallel_chains(toy_problem, cfg)
+            assert type(raised.value) is StagHmcError
 
     def test_default_pool_follows_the_affinity_mask(self, toy_problem, monkeypatch):
-        # one CPU allowed on an eight-CPU host: one worker, not eight; the
-        # chains go to it one per task
+        # two CPUs allowed on an eight-CPU host: two workers, not eight; the
+        # chains go to them one per task
         import staghmc.sampler
 
         sizes, chunks = [], []
         context = inline_context(sizes, chunks)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", lambda *a: context)
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
-        assert sizes == [1]
+        assert sizes == [2]
         assert chunks == [1]
         seeds = np.random.SeedSequence(cfg.seed).spawn(3)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
 
     def test_pool_without_affinity_mask_or_fork(self, toy_problem, monkeypatch):
-        # a platform with no affinity mask, whose CPU count is unknown, and
-        # no "fork" start method: one worker, from the default context
+        # a platform with no affinity mask, two CPUs and no "fork" start
+        # method: two workers, from the default context
         import staghmc.sampler
 
         sizes, asked = [], []
@@ -1191,11 +1211,11 @@ class TestParallelChains:
             return inline_context(sizes, [])
 
         monkeypatch.delattr(staghmc.sampler.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", get_context)
         cfg = small_config(n_mc=5, seed=6, chains=2)
         recs = run_parallel_chains(toy_problem, cfg)
-        assert sizes == [1]
+        assert sizes == [2]
         assert asked == ["fork", None]
         seeds = np.random.SeedSequence(cfg.seed).spawn(2)
         for c, rec in enumerate(recs):
