@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -10,7 +13,11 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import staghmc
 from staghmc.diagnostics import (
+    EXP_ZERO,
+    QUANTILE_LEVELS,
+    _percentiles,
     ess,
     kde,
     silverman_bandwidth,
@@ -329,8 +336,8 @@ class TestKde:
             assert d[i] == pytest.approx(ref, rel=1e-12)
 
 
-def _one_matrix_kde(x, grid):
-    h = silverman_bandwidth(x)
+def _one_matrix_kde(x, grid, h=None):
+    h = silverman_bandwidth(x) if h is None else h
     z = (grid[:, None] - x[None, :]) / h
     return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
 
@@ -373,6 +380,125 @@ class TestKdeBlocking:
 
     def test_empty_grid(self):
         assert kde(np.array([0.0, 1.0]), np.array([])).shape == (0,)
+
+
+class TestKdeFarTails:
+    # exp(t) is exactly +0.0 below EXP_ZERO and subnormal down to about -745.14
+    SUBNORMAL = (-745.2, -708.4)
+
+    def test_bit_identical_where_kernels_underflow(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(2_000)
+        grid = np.linspace(-10.0, 10.0, 301)
+        h = 0.05
+        t = -0.5 * ((grid[:, None] - x) / h) ** 2
+        assert (t < EXP_ZERO).mean() > 0.5
+        assert ((t >= self.SUBNORMAL[0]) & (t <= self.SUBNORMAL[1])).any()
+        np.testing.assert_array_equal(kde(x, grid, bandwidth=h), _one_matrix_kde(x, grid, h))
+
+    def test_row_of_subnormal_kernels_is_kept(self):
+        # every kernel of the first three rows is subnormal, of the last exactly 0
+        x = np.array([0.0, 0.01])
+        grid = np.array([37.8, 38.0, 38.5, 39.0])
+        t = -0.5 * (grid[:, None] - x) ** 2
+        assert ((t[:3] >= self.SUBNORMAL[0]) & (t[:3] <= self.SUBNORMAL[1])).all()
+        assert (t[3] < EXP_ZERO).all()
+        d = kde(x, grid, bandwidth=1.0)
+        np.testing.assert_array_equal(d, _one_matrix_kde(x, grid, 1.0))
+        assert (d[:3] > 0.0).all()
+        assert d[3] == 0.0
+
+
+def _percentile_series(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "ties":
+        return rng.integers(0, 4, n).astype(float)
+    return np.full(n, 0.7)
+
+
+PERCENTILE_SIZES = (1, 2, 3, 4, 9, 10, 101, 1_000, 1_001, 19_999, 20_000)
+PERCENTILE_METHODS = [(False, "linear"), (True, "averaged_inverted_cdf")]
+
+
+class TestPercentiles:
+    @pytest.mark.parametrize("levels", [QUANTILE_LEVELS, (75.0, 25.0)])
+    @pytest.mark.parametrize("averaged,method", PERCENTILE_METHODS)
+    @pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
+    @pytest.mark.parametrize("n", PERCENTILE_SIZES)
+    def test_bit_identical_to_numpy(self, n, kind, averaged, method, levels):
+        x = _percentile_series(kind, n)
+        before = x.copy()
+        got = _percentiles(x, levels, averaged)
+        assert got.tobytes() == np.percentile(x, levels, method=method).tobytes()
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("averaged,method", PERCENTILE_METHODS)
+    @pytest.mark.parametrize("n", (1, 2, 9, 10, 1_000))
+    def test_series_with_a_nan_is_nan_at_every_level(self, n, averaged, method):
+        x = _percentile_series("normal", n)
+        x[n // 2] = np.nan
+        got = _percentiles(x, QUANTILE_LEVELS, averaged)
+        assert np.isnan(got).all()
+        assert got.tobytes() == np.percentile(x, QUANTILE_LEVELS, method=method).tobytes()
+
+
+# one run of the library path in a fresh interpreter: a pool of chains,
+# their summary, a bandwidth and a density; it prints the numpy.ma modules
+# loaded at the end
+_LIBRARY_RUN = """
+import sys
+import numpy as np
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from staghmc import HmcConfig, InferenceProblem, InputSignal, ObservationModel, TimeSeriesData
+from staghmc import run_parallel_chains
+from staghmc.diagnostics import kde, silverman_bandwidth, summarize
+from staghmc.integrator import IntegratorConfig
+from staghmc.lattice import MassConfig
+
+signal = InputSignal.sinusoid(1.0, 0.01, 0.1)
+times = np.linspace(0.0, 40.0, 5)
+values = signal.value(times) * np.exp(np.random.default_rng(0).normal(0.0, 0.3, 5))
+problem = InferenceProblem(
+    data=TimeSeriesData(times=times, values=values), signal=signal,
+    obs=ObservationModel(0.1), j=5,
+)
+config = HmcConfig(
+    n_mc=12, chains=2, theta0=(1.0, 0.5), seed=1,
+    masses=MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0)),
+    integrator=IntegratorConfig(d_tau=0.25, P=3),
+)
+summarize(*run_parallel_chains(problem, config), discard=0.25)
+x = np.random.default_rng(1).standard_normal(500)
+kde(x, np.linspace(-40.0, 40.0, 64), bandwidth=silverman_bandwidth(x))
+kde(x, np.linspace(-4.0, 4.0, 64))
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_process_of_a_library_run_imports_numpy_ma():
+    # -X importtime logs every import of this interpreter and of its forked
+    # pool workers to the one stderr
+    src = os.path.dirname(os.path.dirname(staghmc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-W", "error::RuntimeWarning", "-c", _LIBRARY_RUN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("import numpy alone loads numpy.ma in this environment")
+    assert proc.stdout.strip() == "[]"
+    imported = [
+        line for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.split("|")[-1].strip().split(".")[:2] == ["numpy", "ma"]
+    ]
+    assert imported == []
 
 
 class TestDensityCsv:

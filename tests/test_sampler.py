@@ -967,6 +967,24 @@ class TestRunChain:
         assert meta["median_abs_dh"] is None
         json.dumps(meta)
 
+    @pytest.mark.parametrize("n_finite", [7, 8])
+    def test_meta_step_fit_is_numpys_median(self, toy_problem, monkeypatch, n_finite):
+        import staghmc.sampler
+
+        # an odd and an even count of finite dH, with ties, among inf and nan
+        drawn = np.random.default_rng(n_finite).normal(0.0, 2.0, n_finite).round(1)
+        dhs = iter([math.inf, *drawn, math.nan, -math.inf])
+
+        def given(chain, rng):
+            dh = next(dhs)
+            return chain, IterationStats(False, 1.0, 1.0 + dh, dh, None)
+
+        monkeypatch.setattr(staghmc.sampler, "hmc_iteration", given)
+        rec = run_chain(toy_problem, small_config(n_mc=n_finite + 3))
+        finite = np.isfinite(rec.dh)
+        assert finite.sum() == n_finite
+        assert rec.meta["median_abs_dh"] == float(np.median(np.abs(rec.dh[finite])))
+
     def test_single_iteration_single_row(self, toy_problem):
         rec = run_chain(toy_problem, small_config(n_mc=1))
         assert rec.n_rows == 1
