@@ -227,7 +227,9 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
 
     Uses the Silverman bandwidth unless one is given. A series that never
     moved has no meaningful bandwidth; that is a DomainError (use a
-    histogram instead).
+    histogram instead). A series or a grid that is not 1-d, a series of
+    fewer than 2 samples or with a non-finite one, and a grid point that is
+    NaN are each a ValidationError.
 
     The grid is evaluated in row blocks of about ``KDE_BLOCK_DOUBLES``
     kernel values, in two buffers of doubles and one of bools allocated once
@@ -257,7 +259,11 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
         )
     h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
     _positive("bandwidth", h)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValidationError(f"kde needs a 1-d grid, got shape {grid.shape}")
+    if np.isnan(grid).any():
+        raise ValidationError("kde grid must not hold NaN")
     out = np.empty(grid.size)
     norm = x.size * h * math.sqrt(2.0 * math.pi)
     rows = max(1, min(grid.size, KDE_BLOCK_DOUBLES // x.size))

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from dataclasses import field, fields
 
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .errors import _count, _frozen, _naming, _positive, _set
+from .errors import _count, _frozen, _naming, _positive, _seed, _set
 
 __all__ = [
     "PhysicalParams",
@@ -324,9 +323,22 @@ GRID_FACTOR = 20
 
 
 def fine_grid(T: float, n: int, j: int) -> np.ndarray:
-    """Simulation grid refining the n*j inference lattice by `GRID_FACTOR`."""
-    n, j = _count("n", n), _count("j", j)
+    """Simulation grid refining the n*j inference lattice by `GRID_FACTOR`
+    over [0, T]; T must be positive and finite, n and j counts."""
+    T, n, j = _positive("T", T), _count("n", n), _count("j", j)
     return np.linspace(0.0, T, n * j * GRID_FACTOR + 1)
+
+
+def _generator(seed) -> np.random.Generator:
+    """The noise generator for ``seed``: an existing numpy Generator, a
+    SeedSequence or BitGenerator to build one from, None for fresh entropy,
+    or else a run's seed, checked by `errors._seed` (an integer that fits
+    in an unsigned 64-bit word), as the CLI's and `HmcConfig`'s are."""
+    # np.random is named here, not at import: NumPy loads it on first use
+    sources = (np.random.Generator, np.random.SeedSequence, np.random.BitGenerator)
+    if not (seed is None or isinstance(seed, sources)):
+        seed = _seed(seed)
+    return np.random.default_rng(seed)
 
 
 def simulate_truth(
@@ -342,23 +354,25 @@ def simulate_truth(
     That check's array is the simulation's one read of r: the drift takes
     rho = (T / beta) r'/r + ... from it and `InputSignal.rate`, and
     S = (T gamma / beta^2) r e^{beta q}, with T gamma / beta^2 = K. Noise
-    increments use a dedicated generator seeded by ``seed``; ``seed`` may
-    also be an existing numpy Generator. A path that leaves the double
-    range, in q or in S, raises NonFiniteError at its first bad step.
+    increments use a dedicated generator seeded by ``seed`` (`_generator`);
+    ``seed`` may also be an existing numpy Generator. A path that leaves
+    the double range, in q or in S, raises NonFiniteError at its first bad
+    step.
 
-    The steps run on Python floats read through memoryviews of the step
-    arrays, the same IEEE operations as on NumPy scalars at a fraction of
-    their cost, and the path grows in a compact ``array("d")``.
+    Each step's coefficient h beta / (T gamma), drift and noise are formed
+    once, as arrays. ``np.fromiter`` drains `_euler_maruyama`, whose steps
+    run on Python floats read through memoryviews of those arrays: the same
+    IEEE operations, in the same order, as on NumPy scalars, at a fraction
+    of their cost.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
+    if t.ndim != 1 or t.size < 2 or not np.all((h := np.diff(t)) > 0):
         raise ValidationError("simulation grid must be 1-d and strictly increasing")
     theta = to_dimensionless(params)
     T = params.T
     r = _signal_over(signal, t)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
 
-    h = np.diff(t)
     # rho(t) in continuous form, evaluated once on the whole grid. The
     # signal's term (T / beta) r'/r must be finite (sin of an overflowed
     # phase is NaN): refused before any noise is drawn. A step beyond the
@@ -374,27 +388,34 @@ def simulate_truth(
         rho = drift + (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
         drift0 = -h * rho / T
     noise = np.sqrt(h / T) * rng.standard_normal(h.size)
-    coef = theta.beta / (T * params.gamma)
-    beta = theta.beta
-
-    path = array("d", [0.0])
-    append = path.append
-    qk = 0.0
-    exp = math.exp
-    try:
-        for hk, dk, nk in zip(memoryview(h), memoryview(drift0), memoryview(noise)):
-            qk = qk + hk * coef * exp(-beta * qk) + dk + nk
-            append(qk)
-    except OverflowError:
-        # exp(-beta q) beyond the double range: q is +inf from this step on
-        raise NonFiniteError("simulated path", indices=len(path)) from None
-    q = np.frombuffer(path)
+    # h is read: its buffer takes each step's coefficient h beta / (T gamma)
+    h *= theta.beta / (T * params.gamma)
+    q = np.fromiter(_euler_maruyama(h, drift0, noise, -theta.beta), dtype=float, count=t.size)
     # a non-finite q stays non-finite, so the first one is the bad step
     _check_finite(q, "simulated path")
     with np.errstate(over="ignore"):
         S = (T * params.gamma / theta.beta**2) * r * np.exp(theta.beta * q)
     _check_finite(S, "simulated S")
     return TruthPath(times=t, S=S, q=q)
+
+
+def _euler_maruyama(coef, drift, noise, minus_beta):
+    """q = 0, then q after each Euler-Maruyama step
+    q + coef e^{-beta q} + drift + noise, one step per entry of the three
+    step arrays. From the step where e^{-beta q} leaves the double range
+    (``math.exp`` raises), every q is +inf."""
+    exp = math.exp
+    q = 0.0
+    yield q
+    steps = zip(memoryview(coef), memoryview(drift), memoryview(noise))
+    try:
+        for a, d, n in steps:
+            q = q + a * exp(minus_beta * q) + d + n
+            yield q
+    except OverflowError:
+        yield math.inf
+        for _ in steps:
+            yield math.inf
 
 
 def _check_finite(x: np.ndarray, what: str):
@@ -412,17 +433,20 @@ def generate_observations(
     """Read the path at obs_times and apply log-normal noise:
     y_s = (S(t_s)/K) exp(sigma eps_s).
 
-    Each requested time must lie on the path grid (1e-9 relative of the
-    horizon); anything else is an error rather than an interpolation.
+    The times must be a 1-d array, and each must lie on the path grid (1e-9
+    relative of the horizon); anything else is an error rather than an
+    interpolation. ``seed`` is taken as by `simulate_truth`.
     """
     obs_times = np.asarray(obs_times, dtype=float)
+    if obs_times.ndim != 1:
+        raise ValidationError(f"observation times must be 1-d, got shape {obs_times.shape}")
     tol = 1e-9 * max(1.0, abs(path.times[-1]))
     # the first grid point at or after t - tol: t's own, where it has one
     idx = np.minimum(np.searchsorted(path.times, obs_times - tol), path.times.size - 1)
     off = np.abs(path.times[idx] - obs_times) > tol
     if off.any():
         raise ValidationError(f"observation times not on the simulation grid: {obs_times[off]}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     eps = rng.standard_normal(obs_times.size)
     with np.errstate(over="ignore"):
         y = (path.S[idx] / params.K) * np.exp(obs.sigma * eps)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1339,7 +1340,7 @@ def test_infinity_rejected_before_writing(tmp_path, capsys, command, field):
     cfg = config_for(tmp_path, command)
     set_field(cfg, field, float("inf"))
     cfg_path = write_config(tmp_path, cfg, "bad.json")
-    assert "Infinity" in open(cfg_path).read()
+    assert "Infinity" in Path(cfg_path).read_text()
     out = tmp_path / "out"
     capsys.readouterr()
     with warnings.catch_warnings():

@@ -306,6 +306,20 @@ class TestKde:
             with pytest.raises(ValidationError):
                 kde(np.array([0.0, 1.0]), grid, bandwidth=bad)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (np.zeros((2, 3)), r"^kde needs a 1-d grid, got shape \(2, 3\)$"),
+            (0.0, r"^kde needs a 1-d grid, got shape \(\)$"),
+            (np.array([0.0, np.nan, 1.0]), "^kde grid must not hold NaN$"),
+        ],
+        ids=["2-d", "0-d", "nan"],
+    )
+    def test_rejects_a_grid_as_it_does_a_series(self, grid, message):
+        # not NumPy's broadcast error, nor a silent NaN density
+        with pytest.raises(ValidationError, match=message):
+            kde(np.array([0.0, 1.0, 3.0]), grid)
+
     def test_silverman_falls_back_to_sd_when_iqr_vanishes(self):
         x = np.zeros(21)
         x[0] = 5.0

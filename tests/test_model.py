@@ -361,6 +361,41 @@ class TestSimulateTruth:
         with pytest.raises(ValidationError, match="must be an integer"):
             fine_grid(833.0, n, j)
 
+    @pytest.mark.parametrize("T", [-1.0, 0.0, np.nan, np.inf])
+    def test_grid_horizon_must_be_positive_and_finite(self, T):
+        # not a decreasing or NaN grid, refused later without naming T
+        with pytest.raises(ValidationError, match=f"^T must be positive and finite, got {T}$"):
+            fine_grid(T, 10, 30)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must fit in an unsigned 64-bit integer"),
+            (2**64, "seed must fit in an unsigned 64-bit integer"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (True, "seed must be an integer, got True"),
+        ],
+        ids=["negative", "too-large", "float", "bool"],
+    )
+    def test_integer_seed_follows_the_seed_rule(self, seed, message):
+        grid = fine_grid(833, 1, 1)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            simulate_truth(self.P, SEC4_INPUT, grid, seed=seed)
+        path = simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            generate_observations(path, [0.0, 833.0], self.P, ObservationModel(0.1), seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.uint64, np.random.default_rng, np.random.SeedSequence, np.random.PCG64],
+        ids=["numpy-int", "generator", "seed-sequence", "bit-generator"],
+    )
+    def test_seed_sources_pass_as_numpy_takes_them(self, seed):
+        grid = fine_grid(833, 1, 1)
+        expected = simulate_truth(self.P, SEC4_INPUT, grid, seed=3)
+        assert simulate_truth(self.P, SEC4_INPUT, grid, seed=seed(3)) == expected
+        assert simulate_truth(self.P, SEC4_INPUT, grid, seed=None).q.shape == expected.q.shape
+
     @pytest.mark.parametrize(
         "grid", [[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [0.0], [[0.0, 1.0]]],
         ids=["flat", "falling", "one-point", "2-d"],
@@ -459,15 +494,20 @@ class TestSimulateTruth:
 
 def reference_truth(params, signal, t, seed, exp=math.exp):
     """`simulate_truth` from S(0) = K r(0) as a plain step loop over NumPy
-    scalars, with no check of the path, for a sinusoid ``signal``: it writes
-    r, d ln r/dt and S out from the signal's constants."""
+    scalars, with no check of the path. For a sinusoid ``signal`` it writes
+    r and dr/dt out from the signal's constants; a table it reads through
+    its `value` and `rate`."""
     theta = to_dimensionless(params)
     beta, gamma, T = theta.beta, params.gamma, params.T
-    a, omega = signal.a, signal.omega
-    r = a * np.sin(omega * t) ** 2 + signal.b
+    if signal.kind == "sinusoid":
+        a, omega = signal.a, signal.omega
+        r = a * np.sin(omega * t) ** 2 + signal.b
+        dr = a * omega * np.sin(2.0 * omega * t[:-1])
+    else:
+        r, dr = signal.value(t), signal.rate(t[:-1])
     rng = np.random.default_rng(seed)
     h = np.diff(t)
-    dlog_r = a * omega * np.sin(2.0 * omega * t[:-1]) / r[:-1]
+    dlog_r = dr / r[:-1]
     rho = (T / beta) * dlog_r + (2.0 + gamma) * beta / (2.0 * gamma)
     drift0 = -h * rho / T
     noise = np.sqrt(h / T) * rng.standard_normal(h.size)
@@ -480,17 +520,33 @@ def reference_truth(params, signal, t, seed, exp=math.exp):
     return q, (T * gamma / beta**2) * r * np.exp(beta * q)
 
 
-class TestSimulateTruthSteps:
-    GRID = fine_grid(833, 10, 30)
+SIM_GRID = fine_grid(833, 10, 30)
+# strictly increasing, with a different h at every step
+UNEVEN_GRID = np.concatenate(
+    [[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 833.0, 2999)), [833.0]]
+)
+# the preset's sinusoid as a t,r table over [0, 833], as in README
+TABLE_TIMES = np.linspace(0.0, 833.0, 8331)
+SEC4_TABLE = InputSignal.tabulated(TABLE_TIMES, SEC4_INPUT.value(TABLE_TIMES))
 
+
+class TestSimulateTruthSteps:
     @pytest.mark.parametrize(
-        "K,gamma", [(50, 0.2), (5, 0.05), (200, 1.5), (30, 3.0), (1, 0.5)]
+        "K,gamma,signal,grid",
+        [
+            pytest.param(K, gamma, SEC4_INPUT, SIM_GRID, id=f"{K}-{gamma}")
+            for K, gamma in [(50, 0.2), (5, 0.05), (200, 1.5), (30, 3.0), (1, 0.5)]
+        ]
+        + [
+            pytest.param(50, 0.2, SEC4_INPUT, UNEVEN_GRID, id="uneven-grid"),
+            pytest.param(50, 0.2, SEC4_TABLE, SIM_GRID, id="table"),
+        ],
     )
-    def test_matches_reference_loop_bit_for_bit(self, K, gamma):
+    def test_matches_reference_loop_bit_for_bit(self, K, gamma, signal, grid):
         params = PhysicalParams(K=K, gamma=gamma, T=833)
         for seed in (0, 7):
-            path = simulate_truth(params, SEC4_INPUT, self.GRID, seed=seed)
-            q, S = reference_truth(params, SEC4_INPUT, self.GRID, seed)
+            path = simulate_truth(params, signal, grid, seed=seed)
+            q, S = reference_truth(params, signal, grid, seed)
             np.testing.assert_array_equal(path.q, q)
             np.testing.assert_array_equal(path.S, S)
 
@@ -504,11 +560,11 @@ class TestSimulateTruthSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError) as info:
-                simulate_truth(params, SEC4_INPUT, self.GRID, seed=1)
+                simulate_truth(params, SEC4_INPUT, SIM_GRID, seed=1)
         assert info.value.what == what
         # the reference saturates to inf where math.exp raises
         with np.errstate(over="ignore", invalid="ignore"):
-            q, S = reference_truth(params, SEC4_INPUT, self.GRID, 1, exp=np.exp)
+            q, S = reference_truth(params, SEC4_INPUT, SIM_GRID, 1, exp=np.exp)
         bad = q if what == "simulated path" else S
         assert info.value.indices == np.flatnonzero(~np.isfinite(bad))[0]
 
@@ -564,6 +620,14 @@ class TestGenerateObservations:
         ) as raised:
             generate_observations(path, path.times, params, ObservationModel(sigma=0.1), seed=0)
         np.testing.assert_array_equal(raised.value.indices, [1, 2])
+
+    def test_times_must_be_1d(self):
+        # not NumPy's broadcast error
+        message = r"^observation times must be 1-d, got shape \(2, 2\)$"
+        with pytest.raises(ValidationError, match=message):
+            generate_observations(
+                self._path(), [[0.0, 83.3], [166.6, 249.9]], self.P, ObservationModel(0.1), seed=0
+            )
 
     def test_off_grid_time_rejected(self):
         path = self._path()
