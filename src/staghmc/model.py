@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import field, fields
 
 import numpy as np
@@ -330,13 +331,12 @@ def fine_grid(T: float, n: int, j: int) -> np.ndarray:
 
 
 def _generator(seed) -> np.random.Generator:
-    """The noise generator for ``seed``: an existing numpy Generator, a
-    SeedSequence or BitGenerator to build one from, None for fresh entropy,
-    or else a run's seed, checked by `errors._seed` (an integer that fits
-    in an unsigned 64-bit word), as the CLI's and `HmcConfig`'s are."""
-    # np.random is named here, not at import: NumPy loads it on first use
-    sources = (np.random.Generator, np.random.SeedSequence, np.random.BitGenerator)
-    if not (seed is None or isinstance(seed, sources)):
+    """The noise generator for ``seed``, by ``np.random.default_rng``. A
+    number is a run's seed, checked by `errors._seed` (an integer that fits
+    in an unsigned 64-bit word), as the CLI's and `HmcConfig`'s are; any
+    other seed (None, a Generator, a SeedSequence, a list of ints) goes to
+    NumPy as it is."""
+    if isinstance(seed, numbers.Number):
         seed = _seed(seed)
     return np.random.default_rng(seed)
 

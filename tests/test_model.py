@@ -387,8 +387,8 @@ class TestSimulateTruth:
 
     @pytest.mark.parametrize(
         "seed",
-        [np.uint64, np.random.default_rng, np.random.SeedSequence, np.random.PCG64],
-        ids=["numpy-int", "generator", "seed-sequence", "bit-generator"],
+        [np.uint64, np.random.default_rng, np.random.SeedSequence, np.random.PCG64, lambda s: [s]],
+        ids=["numpy-int", "generator", "seed-sequence", "bit-generator", "int-list"],
     )
     def test_seed_sources_pass_as_numpy_takes_them(self, seed):
         grid = fine_grid(833, 1, 1)
