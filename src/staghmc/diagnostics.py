@@ -66,6 +66,14 @@ def _never_moved(x: np.ndarray) -> bool:
     return bool(np.all(x == x[0]))
 
 
+def _check_moved(x: np.ndarray):
+    """Refuse the series ``x`` that never moved: it has no kernel density."""
+    if _never_moved(x):
+        raise DomainError(
+            "series has zero variance; a kernel density is degenerate, use a histogram"
+        )
+
+
 def _percentiles(x: np.ndarray, levels, averaged: bool = False) -> np.ndarray:
     """The percentiles ``levels`` of the non-empty 1-d ``x`` by NumPy's rule
     ``'linear'``, or ``'averaged_inverted_cdf'`` when ``averaged``, operation
@@ -208,18 +216,24 @@ def _check_finite_series(x: np.ndarray):
 
 def silverman_bandwidth(series) -> float:
     """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
-    Fewer than two samples have no spread: that is a DomainError, as a zero
-    variance is for `kde`. A nan or infinite draw is a ValidationError, as
-    it is for `kde`."""
+    Fewer than two samples have no spread, nor has a series that never
+    moved: each is a DomainError, the latter as it is for `kde`. So is a
+    bandwidth that is not positive and finite, such as that of a series
+    whose spread underflows to 0 although it moved. A nan or infinite draw
+    is a ValidationError, as it is for `kde`."""
     x = np.asarray(series, dtype=float)
     if x.size < 2:
         raise DomainError(f"a bandwidth needs at least 2 samples, got {x.size}")
     _check_finite_series(x)
+    _check_moved(x)
     sd = float(x.std(ddof=1))
     q75, q25 = _percentiles(x, (75.0, 25.0))
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return 0.9 * spread * x.size ** (-0.2)
+    h = 0.9 * spread * x.size ** (-0.2)
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"the series' spread gives a bandwidth of {h!r}, use a histogram")
+    return h
 
 
 def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
@@ -253,10 +267,7 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("kde needs a 1-d series of at least 2 samples")
     _check_finite_series(x)
-    if _never_moved(x):
-        raise DomainError(
-            "series has zero variance; a kernel density is degenerate, use a histogram"
-        )
+    _check_moved(x)
     h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
     _positive("bandwidth", h)
     grid = np.asarray(grid, dtype=float)

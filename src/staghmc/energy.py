@@ -71,7 +71,6 @@ from .model import InputSignal, ObservationModel, TimeSeriesData, _signal_over
 __all__ = [
     "InferenceProblem",
     "PathContext",
-    "Potential",
     "EnergyBreakdown",
     "Gradient",
     "h_N",
@@ -285,24 +284,15 @@ def _proposal(ctx: PathContext, end: tuple) -> PolymerState:
     return PolymerState(out[0], np.array([beta, gamma]), out[1], np.array([pa, pg]))
 
 
-class Potential(NamedTuple):
-    """The position-only parts of h_N, h_n and h_1: what a momentum refresh
-    leaves unchanged."""
-
-    h_N: float
-    h_n: float
-    h_1: float
-
-
 class EnergyBreakdown(NamedTuple):
-    """The three pieces of the total energy, their sum, and the state's
-    `Potential`."""
+    """The three pieces of the total energy and their sum. h_N is the
+    staged energy of `h_N` (kinetic plus harmonic); h_n and h_1 are each a
+    kinetic energy plus the position part of the kernel pass."""
 
     h_N: float
     h_n: float
     h_1: float
     total: float
-    potential: Potential
 
 
 class Gradient(NamedTuple):
@@ -340,22 +330,24 @@ def _end_energy(
 ) -> tuple:
     """The energy of the state in the workspace's phase array x = [u; p]
     with parameter momenta (pa, pg), given the position parts (h_n, h_1) of
-    its kernel pass: (h_N, h_n, h_1, total, potential), the fields of
+    its kernel pass: (h_N, h_n, h_1, total), the fields of
     `EnergyBreakdown`, as Python floats. One square of x, then the harmonic
     product over u^2 and the kinetic product over p^2 (the module
-    docstring), added in the one order that every energy of a state is
-    added: the package's one scorer, for `h_total` and both ends of an
-    iteration. Runs under a caller's `_saturating`."""
+    docstring): h_N is the staged energy, kinetic plus harmonic, and h_n
+    and h_1 each add a kinetic energy to their position part. They are
+    added in the one order that every energy of a state is added: the
+    package's one scorer, for `h_total` and both ends of an iteration.
+    Runs under a caller's `_saturating`."""
     x, _, _, sq, _, p_sq = ctx.phase
     lay = ctx.layout
     np.square(x, out=sq)
-    h_N = 0.5 * float(ctx.u_sq_head.dot(lay.flat_stiffness))
+    harmonic = 0.5 * float(ctx.u_sq_head.dot(lay.flat_stiffness))
     staging, measured = lay.bead_classes.dot(p_sq).tolist()
     ma, mg = masses.m_alpha
-    h_fast = (0.5 * lay.dt / masses.m_prime) * staging + h_N
-    h_bound = measured / (2.0 * masses.M) + h_n
-    h_slow = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + h_1
-    return h_fast, h_bound, h_slow, h_fast + h_bound + h_slow, Potential(h_N, h_n, h_1)
+    h_N = (0.5 * lay.dt / masses.m_prime) * staging + harmonic
+    h_n = measured / (2.0 * masses.M) + h_n
+    h_1 = (pa * pa / (2.0 * ma) + pg * pg / (2.0 * mg)) + h_1
+    return h_N, h_n, h_1, h_N + h_n + h_1
 
 
 @_saturating
@@ -385,16 +377,16 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     trajectory and the start force of a chain (`sampler.Chain`).
 
     The N beads are the workspace row ``rows.u``, loaded by the caller.
-    Returns the position parts (h_n, h_1)
-    of the state's `Potential`, and with ``gradient`` also the gradient of
-    H', as the 5-tuple (h_n, h_1, g_u, g_beta, g_gamma): g_u is the
-    workspace row ``g_u``, valid until the next call on the context, and the
-    theta components are Python floats. A gradient pass without
-    ``potential`` skips the terms only the potential reads and returns None
-    for h_n and h_1; its gradient is bit for bit that of a pass that also
-    forms the potential, and a gradient pass gives the potential of
-    `h_total` bit for bit. Rows of the workspace run over beads i = 2..N
-    (slots 1..N-1); rho, rhodot and their derivatives are never built as
+    Returns the potential: the position parts (h_n, h_1) of h_n and h_1,
+    which a momentum refresh leaves unchanged. With ``gradient`` it also
+    returns the gradient of H', as the 5-tuple (h_n, h_1, g_u, g_beta,
+    g_gamma): g_u is the workspace row ``g_u``, valid until the next call
+    on the context, and the theta components are Python floats. A gradient
+    pass without ``potential`` skips the terms only the potential reads and
+    returns None for h_n and h_1; its gradient is bit for bit that of a
+    pass that also forms the potential, and a gradient pass gives the pair
+    of `h_total`'s pass bit for bit. Rows of the workspace run over beads
+    i = 2..N (slots 1..N-1); rho, rhodot and their derivatives are never built as
     arrays, only the sums they enter, folded by linearity (the comments
     below), with rho itself needed only at the two end beads. Every array
     operation writes into the context's scratch, and no call reads a row

@@ -219,8 +219,8 @@ class Chain:
     their force in its kernel row g_u; the next trajectory runs in
     ``work``. An accepted proposal swaps the two, so no iteration copies a
     state or a force out. ``theta`` is the current (beta, gamma),
-    ``potential`` the pair (h_n, h_1) of its kernel pass (h_N is formed
-    again from the beads whenever the state is scored), and ``g_theta`` the
+    ``potential`` the pair (h_n, h_1) of its kernel pass (h_N, the staged
+    energy, is formed afresh whenever the state is scored), and ``g_theta`` the
     theta part of the force, all Python floats. What the chain's settings
     fix is looked up once, when the chain is built: ``bank``, the shared
     `OscillatorBank` of its masses and step, which carries both

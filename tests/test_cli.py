@@ -612,6 +612,22 @@ class TestSummarize:
         assert not list(out.glob("density_*.csv"))
         assert capsys.readouterr().err.count("histogram") == 3
 
+    def test_spread_that_underflows_skips_its_density(self, tmp_path, capsys):
+        # beta moved, but between two subnormals: its spread underflows, so
+        # its density is skipped with a note, and summarize exits 0
+        path = tmp_path / "tiny.csv"
+        rows = "\n".join(
+            f"{i+1},{(5e-324, 1e-323)[i % 2]!r},{0.5 + 0.01 * (i % 7)},{200 + i % 5},1,3,3,0"
+            for i in range(40)
+        )
+        path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n" + rows + "\n")
+        summary, out = self.summarize(tmp_path, [str(path)], "tiny", discard=0.0)
+        assert summary["parameters"]["beta"]["ess"] is None
+        assert sorted(p.name for p in out.glob("density_*.csv")) == [
+            "density_K.csv", "density_gamma.csv"
+        ]
+        assert capsys.readouterr().err.count("skipped") == 1
+
     def test_one_row_chain_skips_every_density(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("iter,beta,gamma,K,accepted,H_before,H_after,dH\n1,1.5,0.5,10,1,3,3,0\n")

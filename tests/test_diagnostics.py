@@ -326,6 +326,21 @@ class TestKde:
         got = silverman_bandwidth(x)
         assert got == pytest.approx(0.9 * x.std(ddof=1) * 21 ** (-0.2), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.tile([5e-324, 1e-323], 20), "bandwidth of 0.0"),
+            (np.full(40, 10.0), "zero variance"),
+        ],
+        ids=["underflow", "never-moved"],
+    )
+    def test_silverman_refuses_a_series_without_spread(self, x, message):
+        # a series that moved, but whose standard deviation rounds to 0, has
+        # no bandwidth, as one that never moved has none: a DomainError,
+        # not a 0 that kde then refuses as a bad argument
+        with pytest.raises(DomainError, match=message):
+            silverman_bandwidth(x)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_silverman_refuses_a_non_finite_series_as_kde_does(self, bad):
         # not a nan bandwidth behind two RuntimeWarnings

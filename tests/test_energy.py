@@ -54,6 +54,13 @@ def random_state(layout, rng, u_scale=0.5):
     )
 
 
+def at_rest(state):
+    """A copy of ``state`` with every momentum 0. Its `h_total` pieces are
+    the position parts bit for bit (0.0 + x = x): h_N the harmonic sum, and
+    h_n and h_1 the pair of the kernel pass."""
+    return PolymerState(state.u.copy(), state.theta.copy(), np.zeros_like(state.p), np.zeros(2))
+
+
 def workspace_arrays(ctx):
     """Every array a context holds: its slots, the slots of its kernel rows,
     and the arrays inside tuples among them."""
@@ -142,6 +149,16 @@ class TestPieces:
         )
         assert h_N(st, MASSES, layout) == 0.0
 
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: f"n{lay.n}j{lay.j}")
+    def test_h_total_h_N_is_the_h_N_oracle(self, layout):
+        # one meaning of h_N: the scorer's staged energy, kinetic plus
+        # harmonic, is the oracle's bit for bit
+        ctx = make_problem(layout.n, layout.j, layout.T)[2]
+        rng = np.random.default_rng(layout.N)
+        for _ in range(20):
+            st = random_state(layout, rng, u_scale=rng.uniform(0.1, 3.0))
+            assert h_total(st, ctx, MASSES).h_N == h_N(st, MASSES, layout)
+
     def test_h_n_unit_residual(self):
         # constant input r = 1, u = 0: the residual is ln(y_s); choosing
         # y = (e^sigma, 1, 1, 1) leaves a single sigma-sized log residual,
@@ -215,7 +232,7 @@ class TestFlatTerms:
             us, ps = layout.staging(st.u), layout.staging(st.p)
             harmonic = 0.5 * float((layout.stiffness * (us * us)).sum())
             kinetic = (0.5 * layout.dt / MASSES.m_prime) * float((ps * ps).sum())
-            assert h_total(st, ctx, MASSES).potential.h_N == pytest.approx(
+            assert h_total(at_rest(st), ctx, MASSES).h_N == pytest.approx(
                 harmonic, rel=1e-14, abs=0.0
             )
             # at u = 0 the harmonic part is 0, so h_N is the kinetic term
@@ -356,11 +373,11 @@ class TestScratch:
     def test_energy_survives_a_second_call(self):
         layout, _, ctx = make_problem()
         a, b = self.states(layout)
-        first = h_total(a, ctx, MASSES)
-        kept = (first.h_N, first.h_n, first.h_1, first.total, *first.potential)
+        first, rest = h_total(a, ctx, MASSES), h_total(at_rest(a), ctx, MASSES)
+        kept = (*first, *rest)
         grad_hprime(b, ctx)
         h_total(b, ctx, MASSES)
-        assert (first.h_N, first.h_n, first.h_1, first.total, *first.potential) == kept
+        assert (*first, *rest) == kept
         assert all(type(x) is float for x in kept)
         assert h_total(a, make_problem()[2], MASSES) == first
 
@@ -455,10 +472,11 @@ class TestBoundaryStageCache:
             np.testing.assert_array_equal(got[1], want.g_theta)
 
         def check_energy(st):
-            got = h_total(st, ctx, MASSES)
-            want = h_total(st, make_problem()[2], MASSES)
-            np.testing.assert_array_equal(got.potential, want.potential)
-            assert got == want
+            # at rest, the pieces are the position parts alone
+            for scored in (st, at_rest(st)):
+                got = h_total(scored, ctx, MASSES)
+                want = h_total(scored, make_problem()[2], MASSES)
+                assert got == want
 
         # the states alternate, so that every call meets the other's stage
         check_gradient(trajectory_gradient(a), a)
@@ -568,7 +586,7 @@ class TestKernelRow:
         kernel = energy._saturating(energy._hprime)
         for seed in range(5):
             st = random_state(layout, np.random.default_rng(seed), u_scale=1.0)
-            want = h_total(st, make_problem(n, j, 83.0)[2], MASSES).potential
+            want = h_total(at_rest(st), make_problem(n, j, 83.0)[2], MASSES)
             np.copyto(ctx.rows.u, st.u)
             h_n, h_1, *_ = kernel(*st.theta.tolist(), ctx, True)
             assert (h_n, h_1) == (want.h_n, want.h_1)

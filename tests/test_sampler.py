@@ -436,11 +436,11 @@ class TestHmcIteration:
         scored = []
 
         def overflowed(*args):  # the second score, the proposal's, overflows
-            h_N, h_n, h_1, total, moved = end_energy(*args)
+            h_N, h_n, h_1, total = end_energy(*args)
             scored.append(total)
             if len(scored) == 1:
-                return h_N, h_n, h_1, total, moved
-            return h_N, h_n, -np.inf, -np.inf, moved
+                return h_N, h_n, h_1, total
+            return h_N, h_n, -np.inf, -np.inf
 
         _, finite = hmc_iteration(new_chain(toy_problem), np.random.default_rng(6))
         assert finite.accepted and finite.pathology is None  # the control
@@ -661,9 +661,10 @@ class TestCarriedPotential:
         chain = new_chain(toy_problem)
         assert passes == [(True, True)]
         assert calls == {"inverse": 1, "h_total": 0}
-        # the pass's potential and force are those of a fresh evaluation
+        # the pass's potential and force are those of a fresh evaluation;
+        # chain.state() has zero momenta, so h_n and h_1 are position parts
         ctx = toy_problem.context()
-        assert chain.potential == h_total(chain.state(), ctx, MASSES).potential[1:]
+        assert chain.potential == h_total(chain.state(), ctx, MASSES)[1:3]
         assert chain.g_theta == tuple(grad_hprime(chain.state(), ctx).g_theta.tolist())
 
     def test_carried_h_before_matches_fresh_energy(self, toy_problem):
@@ -677,7 +678,7 @@ class TestCarriedPotential:
             expected = h_total(refreshed(chain, rng), ctx, MASSES).total
             _, stats_out = hmc_iteration(chain, rng)
             assert stats_out.h_before == expected
-            assert chain.potential == h_total(chain.state(), ctx, MASSES).potential[1:]
+            assert chain.potential == h_total(chain.state(), ctx, MASSES)[1:3]
             outcomes.append((stats_out.accepted, stats_out.pathology))
         assert any(acc for acc, _ in outcomes)
         assert any(not acc and path is None for acc, path in outcomes)
