@@ -4,17 +4,21 @@ Everything here is a pure function of the chain arrays: moment and quantile
 summaries with effective sample sizes over the kept rows of one or more
 chains, and a Gaussian kernel density estimator for plotting marginals.
 
-A series that never moved, every draw equal to the first by exact
-comparison, has neither: `ess` returns None for it (as for fewer than 10
-draws, a non-finite draw or a spread that overflows), so a stalled
-parameter's summary reads ``"ess": null``, and `kde` refuses it with a
-DomainError. A test on the rounded standard deviation would not do, since
-a constant series can read an sd of 1e-16.
+One rule decides whether a series of draws has either: `_draws` reads it
+as a 1-d float array, and any other shape is a ValidationError; `_spread`
+gives its standard deviation, or None where it has no spread: fewer than 2
+draws, a draw that is not finite, every draw equal to the first, or a
+standard deviation that is 0 or leaves the double range. The test of
+equal draws is exact, since a constant series can read an sd of 1e-16. For
+a series without spread `ess` returns None, so a stalled parameter's
+summary reads ``"ess": null``, and `silverman_bandwidth` and `kde` raise a
+DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -38,6 +42,10 @@ QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 KDE_BLOCK_DOUBLES = 1 << 16
 # np.exp is exactly +0.0 below about -745.14; ``kde`` skips arguments below this
 EXP_ZERO = -746.0
+_NO_SPREAD = (
+    "the series has no spread (fewer than 2 draws, a draw that is not finite, zero variance "
+    "or a variance past the double range), so a kernel density is degenerate: use a histogram"
+)
 
 
 @_frozen
@@ -59,19 +67,29 @@ class PosteriorSummary:
     chains: int
 
 
-def _never_moved(x: np.ndarray) -> bool:
-    """Every draw of the non-empty series ``x`` equals the first. The test is
-    exact, with no mean whose rounding could make a constant series look
-    spread, so it is the one rule of `ess` and `kde`."""
-    return bool(np.all(x == x[0]))
+def _draws(series) -> np.ndarray:
+    """``series`` as a 1-d float array, the one read of a series of draws;
+    any other shape, a 0-d or a 2-d array among them, is a ValidationError."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"a series of draws must be 1-d, got shape {x.shape}")
+    return x
 
 
-def _check_moved(x: np.ndarray):
-    """Refuse the series ``x`` that never moved: it has no kernel density."""
-    if _never_moved(x):
-        raise DomainError(
-            "series has zero variance; a kernel density is degenerate, use a histogram"
-        )
+def _spread(x: np.ndarray, ddof: int) -> float | None:
+    """``x.std(ddof=ddof)`` of the draws ``x`` (`_draws`), or None where the
+    series has no spread: fewer than 2 draws, a draw that is not finite,
+    every draw equal to the first, or a standard deviation that is 0 (its
+    squares underflow) or not finite (its squares or its mean overflow).
+    Equal draws are found by exact comparison, as a constant series whose
+    rounded mean leaves an sd of 1e-16 would pass a test on the sd alone.
+    This is the one rule of `ess`, `silverman_bandwidth` and `kde`."""
+    if x.size < 2 or not np.isfinite(x).all() or np.all(x == x[0]):
+        return None
+    # a spread past the double range saturates to inf or nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(x.std(ddof=ddof))
+    return sd if 0.0 < sd < math.inf else None
 
 
 def _percentiles(x: np.ndarray, levels, averaged: bool = False) -> np.ndarray:
@@ -109,30 +127,27 @@ def _percentiles(x: np.ndarray, levels, averaged: bool = False) -> np.ndarray:
 
 def ess(series) -> float | None:
     """Effective sample size via the initial-positive-sequence rule, or None
-    where a series has none: fewer than 10 draws, a draw that is not finite
-    (nan or inf), a series that never moved, or one whose centred variance
-    underflows to 0 or, like its autocovariance, leaves the double range.
-    Only a series that is not 1-d is an error (ValidationError).
+    where a series has none: fewer than 10 draws, no spread (`_spread`: a
+    draw that is not finite, a series that never moved, or a standard
+    deviation that is 0 or leaves the double range), or an autocovariance
+    that leaves the double range. Only a series that is not 1-d is an error
+    (ValidationError).
 
     Autocorrelations are summed over consecutive pairs while the pair sums
     stay positive; the result is clipped to the series length (an antithetic
     chain is reported as fully efficient, not super-efficient).
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("ess needs a 1-d series")
+    x = _draws(series)
     L = x.size
-    if L < 10 or not np.isfinite(x).all() or _never_moved(x):
+    if L < 10 or _spread(x, 0) is None:
         return None
-    # a spread past the double range saturates to inf or nan, refused below
+    # an autocovariance past the double range saturates to inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         x = x - x.mean()
-        if np.dot(x, x) / L == 0.0:  # the variance underflows
-            return None
         nfft = 1 << (2 * L - 1).bit_length()
         f = np.fft.rfft(x, nfft)
         acov = np.fft.irfft(f * np.conj(f), nfft)[:L] / L
-    if not np.isfinite(acov).all():  # the variance or autocovariance overflows
+    if not np.isfinite(acov).all():
         return None
     rho = acov / acov[0]
     pair_sums = rho[0:-1:2] + rho[1::2]
@@ -166,10 +181,12 @@ def _parameter_summary(name: str, x: np.ndarray) -> ParameterSummary:
 
 def discard_start(discard: float, n_rows: int) -> int:
     """First kept row of an ``n_rows``-row chain after the burn-in fraction
-    ``discard``; a fraction outside [0, 1), or one that keeps no row, is a
+    ``discard``; a fraction outside [0, 1), anything that is not a number
+    (a string, None or a bool), or a fraction that keeps no row, is a
     ValidationError."""
-    if not (0.0 <= discard < 1.0):
-        raise ValidationError(f"discard fraction must be in [0, 1), got {discard}")
+    number = isinstance(discard, numbers.Real) and not isinstance(discard, bool)
+    if not (number and 0.0 <= discard < 1.0):
+        raise ValidationError(f"discard fraction must be in [0, 1), got {discard!r}")
     start = int(round(n_rows * discard))
     if start >= n_rows:
         raise ValidationError(f"discard={discard} leaves no rows of the {n_rows}-row chain")
@@ -207,26 +224,18 @@ def summarize(*records: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
     )
 
 
-def _check_finite_series(x: np.ndarray):
-    """Refuse a series with a nan or infinite draw, for `kde` and
-    `silverman_bandwidth` alike."""
-    if not np.isfinite(x).all():
-        raise ValidationError("kde series must be finite")
-
-
 def silverman_bandwidth(series) -> float:
     """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
-    Fewer than two samples have no spread, nor has a series that never
-    moved: each is a DomainError, the latter as it is for `kde`. So is a
-    bandwidth that is not positive and finite, such as that of a series
-    whose spread underflows to 0 although it moved. A nan or infinite draw
-    is a ValidationError, as it is for `kde`."""
-    x = np.asarray(series, dtype=float)
-    if x.size < 2:
-        raise DomainError(f"a bandwidth needs at least 2 samples, got {x.size}")
-    _check_finite_series(x)
-    _check_moved(x)
-    sd = float(x.std(ddof=1))
+    A series that is not 1-d is a ValidationError. A series without spread
+    (`_spread`: fewer than 2 draws, a draw that is not finite, one that
+    never moved, or a standard deviation that is 0 or leaves the double
+    range) is a DomainError, as it is for `kde`. So is a bandwidth that
+    is not positive and finite, such as one whose small iqr rounds to 0 in
+    the product."""
+    x = _draws(series)
+    sd = _spread(x, 1)
+    if sd is None:
+        raise DomainError(_NO_SPREAD)
     q75, q25 = _percentiles(x, (75.0, 25.0))
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
@@ -239,11 +248,14 @@ def silverman_bandwidth(series) -> float:
 def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     """Gaussian kernel density of ``series`` evaluated on ``grid``.
 
-    Uses the Silverman bandwidth unless one is given. A series that never
-    moved has no meaningful bandwidth; that is a DomainError (use a
-    histogram instead). A series or a grid that is not 1-d, a series of
-    fewer than 2 samples or with a non-finite one, and a grid point that is
-    NaN are each a ValidationError.
+    Uses the Silverman bandwidth unless one is given. A series without
+    spread (`_spread`: fewer than 2 draws, a draw that is not finite, one
+    that never moved, or a standard deviation that is 0 or leaves the
+    double range) has no meaningful density, whether or not a bandwidth is
+    given; that is a DomainError (use a histogram instead). A series or a
+    grid that is not 1-d, a grid point that is NaN, and a given bandwidth
+    that is not a positive finite number (`errors._positive`: a string or
+    a bool is refused, not converted) are each a ValidationError.
 
     The grid is evaluated in row blocks of about ``KDE_BLOCK_DOUBLES``
     kernel values, in two buffers of doubles and one of bools allocated once
@@ -263,13 +275,10 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     the subnormal band [-745.14, -708.4] among them: its values are not 0,
     and a row whose every term is tiny sums them.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValidationError("kde needs a 1-d series of at least 2 samples")
-    _check_finite_series(x)
-    _check_moved(x)
-    h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
-    _positive("bandwidth", h)
+    x = _draws(series)
+    if _spread(x, 1) is None:
+        raise DomainError(_NO_SPREAD)
+    h = silverman_bandwidth(x) if bandwidth is None else float(_positive("bandwidth", bandwidth))
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValidationError(f"kde needs a 1-d grid, got shape {grid.shape}")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from staghmc.diagnostics import (
     EXP_ZERO,
     QUANTILE_LEVELS,
     _percentiles,
+    discard_start,
     ess,
     kde,
     silverman_bandwidth,
@@ -191,6 +193,18 @@ class TestSummarize:
             with pytest.raises(ValidationError):
                 summarize(rec, discard=bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["0.2", None, False, [0.2]], ids=["str", "None", "bool", "list"]
+    )
+    def test_discard_that_is_not_a_number_is_refused(self, bad):
+        # by the fraction's own wording, not a raw TypeError from the comparison
+        rec = make_record(np.linspace(1.0, 2.0, 10))
+        message = f"discard fraction must be in [0, 1), got {bad!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            summarize(rec, discard=bad)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            discard_start(bad, 10)
+
     def test_discard_leaving_nothing_is_an_error(self):
         rec = make_record(np.ones(1))
         with pytest.raises(ValidationError, match="leaves no rows"):
@@ -298,13 +312,23 @@ class TestKde:
 
     def test_rejects_bad_inputs(self):
         grid = np.linspace(-1, 1, 5)
-        with pytest.raises(ValidationError):
+        # a series without spread has no density: a DomainError, as for silverman
+        with pytest.raises(DomainError, match="use a histogram$"):
             kde(np.array([1.0]), grid)
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError, match="use a histogram$"):
             kde(np.array([0.0, np.nan, 1.0]), grid)
         for bad in (0.0, -1.0, np.inf):
             with pytest.raises(ValidationError):
                 kde(np.array([0.0, 1.0]), grid, bandwidth=bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", True, "abc", [0.5]], ids=["str", "bool", "text", "list"]
+    )
+    def test_bandwidth_must_be_a_number(self, bad):
+        # checked as every positive setting is, not converted by float()
+        message = f"^bandwidth must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=message):
+            kde(np.array([0.0, 1.0, 3.0]), np.linspace(-1.0, 4.0, 5), bandwidth=bad)
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -329,15 +353,17 @@ class TestKde:
     @pytest.mark.parametrize(
         "x, message",
         [
-            (np.tile([5e-324, 1e-323], 20), "bandwidth of 0.0"),
+            (np.tile([5e-324, 1e-323], 20), "no spread"),
             (np.full(40, 10.0), "zero variance"),
+            (np.r_[-1e-150, np.zeros(19), np.full(19, 5e-324), 1e-150], "bandwidth of 0.0"),
         ],
-        ids=["underflow", "never-moved"],
+        ids=["underflow", "never-moved", "bandwidth-underflows"],
     )
     def test_silverman_refuses_a_series_without_spread(self, x, message):
         # a series that moved, but whose standard deviation rounds to 0, has
-        # no bandwidth, as one that never moved has none: a DomainError,
-        # not a 0 that kde then refuses as a bad argument
+        # no spread, as one that never moved has none; one with a spread but
+        # an iqr of one subnormal step has a bandwidth that rounds to 0. Each
+        # is a DomainError, not a 0 that kde then refuses as a bad argument
         with pytest.raises(DomainError, match=message):
             silverman_bandwidth(x)
 
@@ -345,9 +371,9 @@ class TestKde:
     def test_silverman_refuses_a_non_finite_series_as_kde_does(self, bad):
         # not a nan bandwidth behind two RuntimeWarnings
         x = np.array([1.0, bad, 2.0])
-        with pytest.raises(ValidationError, match="must be finite") as refused:
+        with pytest.raises(DomainError, match="not finite") as refused:
             silverman_bandwidth(x)
-        with pytest.raises(ValidationError) as kde_refused:
+        with pytest.raises(DomainError) as kde_refused:
             kde(x, np.linspace(0.0, 3.0, 5))
         assert str(refused.value) == str(kde_refused.value)
 
@@ -363,6 +389,52 @@ class TestKde:
             ref = np.exp(-0.5 * ((grid[i] - x) / h) ** 2).sum()
             ref /= x.size * h * math.sqrt(2 * math.pi)
             assert d[i] == pytest.approx(ref, rel=1e-12)
+
+
+_DRAWS_RNG = np.random.default_rng(2718)
+# one row per kind of series: what it is, and its outcome under the one rule
+DRAW_SERIES = [
+    ("0-d", np.array(3.0), "not 1-d"),
+    ("2-d", _DRAWS_RNG.normal(size=(3, 50)), "not 1-d"),
+    ("empty", np.array([]), "no spread"),
+    ("one-draw", np.array([1.0]), "no spread"),
+    ("nan", np.r_[np.linspace(0.0, 1.0, 20), np.nan], "no spread"),
+    ("inf", np.r_[np.linspace(0.0, 1.0, 20), np.inf], "no spread"),
+    ("-inf", np.r_[-np.inf, np.linspace(0.0, 1.0, 20)], "no spread"),
+    ("never-moved", np.full(40, 0.3), "no spread"),
+    ("squares-overflow", np.tile([1e200, -1e200, 0.0, 5.0], 5), "no spread"),
+    ("mean-overflows", np.tile([1e308, 1e308, -1e308, 5.0], 5), "no spread"),
+    ("variance-underflows", np.tile([5e-324, 1e-323], 20), "no spread"),
+    ("ordinary", _DRAWS_RNG.normal(size=200), "ordinary"),
+]
+_DRAWS_GRID = np.linspace(-3.0, 3.0, 7)
+DRAW_READERS = {
+    "ess": ess,
+    "silverman": silverman_bandwidth,
+    "kde": lambda x: kde(x, _DRAWS_GRID),
+    "kde-bandwidth": lambda x: kde(x, _DRAWS_GRID, bandwidth=0.5),
+}
+
+
+class TestDrawSeriesRule:
+    @pytest.mark.parametrize("reader", DRAW_READERS)
+    @pytest.mark.parametrize(
+        "series, outcome", [row[1:] for row in DRAW_SERIES], ids=[row[0] for row in DRAW_SERIES]
+    )
+    def test_every_reader_of_a_series_follows_one_rule(self, series, outcome, reader):
+        # pyproject's error::RuntimeWarning fails a cell that leaks a warning
+        read = DRAW_READERS[reader]
+        if outcome == "not 1-d":
+            with pytest.raises(ValidationError, match="^a series of draws must be 1-d, got shape"):
+                read(series)
+        elif outcome == "no spread" and reader == "ess":
+            assert read(series) is None
+        elif outcome == "no spread":
+            with pytest.raises(DomainError, match="^the series has no spread .*use a histogram$"):
+                read(series)
+        else:
+            got = np.asarray(read(series))
+            assert np.isfinite(got).all() and (got > 0).all()
 
 
 def _one_matrix_kde(x, grid, h=None):
