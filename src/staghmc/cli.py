@@ -220,7 +220,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     cfg = _typed(cfg, SCHEMA)
-    _seed(_need(cfg, "seed"))
+    _seed("seed", _need(cfg, "seed"))
     _count("chains", _need(cfg, "chains"))
     return cfg
 

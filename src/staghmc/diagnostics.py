@@ -278,7 +278,7 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     x = _draws(series)
     if _spread(x, 1) is None:
         raise DomainError(_NO_SPREAD)
-    h = silverman_bandwidth(x) if bandwidth is None else float(_positive("bandwidth", bandwidth))
+    h = silverman_bandwidth(x) if bandwidth is None else _positive("bandwidth", bandwidth)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValidationError(f"kde needs a 1-d grid, got shape {grid.shape}")

@@ -50,7 +50,7 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _saturating,
     grad_hprime,
 )
-from .errors import _count, _frozen, _positive, _set
+from .errors import _count, _frozen, _positive, _rule, _set
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
@@ -64,18 +64,16 @@ __all__ = [
 class IntegratorConfig:
     """Inner step size dtau and the number P of inner steps per trajectory."""
 
-    d_tau: float
-    P: int
-
-    def __post_init__(self):
-        _positive("d_tau", self.d_tau)
-        _set(self, P=_count("P", self.P))
+    d_tau: float = _rule(_positive)
+    P: int = _rule(_count)
 
 
 @_frozen
 class OscillatorBank:
     """Per-bead data of the exact free flow by one step d_tau, a function of
-    (layout, masses, d_tau) alone; `build` returns one shared bank per key.
+    (layout, masses, d_tau) alone, d_tau a positive finite number stored as
+    a Python float (`errors._positive`); `build` returns one shared bank
+    per key.
 
     Effective mass m = m'/dt is shared; the frequency per staging order k,
     omega_k = sqrt(T k / ((k-1) dt m)), decreases with k, and each segment's
@@ -96,7 +94,7 @@ class OscillatorBank:
 
     layout: LatticeLayout
     masses: MassConfig
-    d_tau: float
+    d_tau: float = _rule(_positive)
     scale: np.ndarray = field(init=False, repr=False)
     flow: tuple = field(init=False, repr=False)
     kick_half: np.ndarray = field(init=False, repr=False)

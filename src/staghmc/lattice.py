@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _set
+from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _rule, _set
 from .model import DimensionlessParams, InputSignal, TimeSeriesData, _signal_over
 
 __all__ = [
@@ -74,9 +74,9 @@ class LatticeLayout:
     contiguous table instead of work on the strided views.
     """
 
-    n: int
-    j: int
-    T: float
+    n: int = _rule(_count)
+    j: int = _rule(_count)
+    T: float = _rule(_positive)
     N: int = field(init=False)
     dt: float = field(init=False)
     stiffness: np.ndarray = field(init=False, repr=False)
@@ -86,8 +86,6 @@ class LatticeLayout:
     bead_classes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set(self, n=_count("n", self.n), j=_count("j", self.j))
-        _positive("T", self.T)
         n, j = self.n, self.j
         dt = self.T / (n * j)
         k = np.arange(2, j + 1, dtype=float)
@@ -123,14 +121,9 @@ class MassConfig:
     (the staging kinetic term is dt p^2 / (2 m_prime), i.e. oscillator mass
     m_prime/dt), and m_alpha for the two parameters (beta, gamma)."""
 
-    M: float
-    m_prime: float
-    m_alpha: tuple[float, float]
-
-    def __post_init__(self):
-        _positive("M", self.M)
-        _positive("m_prime", self.m_prime)
-        _set(self, m_alpha=_positive_pair("m_alpha", self.m_alpha))
+    M: float = _rule(_positive)
+    m_prime: float = _rule(_positive)
+    m_alpha: tuple[float, float] = _rule(_positive_pair)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from dataclasses import field, fields
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .errors import _count, _frozen, _naming, _positive, _seed, _set
+from .errors import _count, _frozen, _naming, _positive, _rule, _seed, _set
 
 __all__ = [
     "PhysicalParams",
@@ -66,13 +66,11 @@ class PhysicalParams:
     nor a chain's start overflows on (K, gamma, T) alone. c is formed in
     the operation order of `simulate_truth` and `energy._hprime`."""
 
-    K: float
-    gamma: float
-    T: float
+    K: float = _rule(_positive)
+    gamma: float = _rule(_positive)
+    T: float = _rule(_positive)
 
     def __post_init__(self):
-        for name in ("K", "gamma", "T"):
-            _positive(name, getattr(self, name))
         given = f" from K={self.K}, gamma={self.gamma}, T={self.T}"
         beta = math.sqrt(self.T * self.gamma / self.K)
         if not (beta > 0 and math.isfinite(beta)):
@@ -90,12 +88,8 @@ class PhysicalParams:
 class DimensionlessParams:
     """Sampler-facing parameters theta = (beta, gamma)."""
 
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        _positive("beta", self.beta)
-        _positive("gamma", self.gamma)
+    beta: float = _rule(_positive)
+    gamma: float = _rule(_positive)
 
 
 def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
@@ -239,11 +233,10 @@ class ObservationModel:
     force infinite, is a ValidationError, for a simulation as for an
     inference."""
 
-    sigma: float
+    sigma: float = _rule(_positive)
     inv_sigma2: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        _positive("sigma", self.sigma)
         inv_sigma2 = 1.0 / self.sigma / self.sigma
         if math.isinf(inv_sigma2):
             raise ValidationError(
@@ -337,7 +330,7 @@ def _generator(seed) -> np.random.Generator:
     other seed (None, a Generator, a SeedSequence, a list of ints) goes to
     NumPy as it is."""
     if isinstance(seed, numbers.Number):
-        seed = _seed(seed)
+        seed = _seed("seed", seed)
     return np.random.default_rng(seed)
 
 

@@ -48,8 +48,8 @@ from .errors import (
     _count,
     _frozen,
     _positive_pair,
+    _rule,
     _seed,
-    _set,
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
@@ -90,18 +90,12 @@ CHAIN_CSV_HEADER = ",".join(["iter", *(header for _, header in CHAIN_COLUMNS)])
 class HmcConfig:
     """Sampler settings. theta0 is the dimensionless start (beta, gamma)."""
 
-    n_mc: int
-    theta0: tuple[float, float]
+    n_mc: int = _rule(_count)
+    theta0: tuple[float, float] = _rule(_positive_pair)
     masses: MassConfig
     integrator: IntegratorConfig
-    seed: int = 0
-    chains: int = 1
-
-    def __post_init__(self):
-        _set(
-            self, n_mc=_count("n_mc", self.n_mc), chains=_count("chains", self.chains),
-            seed=_seed(self.seed), theta0=_positive_pair("theta0", self.theta0),
-        )
+    seed: int = _rule(_seed, default=0)
+    chains: int = _rule(_count, default=1)
 
 
 class IterationStats(NamedTuple):

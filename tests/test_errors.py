@@ -4,12 +4,16 @@ wherever the setting is given. And one rule for a frozen object: every
 array it holds, and every array that one is a view of, is read-only; the
 data containers hold copies, so no array a caller keeps can change them;
 and a pickled copy is rebuilt from the init fields, so it equals the
-original, hashes alike and holds read-only arrays too."""
+original, hashes alike and holds read-only arrays too. A setting is
+stored as its rule returns it, so one given as a NumPy scalar is the
+Python number it equals, and runs the same chain."""
 
 import inspect
+import json
 import pickle
 import re
-from dataclasses import fields, is_dataclass
+import reprlib
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -250,3 +254,139 @@ def test_chain_records_compare_by_identity():
     twin = sampler.ChainRecord(**{f.name: getattr(rec, f.name) for f in fields(rec)})
     assert rec == rec
     assert not rec == twin and rec != twin
+
+
+@pytest.mark.parametrize("d_tau", [-0.5, 0.0, np.nan, np.inf])
+def test_bank_step_follows_the_positive_rule(d_tau):
+    with pytest.raises(ValidationError, match=f"^d_tau must be positive and finite, got {d_tau}$"):
+        OscillatorBank(LAYOUT, MASSES, d_tau)
+
+
+@pytest.mark.parametrize(
+    "steps", [(np.float32(0.25), 0.25), (0.25, np.float32(0.25))],
+    ids=["float32-first", "float-first"],
+)
+def test_bank_of_a_numpy_step_is_the_bank_of_its_float(steps):
+    OscillatorBank.build.cache_clear()
+    try:
+        first, second = [OscillatorBank.build(LAYOUT, MASSES, d_tau) for d_tau in steps]
+    finally:
+        OscillatorBank.build.cache_clear()
+    assert second is first
+    assert type(first.d_tau) is float and first.d_tau == 0.25
+    assert first.kick_full.dtype == np.float64
+
+
+HUGE = 10**400  # an integer past the double range: float() overflows on it
+PAST_DOUBLE_RANGE = {
+    "M": lambda: MassConfig(M=HUGE, m_prime=130.0, m_alpha=(150.0, 150.0)),
+    "m_alpha": lambda: MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, HUGE)),
+    "d_tau": lambda: IntegratorConfig(d_tau=HUGE, P=3),
+}
+
+
+@pytest.mark.parametrize("name", PAST_DOUBLE_RANGE)
+def test_integer_past_the_double_range_is_not_positive_and_finite(name):
+    message = f"^{name} must be positive and finite, got {re.escape(reprlib.repr(HUGE))}$"
+    with pytest.raises(ValidationError, match=message):
+        PAST_DOUBLE_RANGE[name]()
+
+
+def python_number(x):
+    return x
+
+
+def numpy_scalar(kind):
+    """Each setting as a NumPy scalar: a count or a seed as np.int64, a float
+    as ``kind``, which holds each float of `SETTINGS` exactly; np.int64 takes
+    the whole floats and leaves the others Python floats."""
+    def convert(x):
+        if isinstance(x, int):
+            return np.int64(x)
+        if kind is np.int64 and not x.is_integer():
+            return x
+        assert kind(x) == x
+        return kind(x)
+    return convert
+
+
+KINDS = {"float32": np.float32, "float64": np.float64, "int64": np.int64}
+# each class with float or count settings, built with every setting passed
+# through ``num``
+SETTINGS = {
+    "PhysicalParams": lambda num: PhysicalParams(K=num(30.0), gamma=num(0.375), T=num(40.0)),
+    "DimensionlessParams": lambda num: model.DimensionlessParams(num(1.25), num(0.375)),
+    "ObservationModel": lambda num: ObservationModel(num(0.5)),
+    "MassConfig": lambda num: MassConfig(
+        M=num(720.0), m_prime=num(130.0), m_alpha=(num(150.0), num(150.0))
+    ),
+    "IntegratorConfig": lambda num: IntegratorConfig(d_tau=num(0.25), P=num(3)),
+    "HmcConfig": lambda num: HmcConfig(
+        n_mc=num(20), theta0=(num(1.0), num(0.5)), masses=SETTINGS["MassConfig"](num),
+        integrator=SETTINGS["IntegratorConfig"](num), seed=num(7), chains=num(1),
+    ),
+    "LatticeLayout": lambda num: LatticeLayout(n=num(4), j=num(3), T=num(40.0)),
+}
+
+
+def assert_same_fields(obj, want):
+    """Each field of ``obj``, derived ones too, is of the type of ``want``'s
+    and equal to it, a Python int or float (or a tuple of floats) for a
+    setting, an array of the same dtype and bytes for a table."""
+    for f in fields(want):
+        value, expected = getattr(obj, f.name), getattr(want, f.name)
+        if is_dataclass(expected):
+            assert_same_fields(value, expected)
+        elif isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype, f.name
+            assert value.tobytes() == expected.tobytes(), f.name
+        else:
+            assert type(value) is type(expected) and value == expected, f.name
+            pairs = zip(value, expected) if isinstance(expected, tuple) else [(value, expected)]
+            for got, x in pairs:
+                assert type(x) in (int, float) and type(got) is type(x), f.name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", SETTINGS)
+def test_numpy_scalar_settings_are_stored_as_python_numbers(name, kind):
+    obj, want = SETTINGS[name](numpy_scalar(KINDS[kind])), SETTINGS[name](python_number)
+    assert_same_fields(obj, want)
+    assert obj == want and hash(obj) == hash(want)
+    if name == "HmcConfig":  # a chain's meta["config"]
+        assert json.dumps(asdict(obj)) == json.dumps(asdict(want))
+
+
+def chain_of(num):
+    problem = InferenceProblem(DATA, SIGNAL, SETTINGS["ObservationModel"](num), num(3))
+    OscillatorBank.build.cache_clear()  # each run builds its own bank
+    try:
+        return sampler.run_chain(problem, SETTINGS["HmcConfig"](num))
+    finally:
+        OscillatorBank.build.cache_clear()
+
+
+@pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy-first", "python-first"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_numpy_scalar_settings_run_the_python_chain(kind, numpy_first):
+    builds = {"numpy": numpy_scalar(KINDS[kind]), "python": python_number}
+    order = ["numpy", "python"] if numpy_first else ["python", "numpy"]
+    records = {name: chain_of(builds[name]) for name in order}
+    chain, want = records["numpy"], records["python"]
+    for name, _ in sampler.CHAIN_COLUMNS:
+        got, expected = getattr(chain, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    assert json.dumps(chain.meta["config"]) == json.dumps(want.meta["config"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_numpy_scalar_settings_simulate_the_python_path(kind):
+    paths = [
+        simulate_truth(
+            SETTINGS["PhysicalParams"](num), SIGNAL, fine_grid(num(40.0), num(4), num(3)),
+            seed=num(1),
+        )
+        for num in (numpy_scalar(KINDS[kind]), python_number)
+    ]
+    for name in ("times", "S", "q"):
+        assert getattr(paths[0], name).tobytes() == getattr(paths[1], name).tobytes(), name
