@@ -34,6 +34,7 @@ import numpy as np
 
 from .diagnostics import (
     _kept_rows,
+    _pooled_summary,
     discard_start,
     kde,
     silverman_bandwidth,
@@ -435,7 +436,7 @@ def cmd_summarize(cfg: dict) -> int:
     with _naming("config field summarize.discard"):
         kept = _kept_rows(records, discard)
     with _naming("config field summarize.chain_files"):
-        summary = summarize(*records, discard=discard)
+        summary = _pooled_summary(records, kept, discard)
     # infer's summary.json holds chains_meta, which no chain CSV does
     old_path = os.path.join(out_dir, "summary.json")
     try:

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
-# kernel values held per block by ``kde``: 64 Ki doubles, 512 KB a buffer
-KDE_BLOCK_DOUBLES = 1 << 16
+# kernel values held per block by ``kde``: 32 Ki doubles, 256 KB a buffer
+KDE_BLOCK_DOUBLES = 1 << 15
 # np.exp is exactly +0.0 below about -745.14; ``kde`` skips arguments below this
 EXP_ZERO = -746.0
 _NO_SPREAD = (
@@ -125,6 +125,21 @@ def _percentiles(x: np.ndarray, levels, averaged: bool = False) -> np.ndarray:
     return out
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= ``n`` (n >= 1), a length that NumPy's
+    pocketfft transforms in radix-2, -3 and -5 passes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that takes p35 to n or past it
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def ess(series) -> float | None:
     """Effective sample size via the initial-positive-sequence rule, or None
     where a series has none: fewer than 10 draws, no spread (`_spread`: a
@@ -132,6 +147,14 @@ def ess(series) -> float | None:
     deviation that is 0 or leaves the double range), or an autocovariance
     that leaves the double range. Only a series that is not 1-d is an error
     (ValidationError).
+
+    The autocovariance of the L draws comes from one zero-padded FFT at
+    the smallest 5-smooth length >= 2L - 1 (`_fft_length`; from 2L - 1 on
+    no circular lag wraps onto the L kept ones): 20 480 points for 10 240
+    draws, against 32 768 at the next power of two. The power spectrum is
+    squared in place, and the centred series and the spectrum are released
+    before the L lags are sliced from the inverse transform, so the call
+    holds about two transform-sized arrays at once.
 
     Autocorrelations are summed over consecutive pairs while the pair sums
     stay positive; the result is clipped to the series length (an antithetic
@@ -141,12 +164,16 @@ def ess(series) -> float | None:
     L = x.size
     if L < 10 or _spread(x, 0) is None:
         return None
+    nfft = _fft_length(2 * L - 1)
     # an autocovariance past the double range saturates to inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         x = x - x.mean()
-        nfft = 1 << (2 * L - 1).bit_length()
         f = np.fft.rfft(x, nfft)
-        acov = np.fft.irfft(f * np.conj(f), nfft)[:L] / L
+        del x
+        f *= f.conj()
+        acov = np.fft.irfft(f, nfft)
+        del f
+        acov = acov[:L] / L
     if not np.isfinite(acov).all():
         return None
     rho = acov / acov[0]
@@ -213,7 +240,13 @@ def summarize(*records: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
     """
     if not records:
         raise ValidationError("summarize needs at least one chain record")
-    kept = _kept_rows(records, discard)
+    return _pooled_summary(records, _kept_rows(records, discard), discard)
+
+
+def _pooled_summary(records, kept: dict, discard: float) -> PosteriorSummary:
+    """The `summarize` of ``records`` from their rows ``kept`` at the
+    fraction ``discard`` (`_kept_rows`), for a caller that reads the kept
+    rows itself: the rows of a summary are joined once."""
     return PosteriorSummary(
         parameters={name: _parameter_summary(name, kept[name]) for name in ("beta", "gamma", "K")},
         acceptance_rate=float(np.mean(kept["accepted"])),

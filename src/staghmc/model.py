@@ -453,13 +453,14 @@ def generate_observations(
 # --------------------------------------------------------------------------
 # CSV helpers shared by the container types
 
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 512
 
 
 def _write_csv(path, header: str, rows: np.ndarray):
     """Write ``rows`` under the line ``header``, each entry ``%.17g`` (whole
     numbers print as integers), comma separated, by one ``%`` of a repeated
-    row template per ``CSV_BLOCK_ROWS`` rows (~2 MB of temporaries)."""
+    row template per ``CSV_BLOCK_ROWS`` rows (about 250 KB of temporaries at
+    the 8 columns of a chain)."""
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import staghmc.cli
+import staghmc.diagnostics
 from staghmc.cli import main, resolve_config, build_parser
 from staghmc.model import TimeSeriesData
 from staghmc.sampler import CHAIN_COLUMNS, CHAIN_CSV_HEADER, ChainRecord
@@ -521,6 +523,21 @@ class TestSummarize:
         for key in ("parameters", "acceptance_rate", "n_retained", "n_total", "chains", "discard"):
             assert merged[key] == inline[key], key
         assert merged["chains"] == 2 and merged["n_total"] == 240
+
+    def test_kept_rows_are_joined_once(self, tmp_path, monkeypatch):
+        # the summary and the densities read one join of every chain's kept rows
+        _, chains = self.make_run(tmp_path)
+        calls = []
+        join = staghmc.diagnostics._kept_rows
+
+        def counted(records, discard):
+            calls.append(discard)
+            return join(records, discard)
+
+        monkeypatch.setattr(staghmc.cli, "_kept_rows", counted)
+        monkeypatch.setattr(staghmc.diagnostics, "_kept_rows", counted)
+        self.summarize(tmp_path, chains)
+        assert calls == [0.25]
 
     def test_infer_summary_is_not_overwritten(self, tmp_path, capsys):
         run_dir, chains = self.make_run(tmp_path)

@@ -17,7 +17,9 @@ from scipy.signal import lfilter
 import staghmc
 from staghmc.diagnostics import (
     EXP_ZERO,
+    KDE_BLOCK_DOUBLES,
     QUANTILE_LEVELS,
+    _fft_length,
     _percentiles,
     discard_start,
     ess,
@@ -120,6 +122,62 @@ class TestEss:
             e = np.random.default_rng(seed).standard_normal(L)
             x = lfilter([1.0], [1.0, -0.9], e)
             assert abs(ess(x) - target) < 0.25 * target
+
+
+def _power_of_two_ess(x):
+    """`ess` as it was with the transform at the next power of two >= 2L - 1
+    and the spectrum formed out of place: the reference for the 5-smooth
+    length, on series with an ESS."""
+    L = x.size
+    x = x - x.mean()
+    nfft = 1 << (2 * L - 1).bit_length()
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:L] / L
+    rho = acov / acov[0]
+    positive = 0.0
+    for g in rho[0:-1:2] + rho[1::2]:
+        if g <= 0:
+            break
+        positive += g
+    return float(min(L, L / max(2.0 * positive - 1.0, 1e-12)))
+
+
+class TestEssTransform:
+    def test_fft_length_is_the_smallest_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        def brute_force(n):
+            m = n
+            while not smooth(m):
+                m += 1
+            return m
+
+        for n in range(1, 4_097):
+            assert _fft_length(n) == brute_force(n), n
+        # the transform lengths of a chains-16 pool and of a paper-sec4 chain
+        assert (_fft_length(2 * 10_240 - 1), _fft_length(2 * 200 - 1)) == (20_480, 400)
+
+    @pytest.mark.parametrize("L", [10, 11, 199, 7_919, 10_240])
+    @pytest.mark.parametrize("phi", [0.5, 0.95])
+    def test_matches_the_power_of_two_transform(self, phi, L):
+        x = lfilter([1.0], [1.0, -phi], np.random.default_rng(L).standard_normal(L))
+        assert ess(x) == pytest.approx(_power_of_two_ess(x), rel=1e-12, abs=0)
+
+    def test_peak_memory_of_a_pooled_series(self):
+        # two 20 480-point arrays at once, about 330 KB; the power-of-two
+        # transform with its out-of-place spectrum peaked near 870 KB
+        x = lfilter([1.0], [1.0, -0.9], np.random.default_rng(29).standard_normal(10_240))
+        tracemalloc.start()
+        try:
+            ess(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400_000
 
 
 class TestSummarize:
@@ -443,12 +501,12 @@ def _one_matrix_kde(x, grid, h=None):
     return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
 
 
-# sample counts on both sides of the 64 Ki block budget, grid sizes that are
-# not multiples of the block height; pairs whose reference matrix would
-# exceed 2 M doubles are left out to keep the test's memory small
+# sample counts on both sides of the block budget KDE_BLOCK_DOUBLES, grid
+# sizes that are not multiples of the block height; pairs whose reference
+# matrix would exceed 2 M doubles are left out to keep the test's memory small
 _KDE_SHAPES = [
     (n, g)
-    for n in (2, 1_000, 65_535, 65_536, 65_537, 150_000)
+    for n in (2, 1_000, KDE_BLOCK_DOUBLES - 1, KDE_BLOCK_DOUBLES, KDE_BLOCK_DOUBLES + 1, 150_000)
     for g in (1, 7, 256, 1_001)
     if n * g <= 2_000_000
 ]

@@ -654,9 +654,14 @@ def _table(rng, n_rows, n_cols, special):
     return table
 
 
+# row counts on both sides of the writer's block of CSV_BLOCK_ROWS rows, and
+# one past two blocks that is not a multiple of the block
+_CSV_ROWS = [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 203]
+
+
 class TestCsvFormat:
     """Every container's CSV is the bytes np.savetxt would write, across the
-    writer's row blocks (2, 4 097 and 9 000 rows)."""
+    writer's row blocks (`_CSV_ROWS`)."""
 
     @staticmethod
     def savetxt_bytes(tmp_path, header, *columns):
@@ -667,7 +672,7 @@ class TestCsvFormat:
         )
         return ref.read_bytes()
 
-    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    @pytest.mark.parametrize("n_rows", _CSV_ROWS)
     def test_truth_path(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         cols = _table(rng, n_rows, 3, SPECIAL).T
@@ -675,7 +680,7 @@ class TestCsvFormat:
         TruthPath(*cols).to_csv(path)
         assert path.read_bytes() == self.savetxt_bytes(tmp_path, "t,S,q", *cols)
 
-    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    @pytest.mark.parametrize("n_rows", _CSV_ROWS)
     def test_observations(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         times = np.arange(n_rows) * 0.5
@@ -685,7 +690,7 @@ class TestCsvFormat:
         TimeSeriesData(times, values).to_csv(path)
         assert path.read_bytes() == self.savetxt_bytes(tmp_path, "t,y", times, values)
 
-    @pytest.mark.parametrize("n_rows", [2, 4_097, 9_000])
+    @pytest.mark.parametrize("n_rows", _CSV_ROWS)
     def test_density(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         grid, density = _table(rng, n_rows, 2, SPECIAL).T
