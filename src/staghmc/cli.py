@@ -366,16 +366,23 @@ def cmd_infer(cfg: dict) -> int:
     with _naming("config field infer.discard"):
         discard_start(discard, hmc.n_mc)
     # every chain starts here: a start whose force is not finite on this
-    # problem is refused before the first write. Its beta and gamma are
-    # positive and finite (`PhysicalParams`), so `_hprime` has no
-    # DomainError to raise
+    # problem is refused before the first write, naming each setting that
+    # fixes that force. Its beta and gamma are positive and finite
+    # (`PhysicalParams`), so `_hprime` has no DomainError to raise
     with _naming("config block infer.start"):
         try:
             _start_chain(problem, hmc)
         except NonFiniteError as exc:
+            keys = ("file",) if signal.kind == "tabulated" else ("a", "omega", "b")
+            fields = (
+                "infer.observations_file", *(f"signal.{key}" for key in keys),
+                "observation.sigma", "lattice.j",
+            )
+            # each value as the config holds it: a path in full, a number's repr
+            named = ", ".join(f"{field} = {_need(cfg, field)}" for field in fields)
             raise ValidationError(
-                f"no chain can start at K = {start.K!r}, gamma = {start.gamma!r} with the "
-                f"given data, signal, observation and lattice: {exc}"
+                f"no chain can start at K = {start.K!r}, gamma = {start.gamma!r} "
+                f"with {named}: {exc}"
             ) from None
 
     echo_path = _write_echo(cfg, "infer", out_dir)

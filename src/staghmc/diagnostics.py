@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, _frozen, _positive
 from .model import _write_csv
-from .sampler import ChainRecord
 
 __all__ = [
     "ParameterSummary",
@@ -92,10 +91,14 @@ def _spread(x: np.ndarray, ddof: int) -> float | None:
     return sd if 0.0 < sd < math.inf else None
 
 
-def _percentiles(x: np.ndarray, levels, averaged: bool = False) -> np.ndarray:
-    """The percentiles ``levels`` of the non-empty 1-d ``x`` by NumPy's rule
-    ``'linear'``, or ``'averaged_inverted_cdf'`` when ``averaged``, operation
-    for operation, so they equal np.percentile's.
+def _percentiles(x: np.ndarray, levels) -> np.ndarray:
+    """The percentiles ``levels`` of the non-empty 1-d ``x`` by NumPy's
+    ``'averaged_inverted_cdf'``, the inverse of the ECDF, operation for
+    operation, so they equal np.percentile's. This is the package's one
+    order statistic: the summary's quantiles, the interquartile range of
+    `silverman_bandwidth` and a chain's ``median_abs_dh`` (its 50th level,
+    np.median's value wherever the two middle values lie within a factor
+    2 of each other; otherwise it may differ in the last bit).
 
     It reads them from one sort. np.percentile partitions instead, and
     through np.unique imports numpy.ma, 10-24 ms and about 1 MB in each
@@ -105,16 +108,14 @@ def _percentiles(x: np.ndarray, levels, averaged: bool = False) -> np.ndarray:
     """
     s = np.sort(x)
     n = s.size
-    q = np.true_divide(levels, 100)
-    virtual = n * q - 1 if averaged else (n - 1) * q
+    virtual = n * np.true_divide(levels, 100) - 1
     lo = np.floor(virtual)
     hi = lo + 1
     # an index past either end reads that end's value
     for edge, end in ((virtual >= n - 1, -1), (virtual < 0, 0)):
         lo[edge] = hi[edge] = end
-    gamma = virtual - lo
-    if averaged:  # a whole index averages its two neighbours
-        gamma = np.where(gamma == 0, 0.5, 1.0)
+    # a whole index averages its two neighbours, any other takes the upper one
+    gamma = np.where(virtual - lo == 0, 0.5, 1.0)
     a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
     # np.percentile's two-sided interpolation, exact at either end
     diff = b - a
@@ -196,7 +197,7 @@ def _parameter_summary(name: str, x: np.ndarray) -> ParameterSummary:
     if math.isinf(mean) or math.isinf(sd):
         raise ValidationError(f"the draws of {name} overflow: mean {mean}, sd {sd}")
     # ECDF-based quantiles: pooling identical chains leaves them unchanged
-    qs = _percentiles(x, QUANTILE_LEVELS, averaged=True)
+    qs = _percentiles(x, QUANTILE_LEVELS)
     return ParameterSummary(
         mean=mean,
         sd=sd,
@@ -230,13 +231,14 @@ def _kept_rows(records, discard: float) -> dict:
     }
 
 
-def summarize(*records: ChainRecord, discard: float = 0.0) -> PosteriorSummary:
-    """Summaries of beta, gamma, K over the kept rows of one or more chains.
+def summarize(*records, discard: float = 0.0) -> PosteriorSummary:
+    """Summaries of beta, gamma, K over the kept rows of one or more chain
+    records (`sampler.ChainRecord`).
 
     ``discard`` is the burn-in fraction dropped from the front of each
     chain; each chain must keep a row. The kept rows are pooled in chain
-    order, so quantiles are those of the pooled draws. Draws whose mean or
-    sd overflows are a ValidationError.
+    order, so quantiles are those of the pooled draws, by the ECDF rule of
+    `_percentiles`. Draws whose mean or sd overflows are a ValidationError.
     """
     if not records:
         raise ValidationError("summarize needs at least one chain record")
@@ -259,12 +261,14 @@ def _pooled_summary(records, kept: dict, discard: float) -> PosteriorSummary:
 
 def silverman_bandwidth(series) -> float:
     """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
-    A series that is not 1-d is a ValidationError. A series without spread
-    (`_spread`: fewer than 2 draws, a draw that is not finite, one that
-    never moved, or a standard deviation that is 0 or leaves the double
-    range) is a DomainError, as it is for `kde`. So is a bandwidth that
-    is not positive and finite, such as one whose small iqr rounds to 0 in
-    the product."""
+    The iqr is the 75th less the 25th percentile by `_percentiles`, so the
+    bandwidth of a pooled series reads exactly its summary's ``75%`` less
+    its ``25%``. A series that is not 1-d is a ValidationError. A series
+    without spread (`_spread`: fewer than 2 draws, a draw that is not
+    finite, one that never moved, or a standard deviation that is 0 or
+    leaves the double range) is a DomainError, as it is for `kde`. So is a
+    bandwidth that is not positive and finite, such as one whose small iqr
+    rounds to 0 in the product."""
     x = _draws(series)
     sd = _spread(x, 1)
     if sd is None:
@@ -281,14 +285,15 @@ def silverman_bandwidth(series) -> float:
 def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     """Gaussian kernel density of ``series`` evaluated on ``grid``.
 
-    Uses the Silverman bandwidth unless one is given. A series without
-    spread (`_spread`: fewer than 2 draws, a draw that is not finite, one
-    that never moved, or a standard deviation that is 0 or leaves the
-    double range) has no meaningful density, whether or not a bandwidth is
-    given; that is a DomainError (use a histogram instead). A series or a
-    grid that is not 1-d, a grid point that is NaN, and a given bandwidth
-    that is not a positive finite number (`errors._positive`: a string or
-    a bool is refused, not converted) are each a ValidationError.
+    Uses the Silverman bandwidth (`silverman_bandwidth`, whose iqr is the
+    summary's) unless one is given. A series without spread (`_spread`:
+    fewer than 2 draws, a draw that is not finite, one that never moved,
+    or a standard deviation that is 0 or leaves the double range) has no
+    meaningful density, whether or not a bandwidth is given; that is a
+    DomainError (use a histogram instead). A series or a grid that is not
+    1-d, a grid point that is NaN, and a given bandwidth that is not a
+    positive finite number (`errors._positive`: a string or a bool is
+    refused, not converted) are each a ValidationError.
 
     The grid is evaluated in row blocks of about ``KDE_BLOCK_DOUBLES``
     kernel values, in two buffers of doubles and one of bools allocated once

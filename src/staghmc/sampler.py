@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .diagnostics import _percentiles
 from .energy import (  # noqa: F401 -- h_total stays bound here for tracers
     InferenceProblem,
     _end_energy,
@@ -323,17 +324,6 @@ def _start_chain(problem: InferenceProblem, config: HmcConfig) -> Chain:
     return Chain(problem, config, start)
 
 
-def _median(values: np.ndarray) -> float | None:
-    """np.median of ``values``, None if there are none: after one sort, the
-    middle value, or the two middle values added and halved. np.median
-    itself imports numpy.ma, 10-24 ms in each process that calls it."""
-    s = np.sort(values).tolist()
-    if not s:
-        return None
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
-
-
 def _run_seeded(
     problem: InferenceProblem,
     config: HmcConfig,
@@ -375,7 +365,7 @@ def _run_seeded(
         "wall_clock_s": elapsed,
         "acceptance_rate": float(np.mean(accepted)),
         "pathologies": pathologies,
-        "median_abs_dh": _median(abs_dh),
+        "median_abs_dh": float(_percentiles(abs_dh, (50.0,))[0]) if abs_dh.size else None,
     }
     return ChainRecord(
         beta=beta,

@@ -1018,6 +1018,27 @@ def test_start_no_chain_can_take_rejected_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_start_refused_on_a_huge_signal_names_the_signal(tmp_path, monkeypatch, capsys):
+    # on the README quick-start's observations, signal.a = 1e300 leaves no
+    # start with a finite force; the refusal names every setting that fixes it
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--preset", "paper-sec4", "--seed", "2718", "--out", "run"]) == 0
+    cfg = {"infer": {"observations_file": "run/observations.csv"}, "signal": {"a": 1e300}}
+    cfg_path = write_config(tmp_path, cfg, "infer.json")
+    capsys.readouterr()
+    rc = main(["infer", "--preset", "paper-sec4", "--config", cfg_path, "--out", "out"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config block infer.start: no chain can start at K = 200.0")
+    assert err.count("\n") == 1
+    for named in (
+        "infer.observations_file = run/observations.csv", "signal.a = 1e+300",
+        "signal.omega = 0.01", "signal.b = 0.1", "observation.sigma = 0.1", "lattice.j = 30",
+    ):
+        assert named in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["infer", "simulate"])
 def test_signal_not_positive_where_read_is_named_by_its_file(tmp_path, capsys, command):
     # the table interpolates to exactly 0.0 at t = 6, where the lattice
