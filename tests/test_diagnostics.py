@@ -592,7 +592,8 @@ PERCENTILE_SIZES = (1, 2, 3, 4, 9, 10, 101, 1_000, 1_001, 19_999, 20_000)
 
 
 class TestPercentiles:
-    @pytest.mark.parametrize("levels", [QUANTILE_LEVELS, (75.0, 25.0), (50.0,)])
+    # (0.0, 100.0) puts every size's index past both ends of the sort
+    @pytest.mark.parametrize("levels", [QUANTILE_LEVELS, (75.0, 25.0), (50.0,), (0.0, 100.0)])
     @pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
     @pytest.mark.parametrize("n", PERCENTILE_SIZES)
     def test_bit_identical_to_numpy(self, n, kind, levels):
@@ -603,13 +604,14 @@ class TestPercentiles:
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(x, before)
 
+    @pytest.mark.parametrize("levels", [QUANTILE_LEVELS, (0.0, 100.0)])
     @pytest.mark.parametrize("n", (1, 2, 9, 10, 1_000))
-    def test_series_with_a_nan_is_nan_at_every_level(self, n):
+    def test_series_with_a_nan_is_nan_at_every_level(self, n, levels):
         x = _percentile_series("normal", n)
         x[n // 2] = np.nan
-        got = _percentiles(x, QUANTILE_LEVELS)
+        got = _percentiles(x, levels)
         assert np.isnan(got).all()
-        want = np.percentile(x, QUANTILE_LEVELS, method="averaged_inverted_cdf")
+        want = np.percentile(x, levels, method="averaged_inverted_cdf")
         assert got.tobytes() == want.tobytes()
 
 
