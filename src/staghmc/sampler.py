@@ -17,16 +17,17 @@ spawns each chain its own stream from it and reports every failed chain
 in one StagHmcError; `run_chain` is this runner for one chain. The chains
 run on min(chains, CPUs in the affinity mask) workers, so a caller who
 wants fewer narrows the mask; one worker is this process, and a pool is
-made only for two or more.
+made only for two or more. Only the pool branch imports `multiprocessing`,
+and only a failed chain imports `traceback`, so a process that makes no
+pool never loads `multiprocessing`, and loads `traceback` only when a
+chain fails.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-import traceback
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -410,6 +411,8 @@ def _chain_worker(args):
     try:
         return index, _run_seeded(problem, config, index, seed_seq), None
     except Exception as exc:  # isolate failures so sibling chains finish
+        import traceback  # only a failed chain formats one
+
         return index, None, (f"chain {index}: {type(exc).__name__}: {exc}", traceback.format_exc())
 
 
@@ -440,6 +443,8 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
     if workers == 1:
         outs = [_chain_worker(job) for job in jobs]
     else:
+        import multiprocessing  # only a pool needs it: one worker never loads it
+
         try:
             mp_ctx = multiprocessing.get_context("fork")
         except ValueError:

@@ -2,7 +2,11 @@ import copy
 import inspect
 import json
 import math
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import staghmc
 from staghmc import (
     DomainError,
     InputSignal,
@@ -68,6 +73,12 @@ def posterior_problem():
     obs_times = np.linspace(0.0, 800.0, 21)
     data = generate_observations(path, obs_times, truth, ObservationModel(0.05), seed=72)
     return InferenceProblem(data=data, signal=SIGNAL, obs=ObservationModel(0.05), j=2)
+
+
+def averaged_median(x):
+    """The 50th level by the rule `diagnostics._percentiles` keeps, NumPy's
+    ``averaged_inverted_cdf``: the step's fit ``median_abs_dh``."""
+    return np.percentile(x, 50, method="averaged_inverted_cdf")
 
 
 def small_config(**kw):
@@ -954,7 +965,7 @@ class TestRunChain:
         # the step's fit is the median abs(dH) over the finite dH alone
         finite = np.isfinite(rec.dh)
         assert not finite.all()
-        assert rec.meta["median_abs_dh"] == float(np.median(np.abs(rec.dh[finite])))
+        assert rec.meta["median_abs_dh"] == float(averaged_median(np.abs(rec.dh[finite])))
         assert run_chain(toy_problem, small_config(n_mc=5)).meta["pathologies"] == {}
 
     def test_meta_step_fit_without_a_finite_dh_is_none(self, toy_problem, monkeypatch):
@@ -984,7 +995,7 @@ class TestRunChain:
         rec = run_chain(toy_problem, small_config(n_mc=n_finite + 3))
         finite = np.isfinite(rec.dh)
         assert finite.sum() == n_finite
-        assert rec.meta["median_abs_dh"] == float(np.median(np.abs(rec.dh[finite])))
+        assert rec.meta["median_abs_dh"] == float(averaged_median(np.abs(rec.dh[finite])))
 
     def test_single_iteration_single_row(self, toy_problem):
         rec = run_chain(toy_problem, small_config(n_mc=1))
@@ -1010,7 +1021,7 @@ class TestRunChain:
         assert rec.meta["wall_clock_s"] > 0
         assert rec.meta["j"] == toy_problem.j
         assert rec.meta["N"] == toy_problem.layout.N
-        assert rec.meta["median_abs_dh"] == float(np.median(np.abs(rec.dh)))
+        assert rec.meta["median_abs_dh"] == float(averaged_median(np.abs(rec.dh)))
         json.dumps(rec.meta)
 
     def test_csv_round_trip(self, toy_problem, tmp_path):
@@ -1172,7 +1183,7 @@ class TestParallelChains:
         def no_pool(*args):
             raise AssertionError("a pool was made")
 
-        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for chains, failing, masked in ((1, 0, True), (3, 1, True), (3, 1, False)):
@@ -1207,7 +1218,7 @@ class TestParallelChains:
         context = inline_context(sizes, chunks)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", lambda *a: context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
         assert sizes == [2]
@@ -1231,7 +1242,7 @@ class TestParallelChains:
 
         monkeypatch.delattr(staghmc.sampler.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(staghmc.sampler.multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
         cfg = small_config(n_mc=5, seed=6, chains=2)
         recs = run_parallel_chains(toy_problem, cfg)
         assert sizes == [2]
@@ -1260,6 +1271,79 @@ class TestParallelChains:
         se_long = se(long_K)
         diff = abs(pooled.mean() - long_K.mean())
         assert diff < 4 * np.sqrt(se_pool**2 + se_long**2)
+
+
+# a one-chain run in a fresh interpreter, with the input signal's amplitude
+# as its one argument: 1.0 runs, 1e300 leaves the start's force non-finite;
+# it prints, as JSON, the error and its cause, if any, and which of the
+# pool machinery's modules are loaded at the end
+_LONE_CHAIN_RUN = """
+import json
+import sys
+import numpy as np
+machinery = ("multiprocessing", "traceback")
+if any(name in sys.modules for name in machinery):
+    print("preloaded")
+    raise SystemExit
+from staghmc import HmcConfig, InferenceProblem, InputSignal, ObservationModel, StagHmcError
+from staghmc import TimeSeriesData, run_chain
+from staghmc.integrator import IntegratorConfig
+from staghmc.lattice import MassConfig
+
+times = np.linspace(0.0, 40.0, 5)
+values = InputSignal.sinusoid(1.0, 0.01, 0.1).value(times)
+problem = InferenceProblem(
+    data=TimeSeriesData(times=times, values=values),
+    signal=InputSignal.sinusoid(float(sys.argv[1]), 0.01, 0.1),
+    obs=ObservationModel(0.1), j=5,
+)
+config = HmcConfig(
+    n_mc=12, theta0=(1.0, 0.5), seed=1,
+    masses=MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0)),
+    integrator=IntegratorConfig(d_tau=0.25, P=3),
+)
+out = {"error": None, "cause": None}
+try:
+    run_chain(problem, config)
+except StagHmcError as error:
+    out = {"error": str(error), "cause": str(error.__cause__)}
+out["loaded"] = sorted(name for name in machinery if name in sys.modules)
+print(json.dumps(out))
+"""
+
+
+def lone_chain_run(amplitude):
+    """What `_LONE_CHAIN_RUN` prints at this amplitude; skips where
+    ``import numpy`` alone loads the pool machinery."""
+    src = os.path.dirname(os.path.dirname(staghmc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _LONE_CHAIN_RUN, repr(amplitude)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("import numpy alone loads multiprocessing or traceback in this environment")
+    return json.loads(proc.stdout)
+
+
+class TestPoolMachineryImports:
+    def test_lone_chain_loads_neither_multiprocessing_nor_traceback(self):
+        # one chain is one worker, this process: no pool, and no failure to format
+        assert lone_chain_run(1.0) == {"error": None, "cause": None, "loaded": []}
+
+    def test_failed_lone_chain_keeps_its_traceback(self):
+        # the failing chain imports traceback to format its own; still no pool
+        out = lone_chain_run(1e300)
+        assert out["error"].startswith("chain 0: NonFiniteError: non-finite gradient w.r.t. u at ")
+        text = out["cause"]
+        assert text.count("Traceback (most recent call last):") == 1
+        assert "in _chain_worker" in text
+        assert "in _start_chain" in text
+        assert "staghmc.errors.NonFiniteError: non-finite gradient w.r.t. u" in text
+        assert out["loaded"] == ["traceback"]
 
 
 class TestDetailedBalance:
