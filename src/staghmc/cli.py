@@ -257,19 +257,21 @@ def _build(cls, cfg: dict, block: str, **given):
         return cls(**read, **given)
 
 
-def _build_signal(cfg: dict) -> tuple[InputSignal, str]:
-    """The config's signal and the name its refusals carry: the file of a
-    table, ``<file> (config field signal.file)``, or ``config block signal``
-    for a sinusoid. A signal that cannot be read where the lattice or the
+def _build_signal(cfg: dict) -> tuple[InputSignal, str, tuple[str, ...]]:
+    """The config's signal, the name its refusals carry and the config
+    fields it was read from. The name is the file of a table,
+    ``<file> (config field signal.file)``, or ``config block signal`` for a
+    sinusoid. A signal that cannot be read where the lattice or the
     simulation grid reads it is refused under this name (`_naming`), when
     it is read: a sinusoid's a, omega and b have no other check."""
     kind = _need(cfg, "signal.kind")
     if kind == "sinusoid":
-        a, omega, b = (_need(cfg, f"signal.{name}") for name in ("a", "omega", "b"))
-        return InputSignal.sinusoid(a, omega, b), "config block signal"
+        fields = ("signal.a", "signal.omega", "signal.b")
+        signal = InputSignal.sinusoid(*(_need(cfg, field) for field in fields))
+        return signal, "config block signal", fields
     if kind == "tabulated":
         path = _input_file(_need(cfg, "signal.file"), "signal.file")
-        return InputSignal.from_csv(path), f"{path} (config field signal.file)"
+        return InputSignal.from_csv(path), f"{path} (config field signal.file)", ("signal.file",)
     raise ValidationError(f"config field signal.kind has an unknown value {reprlib.repr(kind)}")
 
 
@@ -315,7 +317,7 @@ def _write_echo(cfg: dict, command: str, out_dir: str) -> str:
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
     params = _build(PhysicalParams, cfg, "model")
-    signal, signal_name = _build_signal(cfg)
+    signal, signal_name, _ = _build_signal(cfg)
     n = _need_count(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
     j = _need_count(cfg, "lattice.j")
@@ -344,7 +346,7 @@ def cmd_infer(cfg: dict) -> int:
     out_dir = cfg["out"]
     obs_file = _input_file(_need(cfg, "infer.observations_file"), "infer.observations_file")
     data = TimeSeriesData.from_csv(obs_file)
-    signal, signal_name = _build_signal(cfg)
+    signal, signal_name, signal_fields = _build_signal(cfg)
     obs = _build(ObservationModel, cfg, "observation")
     j = _need_count(cfg, "lattice.j")
     # each value the plan takes has passed its own checks above, so the plan
@@ -368,15 +370,13 @@ def cmd_infer(cfg: dict) -> int:
     # every chain starts here: a start whose force is not finite on this
     # problem is refused before the first write, naming each setting that
     # fixes that force. Its beta and gamma are positive and finite
-    # (`PhysicalParams`), so `_hprime` has no DomainError to raise
+    # (`PhysicalParams`), so `Chain` has no DomainError to raise
     with _naming("config block infer.start"):
         try:
             _start_chain(problem, hmc)
         except NonFiniteError as exc:
-            keys = ("file",) if signal.kind == "tabulated" else ("a", "omega", "b")
             fields = (
-                "infer.observations_file", *(f"signal.{key}" for key in keys),
-                "observation.sigma", "lattice.j",
+                "infer.observations_file", *signal_fields, "observation.sigma", "lattice.j",
             )
             # each value as the config holds it: a path in full, a number's repr
             named = ", ".join(f"{field} = {_need(cfg, field)}" for field in fields)

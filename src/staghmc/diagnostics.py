@@ -117,10 +117,9 @@ def _percentiles(x: np.ndarray, levels) -> np.ndarray:
     # a whole index averages its two neighbours, any other takes the upper one
     gamma = np.where(virtual - lo == 0, 0.5, 1.0)
     a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
-    # np.percentile's two-sided interpolation, exact at either end
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    # np.percentile's two-sided interpolation takes its upper form at
+    # gamma >= 0.5, and gamma is 0.5 or 1
+    out = b - (b - a) * (1 - gamma)
     if np.isnan(s[-1]):  # a sort puts any nan last
         out[:] = s[-1]
     return out

@@ -340,17 +340,17 @@ def simulate_truth(
     """Integrate the q-form SDE with Euler-Maruyama on the given grid.
 
     The path starts at q = 0, that is at S(0) = K r(0), the equilibrium
-    scale. A grid that does not increase, a signal that cannot be read on
-    the whole grid (`_signal_over`) and a signal whose drift term
-    (T / beta) r'/r is not finite there are each a ValidationError, raised
-    before any noise is drawn, so a zero of r never reaches d ln r / dt.
-    That check's array is the simulation's one read of r: the drift takes
-    rho = (T / beta) r'/r + ... from it and `InputSignal.rate`, and
-    S = (T gamma / beta^2) r e^{beta q}, with T gamma / beta^2 = K. Noise
-    increments use a dedicated generator seeded by ``seed`` (`_generator`);
-    ``seed`` may also be an existing numpy Generator. A path that leaves
-    the double range, in q or in S, raises NonFiniteError at its first bad
-    step.
+    scale. A grid that is not finite or does not increase, a signal that
+    cannot be read on the whole grid (`_signal_over`) and a signal whose
+    drift term (T / beta) r'/r is not finite there are each a
+    ValidationError, raised before any noise is drawn, so a zero of r never
+    reaches d ln r / dt. That check's array is the simulation's one read of
+    r: the drift takes rho = (T / beta) r'/r + ... from it and
+    `InputSignal.rate`, and S = (T gamma / beta^2) r e^{beta q}, with
+    T gamma / beta^2 = K. Noise increments use a dedicated generator seeded
+    by ``seed`` (`_generator`); ``seed`` may also be an existing numpy
+    Generator. A path that leaves the double range, in q or in S, raises
+    NonFiniteError at its first bad step.
 
     Each step's coefficient h beta / (T gamma), drift and noise are formed
     once, as arrays. ``np.fromiter`` drains `_euler_maruyama`, whose steps
@@ -359,8 +359,8 @@ def simulate_truth(
     of their cost.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or not np.all((h := np.diff(t)) > 0):
-        raise ValidationError("simulation grid must be 1-d and strictly increasing")
+    if t.ndim != 1 or t.size < 2 or not np.isfinite(t).all() or not np.all((h := np.diff(t)) > 0):
+        raise ValidationError("simulation grid must be 1-d, finite and strictly increasing")
     theta = to_dimensionless(params)
     T = params.T
     r = _signal_over(signal, t)

@@ -227,9 +227,10 @@ class Chain:
 
     Built from a `PolymerState`, which it copies in and takes the
     potential and the force of with one kernel pass, so a chain is complete
-    from the start: a start whose force is not finite raises
-    NonFiniteError, and one with beta or gamma 0 DomainError. The state is
-    not kept; `state` returns a copy of the current one, and a chain built
+    from the start: a start with beta <= 0 or gamma <= 0, where every
+    proposal would be rejected, raises DomainError before that pass, and
+    one whose force is not finite NonFiniteError. The state is not kept;
+    `state` returns a copy of the current one, and a chain built
     from that copy continues as this one does. That rebuild is the one way
     to copy a chain: `pickle`, `copy.copy` and `copy.deepcopy` raise
     TypeError. Decorated with `energy._saturating`, as `hmc_iteration` is.
@@ -245,6 +246,8 @@ class Chain:
         self.cur, self.work = problem.context(), problem.context()
         # checks the state's size and loads its beads into ``cur``
         self.theta = tuple(_load(state, self.cur)[:2])
+        if self.theta[0] <= 0.0 or self.theta[1] <= 0.0:
+            raise DomainError(f"a chain must start at beta > 0 and gamma > 0, not {self.theta}")
         start = _hprime(*self.theta, self.cur, True)
         self.potential, self.g_theta = start[:2], start[3:]
 

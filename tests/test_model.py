@@ -397,11 +397,11 @@ class TestSimulateTruth:
         assert simulate_truth(self.P, SEC4_INPUT, grid, seed=None).q.shape == expected.q.shape
 
     @pytest.mark.parametrize(
-        "grid", [[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [0.0], [[0.0, 1.0]]],
-        ids=["flat", "falling", "one-point", "2-d"],
+        "grid", [[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [0.0], [[0.0, 1.0]], [0.0, 1.0, np.inf]],
+        ids=["flat", "falling", "one-point", "2-d", "inf"],
     )
     def test_grid_must_increase(self, grid):
-        message = "^simulation grid must be 1-d and strictly increasing$"
+        message = "^simulation grid must be 1-d, finite and strictly increasing$"
         with pytest.raises(ValidationError, match=message):
             simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
 

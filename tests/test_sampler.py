@@ -780,10 +780,13 @@ class TestCarriedPotential:
                 new_chain(toy_problem, state=state)
 
     def test_zero_parameter_start_is_refused_at_construction(self, toy_problem):
-        state = start_state(toy_problem)
-        state.theta[1] = 0.0
-        with pytest.raises(DomainError):
-            new_chain(toy_problem, state=state)
+        # gamma = 0, and beta or gamma below 0, where every proposal would
+        # be rejected as nonpositive-parameter
+        for index, value in ((1, 0.0), (0, -2.0), (1, -0.5)):
+            state = start_state(toy_problem)
+            state.theta[index] = value
+            with pytest.raises(DomainError, match="^a chain must start at beta > 0 and gamma > 0"):
+                new_chain(toy_problem, state=state)
 
 
 class TestResume:
