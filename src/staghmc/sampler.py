@@ -16,11 +16,12 @@ reproducible from a single 64-bit seed. One runner, `run_parallel_chains`,
 spawns each chain its own stream from it and reports every failed chain
 in one StagHmcError; `run_chain` is this runner for one chain. The chains
 run on min(chains, CPUs in the affinity mask) workers, so a caller who
-wants fewer narrows the mask; one worker is this process, and a pool is
-made only for two or more. Only the pool branch imports `multiprocessing`,
-and only a failed chain imports `traceback`, so a process that makes no
-pool never loads `multiprocessing`, and loads `traceback` only when a
-chain fails.
+wants fewer narrows the mask; one worker is this process, and worker
+processes are started only for two or more: `_dispatch` hands each one
+chain at a time over a pipe and receives every chain on the calling
+thread. Only `_dispatch` imports `multiprocessing`, and only a failed
+chain imports `traceback`, so a process that starts no worker never
+loads `multiprocessing`, and loads `traceback` only when a chain fails.
 """
 
 from __future__ import annotations
@@ -419,24 +420,104 @@ def _chain_worker(args):
         return index, None, (f"chain {index}: {type(exc).__name__}: {exc}", traceback.format_exc())
 
 
+def _serve(conn, problem, config):
+    """A worker process's loop: run each job, (chain index, seed sequence),
+    that arrives on ``conn`` through `_chain_worker` and send its outcome
+    back, until None arrives."""
+    for index, seed_seq in iter(conn.recv, None):
+        conn.send(_chain_worker((problem, config, index, seed_seq)))
+
+
+def _dispatch(problem: InferenceProblem, config: HmcConfig, seeds, workers: int) -> list:
+    """Each chain's `_chain_worker` outcome, in chain order, from
+    ``workers`` processes that serve jobs over a pipe each (`_serve`). This
+    thread hands a worker the next chain as it frees up and receives every
+    outcome itself. A worker that exits before it returns its chain makes
+    that chain a failure named with its exit code, and a replacement takes
+    the chains not yet handed out. Every worker is joined before this
+    returns or raises; after an exception on this thread, such as a
+    KeyboardInterrupt, it is terminated first."""
+    import multiprocessing.connection  # only two or more workers need it
+
+    try:
+        mp_ctx = multiprocessing.get_context("fork")  # the problem is inherited, not pickled
+    except ValueError:
+        mp_ctx = multiprocessing.get_context()
+    outs = [None] * len(seeds)
+    todo = list(enumerate(seeds))[::-1]  # popped from the end: chain 0 first
+    procs, busy = [], {}  # every worker started; pipe -> (worker, its chain)
+
+    def hand_out(conn, proc):
+        job = todo.pop() if todo else None
+        if job is not None:
+            busy[conn] = proc, job[0]
+        try:
+            conn.send(job)
+        except OSError:  # the worker is gone: wait() reports its pipe's end
+            pass
+        if job is None:
+            conn.close()
+
+    def start():
+        conn, theirs = mp_ctx.Pipe()
+        proc = mp_ctx.Process(target=_serve, args=(theirs, problem, config), daemon=True)
+        proc.start()
+        theirs.close()
+        procs.append(proc)
+        hand_out(conn, proc)
+
+    try:
+        for _ in range(workers):
+            start()
+        while busy:
+            for conn in multiprocessing.connection.wait(list(busy)):
+                proc, c = busy.pop(conn)
+                try:
+                    outs[c] = conn.recv()
+                except (EOFError, OSError):  # the worker exited before it sent its chain
+                    conn.close()
+                    proc.join()
+                    message = f"chain {c}: worker exited with code {proc.exitcode}"
+                    outs[c] = c, None, (message, message + "\n")
+                    if todo:
+                        start()
+                else:
+                    hand_out(conn, proc)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in busy:
+            conn.close()
+        for proc in procs:
+            proc.join()
+    return outs
+
+
 def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[ChainRecord]:
     """Run config.chains independent chains on min(config.chains, the CPUs
     in this process's affinity mask) workers; to use fewer, narrow the mask
     (``taskset``, ``os.sched_setaffinity``). One worker is this process,
-    which runs every chain in turn; a pool is made only for two or more.
+    which runs every chain in turn; worker processes are started only for
+    two or more.
 
-    The pool hands out one chain per task, as workers free up: chains take
-    unequal times, so a chunk of slow ones would leave the other workers
-    idle at the end. It returns them in chain order. Chain c draws from
-    the c-th stream spawned off the master seed, so run_chain is this
-    runner for one chain and adding chains never perturbs existing ones. A
-    failing chain does not abort its siblings; failures are reported
-    together after all chains finish, as one StagHmcError that names each
-    failed chain (``chain 0: ...``) and whose ``__cause__`` holds their
-    tracebacks, from this process or a worker alike.
+    This process hands the worker processes one chain at a time, as each
+    frees up: chains take unequal times, so a batch of slow ones would
+    leave the other workers idle at the end. A forked worker inherits the
+    problem and the config (a spawned one receives one pickled copy), so
+    a job is a chain index and its seed sequence. The chains come back in
+    chain order. Chain c draws from the c-th stream spawned off the master
+    seed, so run_chain is this runner for one chain and adding chains
+    never perturbs existing ones. A failing chain does not abort its
+    siblings; failures are reported together after all chains finish, as
+    one StagHmcError that names each failed chain (``chain 0: ...``) and
+    whose ``__cause__`` holds their tracebacks, from this process or a
+    worker alike. A worker that dies mid-chain fails that chain with its
+    exit code (``chain 3: worker exited with code 1``); the chains not yet
+    handed out still run.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    jobs = [(problem, config, c, seeds[c]) for c in range(config.chains)]
     # the CPUs this process may run on, where the platform can say
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -444,16 +525,9 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
         cpus = os.cpu_count() or 1
     workers = min(config.chains, cpus)
     if workers == 1:
-        outs = [_chain_worker(job) for job in jobs]
+        outs = [_chain_worker((problem, config, c, seed)) for c, seed in enumerate(seeds)]
     else:
-        import multiprocessing  # only a pool needs it: one worker never loads it
-
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            mp_ctx = multiprocessing.get_context()
-        with mp_ctx.Pool(processes=workers) as pool:
-            outs = pool.map(_chain_worker, jobs, chunksize=1)  # in job order
+        outs = _dispatch(problem, config, seeds, workers)
 
     errors = [err for _, _, err in outs if err is not None]
     if errors:

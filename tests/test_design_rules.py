@@ -29,6 +29,8 @@ OWNERS = {
     # one chain runner: streams are spawned once, and one caller runs a seeded chain
     ".spawn(": ["sampler:run_parallel_chains"],
     "_run_seeded(": ["sampler:_run_seeded", "sampler:_chain_worker"],
+    # one dispatcher hands chains to worker processes, and no pool is made
+    "import multiprocessing": ["sampler:_dispatch"], ".Pool(": [],
     # one energy scorer, and h_N, h_n and h_1 each name one energy
     "_end_energy(": ["energy:_end_energy", "energy:h_total"] + ["sampler:hmc_iteration"] * 2,
     "_start_energy": [], "_pieces": [], "Potential": [],

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import warnings
@@ -1106,29 +1107,42 @@ class TestRunChain:
         assert opened == [path]
 
 
-def inline_context(sizes, chunks):
-    """A stand-in multiprocessing context whose pool runs each job in this
-    process; it records each pool's size in ``sizes`` and each map's chunk
-    size in ``chunks``."""
+def recording_context(started, sent):
+    """The fork context, recording each worker process it starts in
+    ``started`` and each job sent to a worker in ``sent``."""
+    fork = multiprocessing.get_context("fork")
 
-    class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class Recorded:
+        # this process's end of a worker's pipe
+        def __init__(self, conn):
+            self.conn = conn
 
-        def __enter__(self):
-            return self
+        def send(self, job):
+            sent.append(job)
+            self.conn.send(job)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=None):
-            chunks.append(chunksize)
-            return [fn(job) for job in jobs]
+        def __getattr__(self, name):
+            return getattr(self.conn, name)
 
     class Context:
-        Pool = InlinePool
+        def Pipe(self):
+            ours, theirs = fork.Pipe()
+            return Recorded(ours), theirs
+
+        def Process(self, **kwargs):
+            started.append(kwargs["target"])
+            return fork.Process(**kwargs)
 
     return Context()
+
+
+def assert_handed_out_one_at_a_time(sent, chains, workers):
+    # one job per chain, in chain order, each one (index, its stream); then
+    # one None per worker, which ends it
+    jobs = [job for job in sent if job is not None]
+    assert [index for index, _ in jobs] == list(range(chains))
+    assert [seed.spawn_key for _, seed in jobs] == [(c,) for c in range(chains)]
+    assert sent.count(None) == workers
 
 
 class TestParallelChains:
@@ -1214,18 +1228,18 @@ class TestParallelChains:
 
     def test_default_pool_follows_the_affinity_mask(self, toy_problem, monkeypatch):
         # two CPUs allowed on an eight-CPU host: two workers, not eight; the
-        # chains go to them one per task
+        # chains go to them one at a time
         import staghmc.sampler
 
-        sizes, chunks = [], []
-        context = inline_context(sizes, chunks)
+        started, sent = [], []
+        context = recording_context(started, sent)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
-        assert sizes == [2]
-        assert chunks == [1]
+        assert len(started) == 2
+        assert_handed_out_one_at_a_time(sent, chains=3, workers=2)
         seeds = np.random.SeedSequence(cfg.seed).spawn(3)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
@@ -1235,24 +1249,68 @@ class TestParallelChains:
         # method: two workers, from the default context
         import staghmc.sampler
 
-        sizes, asked = [], []
+        started, sent, asked = [], [], []
+        context = recording_context(started, sent)
 
         def get_context(method=None):
             asked.append(method)
             if method == "fork":
                 raise ValueError("cannot find context for 'fork'")
-            return inline_context(sizes, [])
+            return context
 
         monkeypatch.delattr(staghmc.sampler.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
         cfg = small_config(n_mc=5, seed=6, chains=2)
         recs = run_parallel_chains(toy_problem, cfg)
-        assert sizes == [2]
+        assert len(started) == 2
         assert asked == ["fork", None]
+        assert_handed_out_one_at_a_time(sent, chains=2, workers=2)
         seeds = np.random.SeedSequence(cfg.seed).spawn(2)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
+
+    def test_interrupt_here_ends_every_worker(self, toy_problem, monkeypatch):
+        # an exception on the calling thread while the workers run chains
+        # propagates, and no worker outlives the call
+        import multiprocessing.connection
+
+        import staghmc.sampler
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_parallel_chains(toy_problem, small_config(n_mc=2000, chains=4))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_fails_its_chain_and_the_rest_run(self, toy_problem, tmp_path):
+        # chain 3's worker exits mid-chain; in a child process in a session of
+        # its own, so that a runner which waits for it forever fails here by
+        # the timeout, and the whole session is killed then
+        cfg = small_config(n_mc=5, seed=6, chains=6)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _DYING_WORKER_RUN, str(tmp_path)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": source_path()},
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(pickle.dumps((toy_problem, cfg)), timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_parallel_chains still waited for a dead worker after 60 s")
+        assert proc.returncode == 0, err.decode()
+        assert json.loads(out) == {
+            "error": "chain 3: worker exited with code 1",
+            "ran": [0, 1, 2, 4, 5],
+            "children": 0,
+        }
 
     def test_pooled_mean_matches_long_chain(self, posterior_problem):
         beta0 = float(np.sqrt(800.0 * 0.5 / 200.0))
@@ -1274,6 +1332,53 @@ class TestParallelChains:
         se_long = se(long_K)
         diff = abs(pooled.mean() - long_K.mean())
         assert diff < 4 * np.sqrt(se_pool**2 + se_long**2)
+
+
+# a pooled run in a fresh interpreter on two workers, of the (problem,
+# config) pickled on its stdin, whose chain 3 exits its worker process and
+# whose other chains leave a file named by their index in the directory
+# argv[1]; it prints, as JSON, the error, the chains that ran and the worker
+# processes left
+_DYING_WORKER_RUN = """
+import json
+import multiprocessing
+import os
+import pathlib
+import pickle
+import sys
+import staghmc.sampler
+from staghmc import StagHmcError, run_parallel_chains
+
+problem, config = pickle.load(sys.stdin.buffer)
+marks = pathlib.Path(sys.argv[1])
+run_seeded = staghmc.sampler._run_seeded
+
+
+def exit_on_chain_3(problem, config, chain_index, seed_seq):
+    if chain_index == 3:
+        os._exit(1)
+    record = run_seeded(problem, config, chain_index, seed_seq)
+    (marks / str(chain_index)).touch()
+    return record
+
+
+staghmc.sampler._run_seeded = exit_on_chain_3  # the forked workers inherit it
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+out = {"error": None}
+try:
+    run_parallel_chains(problem, config)
+except StagHmcError as error:
+    out["error"] = str(error)
+out["ran"] = sorted(int(path.name) for path in marks.iterdir())
+out["children"] = len(multiprocessing.active_children())
+print(json.dumps(out))
+"""
+
+
+def source_path():
+    """PYTHONPATH for a child interpreter that imports this staghmc."""
+    src = os.path.dirname(os.path.dirname(staghmc.__file__))
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 # a one-chain run in a fresh interpreter, with the input signal's amplitude
@@ -1318,13 +1423,11 @@ print(json.dumps(out))
 def lone_chain_run(amplitude):
     """What `_LONE_CHAIN_RUN` prints at this amplitude; skips where
     ``import numpy`` alone loads the pool machinery."""
-    src = os.path.dirname(os.path.dirname(staghmc.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", _LONE_CHAIN_RUN, repr(amplitude)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": source_path()},
     )
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.strip() == "preloaded":
