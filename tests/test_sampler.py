@@ -1109,7 +1109,8 @@ class TestRunChain:
 
 def recording_context(started, sent):
     """The fork context, recording each worker process it starts in
-    ``started`` and each job sent to a worker in ``sent``."""
+    ``started``, and in ``sent`` each job sent to a worker and each outcome
+    received from it, as (worker's pipe, job or "outcome")."""
     fork = multiprocessing.get_context("fork")
 
     class Recorded:
@@ -1118,8 +1119,12 @@ def recording_context(started, sent):
             self.conn = conn
 
         def send(self, job):
-            sent.append(job)
+            sent.append((self, job))
             self.conn.send(job)
+
+        def recv(self):
+            sent.append((self, "outcome"))
+            return self.conn.recv()
 
         def __getattr__(self, name):
             return getattr(self.conn, name)
@@ -1136,13 +1141,17 @@ def recording_context(started, sent):
     return Context()
 
 
-def assert_handed_out_one_at_a_time(sent, chains, workers):
-    # one job per chain, in chain order, each one (index, its stream); then
-    # one None per worker, which ends it
-    jobs = [job for job in sent if job is not None]
+def assert_handed_out_one_at_a_time(sent, chains):
+    # one job per chain, in chain order, each one (index, its stream); a
+    # worker gets its next job only after its outcome came back, and a
+    # None ends it
+    jobs = [job for _, job in sent if job not in (None, "outcome")]
     assert [index for index, _ in jobs] == list(range(chains))
     assert [seed.spawn_key for _, seed in jobs] == [(c,) for c in range(chains)]
-    assert sent.count(None) == workers
+    for pipe in {pipe for pipe, _ in sent}:
+        steps = [job for each, job in sent if each is pipe]
+        assert steps[-1] is None
+        assert steps[1:-1:2] == ["outcome"] * (len(steps) // 2)
 
 
 class TestParallelChains:
@@ -1239,7 +1248,7 @@ class TestParallelChains:
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
         assert len(started) == 2
-        assert_handed_out_one_at_a_time(sent, chains=3, workers=2)
+        assert_handed_out_one_at_a_time(sent, chains=3)
         seeds = np.random.SeedSequence(cfg.seed).spawn(3)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
@@ -1265,7 +1274,7 @@ class TestParallelChains:
         recs = run_parallel_chains(toy_problem, cfg)
         assert len(started) == 2
         assert asked == ["fork", None]
-        assert_handed_out_one_at_a_time(sent, chains=2, workers=2)
+        assert_handed_out_one_at_a_time(sent, chains=2)
         seeds = np.random.SeedSequence(cfg.seed).spawn(2)
         for c, rec in enumerate(recs):
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
