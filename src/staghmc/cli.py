@@ -21,7 +21,6 @@ Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import errno
 import json
@@ -42,7 +41,7 @@ from .diagnostics import (
     write_density_csv,
 )
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
-from .errors import _count, _naming, _seed
+from .errors import _count, _naming, _seed, _sized
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -275,20 +274,13 @@ def _build_signal(cfg: dict) -> tuple[InputSignal, str, tuple[str, ...]]:
     raise ValidationError(f"config field signal.kind has an unknown value {reprlib.repr(kind)}")
 
 
-@contextlib.contextmanager
 def _allocating(cfg: dict, *sizes: str):
     """Refuse, naming the config fields ``sizes`` and their values, an array
-    of the block that NumPy cannot allocate: a MemoryError, or the
-    ValueError of a size past its limit. The package's own errors pass."""
-    try:
-        yield
-    except StagHmcError:
-        raise
-    except (MemoryError, ValueError) as exc:
-        named = " and ".join(f"{field} = {reprlib.repr(_need(cfg, field))}" for field in sizes)
-        raise ValidationError(
-            f"arrays sized by {named} are too large to allocate: {str(exc) or type(exc).__name__}"
-        ) from None
+    of the block that NumPy cannot allocate (`errors._sized`), whether the
+    package refused it by its own names of the sizes (n and j of
+    `LatticeLayout` or `fine_grid`) or NumPy raised. The package's other
+    errors pass."""
+    return _sized(**{field: _need(cfg, field) for field in sizes})
 
 
 def _input_file(path: str, field: str) -> str:

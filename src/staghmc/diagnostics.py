@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -68,8 +69,15 @@ class PosteriorSummary:
 
 def _draws(series) -> np.ndarray:
     """``series`` as a 1-d float array, the one read of a series of draws;
-    any other shape, a 0-d or a 2-d array among them, is a ValidationError."""
-    x = np.asarray(series, dtype=float)
+    any other shape, a 0-d or a 2-d array among them, is a ValidationError,
+    and so is a series that NumPy cannot read as doubles: a string, or an
+    integer past the double range."""
+    try:
+        x = np.asarray(series, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"a series of draws must be real numbers, got {reprlib.repr(series)}"
+        ) from None
     if x.ndim != 1:
         raise ValidationError(f"a series of draws must be 1-d, got shape {x.shape}")
     return x

@@ -79,6 +79,21 @@ def _positive(name: str, value) -> float:
     return number
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, if it is a real number of the double
+    range, NaN and the infinities included; a complex number, a string, a
+    list, an integer past the double range or any other non-real raises
+    ValidationError."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {reprlib.repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the double range, such as 10**400
+        raise ValidationError(
+            f"{name} must be within the double range, got {reprlib.repr(value)}"
+        ) from None
+
+
 def _positive_pair(name: str, value) -> tuple[float, float]:
     """``value`` as a tuple of two floats, if it is a pair (a tuple, a list
     or a 1-d array of two entries) of positive finite numbers; anything
@@ -154,11 +169,41 @@ def _set(obj, **fields):
 @contextlib.contextmanager
 def _naming(where: str):
     """Prefix a ValidationError raised in the block with ``where``, the
-    file or config field its value came from."""
+    file or config field its value came from. A size refusal (`_TooLarge`)
+    passes as it is: it names its sizes."""
     try:
         yield
+    except _TooLarge:
+        raise
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+class _TooLarge(ValidationError):
+    """Arrays sized by ``args[0]``, a dict of sizes by name, that NumPy
+    cannot allocate, for the reason ``args[1]``."""
+
+    def __str__(self):
+        sizes, reason = self.args
+        named = " and ".join(f"{name} = {reprlib.repr(size)}" for name, size in sizes.items())
+        return f"arrays sized by {named} are too large to allocate: {reason}"
+
+
+@contextlib.contextmanager
+def _sized(**sizes):
+    """Refuse as a `_TooLarge` naming ``sizes`` (such as n = 4 and j = 3)
+    an array of the block that NumPy cannot allocate: a MemoryError, the
+    ValueError of a size past its limit, or the OverflowError of a size
+    past the double range. A `_TooLarge` from an inner block is named
+    anew, so the outermost names win; the package's other errors pass."""
+    try:
+        yield
+    except _TooLarge as exc:
+        raise _TooLarge(sizes, exc.args[1]) from None
+    except StagHmcError:
+        raise
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise _TooLarge(sizes, str(exc) or type(exc).__name__) from None
 
 
 class DomainError(StagHmcError, ValueError):

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _rule, _set
+from .errors import _sized
 from .model import DimensionlessParams, InputSignal, TimeSeriesData, _signal_over
 
 __all__ = [
@@ -87,17 +88,18 @@ class LatticeLayout:
 
     def __post_init__(self):
         n, j = self.n, self.j
-        dt = self.T / (n * j)
-        k = np.arange(2, j + 1, dtype=float)
-        cols = np.arange(j, dtype=float)
-        block = np.tril(cols / np.maximum(np.arange(j + 1.0), 1.0)[:, None])
-        block[0] = (j - cols) / j
-        stiffness = self.T * k / (dt * (k - 1.0))
-        flat_stiffness = np.zeros((n, j))
-        flat_stiffness[:, 1:] = stiffness
-        bead_classes = np.zeros((2, n * j + 1))
-        bead_classes[0, :-1].reshape(n, j)[:, 1:] = 1.0
-        bead_classes[1, ::j] = 1.0
+        with _sized(n=n, j=j):
+            dt = self.T / (n * j)
+            k = np.arange(2, j + 1, dtype=float)
+            cols = np.arange(j, dtype=float)
+            block = np.tril(cols / np.maximum(np.arange(j + 1.0), 1.0)[:, None])
+            block[0] = (j - cols) / j
+            stiffness = self.T * k / (dt * (k - 1.0))
+            flat_stiffness = np.zeros((n, j))
+            flat_stiffness[:, 1:] = stiffness
+            bead_classes = np.zeros((2, n * j + 1))
+            bead_classes[0, :-1].reshape(n, j)[:, 1:] = 1.0
+            bead_classes[1, ::j] = 1.0
         _set(
             self, N=n * j + 1, dt=dt, stiffness=stiffness, staging_block=block,
             staging_block_t=np.ascontiguousarray(block.T),

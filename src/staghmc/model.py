@@ -35,7 +35,7 @@ from dataclasses import field, fields
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .errors import _count, _frozen, _naming, _positive, _rule, _seed, _set
+from .errors import _count, _frozen, _naming, _positive, _real, _rule, _seed, _set, _sized
 
 __all__ = [
     "PhysicalParams",
@@ -108,9 +108,16 @@ def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
     series: matching 1-d arrays of at least 2 finite points, the times
     strictly increasing and the values positive. Anything else is a
     ValidationError whose message starts with ``what``. The arrays are
-    copies, so a container that freezes them (`_set`) owns them."""
-    t = np.array(times, dtype=float)
-    v = np.array(values, dtype=float)
+    copies, so a container that freezes them (`_set`) owns them. What
+    NumPy cannot read as doubles is refused too: a string as not a real
+    number, an integer past the double range as not finite."""
+    try:
+        t = np.array(times, dtype=float)
+        v = np.array(values, dtype=float)
+    except OverflowError:  # an integer past the double range, such as 2**1100
+        raise ValidationError(f"{what} times and values must be finite") from None
+    except (TypeError, ValueError):  # a string, or another non-number
+        raise ValidationError(f"{what} times and values must be real numbers") from None
     if t.ndim != 1 or t.shape != v.shape or t.size < 2:
         raise ValidationError(f"{what} needs matching 1-d time/value arrays with >= 2 points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
@@ -204,7 +211,13 @@ def _signal_over(signal: InputSignal, times) -> np.ndarray:
     interpolate to 0; a sinusoid can dip to 0, peak past the double range
     or read NaN from a non-finite a, omega or b), is a ValidationError. A
     sinusoid's refusal names its a, omega and b; a table's is named by its
-    file (`_naming`)."""
+    file (`_naming`). Before r is evaluated, a sinusoid's a, omega and b
+    must each be a real number of the double range (`errors._real`): a
+    complex one, which NumPy would cut to its real part, a string, a list
+    or an integer past the double range is refused, naming the field."""
+    if signal.kind == "sinusoid":
+        for name in ("a", "omega", "b"):
+            _real(f"input signal {name}", getattr(signal, name))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         r = np.asarray(signal.value(times), dtype=float)
     bad = np.flatnonzero(~((r > 0) & (r < np.inf)))
@@ -318,9 +331,11 @@ GRID_FACTOR = 20
 
 def fine_grid(T: float, n: int, j: int) -> np.ndarray:
     """Simulation grid refining the n*j inference lattice by `GRID_FACTOR`
-    over [0, T]; T must be positive and finite, n and j counts."""
+    over [0, T]; T must be positive and finite, n and j counts, and the
+    grid one that NumPy can allocate (`errors._sized`)."""
     T, n, j = _positive("T", T), _count("n", n), _count("j", j)
-    return np.linspace(0.0, T, n * j * GRID_FACTOR + 1)
+    with _sized(n=n, j=j):
+        return np.linspace(0.0, T, n * j * GRID_FACTOR + 1)
 
 
 def _generator(seed) -> np.random.Generator:

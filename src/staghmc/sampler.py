@@ -17,17 +17,22 @@ spawns each chain its own stream from it and reports every failed chain
 in one StagHmcError; `run_chain` is this runner for one chain. The chains
 run on min(chains, CPUs in the affinity mask) workers, so a caller who
 wants fewer narrows the mask; one worker is this process, and worker
-processes are started only for two or more: `_dispatch` hands each one
-chain at a time over a pipe and receives every chain on the calling
-thread. Only `_dispatch` imports `multiprocessing`, and only a failed
-chain imports `traceback`, so a process that starts no worker never
-loads `multiprocessing`, and loads `traceback` only when a chain fails.
+processes are forked only for two or more, where the platform has
+``os.fork`` (elsewhere every chain runs in this process): `_dispatch`
+hands each one chain at a time over a plain pipe, pickled, and receives
+every chain on the calling thread. No part of the package imports
+`multiprocessing`; only `_dispatch` imports `select`, and only a failed
+chain imports `traceback`, so a process loads `traceback` only when a
+chain fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -61,11 +66,7 @@ from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here fo
     trotter_propagate,
 )
 from .lattice import MassConfig, PolymerState, initial_state
-from .model import (
-    DimensionlessParams,
-    _read_csv,
-    _write_csv,
-)
+from .model import DimensionlessParams, _read_csv, _write_csv
 
 __all__ = [
     "Chain",
@@ -372,16 +373,8 @@ def _run_seeded(
         "pathologies": pathologies,
         "median_abs_dh": float(_percentiles(abs_dh, (50.0,))[0]) if abs_dh.size else None,
     }
-    return ChainRecord(
-        beta=beta,
-        gamma=gamma,
-        K=K,
-        accepted=accepted,
-        h_before=h_before,
-        h_after=h_after,
-        dh=dh,
-        meta=meta,
-    )
+    return ChainRecord(beta=beta, gamma=gamma, K=K, accepted=accepted, h_before=h_before,
+                       h_after=h_after, dh=dh, meta=meta)
 
 
 def run_chain(problem: InferenceProblem, config: HmcConfig) -> ChainRecord:
@@ -420,78 +413,96 @@ def _chain_worker(args):
         return index, None, (f"chain {index}: {type(exc).__name__}: {exc}", traceback.format_exc())
 
 
-def _serve(conn, problem, config):
+def _serve(jobs, outcomes, problem, config):
     """A worker process's loop: run each job, (chain index, seed sequence),
-    that arrives on ``conn`` through `_chain_worker` and send its outcome
-    back, until None arrives."""
-    for index, seed_seq in iter(conn.recv, None):
-        conn.send(_chain_worker((problem, config, index, seed_seq)))
+    read from the pipe ``jobs`` through `_chain_worker`, and write its
+    outcome to the pipe ``outcomes``, until None arrives."""
+    for index, seed_seq in iter(lambda: pickle.load(jobs), None):
+        pickle.dump(_chain_worker((problem, config, index, seed_seq)), outcomes)
+        outcomes.flush()
 
 
 def _dispatch(problem: InferenceProblem, config: HmcConfig, seeds, workers: int) -> list:
     """Each chain's `_chain_worker` outcome, in chain order, from
-    ``workers`` processes that serve jobs over a pipe each (`_serve`). This
-    thread hands a worker the next chain as it frees up and receives every
-    outcome itself. A worker that exits before it returns its chain makes
+    ``workers`` forked processes, which inherit the problem and the config
+    and serve jobs (`_serve`) over a pipe each way, pickled. This thread
+    hands a worker the next chain as it frees up and receives every
+    outcome itself, polling the outcome pipes. A worker whose outcome pipe
+    ends before its chain came back (it exited, or died mid-write) makes
     that chain a failure named with its exit code, and a replacement takes
-    the chains not yet handed out. Every worker is joined before this
-    returns or raises; after an exception on this thread, such as a
-    KeyboardInterrupt, it is terminated first."""
-    import multiprocessing.connection  # only two or more workers need it
+    the chains not yet handed out. A worker leaves only through
+    ``os._exit``. Every worker is reaped and every pipe end closed before
+    this returns or raises; after an exception on this thread, such as a
+    KeyboardInterrupt, every worker is sent SIGTERM first."""
+    import select  # only two or more workers need it
 
-    try:
-        mp_ctx = multiprocessing.get_context("fork")  # the problem is inherited, not pickled
-    except ValueError:
-        mp_ctx = multiprocessing.get_context()
     outs = [None] * len(seeds)
     todo = list(enumerate(seeds))[::-1]  # popped from the end: chain 0 first
-    procs, busy = [], {}  # every worker started; pipe -> (worker, its chain)
+    # every pipe end opened here; every worker not yet reaped; outcome
+    # pipe's descriptor -> (worker, its job pipe, its outcome pipe, its chain)
+    ends, live, busy = [], [], {}
 
-    def hand_out(conn, proc):
+    def pipe(buffering):  # (read end, write end)
+        r, w = os.pipe()
+        ends.extend((open(r, "rb"), open(w, "wb", buffering=buffering)))
+        return ends[-2:]
+
+    def hand_out(pid, jobs, outcomes):
         job = todo.pop() if todo else None
+        with contextlib.suppress(OSError):  # the worker is gone: its outcome pipe ends
+            pickle.dump(job, jobs)  # unbuffered: a failed write leaves nothing to flush
         if job is not None:
-            busy[conn] = proc, job[0]
-        try:
-            conn.send(job)
-        except OSError:  # the worker is gone: wait() reports its pipe's end
-            pass
-        if job is None:
-            conn.close()
+            busy[outcomes.fileno()] = pid, jobs, outcomes, job[0]
 
     def start():
-        conn, theirs = mp_ctx.Pipe()
-        proc = mp_ctx.Process(target=_serve, args=(theirs, problem, config), daemon=True)
-        proc.start()
-        theirs.close()
-        procs.append(proc)
-        hand_out(conn, proc)
+        (jobs_r, jobs_w), (outcomes_r, outcomes_w) = pipe(0), pipe(-1)
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # no buffered output is written twice
+            stream.flush()
+        pid = os.fork()
+        if pid == 0:  # the worker
+            try:
+                for end in set(ends) - {jobs_r, outcomes_w}:
+                    end.close()
+                _serve(jobs_r, outcomes_w, problem, config)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        live.append(pid)
+        jobs_r.close()
+        outcomes_w.close()
+        hand_out(pid, jobs_w, outcomes_r)
 
     try:
         for _ in range(workers):
             start()
         while busy:
-            for conn in multiprocessing.connection.wait(list(busy)):
-                proc, c = busy.pop(conn)
+            poller = select.poll()
+            for fd in busy:
+                poller.register(fd, select.POLLIN)
+            for fd, _ in poller.poll():
+                pid, jobs, outcomes, c = busy.pop(fd)
                 try:
-                    outs[c] = conn.recv()
-                except (EOFError, OSError):  # the worker exited before it sent its chain
-                    conn.close()
-                    proc.join()
-                    message = f"chain {c}: worker exited with code {proc.exitcode}"
+                    outs[c] = pickle.load(outcomes)
+                except (EOFError, pickle.UnpicklingError):  # it ended before its chain came back
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    live.remove(pid)
+                    message = f"chain {c}: worker exited with code {code}"
                     outs[c] = c, None, (message, message + "\n")
                     if todo:
                         start()
                 else:
-                    hand_out(conn, proc)
+                    hand_out(pid, jobs, outcomes)
     except BaseException:
-        for proc in procs:
-            proc.terminate()
+        import signal
+
+        for pid in live:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for conn in busy:
-            conn.close()
-        for proc in procs:
-            proc.join()
+        for end in ends:
+            end.close()
+        for pid in live:
+            os.waitpid(pid, 0)
     return outs
 
 
@@ -499,14 +510,15 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
     """Run config.chains independent chains on min(config.chains, the CPUs
     in this process's affinity mask) workers; to use fewer, narrow the mask
     (``taskset``, ``os.sched_setaffinity``). One worker is this process,
-    which runs every chain in turn; worker processes are started only for
-    two or more.
+    which runs every chain in turn; worker processes are forked only for
+    two or more. A platform without ``os.fork`` runs every chain in this
+    process, as one CPU does: there is no spawned worker.
 
     This process hands the worker processes one chain at a time, as each
     frees up: chains take unequal times, so a batch of slow ones would
-    leave the other workers idle at the end. A forked worker inherits the
-    problem and the config (a spawned one receives one pickled copy), so
-    a job is a chain index and its seed sequence. The chains come back in
+    leave the other workers idle at the end. A worker inherits the problem
+    and the config at its fork, so a job is a chain index and its seed
+    sequence. The chains come back in
     chain order. Chain c draws from the c-th stream spawned off the master
     seed, so run_chain is this runner for one chain and adding chains
     never perturbs existing ones. A failing chain does not abort its
@@ -519,12 +531,10 @@ def run_parallel_chains(problem: InferenceProblem, config: HmcConfig) -> list[Ch
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     # the CPUs this process may run on, where the platform can say
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(config.chains, cpus)
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         outs = [_chain_worker((problem, config, c, seed)) for c, seed in enumerate(seeds)]
     else:
         outs = _dispatch(problem, config, seeds, workers)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -1224,6 +1225,27 @@ def test_size_past_numpy_limit_named(tmp_path, capsys, command, field, named):
     assert err == (
         f"error: arrays sized by {named} are too large to allocate:"
         " Maximum allowed size exceeded\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_size_past_the_double_range_named(tmp_path, capsys, command):
+    # refused by the lattice (infer) or the simulation grid (simulate) by
+    # its own n and j, and named here by the config field
+    cfg = config_for(tmp_path, command)
+    set_field(cfg, ("lattice", "j"), 2**1100)
+    cfg_path = write_config(tmp_path, cfg, "huge.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    j = f"lattice.j = {reprlib.repr(2**1100)}"
+    named, reason = {
+        "infer": (j, "int too large to convert to float"),
+        "simulate": (f"observation.n = 4 and {j}", "Maximum allowed size exceeded"),
+    }[command]
+    assert capsys.readouterr().err == (
+        f"error: arrays sized by {named} are too large to allocate: {reason}\n"
     )
     assert not out.exists()
 

@@ -29,8 +29,9 @@ OWNERS = {
     # one chain runner: streams are spawned once, and one caller runs a seeded chain
     ".spawn(": ["sampler:run_parallel_chains"],
     "_run_seeded(": ["sampler:_run_seeded", "sampler:_chain_worker"],
-    # one dispatcher hands chains to worker processes, and no pool is made
-    "import multiprocessing": ["sampler:_dispatch"], ".Pool(": [],
+    # one dispatcher forks the worker processes and hands them chains over
+    # plain pipes: no pool is made, and nothing imports multiprocessing
+    "os.fork(": ["sampler:_dispatch"], "import multiprocessing": [], ".Pool(": [],
     # one energy scorer, and h_N, h_n and h_1 each name one energy
     "_end_energy(": ["energy:_end_energy", "energy:h_total"] + ["sampler:hmc_iteration"] * 2,
     "_start_energy": [], "_pieces": [], "Potential": [],
@@ -38,6 +39,10 @@ OWNERS = {
     "_signal_over(": ["energy:InferenceProblem", "lattice:initial_state",
                       "model:_signal_over", "model:simulate_truth"],
     "must stay positive": [], "must stay finite": [], "sinusoid input": [],
+    # one real-number rule, which a sinusoid's a, omega and b pass where r is read
+    "_real(": ["errors:_real", "model:_signal_over"],
+    # one size rule: an array NumPy cannot allocate is refused by the names of its sizes
+    "_sized(": ["cli:_allocating", "errors:_sized", "lattice:LatticeLayout", "model:fine_grid"],
     # one order statistic, diagnostics._percentiles: NumPy's import numpy.ma
     "np.median(": [], "np.percentile(": [], "np.quantile(": [],
     # one draw-series rule: diagnostics._draws reads a series, _spread judges it

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import subprocess
 import sys
 import tracemalloc
@@ -475,6 +476,8 @@ DRAW_SERIES = [
     ("mean-overflows", np.tile([1e308, 1e308, -1e308, 5.0], 5), "no spread"),
     ("variance-underflows", np.tile([5e-324, 1e-323], 20), "no spread"),
     ("ordinary", _DRAWS_RNG.normal(size=200), "ordinary"),
+    ("string", "abc", "not real"),
+    ("past-double", [0.0, 1.0, 2**1100], "not real"),
 ]
 _DRAWS_GRID = np.linspace(-3.0, 3.0, 7)
 DRAW_READERS = {
@@ -495,6 +498,10 @@ class TestDrawSeriesRule:
         read = DRAW_READERS[reader]
         if outcome == "not 1-d":
             with pytest.raises(ValidationError, match="^a series of draws must be 1-d, got shape"):
+                read(series)
+        elif outcome == "not real":
+            message = f"a series of draws must be real numbers, got {reprlib.repr(series)}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 read(series)
         elif outcome == "no spread" and reader == "ess":
             assert read(series) is None

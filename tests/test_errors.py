@@ -105,6 +105,10 @@ BAD_SERIES = [
     ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "times must be strictly increasing"),
     ([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], "values must be strictly positive"),
     ([0.0, 1.0, 2.0], [1.0, 1.0, -1.0], "values must be strictly positive"),
+    ("x", [1.0, 1.0], "times and values must be real numbers"),
+    ([0.0, 1.0], "ab", "times and values must be real numbers"),
+    ([0, 2**1100], [1.0, 1.0], "times and values must be finite"),
+    ([0.0, 1.0], [1, 2**1100], "times and values must be finite"),
 ]
 
 
@@ -113,6 +117,61 @@ BAD_SERIES = [
 def test_series_rule_has_one_wording(what, times, values, message):
     with pytest.raises(ValidationError, match=f"^{what} {message}$"):
         SERIES[what](times, values)
+
+
+# a sinusoid's a, omega or b that is not a real number of the double range:
+# (value, the end of its refusal)
+NOT_REAL = {
+    "complex": (0.5 + 3j, "must be a real number, got (0.5+3j)"),
+    "string": ("0.5", "must be a real number, got '0.5'"),
+    "list": ([0.5, 1.0], "must be a real number, got [0.5, 1.0]"),
+    "past-double": (2**1100, f"must be within the double range, got {reprlib.repr(2**1100)}"),
+}
+# each reader of r: a plan, a simulation and a chain's start
+SIGNAL_READERS = {
+    "problem": lambda signal: InferenceProblem(DATA, signal, NOISE, 3),
+    "simulation": lambda signal: simulate_truth(TRUTH, signal, np.linspace(0.0, 40.0, 5), seed=1),
+    "start": lambda signal: lattice.initial_state(
+        DATA, signal, model.DimensionlessParams(1.0, 0.5), LAYOUT),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning: a field cut to its real part
+@pytest.mark.parametrize("reader", SIGNAL_READERS)
+@pytest.mark.parametrize("field", ["a", "omega", "b"])
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_sinusoid_field_that_is_not_real_refused_where_r_is_read(kind, field, reader):
+    # refused, naming the field, before r is evaluated: neither run on its
+    # real part nor raised raw by NumPy or float()
+    value, message = NOT_REAL[kind]
+    signal = InputSignal.sinusoid(**{"a": 1.0, "omega": 0.01, "b": 0.1, field: value})
+    with pytest.raises(ValidationError, match=f"^input signal {field} {re.escape(message)}$"):
+        SIGNAL_READERS[reader](signal)
+
+
+# a size past NumPy's limit or the double range, refused naming n and j:
+# (a call with that size, its n and j, NumPy's or float()'s reason)
+SIZES = {
+    "LatticeLayout.j": (lambda: LatticeLayout(n=4, j=2**1100, T=40.0), (4, 2**1100),
+                        "int too large to convert to float"),
+    "LatticeLayout.n": (lambda: LatticeLayout(n=10**30, j=3, T=40.0), (10**30, 3),
+                        "Maximum allowed dimension exceeded"),
+    "InferenceProblem.j": (lambda: InferenceProblem(DATA, SIGNAL, NOISE, 2**1100), (4, 2**1100),
+                           "int too large to convert to float"),
+    "fine_grid.n": (lambda: fine_grid(40.0, 2**1100, 5), (2**1100, 5),
+                    "Maximum allowed size exceeded"),
+    "fine_grid.j": (lambda: fine_grid(40.0, 4, 10**30), (4, 10**30),
+                    "Maximum allowed size exceeded"),
+}
+
+
+@pytest.mark.parametrize("setting", SIZES)
+def test_size_too_large_to_allocate_named(setting):
+    build, (n, j), reason = SIZES[setting]
+    named = f"n = {reprlib.repr(n)} and j = {reprlib.repr(j)}"
+    message = f"arrays sized by {named} are too large to allocate: {reason}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_tabulated_input_needs_neither_observation_rule():

@@ -1,13 +1,14 @@
+import contextlib
 import copy
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict
 
@@ -1107,38 +1108,40 @@ class TestRunChain:
         assert opened == [path]
 
 
-def recording_context(started, sent):
-    """The fork context, recording each worker process it starts in
-    ``started``, and in ``sent`` each job sent to a worker and each outcome
-    received from it, as (worker's pipe, job or "outcome")."""
-    fork = multiprocessing.get_context("fork")
+def recording_context(monkeypatch, started, sent):
+    """Patch this process's pipes, forks and pickling to record each worker
+    it forks in ``started`` (its pid), and in ``sent`` each job written to
+    a worker and each outcome read from it, as (the worker's number, job or
+    "outcome"). A worker owns the two pipes made last before its fork. The
+    forked workers inherit the patches but record nothing."""
+    parent, pipes, owner = os.getpid(), [], {}
+    pipe, fork, dump, load = os.pipe, os.fork, pickle.dump, pickle.load
 
-    class Recorded:
-        # this process's end of a worker's pipe
-        def __init__(self, conn):
-            self.conn = conn
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
 
-        def send(self, job):
-            sent.append((self, job))
-            self.conn.send(job)
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            owner.update(dict.fromkeys(pipes[-2] + pipes[-1], len(started)))
+            started.append(pid)
+        return pid
 
-        def recv(self):
-            sent.append((self, "outcome"))
-            return self.conn.recv()
+    def recorded_dump(job, file, *args, **kwargs):
+        if os.getpid() == parent:
+            sent.append((owner[file.fileno()], job))
+        return dump(job, file, *args, **kwargs)
 
-        def __getattr__(self, name):
-            return getattr(self.conn, name)
+    def recorded_load(file, *args, **kwargs):
+        if os.getpid() == parent:
+            sent.append((owner[file.fileno()], "outcome"))
+        return load(file, *args, **kwargs)
 
-    class Context:
-        def Pipe(self):
-            ours, theirs = fork.Pipe()
-            return Recorded(ours), theirs
-
-        def Process(self, **kwargs):
-            started.append(kwargs["target"])
-            return fork.Process(**kwargs)
-
-    return Context()
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(pickle, "dump", recorded_dump)
+    monkeypatch.setattr(pickle, "load", recorded_load)
 
 
 def assert_handed_out_one_at_a_time(sent, chains):
@@ -1148,10 +1151,21 @@ def assert_handed_out_one_at_a_time(sent, chains):
     jobs = [job for _, job in sent if job not in (None, "outcome")]
     assert [index for index, _ in jobs] == list(range(chains))
     assert [seed.spawn_key for _, seed in jobs] == [(c,) for c in range(chains)]
-    for pipe in {pipe for pipe, _ in sent}:
-        steps = [job for each, job in sent if each is pipe]
+    for worker in {worker for worker, _ in sent}:
+        steps = [job for each, job in sent if each == worker]
         assert steps[-1] is None
         assert steps[1:-1:2] == ["outcome"] * (len(steps) // 2)
+
+
+def assert_no_child():
+    """This process has no child left, running or exited and not reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors():
+    """How many descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestParallelChains:
@@ -1206,10 +1220,10 @@ class TestParallelChains:
 
         run_seeded = staghmc.sampler._run_seeded
 
-        def no_pool(*args):
-            raise AssertionError("a pool was made")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(staghmc.sampler.os, "fork", no_fork)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for chains, failing, masked in ((1, 0, True), (3, 1, True), (3, 1, False)):
@@ -1241,10 +1255,9 @@ class TestParallelChains:
         import staghmc.sampler
 
         started, sent = [], []
-        context = recording_context(started, sent)
+        recording_context(monkeypatch, started, sent)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda *a: context)
         cfg = small_config(n_mc=5, seed=6, chains=3)
         recs = run_parallel_chains(toy_problem, cfg)
         assert len(started) == 2
@@ -1254,46 +1267,93 @@ class TestParallelChains:
             np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
 
     def test_pool_without_affinity_mask_or_fork(self, toy_problem, monkeypatch):
-        # a platform with no affinity mask, two CPUs and no "fork" start
-        # method: two workers, from the default context
+        # a platform with no affinity mask and two CPUs: two forked workers;
+        # one without os.fork as well: no child, every chain in this
+        # process, equal to its forked run
         import staghmc.sampler
 
-        started, sent, asked = [], [], []
-        context = recording_context(started, sent)
-
-        def get_context(method=None):
-            asked.append(method)
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return context
-
+        started, sent = [], []
+        recording_context(monkeypatch, started, sent)
         monkeypatch.delattr(staghmc.sampler.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(staghmc.sampler.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "get_context", get_context)
         cfg = small_config(n_mc=5, seed=6, chains=2)
-        recs = run_parallel_chains(toy_problem, cfg)
+        forked = run_parallel_chains(toy_problem, cfg)
         assert len(started) == 2
-        assert asked == ["fork", None]
         assert_handed_out_one_at_a_time(sent, chains=2)
-        seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-        for c, rec in enumerate(recs):
-            np.testing.assert_array_equal(rec.beta, _run_seeded(toy_problem, cfg, c, seeds[c]).beta)
+        del started[:], sent[:]
+        monkeypatch.delattr(staghmc.sampler.os, "fork")
+        here = run_parallel_chains(toy_problem, cfg)
+        assert (started, sent) == ([], [])
+        assert_no_child()
+        for rec, solo in zip(forked, here, strict=True):
+            np.testing.assert_array_equal(rec.beta, solo.beta)
+            np.testing.assert_array_equal(rec.h_before, solo.h_before)
 
     def test_interrupt_here_ends_every_worker(self, toy_problem, monkeypatch):
         # an exception on the calling thread while the workers run chains
         # propagates, and no worker outlives the call
-        import multiprocessing.connection
+        import select
 
         import staghmc.sampler
 
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
+        class Interrupted:
+            def register(self, *args):
+                pass
+
+            def poll(self, *args):
+                raise KeyboardInterrupt
 
         monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        monkeypatch.setattr(select, "poll", Interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_parallel_chains(toy_problem, small_config(n_mc=2000, chains=4))
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_pooled_runs_leave_no_descriptor_and_no_child(self, toy_problem, monkeypatch):
+        # a pooled run, and one whose chain-1 worker exits mid-chain, close
+        # every pipe end they opened and reap every worker they forked
+        import staghmc.sampler
+
+        run_seeded = staghmc.sampler._run_seeded
+
+        def exit_on_chain_1(problem, config, chain_index, seed_seq):
+            if chain_index == 1:
+                os._exit(1)
+            return run_seeded(problem, config, chain_index, seed_seq)
+
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = small_config(n_mc=5, seed=6, chains=3)
+        before = open_descriptors()
+        assert len(run_parallel_chains(toy_problem, cfg)) == 3
+        assert open_descriptors() <= before
+        assert_no_child()
+        monkeypatch.setattr(staghmc.sampler, "_run_seeded", exit_on_chain_1)  # the workers inherit it
+        with pytest.raises(StagHmcError, match="^chain 1: worker exited with code 1$"):
+            run_parallel_chains(toy_problem, cfg)
+        assert open_descriptors() <= before
+        assert_no_child()
+
+    def test_worker_dying_mid_write_fails_its_chain(self, toy_problem, monkeypatch):
+        # chain 1's worker exits halfway through writing its outcome: the
+        # truncated pickle fails that chain with the exit code
+        import staghmc.sampler
+
+        parent, dump = os.getpid(), pickle.dump
+
+        def cut_short(outcome, file, *args, **kwargs):
+            if os.getpid() != parent and outcome[0] == 1:  # chain 1's outcome, in its worker
+                data = pickle.dumps(outcome)
+                file.write(data[: len(data) // 2])
+                file.flush()
+                os._exit(3)
+            return dump(outcome, file, *args, **kwargs)
+
+        monkeypatch.setattr(staghmc.sampler.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(pickle, "dump", cut_short)  # the workers inherit it
+        with pytest.raises(StagHmcError, match="^chain 1: worker exited with code 3$"):
+            run_parallel_chains(toy_problem, small_config(n_mc=5, seed=6, chains=3))
+        assert_no_child()
 
     def test_worker_death_fails_its_chain_and_the_rest_run(self, toy_problem, tmp_path):
         # chain 3's worker exits mid-chain; in a child process in a session of
@@ -1319,7 +1379,40 @@ class TestParallelChains:
             "error": "chain 3: worker exited with code 1",
             "ran": [0, 1, 2, 4, 5],
             "children": 0,
+            "imported multiprocessing": False,
         }
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    def test_workers_exit_when_their_runner_is_killed(self, toy_problem, tmp_path):
+        # a pooled run in a child process, in a session of its own, killed by
+        # SIGKILL while its two workers run a chain each: each worker finds
+        # its pipes' other ends gone and exits rather than wait for a next
+        # job for good; the session is killed at the end either way
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_RUNNER_RUN, str(tmp_path)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": source_path()},
+            start_new_session=True,
+        )
+        try:
+            proc.stdin.write(pickle.dumps((toy_problem, small_config(n_mc=5, seed=6, chains=6))))
+            proc.stdin.close()
+            deadline = time.monotonic() + 60
+            while len(workers := [int(path.name) for path in tmp_path.iterdir()]) < 2:
+                assert time.monotonic() < deadline, "the workers never started a chain"
+                time.sleep(0.05)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 30
+            while any(map(running, workers)):
+                assert time.monotonic() < deadline, "a worker outlived its runner by 30 s"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
     def test_pooled_mean_matches_long_chain(self, posterior_problem):
         beta0 = float(np.sqrt(800.0 * 0.5 / 200.0))
@@ -1346,11 +1439,10 @@ class TestParallelChains:
 # a pooled run in a fresh interpreter on two workers, of the (problem,
 # config) pickled on its stdin, whose chain 3 exits its worker process and
 # whose other chains leave a file named by their index in the directory
-# argv[1]; it prints, as JSON, the error, the chains that ran and the worker
-# processes left
+# argv[1]; it prints, as JSON, the error, the chains that ran, whether a
+# worker process is left and whether the run imported multiprocessing
 _DYING_WORKER_RUN = """
 import json
-import multiprocessing
 import os
 import pathlib
 import pickle
@@ -1359,6 +1451,7 @@ import staghmc.sampler
 from staghmc import StagHmcError, run_parallel_chains
 
 problem, config = pickle.load(sys.stdin.buffer)
+preloaded = "multiprocessing" in sys.modules
 marks = pathlib.Path(sys.argv[1])
 run_seeded = staghmc.sampler._run_seeded
 
@@ -1379,9 +1472,52 @@ try:
 except StagHmcError as error:
     out["error"] = str(error)
 out["ran"] = sorted(int(path.name) for path in marks.iterdir())
-out["children"] = len(multiprocessing.active_children())
+try:
+    os.waitpid(-1, os.WNOHANG)  # (0, 0) while a child runs, its pid once one exited
+    out["children"] = 1
+except ChildProcessError:  # no child left, running or exited
+    out["children"] = 0
+out["imported multiprocessing"] = not preloaded and "multiprocessing" in sys.modules
 print(json.dumps(out))
 """
+
+
+# a pooled run in a fresh interpreter on two workers, of the (problem,
+# config) pickled on its stdin, each of whose chains leaves a file named by
+# its worker's pid in the directory argv[1] and then sleeps for a second
+_KILLED_RUNNER_RUN = """
+import os
+import pathlib
+import pickle
+import sys
+import time
+import staghmc.sampler
+from staghmc import run_parallel_chains
+
+problem, config = pickle.load(sys.stdin.buffer)
+marks = pathlib.Path(sys.argv[1])
+run_seeded = staghmc.sampler._run_seeded
+
+
+def mark_and_sleep(problem, config, chain_index, seed_seq):
+    (marks / str(os.getpid())).touch()
+    time.sleep(1.0)
+    return run_seeded(problem, config, chain_index, seed_seq)
+
+
+staghmc.sampler._run_seeded = mark_and_sleep  # the forked workers inherit it
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+run_parallel_chains(problem, config)
+"""
+
+
+def running(pid):
+    """Whether the process ``pid`` exists and is not a zombie (/proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def source_path():
