@@ -274,15 +274,6 @@ def _build_signal(cfg: dict) -> tuple[InputSignal, str, tuple[str, ...]]:
     raise ValidationError(f"config field signal.kind has an unknown value {reprlib.repr(kind)}")
 
 
-def _allocating(cfg: dict, *sizes: str):
-    """Refuse, naming the config fields ``sizes`` and their values, an array
-    of the block that NumPy cannot allocate (`errors._sized`), whether the
-    package refused it by its own names of the sizes (n and j of
-    `LatticeLayout` or `fine_grid`) or NumPy raised. The package's other
-    errors pass."""
-    return _sized(**{field: _need(cfg, field) for field in sizes})
-
-
 def _input_file(path: str, field: str) -> str:
     """``path``, read from the config field ``field``, if it names a file."""
     if not os.path.isfile(path):
@@ -315,7 +306,8 @@ def cmd_simulate(cfg: dict) -> int:
     j = _need_count(cfg, "lattice.j")
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    with _allocating(cfg, "observation.n", "lattice.j"):
+    # an array NumPy cannot allocate is refused naming these config fields
+    with _sized(**{"observation.n": n, "lattice.j": j}):
         grid = fine_grid(params.T, n, j)
         with _naming(signal_name):
             truth = simulate_truth(params, signal, grid, seed=rng)
@@ -345,7 +337,7 @@ def cmd_infer(cfg: dict) -> int:
     # has two refusals left: a lattice too large to allocate, and a signal
     # that cannot be read at the lattice's times (a table that stops short
     # of the data, or an r that is not positive and finite there)
-    with _allocating(cfg, "lattice.j"), _naming(signal_name):
+    with _sized(**{"lattice.j": j}), _naming(signal_name):
         problem = InferenceProblem(data, signal, obs, j)
 
     start = _build(PhysicalParams, cfg, "infer.start", T=data.horizon)

@@ -4,26 +4,25 @@ Everything here is a pure function of the chain arrays: moment and quantile
 summaries with effective sample sizes over the kept rows of one or more
 chains, and a Gaussian kernel density estimator for plotting marginals.
 
-One rule decides whether a series of draws has either: `_draws` reads it
-as a 1-d float array, and any other shape is a ValidationError; `_spread`
-gives its standard deviation, or None where it has no spread: fewer than 2
-draws, a draw that is not finite, every draw equal to the first, or a
-standard deviation that is 0 or leaves the double range. The test of
-equal draws is exact, since a constant series can read an sd of 1e-16. For
-a series without spread `ess` returns None, so a stalled parameter's
-summary reads ``"ess": null``, and `silverman_bandwidth` and `kde` raise a
-DomainError.
+One rule decides whether a series of draws has either: `errors._vector`
+reads it as a 1-d float array, and anything else is a ValidationError
+naming it ``a series of draws`` (`_DRAWS`); `_spread` gives its standard
+deviation, or None where it has no spread: fewer than 2 draws, a draw that
+is not finite, every draw equal to the first, or a standard deviation that
+is 0 or leaves the double range. The test of equal draws is exact, since a
+constant series can read an sd of 1e-16. For a series without spread `ess`
+returns None, so a stalled parameter's summary reads ``"ess": null``, and
+`silverman_bandwidth` and `kde` raise a DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import reprlib
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, _frozen, _positive
+from .errors import DomainError, ValidationError, _frozen, _positive, _vector
 from .model import _write_csv
 
 __all__ = [
@@ -42,6 +41,8 @@ QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 KDE_BLOCK_DOUBLES = 1 << 15
 # np.exp is exactly +0.0 below about -745.14; ``kde`` skips arguments below this
 EXP_ZERO = -746.0
+# the name `errors._vector` gives a series of draws in a refusal
+_DRAWS = "a series of draws"
 _NO_SPREAD = (
     "the series has no spread (fewer than 2 draws, a draw that is not finite, zero variance "
     "or a variance past the double range), so a kernel density is degenerate: use a histogram"
@@ -67,24 +68,8 @@ class PosteriorSummary:
     chains: int
 
 
-def _draws(series) -> np.ndarray:
-    """``series`` as a 1-d float array, the one read of a series of draws;
-    any other shape, a 0-d or a 2-d array among them, is a ValidationError,
-    and so is a series that NumPy cannot read as doubles: a string, or an
-    integer past the double range."""
-    try:
-        x = np.asarray(series, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"a series of draws must be real numbers, got {reprlib.repr(series)}"
-        ) from None
-    if x.ndim != 1:
-        raise ValidationError(f"a series of draws must be 1-d, got shape {x.shape}")
-    return x
-
-
 def _spread(x: np.ndarray, ddof: int) -> float | None:
-    """``x.std(ddof=ddof)`` of the draws ``x`` (`_draws`), or None where the
+    """``x.std(ddof=ddof)`` of the draws ``x`` (`_vector`), or None where the
     series has no spread: fewer than 2 draws, a draw that is not finite,
     every draw equal to the first, or a standard deviation that is 0 (its
     squares underflow) or not finite (its squares or its mean overflow).
@@ -153,8 +138,8 @@ def ess(series) -> float | None:
     where a series has none: fewer than 10 draws, no spread (`_spread`: a
     draw that is not finite, a series that never moved, or a standard
     deviation that is 0 or leaves the double range), or an autocovariance
-    that leaves the double range. Only a series that is not 1-d is an error
-    (ValidationError).
+    that leaves the double range. Only a series that is not a 1-d array of
+    real numbers (`errors._vector`) is an error (ValidationError).
 
     The autocovariance of the L draws comes from one zero-padded FFT at
     the smallest 5-smooth length >= 2L - 1 (`_fft_length`; from 2L - 1 on
@@ -168,7 +153,7 @@ def ess(series) -> float | None:
     stay positive; the result is clipped to the series length (an antithetic
     chain is reported as fully efficient, not super-efficient).
     """
-    x = _draws(series)
+    x = _vector(_DRAWS, series)
     L = x.size
     if L < 10 or _spread(x, 0) is None:
         return None
@@ -270,13 +255,14 @@ def silverman_bandwidth(series) -> float:
     """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
     The iqr is the 75th less the 25th percentile by `_percentiles`, so the
     bandwidth of a pooled series reads exactly its summary's ``75%`` less
-    its ``25%``. A series that is not 1-d is a ValidationError. A series
+    its ``25%``. A series that is not a 1-d array of real numbers
+    (`errors._vector`) is a ValidationError. A series
     without spread (`_spread`: fewer than 2 draws, a draw that is not
     finite, one that never moved, or a standard deviation that is 0 or
     leaves the double range) is a DomainError, as it is for `kde`. So is a
     bandwidth that is not positive and finite, such as one whose small iqr
     rounds to 0 in the product."""
-    x = _draws(series)
+    x = _vector(_DRAWS, series)
     sd = _spread(x, 1)
     if sd is None:
         raise DomainError(_NO_SPREAD)
@@ -294,13 +280,14 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
 
     Uses the Silverman bandwidth (`silverman_bandwidth`, whose iqr is the
     summary's) unless one is given. A series without spread (`_spread`:
-    fewer than 2 draws, a draw that is not finite, one that never moved,
-    or a standard deviation that is 0 or leaves the double range) has no
+    fewer than 2 draws, a draw that is not finite, one that never moved, or
+    a standard deviation that is 0 or leaves the double range) has no
     meaningful density, whether or not a bandwidth is given; that is a
-    DomainError (use a histogram instead). A series or a grid that is not
-    1-d, a grid point that is NaN, and a given bandwidth that is not a
-    positive finite number (`errors._positive`: a string or a bool is
-    refused, not converted) are each a ValidationError.
+    DomainError (use a histogram instead). A series or a grid that is not a
+    1-d array of real numbers (`errors._vector`), a grid point that is NaN,
+    and a given bandwidth that is not a positive finite number
+    (`errors._positive`: a string or a bool is refused, not converted) are
+    each a ValidationError.
 
     The grid is evaluated in row blocks of about ``KDE_BLOCK_DOUBLES``
     kernel values, in two buffers of doubles and one of bools allocated once
@@ -320,13 +307,11 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     the subnormal band [-745.14, -708.4] among them: its values are not 0,
     and a row whose every term is tiny sums them.
     """
-    x = _draws(series)
+    x = _vector(_DRAWS, series)
     if _spread(x, 1) is None:
         raise DomainError(_NO_SPREAD)
     h = silverman_bandwidth(x) if bandwidth is None else _positive("bandwidth", bandwidth)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValidationError(f"kde needs a 1-d grid, got shape {grid.shape}")
+    grid = _vector("kde grid", grid)
     if np.isnan(grid).any():
         raise ValidationError("kde grid must not hold NaN")
     out = np.empty(grid.size)
@@ -355,9 +340,10 @@ def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
 
 
 def write_density_csv(path, grid, density) -> None:
-    """Density curve as two columns ``x,density`` for external plotting."""
-    grid = np.asarray(grid, dtype=float)
-    density = np.asarray(density, dtype=float)
+    """Density curve as two columns ``x,density`` for external plotting:
+    ``grid`` and ``density`` are 1-d arrays (`errors._vector`) of one
+    length."""
+    grid, density = _vector("grid", grid), _vector("density", density)
     if grid.shape != density.shape:
         raise ValidationError("grid and density must have matching shapes")
     _write_csv(path, "x,density", np.column_stack([grid, density]))

@@ -1,25 +1,31 @@
 """Exception types shared across the package, the one check of each input
-rule (an integer, a count, a u64 seed, a positive number, a positive pair),
-the prefix that names where a rejected value came from, and the one rule
-for a frozen object: what it is (`_frozen`), how a field declares its
-check (`_rule`) and how its fields are set (`_set`).
+rule (an integer, a count, a u64 seed, a positive number, a real number, a
+positive pair, and an array argument as a 1-d float array), the prefix
+that names where a rejected value came from, the one refusal of an array
+too large to allocate, and the one rule for a frozen object: what it is
+(`_frozen`), how a field declares its check (`_rule`) and how its fields
+are set (`_set`).
 
 Every setting, in a library config or on the command line, goes through
 its rule's check, so each rule has one wording, such as ``<name> must be
->= 1, got <value>`` for every count. A checked field of a frozen object
-names its rule beside its type, ``d_tau: float = _rule(_positive)``;
-`_frozen` runs the rules in field order, before the class's own
-``__post_init__``, and stores what each returns, a Python float, int or
-tuple of floats, so a NumPy scalar setting is kept as the Python number
-it equals and two equal objects run equal chains. The first bad field in
-that order is the one a refusal names: for `HmcConfig`, n_mc, theta0,
-seed, then chains. A frozen object is its init fields: it compares,
-hashes and pickles as them, so unpickling rebuilds it through its rules
-and ``__post_init__``. Every normalised or derived field is set once, by
-`_set`, which makes each array it sets read-only, and every array that
-one is a view of, so no array a frozen object holds (a table, or a data
-container's copy of its series) can change under a plan built from it, in
-this process or in a worker it was pickled to."""
+>= 1, got <value>`` for every count. Every array argument, a series, a
+grid, a path or a state's beads, is read by `_vector`, with the wordings
+``<name> must be real numbers, got <value>`` and ``<name> must be 1-d,
+got shape <shape>``: a complex array is refused, not cut to its real
+part. A checked field of a frozen object names its rule beside its type,
+``d_tau: float = _rule(_positive)``; `_frozen` runs the rules in field
+order, before the class's own ``__post_init__``, and stores what each
+returns, a Python float, int or tuple of floats, so a NumPy scalar
+setting is kept as the Python number it equals and two equal objects run
+equal chains. The first bad field in that order is the one a refusal
+names: for `HmcConfig`, n_mc, theta0, seed, then chains. A frozen object
+is its init fields: it compares, hashes and pickles as them, so
+unpickling rebuilds it through its rules and ``__post_init__``. Every
+normalised or derived field is set once, by `_set`, which makes each
+array it sets read-only, and every array that one is a view of, so no
+array a frozen object holds (a table, or a data container's copy of its
+series) can change under a plan built from it, in this process or in a
+worker it was pickled to."""
 
 import contextlib
 import dataclasses
@@ -92,6 +98,30 @@ def _real(name: str, value) -> float:
         raise ValidationError(
             f"{name} must be within the double range, got {reprlib.repr(value)}"
         ) from None
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """``value`` as a 1-d float array, the one read of an array argument: a
+    series, a grid, a path or a state's beads. An array that is one already
+    is returned as it is, not copied; integer and bool entries are
+    converted as NumPy converts them. A complex entry, text or any other
+    entry that is not a real number, an integer past the double range, a
+    ragged list and any shape that is not 1-d raise ValidationError naming
+    ``name``; a complex array is not cut to its real part."""
+    try:
+        x = np.asarray(value)
+        # Python numbers NumPy keeps as objects, such as ints past 64 bits;
+        # a text entry among them is not parsed, as astype would
+        if x.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in x.flat):
+            x = x.astype(float)
+        real = x.dtype.kind in "biuf"
+    except (ValueError, OverflowError):  # a ragged list, an integer past the double range
+        real = False
+    if not real:
+        raise ValidationError(f"{name} must be real numbers, got {reprlib.repr(value)}")
+    if x.ndim != 1:
+        raise ValidationError(f"{name} must be 1-d, got shape {x.shape}")
+    return x.astype(float, copy=False)
 
 
 def _positive_pair(name: str, value) -> tuple[float, float]:
@@ -169,17 +199,17 @@ def _set(obj, **fields):
 @contextlib.contextmanager
 def _naming(where: str):
     """Prefix a ValidationError raised in the block with ``where``, the
-    file or config field its value came from. A size refusal (`_TooLarge`)
-    passes as it is: it names its sizes."""
+    file or config field its value came from. A size refusal
+    (`AllocationError`) passes as it is: it names its sizes."""
     try:
         yield
-    except _TooLarge:
+    except AllocationError:
         raise
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-class _TooLarge(ValidationError):
+class AllocationError(ValidationError):
     """Arrays sized by ``args[0]``, a dict of sizes by name, that NumPy
     cannot allocate, for the reason ``args[1]``."""
 
@@ -191,19 +221,20 @@ class _TooLarge(ValidationError):
 
 @contextlib.contextmanager
 def _sized(**sizes):
-    """Refuse as a `_TooLarge` naming ``sizes`` (such as n = 4 and j = 3)
-    an array of the block that NumPy cannot allocate: a MemoryError, the
-    ValueError of a size past its limit, or the OverflowError of a size
-    past the double range. A `_TooLarge` from an inner block is named
-    anew, so the outermost names win; the package's other errors pass."""
+    """Refuse as an `AllocationError` naming ``sizes`` (such as n = 4 and
+    j = 3) an array of the block that NumPy cannot allocate: a MemoryError,
+    the ValueError of a size past its limit, or the OverflowError of a size
+    past the double range. An `AllocationError` from an inner block is
+    named anew, so the outermost names win; the package's other errors
+    pass."""
     try:
         yield
-    except _TooLarge as exc:
-        raise _TooLarge(sizes, exc.args[1]) from None
+    except AllocationError as exc:
+        raise AllocationError(sizes, exc.args[1]) from None
     except StagHmcError:
         raise
     except (MemoryError, OverflowError, ValueError) as exc:
-        raise _TooLarge(sizes, str(exc) or type(exc).__name__) from None
+        raise AllocationError(sizes, str(exc) or type(exc).__name__) from None
 
 
 class DomainError(StagHmcError, ValueError):

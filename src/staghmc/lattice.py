@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _rule, _set
-from .errors import _sized
+from .errors import _sized, _vector
 from .model import DimensionlessParams, InputSignal, TimeSeriesData, _signal_over
 
 __all__ = [
@@ -133,7 +133,8 @@ class PolymerState:
     """Positions and momenta of the extended system.
 
     u: staged path coordinates (length N); theta = (beta, gamma);
-    p: bead momenta (length N); pi: parameter momenta (length 2).
+    p: bead momenta (length N); pi: parameter momenta (length 2). Each is
+    read by `errors._vector`.
     """
 
     u: np.ndarray
@@ -142,25 +143,25 @@ class PolymerState:
     pi: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        self.pi = np.asarray(self.pi, dtype=float)
-        if self.u.shape != self.p.shape or self.u.ndim != 1:
+        for name in ("u", "theta", "p", "pi"):
+            setattr(self, name, _vector(name, getattr(self, name)))
+        if self.u.shape != self.p.shape:
             raise ValidationError("u and p must be 1-d arrays of equal length")
         if self.theta.shape != (2,) or self.pi.shape != (2,):
             raise ValidationError("theta and pi must have shape (2,)")
 
 
-def _check_size(x: np.ndarray, layout: LatticeLayout, name: str):
-    if x.ndim != 1 or x.size != layout.N:
+def _check_size(x, layout: LatticeLayout, name: str) -> np.ndarray:
+    """``x`` as a 1-d float array (`errors._vector`) of the layout's length N."""
+    x = _vector(name, x)
+    if x.size != layout.N:
         raise ValidationError(f"{name} must be 1-d of length N={layout.N}, got shape {x.shape}")
+    return x
 
 
 def staging_forward(q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """Map bead positions q to staging coordinates u (boundaries unchanged)."""
-    q = np.asarray(q, dtype=float)
-    _check_size(q, layout, "q")
+    q = _check_size(q, layout, "q")
     u = q.copy()
     qs = q[:-1].reshape(layout.n, layout.j)  # qs[s, m] = q[s*j + m]
     qn = q[1:].reshape(layout.n, layout.j)   # qn[s, m] = q[s*j + m + 1]
@@ -173,8 +174,7 @@ def staging_inverse(u: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     """Map staging coordinates u back to bead positions q: per segment the
     backward recursion of the module docstring, unrolled into the block
     product ``windows @ staging_block`` (see `LatticeLayout`)."""
-    u = np.asarray(u, dtype=float)
-    _check_size(u, layout, "u")
+    u = _check_size(u, layout, "u")
     rows = _StagingRows(layout)
     np.copyto(rows.u, u)
     rows.inverse()
@@ -189,8 +189,7 @@ def staging_adjoint(g_q: np.ndarray, layout: LatticeLayout) -> np.ndarray:
     ``g_q[s*j : s*j + j] @ staging_block.T``, whose last entry belongs to the
     right boundary bead that the next segment starts with.
     """
-    g_q = np.asarray(g_q, dtype=float)
-    _check_size(g_q, layout, "g_q")
+    g_q = _check_size(g_q, layout, "g_q")
     rows = _StagingRows(layout)
     np.copyto(rows.g_q, g_q)
     return rows.adjoint()

@@ -30,12 +30,13 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import field, fields
+from dataclasses import field
 
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .errors import _count, _frozen, _naming, _positive, _real, _rule, _seed, _set, _sized
+from .errors import _vector
 
 __all__ = [
     "PhysicalParams",
@@ -104,21 +105,13 @@ def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
 
 
 def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
-    """``times`` and ``values`` as new float arrays, if they are a sampled
-    series: matching 1-d arrays of at least 2 finite points, the times
-    strictly increasing and the values positive. Anything else is a
-    ValidationError whose message starts with ``what``. The arrays are
-    copies, so a container that freezes them (`_set`) owns them. What
-    NumPy cannot read as doubles is refused too: a string as not a real
-    number, an integer past the double range as not finite."""
-    try:
-        t = np.array(times, dtype=float)
-        v = np.array(values, dtype=float)
-    except OverflowError:  # an integer past the double range, such as 2**1100
-        raise ValidationError(f"{what} times and values must be finite") from None
-    except (TypeError, ValueError):  # a string, or another non-number
-        raise ValidationError(f"{what} times and values must be real numbers") from None
-    if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+    """``times`` and ``values`` as float arrays, if they are a sampled
+    series: matching 1-d arrays (`errors._vector`) of at least 2 finite
+    points, the times strictly increasing and the values positive. Anything
+    else is a ValidationError whose message starts with ``what``. The
+    arrays are copies, so a container that freezes them (`_set`) owns them."""
+    t, v = _vector(f"{what} times", times), _vector(f"{what} values", values)
+    if t.shape != v.shape or t.size < 2:
         raise ValidationError(f"{what} needs matching 1-d time/value arrays with >= 2 points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
         raise ValidationError(f"{what} times and values must be finite")
@@ -126,7 +119,7 @@ def _series(what: str, times, values) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"{what} times must be strictly increasing")
     if not np.all(v > 0):
         raise ValidationError(f"{what} values must be strictly positive")
-    return t, v
+    return t.copy(), v.copy()
 
 
 @_frozen
@@ -312,14 +305,20 @@ class TimeSeriesData:
 @_frozen
 class TruthPath:
     """A simulated ground-truth path sampled on ``times``; it holds
-    read-only copies of the arrays it is given."""
+    read-only copies of the arrays it is given, which must be 1-d
+    (`errors._vector`) and of one length."""
 
     times: np.ndarray
     S: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        _set(self, **{f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)})
+        cols = {name: _vector(f"truth path {name}", getattr(self, name))
+                for name in ("times", "S", "q")}
+        if len({a.size for a in cols.values()}) > 1:
+            sizes = ", ".join(f"{name} {a.size}" for name, a in cols.items())
+            raise ValidationError(f"truth path times, S and q must have one length, got {sizes}")
+        _set(self, **{name: a.copy() for name, a in cols.items()})
 
     def to_csv(self, path):
         _write_csv(path, "t,S,q", np.column_stack([self.times, self.S, self.q]))
@@ -373,8 +372,8 @@ def simulate_truth(
     IEEE operations, in the same order, as on NumPy scalars, at a fraction
     of their cost.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or not np.isfinite(t).all() or not np.all((h := np.diff(t)) > 0):
+    t = _vector("simulation grid", times)
+    if t.size < 2 or not np.isfinite(t).all() or not np.all((h := np.diff(t)) > 0):
         raise ValidationError("simulation grid must be 1-d, finite and strictly increasing")
     theta = to_dimensionless(params)
     T = params.T
@@ -441,13 +440,11 @@ def generate_observations(
     """Read the path at obs_times and apply log-normal noise:
     y_s = (S(t_s)/K) exp(sigma eps_s).
 
-    The times must be a 1-d array, and each must lie on the path grid (1e-9
-    relative of the horizon); anything else is an error rather than an
-    interpolation. ``seed`` is taken as by `simulate_truth`.
+    The times must be a 1-d array (`errors._vector`), and each must lie on
+    the path grid (1e-9 relative of the horizon); anything else is an error
+    rather than an interpolation. ``seed`` is taken as by `simulate_truth`.
     """
-    obs_times = np.asarray(obs_times, dtype=float)
-    if obs_times.ndim != 1:
-        raise ValidationError(f"observation times must be 1-d, got shape {obs_times.shape}")
+    obs_times = _vector("observation times", obs_times)
     tol = 1e-9 * max(1.0, abs(path.times[-1]))
     # the first grid point at or after t - tol: t's own, where it has one
     idx = np.minimum(np.searchsorted(path.times, obs_times - tol), path.times.size - 1)

@@ -58,6 +58,7 @@ from .errors import (
     _positive_pair,
     _rule,
     _seed,
+    _sized,
 )
 from .integrator import (  # noqa: F401 -- trotter_propagate stays bound here for tracers
     IntegratorConfig,
@@ -342,8 +343,10 @@ def _run_seeded(
 
     n = config.n_mc
     # one column (beta, gamma, accepted, h_before, h_after, dh) per
-    # iteration, stored from Python floats in one call
-    table = np.empty((6, n))
+    # iteration, stored from Python floats in one call; one NumPy cannot
+    # allocate is refused naming n_mc
+    with _sized(n_mc=n):
+        table = np.empty((6, n))
     pathologies: dict[str, int] = {}
 
     t0 = time.perf_counter()

@@ -42,11 +42,21 @@ OWNERS = {
     # one real-number rule, which a sinusoid's a, omega and b pass where r is read
     "_real(": ["errors:_real", "model:_signal_over"],
     # one size rule: an array NumPy cannot allocate is refused by the names of its sizes
-    "_sized(": ["cli:_allocating", "errors:_sized", "lattice:LatticeLayout", "model:fine_grid"],
+    "_sized(": ["cli:cmd_simulate", "cli:cmd_infer", "errors:_sized", "lattice:LatticeLayout",
+                "model:fine_grid", "sampler:_run_seeded"],
+    "_allocating(": [],
     # one order statistic, diagnostics._percentiles: NumPy's import numpy.ma
     "np.median(": [], "np.percentile(": [], "np.quantile(": [],
-    # one draw-series rule: diagnostics._draws reads a series, _spread judges it
-    "np.asarray(series": ["diagnostics:_draws"],
+    # one array rule: errors._vector reads every array argument of a public
+    # callable; np.asarray is left only to the signal's readers of scalar times
+    "_vector(": ["diagnostics:ess", "diagnostics:silverman_bandwidth"] + ["diagnostics:kde"] * 2
+                + ["diagnostics:write_density_csv", "errors:_vector", "lattice:PolymerState",
+                   "lattice:_check_size", "model:_series", "model:TruthPath",
+                   "model:simulate_truth", "model:generate_observations"],
+    "np.asarray(": ["errors:_vector", "model:InputSignal", "model:InputSignal",
+                    "model:_signal_over"],
+    # one draw-series rule: _vector reads a series, diagnostics._spread judges it
+    "_draws(": [], "np.asarray(series": [],
     "_never_moved": [], "_check_moved": [], "_check_finite_series": [],
 }
 # the checks that a field names as its `errors._rule`

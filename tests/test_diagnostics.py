@@ -403,8 +403,8 @@ class TestKde:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            (np.zeros((2, 3)), r"^kde needs a 1-d grid, got shape \(2, 3\)$"),
-            (0.0, r"^kde needs a 1-d grid, got shape \(\)$"),
+            (np.zeros((2, 3)), r"^kde grid must be 1-d, got shape \(2, 3\)$"),
+            (0.0, r"^kde grid must be 1-d, got shape \(\)$"),
             (np.array([0.0, np.nan, 1.0]), "^kde grid must not hold NaN$"),
         ],
         ids=["2-d", "0-d", "nan"],

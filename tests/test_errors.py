@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from staghmc import cli, diagnostics, energy, integrator, lattice, model, sampler
-from staghmc.errors import ValidationError
+from staghmc.errors import StagHmcError, ValidationError
 from staghmc.integrator import IntegratorConfig, OscillatorBank
 from staghmc.lattice import LatticeLayout, MassConfig
 from staghmc.model import (
@@ -95,20 +95,29 @@ SERIES = {
     "observation": lambda t, v: TimeSeriesData(times=t, values=v),
     "tabulated input": InputSignal.tabulated,
 }
+# a row refused by errors._vector, in its wording, keeps the id it was first
+# listed under, so a test keeps its id across a rewording
 BAD_SERIES = [
     ([0.0, 1.0, 2.0], [1.0, 1.0], "needs matching 1-d time/value arrays with >= 2 points"),
     ([0.0], [1.0], "needs matching 1-d time/value arrays with >= 2 points"),
-    ([[0.0, 1.0]], [[1.0, 1.0]], "needs matching 1-d time/value arrays with >= 2 points"),
+    pytest.param([[0.0, 1.0]], [[1.0, 1.0]], r"times must be 1-d, got shape \(1, 2\)",
+                 id="times2-values2-needs matching 1-d time/value arrays with >= 2 points"),
     ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "times and values must be finite"),
     ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0], "times and values must be finite"),
     ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], "times must be strictly increasing"),
     ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "times must be strictly increasing"),
     ([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], "values must be strictly positive"),
     ([0.0, 1.0, 2.0], [1.0, 1.0, -1.0], "values must be strictly positive"),
-    ("x", [1.0, 1.0], "times and values must be real numbers"),
-    ([0.0, 1.0], "ab", "times and values must be real numbers"),
-    ([0, 2**1100], [1.0, 1.0], "times and values must be finite"),
-    ([0.0, 1.0], [1, 2**1100], "times and values must be finite"),
+    pytest.param("x", [1.0, 1.0], "times must be real numbers, got 'x'",
+                 id="x-values9-times and values must be real numbers"),
+    pytest.param([0.0, 1.0], "ab", "values must be real numbers, got 'ab'",
+                 id="times10-ab-times and values must be real numbers"),
+    pytest.param([0, 2**1100], [1.0, 1.0],
+                 "times must be real numbers, got " + re.escape(reprlib.repr([0, 2**1100])),
+                 id="times11-values11-times and values must be finite"),
+    pytest.param([0.0, 1.0], [1, 2**1100],
+                 "values must be real numbers, got " + re.escape(reprlib.repr([1, 2**1100])),
+                 id="times12-values12-times and values must be finite"),
 ]
 
 
@@ -172,6 +181,19 @@ def test_size_too_large_to_allocate_named(setting):
     message = f"arrays sized by {named} are too large to allocate: {reason}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("n_mc", [10**15, 2**1100], ids=["10**15", "2**1100"])
+def test_chain_table_too_large_to_allocate_named(n_mc):
+    # not a raw MemoryError of 42.6 PiB, nor NumPy's dimension error
+    named = f"arrays sized by n_mc = {reprlib.repr(n_mc)} are too large to allocate: "
+    with pytest.raises(StagHmcError, match=f"^chain 0: AllocationError: {re.escape(named)}"):
+        sampler.run_chain(InferenceProblem(DATA, SIGNAL, NOISE, 3), hmc(n_mc=n_mc))
+
+
+def test_step_count_has_no_upper_bound():
+    # a step allocates nothing, so no P is too large to allocate
+    assert IntegratorConfig(d_tau=0.25, P=2**1100).P == 2**1100
 
 
 def test_tabulated_input_needs_neither_observation_rule():
@@ -449,3 +471,57 @@ def test_numpy_scalar_settings_simulate_the_python_path(kind):
     ]
     for name in ("times", "S", "q"):
         assert getattr(paths[0], name).tobytes() == getattr(paths[1], name).tobytes(), name
+
+
+# every public callable that takes an array, by argument: (the name its
+# refusal gives, a call with ``x`` in that argument and valid others). A
+# 2-d TruthPath or density used to be written as rows wider than the header
+GOOD = np.linspace(0.0, 40.0, 5)
+ARRAY_ARGUMENTS = {
+    "TimeSeriesData.times": ("observation times", lambda x: TimeSeriesData(x, GOOD + 1.0)),
+    "TimeSeriesData.values": ("observation values", lambda x: TimeSeriesData(GOOD, x)),
+    "tabulated.times": ("tabulated input times", lambda x: InputSignal.tabulated(x, GOOD + 1.0)),
+    "tabulated.values": ("tabulated input values", lambda x: InputSignal.tabulated(GOOD, x)),
+    "TruthPath.times": ("truth path times", lambda x: model.TruthPath(x, GOOD, GOOD)),
+    "TruthPath.S": ("truth path S", lambda x: model.TruthPath(GOOD, x, GOOD)),
+    "TruthPath.q": ("truth path q", lambda x: model.TruthPath(GOOD, GOOD, x)),
+    "simulate_truth.times": (
+        "simulation grid", lambda x: simulate_truth(TRUTH, SIGNAL, x, seed=1)),
+    "generate_observations.obs_times": (
+        "observation times", lambda x: model.generate_observations(
+            simulate_truth(TRUTH, SIGNAL, GOOD, seed=1), x, TRUTH, NOISE, seed=2)),
+    "ess.series": ("a series of draws", diagnostics.ess),
+    "silverman_bandwidth.series": ("a series of draws", diagnostics.silverman_bandwidth),
+    "kde.series": ("a series of draws", lambda x: diagnostics.kde(x, GOOD)),
+    "kde.grid": ("kde grid", lambda x: diagnostics.kde(GOOD, x)),
+    "write_density_csv.grid": ("grid", lambda x: diagnostics.write_density_csv("d.csv", x, GOOD)),
+    "write_density_csv.density": (
+        "density", lambda x: diagnostics.write_density_csv("d.csv", GOOD, x)),
+    "PolymerState.u": ("u", lambda x: lattice.PolymerState(x, GOOD[:2], GOOD, GOOD[:2])),
+    "PolymerState.theta": ("theta", lambda x: lattice.PolymerState(GOOD, x, GOOD, GOOD[:2])),
+    "PolymerState.p": ("p", lambda x: lattice.PolymerState(GOOD, GOOD[:2], x, GOOD[:2])),
+    "PolymerState.pi": ("pi", lambda x: lattice.PolymerState(GOOD, GOOD[:2], GOOD, x)),
+    "staging_forward.q": ("q", lambda x: lattice.staging_forward(x, LAYOUT)),
+    "staging_inverse.u": ("u", lambda x: lattice.staging_inverse(x, LAYOUT)),
+    "staging_adjoint.g_q": ("g_q", lambda x: lattice.staging_adjoint(x, LAYOUT)),
+}
+# values no array argument takes
+NOT_ARRAYS = {
+    "complex-ndarray": GOOD + 1j,
+    "complex-list": [0.0, 1.0 + 2j, 2.0],
+    "string": "0.5",
+    "past-double": [0.0, 1.0, 2**1100],
+    "ragged": [[0.0, 1.0], [2.0]],
+    "2-d": np.ones((2, 5)),
+    "0-d": np.float64(1.5),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning: an array cut to its real part
+@pytest.mark.parametrize("value", NOT_ARRAYS)
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
+def test_array_argument_read_by_one_rule(argument, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a density that is not refused is written
+    name, call = ARRAY_ARGUMENTS[argument]
+    with pytest.raises(ValidationError, match=f"^{name} must be (real numbers|1-d), got "):
+        call(NOT_ARRAYS[value])

@@ -397,12 +397,18 @@ class TestSimulateTruth:
         assert simulate_truth(self.P, SEC4_INPUT, grid, seed=None).q.shape == expected.q.shape
 
     @pytest.mark.parametrize(
-        "grid", [[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [0.0], [[0.0, 1.0]], [0.0, 1.0, np.inf]],
+        "grid, message",
+        [
+            ([0.0, 2.0, 2.0], "finite and strictly increasing"),
+            ([0.0, 3.0, 1.0], "finite and strictly increasing"),
+            ([0.0], "finite and strictly increasing"),
+            ([[0.0, 1.0]], r"got shape \(1, 2\)"),
+            ([0.0, 1.0, np.inf], "finite and strictly increasing"),
+        ],
         ids=["flat", "falling", "one-point", "2-d", "inf"],
     )
-    def test_grid_must_increase(self, grid):
-        message = "^simulation grid must be 1-d, finite and strictly increasing$"
-        with pytest.raises(ValidationError, match=message):
+    def test_grid_must_increase(self, grid, message):
+        with pytest.raises(ValidationError, match=f"^simulation grid must be 1-d, {message}$"):
             simulate_truth(self.P, SEC4_INPUT, grid, seed=0)
 
     def test_drift_beyond_the_double_range_refused_before_noise(self):
@@ -697,6 +703,13 @@ class TestCsvFormat:
         path = tmp_path / "density.csv"
         write_density_csv(path, grid, density)
         assert path.read_bytes() == self.savetxt_bytes(tmp_path, "x,density", grid, density)
+
+    def test_truth_path_of_unequal_lengths_refused(self):
+        # refused when built, not by NumPy's raw ValueError from to_csv (a
+        # 2-d column is in tests/test_errors.py's table of array arguments)
+        message = "^truth path times, S and q must have one length, got times 3, S 2, q 1$"
+        with pytest.raises(ValidationError, match=message):
+            TruthPath(times=[0.0, 1.0, 2.0], S=[1.0, 2.0], q=[0.0])
 
     def test_header_without_rows_is_named(self, tmp_path):
         path = tmp_path / "obs.csv"
