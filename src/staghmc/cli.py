@@ -11,9 +11,14 @@ Three subcommands share one JSON configuration document:
 
 Configuration precedence, lowest to highest: built-in defaults, a named
 preset, the ``--config`` file, then individual flags. One pass over the
-merged document rejects unknown keys and converts every value to its type
-before any command runs. Every run writes the fully resolved configuration
-next to its outputs so it can be reproduced exactly.
+merged document, before any command runs, rejects unknown keys and checks
+every value, in every block, whether the command reads it or not, by the
+rule that owns it (`errors._positive`, `_count` and the rest, the rules
+its dataclass checks it with). A refused value reads as its rule's
+message named by the dotted field, ``infer.n_mc must be >= 1, got 0``;
+only a refusal across a block's fields names the block, ``config block
+model: ...``. Every run writes the fully resolved configuration next to
+its outputs so it can be reproduced exactly.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import copy
 import errno
+import functools
 import json
 import os
 import reprlib
@@ -41,7 +47,7 @@ from .diagnostics import (
     write_density_csv,
 )
 from .errors import DomainError, NonFiniteError, StagHmcError, ValidationError
-from .errors import _count, _naming, _seed, _sized
+from .errors import _count, _naming, _positive, _positive_pair, _real, _seed, _sized
 from .integrator import IntegratorConfig
 from .lattice import MassConfig
 from .model import (
@@ -91,73 +97,62 @@ PRESETS = {
 }
 
 
-def _number(value) -> float:
-    """``float(value)`` for a JSON number; a bool or a string is rejected
-    instead of converted."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"a {type(value).__name__} is not a number")
-    return float(value)
+def _json_int(rule):
+    """The integer ``rule`` as a config leaf: a whole float, as JSON may
+    spell 3 (``3.0``), is passed to it as an int."""
+
+    @functools.wraps(rule)  # so inspect.unwrap gives the rule itself
+    def leaf(name: str, value):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return rule(name, value)
+
+    return leaf
 
 
-def _whole(value) -> int:
-    """``int(value)`` for a whole number; a bool, a string or a fractional
-    or non-finite float is rejected instead of converted or truncated."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"a {type(value).__name__} is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not a whole number")
-    return int(value)
-
-
-def _float_pair(value) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
-        raise TypeError("not a list of two numbers")
-    return (_number(value[0]), _number(value[1]))
-
-
-def _text(value) -> str:
+def _text(name: str, value) -> str:
     if not isinstance(value, str):
-        raise TypeError("not a string")
+        raise ValidationError(f"{name} must be a string, got {reprlib.repr(value)}")
     return value
 
 
-def _texts(value) -> list:
+def _texts(name: str, value) -> list:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError("not a list of strings")
+        raise ValidationError(f"{name} must be a list of strings, got {reprlib.repr(value)}")
     return list(value)
 
 
-# every key the config document may contain, each leaf the conversion of its
-# value; "command" is in every config echo, so an echo re-loads as a config
+# every key the config document may contain, each leaf the (name, value)
+# rule that owns its value, the one its dataclass checks it with; "command"
+# is in every config echo, so an echo re-loads as a config
 SCHEMA = {
     "command": _text,
-    "seed": _whole,
-    "chains": _whole,
+    "seed": _json_int(_seed),
+    "chains": _json_int(_count),
     "out": _text,
-    "model": {"K": _number, "gamma": _number, "T": _number},
-    "signal": {
-        "kind": _text, "a": _number, "omega": _number, "b": _number, "file": _text,
-    },
-    "observation": {"sigma": _number, "n": _whole},
-    "lattice": {"j": _whole},
+    "model": {"K": _positive, "gamma": _positive, "T": _positive},
+    "signal": {"kind": _text, "a": _real, "omega": _real, "b": _real, "file": _text},
+    "observation": {"sigma": _positive, "n": _json_int(_count)},
+    "lattice": {"j": _json_int(_count)},
     "simulate": {},  # no settings: a retired key under it is refused by its dotted name
     "infer": {
-        "n_mc": _whole,
-        "start": {"K": _number, "gamma": _number},
-        "masses": {"M": _number, "m_prime": _number, "m_alpha": _float_pair},
-        "integrator": {"d_tau": _number, "P": _whole},
+        "n_mc": _json_int(_count),
+        "start": {"K": _positive, "gamma": _positive},
+        "masses": {"M": _positive, "m_prime": _positive, "m_alpha": _positive_pair},
+        "integrator": {"d_tau": _positive, "P": _json_int(_count)},
         "observations_file": _text,
-        "discard": _number,
+        "discard": _real,
     },
-    "summarize": {"chain_files": _texts, "discard": _number},
+    "summarize": {"chain_files": _texts, "discard": _real},
 }
 
 
 def _typed(doc: dict, schema: dict, path: str = "") -> dict:
-    """A copy of ``doc`` with every non-null leaf converted by its ``schema``
-    entry. An unknown key, a block where a value belongs, a non-object where
-    a block belongs, or a value its conversion rejects is a ValidationError
-    naming the dotted field."""
+    """A copy of ``doc`` with every non-null leaf checked by its ``schema``
+    rule, ``rule(<dotted field>, value)``, and set to what it returns. An
+    unknown key, a block where a value belongs or a non-object where a
+    block belongs is a ValidationError naming the dotted field; a value
+    its rule refuses, the rule's own, named by the dotted field."""
     out = {}
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
@@ -169,16 +164,10 @@ def _typed(doc: dict, schema: dict, path: str = "") -> dict:
                 raise ValidationError(
                     f"config field {where} has an invalid value {reprlib.repr(value)}: not a block"
                 )
-            out[key] = _typed(value, rule, where)
-        elif value is None:
-            out[key] = None
-        else:
-            try:
-                out[key] = rule(value)
-            except (TypeError, ValueError, OverflowError) as exc:  # 10**400 is no float
-                raise ValidationError(
-                    f"config field {where} has an invalid value {reprlib.repr(value)}: {exc}"
-                ) from None
+            value = _typed(value, rule, where)
+        elif value is not None:
+            value = rule(where, value)
+        out[key] = value
     return out
 
 
@@ -194,7 +183,8 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, preset, config file, and flags into one document,
-    every value converted by its ``SCHEMA`` entry."""
+    every value checked by its ``SCHEMA`` rule; a null seed or chains is
+    refused."""
     cfg = copy.deepcopy(DEFAULTS)
     if args.preset is not None:
         if args.preset not in PRESETS:
@@ -220,8 +210,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     cfg = _typed(cfg, SCHEMA)
-    _seed("seed", _need(cfg, "seed"))
-    _count("chains", _need(cfg, "chains"))
+    _need(cfg, "seed")
+    _need(cfg, "chains")
     return cfg
 
 
@@ -239,14 +229,11 @@ def _need(cfg: dict, field: str):
     return value
 
 
-def _need_count(cfg: dict, field: str) -> int:
-    """The config field ``field``, read by `_need`, if it is a count (`_count`)."""
-    return _count(field, _need(cfg, field))
-
-
 def _build(cls, cfg: dict, block: str, **given):
     """``cls`` with each init field not in ``given`` read by `_need` as
-    ``block.<field>``; a ValidationError of ``cls`` is prefixed with the block."""
+    ``block.<field>``, which its ``SCHEMA`` leaf, the field's own rule, has
+    checked; a ValidationError of ``cls``, a refusal across its fields, is
+    prefixed with the block."""
     read = {
         f.name: _need(cfg, f"{block}.{f.name}")
         for f in fields(cls)
@@ -301,9 +288,9 @@ def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["out"]
     params = _build(PhysicalParams, cfg, "model")
     signal, signal_name, _ = _build_signal(cfg)
-    n = _need_count(cfg, "observation.n")
+    n = _need(cfg, "observation.n")
     obs = _build(ObservationModel, cfg, "observation")
-    j = _need_count(cfg, "lattice.j")
+    j = _need(cfg, "lattice.j")
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     # an array NumPy cannot allocate is refused naming these config fields
@@ -332,7 +319,7 @@ def cmd_infer(cfg: dict) -> int:
     data = TimeSeriesData.from_csv(obs_file)
     signal, signal_name, signal_fields = _build_signal(cfg)
     obs = _build(ObservationModel, cfg, "observation")
-    j = _need_count(cfg, "lattice.j")
+    j = _need(cfg, "lattice.j")
     # each value the plan takes has passed its own checks above, so the plan
     # has two refusals left: a lattice too large to allocate, and a signal
     # that cannot be read at the lattice's times (a table that stops short
@@ -348,6 +335,10 @@ def cmd_infer(cfg: dict) -> int:
         HmcConfig, cfg, "infer", theta0=(theta0.beta, theta0.gamma), masses=masses,
         integrator=integ, seed=cfg["seed"], chains=cfg["chains"],
     )
+    # one chain's table of its n_mc iterations, sized here so that an n_mc
+    # NumPy cannot allocate is refused before the first write
+    with _sized(**{"infer.n_mc": hmc.n_mc}):
+        np.empty((6, hmc.n_mc))
     discard = _need(cfg, "infer.discard")
     with _naming("config field infer.discard"):
         discard_start(discard, hmc.n_mc)

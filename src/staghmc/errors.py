@@ -1,17 +1,19 @@
 """Exception types shared across the package, the one check of each input
 rule (an integer, a count, a u64 seed, a positive number, a real number, a
-positive pair, and an array argument as a 1-d float array), the prefix
-that names where a rejected value came from, the one refusal of an array
-too large to allocate, and the one rule for a frozen object: what it is
-(`_frozen`), how a field declares its check (`_rule`) and how its fields
-are set (`_set`).
+positive pair, real numbers as a float array, and an array argument as a
+1-d one), the prefix that names where a rejected value came from, the one
+refusal of an array too large to allocate, and the one rule for a frozen
+object: what it is (`_frozen`), how a field declares its check (`_rule`)
+and how its fields are set (`_set`).
 
 Every setting, in a library config or on the command line, goes through
 its rule's check, so each rule has one wording, such as ``<name> must be
->= 1, got <value>`` for every count. Every array argument, a series, a
-grid, a path or a state's beads, is read by `_vector`, with the wordings
-``<name> must be real numbers, got <value>`` and ``<name> must be 1-d,
-got shape <shape>``: a complex array is refused, not cut to its real
+>= 1, got <value>`` for every count; on the command line the name is the
+dotted config field, such as ``infer.n_mc``. Every array argument, a
+series, a grid, a path or a state's beads, is read by `_vector`, with the
+wordings ``<name> must be real numbers, got <value>`` and ``<name> must
+be 1-d, got shape <shape>``, and a signal's times of any shape by
+`_reals`, with the first: a complex array is refused, not cut to its real
 part. A checked field of a frozen object names its rule beside its type,
 ``d_tau: float = _rule(_positive)``; `_frozen` runs the rules in field
 order, before the class's own ``__post_init__``, and stores what each
@@ -48,7 +50,7 @@ def _integer(name: str, value) -> int:
     """``value`` as a Python int, if it is a Python or NumPy integer; a bool,
     a float (even a whole one) or any other type raises ValidationError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -75,7 +77,7 @@ def _positive(name: str, value) -> float:
     a negative number, NaN, an infinity, an integer past the double range,
     a bool, a string or any other non-number raises ValidationError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+        raise ValidationError(f"{name} must be a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer past the double range, such as 10**400
@@ -87,10 +89,10 @@ def _positive(name: str, value) -> float:
 
 def _real(name: str, value) -> float:
     """``value`` as a Python float, if it is a real number of the double
-    range, NaN and the infinities included; a complex number, a string, a
-    list, an integer past the double range or any other non-real raises
-    ValidationError."""
-    if not isinstance(value, numbers.Real):
+    range, NaN and the infinities included; a bool, a complex number, a
+    string, a list, an integer past the double range or any other non-real
+    raises ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {reprlib.repr(value)}")
     try:
         return float(value)
@@ -100,13 +102,13 @@ def _real(name: str, value) -> float:
         ) from None
 
 
-def _vector(name: str, value) -> np.ndarray:
-    """``value`` as a 1-d float array, the one read of an array argument: a
-    series, a grid, a path or a state's beads. An array that is one already
-    is returned as it is, not copied; integer and bool entries are
-    converted as NumPy converts them. A complex entry, text or any other
-    entry that is not a real number, an integer past the double range, a
-    ragged list and any shape that is not 1-d raise ValidationError naming
+def _reals(name: str, value) -> np.ndarray:
+    """``value``, a real number or an array of them of any shape, as a
+    float array of its shape, the one read of real numbers as an array.
+    An array that is one already is returned as it is, not copied; integer
+    and bool entries are converted as NumPy converts them. A complex
+    entry, text or any other entry that is not a real number, an integer
+    past the double range and a ragged list raise ValidationError naming
     ``name``; a complex array is not cut to its real part."""
     try:
         x = np.asarray(value)
@@ -119,9 +121,17 @@ def _vector(name: str, value) -> np.ndarray:
         real = False
     if not real:
         raise ValidationError(f"{name} must be real numbers, got {reprlib.repr(value)}")
+    return x.astype(float, copy=False)
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """``value`` as a 1-d float array (`_reals`), the one read of an array
+    argument: a series, a grid, a path or a state's beads. Any shape that
+    is not 1-d raises ValidationError naming ``name``."""
+    x = _reals(name, value)
     if x.ndim != 1:
         raise ValidationError(f"{name} must be 1-d, got shape {x.shape}")
-    return x.astype(float, copy=False)
+    return x
 
 
 def _positive_pair(name: str, value) -> tuple[float, float]:
@@ -133,7 +143,7 @@ def _positive_pair(name: str, value) -> tuple[float, float]:
     except TypeError:
         items = None
     if isinstance(value, str) or items is None or len(items) != 2:
-        raise ValidationError(f"{name} must be a pair of two numbers, got {value!r}")
+        raise ValidationError(f"{name} must be a pair of two numbers, got {reprlib.repr(value)}")
     return tuple(_positive(name, x) for x in items)
 
 

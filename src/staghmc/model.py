@@ -35,8 +35,8 @@ from dataclasses import field
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .errors import _count, _frozen, _naming, _positive, _real, _rule, _seed, _set, _sized
-from .errors import _vector
+from .errors import _count, _frozen, _naming, _positive, _real, _reals, _rule, _seed, _set
+from .errors import _sized, _vector
 
 __all__ = [
     "PhysicalParams",
@@ -163,8 +163,9 @@ class InputSignal:
         return cls(kind="tabulated", times=times, values=values)
 
     def value(self, t):
-        """r(t); vectorized over t."""
-        t = np.asarray(t, dtype=float)
+        """r(t); vectorized over t, a time or an array of times of any shape
+        (`errors._reals`)."""
+        t = _reals("input signal times", t)
         if self.kind == "sinusoid":
             return self.a * np.sin(self.omega * t) ** 2 + self.b
         self._check_range(t)
@@ -173,7 +174,7 @@ class InputSignal:
     def rate(self, t):
         """dr/dt; for a tabulated input, the slope of the segment that starts
         at or before t (the last segment's from its last node on)."""
-        t = np.asarray(t, dtype=float)
+        t = _reals("input signal times", t)
         if self.kind == "sinusoid":
             return self.a * self.omega * np.sin(2.0 * self.omega * t)
         self._check_range(t)

@@ -181,7 +181,7 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
         assert not out.exists()
-        assert "config field seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: seed must be an integer, got 'abc'\n"
 
     def test_missing_model_block_rejected(self, tmp_path):
         cfg = small_config()
@@ -316,7 +316,7 @@ class TestInfer:
         capsys.readouterr()
         assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
         assert not out.exists()
-        assert f"config field infer.{block}.{name}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: infer.{block}.{name} must be ")
 
     def test_summary_holds_chain_meta(self, tmp_path):
         rc, out = self.infer_into(tmp_path, "run")
@@ -915,7 +915,9 @@ class TestIntegerFields:
         capsys.readouterr()
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
         assert not out.exists() or not list(out.iterdir())
-        assert f"config field {'.'.join(field)} has" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {'.'.join(field)} must be an integer, got {value!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "command,field",
@@ -975,15 +977,27 @@ def test_bad_value_rejected_before_writing(tmp_path, monkeypatch, capsys, comman
     assert main([command, "--config", cfg_path]) == 2
     assert not out.exists()
     assert sorted(os.listdir(tmp_path)) == before
-    assert f"config field {'.'.join(field)} " in capsys.readouterr().err
+    rule = staghmc.cli.SCHEMA
+    for key in field:
+        rule = rule[key]
+    dotted = ".".join(field)
+    if isinstance(rule, dict):  # a block given as a value is refused by name
+        want = f"config field {dotted} has an invalid value "
+    else:  # a value, by its own rule
+        want = f"{dotted} must be "
+    assert capsys.readouterr().err.startswith(f"error: {want}")
 
 
 # values that a config block's dataclass rejects, with the command that
-# builds it: K and gamma whose beta = sqrt(T gamma / K) underflows to 0
+# builds it and the start of the refusal: K and gamma whose beta =
+# sqrt(T gamma / K) underflows to 0, a refusal across the block's fields,
+# name the block; a mass that is not positive, its own rule's, its field
 BAD_BLOCKS = [
-    ("simulate", ("model",), {"K": 1e300, "gamma": 1e-300}, "beta = sqrt"),
-    ("infer", ("infer", "start"), {"K": 1e300, "gamma": 1e-300}, "beta = sqrt"),
-    ("infer", ("infer", "masses"), {"M": -1.0}, "M must be positive"),
+    ("simulate", ("model",), {"K": 1e300, "gamma": 1e-300}, "config block model: beta = sqrt"),
+    ("infer", ("infer", "start"), {"K": 1e300, "gamma": 1e-300},
+     "config block infer.start: beta = sqrt"),
+    ("infer", ("infer", "masses"), {"M": -1.0},
+     "infer.masses.M must be positive and finite, got -1.0"),
 ]
 
 
@@ -998,9 +1012,7 @@ def test_dataclass_error_names_its_block(tmp_path, capsys, command, block, value
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: config block {'.'.join(block)}: ")
-    assert message in err
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 
@@ -1296,7 +1308,7 @@ def test_integer_past_the_digit_limit_is_not_valid_json(tmp_path, capsys):
     if limited:
         assert err.startswith(f"error: config file {cfg_path} is not valid JSON: ")
     else:
-        assert err.startswith("error: config field model.K has an invalid value ")
+        assert err.startswith("error: model.K must be positive and finite, got ")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -1398,7 +1410,7 @@ def test_bool_or_string_number_rejected(tmp_path, capsys, command, field, value)
     capsys.readouterr()
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert not out.exists()
-    assert f"config field {'.'.join(field)} has" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {'.'.join(field)} must be ")
 
 
 # fields that JSON's Infinity reaches, with the command that reads them
@@ -1472,14 +1484,14 @@ def test_model_whose_drift_overflows_is_named_by_its_block(tmp_path, capsys, mod
 
 
 def test_n_mc_below_one_named_by_infer_block(tmp_path, capsys):
-    # infer builds its sampler settings from the block, as every other block
+    # refused by the count rule, named by its dotted field
     cfg = config_for(tmp_path, "infer")
     set_field(cfg, ("infer", "n_mc"), 0)
     cfg_path = write_config(tmp_path, cfg, "bad.json")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: config block infer: n_mc must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "error: infer.n_mc must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -1501,6 +1513,98 @@ def test_long_rejected_value_quoted_short(tmp_path, capsys, command, field, valu
     capsys.readouterr()
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config field {'.'.join(field)} has an invalid value ")
+    assert err.startswith(f"error: {'.'.join(field)} must be ")
     assert err.count("\n") == 1 and len(err) < 200
+    assert not out.exists()
+
+
+# one field of each rule family, with each of a string, a bool, 2.5, 0 and
+# 10**400 that its rule refuses and the end of the refusal: the rule's own
+# message, named by the dotted field
+HUGE = reprlib.repr(10**400)
+RULE_FAMILIES = [
+    (("model", "K"), "x", "a number, got 'x'"),
+    (("model", "K"), True, "a number, got True"),
+    (("model", "K"), 0, "positive and finite, got 0"),
+    (("model", "K"), 10**400, f"positive and finite, got {HUGE}"),
+    (("infer", "masses", "m_alpha"), "x", "a pair of two numbers, got 'x'"),
+    (("infer", "masses", "m_alpha"), True, "a pair of two numbers, got True"),
+    (("infer", "masses", "m_alpha"), 2.5, "a pair of two numbers, got 2.5"),
+    (("infer", "masses", "m_alpha"), 0, "a pair of two numbers, got 0"),
+    (("infer", "masses", "m_alpha"), 10**400, f"a pair of two numbers, got {HUGE}"),
+    (("signal", "a"), "x", "a real number, got 'x'"),
+    (("signal", "a"), True, "a real number, got True"),
+    (("signal", "a"), 10**400, f"within the double range, got {HUGE}"),
+    (("lattice", "j"), "x", "an integer, got 'x'"),
+    (("lattice", "j"), True, "an integer, got True"),
+    (("lattice", "j"), 2.5, "an integer, got 2.5"),
+    (("lattice", "j"), 0, ">= 1, got 0"),
+    (("seed",), "x", "an integer, got 'x'"),
+    (("seed",), True, "an integer, got True"),
+    (("seed",), 2.5, "an integer, got 2.5"),
+    (("seed",), 10**400, None),  # the seed rule's range, which quotes no value
+    (("signal", "kind"), True, "a string, got True"),
+    (("signal", "kind"), 2.5, "a string, got 2.5"),
+    (("signal", "kind"), 0, "a string, got 0"),
+    (("signal", "kind"), 10**400, f"a string, got {HUGE}"),
+    (("summarize", "chain_files"), "x", "a list of strings, got 'x'"),
+    (("summarize", "chain_files"), True, "a list of strings, got True"),
+    (("summarize", "chain_files"), 2.5, "a list of strings, got 2.5"),
+    (("summarize", "chain_files"), 0, "a list of strings, got 0"),
+    (("summarize", "chain_files"), 10**400, f"a list of strings, got {HUGE}"),
+]
+VALUE_IDS = {"x": "text", True: "bool", 2.5: "fraction", 0: "zero", 10**400: "huge"}
+
+
+@pytest.mark.parametrize(
+    "field,value,end", RULE_FAMILIES,
+    ids=[f"{'.'.join(f)}-{VALUE_IDS[v]}" for f, v, _ in RULE_FAMILIES],
+)
+def test_refusal_is_the_rule_message_named_by_the_dotted_field(
+    tmp_path, capsys, field, value, end
+):
+    cfg = {}
+    set_field(cfg, field, value)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    end = f"be {end}" if end else "fit in an unsigned 64-bit integer"
+    assert capsys.readouterr().err == f"error: {'.'.join(field)} must {end}\n"
+    assert not out.exists()
+
+
+def test_summarize_refuses_a_bad_value_in_a_block_it_does_not_read(tmp_path, capsys):
+    # summarize reads no model, yet every block is checked before it runs
+    cfg = config_for(tmp_path, "summarize")
+    set_field(cfg, ("model", "K"), -1.0)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["summarize", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: model.K must be positive and finite, got -1.0\n"
+    assert not out.exists()
+    set_field(cfg, ("model", "K"), 30.0)
+    assert main(["summarize", "--config", write_config(tmp_path, cfg, "good.json"),
+                 "--out", str(out)]) == 0
+
+
+def test_n_mc_too_large_to_allocate_refused_before_writing(tmp_path, monkeypatch, capsys):
+    # one chain's table is sized before the config echo, so no chain runs
+    # and the refusal names the config field, as every other bad setting
+    def fail(*args, **kwargs):
+        raise AssertionError("run_parallel_chains must not be called")
+
+    monkeypatch.setattr(staghmc.cli, "run_parallel_chains", fail)
+    cfg = config_for(tmp_path, "infer")
+    set_field(cfg, ("infer", "n_mc"), 10**15)
+    cfg_path = write_config(tmp_path, cfg, "bad.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["infer", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: arrays sized by infer.n_mc = 1000000000000000 are too large to allocate: "
+    )
+    assert err.count("\n") == 1
     assert not out.exists()

@@ -17,6 +17,7 @@ are mutated only to invalid values, never to large valid ones, so that no
 case runs long, builds O(j^2) tables or starts worker processes.
 """
 
+import inspect
 import json
 import os
 import random
@@ -26,7 +27,8 @@ import warnings
 import numpy as np
 import pytest
 
-from staghmc.cli import SCHEMA, _number, _whole, _float_pair, _text, _texts, main
+from staghmc.cli import SCHEMA, _json_int, _text, _texts, main
+from staghmc.errors import _count, _positive, _positive_pair, _real, _seed
 
 SEED = 20261019
 N_CONFIG_CASES = 140
@@ -58,8 +60,8 @@ def _fuzzed_schema():
     config key``), and the case list, from which the tier-1 sample is drawn
     by position, keeps its order."""
     retired = {
-        "value": _number, "factor": _whole, "s0": _number, "density_points": _whole,
-        "truth_file": _text, "observations_file": _text,
+        "value": _real, "factor": _json_int(_count), "s0": _real,
+        "density_points": _json_int(_count), "truth_file": _text, "observations_file": _text,
     }
     old_order = {
         "signal": ("kind", "a", "omega", "b", "value", "file"),
@@ -85,24 +87,26 @@ def _leaves(schema, path=()):
 
 
 def _field_values(field, rule):
-    """(id, value) of every mutation of a field whose conversion is ``rule``
-    (None for a block)."""
+    """(id, value) of every mutation of a field whose rule is ``rule`` (None
+    for a block), picked by the rule a leaf wraps: a whole number, a
+    number, a pair of numbers, a list of strings or a string."""
     out = [("drop", "<drop>"), ("null", None)]
     if rule is None:
         return out + [("number", 5), ("list", [1])]
-    if rule is _whole:
+    rule = inspect.unwrap(rule)
+    if rule in (_count, _seed):
         # invalid values only: a large valid count would make a long run
         return out + [
             ("zero", 0), ("negative", -1), ("fraction", 2.5), ("nan", float("nan")),
             ("inf", float("inf")), ("bool", True), ("text", "3"), ("list", [3]),
         ]
-    if rule is _number:
+    if rule in (_positive, _real):
         return out + [
             ("zero", 0.0), ("negative", -1.0), ("nan", float("nan")), ("inf", float("inf")),
             ("-inf", float("-inf")), ("tiny", 1e-300), ("huge", 1e300), ("bool", True),
             ("text", "1.5"), ("list", [1.0]), ("block", {"x": 1}),
         ]
-    if rule is _float_pair:
+    if rule is _positive_pair:
         return out + [
             ("short", [1.0]), ("long", [1.0, 1.0, 1.0]), ("nan", [float("nan"), 1.0]),
             ("zero", [0.0, 1.0]), ("text", [1.0, "x"]), ("number", 5.0),

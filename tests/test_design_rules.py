@@ -4,17 +4,23 @@
 line that holds it, in file and line order: ``module:name``, the line's
 top-level def or class (decorators included), or ``module:`` outside one.
 A retired name or wording has no owner. A rule is added, moved or retired
-by editing its row. Two rules are read from the syntax tree: a field's
-check is its `errors._rule`, never a call in a ``__post_init__``; and a
-public name (imported by ``staghmc/__init__.py`` or in a module's
-``__all__``) has a caller outside the tests or is in README's oracle table.
+by editing its row. Three rules are read from the syntax tree: a field's
+check is its `errors._rule`, never a call in a ``__post_init__``; a
+config field that the CLI builds into a dataclass field is checked by that
+field's rule, its ``cli.SCHEMA`` leaf; and a public name (imported by
+``staghmc/__init__.py`` or in a module's ``__all__``) has a caller outside
+the tests or is in README's oracle table.
 """
 
 import ast
+import dataclasses
+import inspect
 import itertools
 import pathlib
 
 import pytest
+
+from staghmc import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = {path.stem: path.read_text(encoding="utf-8")
@@ -42,22 +48,25 @@ OWNERS = {
     # one real-number rule, which a sinusoid's a, omega and b pass where r is read
     "_real(": ["errors:_real", "model:_signal_over"],
     # one size rule: an array NumPy cannot allocate is refused by the names of its sizes
-    "_sized(": ["cli:cmd_simulate", "cli:cmd_infer", "errors:_sized", "lattice:LatticeLayout",
-                "model:fine_grid", "sampler:_run_seeded"],
+    "_sized(": ["cli:cmd_simulate"] + ["cli:cmd_infer"] * 2 + [
+        "errors:_sized", "lattice:LatticeLayout", "model:fine_grid", "sampler:_run_seeded"],
     "_allocating(": [],
     # one order statistic, diagnostics._percentiles: NumPy's import numpy.ma
     "np.median(": [], "np.percentile(": [], "np.quantile(": [],
     # one array rule: errors._vector reads every array argument of a public
-    # callable; np.asarray is left only to the signal's readers of scalar times
+    # callable, and errors._reals a signal's times of any shape; np.asarray
+    # is left only to _signal_over's read of r
     "_vector(": ["diagnostics:ess", "diagnostics:silverman_bandwidth"] + ["diagnostics:kde"] * 2
                 + ["diagnostics:write_density_csv", "errors:_vector", "lattice:PolymerState",
                    "lattice:_check_size", "model:_series", "model:TruthPath",
                    "model:simulate_truth", "model:generate_observations"],
-    "np.asarray(": ["errors:_vector", "model:InputSignal", "model:InputSignal",
-                    "model:_signal_over"],
+    "_reals(": ["errors:_reals", "errors:_vector", "model:InputSignal", "model:InputSignal"],
+    "np.asarray(": ["errors:_reals", "model:_signal_over"],
     # one draw-series rule: _vector reads a series, diagnostics._spread judges it
     "_draws(": [], "np.asarray(series": [],
     "_never_moved": [], "_check_moved": [], "_check_finite_series": [],
+    # one check per config value: each cli.SCHEMA leaf is the rule that owns it
+    "_number(": [], "_whole(": [], "_float_pair(": [], "_need_count(": [],
 }
 # the checks that a field names as its `errors._rule`
 RULES = {"_positive", "_count", "_positive_pair", "_seed"}
@@ -91,6 +100,31 @@ def test_each_rule_is_on_a_field_and_in_no_post_init():
                     and isinstance(node.args[0], ast.Name)):
                 ruled.add(node.args[0].id)
     assert (called, sorted(RULES - ruled)) == ([], [])
+
+
+# the config fields that cli._build reads into a dataclass field
+BUILT = {"model.K", "model.gamma", "model.T", "observation.sigma", "infer.n_mc",
+         "infer.start.K", "infer.start.gamma", "infer.masses.M", "infer.masses.m_prime",
+         "infer.masses.m_alpha", "infer.integrator.d_tau", "infer.integrator.P"}
+
+
+def test_each_config_field_built_into_a_dataclass_is_checked_by_its_fields_rule():
+    # each cli._build(cls, cfg, block, **given) reads the fields of cls not
+    # given from block.<field>, whose SCHEMA leaf must unwrap to its _rule
+    built, other = set(), []
+    for node in ast.walk(TREES["cli"]):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_build":
+            cls, block = getattr(cli, node.args[0].id), node.args[2].value
+            given = {keyword.arg for keyword in node.keywords}
+            for field in dataclasses.fields(cls):
+                if field.init and field.name not in given:
+                    leaf = cli.SCHEMA
+                    for key in (*block.split("."), field.name):
+                        leaf = leaf[key]
+                    built.add(f"{block}.{field.name}")
+                    if inspect.unwrap(leaf) is not field.metadata.get("rule"):
+                        other.append(f"{block}.{field.name}")
+    assert (sorted(built), other) == (sorted(BUILT), [])
 
 
 def public() -> dict[str, str]:

@@ -40,9 +40,10 @@ def hmc(**kw):
 
 
 def need_count(field, value):
-    """The CLI's read of the whole-number config field ``field``."""
+    """The rule of the whole-number config field ``field``: the one its
+    ``cli.SCHEMA`` leaf wraps."""
     block, leaf = field.split(".")
-    return cli._need_count({block: {leaf: value}}, field)
+    return inspect.unwrap(cli.SCHEMA[block][leaf])(field, value)
 
 
 def resolve_chains(value):
@@ -132,6 +133,7 @@ def test_series_rule_has_one_wording(what, times, values, message):
 # (value, the end of its refusal)
 NOT_REAL = {
     "complex": (0.5 + 3j, "must be a real number, got (0.5+3j)"),
+    "bool": (True, "must be a real number, got True"),
     "string": ("0.5", "must be a real number, got '0.5'"),
     "list": ([0.5, 1.0], "must be a real number, got [0.5, 1.0]"),
     "past-double": (2**1100, f"must be within the double range, got {reprlib.repr(2**1100)}"),

@@ -223,6 +223,31 @@ class TestInputSignal:
         assert SEC4_INPUT == InputSignal.sinusoid(1.0, 0.01, 0.1)
         assert hash(SEC4_INPUT) == hash(InputSignal.sinusoid(1.0, 0.01, 0.1))
 
+    @pytest.mark.filterwarnings("error")  # a ComplexWarning: a time cut to its real part
+    @pytest.mark.parametrize("read", ["value", "rate"])
+    @pytest.mark.parametrize("kind", ["sinusoid", "tabulated"])
+    @pytest.mark.parametrize(
+        "t", [np.array([1 + 5j]), 2 + 1j, "abc", [1.0, "x"], [[1.0], [1.0, 2.0]]],
+        ids=["complex-array", "complex", "text", "text-entry", "ragged"],
+    )
+    def test_time_that_is_not_real_refused_naming_the_times(self, read, kind, t):
+        sig = SEC4_INPUT if kind == "sinusoid" else InputSignal.tabulated([0.0, 10.0], [1.0, 2.0])
+        message = "^input signal times must be real numbers, got "
+        with pytest.raises(ValidationError, match=message):
+            getattr(sig, read)(t)
+
+    @pytest.mark.parametrize("read", ["value", "rate"])
+    @pytest.mark.parametrize("kind", ["sinusoid", "tabulated"])
+    def test_real_times_of_any_shape_read_as_floats(self, read, kind):
+        sig = SEC4_INPUT if kind == "sinusoid" else InputSignal.tabulated([0.0, 10.0], [1.0, 2.0])
+        grid = np.linspace(0.0, 10.0, 6).reshape(2, 3)
+        f = getattr(sig, read)
+        # a scalar, an int, a bool, a list and a 2-d array read as the same floats
+        assert np.asarray(f(2.5)).shape == ()
+        np.testing.assert_array_equal(f(grid), f(grid.ravel()).reshape(2, 3))
+        np.testing.assert_array_equal(f([0, 2, 10]), f(np.array([0.0, 2.0, 10.0])))
+        assert f(True) == f(1.0) and f(np.float32(2.5)) == f(2.5)
+
     def test_csv_round_trip(self, tmp_path):
         sig = InputSignal.tabulated([0.0, 2.0, 5.0], [0.4, 0.9, 0.6])
         f = tmp_path / "input.csv"
