@@ -345,7 +345,8 @@ def cmd_infer(cfg: dict) -> int:
     # every chain starts here: a start whose force is not finite on this
     # problem is refused before the first write, naming each setting that
     # fixes that force. Its beta and gamma are positive and finite
-    # (`PhysicalParams`), so `Chain` has no DomainError to raise
+    # (`PhysicalParams`), so the start's kernel pass has no DomainError to
+    # raise
     with _naming("config block infer.start"):
         try:
             _start_chain(problem, hmc)

@@ -40,6 +40,13 @@ the force depend on positions alone, so the sampler keeps them with the
 chain's beads: a chain (`sampler.Chain`) lives in two workspaces, and its
 iterations copy nothing out of them.
 
+The kernel is also the package's one rule on theta's domain: the model is
+defined only for beta > 0 and gamma > 0, and a pass anywhere else raises
+DomainError, so `h_total`, `grad_hprime`, every step of a trajectory and a
+chain's start refuse such a theta alike, and the sampler rejects a
+trajectory that visits one. A NaN beta or gamma passes the rule and fails
+the gradient's finiteness check instead (NonFiniteError).
+
 Exponentials are evaluated with their argument clamped at +700 so the
 exponential itself cannot overflow; a runaway proposal yields a huge
 (possibly +inf once squared, never NaN) energy that the sampler rejects
@@ -66,7 +73,7 @@ from .lattice import (  # noqa: F401 -- the public maps stay bound here for trac
     staging_adjoint,
     staging_inverse,
 )
-from .model import InputSignal, ObservationModel, TimeSeriesData, _signal_over
+from .model import InputSignal, ObservationModel, TimeSeriesData, _log_data_over, _signal_over
 
 __all__ = [
     "InferenceProblem",
@@ -104,10 +111,11 @@ class InferenceProblem:
     refinement j (beads per data segment). These four alone decide equality
     and hash, and a problem pickles as them. Each rule on them is checked
     by the object that holds the value: the noise model's weight by
-    `ObservationModel`, j by the `LatticeLayout`, and the signal at the
-    lattice's times by `model._signal_over`, so a table that stops short of
-    the data, or an r that is not positive and finite at a bead, is a
-    ValidationError.
+    `ObservationModel`, j by the `LatticeLayout`, the signal at the
+    lattice's times by `model._signal_over`, and ln(y / r) by
+    `model._log_data_over`, so a table that stops short of the data, an r
+    that is not positive and finite at a bead, or a ratio y / r outside the
+    double range is a ValidationError.
 
     Built from them once: the `layout` and, read-only and of length N, the
     log-input increments L_i = T ln(r_i / r_{i-1}) / dt (slot 0 is padding),
@@ -134,7 +142,7 @@ class InferenceProblem:
         L[1:] = (lay.T / lay.dt) * np.diff(np.log(r))
         Ldot = np.zeros(lay.N)
         Ldot[2:] = (L[2:] - L[1:-1]) / lay.dt
-        lnyr = np.log(self.data.values / r[:: lay.j])
+        lnyr = _log_data_over(self.data, r[:: lay.j])
         _set(self, j=lay.j, layout=lay, L=L, Ldot=Ldot, lnyr=lnyr)
 
     def context(self) -> PathContext:
@@ -376,8 +384,9 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     """The one pass over the path behind `h_total`, `grad_hprime`, the
     trajectory and the start force of a chain (`sampler.Chain`).
 
-    The N beads are the workspace row ``rows.u``, loaded by the caller.
-    Returns the potential: the position parts (h_n, h_1) of h_n and h_1,
+    The N beads are the workspace row ``rows.u``, loaded by the caller. A
+    beta or gamma of 0 or below is a DomainError, the package's one
+    theta-domain rule. Returns the potential: the position parts (h_n, h_1) of h_n and h_1,
     which a momentum refresh leaves unchanged. With ``gradient`` it also
     returns the gradient of H', as the 5-tuple (h_n, h_1, g_u, g_beta,
     g_gamma): g_u is the workspace row ``g_u``, valid until the next call
@@ -401,10 +410,10 @@ def _hprime(beta: float, gamma: float, ctx: PathContext, gradient: bool, potenti
     and products saturate to inf and NaN as NumPy's do. Runs under a
     caller's `_saturating`.
     """
-    # Python floats: every division below is by beta, gamma or 2 gamma, so
-    # none can raise ZeroDivisionError
-    if beta == 0.0 or gamma == 0.0:
-        raise DomainError("beta = 0 or gamma = 0 is outside the model domain")
+    # Python floats: past the domain rule, every division below is by beta,
+    # gamma or 2 gamma, so none can raise ZeroDivisionError
+    if beta <= 0.0 or gamma <= 0.0:
+        raise DomainError(f"beta and gamma must be positive, got {beta!r}, {gamma!r}")
     bg = beta / gamma
     c = (2.0 + gamma) * beta / (2.0 * gamma)
     rho0 = ctx.L0 / beta + c  # rho at beads 2 and N

@@ -248,7 +248,10 @@ def _sized(**sizes):
 
 
 class DomainError(StagHmcError, ValueError):
-    """Mathematically invalid argument, e.g. gamma = 0 where 1/gamma is needed."""
+    """Mathematically invalid argument: a theta outside the model's domain
+    beta > 0 and gamma > 0 at a kernel pass (`energy._hprime`, the one
+    rule), or a series without spread where a density is asked for. The
+    sampler records the first as the pathology ``DomainError``."""
 
 
 _SHOWN_INDICES = 5  # at most this many indices are spelled out in a message

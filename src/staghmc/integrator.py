@@ -30,9 +30,10 @@ the kernel returns g_theta: the same IEEE operations as on length-2
 arrays, so bit-identical, at a tenth of the dispatch cost.
 
 Every sub-step is volume preserving and reversible under momentum flip, so
-the composite is a valid HMC proposal map regardless of step size; dtau
-only controls how well the total energy is conserved (error ~ dtau^2 at
-fixed trajectory length P dtau).
+the composite is a valid HMC proposal map regardless of step size, within
+theta > 0: each kick's kernel pass raises DomainError at a beta or gamma
+the drift took to 0 or below. dtau only controls how well the total energy
+is conserved (error ~ dtau^2 at fixed trajectory length P dtau).
 """
 
 from __future__ import annotations
@@ -230,8 +231,9 @@ def trotter_propagate(
 
     Decorated with `energy._saturating`: overflow, invalid operations and
     division by zero saturate to inf and NaN silently. The state size is
-    checked once, up front; non-finite forces then raise NonFiniteError
-    (the sampler counts that as a rejected proposal).
+    checked once, up front; non-finite forces then raise NonFiniteError,
+    and a beta or gamma of 0 or below, at the start or at any step,
+    DomainError (the sampler counts either as a rejected proposal).
     """
     start = _load(state, ctx)
     force = _hprime(*start[:2], ctx, True, False)[2:]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _rule, _set
 from .errors import _sized, _vector
-from .model import DimensionlessParams, InputSignal, TimeSeriesData, _signal_over
+from .model import DimensionlessParams, InputSignal, TimeSeriesData, _log_data_over, _signal_over
 
 __all__ = [
     "LatticeLayout",
@@ -266,10 +266,12 @@ def initial_state(
     data, q_s = ln(y_s / r(t_s)) / beta, intermediate beads on the straight
     line between them (staging coordinates exactly zero), momenta zeroed.
     r is read at the data times through `model._signal_over`, so a signal
-    that cannot be read there is the plan's ValidationError."""
+    that cannot be read there is the plan's ValidationError, and ln(y / r)
+    through `model._log_data_over`, which refuses a ratio outside the
+    double range as the plan does."""
     _check_data(data, layout)
     r_meas = _signal_over(signal, data.times)
-    q_bound = np.log(data.values / r_meas) / theta0.beta
+    q_bound = _log_data_over(data, r_meas) / theta0.beta
     u = np.zeros(layout.N)
     u[:: layout.j] = q_bound
     return PolymerState(

@@ -227,6 +227,25 @@ def _signal_over(signal: InputSignal, times) -> np.ndarray:
     return r
 
 
+def _log_data_over(data: TimeSeriesData, r: np.ndarray) -> np.ndarray:
+    """ln(y / r) at the data's times, given r read there by `_signal_over`:
+    the one read of the data against the signal, for a plan's residuals
+    and the pinned beads of a chain's start. A ratio y / r outside the
+    double range, whose log is not finite, is a ValidationError naming its
+    time, before any warning."""
+    y = data.values
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):  # refused below
+        lnyr = np.log(y / r)
+    bad = np.flatnonzero(~np.isfinite(lnyr))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"ln(y / r) must be finite at every observation time: at t = {data.times[i]},"
+            f" y / r = {y[i]} / {r[i]} is outside the double range"
+        )
+    return lnyr
+
+
 # --------------------------------------------------------------------------
 # observations
 

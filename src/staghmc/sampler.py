@@ -2,8 +2,12 @@
 
 Each iteration refreshes all momenta from their Gaussians, runs the
 multi-scale trajectory, and applies the Metropolis test on the total
-Hamiltonian. Proposals that leave the valid parameter domain (beta <= 0 or
-gamma <= 0) or produce non-finite energies are rejected rather than raised.
+Hamiltonian. A trajectory that visits theta outside the model's domain
+(beta <= 0 or gamma <= 0) at any of its kernel passes, where the kernel
+raises DomainError (Neal's infinite potential outside a constrained
+support), or that produces non-finite energies is rejected rather than
+raised. The reverse trajectory makes its passes at the same points, so the
+rejection keeps detailed balance.
 A chain (`Chain`) stays resident between iterations: its beads and their
 force, taken when it is built, live in one workspace of the problem, the
 next trajectory runs in a second, and an accepted proposal swaps the two,
@@ -230,9 +234,9 @@ class Chain:
 
     Built from a `PolymerState`, which it copies in and takes the
     potential and the force of with one kernel pass, so a chain is complete
-    from the start: a start with beta <= 0 or gamma <= 0, where every
-    proposal would be rejected, raises DomainError before that pass, and
-    one whose force is not finite NonFiniteError. The state is not kept;
+    from the start: that pass refuses a start with beta <= 0 or gamma <= 0
+    as the kernel's DomainError, and one whose force is not finite as
+    NonFiniteError. The state is not kept;
     `state` returns a copy of the current one, and a chain built
     from that copy continues as this one does. That rebuild is the one way
     to copy a chain: `pickle`, `copy.copy` and `copy.deepcopy` raise
@@ -249,8 +253,6 @@ class Chain:
         self.cur, self.work = problem.context(), problem.context()
         # checks the state's size and loads its beads into ``cur``
         self.theta = tuple(_load(state, self.cur)[:2])
-        if self.theta[0] <= 0.0 or self.theta[1] <= 0.0:
-            raise DomainError(f"a chain must start at beta > 0 and gamma > 0, not {self.theta}")
         start = _hprime(*self.theta, self.cur, True)
         self.potential, self.g_theta = start[:2], start[3:]
 
@@ -286,7 +288,11 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
 
     Returns the chain itself and the iteration stats. Invalid proposals
     never raise: the pathology is recorded, and an iteration with a
-    pathology is rejected without a draw. That includes a proposal whose
+    pathology is rejected without a draw. A pathology is the name of the
+    exception a kernel pass of the trajectory raised (``DomainError`` at a
+    theta outside beta > 0 and gamma > 0, at any pass, ``NonFiniteError``
+    at a force that is not finite) or ``nonfinite-energy`` at an end whose
+    energy is not finite. That includes a proposal whose
     energy overflows to -inf, which `metropolis_accept` alone would take; a
     start of infinite energy with a finite proposal is accepted.
 
@@ -299,22 +305,15 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     pa, pg = work.pi_slots.tolist()
     h_before = _end_energy(*chain.potential, work, masses, pa, pg)[3]
     force = (cur.rows.g_u, *chain.g_theta)
-    pathology = None
     try:
         end, g_theta, (h_n, h_1) = _trajectory(
             work, chain.bank, chain.P, (*chain.theta, pa, pg), force
         )
         beta, gamma, pa, pg = end
-        if not (beta > 0 and gamma > 0):
-            pathology = "nonpositive-parameter"
-            h_after = float("inf")
-        else:
-            h_after = _end_energy(h_n, h_1, work, masses, pa, pg)[3]
-            if not math.isfinite(h_after):
-                pathology = "nonfinite-energy"
+        h_after = _end_energy(h_n, h_1, work, masses, pa, pg)[3]
+        pathology = None if math.isfinite(h_after) else "nonfinite-energy"
     except (NonFiniteError, DomainError) as exc:
-        pathology = type(exc).__name__
-        h_after = float("inf")
+        pathology, h_after = type(exc).__name__, math.inf
 
     accepted = pathology is None and metropolis_accept(h_before, h_after, rng)
     if accepted:
@@ -436,8 +435,12 @@ def _dispatch(problem: InferenceProblem, config: HmcConfig, seeds, workers: int)
     the chains not yet handed out. A worker leaves only through
     ``os._exit``. Every worker is reaped and every pipe end closed before
     this returns or raises; after an exception on this thread, such as a
-    KeyboardInterrupt, every worker is sent SIGTERM first."""
-    import select  # only two or more workers need it
+    KeyboardInterrupt, every worker is sent SIGTERM first. On Linux a
+    worker is also sent SIGTERM as this process dies (PR_SET_PDEATHSIG),
+    so a runner killed by SIGKILL leaves no worker running its chain to
+    the end."""
+    import select  # only two or more workers need these
+    import signal
 
     outs = [None] * len(seeds)
     todo = list(enumerate(seeds))[::-1]  # popped from the end: chain 0 first
@@ -461,9 +464,18 @@ def _dispatch(problem: InferenceProblem, config: HmcConfig, seeds, workers: int)
         (jobs_r, jobs_w), (outcomes_r, outcomes_w) = pipe(0), pipe(-1)
         for stream in filter(None, (sys.stdout, sys.stderr)):  # no buffered output is written twice
             stream.flush()
+        runner = os.getpid()
         pid = os.fork()
         if pid == 0:  # the worker
             try:
+                if sys.platform.startswith("linux"):
+                    import ctypes  # loaded by NumPy already
+
+                    # PR_SET_PDEATHSIG: SIGTERM as the runner dies, mid-chain
+                    # too; a runner that died before this call is seen here
+                    ctypes.CDLL(None, use_errno=True).prctl(1, signal.SIGTERM, 0, 0, 0)
+                    if os.getppid() != runner:
+                        os._exit(1)
                 for end in set(ends) - {jobs_r, outcomes_w}:
                     end.close()
                 _serve(jobs_r, outcomes_w, problem, config)
@@ -496,8 +508,6 @@ def _dispatch(problem: InferenceProblem, config: HmcConfig, seeds, workers: int)
                 else:
                     hand_out(pid, jobs, outcomes)
     except BaseException:
-        import signal
-
         for pid in live:
             os.kill(pid, signal.SIGTERM)
         raise

@@ -1074,6 +1074,31 @@ def test_signal_not_positive_where_read_is_named_by_its_file(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_data_over_signal_outside_the_double_range_is_named_by_the_signal(
+    tmp_path, monkeypatch, capsys
+):
+    # y = 1e10 over a table of r = 1e-300: y / r overflows, so ln(y / r) is
+    # not finite at t = 0. One line under the signal's name, no warning and
+    # no output directory
+    monkeypatch.chdir(tmp_path)
+    Path("obs.csv").write_text("t,y\n0,1e10\n416.5,1e10\n833,1e10\n")
+    Path("sig.csv").write_text("t,r\n0,1e-300\n833,1e-300\n")
+    cfg = {"infer": {"observations_file": "obs.csv"}, "lattice": {"j": 3},
+           "signal": {"kind": "tabulated", "file": "sig.csv"}}
+    cfg_path = write_config(tmp_path, cfg, "ratio.json")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["infer", "--preset", "paper-sec4", "--config", cfg_path, "--out", "out"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: sig.csv (config field signal.file): ln(y / r) must be finite at every"
+        " observation time: at t = 0.0, y / r = 10000000000.0 / 1e-300 is outside the"
+        " double range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["infer", "simulate"])
 def test_sinusoid_not_positive_where_read_is_named_by_its_block(tmp_path, capsys, command):
     # omega t overflows past t = 1.8, so sin(omega t) and r are NaN there

@@ -45,6 +45,15 @@ OWNERS = {
     "_signal_over(": ["energy:InferenceProblem", "lattice:initial_state",
                       "model:_signal_over", "model:simulate_truth"],
     "must stay positive": [], "must stay finite": [], "sinusoid input": [],
+    # one read of the data against the signal: ln(y / r) refused where it is
+    # not finite, for the plan and a chain's start alike
+    "_log_data_over(": ["energy:InferenceProblem", "lattice:initial_state",
+                        "model:_log_data_over"],
+    "np.log(self.data.values": [], "np.log(data.values": [],
+    # one theta-domain rule, in the kernel: a trajectory's every pass and a
+    # chain's start meet it
+    "beta <= 0.0 or gamma <= 0.0": ["energy:_hprime"],
+    "nonpositive-parameter": [], "a chain must start at": [],
     # one real-number rule, which a sinusoid's a, omega and b pass where r is read
     "_real(": ["errors:_real", "model:_signal_over"],
     # one size rule: an array NumPy cannot allocate is refused by the names of its sizes

@@ -675,6 +675,29 @@ class TestGuards:
         with pytest.raises(DomainError):
             grad_hprime(st, ctx)
 
+    @pytest.mark.parametrize("theta", [(-1.0, 0.5), (1.0, -0.5)], ids=["beta", "gamma"])
+    @pytest.mark.parametrize("name", ["h_total", "grad_hprime", "trotter_propagate", "Chain"])
+    def test_negative_theta_is_a_domain_error(self, name, theta):
+        # the kernel's one domain rule, beta > 0 and gamma > 0, behind every
+        # oracle and a chain's start alike
+        from staghmc.integrator import IntegratorConfig, trotter_propagate
+        from staghmc.sampler import Chain, HmcConfig
+
+        layout, _, ctx = make_problem()
+        st = random_state(layout, np.random.default_rng(8))
+        st.theta[:] = theta
+        step = IntegratorConfig(d_tau=0.25, P=3)
+        config = HmcConfig(n_mc=1, theta0=(1.0, 1.0), masses=MASSES, integrator=step)
+        call = {
+            "h_total": lambda: h_total(st, ctx, MASSES),
+            "grad_hprime": lambda: grad_hprime(st, ctx),
+            "trotter_propagate": lambda: trotter_propagate(st, ctx, MASSES, step),
+            "Chain": lambda: Chain(ctx.problem, config, st),
+        }[name]
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == "beta and gamma must be positive, got %r, %r" % theta
+
     def test_exp_clamp_keeps_energy_rejectable(self):
         layout, _, ctx = make_problem()
         st = random_state(layout, np.random.default_rng(9))
@@ -777,13 +800,16 @@ class TestSaturationPolicy:
         }
 
     def long_step_chain(self, layout, ctx):
-        """A chain at a finite start whose first trajectory, at d_tau = 6.0
-        (as in `TestRunChain::test_meta_counts_pathologies`), overflows."""
+        """A chain at a finite start whose first trajectory, at d_tau = 5.0,
+        overflows. Its parameter masses of 1e100 hold theta where it
+        starts, inside the kernel's domain: at the usual masses, so long a
+        step throws gamma below 0, a DomainError before any overflow."""
         from staghmc.integrator import IntegratorConfig
         from staghmc.sampler import Chain, HmcConfig
 
-        step = IntegratorConfig(d_tau=6.0, P=3)
-        config = HmcConfig(n_mc=1, theta0=(1.0, 1.0), masses=MASSES, integrator=step)
+        step = IntegratorConfig(d_tau=5.0, P=3)
+        masses = dataclasses.replace(MASSES, m_alpha=(1e100, 1e100))
+        config = HmcConfig(n_mc=1, theta0=(1.0, 1.0), masses=masses, integrator=step)
         return Chain(ctx.problem, config, random_state(layout, np.random.default_rng(15)))
 
     def test_long_step_iteration_saturates(self):

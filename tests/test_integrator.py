@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from staghmc import (
+    DomainError,
     InputSignal,
     NonFiniteError,
     ObservationModel,
@@ -369,14 +371,18 @@ class TestTrotter:
         assert np.abs(back.pi - st.pi).max() < 1e-10
 
     def test_input_state_not_mutated(self):
+        # a trajectory that ends, and one that the kernel refuses midway,
+        # where gamma dips below 0
         layout, ctx = make_problem(2, 5, 60.0)
-        st = random_state(layout, np.random.default_rng(8))
-        snapshot = copy.deepcopy(st)
-        trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
-        np.testing.assert_array_equal(st.u, snapshot.u)
-        np.testing.assert_array_equal(st.p, snapshot.p)
-        np.testing.assert_array_equal(st.theta, snapshot.theta)
-        np.testing.assert_array_equal(st.pi, snapshot.pi)
+        for seed, refused in ((7, False), (8, True)):
+            st = random_state(layout, np.random.default_rng(seed))
+            snapshot = copy.deepcopy(st)
+            with pytest.raises(DomainError) if refused else contextlib.nullcontext():
+                trotter_propagate(st, ctx, MASSES, IntegratorConfig(d_tau=0.25, P=3))
+            np.testing.assert_array_equal(st.u, snapshot.u)
+            np.testing.assert_array_equal(st.p, snapshot.p)
+            np.testing.assert_array_equal(st.theta, snapshot.theta)
+            np.testing.assert_array_equal(st.pi, snapshot.pi)
 
     def test_gradient_between_trajectories_leaves_the_next_unchanged(self):
         # the trajectory and the public gradient share the context's kernel

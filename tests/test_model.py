@@ -286,6 +286,37 @@ class TestSignalOver:
         data = TimeSeriesData(times=[0.0, 6.0, 12.0], values=[1.0, 1.0, 1.0])
         refused_where_read(signal, data, np.linspace(0.0, 12.0, 2 * 3 + 1), message)
 
+    @pytest.mark.parametrize("site", ["plan", "start"])
+    @pytest.mark.parametrize(
+        "y, r, ratio",
+        [(1e-300, 1e300, "1e-300 / 1e+300"), (1e10, 1e-300, "10000000000.0 / 1e-300")],
+        ids=["underflow", "overflow"],
+    )
+    def test_data_over_signal_outside_the_double_range_refused_naming_its_time(
+        self, site, y, r, ratio
+    ):
+        # y / r rounds to 0 or overflows at t = 6, so ln(y / r) is not
+        # finite: the plan's residuals and a start's pinned beads read it
+        # through one rule (`model._log_data_over`), which warns of nothing
+        from staghmc.lattice import initial_state
+
+        data = TimeSeriesData(times=[0.0, 6.0, 12.0], values=[1.0, y, 1.0])
+        signal = InputSignal.tabulated([0.0, 12.0], [r, r])
+        plan = InferenceProblem(data, InputSignal.tabulated([0.0, 12.0], [1.0, 1.0]),
+                                ObservationModel(0.1), 3)
+        message = (
+            "ln(y / r) must be finite at every observation time: "
+            f"at t = 6.0, y / r = {ratio} is outside the double range"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as refused:
+                if site == "plan":
+                    InferenceProblem(data, signal, ObservationModel(0.1), 3)
+                else:
+                    initial_state(data, signal, DimensionlessParams(1.0, 1.0), plan.layout)
+        assert str(refused.value) == message
+
 
 class TestObservationModel:
     @pytest.mark.parametrize("sigma", [1e-300, 1e-160])

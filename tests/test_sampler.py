@@ -409,16 +409,17 @@ class TestHmcIteration:
         np.testing.assert_array_equal(chain.state().u, before.u)
         np.testing.assert_array_equal(chain.state().theta, before.theta)
 
-    def test_nonpositive_parameter_is_rejected(self, posterior_problem):
+    def test_parameter_outside_the_domain_is_rejected_as_domain_error(self, posterior_problem):
         beta0 = float(np.sqrt(800.0 * 0.5 / 200.0))
-        # gamma is nearly massless, so the drift throws it negative
+        # gamma is nearly massless, so the drift throws it negative, where
+        # the trajectory's next kernel pass raises
         cfg = small_config(
             theta0=(beta0, 0.5),
             masses=MassConfig(720.0, 130.0, (1e30, 0.02)),
         )
         chain = new_chain(posterior_problem, cfg)
         _, stats_out = hmc_iteration(chain, np.random.default_rng(0))
-        assert stats_out.pathology == "nonpositive-parameter"
+        assert stats_out.pathology == "DomainError"
         assert not stats_out.accepted
         assert stats_out.h_after == np.inf
 
@@ -782,12 +783,12 @@ class TestCarriedPotential:
                 new_chain(toy_problem, state=state)
 
     def test_zero_parameter_start_is_refused_at_construction(self, toy_problem):
-        # gamma = 0, and beta or gamma below 0, where every proposal would
-        # be rejected as nonpositive-parameter
+        # gamma = 0, and beta or gamma below 0: the start's kernel pass
+        # refuses them, as it refuses every theta outside the model's domain
         for index, value in ((1, 0.0), (0, -2.0), (1, -0.5)):
             state = start_state(toy_problem)
             state.theta[index] = value
-            with pytest.raises(DomainError, match="^a chain must start at beta > 0 and gamma > 0"):
+            with pytest.raises(DomainError, match="^beta and gamma must be positive, got "):
                 new_chain(toy_problem, state=state)
 
 
@@ -899,8 +900,9 @@ class TestRunChain:
         """The chain of ``cfg`` written out from public functions: refresh
         the momenta, score the refreshed state, propagate, score the
         proposal, and apply the Metropolis test with the sampler's rules. A
-        proposal that raises, leaves beta > 0 and gamma > 0, or has an
-        energy that is not finite is rejected without a draw."""
+        trajectory that raises (a theta outside beta > 0 and gamma > 0 is
+        the kernel's DomainError) or a proposal whose energy is not finite
+        is rejected without a draw."""
         layout = problem.layout
         state = initial_state(
             problem.data, problem.signal, DimensionlessParams(*cfg.theta0), layout
@@ -919,7 +921,7 @@ class TestRunChain:
             except (NonFiniteError, DomainError):
                 proposal = None
             h_after, valid = np.inf, False
-            if proposal is not None and np.all(proposal.theta > 0):
+            if proposal is not None:
                 h_after = h_total(proposal, problem.context(), cfg.masses).total
                 valid = bool(np.isfinite(h_after))
             accepted = valid and metropolis_accept(h_before, h_after, rng)
@@ -928,8 +930,9 @@ class TestRunChain:
             rows.append((*state.theta.tolist(), accepted, h_before, h_after))
         return np.array(rows).T
 
-    # three seeds at the preset step, and one step that meets all three
-    # kinds of pathology
+    # three seeds at the preset step, and one step that meets both kinds of
+    # rejection without a draw: a trajectory that raises, and a proposal
+    # whose energy is not finite
     @pytest.mark.parametrize("seed, d_tau", [(1, 0.25), (2, 0.25), (3, 0.25), (4, 3.0)])
     def test_matches_a_literal_hmc_loop(self, toy_problem, seed, d_tau):
         cfg = small_config(n_mc=60, seed=seed, integrator=IntegratorConfig(d_tau=d_tau, P=3))
@@ -940,7 +943,7 @@ class TestRunChain:
             assert a.tobytes() == b.astype(a.dtype).tobytes(), name
         assert rec.accepted.any() and not rec.accepted.all()
         if d_tau > 1.0:
-            assert len(rec.meta["pathologies"]) == 3
+            assert set(rec.meta["pathologies"]) == {"DomainError", "nonfinite-energy"}
 
     def test_record_shape_and_rates(self, toy_problem):
         rec = run_chain(toy_problem, small_config(n_mc=30))
@@ -961,10 +964,11 @@ class TestRunChain:
             return out
 
         monkeypatch.setattr(staghmc.sampler, "hmc_iteration", recorded)
-        # a step long enough that some trajectories blow up
-        cfg = small_config(n_mc=40, integrator=IntegratorConfig(d_tau=6.0, P=3))
+        # a step long enough that some trajectories leave the domain and
+        # some blow up, while others end with a finite dH
+        cfg = small_config(n_mc=40, integrator=IntegratorConfig(d_tau=3.0, P=3))
         rec = run_chain(toy_problem, cfg)
-        assert seen
+        assert set(seen) == {"DomainError", "NonFiniteError"}
         counts = {name: seen.count(name) for name in set(seen)}
         assert rec.meta["pathologies"] == counts
         # the step's fit is the median abs(dH) over the finite dH alone
@@ -1382,14 +1386,14 @@ class TestParallelChains:
             "imported multiprocessing": False,
         }
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
-    def test_workers_exit_when_their_runner_is_killed(self, toy_problem, tmp_path):
-        # a pooled run in a child process, in a session of its own, killed by
-        # SIGKILL while its two workers run a chain each: each worker finds
-        # its pipes' other ends gone and exits rather than wait for a next
-        # job for good; the session is killed at the end either way
+    @staticmethod
+    def kill_runner(problem, marks, sleep, limit):
+        """Run a pooled run in a child process, in a session of its own, whose
+        chains sleep ``sleep`` seconds each; kill it by SIGKILL while its two
+        workers run a chain each, and fail unless both are gone ``limit``
+        seconds later. The session is killed at the end either way."""
         proc = subprocess.Popen(
-            [sys.executable, "-c", _KILLED_RUNNER_RUN, str(tmp_path)],
+            [sys.executable, "-c", _KILLED_RUNNER_RUN, str(marks), str(sleep)],
             stdin=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -1397,22 +1401,34 @@ class TestParallelChains:
             start_new_session=True,
         )
         try:
-            proc.stdin.write(pickle.dumps((toy_problem, small_config(n_mc=5, seed=6, chains=6))))
+            proc.stdin.write(pickle.dumps((problem, small_config(n_mc=5, seed=6, chains=6))))
             proc.stdin.close()
             deadline = time.monotonic() + 60
-            while len(workers := [int(path.name) for path in tmp_path.iterdir()]) < 2:
+            while len(workers := [int(path.name) for path in marks.iterdir()]) < 2:
                 assert time.monotonic() < deadline, "the workers never started a chain"
                 time.sleep(0.05)
             proc.kill()
             proc.wait()
-            deadline = time.monotonic() + 30
+            deadline = time.monotonic() + limit
             while any(map(running, workers)):
-                assert time.monotonic() < deadline, "a worker outlived its runner by 30 s"
+                assert time.monotonic() < deadline, f"a worker outlived its runner by {limit} s"
                 time.sleep(0.05)
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    def test_workers_exit_when_their_runner_is_killed(self, toy_problem, tmp_path):
+        # each worker finds its pipes' other ends gone and exits rather than
+        # wait for a next job for good
+        self.kill_runner(toy_problem, tmp_path, sleep=1.0, limit=30)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+    def test_workers_end_their_chain_when_their_runner_is_killed(self, toy_problem, tmp_path):
+        # chains of a minute each: a worker is sent SIGTERM as its runner
+        # dies, so it does not run its chain to the end
+        self.kill_runner(toy_problem, tmp_path, sleep=60.0, limit=10)
 
     def test_pooled_mean_matches_long_chain(self, posterior_problem):
         beta0 = float(np.sqrt(800.0 * 0.5 / 200.0))
@@ -1484,7 +1500,7 @@ print(json.dumps(out))
 
 # a pooled run in a fresh interpreter on two workers, of the (problem,
 # config) pickled on its stdin, each of whose chains leaves a file named by
-# its worker's pid in the directory argv[1] and then sleeps for a second
+# its worker's pid in the directory argv[1] and then sleeps argv[2] seconds
 _KILLED_RUNNER_RUN = """
 import os
 import pathlib
@@ -1501,7 +1517,7 @@ run_seeded = staghmc.sampler._run_seeded
 
 def mark_and_sleep(problem, config, chain_index, seed_seq):
     (marks / str(os.getpid())).touch()
-    time.sleep(1.0)
+    time.sleep(float(sys.argv[2]))
     return run_seeded(problem, config, chain_index, seed_seq)
 
 
