@@ -406,13 +406,16 @@ def cmd_summarize(cfg: dict) -> int:
     chain_files = _need(cfg, "summarize.chain_files")
     if not chain_files:
         raise ValidationError("summarize.chain_files must list at least one chain CSV")
+    # a file listed twice would pool its chain twice, whatever the spelling:
+    # each file is keyed by its device and inode, one stat each, to the
+    # index of its first listing
+    first = {}
     for i, path in enumerate(chain_files):
-        _input_file(path, "summarize.chain_files")
-        # a file listed twice would pool its chain twice, whatever the spelling
-        first = next((p for p in chain_files[:i] if os.path.samefile(p, path)), None)
-        if first is not None:
+        st = os.stat(_input_file(path, "summarize.chain_files"))
+        j = first.setdefault((st.st_dev, st.st_ino), i)
+        if j != i:
             raise ValidationError(
-                f"config field summarize.chain_files lists one file twice: {first}, {path}"
+                f"config field summarize.chain_files lists one file twice: {chain_files[j]}, {path}"
             )
     discard = _need(cfg, "summarize.discard")
     records = [ChainRecord.from_csv(path) for path in chain_files]

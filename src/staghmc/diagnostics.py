@@ -22,7 +22,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, _frozen, _positive, _vector
+from .errors import DomainError, ValidationError, _frozen, _positive, _saturating, _vector
 from .model import _write_csv
 
 __all__ = [
@@ -75,12 +75,12 @@ def _spread(x: np.ndarray, ddof: int) -> float | None:
     squares underflow) or not finite (its squares or its mean overflow).
     Equal draws are found by exact comparison, as a constant series whose
     rounded mean leaves an sd of 1e-16 would pass a test on the sd alone.
-    This is the one rule of `ess`, `silverman_bandwidth` and `kde`."""
+    This is the one rule of `ess`, `silverman_bandwidth` and `kde`. Runs
+    under a caller's `_saturating`."""
     if x.size < 2 or not np.isfinite(x).all() or np.all(x == x[0]):
         return None
     # a spread past the double range saturates to inf or nan, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(x.std(ddof=ddof))
+    sd = float(x.std(ddof=ddof))
     return sd if 0.0 < sd < math.inf else None
 
 
@@ -133,6 +133,7 @@ def _fft_length(n: int) -> int:
     return best
 
 
+@_saturating
 def ess(series) -> float | None:
     """Effective sample size via the initial-positive-sequence rule, or None
     where a series has none: fewer than 10 draws, no spread (`_spread`: a
@@ -159,14 +160,13 @@ def ess(series) -> float | None:
         return None
     nfft = _fft_length(2 * L - 1)
     # an autocovariance past the double range saturates to inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = x - x.mean()
-        f = np.fft.rfft(x, nfft)
-        del x
-        f *= f.conj()
-        acov = np.fft.irfft(f, nfft)
-        del f
-        acov = acov[:L] / L
+    x = x - x.mean()
+    f = np.fft.rfft(x, nfft)
+    del x
+    f *= f.conj()
+    acov = np.fft.irfft(f, nfft)
+    del f
+    acov = acov[:L] / L
     if not np.isfinite(acov).all():
         return None
     rho = acov / acov[0]
@@ -183,9 +183,8 @@ def ess(series) -> float | None:
 def _parameter_summary(name: str, x: np.ndarray) -> ParameterSummary:
     """The summary of the draws ``x`` of the parameter ``name``; draws whose
     mean or sd overflows to inf are a ValidationError naming it (a nan draw
-    reads a nan mean)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = float(x.mean()), float(x.std(ddof=0))
+    reads a nan mean). Runs under a caller's `_saturating`."""
+    mean, sd = float(x.mean()), float(x.std(ddof=0))
     if math.isinf(mean) or math.isinf(sd):
         raise ValidationError(f"the draws of {name} overflow: mean {mean}, sd {sd}")
     # ECDF-based quantiles: pooling identical chains leaves them unchanged
@@ -237,6 +236,7 @@ def summarize(*records, discard: float = 0.0) -> PosteriorSummary:
     return _pooled_summary(records, _kept_rows(records, discard), discard)
 
 
+@_saturating
 def _pooled_summary(records, kept: dict, discard: float) -> PosteriorSummary:
     """The `summarize` of ``records`` from their rows ``kept`` at the
     fraction ``discard`` (`_kept_rows`), for a caller that reads the kept
@@ -251,6 +251,7 @@ def _pooled_summary(records, kept: dict, discard: float) -> PosteriorSummary:
     )
 
 
+@_saturating
 def silverman_bandwidth(series) -> float:
     """0.9 min(sd, iqr/1.34) n^(-1/5); falls back to sd when the iqr is 0.
     The iqr is the 75th less the 25th percentile by `_percentiles`, so the
@@ -275,6 +276,7 @@ def silverman_bandwidth(series) -> float:
     return h
 
 
+@_saturating
 def kde(series, grid, bandwidth: float | None = None) -> np.ndarray:
     """Gaussian kernel density of ``series`` evaluated on ``grid``.
 

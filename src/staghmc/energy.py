@@ -52,6 +52,9 @@ exponential itself cannot overflow; a runaway proposal yields a huge
 (possibly +inf once squared, never NaN) energy that the sampler rejects
 instead of crashing. Inside the clamped region the analytic gradient no
 longer tracks the (flat) clamped energy; such states are rejected anyway.
+The plan's build and the entry points `h_N`, `h_total` and `grad_hprime`
+run under the package's one floating-point error state,
+`errors._saturating`, and the kernel and the helpers under their caller's.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, _frozen, _set
+from .errors import DomainError, NonFiniteError, _frozen, _saturating, _set
 from .lattice import (  # noqa: F401 -- the public maps stay bound here for tracers
     LatticeLayout,
     MassConfig,
@@ -91,17 +94,6 @@ EXP_CLAMP = 700.0
 # native doubles straight into the workspace's ``coef_bytes``: the
 # values of an assignment from a list, at a fifth of its cost
 _pack_coef = struct.Struct("9d").pack_into
-
-# the one saturation policy: overflow, invalid operations and division by
-# zero saturate to inf and NaN, and underflow rounds to 0, silently. It
-# decorates the five public entry points h_N, h_total, grad_hprime,
-# integrator.trotter_propagate and sampler.hmc_iteration, so the kernel and
-# every helper they call run under it; the caller's state comes back on
-# return, also after a raise. NumPy (>= 2.0) keeps each decorated call's
-# token apart, so the calls may nest and run in threads. It sets underflow
-# too, so a caller's np.errstate(all="raise") cannot turn an exp(-beta q)
-# that rounds to 0 into a FloatingPointError
-_saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
 @_frozen
@@ -135,6 +127,7 @@ class InferenceProblem:
     Ldot: np.ndarray = field(init=False, repr=False)
     lnyr: np.ndarray = field(init=False, repr=False)
 
+    @_saturating
     def __post_init__(self):
         lay = LatticeLayout(self.data.n_segments, self.j, self.data.horizon)
         r = _signal_over(self.signal, lay.times)

@@ -2,9 +2,10 @@
 rule (an integer, a count, a u64 seed, a positive number, a real number, a
 positive pair, real numbers as a float array, and an array argument as a
 1-d one), the prefix that names where a rejected value came from, the one
-refusal of an array too large to allocate, and the one rule for a frozen
+refusal of an array too large to allocate, the one rule for a frozen
 object: what it is (`_frozen`), how a field declares its check (`_rule`)
-and how its fields are set (`_set`).
+and how its fields are set (`_set`), and the one floating-point error
+state, `_saturating`.
 
 Every setting, in a library config or on the command line, goes through
 its rule's check, so each rule has one wording, such as ``<name> must be
@@ -27,7 +28,17 @@ normalised or derived field is set once, by `_set`, which makes each
 array it sets read-only, and every array that one is a view of, so no
 array a frozen object holds (a table, or a data container's copy of its
 series) can change under a plan built from it, in this process or in a
-worker it was pickled to."""
+worker it was pickled to.
+
+A runaway value saturates and is refused, never raised as a
+FloatingPointError nor warned about: overflow, an invalid operation and a
+division by zero give inf or NaN, and underflow rounds to 0, silently, in
+every public computation, which then refuses a value that is not finite
+itself (a ValidationError, a NonFiniteError or a rejected proposal). That
+state is `_saturating`, the package's only ``np.errstate``, set at the
+public entry points; the helpers they call run under it, and set none of
+their own. A caller's state, one that raises on every event among them,
+comes back unchanged on return, also after a raise."""
 
 import contextlib
 import dataclasses
@@ -245,6 +256,17 @@ def _sized(**sizes):
         raise
     except (MemoryError, OverflowError, ValueError) as exc:
         raise AllocationError(sizes, str(exc) or type(exc).__name__) from None
+
+
+# the one floating-point error state (see the module docstring). It
+# decorates the entry points, and no helper sets a state of its own: the
+# plan's build, the simulation and its observations, a chain's start, the
+# energies, the trajectory, the chain and its iteration, the summary and
+# the diagnostics of a series. NumPy (>= 2.0) keeps each decorated call's
+# token apart, so the calls may nest and run in threads. It sets underflow
+# too, so a caller's np.errstate(all="raise") cannot turn an exp(-beta q)
+# or a kernel value that rounds to 0 into a FloatingPointError
+_saturating = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
 class DomainError(StagHmcError, ValueError):

@@ -48,10 +48,9 @@ from .energy import (  # noqa: F401 -- grad_hprime stays bound here for tracers
     _hprime,
     _load,
     _proposal,
-    _saturating,
     grad_hprime,
 )
-from .errors import _count, _frozen, _positive, _rule, _set
+from .errors import _count, _frozen, _positive, _rule, _saturating, _set
 from .lattice import LatticeLayout, MassConfig, PolymerState
 
 __all__ = [
@@ -147,7 +146,7 @@ def _free_flow(phase: tuple, flow: tuple):
     Bit for bit the rotation u' = u cos + p sin / (m omega),
     p' = p cos - u m omega sin: y + x (-z) and y - x z round alike, signed
     zeros and inf * 0 = NaN included; such a NaN, from a non-finite
-    position at a measurement bead, stays silent under `energy._saturating`
+    position at a measurement bead, stays silent under `errors._saturating`
     and the next gradient raises NonFiniteError, so the proposal is
     rejected. The parameters drift in the caller.
 
@@ -229,7 +228,7 @@ def trotter_propagate(
     start costs one more kernel pass here; the sampler's chain carries it
     from its construction and each accepted proposal instead.
 
-    Decorated with `energy._saturating`: overflow, invalid operations and
+    Decorated with `errors._saturating`: overflow, invalid operations and
     division by zero saturate to inf and NaN silently. The state size is
     checked once, up front; non-finite forces then raise NonFiniteError,
     and a beta or gamma of 0 or below, at the start or at any step,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, _count, _frozen, _positive, _positive_pair, _rule, _set
-from .errors import _sized, _vector
+from .errors import _saturating, _sized, _vector
 from .model import DimensionlessParams, InputSignal, TimeSeriesData, _log_data_over, _signal_over
 
 __all__ = [
@@ -256,6 +256,7 @@ def _check_data(data: TimeSeriesData, layout: LatticeLayout):
         raise ValidationError(f"data horizon {data.horizon} != lattice horizon {layout.T}")
 
 
+@_saturating
 def initial_state(
     data: TimeSeriesData,
     signal: InputSignal,
@@ -268,7 +269,9 @@ def initial_state(
     r is read at the data times through `model._signal_over`, so a signal
     that cannot be read there is the plan's ValidationError, and ln(y / r)
     through `model._log_data_over`, which refuses a ratio outside the
-    double range as the plan does."""
+    double range as the plan does. A beta so small that a pinned bead
+    overflows gives an infinite bead, without a warning, and a `Chain`
+    refuses that start (NonFiniteError)."""
     _check_data(data, layout)
     r_meas = _signal_over(signal, data.times)
     q_bound = _log_data_over(data, r_meas) / theta0.beta

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .errors import _count, _frozen, _naming, _positive, _real, _reals, _rule, _seed, _set
-from .errors import _sized, _vector
+from .errors import _saturating, _sized, _vector
 
 __all__ = [
     "PhysicalParams",
@@ -208,12 +208,12 @@ def _signal_over(signal: InputSignal, times) -> np.ndarray:
     file (`_naming`). Before r is evaluated, a sinusoid's a, omega and b
     must each be a real number of the double range (`errors._real`): a
     complex one, which NumPy would cut to its real part, a string, a list
-    or an integer past the double range is refused, naming the field."""
+    or an integer past the double range is refused, naming the field. Runs
+    under a caller's `_saturating`."""
     if signal.kind == "sinusoid":
         for name in ("a", "omega", "b"):
             _real(f"input signal {name}", getattr(signal, name))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        r = np.asarray(signal.value(times), dtype=float)
+    r = np.asarray(signal.value(times), dtype=float)  # refused below
     bad = np.flatnonzero(~((r > 0) & (r < np.inf)))
     if bad.size:
         t, value = np.ravel(times)[bad[0]], np.ravel(r)[bad[0]]
@@ -232,10 +232,9 @@ def _log_data_over(data: TimeSeriesData, r: np.ndarray) -> np.ndarray:
     the one read of the data against the signal, for a plan's residuals
     and the pinned beads of a chain's start. A ratio y / r outside the
     double range, whose log is not finite, is a ValidationError naming its
-    time, before any warning."""
+    time. Runs under a caller's `_saturating`."""
     y = data.values
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):  # refused below
-        lnyr = np.log(y / r)
+    lnyr = np.log(y / r)  # refused below
     bad = np.flatnonzero(~np.isfinite(lnyr))
     if bad.size:
         i = bad[0]
@@ -368,6 +367,7 @@ def _generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+@_saturating
 def simulate_truth(
     params: PhysicalParams, signal: InputSignal, times, seed=None
 ) -> TruthPath:
@@ -404,24 +404,22 @@ def simulate_truth(
     # signal's term (T / beta) r'/r must be finite (sin of an overflowed
     # phase is NaN): refused before any noise is drawn. A step beyond the
     # double range leaves a non-finite path, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = (T / theta.beta) * (signal.rate(t[:-1]) / r[:-1])
-        bad = np.flatnonzero(~np.isfinite(drift))
-        if bad.size:
-            raise ValidationError(
-                "input signal must give a finite drift wherever it is read:"
-                f" (T/beta) r'/r = {drift[bad[0]]} at t = {t[bad[0]]}"
-            )
-        rho = drift + (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
-        drift0 = -h * rho / T
+    drift = (T / theta.beta) * (signal.rate(t[:-1]) / r[:-1])
+    bad = np.flatnonzero(~np.isfinite(drift))
+    if bad.size:
+        raise ValidationError(
+            "input signal must give a finite drift wherever it is read:"
+            f" (T/beta) r'/r = {drift[bad[0]]} at t = {t[bad[0]]}"
+        )
+    rho = drift + (2.0 + params.gamma) * theta.beta / (2.0 * params.gamma)
+    drift0 = -h * rho / T
     noise = np.sqrt(h / T) * rng.standard_normal(h.size)
     # h is read: its buffer takes each step's coefficient h beta / (T gamma)
     h *= theta.beta / (T * params.gamma)
     q = np.fromiter(_euler_maruyama(h, drift0, noise, -theta.beta), dtype=float, count=t.size)
     # a non-finite q stays non-finite, so the first one is the bad step
     _check_finite(q, "simulated path")
-    with np.errstate(over="ignore"):
-        S = (T * params.gamma / theta.beta**2) * r * np.exp(theta.beta * q)
+    S = (T * params.gamma / theta.beta**2) * r * np.exp(theta.beta * q)
     _check_finite(S, "simulated S")
     return TruthPath(times=t, S=S, q=q)
 
@@ -450,6 +448,7 @@ def _check_finite(x: np.ndarray, what: str):
         raise NonFiniteError(what, indices=int(np.flatnonzero(~np.isfinite(x))[0]))
 
 
+@_saturating
 def generate_observations(
     path: TruthPath,
     obs_times,
@@ -473,8 +472,7 @@ def generate_observations(
         raise ValidationError(f"observation times not on the simulation grid: {obs_times[off]}")
     rng = _generator(seed)
     eps = rng.standard_normal(obs_times.size)
-    with np.errstate(over="ignore"):
-        y = (path.S[idx] / params.K) * np.exp(obs.sigma * eps)
+    y = (path.S[idx] / params.K) * np.exp(obs.sigma * eps)
     # a reading beyond the double range, 0 or inf, is no observation
     out_of_range = ~(np.isfinite(y) & (y > 0))
     if out_of_range.any():

@@ -49,7 +49,6 @@ from .energy import (  # noqa: F401 -- h_total stays bound here for tracers
     _end_energy,
     _hprime,
     _load,
-    _saturating,
     h_total,
 )
 from .errors import (
@@ -61,6 +60,7 @@ from .errors import (
     _frozen,
     _positive_pair,
     _rule,
+    _saturating,
     _seed,
     _sized,
 )
@@ -240,7 +240,7 @@ class Chain:
     `state` returns a copy of the current one, and a chain built
     from that copy continues as this one does. That rebuild is the one way
     to copy a chain: `pickle`, `copy.copy` and `copy.deepcopy` raise
-    TypeError. Decorated with `energy._saturating`, as `hmc_iteration` is.
+    TypeError. Decorated with `errors._saturating`, as `hmc_iteration` is.
     """
 
     __slots__ = ("bank", "P", "cur", "work", "theta", "potential", "g_theta")
@@ -296,7 +296,7 @@ def hmc_iteration(chain: Chain, rng: np.random.Generator) -> tuple[Chain, Iterat
     energy overflows to -inf, which `metropolis_accept` alone would take; a
     start of infinite energy with a finite proposal is accepted.
 
-    Decorated with `energy._saturating`, so the whole iteration, the
+    Decorated with `errors._saturating`, so the whole iteration, the
     energies of both ends included, saturates instead of warning.
     """
     cur, work, masses = chain.cur, chain.work, chain.bank.masses

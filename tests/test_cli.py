@@ -845,6 +845,32 @@ class TestSummarize:
         )
         assert not (tmp_path / "twice").exists()
 
+    def test_file_listed_twice_found_in_a_bounded_number_of_stats_per_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 300 distinct files, then the first again: two stats per pair of
+        # files would be about 90 000 calls, one key per file is a few each
+        listed = [str(tmp_path / f"chain{i:03d}.csv") for i in range(300)]
+        for path in listed:
+            Path(path).write_text("")
+        listed.append(listed[0])
+        calls = []
+        stat = os.stat
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return stat(path, *args, **kwargs)
+
+        capsys.readouterr()
+        monkeypatch.setattr(os, "stat", counted)
+        assert self.summarize(tmp_path, listed, "many", rc_only=True) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == (
+            "error: config field summarize.chain_files lists one file twice:"
+            f" {listed[0]}, {listed[0]}\n"
+        )
+        assert len(calls) <= 3 * len(listed)
+
     def test_draws_whose_mean_overflows_rejected_before_writing(self, tmp_path, capsys):
         # positive, finite K draws, each of which from_csv reads, whose sum
         # leaves the double range: no summary, and no Infinity in a JSON file

@@ -76,6 +76,15 @@ OWNERS = {
     "_never_moved": [], "_check_moved": [], "_check_finite_series": [],
     # one check per config value: each cli.SCHEMA leaf is the rule that owns it
     "_number(": [], "_whole(": [], "_float_pair(": [], "_need_count(": [],
+    # one floating-point error state, errors._saturating (its definition and
+    # its comment), set at the public entry points and by no helper
+    "np.errstate(": ["errors:"] * 2,
+    "@_saturating": ["diagnostics:ess", "diagnostics:_pooled_summary",
+                     "diagnostics:silverman_bandwidth", "diagnostics:kde",
+                     "energy:InferenceProblem", "energy:h_N", "energy:h_total",
+                     "energy:grad_hprime", "integrator:trotter_propagate",
+                     "lattice:initial_state", "model:simulate_truth",
+                     "model:generate_observations", "sampler:Chain", "sampler:hmc_iteration"],
 }
 # the checks that a field names as its `errors._rule`
 RULES = {"_positive", "_count", "_positive_pair", "_seed"}

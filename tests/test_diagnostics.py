@@ -16,6 +16,7 @@ import pytest
 from scipy.signal import lfilter
 
 import staghmc
+from staghmc.cli import DENSITY_POINTS
 from staghmc.diagnostics import (
     EXP_ZERO,
     KDE_BLOCK_DOUBLES,
@@ -584,6 +585,49 @@ class TestKdeFarTails:
         np.testing.assert_array_equal(d, _one_matrix_kde(x, grid, 1.0))
         assert (d[:3] > 0.0).all()
         assert d[3] == 0.0
+
+
+def _density_grid(x):
+    """`cli.cmd_summarize`'s density grid: the draws' range padded by three
+    bandwidths, whose far ends meet kernels that round to subnormals."""
+    pad = 3.0 * silverman_bandwidth(x)
+    return np.linspace(x.min() - pad, x.max() + pad, DENSITY_POINTS)
+
+
+# skewed draws, as K's are, and a series scaled so far down that its squares underflow
+_SKEWED = np.random.default_rng(43).gamma(2.0, size=4_000)
+_TINY = np.random.default_rng(41).standard_normal(1_000) * 1e-160
+_STRICT_CALLS = {
+    "kde-density-grid": lambda: kde(_SKEWED, _density_grid(_SKEWED)),
+    "ess-1e-160": lambda: ess(_TINY),
+    "silverman_bandwidth-1e-160": lambda: silverman_bandwidth(_TINY),
+}
+
+
+class TestStrictCaller:
+    """Under a caller's np.errstate(all="raise"), `ess`,
+    `silverman_bandwidth` and `kde` return bit for bit what they return
+    under the default state, and hand the caller's state back, also after
+    a DomainError: each runs under `errors._saturating`."""
+
+    @pytest.mark.parametrize("name", _STRICT_CALLS)
+    def test_bit_equal_to_the_default_state(self, name):
+        call = _STRICT_CALLS[name]
+        want = call()
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            got = call()
+            assert np.geterr() == caller
+        assert np.asarray(want).tobytes() == np.asarray(got).tobytes()
+
+    @pytest.mark.parametrize("call", [silverman_bandwidth, lambda x: kde(x, np.zeros(3))],
+                             ids=["silverman_bandwidth", "kde"])
+    def test_caller_state_back_after_a_domain_error(self, call):
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            with pytest.raises(DomainError):
+                call(np.full(10, 0.7))
+            assert np.geterr() == caller
 
 
 def _percentile_series(kind, n):

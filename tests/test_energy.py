@@ -22,6 +22,7 @@ from staghmc.energy import (
     h_N,
     h_total,
 )
+from staghmc.errors import _saturating
 from staghmc.lattice import (
     LatticeLayout,
     MassConfig,
@@ -460,7 +461,7 @@ class TestBoundaryStageCache:
         layout, _, ctx = make_problem()
         a, b = self.pair(layout, case)
 
-        @energy._saturating
+        @_saturating
         def trajectory_gradient(st):
             np.copyto(ctx.rows.u, st.u)
             _, _, g_u, g_beta, g_gamma = energy._hprime(*st.theta.tolist(), ctx, True)
@@ -523,7 +524,7 @@ class TestResidualsFromExponentRow:
         import staghmc.energy as energy
 
         _, _, ctx = make_problem(layout.n, layout.j, layout.T)
-        kernel = energy._saturating(energy._hprime)
+        kernel = _saturating(energy._hprime)
         rng = np.random.default_rng(layout.N + 1)
         for gradient in (False, True):
             for _ in range(5):
@@ -567,7 +568,7 @@ class TestKernelRow:
         fresh = make_problem()[2]
         want = grad_hprime(st, fresh)
         np.copyto(ctx.rows.u, st.u)
-        kernel_gradient = energy._saturating(energy._hprime)
+        kernel_gradient = _saturating(energy._hprime)
         _, _, g_u, g_beta, g_gamma = kernel_gradient(*st.theta.tolist(), ctx, True)
         np.testing.assert_array_equal(g_u, want.g_u)
         np.testing.assert_array_equal([g_beta, g_gamma], want.g_theta)
@@ -583,7 +584,7 @@ class TestKernelRow:
         import staghmc.energy as energy
 
         layout, _, ctx = make_problem(n, j, 83.0)
-        kernel = energy._saturating(energy._hprime)
+        kernel = _saturating(energy._hprime)
         for seed in range(5):
             st = random_state(layout, np.random.default_rng(seed), u_scale=1.0)
             want = h_total(at_rest(st), make_problem(n, j, 83.0)[2], MASSES)
@@ -598,7 +599,7 @@ class TestKernelRow:
         import staghmc.energy as energy
 
         layout, _, ctx = make_problem(n, j, 83.0)
-        kernel = energy._saturating(energy._hprime)
+        kernel = _saturating(energy._hprime)
         for seed in range(5):
             st = random_state(layout, np.random.default_rng(seed), u_scale=1.0)
             np.copyto(ctx.rows.u, st.u)
@@ -755,12 +756,14 @@ class TestGuards:
 
 
 class TestSaturationPolicy:
-    """`energy._saturating` decorates the five entry points and the chain's
-    construction: at a saturating state none of them warns, and each hands
-    the caller's floating-point error state back unchanged, nested or after
-    a raise. A chain cannot start at such a state, whose force is not
-    finite, so the iteration starts from a finite state and saturates on a
-    long step."""
+    """`errors._saturating` decorates the energies' and the trajectory's
+    entry points h_N, h_total, grad_hprime, trotter_propagate and
+    hmc_iteration, and the chain's construction (the package's other
+    entry points are checked beside their modules' tests): at a saturating
+    state none of them warns, and each hands the caller's floating-point
+    error state back unchanged, nested or after a raise. A chain cannot
+    start at such a state, whose force is not finite, so the iteration
+    starts from a finite state and saturates on a long step."""
 
     def saturating(self, layout):
         st = random_state(layout, np.random.default_rng(14))

@@ -17,11 +17,11 @@ from staghmc.energy import (
     InferenceProblem,
     _load,
     _proposal,
-    _saturating,
     grad_hprime,
     h_N,
     h_total,
 )
+from staghmc.errors import _saturating
 from staghmc.integrator import (
     IntegratorConfig,
     OscillatorBank,

@@ -27,12 +27,13 @@ from staghmc import (
     TimeSeriesData,
     ValidationError,
 )
-from staghmc.diagnostics import discard_start, ess
+from staghmc.diagnostics import discard_start, ess, kde, summarize
 from staghmc.energy import grad_hprime, h_total
 from staghmc.integrator import IntegratorConfig, OscillatorBank, trotter_propagate
 from staghmc.lattice import LatticeLayout, MassConfig, PolymerState, initial_state
 from staghmc.model import (
     DimensionlessParams,
+    fine_grid,
     generate_observations,
     simulate_truth,
 )
@@ -50,6 +51,8 @@ from staghmc.sampler import (
     run_parallel_chains,
     sample_momenta,
 )
+
+from test_diagnostics import _density_grid
 
 SIGNAL = InputSignal.sinusoid(1.0, 0.01, 0.1)
 MASSES = MassConfig(M=720.0, m_prime=130.0, m_alpha=(150.0, 150.0))
@@ -606,6 +609,48 @@ class TestSaturatingStates:
                 grad_hprime(state, ctx)
             with pytest.raises(NonFiniteError):
                 new_chain(toy_problem, state=state)
+
+    def test_start_whose_beads_overflow_is_silent_and_refused(self, toy_problem):
+        # ln(y / r) / beta overflows at the least subnormal beta: the start's
+        # pinned beads saturate to inf, and the chain refuses their force
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = start_state(toy_problem, (5e-324, 0.5))
+            assert np.isinf(state.u[:: toy_problem.j]).any()
+            with pytest.raises(NonFiniteError):
+                new_chain(toy_problem, state=state)
+
+
+def _library_run(tmp_path):
+    """Every public step of a small library run in order, README's Library
+    use: the data, the plan, a start and its energy, a chain through its
+    CSV round trip, its summary and `cli.cmd_summarize`'s densities."""
+    tmp_path.mkdir()
+    truth = PhysicalParams(K=50.0, gamma=0.2, T=800.0)
+    path = simulate_truth(truth, SIGNAL, fine_grid(truth.T, 20, 2), seed=71)
+    obs = ObservationModel(0.05)
+    data = generate_observations(path, np.linspace(0.0, 800.0, 21), truth, obs, seed=72)
+    problem = InferenceProblem(data=data, signal=SIGNAL, obs=obs, j=2)
+    start = start_state(problem)
+    run_chain(problem, small_config(n_mc=4000)).to_csv(tmp_path / "chain.csv")
+    rec = ChainRecord.from_csv(tmp_path / "chain.csv")
+    kept = discard_start(0.25, rec.n_rows)
+    draws = [getattr(rec, name)[kept:] for name in ("beta", "gamma", "K")]
+    return [path, data, problem.lnyr, start, h_total(start, problem.context(), MASSES),
+            (tmp_path / "chain.csv").read_bytes(), summarize(rec, discard=0.25),
+            [kde(x, _density_grid(x)) for x in draws]]
+
+
+class TestStrictCaller:
+    def test_library_run_is_bit_equal_and_hands_the_state_back(self, tmp_path):
+        # a caller whose error state raises on every event: each entry point
+        # sets the package's own state, so no result moves and no call raises
+        want = _library_run(tmp_path / "default")
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            got = _library_run(tmp_path / "strict")
+            assert np.geterr() == caller
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 class TestCarriedPotential:
